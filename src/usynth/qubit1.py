@@ -190,8 +190,13 @@ def _s3_net(h: float) -> np.ndarray:
         pts.append(layer)
     P = np.vstack(pts)
     P = _canonical_sign(P / np.linalg.norm(P, axis=1, keepdims=True))
-    # Dedup identified points (psi = pi/2 hemisphere overlap).
-    _, keep = np.unique(np.round(P, 9), axis=0, return_index=True)
+    # Dedup identified points (psi = pi/2 hemisphere overlap) up to sign: a
+    # near-tie of the two largest components can give p and -p opposite
+    # canonical signs, so the keys take the sign of the first nonzero
+    # rounded component.
+    R = np.round(P, 9) + 0.0
+    lead = np.take_along_axis(R, np.argmax(R != 0, axis=1)[:, None], axis=1)
+    _, keep = np.unique(R * np.sign(lead) + 0.0, axis=0, return_index=True)
     return P[np.sort(keep)]
 
 

@@ -94,61 +94,73 @@ def enumerate_sequences(
 ) -> list[GateSequence]:
     """All distinct (up to phase) gate sequences of length <= max_len.
 
-    Breadth-first by length with magic-vector deduplication: the shortest
-    sequence realizing each unitary is kept, ties broken lexicographically
-    by label list. Raises BudgetExceededError past `budget` kept sequences.
+    Breadth-first by length, deduplicated on magic vectors rounded to about
+    -log10(dedup_tol) - 1 decimals. Each length is deduplicated at once: the
+    rounded vector of every product is one byte key, a product is kept if
+    its key is the first of its length and unseen at shorter lengths.
+    Products are generated with gates in lexicographic label order, so the
+    kept sequence for each unitary is the shortest, ties broken
+    lexicographically by label list. Raises BudgetExceededError past
+    `budget` kept sequences, before the sequences of that length are built.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     decimals = max(1, int(round(-np.log10(max(dedup_tol, 1e-12)))) - 1)
-    # Iterate gates in lexicographic label order so generation order equals
-    # (length, labels) order and first-kept wins all ties.
     order = sorted(range(len(gs.labels)), key=lambda i: gs.labels[i])
     glabels = [gs.labels[i] for i in order]
     gmats = np.stack([gs.unitaries[i] for i in order])
     ng = len(glabels)
 
-    out: list[GateSequence] = []
-    seen: set[tuple] = set()
-
-    def key_of(mv: np.ndarray) -> tuple:
-        r = np.round(mv, decimals)
-        r += 0.0  # normalize -0.0
-        return tuple(r)
+    def keys_of(mv: np.ndarray) -> np.ndarray:
+        r = np.round(mv, decimals) + 0.0  # normalize -0.0
+        return r.view(np.dtype((np.void, r.itemsize * r.shape[1])))[:, 0]
 
     ident = np.eye(2, dtype=complex)
     mv0 = qubit1.magic_embed(ident)
-    out.append(GateSequence(labels=(), realized=ident, magic=mv0))
-    seen.add(key_of(mv0))
+    out = [GateSequence(labels=(), realized=ident, magic=mv0)]
+    seen = keys_of(mv0[None, :])
 
     frontier_mats = ident[None, :, :]
     frontier_labels: list[tuple[str, ...]] = [()]
-    for _ in range(max_len):
+    for length in range(1, max_len + 1):
         if frontier_mats.shape[0] == 0:
             break
-        # New label applied after the existing sequence: U_new = g @ U_old;
-        # keep frontier-major order so dedup ties resolve lexicographically.
+        # New label applied after the existing sequence: U_new = g @ U_old,
+        # frontier-major, so product order is (length, labels) order.
         prod = np.einsum("gab,fbc->fgac", gmats, frontier_mats).reshape(-1, 2, 2)
         mv = qubit1.magic_embed_batch(prod)
-        new_mats = []
-        new_labels = []
-        for i in range(prod.shape[0]):
-            k = key_of(mv[i])
-            if k in seen:
-                continue
-            seen.add(k)
-            lab = frontier_labels[i // ng] + (glabels[i % ng],)
-            seq = GateSequence(labels=lab, realized=prod[i], magic=mv[i])
-            out.append(seq)
-            new_mats.append(prod[i])
-            new_labels.append(lab)
-            if len(out) > budget:
-                raise BudgetExceededError(
-                    f"sequence budget {budget} exceeded at length {len(lab)}"
-                )
-        frontier_mats = np.stack(new_mats) if new_mats else np.empty((0, 2, 2), complex)
-        frontier_labels = new_labels
+        keys = keys_of(mv)
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        new = first[~np.isin(keys[first], seen)]
+        if new.size and len(out) + new.size > budget:
+            raise BudgetExceededError(
+                f"sequence budget {budget} exceeded at length {length}"
+            )
+        seen = np.concatenate([seen, keys[new]])
+        frontier_mats, mv = prod[new], mv[new]
+        parent, gate = np.divmod(new, ng)
+        frontier_labels = [
+            frontier_labels[f] + (glabels[g],)
+            for f, g in zip(parent.tolist(), gate.tolist())
+        ]
+        out.extend(
+            GateSequence(labels=lab, realized=U, magic=m)
+            for lab, U, m in zip(frontier_labels, frontier_mats, mv)
+        )
     return out
+
+
+def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest row of the pool magic vectors P to each row of V.
+
+    Returns the indices and the half-diamond errors. Ties go to the lowest
+    index: in pool order, the shorter sequence, then lexicographic labels.
+    """
+    dots = np.abs(V @ P.T)
+    idx = np.argmax(dots, axis=1)
+    best = np.take_along_axis(dots, idx[:, None], axis=1)[:, 0]
+    return idx, np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, best) ** 2))
 
 
 def _pool_magic(pool: list[GateSequence]) -> np.ndarray:
@@ -166,10 +178,8 @@ def det_synth(
     if not pool:
         raise EmptyPoolError("empty sequence pool")
     u = qubit1.magic_embed(target) if target.ndim == 2 else np.asarray(target, float)
-    dots = np.abs(_pool_magic(pool) @ u)
-    i = int(np.argmax(dots))
-    err = float(np.sqrt(max(0.0, 1.0 - min(1.0, dots[i]) ** 2)))
-    return pool[i], err
+    idx, errs = _nearest(_pool_magic(pool), u[None, :])
+    return pool[int(idx[0])], float(errs[0])
 
 
 @dataclass
@@ -216,9 +226,12 @@ def prob_synth(
     accuracy delta. The mixture then has half-diamond error at most
     achieved_eps**2 + delta, with achieved_eps = c*eps + (worst
     deterministic synthesis error over covering points) <= eps.
+
+    eps must lie in (0, 1/2), so that the 2*eps-ball is a proper cap of the
+    unitaries; ValueError otherwise.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
+    if not 0 < eps < 0.5:
+        raise ValueError(f"prob_synth needs 0 < eps < 1/2, got eps = {eps:g}")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if c <= 0 or c_prime <= 0 or c + c_prime > 1:
@@ -229,9 +242,7 @@ def prob_synth(
     u = qubit1.magic_embed(target)
     cover = qubit1.cap_covering(u, min(2 * eps, 0.999), c * eps)
     P = _pool_magic(pool)
-    dots = np.abs(cover @ P.T)
-    nearest = np.argmax(dots, axis=1)
-    errs = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, np.max(dots, axis=1)) ** 2))
+    nearest, errs = _nearest(P, cover)
     worst = float(np.max(errs))
     if worst > c_prime * eps:
         raise CoveringUnreachableError(
@@ -243,7 +254,7 @@ def prob_synth(
 
     support_idx = sorted(set(int(i) for i in nearest))
     support = [pool[i] for i in support_idx]
-    W = np.stack([s.magic for s in support])
+    W = P[support_idx]
     keep = qubit1.support_filter(u, W, eps)
     support = [support[int(i)] for i in keep]
     W = W[keep]

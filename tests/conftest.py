@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from usynth.synth import enumerate_sequences, standard_gate_set
+# BLAS reads its thread count once, when numpy is first imported, so pin it
+# here, before that import: the solver's small factorizations run faster on
+# one thread than split over several.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from usynth.synth import enumerate_sequences, standard_gate_set  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -132,3 +132,10 @@ def test_exit_code_covering(capsys):
                            "--max-len", "3")
     assert code == 4
     assert "achieved radius" in err
+
+
+def test_exit_code_synth1q_eps_outside_domain(capsys):
+    code, out, err = run_cli(capsys, "synth1q", "--target", "H", "--eps", "0.6")
+    assert code == 2
+    assert out == ""
+    assert "prob_synth needs 0 < eps < 1/2" in err

@@ -158,3 +158,11 @@ def test_sphere_covering_rejects_bad_eps():
         sphere_covering(0.0)
     with pytest.raises(ValueError):
         sphere_covering(1.5)
+
+
+def test_s3_net_has_no_antipodal_duplicates():
+    # At this spacing near-ties of the two largest components give some p
+    # and -p opposite canonical signs.
+    P = qubit1._s3_net(np.arcsin(0.1))
+    Q = np.round(np.vstack([P, -P]), 9) + 0.0
+    assert len(np.unique(Q, axis=0)) == len(Q)

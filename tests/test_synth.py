@@ -7,7 +7,9 @@ from usynth.synth import (
     BudgetExceededError,
     CoveringUnreachableError,
     EmptyPoolError,
+    GateSequence,
     GateSet,
+    _nearest,
     campbell_mix,
     det_synth,
     enumerate_sequences,
@@ -15,6 +17,105 @@ from usynth.synth import (
     sample,
     standard_gate_set,
 )
+
+
+def reference_enumerate(gs, max_len, dedup_tol=1e-9, budget=500000):
+    """Per-product loop that deduplicates one product at a time.
+
+    The reference for `enumerate_sequences`, which deduplicates a whole
+    length at once and must return the same pool and raise the same
+    BudgetExceededError.
+    """
+    decimals = max(1, int(round(-np.log10(max(dedup_tol, 1e-12)))) - 1)
+    order = sorted(range(len(gs.labels)), key=lambda i: gs.labels[i])
+    glabels = [gs.labels[i] for i in order]
+    gmats = np.stack([gs.unitaries[i] for i in order])
+    ng = len(glabels)
+
+    def key_of(mv):
+        r = np.round(mv, decimals)
+        r += 0.0
+        return tuple(r)
+
+    ident = np.eye(2, dtype=complex)
+    mv0 = qubit1.magic_embed(ident)
+    out = [GateSequence(labels=(), realized=ident, magic=mv0)]
+    seen = {key_of(mv0)}
+    frontier_mats = ident[None, :, :]
+    frontier_labels = [()]
+    for _ in range(max_len):
+        if frontier_mats.shape[0] == 0:
+            break
+        prod = np.einsum("gab,fbc->fgac", gmats, frontier_mats).reshape(-1, 2, 2)
+        mv = qubit1.magic_embed_batch(prod)
+        new_mats, new_labels = [], []
+        for i in range(prod.shape[0]):
+            k = key_of(mv[i])
+            if k in seen:
+                continue
+            seen.add(k)
+            lab = frontier_labels[i // ng] + (glabels[i % ng],)
+            out.append(GateSequence(labels=lab, realized=prod[i], magic=mv[i]))
+            new_mats.append(prod[i])
+            new_labels.append(lab)
+            if len(out) > budget:
+                raise BudgetExceededError(
+                    f"sequence budget {budget} exceeded at length {len(lab)}"
+                )
+        frontier_mats = np.stack(new_mats) if new_mats else np.empty((0, 2, 2), complex)
+        frontier_labels = new_labels
+    return out
+
+
+def _std_gates():
+    gs = standard_gate_set()
+    return dict(zip(gs.labels, gs.unitaries))
+
+
+def _unsorted_gate_set():
+    g = _std_gates()
+    labels = ("Tdg", "T", "H", "Sdg", "S")
+    return GateSet(labels=labels, unitaries=tuple(g[l] for l in labels))
+
+
+def _twin_gate_set():
+    # "G" and "T" are the same gate; every tie must go to the "G" spelling.
+    g = _std_gates()
+    return GateSet(labels=("T", "H", "G"), unitaries=(g["T"], g["H"], g["T"]))
+
+
+@pytest.mark.parametrize(
+    "make_gs", [standard_gate_set, _unsorted_gate_set, _twin_gate_set],
+    ids=["standard", "unsorted-labels", "twin-gates"],
+)
+@pytest.mark.parametrize("max_len", [0, 1, 3, 10])
+def test_enumerate_matches_reference_loop(make_gs, max_len):
+    gs = make_gs()
+    got = enumerate_sequences(gs, max_len)
+    ref = reference_enumerate(gs, max_len)
+    assert [s.labels for s in got] == [s.labels for s in ref]
+    for a, b in zip(got, ref):
+        assert a.realized.tobytes() == b.realized.tobytes()
+        assert a.magic.tobytes() == b.magic.tobytes()
+
+
+def test_enumerate_twin_gates_keep_first_label():
+    pool = enumerate_sequences(_twin_gate_set(), 3)
+    assert ("G",) in {s.labels for s in pool}
+    assert not any("T" in s.labels for s in pool)
+
+
+@pytest.mark.parametrize("make_gs", [standard_gate_set, _twin_gate_set])
+def test_enumerate_budget_boundary(make_gs):
+    gs = make_gs()
+    pool = enumerate_sequences(gs, 10)
+    assert len(enumerate_sequences(gs, 10, budget=len(pool))) == len(pool)
+    for budget in (len(pool) - 1, 100, 1, 0):
+        with pytest.raises(BudgetExceededError) as got:
+            enumerate_sequences(gs, 10, budget=budget)
+        with pytest.raises(BudgetExceededError) as ref:
+            reference_enumerate(gs, 10, budget=budget)
+        assert str(got.value) == str(ref.value)
 
 
 def test_standard_gate_set_contents(std_gateset):
@@ -91,6 +192,20 @@ def test_det_synth_monotone_in_pool_size(std_gateset, std_pool, rng):
         assert e_big <= e_small + 1e-12
 
 
+def test_nearest_ties_and_errors(std_pool):
+    P = np.stack([s.magic for s in std_pool])
+    V = np.vstack([P[5], -P[7], P[3] + P[9]])
+    V[2] /= np.linalg.norm(V[2])
+    # Repeating a pool row makes an exact tie: the first index wins.
+    idx, errs = _nearest(np.vstack([P, P]), V)
+    dots = np.abs(V @ P.T)
+    assert idx.tolist() == np.argmax(dots, axis=1).tolist()
+    assert idx[0] == 5 and idx[1] == 7
+    assert errs[0] < 1e-7 and errs[1] < 1e-7
+    for k, i in enumerate(idx):
+        assert abs(errs[k] - qubit1.distance_1q(V[k], P[i])) < 1e-7
+
+
 def test_det_synth_empty_pool():
     with pytest.raises(EmptyPoolError):
         det_synth(np.eye(2, dtype=complex), [])
@@ -131,9 +246,10 @@ def test_prob_synth_unreachable(std_gateset):
     assert exc.value.achieved_radius > 0.05
 
 
-def test_prob_synth_rejects_bad_args(std_gateset):
-    with pytest.raises(ValueError):
-        prob_synth(np.eye(2, dtype=complex), 0.0, 1e-6, std_gateset)
+def test_prob_synth_rejects_bad_args(std_gateset, std_pool):
+    for eps in (0.0, -0.1, 0.5, 0.6, 1.0):
+        with pytest.raises(ValueError, match=r"prob_synth needs 0 < eps < 1/2"):
+            prob_synth(np.eye(2, dtype=complex), eps, 1e-6, std_gateset, pool=std_pool)
     with pytest.raises(ValueError):
         prob_synth(np.eye(2, dtype=complex), 0.3, 0.0, std_gateset)
     with pytest.raises(ValueError):

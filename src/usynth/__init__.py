@@ -23,6 +23,7 @@ from .qubit1 import (
     magic_embed,
     magic_unembed,
     mix_distance_1q,
+    optimal_mix_1q,
     sphere_covering,
     support_filter,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "magic_unembed",
     "mix_distance_1q",
     "optimal_mix",
+    "optimal_mix_1q",
     "prob_synth",
     "sample",
     "sphere_covering",

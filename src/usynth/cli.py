@@ -116,7 +116,7 @@ def cmd_synth1q(args) -> int:
     )
     obj = res.to_json()
     obj["p"] = [_sig12(x) for x in obj["p"]]
-    for k in ("det_error", "prob_error", "eps", "achieved_eps", "delta"):
+    for k in ("det_error", "prob_error", "prob_error_lower", "eps", "achieved_eps", "delta"):
         obj[k] = _sig12(obj[k])
     if args.samples > 0:
         obj["samples"] = [int(i) for i in synth.sample(res.p, args.seed, args.samples)]
@@ -204,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_mixopt)
 
-    p = sub.add_parser("synth1q", help="probabilistic single-qubit synthesis")
+    p = sub.add_parser("synth1q", help="probabilistic single-qubit synthesis", description=(
+        "Each support entry lists gate labels in the order they act: the leftmost label acts "
+        "first, so [\"H\", \"T\"] realizes T @ H."))
     p.add_argument("--target", required=True, help="named target or matrix JSON path")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=1e-6)

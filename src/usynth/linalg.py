@@ -8,7 +8,6 @@ dense eigendecompositions throughout.
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 import numpy as np
 
@@ -51,35 +50,12 @@ def check_unitary(U: np.ndarray, tol: float = TOL_UNITARY) -> np.ndarray:
     return U
 
 
-def hermitian_eig(M: np.ndarray, tol: float = TOL_HERM):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted in
-    descending order and eigenvectors as the corresponding columns.
-    Raises NotHermitianError if the input is not Hermitian within `tol`.
-    """
-    M = check_hermitian(M, tol)
-    w, V = np.linalg.eigh(M)
-    order = np.argsort(w)[::-1]
-    return w[order], V[:, order]
-
-
 def trace_norm(M: np.ndarray) -> float:
     """Schatten 1-norm (sum of singular values)."""
     M = check_finite(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     return float(np.sum(np.linalg.svd(M, compute_uv=False)))
-
-
-def operator_norm(M: np.ndarray) -> float:
-    """Largest singular value."""
-    M = check_finite(M)
-    return float(np.max(np.linalg.svd(M, compute_uv=False)))
-
-
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
 def _split_dims(M: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
@@ -98,18 +74,6 @@ def partial_trace(M: np.ndarray, dims: tuple[int, int], which: int) -> np.ndarra
         return np.trace(T, axis1=0, axis2=2)
     if which == 2:
         return np.trace(T, axis1=1, axis2=3)
-    raise ValueError("which must be 1 or 2")
-
-
-def partial_transpose(M: np.ndarray, dims: tuple[int, int], which: int) -> np.ndarray:
-    """Partial transpose on subsystem `which` (1 or 2) of H1 (x) H2."""
-    M = check_finite(M)
-    d1, d2 = _split_dims(M, dims)
-    T = M.reshape(d1, d2, d1, d2)
-    if which == 1:
-        return T.transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
-    if which == 2:
-        return T.transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
     raise ValueError("which must be 1 or 2")
 
 
@@ -143,8 +107,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def load_matrix(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
         return matrix_from_json(json.load(f))
-
-
-def save_matrix(path: str, M: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(matrix_to_json(M), f)

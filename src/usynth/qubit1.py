@@ -7,15 +7,19 @@ to elementary geometry on S^3 / {+-1}:
 
     half-diamond(U, V) = sqrt(1 - (u.v)^2) = sin(angle between the lines)
 
-and for mixtures, the half-diamond distance is the trace norm of a real
-symmetric 4x4 matrix. This module provides the embedding, those distances,
-support restriction, and epsilon-coverings of (caps of) S^3.
+and for mixtures it is (1/2)||M||_1 with M = uu^T - sum_x p_x w_x w_x^T.
+M has trace 0 and at most one positive eigenvalue (a rank-one PSD matrix
+minus a PSD one), so (1/2)||M||_1 = lambda_max(M), and optimal mixing is
+an SDP with one real 4x4 PSD block S = tI - M. This module provides the
+embedding, those distances, optimal mixing (`optimal_mix_1q`), support
+restriction, and epsilon-coverings of (caps of) S^3.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import channels, sdp
 from .linalg import check_unitary
 
 
@@ -87,6 +91,60 @@ def mix_distance_1q(target: np.ndarray, candidates: np.ndarray, p: np.ndarray) -
         raise ValueError("weights length does not match candidates")
     M = np.outer(u, u) - (W.T * p) @ W
     return float(np.sum(np.abs(np.linalg.eigvalsh(M))) / 2)
+
+
+def optimal_mix_1q(
+    target: np.ndarray,
+    candidates: np.ndarray,
+    gap_tol: float = sdp.DEFAULT_GAP_TOL,
+    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
+) -> tuple[np.ndarray, float, float]:
+    """Best mixture of the candidate magic vectors w_x for the target u.
+
+    Solves max -t subject to S - tI - sum_x p_x w_x w_x^T = -uu^T (taken
+    against the 10 basis matrices E_k of 4x4 real symmetric matrices) and
+    sum p = 1, with S >= 0, p >= 0, t >= 0. Returns (p, upper, lower):
+
+    - upper = lambda_max(uu^T - sum p w w^T) at the returned p, the exact
+      half-diamond error of that mixture;
+    - lower = u^T Y u - max_x w_x^T Y w_x with Y = sum y_k E_k from the dual
+      multipliers of the basis rows, clipped to PSD and scaled to trace 1,
+      a dual feasible point: no mixture does better.
+
+    Raises ValueError unless u is a unit 4-vector and W has shape (n, 4)
+    with unit rows, EmptyCandidatesError for n = 0 and SdpFailureError when
+    the solve does not reach the tolerances.
+    """
+    u = np.asarray(target, dtype=float)
+    W = np.asarray(candidates, dtype=float)
+    if u.shape != (4,) or not abs(np.linalg.norm(u) - 1) <= 1e-8:
+        raise ValueError("target must be a unit 4-vector")
+    if W.ndim != 2 or W.shape[1] != 4:
+        raise ValueError(f"candidates must have shape (n, 4), got {W.shape}")
+    if len(W) == 0:
+        raise channels.EmptyCandidatesError("empty candidate list")
+    if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1) <= 1e-8):
+        raise ValueError("candidates must be unit 4-vectors")
+    E = channels._hermitian_basis(4)
+    E = E[~np.any(E.imag, axis=(1, 2))].real  # the 10 real symmetric ones
+    wEw = np.einsum("kab,xa,xb->kx", E, W, W)  # w_x^T E_k w_x
+    constraints = [
+        sdp.Constraint(coeffs={0: Ek, 1: -wk, 2: -np.trace(Ek)[None]}, rhs=-float(u @ Ek @ u))
+        for Ek, wk in zip(E, wEw)
+    ]
+    constraints.append(sdp.Constraint(coeffs={1: np.ones(len(W))}, rhs=1.0))
+    blocks = [sdp.Block(size=4), sdp.Block(size=len(W), diag=True), sdp.Block(size=1, diag=True)]
+    problem = sdp.SdpProblem(blocks, [None, None, np.array([-1.0])], constraints)
+    sol = channels._check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
+    p = np.maximum(sol.X[1], 0.0)
+    # Within the gap tolerance the best single candidate can beat the iterate.
+    P = np.vstack([p / p.sum(), np.eye(len(W))[np.argmax(np.abs(W @ u))]])
+    tops = np.linalg.eigvalsh(np.outer(u, u) - np.einsum("jx,xa,xb->jab", P, W, W))[:, -1]
+    p, upper = P[np.argmin(tops)], float(np.min(tops))
+    lam, V = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))
+    Y = (V * np.maximum(lam, 0.0)) @ V.T  # clipped to PSD, scaled to trace 1 below
+    lower = float(u @ Y @ u - np.max(np.einsum("xa,ab,xb->x", W, Y, W))) / float(np.trace(Y))
+    return p, upper, lower
 
 
 def support_filter(target: np.ndarray, candidates: np.ndarray, eps: float) -> np.ndarray:

@@ -49,13 +49,10 @@ status becomes "Optimal" if that iterate meets the tolerances.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-
-from .linalg import matrix_to_json
 
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_FEAS_TOL = 1e-8
@@ -114,34 +111,6 @@ class SdpProblem:
             for k in con.coeffs:
                 if not 0 <= k < len(self.blocks):
                     raise ValueError(f"constraint references unknown block {k}")
-
-    def dump(self, path: str) -> None:
-        """Debug dump of (C, A_i, b_i) in the repo JSON matrix format."""
-
-        def enc(blk: Block, M) -> dict:
-            if M is None:
-                return {}
-            A = np.asarray(M, dtype=complex)
-            if blk.diag:
-                A = np.diag(A)
-            return matrix_to_json(A)
-
-        obj = {
-            "blocks": [
-                {"size": b.size, "complex": b.complex, "diag": b.diag}
-                for b in self.blocks
-            ],
-            "C": [enc(self.blocks[k], C) for k, C in enumerate(self.objective)],
-            "constraints": [
-                {
-                    "b": con.rhs,
-                    "A": {str(k): enc(self.blocks[k], A) for k, A in con.coeffs.items()},
-                }
-                for con in self.constraints
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(obj, f)
 
 
 @dataclass

@@ -79,7 +79,7 @@ def standard_gate_set() -> GateSet:
 @dataclass(frozen=True)
 class GateSequence:
     labels: tuple[str, ...]
-    realized: np.ndarray  # product, rightmost label applied first
+    realized: np.ndarray  # product, leftmost label applied first
     magic: np.ndarray
 
     def to_json(self) -> dict:
@@ -187,7 +187,8 @@ class SynthesisResult:
     support: list[GateSequence]
     p: np.ndarray
     det_error: float
-    prob_error: float
+    prob_error: float        # exact error of the mixture p: an upper bound
+    prob_error_lower: float  # dual lower bound on the optimal mixing error
     eps: float           # requested accuracy
     achieved_eps: float  # certified covering radius of the 2*eps ball
     delta: float
@@ -199,6 +200,7 @@ class SynthesisResult:
             "p": [float(x) for x in self.p],
             "det_error": self.det_error,
             "prob_error": self.prob_error,
+            "prob_error_lower": self.prob_error_lower,
             "eps": self.eps,
             "achieved_eps": self.achieved_eps,
             "delta": self.delta,
@@ -226,6 +228,10 @@ def prob_synth(
     accuracy delta. The mixture then has half-diamond error at most
     achieved_eps**2 + delta, with achieved_eps = c*eps + (worst
     deterministic synthesis error over covering points) <= eps.
+
+    prob_error is the exact error of the returned mixture p (an upper bound
+    on the optimum); prob_error_lower is a dual lower bound: no mixture of
+    the support does better (qubit1.optimal_mix_1q).
 
     eps must lie in (0, 1/2), so that the 2*eps-ball is a proper cap of the
     unitaries; ValueError otherwise.
@@ -259,16 +265,14 @@ def prob_synth(
     support = [support[int(i)] for i in keep]
     W = W[keep]
 
-    cands = [channels.choi(s.realized) for s in support]
-    p, value = channels.optimal_mix(
-        channels.choi(target), cands, gap_tol=delta, feas_tol=min(delta, 1e-8)
-    )
+    p, upper, lower = qubit1.optimal_mix_1q(u, W, gap_tol=delta, feas_tol=min(delta, 1e-8))
     det_error = min(qubit1.distance_1q(u, w) for w in W)
     return SynthesisResult(
         support=support,
         p=p,
         det_error=det_error,
-        prob_error=float(value),
+        prob_error=upper,
+        prob_error_lower=lower,
         eps=eps,
         achieved_eps=achieved,
         delta=delta,

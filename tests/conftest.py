@@ -8,8 +8,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from usynth.synth import enumerate_sequences, standard_gate_set  # noqa: E402
+
+# Property tests draw the same examples on every run, and a slow shared
+# machine does not turn a correct example into a deadline failure.
+settings.register_profile("usynth", derandomize=True, deadline=None, database=None)
+settings.load_profile("usynth")
 
 
 @pytest.fixture(scope="session")

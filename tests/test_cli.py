@@ -1,11 +1,17 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from usynth import cli
-from usynth.linalg import save_matrix
+from usynth import cli, sdp
+from usynth.linalg import matrix_to_json
+
+
+def save_matrix(path, M):
+    with open(path, "w") as f:
+        json.dump(matrix_to_json(M), f)
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +66,7 @@ def test_synth1q_byte_identical_reruns(tmp_path, capsys):
     assert a == b
     obj = json.loads(a)
     assert obj["prob_error"] <= obj["achieved_eps"] ** 2 + 1e-6
+    assert obj["prob_error_lower"] <= obj["prob_error"] <= obj["prob_error_lower"] + 1e-6
     assert len(obj["samples"]) == 20
 
 
@@ -125,6 +132,19 @@ def test_exit_code_parse_errors(tmp_path, capsys):
         f.write("{not json")
     code, _, _ = run_cli(capsys, "diamond", bad, bad)
     assert code == 2
+
+
+def test_exit_code_synth1q_sdp_failure(monkeypatch, capsys):
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: replace(solve(*a, **k), status="MaxIter"))
+    code, out, err = run_cli(capsys, "synth1q", "--target", "H", "--eps", "0.35")
+    assert code == 3
+    assert out == "" and "status MaxIter" in err
+
+
+def test_synth1q_help_states_label_order(capsys):
+    assert cli.main(["synth1q", "--help"]) == 0
+    assert "leftmost label acts first" in " ".join(capsys.readouterr().out.split())
 
 
 def test_exit_code_covering(capsys):

@@ -1,8 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from usynth import qubit1
-from usynth.channels import choi, diamond_distance
+from usynth import qubit1, sdp
+from usynth.channels import (
+    EmptyCandidatesError,
+    SdpFailureError,
+    choi,
+    diamond_distance,
+    optimal_mix,
+)
 from usynth.linalg import haar_unitary
 from usynth.qubit1 import (
     EmptySupportError,
@@ -13,6 +24,7 @@ from usynth.qubit1 import (
     magic_embed_batch,
     magic_unembed,
     mix_distance_1q,
+    optimal_mix_1q,
     sphere_covering,
     support_filter,
 )
@@ -166,3 +178,67 @@ def test_s3_net_has_no_antipodal_duplicates():
     P = qubit1._s3_net(np.arcsin(0.1))
     Q = np.round(np.vstack([P, -P]), 9) + 0.0
     assert len(np.unique(Q, axis=0)) == len(Q)
+
+
+def _unit_rows(A):
+    """Rows scaled to unit length; rows too short to scale become e_0."""
+    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    return np.where(norms > 1e-3, A / np.maximum(norms, 1e-3), np.eye(4)[0])
+
+
+_coords = st.floats(-1.0, 1.0, allow_nan=False)
+_units = arrays(float, (1, 4), elements=_coords).map(lambda A: _unit_rows(A)[0])
+_unit_sets = arrays(
+    float, st.tuples(st.integers(1, 8), st.just(4)), elements=_coords
+).map(_unit_rows)
+
+
+@given(u=_units, W=_unit_sets)
+def test_optimal_mix_1q_certificate(u, W):
+    p, upper, lower = optimal_mix_1q(u, W)
+    # Both bounds are evaluated in floating point: allow rounding at 1e-12.
+    assert lower <= upper + 1e-12 and upper <= lower + 1e-7
+    assert abs(p.sum() - 1) < 1e-12 and np.all(p >= 0)
+    assert abs(upper - mix_distance_1q(u, W, p)) <= 1e-12
+    # Never worse than the best single candidate. Its error is taken as a
+    # point mass: distance_1q's sqrt(1 - dot^2) cancels below about 1e-8.
+    assert upper <= min(mix_distance_1q(u, w[None], np.ones(1)) for w in W) + 1e-9
+    _, value = optimal_mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
+    assert abs(upper - value) <= 1e-7
+
+
+@given(u=_units, W=_unit_sets, flips=arrays(bool, 8))
+def test_optimal_mix_1q_sign_invariance(u, W, flips):
+    signs = np.where(flips[: len(W)], -1.0, 1.0)[:, None]
+    _, upper, lower = optimal_mix_1q(u, W)
+    _, upper_f, lower_f = optimal_mix_1q(-u, signs * W)
+    assert abs(upper_f - upper) <= 1e-12 and abs(lower_f - lower) <= 1e-12
+
+
+@given(W=_unit_sets, pick=st.integers(0, 7))
+def test_optimal_mix_1q_exact_candidate(W, pick):
+    _, upper, lower = optimal_mix_1q(W[pick % len(W)], W)
+    assert lower <= upper + 1e-12 and upper <= 1e-8
+
+
+def test_optimal_mix_1q_rejects_bad_input():
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    W = np.eye(4)
+    for bad_u in (2 * u, u[:3], np.full(4, np.nan), np.outer(u, u)):
+        with pytest.raises(ValueError, match="target must be a unit 4-vector"):
+            optimal_mix_1q(bad_u, W)
+    for bad_W in (u, W[:, :3], np.ones((2, 4, 1))):
+        with pytest.raises(ValueError, match=r"candidates must have shape \(n, 4\)"):
+            optimal_mix_1q(u, bad_W)
+    for bad_W in (2 * W, np.vstack([W, np.full(4, np.inf)])):
+        with pytest.raises(ValueError, match="candidates must be unit 4-vectors"):
+            optimal_mix_1q(u, bad_W)
+    with pytest.raises(EmptyCandidatesError):
+        optimal_mix_1q(u, np.zeros((0, 4)))
+
+
+def test_optimal_mix_1q_raises_when_solve_fails(monkeypatch):
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: replace(solve(*a, **k), status="Stalled"))
+    with pytest.raises(SdpFailureError, match="status Stalled"):
+        optimal_mix_1q(np.array([1.0, 0.0, 0.0, 0.0]), np.eye(4)[1:])

@@ -131,21 +131,6 @@ def test_validate_rejects_bad_shapes():
         ).validate()
 
 
-def test_dump_roundtrippable_json(tmp_path):
-    import json
-
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=1), sdp.Block(size=2, diag=True)],
-        objective=[np.array([[1.0]]), None],
-        constraints=[sdp.Constraint(coeffs={0: np.array([[1.0]]), 1: np.ones(2)}, rhs=1.0)],
-    )
-    path = str(tmp_path / "dump.json")
-    p.dump(path)
-    with open(path) as f:
-        obj = json.load(f)
-    assert obj["constraints"][0]["b"] == 1.0
-
-
 def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
     # Exactly representable, so every BLAS sees the same matrix: the second
     # Cholesky pivot is -2**-52 and the smallest eigenvalue about -1.1e-16.

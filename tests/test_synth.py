@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usynth import qubit1
+from usynth import channels, qubit1
 from usynth.synth import (
     BranchCutError,
     BudgetExceededError,
@@ -160,6 +160,14 @@ def test_enumerate_ht_counts():
     assert lens == [0, 1, 1, 2, 2, 2]
 
 
+def test_sequence_leftmost_label_acts_first(std_gateset):
+    H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
+    seq = next(s for s in enumerate_sequences(std_gateset, 2) if s.labels == ("H", "T"))
+    assert np.allclose(seq.realized, T @ H, rtol=0, atol=1e-15)
+    assert not np.allclose(seq.realized, H @ T)
+
+
 def test_enumerate_shortest_representative_wins(std_pool):
     # every kept unitary has no shorter equivalent in the pool
     by_key = {}
@@ -224,7 +232,20 @@ def test_prob_synth_quadratic_bound(std_gateset, std_pool):
     u = qubit1.magic_embed(U)
     W = np.stack([s.magic for s in res.support])
     recomputed = qubit1.mix_distance_1q(u, W, np.asarray(res.p))
-    assert abs(recomputed - res.prob_error) < 1e-6
+    assert abs(recomputed - res.prob_error) < 1e-12
+
+
+def test_prob_synth_builds_no_choi_matrices(std_gateset, std_pool, monkeypatch):
+    from usynth.linalg import haar_unitary
+
+    def no_choi(*_):
+        raise AssertionError("prob_synth built a Choi matrix")
+
+    monkeypatch.setattr(channels, "choi", no_choi)
+    U = haar_unitary(2, np.random.default_rng(12))
+    res = prob_synth(U, 0.35, 1e-6, std_gateset, pool=std_pool)
+    assert res.prob_error_lower <= res.prob_error <= res.prob_error_lower + 1e-6
+    assert res.to_json()["prob_error_lower"] == res.prob_error_lower
 
 
 def test_prob_synth_deterministic(std_gateset, std_pool):

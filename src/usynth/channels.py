@@ -139,6 +139,27 @@ def _check_solution(sol: sdp.SdpSolution) -> sdp.SdpSolution:
     return sol
 
 
+def _tester(d1: int, d2: int) -> tuple[list[sdp.Block], list[sdp.Constraint]]:
+    """Blocks T, T2 = rho (x) I - T and rho of a tester 0 <= T <= rho (x) I.
+
+    Returns the three complex blocks and the constraints that tie them: T +
+    T2 - rho (x) I = 0, taken against each basis matrix E (tr(E (rho (x) I))
+    = tr(ptr2(E) rho)), and tr(rho) = 1.
+    """
+    D = d1 * d2
+    blocks = [
+        sdp.Block(size=D, complex=True),
+        sdp.Block(size=D, complex=True),
+        sdp.Block(size=d1, complex=True),
+    ]
+    constraints = [
+        sdp.Constraint(coeffs={0: E, 1: E, 2: -partial_trace(E, (d1, d2), 2)}, rhs=0.0)
+        for E in _hermitian_basis(D)
+    ]
+    constraints.append(sdp.Constraint(coeffs={2: np.eye(d1)}, rhs=1.0))
+    return blocks, constraints
+
+
 def diamond_distance(
     A: ChoiOperator,
     B: ChoiOperator,
@@ -155,33 +176,12 @@ def diamond_distance(
     if A.dims != B.dims:
         raise ValueError("dimension mismatch")
     d1, d2 = A.dims
-    D = d1 * d2
     dJ = A.J - B.J
     if trace_norm(dJ) <= 1e-12:
         return (0.0, 0.0) if full_output else 0.0
 
-    basis_D = _hermitian_basis(D)
-    # blocks: 0 = T, 1 = T2 = rho(x)I - T, 2 = rho
-    blocks = [
-        sdp.Block(size=D, complex=True),
-        sdp.Block(size=D, complex=True),
-        sdp.Block(size=d1, complex=True),
-    ]
-    objective = [dJ, None, None]
-    constraints = []
-    I2 = np.eye(d2)
-    for E in basis_D:
-        # T + T2 - rho(x)I = 0  paired against E: tr(E(rho(x)I)) = tr(ptr2(E) rho)
-        constraints.append(
-            sdp.Constraint(
-                coeffs={0: E, 1: E, 2: -partial_trace(E, (d1, d2), 2)},
-                rhs=0.0,
-            )
-        )
-    constraints.append(
-        sdp.Constraint(coeffs={2: np.eye(d1, dtype=complex)}, rhs=1.0)
-    )
-    problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
+    blocks, constraints = _tester(d1, d2)
+    problem = sdp.SdpProblem(blocks=blocks, objective=[dJ, None, None], constraints=constraints)
     sol = _check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
     value = float(min(1.0, max(0.0, sol.primal_value)))
     if full_output:
@@ -199,10 +199,13 @@ def optimal_mix(
     """Best convex mixture of candidates approximating the target channel.
 
     Returns (p, value) with value = min_p (1/2)||target - sum p_x cand_x||
-    in half-diamond distance. The default "dual" lowering exposes p directly
-    and its constraint count is independent of the number of candidates;
-    "primal" lowers the tester-side program (one constraint per candidate)
-    and is kept for cross-checking strong duality.
+    in half-diamond distance, to the solver's tolerances (value is the
+    solver's objective, not the exact error of the returned p). The default
+    "dual" lowering (Watrous's SDP for the diamond norm) exposes p directly
+    and its constraint count is independent of the number of candidates.
+    "primal" maximizes over the testers of `diamond_distance`, with one
+    constraint per candidate whose multiplier is p_x; it is kept for
+    cross-checking strong duality. Both solve complex Hermitian blocks.
     """
     if not candidates:
         raise EmptyCandidatesError("empty candidate list")
@@ -212,8 +215,6 @@ def optimal_mix(
             raise ValueError("dimension mismatch")
     D = d1 * d2
     n = len(candidates)
-    basis_D = _hermitian_basis(D)
-    basis_1 = _hermitian_basis(d1)
     JA = target.J
     JB = np.stack([c.J for c in candidates])
 
@@ -231,7 +232,7 @@ def optimal_mix(
         ]
         objective = [None, None, None, None, None, np.array([-1.0])]
         constraints = []
-        for E in basis_D:
+        for E in _hermitian_basis(D):
             pc = np.real(np.einsum("ab,xba->x", E, JB))
             constraints.append(
                 sdp.Constraint(
@@ -239,7 +240,7 @@ def optimal_mix(
                     rhs=-float(np.real(np.trace(E @ JA))),
                 )
             )
-        for F in basis_1:
+        for F in _hermitian_basis(d1):
             constraints.append(
                 sdp.Constraint(
                     coeffs={
@@ -259,26 +260,12 @@ def optimal_mix(
         value = float(max(0.0, -sol.primal_value))
     elif mode == "primal":
         # maximize tr(J(A) T) - t over testers T with tr(J(B_x) T) <= t.
-        blocks = [
-            sdp.Block(size=D, complex=True),   # T
-            sdp.Block(size=D, complex=True),   # T2 = rho(x)I - T
-            sdp.Block(size=d1, complex=True),  # rho
+        blocks, constraints = _tester(d1, d2)
+        blocks += [
             sdp.Block(size=n, diag=True),      # q_x = t - tr(J(B_x) T)
             sdp.Block(size=1, diag=True),      # t
         ]
         objective = [JA, None, None, None, np.array([-1.0])]
-        constraints = []
-        for E in basis_D:
-            constraints.append(
-                sdp.Constraint(
-                    coeffs={0: E, 1: E, 2: -partial_trace(E, (d1, d2), 2)},
-                    rhs=0.0,
-                )
-            )
-        constraints.append(
-            sdp.Constraint(coeffs={2: np.eye(d1, dtype=complex)}, rhs=1.0)
-        )
-        ek = np.zeros(n)
         for x in range(n):
             ek = np.zeros(n)
             ek[x] = 1.0
@@ -291,7 +278,7 @@ def optimal_mix(
         sol = _check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
         value = float(max(0.0, sol.primal_value))
         # Recover p from the dual multipliers of the tr(J(B_x) T) <= t rows.
-        p = np.maximum(sol.y[D * D + 1:], 0.0)
+        p = np.maximum(sol.y[-n:], 0.0)
     else:
         raise ValueError("mode must be 'dual' or 'primal'")
 

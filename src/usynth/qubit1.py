@@ -71,10 +71,20 @@ def magic_unembed(u: np.ndarray) -> np.ndarray:
     )
 
 
+def line_distance(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Half-diamond distances between the channels of magic vectors, by rows.
+
+    The sine of the angle between the lines of u and w, computed as
+    s sqrt(1 - s^2 / 4) with the chord s = min(|u - w|, |u + w|): unlike
+    sqrt(1 - (u.w)^2) it keeps its digits when the lines nearly coincide.
+    """
+    s = np.minimum(np.linalg.norm(U - W, axis=-1), np.linalg.norm(U + W, axis=-1))
+    return s * np.sqrt(1.0 - s * s / 4)
+
+
 def distance_1q(u: np.ndarray, w: np.ndarray) -> float:
     """Half-diamond distance between the channels of two magic vectors."""
-    dot = min(1.0, abs(float(np.dot(u, w))))
-    return float(np.sqrt(max(0.0, 1.0 - dot * dot)))
+    return float(line_distance(u, w))
 
 
 def mix_distance_1q(target: np.ndarray, candidates: np.ndarray, p: np.ndarray) -> float:
@@ -157,8 +167,7 @@ def support_filter(target: np.ndarray, candidates: np.ndarray, eps: float) -> np
         raise ValueError("eps must lie in (0, 1/2)")
     u = np.asarray(target, dtype=float)
     W = np.atleast_2d(np.asarray(candidates, dtype=float))
-    dist = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, np.abs(W @ u)) ** 2))
-    idx = np.flatnonzero(dist <= 2 * eps)
+    idx = np.flatnonzero(line_distance(u, W) <= 2 * eps)
     if idx.size == 0:
         raise EmptySupportError(
             f"no candidate within 2*eps = {2 * eps:.6g} of the target; "

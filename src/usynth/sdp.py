@@ -13,18 +13,21 @@ with the dual
 
 Blocks are either real symmetric, complex Hermitian, or "diag" (a batch of
 independent 1x1 blocks, i.e. a nonnegative vector). Complex Hermitian
-blocks are lowered to real symmetric ones by `real_embed` before solving.
+blocks are solved in complex arithmetic, with the real inner product
+Re tr(A X); `real_embed` is kept as a reference lowering to real blocks.
 
 The solver is a primal-dual path-following interior-point method with a
 Mehrotra predictor-corrector. Problems here are tiny (block sizes <= ~40,
 up to a few hundred equality constraints, possibly many 1x1 blocks), so
-all factorizations are dense.
+all factorizations are dense. Each block's coefficients are stacked over
+all m constraints, with zeros where a constraint does not touch the block.
 
 Each iteration factors once. X and Z of every dense block are factored
 by Cholesky; the factors give both step lengths. The Schur complement
-M_ij = tr(A_i X A_j Z^-1) is not formed: with X = L_X L_X^T and
-Z = L_Z L_Z^T it is M = G G^T, G_i = vec(L_Z^-1 A_i L_X). With the rows of
-G scaled to unit norm, G_s^T = Q R by QR, and R is the Cholesky factor of M
+M_ij = Re tr(A_i X A_j Z^-1) is not formed: with X = L_X L_X^H and
+Z = L_Z L_Z^H it is M = G G^T, G_i = vec(L_Z^-1 A_i L_X) read as real
+numbers (2 s^2 of them for a complex s x s block). With the rows of G
+scaled to unit norm, G_s^T = Q R by QR, and R is the Cholesky factor of M
 scaled to unit diagonal. The predictor and the corrector reuse it. The
 primal step is an orthogonal projection with Q, so it meets its equality
 constraints to about eps * sqrt(cond(M)). Solving the normal equations with
@@ -49,7 +52,7 @@ status becomes "Optimal" if that iterate meets the tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -73,7 +76,8 @@ class Block:
 
     size: matrix dimension (or vector length for diag blocks).
     complex: True for a complex Hermitian block.
-    diag: True for a batch of independent 1x1 blocks stored as a vector.
+    diag: True for a batch of independent 1x1 blocks stored as a vector
+    (always real).
     """
 
     size: int
@@ -89,6 +93,17 @@ class Constraint:
     rhs: float
 
 
+def _check_coeff(blk: Block, M, what: str) -> None:
+    M = np.asarray(M)
+    expect = (blk.size,) if blk.diag else (blk.size, blk.size)
+    if M.shape != expect:
+        raise ValueError(f"{what} has shape {M.shape}, expected {expect}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{what} has a non-finite entry")
+    if np.iscomplexobj(M) and not blk.complex and np.any(M.imag != 0):
+        raise ValueError(f"{what} has an imaginary part on a real block")
+
+
 @dataclass
 class SdpProblem:
     blocks: list[Block]
@@ -99,18 +114,17 @@ class SdpProblem:
         if len(self.objective) != len(self.blocks):
             raise ValueError("objective must have one entry per block")
         for k, blk in enumerate(self.blocks):
-            C = self.objective[k]
-            if C is None:
-                continue
-            expect = (blk.size,) if blk.diag else (blk.size, blk.size)
-            if np.asarray(C).shape != expect:
-                raise ValueError(f"objective block {k} has wrong shape")
-        for con in self.constraints:
+            if blk.complex and blk.diag:
+                raise ValueError(f"block {k}: a diag block cannot be complex")
+            if self.objective[k] is not None:
+                _check_coeff(blk, self.objective[k], f"objective block {k}")
+        for i, con in enumerate(self.constraints):
             if not np.isfinite(con.rhs):
                 raise ValueError("constraint rhs must be finite")
-            for k in con.coeffs:
+            for k, A in con.coeffs.items():
                 if not 0 <= k < len(self.blocks):
                     raise ValueError(f"constraint references unknown block {k}")
+                _check_coeff(self.blocks[k], A, f"constraint {i}, block {k}")
 
 
 @dataclass
@@ -135,22 +149,15 @@ def _embed_herm(M: np.ndarray) -> np.ndarray:
     return np.block([[R, -I], [I, R]])
 
 
-def _unembed_sym(S: np.ndarray) -> np.ndarray:
-    """Inverse of _embed_herm on averages; PSD preserved."""
-    n = S.shape[0] // 2
-    P, Q = S[:n, :n], S[:n, n:]
-    R = S[n:, n:]
-    return (P + R) / 2 + 1j * (Q.T - Q) / 2
-
-
 def real_embed(problem: SdpProblem) -> SdpProblem:
     """Lower complex Hermitian blocks to real symmetric ones.
 
-    Each complex d x d block becomes a real symmetric 2d x 2d variable block.
-    The raw embedding doubles traces (tr phi(A) phi(X) = 2 tr(A X)), so all
-    coefficient matrices on complex blocks are halved, which keeps every
-    tr(A X) = b constraint and the objective value unchanged. The Hermitian
-    variable is recovered from the real block by averaging its two copies.
+    `solve` handles complex blocks itself; this is the reference lowering
+    that tests compare it against. Each complex d x d block becomes a real
+    symmetric 2d x 2d variable block. The raw embedding doubles traces
+    (tr phi(A) phi(X) = 2 tr(A X)), so all coefficient matrices on complex
+    blocks are halved, which keeps every tr(A X) = b constraint and the
+    objective value unchanged.
     """
     blocks = []
     for blk in problem.blocks:
@@ -177,38 +184,23 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
     return SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
 
 
-def solve(
-    problem: SdpProblem,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SdpSolution:
-    """Solve the SDP; values and X refer to the original (complex) problem."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    problem.validate()
-    has_complex = any(b.complex for b in problem.blocks)
-    real_prob = real_embed(problem) if has_complex else problem
-    sol = _solve_real(real_prob, gap_tol, feas_tol, max_iter)
-    if not has_complex:
-        return sol
-    X = [
-        _unembed_sym(Xk) if blk.complex else Xk
-        for blk, Xk in zip(problem.blocks, sol.X)
-    ]
-    return replace(sol, X=X)
+def _herm(M: np.ndarray) -> np.ndarray:
+    """Hermitian part of a matrix; a diag block's vector is returned as is."""
+    return (M + M.conj().T) / 2
 
 
-# ---------------------------------------------------------------------------
-# real solver
+def _flat(M: np.ndarray) -> np.ndarray:
+    """M as real numbers: Re tr(A X) = _flat(A) @ _flat(X) for Hermitian X."""
+    return M.reshape(-1).view(float)
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2
+def _unflat(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Inverse of _flat: the real numbers v as an array shaped like `like`."""
+    return v.view(like.dtype).reshape(like.shape)
 
 
 def _chol(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of S = L L^T and its inverse L^-1.
+    """Cholesky factor L of S = L L^H and its inverse L^-1.
 
     Raises NumericalBreakdown when S is not numerically positive definite.
     """
@@ -219,9 +211,27 @@ def _chol(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalBreakdown(f"Cholesky factorization failed: {exc}") from None
 
 
-def _max_step_dense(Li: np.ndarray, dX: np.ndarray) -> float:
-    """Largest a with X + a dX psd, given Li = L^-1 for X = L L^T."""
-    lam = np.linalg.eigvalsh(_sym(Li @ dX @ Li.T))[0]
+def _factor(blk: Block, X: np.ndarray, Z: np.ndarray):
+    """(L_X, L_X^-1, L_Z^-1) with X = L_X L_X^H and Z = L_Z L_Z^H.
+
+    The factors of a diag block are the square roots of its vectors.
+    """
+    if blk.diag:
+        sx = np.sqrt(X)
+        return sx, 1 / sx, 1 / np.sqrt(Z)
+    LX, LiX = _chol(X)
+    return LX, LiX, _chol(Z)[1]
+
+
+def _max_step(Li: np.ndarray, dS: np.ndarray) -> float:
+    """Largest a with S + a dS psd, given Li = L^-1 for S = L L^H.
+
+    A diag block's Li and dS are vectors.
+    """
+    if dS.ndim == 1:
+        lam = float(np.min(Li * dS * Li))
+    else:
+        lam = np.linalg.eigvalsh(_herm(Li @ dS @ Li.conj().T))[0]
     if lam >= 0:
         return np.inf
     return -1.0 / lam
@@ -269,52 +279,58 @@ def _projected_step(rows, s, Q, R_inv, h: np.ndarray, rp: np.ndarray):
     return h - Q @ u, dy
 
 
-def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
-    neg = dx < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
-
-
-def _solve_real(
-    problem: SdpProblem, gap_tol: float, feas_tol: float, max_iter: int
+def solve(
+    problem: SdpProblem,
+    gap_tol: float = DEFAULT_GAP_TOL,
+    feas_tol: float = DEFAULT_FEAS_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SdpSolution:
+    """Solve the SDP by the interior-point method described above.
+
+    `X` holds a Hermitian matrix for each complex block, a real symmetric
+    matrix for each real block and a nonnegative vector for each diag
+    block; `y` holds the multipliers of the constraints in order.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    problem.validate()
     blocks = problem.blocks
     m = len(problem.constraints)
     b = np.array([c.rhs for c in problem.constraints], dtype=float)
 
-    # Per-block constraint data: indices of constraints touching the block and
-    # their (stacked) coefficient matrices / vectors.
-    dense_idx = [k for k, blk in enumerate(blocks) if not blk.diag]
-    diag_idx = [k for k, blk in enumerate(blocks) if blk.diag]
-    A_dense: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    A_diag: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k in dense_idx:
-        rows, mats = [], []
-        for i, con in enumerate(problem.constraints):
-            if k in con.coeffs:
-                rows.append(i)
-                mats.append(_sym(np.asarray(con.coeffs[k], dtype=float)))
-        if rows:
-            A_dense[k] = (np.array(rows), np.stack(mats))
-    for k in diag_idx:
-        rows, vecs = [], []
-        for i, con in enumerate(problem.constraints):
-            if k in con.coeffs:
-                rows.append(i)
-                vecs.append(np.asarray(con.coeffs[k], dtype=float))
-        if rows:
-            A_diag[k] = (np.array(rows), np.stack(vecs))
+    # Per block: the identity, C, the coefficients A stacked over all m
+    # constraints and their real rows Af, and the product that acts in the
+    # Newton system (matrix product, or elementwise for diag blocks).
+    eye = [
+        np.ones(blk.size) if blk.diag
+        else np.eye(blk.size, dtype=complex if blk.complex else float)
+        for blk in blocks
+    ]
+    C = [np.zeros_like(I) for I in eye]
+    A = [np.zeros((m,) + I.shape, I.dtype) for I in eye]
 
-    C = []
-    for k, blk in enumerate(blocks):
-        Ck = problem.objective[k]
-        if Ck is None:
-            C.append(np.zeros(blk.size) if blk.diag else np.zeros((blk.size, blk.size)))
-        elif blk.diag:
-            C.append(np.asarray(Ck, dtype=float))
-        else:
-            C.append(_sym(np.asarray(Ck, dtype=float)))
+    def coeff(k: int, M) -> np.ndarray:  # validate() ruled out Im M != 0 on real blocks
+        return _herm(np.asarray(M) if blocks[k].complex else np.real(M))
+
+    for k, Ck in enumerate(problem.objective):
+        if Ck is not None:
+            C[k][...] = coeff(k, Ck)
+    for i, con in enumerate(problem.constraints):
+        for k, Ak in con.coeffs.items():
+            A[k][i] = coeff(k, Ak)
+    Af = [Ak.reshape(m, Ck.size).view(float) for Ak, Ck in zip(A, C)]
+    muls = [np.multiply if blk.diag else np.matmul for blk in blocks]
+    # Columns of the Schur factor G (see below) per block.
+    offsets = np.cumsum([0] + [Afk.shape[1] for Afk in Af])
+
+    def a_of(Xs) -> np.ndarray:
+        return sum((Afk @ _flat(Xk) for Afk, Xk in zip(Af, Xs)), np.zeros(m))
+
+    def a_adj(v) -> list[np.ndarray]:
+        return [_unflat(v @ Afk, Ck) for Afk, Ck in zip(Af, C)]
+
+    def inner(Ps, Qs) -> float:
+        return sum(float(_flat(P) @ _flat(Q)) for P, Q in zip(Ps, Qs))
 
     ntot = sum(blk.size for blk in blocks)
 
@@ -325,26 +341,9 @@ def _solve_real(
         max((float(np.max(np.abs(Ck))) if Ck.size else 0.0) for Ck in C),
     )
     rho0 = float(np.sqrt(norm_scale) * max(1.0, np.sqrt(ntot)))
-    X = [rho0 * np.ones(blk.size) if blk.diag else rho0 * np.eye(blk.size) for blk in blocks]
-    Z = [rho0 * np.ones(blk.size) if blk.diag else rho0 * np.eye(blk.size) for blk in blocks]
+    X = [rho0 * I for I in eye]
+    Z = [rho0 * I for I in eye]
     y = np.zeros(m)
-
-    def a_of(Xs) -> np.ndarray:
-        out = np.zeros(m)
-        for k, (rows, mats) in A_dense.items():
-            out[rows] += np.einsum("iab,ab->i", mats, Xs[k])
-        for k, (rows, vecs) in A_diag.items():
-            out[rows] += vecs @ Xs[k]
-        return out
-
-    def primal_obj(Xs) -> float:
-        tot = 0.0
-        for k, blk in enumerate(blocks):
-            tot += float(np.sum(C[k] * Xs[k]))
-        return tot
-
-    # Columns of the Schur factor G (see below) per block.
-    offsets = np.cumsum([0] + [blk.size if blk.diag else blk.size**2 for blk in blocks])
 
     status = "MaxIter"
     it = 0
@@ -352,30 +351,17 @@ def _solve_real(
     stall = 0
     for it in range(1, max_iter + 1):
         rp = b - a_of(X)
-        # Rd_k = sum_i y_i A_i - C - Z per block (want 0)
-        Rd = []
-        for k, blk in enumerate(blocks):
-            acc = -C[k] - Z[k]
-            if blk.diag:
-                if k in A_diag:
-                    rows, vecs = A_diag[k]
-                    acc = acc + vecs.T @ y[rows]
-            else:
-                if k in A_dense:
-                    rows, mats = A_dense[k]
-                    acc = acc + np.einsum("i,iab->ab", y[rows], mats)
-            Rd.append(acc)
+        Rd = [S - Ck - Zk for S, Ck, Zk in zip(a_adj(y), C, Z)]  # want 0
+        mu = inner(X, Z) / ntot
 
-        mu = sum(float(np.sum(X[k] * Z[k])) for k in range(len(blocks))) / ntot
-
-        pobj = primal_obj(X)
+        pobj = inner(C, X)
         dobj = float(b @ y)
         pinf = float(np.max(np.abs(rp))) / (1 + float(np.max(np.abs(b)))) if m else 0.0
         dinf = max(float(np.max(np.abs(R))) for R in Rd) / (1 + norm_scale)
         gap_rel = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
         merit = max(pinf, dinf, gap_rel)
         if best is None or merit < best[0]:
-            best = (merit, pinf, dinf, gap_rel, [Xk.copy() for Xk in X], y.copy(), pobj, dobj)
+            best = (merit, pinf, dinf, gap_rel, X, y, pobj, dobj)
             stall = 0
         else:
             stall += 1
@@ -386,25 +372,19 @@ def _solve_real(
             status = "Stalled"  # no progress near the optimum; keep best iterate
             break
 
-        # Every factorization of the iteration. With X = L_X L_X^T and
-        # Z = L_Z L_Z^T per dense block, M_ij = tr(A_i X A_j Z^-1) = G_i . G_j
-        # with G_i = vec(L_Z^-1 A_i L_X); a diag block adds A_i sqrt(x / z).
+        # Every factorization of the iteration. With X = L_X L_X^H and
+        # Z = L_Z L_Z^H per block, M_ij = Re tr(A_i X A_j Z^-1) = G_i . G_j
+        # with G_i = vec(L_Z^-1 A_i L_X) as real numbers.
         schur = None  # release the last factor before making the next
         try:
-            LX, LiX, LiZ = {}, {}, {}
-            G = np.zeros((m, offsets[-1]))
-            for k, blk in enumerate(blocks):
-                cols = slice(offsets[k], offsets[k + 1])
-                if blk.diag:
-                    if k in A_diag:
-                        rows, vecs = A_diag[k]
-                        G[rows, cols] = vecs * np.sqrt(X[k] / Z[k])
-                else:
-                    LX[k], LiX[k] = _chol(X[k])
-                    LiZ[k] = _chol(Z[k])[1]
-                    if k in A_dense:
-                        rows, mats = A_dense[k]
-                        G[rows, cols] = (LiZ[k] @ mats @ LX[k]).reshape(len(rows), -1)
+            fac = [_factor(blk, Xk, Zk) for blk, Xk, Zk in zip(blocks, X, Z)]
+            G = np.concatenate(
+                [
+                    mul(mul(LiZ, Ak), LX).reshape(m, Ck.size).view(float)
+                    for mul, Ak, Ck, (LX, _, LiZ) in zip(muls, A, C, fac)
+                ],
+                axis=1,
+            )
             schur = _schur_factor(G)
         except NumericalBreakdown:
             status = "Stalled"  # keep best iterate
@@ -414,90 +394,58 @@ def _solve_real(
             # Solve for (dX, dy, dZ) with
             #   a(dX) = rp,  sum dy A - dZ = -Rd,  dX Z + X dZ = Rc (HKM)
             # so dZ = sum dy A + Rd and dX = (Rc - X dZ) Z^-1. In the variables
-            # of G, dX = sym(L_X r^T L_Z^-1) (r sqrt(x / z) on diag blocks)
-            # with r = h - G^T dy and a(dX) = G r = rp.
-            h = []
-            for k, blk in enumerate(blocks):
-                if blk.diag:
-                    h.append((Rc[k] - X[k] * Rd[k]) / np.sqrt(X[k] * Z[k]))
-                else:
-                    F = Rc[k] - X[k] @ Rd[k]
-                    h.append((LiZ[k] @ F.T @ LiX[k].T).ravel())
-            r, dy = _projected_step(*schur, np.concatenate(h), rp)
-            dX, dZ = [], []
-            for k, blk in enumerate(blocks):
-                rk = r[offsets[k]:offsets[k + 1]]
-                if blk.diag:
-                    acc = np.array(Rd[k], dtype=float, copy=True)
-                    if k in A_diag:
-                        rows, vecs = A_diag[k]
-                        acc += vecs.T @ dy[rows]
-                    dZ.append(acc)
-                    dX.append(rk * np.sqrt(X[k] / Z[k]))
-                else:
-                    acc = Rd[k].copy()
-                    if k in A_dense:
-                        rows, mats = A_dense[k]
-                        acc += np.einsum("i,iab->ab", dy[rows], mats)
-                    dZ.append(_sym(acc))
-                    rk = rk.reshape(blk.size, blk.size)
-                    dX.append(_sym(LiZ[k].T @ rk @ LX[k].T))
+            # of G, h = L_Z^-1 F^H L_X^-H with F = Rc - X Rd,
+            # dX = herm(L_Z^-H r L_X^H) with r = h - G^T dy, and a(dX) = G r = rp.
+            h = np.concatenate(
+                [
+                    _flat(mul(mul(LiZ, (Rck - mul(Xk, Rdk)).conj().T), LiX.conj().T))
+                    for mul, Rck, Xk, Rdk, (_, LiX, LiZ) in zip(muls, Rc, X, Rd, fac)
+                ]
+            )
+            r, dy = _projected_step(*schur, h, rp)
+            dX = [
+                _herm(mul(mul(LiZ.conj().T, _unflat(rk, Ck)), LX.conj().T))
+                for mul, rk, Ck, (LX, _, LiZ) in zip(muls, np.split(r, offsets[1:-1]), C, fac)
+            ]
+            dZ = [_herm(S + Rdk) for S, Rdk in zip(a_adj(dy), Rd)]
             return dX, dy, dZ
 
-        # Predictor (affine scaling).
-        Rc_aff = []
-        for k, blk in enumerate(blocks):
-            if blk.diag:
-                Rc_aff.append(-X[k] * Z[k])
-            else:
-                Rc_aff.append(-X[k] @ Z[k])
-        dXa, dya, dZa = directions(Rc_aff)
-
         def max_steps(dX, dZ):
-            ap = ad = np.inf
-            for k, blk in enumerate(blocks):
-                if blk.diag:
-                    ap = min(ap, _max_step_diag(X[k], dX[k]))
-                    ad = min(ad, _max_step_diag(Z[k], dZ[k]))
-                else:
-                    ap = min(ap, _max_step_dense(LiX[k], dX[k]))
-                    ad = min(ad, _max_step_dense(LiZ[k], dZ[k]))
+            ap = min(_max_step(LiX, dXk) for (_, LiX, _), dXk in zip(fac, dX))
+            ad = min(_max_step(LiZ, dZk) for (_, _, LiZ), dZk in zip(fac, dZ))
             return ap, ad
 
+        # Predictor (affine scaling).
+        XZ = [mul(Xk, Zk) for mul, Xk, Zk in zip(muls, X, Z)]
+        dXa, dya, dZa = directions([-P for P in XZ])
         ap_a, ad_a = max_steps(dXa, dZa)
         ap_a = min(1.0, 0.95 * ap_a)
         ad_a = min(1.0, 0.95 * ad_a)
-        mu_aff = sum(
-            float(np.sum((X[k] + ap_a * dXa[k]) * (Z[k] + ad_a * dZa[k])))
-            for k in range(len(blocks))
+        mu_aff = inner(
+            [Xk + ap_a * dXk for Xk, dXk in zip(X, dXa)],
+            [Zk + ad_a * dZk for Zk, dZk in zip(Z, dZa)],
         ) / ntot
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
 
         # Corrector.
-        Rc = []
-        for k, blk in enumerate(blocks):
-            if blk.diag:
-                Rc.append(sigma * mu - X[k] * Z[k] - dXa[k] * dZa[k])
-            else:
-                Rc.append(sigma * mu * np.eye(blocks[k].size) - X[k] @ Z[k] - dXa[k] @ dZa[k])
-        dX, dy, dZ = directions(Rc)
-
+        dX, dy, dZ = directions(
+            [
+                sigma * mu * I - P - mul(dXk, dZk)
+                for mul, I, P, dXk, dZk in zip(muls, eye, XZ, dXa, dZa)
+            ]
+        )
         ap, ad = max_steps(dX, dZ)
         tau = 0.98 if mu > 1e-7 else 0.99
         ap = min(1.0, tau * ap)
         ad = min(1.0, tau * ad)
-        for k, blk in enumerate(blocks):
-            X[k] = X[k] + ap * dX[k]
-            Z[k] = Z[k] + ad * dZ[k]
-            if not blk.diag:
-                X[k] = _sym(X[k])
-                Z[k] = _sym(Z[k])
+        X = [Xk + ap * dXk for Xk, dXk in zip(X, dX)]
+        Z = [Zk + ad * dZk for Zk, dZk in zip(Z, dZ)]
         y = y + ad * dy
 
         if float(np.linalg.norm(y)) > 1e12 * norm_scale:
             return SdpSolution(
-                X=X, y=y, primal_value=primal_obj(X), dual_value=float(b @ y),
-                gap=abs(primal_obj(X) - float(b @ y)), status="Infeasible",
+                X=X, y=y, primal_value=inner(C, X), dual_value=float(b @ y),
+                gap=abs(inner(C, X) - float(b @ y)), status="Infeasible",
                 iterations=it,
             )
 

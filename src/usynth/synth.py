@@ -157,10 +157,8 @@ def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the indices and the half-diamond errors. Ties go to the lowest
     index: in pool order, the shorter sequence, then lexicographic labels.
     """
-    dots = np.abs(V @ P.T)
-    idx = np.argmax(dots, axis=1)
-    best = np.take_along_axis(dots, idx[:, None], axis=1)[:, 0]
-    return idx, np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, best) ** 2))
+    idx = np.argmax(np.abs(V @ P.T), axis=1)
+    return idx, qubit1.line_distance(V, P[idx])
 
 
 def _pool_magic(pool: list[GateSequence]) -> np.ndarray:
@@ -266,7 +264,7 @@ def prob_synth(
     W = W[keep]
 
     p, upper, lower = qubit1.optimal_mix_1q(u, W, gap_tol=delta, feas_tol=min(delta, 1e-8))
-    det_error = min(qubit1.distance_1q(u, w) for w in W)
+    det_error = float(np.min(qubit1.line_distance(u, W)))
     return SynthesisResult(
         support=support,
         p=p,

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from usynth import channels
+from usynth import channels, sdp
 from usynth.channels import (
     ChoiOperator,
     EmptyCandidatesError,
@@ -160,3 +165,63 @@ def test_choi_mixture_dims_and_weights():
         choi_mixture([choi(np.eye(2))], np.array([0.5, 0.5]))
     J = choi_mixture([choi(np.eye(2)), choi(np.eye(2))], np.array([0.3, 0.7]))
     assert np.allclose(J.J, choi(np.eye(2)).J)
+
+
+# Property tests of the generic path at d=2: a seed draws a Haar target and
+# 1-4 Haar candidates.
+_seeds = st.integers(0, 2**32 - 1)
+_counts = st.integers(1, 4)
+
+
+def _haar_qubits(seed: int, n: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [haar_unitary(2, rng) for _ in range(n)]
+
+
+def _lowered(fn, *args, **kwargs) -> sdp.SdpProblem:
+    """The problem that fn hands to sdp.solve."""
+    with mock.patch.object(sdp, "solve", wraps=sdp.solve) as spy:
+        fn(*args, **kwargs)
+    return spy.call_args.args[0]
+
+
+@pytest.mark.parametrize("lowering", ["diamond", "dual", "primal"])
+@settings(max_examples=5)
+@given(seed=_seeds, n=_counts)
+def test_native_complex_blocks_match_real_embedding(lowering, seed, n):
+    target, *cands = [choi(U) for U in _haar_qubits(seed, n + 1)]
+    if lowering == "diamond":
+        problem = _lowered(diamond_distance, target, cands[0])
+    else:
+        problem = _lowered(optimal_mix, target, cands, mode=lowering)
+    native = sdp.solve(problem)
+    embedded = sdp.solve(sdp.real_embed(problem))
+    assert native.status == embedded.status == "Optimal"
+    assert abs(native.primal_value - embedded.primal_value) <= 1e-7
+
+
+@settings(max_examples=5)
+@given(seed=_seeds, n=_counts, phases=arrays(float, 5, elements=st.floats(0.0, 2 * np.pi)))
+def test_optimal_mix_global_phase_invariance(seed, n, phases):
+    Us = _haar_qubits(seed, n + 1)
+    _, value = optimal_mix(choi(Us[0]), [choi(U) for U in Us[1:]])
+    Us = [np.exp(1j * f) * U for f, U in zip(phases, Us)]
+    _, value_ph = optimal_mix(choi(Us[0]), [choi(U) for U in Us[1:]])
+    assert abs(value - value_ph) <= 1e-7
+
+
+@settings(max_examples=10)
+@given(seed=_seeds, n=_counts)
+def test_optimal_mix_at_most_best_candidate(seed, n):
+    target, *cands = _haar_qubits(seed, n + 1)
+    _, value = optimal_mix(choi(target), [choi(U) for U in cands])
+    assert value <= min(unitary_distance(target, U) for U in cands) + 1e-7
+
+
+@settings(max_examples=10)
+@given(seed=_seeds, n=_counts)
+def test_optimal_mix_dual_equals_primal(seed, n):
+    target, *cands = [choi(U) for U in _haar_qubits(seed, n + 1)]
+    _, dual = optimal_mix(target, cands, mode="dual")
+    _, primal = optimal_mix(target, cands, mode="primal")
+    assert abs(dual - primal) <= 1e-7

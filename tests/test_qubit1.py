@@ -200,9 +200,8 @@ def test_optimal_mix_1q_certificate(u, W):
     assert lower <= upper + 1e-12 and upper <= lower + 1e-7
     assert abs(p.sum() - 1) < 1e-12 and np.all(p >= 0)
     assert abs(upper - mix_distance_1q(u, W, p)) <= 1e-12
-    # Never worse than the best single candidate. Its error is taken as a
-    # point mass: distance_1q's sqrt(1 - dot^2) cancels below about 1e-8.
-    assert upper <= min(mix_distance_1q(u, w[None], np.ones(1)) for w in W) + 1e-9
+    # Never worse than the best single candidate.
+    assert upper <= min(distance_1q(u, w) for w in W) + 1e-9
     _, value = optimal_mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
     assert abs(upper - value) <= 1e-7
 

@@ -131,6 +131,29 @@ def test_validate_rejects_bad_shapes():
         ).validate()
 
 
+@pytest.mark.parametrize(
+    "blk, coeff, message",
+    [
+        (sdp.Block(size=3), np.eye(2), "has shape"),
+        (sdp.Block(size=3, diag=True), np.eye(3), "has shape"),
+        (sdp.Block(size=3), np.diag([1.0, np.nan, 0.0]), "non-finite"),
+        (sdp.Block(size=3, complex=True), np.diag([1.0, np.inf, 0.0]), "non-finite"),
+        (sdp.Block(size=2), np.array([[1.0, 1j], [-1j, 1.0]]), "imaginary part"),
+        (sdp.Block(size=2, diag=True), np.array([1.0, 1j]), "imaginary part"),
+        (sdp.Block(size=2, complex=True, diag=True), np.ones(2), "cannot be complex"),
+    ],
+    ids=["shape", "shape-diag", "nan", "inf-complex", "imag-real", "imag-diag", "complex-diag"],
+)
+def test_validate_rejects_bad_coefficients(blk, coeff, message):
+    p = sdp.SdpProblem(
+        blocks=[blk],
+        objective=[None],
+        constraints=[sdp.Constraint(coeffs={0: coeff}, rhs=1.0)],
+    )
+    with pytest.raises(ValueError, match=message):
+        sdp.solve(p)
+
+
 def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
     # Exactly representable, so every BLAS sees the same matrix: the second
     # Cholesky pivot is -2**-52 and the smallest eigenvalue about -1.1e-16.
@@ -139,7 +162,7 @@ def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
     with pytest.raises(sdp.NumericalBreakdown):
         sdp._chol(S)
     _, Li = sdp._chol(np.diag([4.0, 1.0]))
-    assert sdp._max_step_dense(Li, -np.eye(2)) == pytest.approx(1.0)
+    assert sdp._max_step(Li, -np.eye(2)) == pytest.approx(1.0)
 
 
 def test_breakdown_ends_solve_as_stalled(monkeypatch):

@@ -214,6 +214,20 @@ def test_nearest_ties_and_errors(std_pool):
         assert abs(errs[k] - qubit1.distance_1q(V[k], P[i])) < 1e-7
 
 
+def test_line_distance_keeps_digits_near_coincidence():
+    # The lines of u and w meet at an angle of about 1.3856e-9, where
+    # sqrt(1 - (u.w)^2) cancels to 0.
+    a = 8e-10
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    w = np.array([1.0, a, a, a]) / np.sqrt(1 + 3 * a * a)
+    exact = np.sqrt(3) * a / np.sqrt(1 + 3 * a * a)
+    assert qubit1.distance_1q(u, -w) == pytest.approx(exact, rel=1e-6)
+    assert _nearest(w[None], u[None])[1][0] == pytest.approx(exact, rel=1e-6)
+    assert qubit1.support_filter(u, w[None], exact / 2 * (1 + 1e-6)).tolist() == [0]
+    with pytest.raises(qubit1.EmptySupportError):
+        qubit1.support_filter(u, w[None], exact / 2 * (1 - 1e-6))
+
+
 def test_det_synth_empty_pool():
     with pytest.raises(EmptyPoolError):
         det_synth(np.eye(2, dtype=complex), [])

@@ -129,6 +129,8 @@ def cmd_bounds(args) -> int:
         a, b, step = (float(x) for x in args.eps_grid.split(":"))
     except ValueError as exc:
         raise ValueError("--eps-grid must be a:b:step") from exc
+    if not (np.isfinite([a, b, step]).all() and a <= b and step > 0):
+        raise ValueError(f"--eps-grid {args.eps_grid}: need finite a <= b and step > 0")
     grid = list(np.arange(a, b + step / 2, step))
     rows = bounds.curve_sweep(args.d, grid)
     lines = ["eps,delta,lower,upper"]

@@ -12,7 +12,8 @@ M has trace 0 and at most one positive eigenvalue (a rank-one PSD matrix
 minus a PSD one), so (1/2)||M||_1 = lambda_max(M), and optimal mixing is
 an SDP with one real 4x4 PSD block S = tI - M. This module provides the
 embedding, those distances, optimal mixing (`optimal_mix_1q`), support
-restriction, and epsilon-coverings of (caps of) S^3.
+restriction, epsilon-coverings of (caps of) S^3, and the exact covering
+radius of a net from the convex hull of +-P (`covering_radius`).
 """
 
 from __future__ import annotations
@@ -267,110 +268,70 @@ def _s3_net(h: float) -> np.ndarray:
     return P[np.sort(keep)]
 
 
-def _deepen_hole(v: np.ndarray, P: np.ndarray, iters: int = 200) -> np.ndarray:
-    """Local minimization of max_j |v . p_j| (push v into the deepest hole)."""
-    v = v / np.linalg.norm(v)
-    step = 0.1
-    cur = float(np.max(np.abs(v @ P.T)))
-    for _ in range(iters):
-        dots = v @ P.T
-        m = np.max(np.abs(dots))
-        active = np.abs(dots) >= m - 1e-3 * (1 - m + 1e-12)
-        # Move away from the (signed) active net points, projected to the
-        # tangent space at v.
-        g = (np.sign(dots[active])[:, None] * P[active]).mean(axis=0)
-        g = g - np.dot(g, v) * v
-        ng = np.linalg.norm(g)
-        if ng < 1e-14:
-            break
-        cand = v - step * g / ng
-        cand /= np.linalg.norm(cand)
-        new = float(np.max(np.abs(cand @ P.T)))
-        if new < cur:
-            v, cur = cand, new
-            step = min(0.1, step * 1.3)
-        else:
-            step *= 0.5
-            if step < 1e-10:
-                break
-    return v
+def covering_radius(points: np.ndarray, return_witness: bool = False):
+    """Exact covering radius of a net of magic vectors in half-diamond distance.
 
-
-def covering_radius_estimate(
-    points: np.ndarray,
-    n_samples: int = 400000,
-    seed: int = 0,
-    refine: int = 100,
-    return_witness: bool = False,
-):
-    """Sampled estimate of the covering radius in half-diamond distance.
-
-    Draws uniform points on S^3 (in chunks), keeps the deepest holes, and
-    locally maximizes the hole depth from each of them. The result is a
-    lower bound on the true covering radius that is tight in practice.
+    The radius is sqrt(1 - b^2), where b = min over unit v of max_j |p_j . v|
+    is the offset of the facet of conv(P u -P) nearest the origin; the
+    witness, that facet's unit normal, is a deepest hole of the net (a
+    spherical Voronoi vertex; Brown 1979). A net of rank < 4 has radius 1.0,
+    with a unit witness orthogonal to every row. Raises ValueError unless
+    points is a non-empty (n, 4) array of finite unit rows (tolerance 1e-8).
     """
     P = np.asarray(points, dtype=float)
-    rng = np.random.default_rng(seed)
-    keep_v = []
-    keep_d = []
-    # Keep the S @ P.T work matrix around ~100 MB.
-    chunk = max(2000, int(1.2e7 / max(1, P.shape[0])))
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        S = rng.standard_normal((m, 4))
-        S /= np.linalg.norm(S, axis=1, keepdims=True)
-        near = np.max(np.abs(S @ P.T), axis=1)
-        order = np.argsort(near)[:refine]
-        keep_v.append(S[order])
-        keep_d.append(near[order])
-        done += m
-    V = np.vstack(keep_v)
-    D = np.concatenate(keep_d)
-    order = np.argsort(D)[:refine]
-    best = float(D[order[0]])
-    witness = V[order[0]]
-    for v in V[order]:
-        v = _deepen_hole(v, P)
-        depth = float(np.max(np.abs(v @ P.T)))
-        if depth < best:
-            best = depth
-            witness = v
-    rad = float(np.sqrt(max(0.0, 1.0 - best * best)))
-    if return_witness:
-        return rad, witness
-    return rad
+    if P.ndim != 2 or P.shape[1] != 4 or len(P) == 0:
+        raise ValueError(f"points must have shape (n, 4) with n >= 1, got {P.shape}")
+    if not np.all(np.abs(np.linalg.norm(P, axis=1) - 1) <= 1e-8):
+        raise ValueError("points must be unit 4-vectors")
+    _, s, Vt = np.linalg.svd(np.linalg.qr(P, mode="r"))  # R is at most 4x4
+    if len(s) < 4 or s[-1] <= 1e-8:
+        # max_j |p_j . v| <= s_min <= 1e-8 rounds the radius to 1.0.
+        witness, rad = Vt[-1], 1.0
+    else:
+        # Qhull (from scipy) is imported here: loading it costs every CLI
+        # command about 0.45 s and 36 MB, and only coverings need it.
+        from scipy.spatial import ConvexHull
+
+        eq = ConvexHull(np.vstack([P, -P])).equations
+        witness = eq[np.argmax(eq[:, -1]), :4]
+        b = float(np.max(np.abs(P @ witness)))
+        rad = float(np.sqrt(max(0.0, 1.0 - b * b)))
+    return (rad, witness) if return_witness else rad
+
+
+def covering_radius_estimate(points, n_samples=None, seed=None, refine=None, return_witness=False):
+    """Deprecated alias of `covering_radius`; the sampling arguments are ignored."""
+    return covering_radius(points, return_witness=return_witness)
 
 
 def sphere_covering(eps: float, seed: int = 0) -> tuple[np.ndarray, float]:
     """eps-covering of all single-qubit unitaries (S^3 mod +-).
 
-    Returns (points, estimated covering radius). The ring spacing is
-    calibrated so the sampled covering radius lands just below eps, making
-    the net tight: worst-case mixing error over the net approaches eps^2.
+    Returns (points, exact covering radius from `covering_radius`). The
+    ring spacing is calibrated so the radius lands just below eps, in
+    [0.95, 0.985] * eps where the ring quantization allows, making the net
+    tight: worst-case mixing error over the net approaches eps^2. seed has
+    no effect; it stays for existing callers.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     lo, hi = 0.95 * eps, 0.985 * eps
     h = np.arcsin(eps)  # initial guess; calibrate below
-    pts = _s3_net(h)
-    rad = covering_radius_estimate(pts, seed=seed)
-    best = (rad, pts) if rad <= hi else None
-    for _ in range(8):
+    best = None
+    for i in range(9):
+        if i:
+            h *= min(1.08, max(0.85, (0.97 * eps) / max(rad, 1e-9)))
+        pts = _s3_net(h)
+        rad = covering_radius(pts)
         if lo <= rad <= hi:
             return pts, rad
-        h *= min(1.08, max(0.85, (0.97 * eps) / max(rad, 1e-9)))
-        pts = _s3_net(h)
-        rad = covering_radius_estimate(pts, seed=seed)
         if rad <= hi and (best is None or rad > best[0]):
             best = (rad, pts)
-    if lo <= rad <= hi:
-        return pts, rad
     # Coarse nets quantize: scan spacings and keep the largest radius <= hi.
     if len(pts) < 2000:
         for f in np.linspace(0.82, 1.12, 31):
             cand = _s3_net(h * f)
-            r = covering_radius_estimate(cand, seed=seed)
+            r = covering_radius(cand)
             if r <= hi and (best is None or r > best[0]):
                 best = (r, cand)
             if best is not None and best[0] >= lo:

@@ -16,7 +16,7 @@ from usynth import bounds, channels, cli, qubit1, synth
 from usynth.channels import choi, choi_mixture, diamond_distance, optimal_mix
 from usynth.linalg import haar_unitary
 from usynth.qubit1 import (
-    covering_radius_estimate,
+    covering_radius,
     magic_embed,
     magic_unembed,
     mix_distance_1q,
@@ -81,10 +81,8 @@ def test_acceptance_2_qubit_bound_attained():
         bp = bounds.theorem1_bounds(eps, 2)
         ok &= abs(bp.lower - eps * eps) <= 1e-12 and abs(bp.upper - eps * eps) <= 1e-12
 
-        pts, rad = sphere_covering(eps, seed=0)
-        _, witness = covering_radius_estimate(
-            pts, n_samples=200000, seed=1, return_witness=True
-        )
+        pts, rad = sphere_covering(eps)
+        _, witness = covering_radius(pts, return_witness=True)
         rng = np.random.default_rng(123)
         targets = [magic_embed(haar_unitary(2, rng)) for _ in range(50)] + [witness]
         eps_f = min(eps, 0.499)
@@ -148,8 +146,8 @@ def test_acceptance_5_support_restriction_lossless():
     """100 targets against a verified covering: restricting the mixing SDP
     to candidates within 2*eps of the target does not change the value."""
     eps = 0.3
-    pts, rad = sphere_covering(eps, seed=0)
-    assert rad <= eps
+    pts, rad = sphere_covering(eps)
+    assert rad == covering_radius(pts) <= eps
     all_cands = [choi(magic_unembed(v)) for v in pts]
     rng = np.random.default_rng(7)
     worst = 0.0

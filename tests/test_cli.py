@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +95,24 @@ def test_bounds_csv_d2_columns_match(tmp_path, capsys):
         eps, delta, lower, upper = (float(x) for x in line.split(","))
         assert abs(lower - upper) < 1e-12
         assert abs(upper - eps * eps) < 1e-12
+
+
+@pytest.mark.parametrize("grid", ["0.1:0.3:0", "0.3:0.1:0.1", "0.1:0.3:-0.1", "nan:0.3:0.1",
+                                  "0.1:inf:0.1", "0.1:0.3:inf"])
+def test_bounds_rejects_empty_or_endless_eps_grid(capsys, grid):
+    code, out, err = run_cli(capsys, "bounds", "--d", "2", "--eps-grid", grid)
+    assert code == 2 and out == ""
+    assert "need finite a <= b and step > 0" in err
+
+
+def test_import_does_not_load_qhull():
+    # scipy.spatial is imported only inside qubit1.covering_radius: loading
+    # it would add to the start-up time and memory of every CLI command.
+    code = "import sys, usynth.cli; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sharpness_lower_d2(capsys):

@@ -18,7 +18,7 @@ from usynth.linalg import haar_unitary
 from usynth.qubit1 import (
     EmptySupportError,
     cap_covering,
-    covering_radius_estimate,
+    covering_radius,
     distance_1q,
     magic_embed,
     magic_embed_batch,
@@ -155,14 +155,60 @@ def test_sphere_covering_radius_window():
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
 
 
-def test_covering_radius_estimate_witness():
-    pts, rad = sphere_covering(0.5, seed=0)
-    r2, w = covering_radius_estimate(pts, n_samples=50000, seed=1, return_witness=True)
-    assert abs(np.linalg.norm(w) - 1.0) < 1e-9
-    # witness depth is consistent with the reported radius
-    near = np.max(np.abs(pts @ w))
-    assert abs(np.sqrt(1 - near**2) - r2) < 1e-9
-    assert r2 <= rad + 0.02
+def test_covering_radius_is_certified():
+    pts, rad = sphere_covering(0.3)
+    r, w = covering_radius(pts, return_witness=True)
+    assert r == rad
+    assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+    # The witness is a hole of exactly that depth ...
+    assert abs(np.sqrt(1 - np.max(np.abs(pts @ w)) ** 2) - r) <= 1e-12
+    # ... and no point of S^3 lies deeper.
+    S = np.random.default_rng(8).standard_normal((200000, 4))
+    S /= np.linalg.norm(S, axis=1, keepdims=True)
+    near = np.max(np.abs(S @ pts.T), axis=1)
+    assert np.max(np.sqrt(np.maximum(0.0, 1 - near**2))) <= r + 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.3, 0.5])
+def test_mixing_bound_attained_at_deepest_hole(eps):
+    # Mixing over an eps-covering errs by at most rad^2, and at the deepest
+    # hole the bound is attained exactly.
+    pts, _ = sphere_covering(eps)
+    rad, w = covering_radius(pts, return_witness=True)
+    idx = support_filter(w, pts, min(eps, 0.499))
+    _, upper, lower = optimal_mix_1q(w, pts[idx])
+    assert lower - 1e-9 <= rad**2 <= upper + 1e-9
+
+
+def test_covering_radius_rank_deficient_nets():
+    rng = np.random.default_rng(9)
+    for P in (np.eye(4)[:1], np.eye(4)[:3], np.linalg.qr(rng.standard_normal((4, 3)))[0].T,
+              np.vstack([np.eye(4)[:2], -np.eye(4)[:2], [[0.6, 0.8, 0, 0]]])):
+        r, w = covering_radius(P, return_witness=True)
+        assert r == 1.0
+        assert abs(np.linalg.norm(w) - 1) < 1e-12 and np.max(np.abs(P @ w)) < 1e-12
+
+
+def test_covering_radius_full_rank_examples():
+    # The 4 basis vectors leave the hole (1, 1, 1, 1)/2 at depth 1/2.
+    r, w = covering_radius(np.eye(4), return_witness=True)
+    assert abs(r - np.sqrt(3) / 2) < 1e-12
+    assert np.allclose(np.abs(w), 0.5, atol=1e-12)
+
+
+def test_covering_radius_rejects_bad_input():
+    for bad in (np.eye(4)[0], np.eye(3), np.zeros((0, 4)), np.ones((2, 4, 1))):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 4\)"):
+            covering_radius(bad)
+    for bad in (2 * np.eye(4), np.vstack([np.eye(4), np.full(4, np.nan)]), np.full((1, 4), np.inf)):
+        with pytest.raises(ValueError, match="points must be unit 4-vectors"):
+            covering_radius(bad)
+
+
+def test_covering_radius_estimate_is_an_alias():
+    r, w = covering_radius(np.eye(4), return_witness=True)
+    r2, w2 = qubit1.covering_radius_estimate(np.eye(4), n_samples=10, seed=3, return_witness=True)
+    assert r2 == r and np.array_equal(w2, w)
 
 
 def test_sphere_covering_rejects_bad_eps():

@@ -84,8 +84,8 @@ def lower_family(eps: float, d: int, mesh: float = 0.02, seed: int = 0) -> list[
         raise ValueError("eps must lie in (0, 1]")
     if d < 2:
         raise ValueError("d must be >= 2")
-    if mesh <= 0:
-        raise ValueError("mesh must be positive")
+    if not 0 < mesh < np.inf:
+        raise ValueError("mesh must be positive and finite")
     root = np.sqrt(max(0.0, 1.0 - eps * eps))
     lam = np.concatenate([[root + 1j * eps, root - 1j * eps], np.ones(d - 2)])
     W0 = np.diag(lam)
@@ -119,8 +119,8 @@ def upper_family(eps: float, d: int, mesh: float = 0.02, seed: int = 0) -> list[
         raise ValueError("eps must lie in (0, 1)")
     if d < 2:
         raise ValueError("d must be >= 2")
-    if mesh <= 0:
-        raise ValueError("mesh must be positive")
+    if not 0 < mesh < np.inf:
+        raise ValueError("mesh must be positive and finite")
     theta_max = np.arccos(eps)
     n_th = max(2, int(np.ceil(theta_max / mesh)) + 1)
     thetas = np.linspace(0.0, theta_max, n_th)
@@ -170,10 +170,13 @@ def axial_optimal(target_theta: float, thetas: list[float]) -> tuple[np.ndarray,
 
     The error is half the Euclidean distance from e^{i target_theta} to the
     convex hull of {e^{i theta_x}}; the optimum is attained on a single
-    vertex or one edge, giving at most two nonzero weights.
+    vertex or one edge, giving at most two nonzero weights. Raises ValueError
+    for an empty or non-finite thetas or a non-finite target_theta.
     """
     if len(thetas) == 0:
         raise ValueError("thetas must be nonempty")
+    if not np.all(np.isfinite(np.append(np.asarray(thetas, dtype=float), target_theta))):
+        raise ValueError("target_theta and thetas must be finite")
     z = np.exp(1j * target_theta)
     pts = np.exp(1j * np.asarray(thetas, dtype=float))
     n = len(thetas)

@@ -63,7 +63,7 @@ def _load_choi(path: str) -> channels.ChoiOperator:
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text + "\n")

@@ -13,7 +13,6 @@ import numpy as np
 
 TOL_HERM = 1e-8
 TOL_UNITARY = 1e-8
-TOL_EIG = 1e-10
 
 
 class NotHermitianError(ValueError):

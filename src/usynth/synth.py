@@ -3,8 +3,10 @@
 Pipeline: enumerate distinct gate sequences up to a length budget (brute
 force, deduplicated up to global phase), deterministically synthesize a
 covering of a ball around the target, restrict support, and solve the
-mixing SDP. A first-order baseline (minimizing the norm of the mixed
-generator over the probability simplex) is included for comparison.
+mixing SDP. The first-order baseline of Campbell and Hastings is included
+for comparison: it works on the candidates' channels (magic vectors, not
+matrices with a global phase) and finds the exact minimum-norm mixture of
+their generators with one nonnegative least-squares solve.
 """
 
 from __future__ import annotations
@@ -236,9 +238,9 @@ def prob_synth(
     """
     if not 0 < eps < 0.5:
         raise ValueError(f"prob_synth needs 0 < eps < 1/2, got eps = {eps:g}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if c <= 0 or c_prime <= 0 or c + c_prime > 1:
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
+    if not (c > 0 and c_prime > 0 and c + c_prime <= 1):
         raise ValueError("require c, c_prime > 0 with c + c_prime <= 1")
     target = check_unitary(target)
     if pool is None:
@@ -278,109 +280,42 @@ def prob_synth(
     )
 
 
-def _principal_generator(U: np.ndarray, V: np.ndarray, branch_margin: float) -> np.ndarray:
-    """Traceless H with V ~ U e^{iH} (principal branch of -i log(U^dag V))."""
-    M = U.conj().T @ V
-    w, B = np.linalg.eig(M)
-    phases = np.angle(w)
-    if np.any(np.abs(phases) > np.pi - branch_margin):
-        raise BranchCutError("eigenphase too close to the branch cut at pi")
-    H = (B * phases) @ np.linalg.inv(B)
-    H = (H + H.conj().T) / 2
-    return H - (np.trace(H) / 2) * np.eye(2)
-
-
-def _vec_herm(H: np.ndarray) -> np.ndarray:
-    """Isometric real vectorization of a 2x2 Hermitian matrix."""
-    return np.array(
-        [H[0, 0].real, H[1, 1].real, np.sqrt(2) * H[0, 1].real, np.sqrt(2) * H[0, 1].imag]
-    )
-
-
-def _min_norm_simplex(V: np.ndarray, max_iter: int = 10000, tol: float = 1e-9) -> np.ndarray:
-    """Weights p on the simplex minimizing ||sum p_x V_x||_2.
-
-    Frank-Wolfe with away steps, followed by an exact solve on the active
-    support.
-    """
-    n = V.shape[0]
-    G = V @ V.T
-    p = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        g = G @ p  # gradient / 2
-        s = int(np.argmin(g))
-        active = np.flatnonzero(p > 1e-14)
-        a = int(active[np.argmax(g[active])])
-        # Frank-Wolfe direction vs away direction.
-        fw_gap = float(p @ g - g[s])
-        aw_gap = float(g[a] - p @ g)
-        if max(fw_gap, aw_gap) < tol * max(1.0, float(p @ g)):
-            break
-        if fw_gap >= aw_gap:
-            d = -p.copy()
-            d[s] += 1.0
-            gmax = 1.0
-        else:
-            d = p.copy()
-            d[a] -= 1.0
-            gmax = p[a] / (1.0 - p[a]) if p[a] < 1.0 else 1e16
-        dGd = float(d @ G @ d)
-        if dGd <= 0:
-            gamma = gmax
-        else:
-            gamma = min(gmax, max(0.0, -float(p @ G @ d) / dGd))
-        if gamma <= 0:
-            break
-        p = p + gamma * d
-        p = np.maximum(p, 0.0)
-        p /= p.sum()
-    # Exact polish on the active set: minimize p'Gp s.t. sum p = 1, p >= 0,
-    # dropping negative components until feasible.
-    active = list(np.flatnonzero(p > 1e-12))
-    while active:
-        k = len(active)
-        A = np.zeros((k + 1, k + 1))
-        A[:k, :k] = G[np.ix_(active, active)]
-        A[:k, k] = 1.0
-        A[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            break
-        q = sol[:k]
-        if np.all(q >= -1e-12):
-            cand = np.zeros(n)
-            cand[active] = np.maximum(q, 0.0)
-            cand /= cand.sum()
-            if cand @ G @ cand <= p @ G @ p + 1e-15:
-                p = cand
-            break
-        active = [a for a, qa in zip(active, q) if qa > 1e-12]
-    return p
-
-
 def campbell_mix(
-    target: np.ndarray,
-    candidates: list[np.ndarray],
-    branch_margin: float = 1e-6,
+    target: np.ndarray, candidates: list[np.ndarray]
 ) -> tuple[np.ndarray, float]:
-    """First-order mixing baseline.
+    """First-order mixing baseline (Campbell 2017; Hastings 2017).
 
-    Writes each candidate as target * exp(i H_x) with H_x traceless
-    Hermitian and minimizes ||sum p_x H_x||_F over the simplex. A zero
-    residual makes the mixture correct to first order, so its error is
-    quadratic in the candidate distances.
+    Writes each candidate as target * exp(i H_x) with the shortest traceless
+    H_x. In the magic basis, with u = magic_embed(target) and w_x the sign of
+    magic_embed(V_x) nearest u, its generator is the log map h_x = sqrt(2)
+    theta_x (w_x - (u.w_x) u) / sin(theta_x), and |h_x| = ||H_x||_F. Returns
+    the p on the simplex minimizing ||sum_x p_x h_x||, and that residual; a
+    zero residual makes the mixture correct to first order. Depends on the
+    channels only, not on global phases. Raises BranchCutError if |u.w_x| <
+    1e-6 (an eigenphase of U^dag V at pi: no unique shortest H_x).
     """
     if not candidates:
         raise channels.EmptyCandidatesError("empty candidate list")
-    target = check_unitary(target)
-    Hs = [_principal_generator(target, check_unitary(V), branch_margin) for V in candidates]
-    V = np.stack([_vec_herm(H) for H in Hs])
-    p = _min_norm_simplex(V)
-    residual = float(np.linalg.norm(p @ V))
-    return p, residual
+    u = qubit1.magic_embed(target)
+    W = np.stack([qubit1.magic_embed(V) for V in candidates])
+    c = W @ u
+    if np.any(np.abs(c) < 1e-6):
+        raise BranchCutError("candidate orthogonal to the target: eigenphase at pi")
+    W *= np.sign(c)[:, None]
+    c = np.abs(c)
+    T = W - c[:, None] * u
+    s = np.linalg.norm(T, axis=1)
+    h = (np.sqrt(2) * np.arctan2(s, c) / np.where(s > 0, s, 1.0))[:, None] * T
+    # The NNLS of [h^T; 1^T] q ~ e_last has the KKT conditions of the
+    # min-norm point of the hull of the h_x, at p = q / sum q (Lawson and
+    # Hanson, least distance programming). scipy.optimize is imported here:
+    # loading it with the module would cost every CLI command about 0.6 s.
+    from scipy.optimize import nnls
+
+    A = np.vstack([h.T, np.ones(len(h))])
+    q, _ = nnls(A, np.eye(len(A))[-1])
+    p = q / q.sum()
+    return p, float(np.linalg.norm(p @ h))
 
 
 def sample(p: np.ndarray, seed: int, n: int) -> np.ndarray:

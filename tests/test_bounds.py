@@ -106,6 +106,20 @@ def test_axial_rejects_empty():
         axial_optimal(0.0, [])
 
 
+@pytest.mark.parametrize("target, thetas", [(0.0, [np.nan, 1.0]), (np.nan, [0.0, 1.0]),
+                                            (np.inf, [0.0, 1.0]), (0.0, [0.0, -np.inf])])
+def test_axial_rejects_non_finite_angles(target, thetas):
+    with pytest.raises(ValueError, match="must be finite"):
+        axial_optimal(target, thetas)
+
+
+@pytest.mark.parametrize("family", [lower_family, upper_family])
+@pytest.mark.parametrize("mesh", [0.0, -0.1, np.nan, np.inf])
+def test_families_reject_bad_mesh(family, mesh):
+    with pytest.raises(ValueError, match="mesh must be positive"):
+        family(0.5, 2, mesh=mesh)
+
+
 def test_curve_sweep_rows():
     rows = curve_sweep(3, [0.1, 0.2])
     assert len(rows) == 2

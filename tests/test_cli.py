@@ -106,13 +106,46 @@ def test_bounds_rejects_empty_or_endless_eps_grid(capsys, grid):
 
 
 def test_import_does_not_load_qhull():
-    # scipy.spatial is imported only inside qubit1.covering_radius: loading
-    # it would add to the start-up time and memory of every CLI command.
-    code = "import sys, usynth.cli; print('scipy.spatial' in sys.modules)"
+    # scipy.spatial is imported only inside qubit1.covering_radius and
+    # scipy.optimize only inside synth.campbell_mix: loading them would add to
+    # the start-up time and memory of every CLI command.
+    code = ("import sys, usynth.cli; "
+            "print([m in sys.modules for m in ('scipy.spatial', 'scipy.optimize')])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["axial", "--target-theta", "nan", "--thetas", "0,1"], "must be finite"),
+    (["axial", "--target-theta", "0", "--thetas", "nan,1"], "must be finite"),
+    (["synth1q", "--target", "T", "--eps", "0.3", "--delta", "nan"], "delta must be positive"),
+    (["sharpness", "--d", "2", "--eps", "0.5", "--family", "lower", "--mesh", "nan"],
+     "mesh must be positive"),
+    (["sharpness", "--d", "2", "--eps", "0.5", "--family", "upper", "--mesh", "nan"],
+     "mesh must be positive"),
+    (["sharpness", "--d", "2", "--eps", "0.5", "--family", "upper", "--mesh", "inf"],
+     "mesh must be positive and finite"),
+])
+def test_non_finite_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_non_finite_result_is_not_emitted(tmp_path, capsys, monkeypatch):
+    # JSON has no NaN or Infinity: a non-finite result exits 2 and writes
+    # nothing, to stdout or to --out.
+    from usynth import bounds
+
+    monkeypatch.setattr(bounds, "axial_optimal", lambda t, ts: (np.ones(len(ts)), np.inf))
+    out_path = tmp_path / "o.json"
+    for extra in ([], ["--out", str(out_path)]):
+        code, out, err = run_cli(capsys, "axial", "--target-theta", "0", "--thetas", "0,1",
+                                 *extra)
+        assert code == 2 and out == "" and "JSON" in err
+    assert not out_path.exists()
 
 
 def test_sharpness_lower_d2(capsys):

@@ -289,6 +289,14 @@ def test_prob_synth_rejects_bad_args(std_gateset, std_pool):
         prob_synth(np.eye(2, dtype=complex), 0.3, 0.0, std_gateset)
     with pytest.raises(ValueError):
         prob_synth(np.eye(2, dtype=complex), 0.3, 1e-6, std_gateset, c=0.7, c_prime=0.7)
+    # NaN fails every comparison, so a "<= 0" check lets it through.
+    for delta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            prob_synth(np.eye(2, dtype=complex), 0.3, delta, std_gateset, pool=std_pool)
+    for c, c_prime in ((np.nan, 0.5), (0.5, np.nan)):
+        with pytest.raises(ValueError, match="require c, c_prime > 0"):
+            prob_synth(np.eye(2, dtype=complex), 0.3, 1e-6, std_gateset, c=c, c_prime=c_prime,
+                       pool=std_pool)
 
 
 def test_campbell_symmetric_pair():
@@ -312,6 +320,65 @@ def test_campbell_target_in_candidates():
     p, res = campbell_mix(U, [U, U @ expm(1j * H)])
     assert res < 1e-10
     assert p[0] > 1 - 1e-6
+
+
+def _campbell_instance(seed):
+    """Haar U and 1-29 candidates U expm(iH), the generators H biased towards
+    Z so that the residual is often positive; max |eig H| ~ U(0.01, 1.2)."""
+    from scipy.linalg import expm
+
+    from usynth.linalg import haar_unitary
+
+    rng = np.random.default_rng(seed)
+    U = haar_unitary(2, rng)
+    n = int(rng.integers(1, 30))
+    B = rng.uniform(0, 3) * np.diag([1, -1]).astype(complex)
+    cands = []
+    for _ in range(n):
+        H = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + B
+        H = (H + H.conj().T) / 2
+        H -= (np.trace(H) / 2) * np.eye(2)
+        H *= rng.uniform(0.01, 1.2) / np.abs(np.linalg.eigvalsh(H)).max()
+        cands.append(U @ expm(1j * H))
+    return U, cands
+
+
+def test_campbell_phase_invariant():
+    from scipy.linalg import expm
+
+    H = np.array([[0.1, 0.02 - 0.03j], [0.02 + 0.03j, -0.1]])
+    pair = [expm(1j * H), expm(-1j * H)]
+    U, cands = _campbell_instance(778)
+    for target, cs in ((np.eye(2, dtype=complex), pair), (U, cands)):
+        p0, r0 = campbell_mix(target, cs)
+        for phase in (-1, 1j, np.exp(0.7j)):
+            for k in range(len(cs)):
+                moved = [phase * V if j == k else V for j, V in enumerate(cs)]
+                p, r = campbell_mix(target, moved)
+                assert np.max(np.abs(p - p0)) <= 1e-12 and abs(r - r0) <= 1e-12
+            p, r = campbell_mix(phase * target, cs)
+            assert np.max(np.abs(p - p0)) <= 1e-12 and abs(r - r0) <= 1e-12
+
+
+def test_campbell_is_the_exact_min_norm_point():
+    # Reference generators: the principal log of U^dag V, vectorized
+    # isometrically (max |eig H| <= 1.2 < pi/2 keeps it the shortest one).
+    U, cands = _campbell_instance(778)
+    ref = []
+    for V in cands:
+        w, B = np.linalg.eig(U.conj().T @ V)
+        H = (B * np.angle(w)) @ np.linalg.inv(B)
+        H = (H + H.conj().T) / 2
+        H -= (np.trace(H) / 2) * np.eye(2)
+        ref.append([H[0, 0].real, H[1, 1].real,
+                    np.sqrt(2) * H[0, 1].real, np.sqrt(2) * H[0, 1].imag])
+    ref = np.array(ref)
+    p, res = campbell_mix(U, cands)
+    assert np.all(p >= 0) and abs(p.sum() - 1) <= 1e-12
+    g = ref @ (ref.T @ p)
+    assert np.min(g) >= p @ g - 1e-12  # KKT: no vertex descends from p
+    assert abs(res - np.linalg.norm(p @ ref)) <= 1e-12
+    assert 0.0111 < res < 0.01111  # a solver that stops early lands at 0.011423
 
 
 def test_campbell_branch_cut():

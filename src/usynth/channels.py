@@ -1,9 +1,11 @@
 """Channel-level constructions.
 
-Choi operators, the half-diamond distance between channels (computed by
-SDP), the optimal-mixing SDP that finds the best convex combination of
-candidate channels approximating a target, the closed-form half-diamond
-distance between unitary channels, and state fidelity / trace distance.
+Choi operators, the optimal-mixing SDP that finds the best convex
+combination of candidate channels approximating a target (the half-diamond
+distance between two channels is its one-candidate case), the closed-form
+half-diamond distance between unitary channels, and state fidelity / trace
+distance. Both SDP results are certified bounds read from the repaired
+solver iterate, not the solver's objective.
 
 Conventions: the Choi operator of a channel Xi acting on a d1-dimensional
 input is J(Xi) = sum_ij |i><j| (x) Xi(|i><j|), an operator on H1 (x) H2
@@ -139,73 +141,28 @@ def _check_solution(sol: sdp.SdpSolution) -> sdp.SdpSolution:
     return sol
 
 
-def _tester(d1: int, d2: int) -> tuple[list[sdp.Block], list[sdp.Constraint]]:
-    """Blocks T, T2 = rho (x) I - T and rho of a tester 0 <= T <= rho (x) I.
-
-    Returns the three complex blocks and the constraints that tie them: T +
-    T2 - rho (x) I = 0, taken against each basis matrix E (tr(E (rho (x) I))
-    = tr(ptr2(E) rho)), and tr(rho) = 1.
-    """
-    D = d1 * d2
-    blocks = [
-        sdp.Block(size=D, complex=True),
-        sdp.Block(size=D, complex=True),
-        sdp.Block(size=d1, complex=True),
-    ]
-    constraints = [
-        sdp.Constraint(coeffs={0: E, 1: E, 2: -partial_trace(E, (d1, d2), 2)}, rhs=0.0)
-        for E in _hermitian_basis(D)
-    ]
-    constraints.append(sdp.Constraint(coeffs={2: np.eye(d1)}, rhs=1.0))
-    return blocks, constraints
-
-
-def diamond_distance(
-    A: ChoiOperator,
-    B: ChoiOperator,
-    gap_tol: float = sdp.DEFAULT_GAP_TOL,
-    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
-    full_output: bool = False,
-):
-    """Half-diamond distance (1/2)||A - B||_diamond via SDP.
-
-    Primal: maximize tr(dJ T) over testers 0 <= T <= rho (x) I with rho a
-    density operator on the input factor. Lowered with a slack block
-    T2 = rho (x) I - T.
-    """
-    if A.dims != B.dims:
-        raise ValueError("dimension mismatch")
-    d1, d2 = A.dims
-    dJ = A.J - B.J
-    if trace_norm(dJ) <= 1e-12:
-        return (0.0, 0.0) if full_output else 0.0
-
-    blocks, constraints = _tester(d1, d2)
-    problem = sdp.SdpProblem(blocks=blocks, objective=[dJ, None, None], constraints=constraints)
-    sol = _check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
-    value = float(min(1.0, max(0.0, sol.primal_value)))
-    if full_output:
-        return value, float(sol.gap)
-    return value
-
-
-def optimal_mix(
+def _mix(
     target: ChoiOperator,
     candidates: list[ChoiOperator],
     gap_tol: float = sdp.DEFAULT_GAP_TOL,
     feas_tol: float = sdp.DEFAULT_FEAS_TOL,
-    mode: str = "dual",
-) -> tuple[np.ndarray, float]:
-    """Best convex mixture of candidates approximating the target channel.
+) -> tuple[np.ndarray, float, float]:
+    """Optimal mixture p of the candidates and certified bounds (p, upper, lower).
 
-    Returns (p, value) with value = min_p (1/2)||target - sum p_x cand_x||
-    in half-diamond distance, to the solver's tolerances (value is the
-    solver's objective, not the exact error of the returned p). The default
-    "dual" lowering (Watrous's SDP for the diamond norm) exposes p directly
-    and its constraint count is independent of the number of candidates.
-    "primal" maximizes over the testers of `diamond_distance`, with one
-    constraint per candidate whose multiplier is p_x; it is kept for
-    cross-checking strong duality. Both solve complex Hermitian blocks.
+    Watrous's SDP for the half-diamond norm (arXiv:0901.4709, 1207.5726),
+    minimized over the simplex: min r with S >= 0, S >= J(A) - sum p_x J(B_x),
+    r I >= ptr2(S), p >= 0 and sum p = 1. Its dual maximizes
+    tr(J(A) T) - max_x tr(J(B_x) T) over testers 0 <= T <= rho (x) I,
+    tr(rho) <= 1, which are the multipliers of the basis rows and of the
+    partial-trace rows. Neither bound is the solver's objective:
+
+    - upper = ||ptr2(S + s I)||_inf with the smallest s >= 0 that makes S
+      feasible at the returned p: no less than the error of p;
+    - lower = the dual objective at the tester repaired to be feasible
+      (rho clipped to a density operator, T into [0, rho (x) I]): no more
+      than the error of any mixture.
+
+    With one candidate, p = 1 and the solve is the half-diamond distance.
     """
     if not candidates:
         raise EmptyCandidatesError("empty candidate list")
@@ -217,77 +174,95 @@ def optimal_mix(
     n = len(candidates)
     JA = target.J
     JB = np.stack([c.J for c in candidates])
+    basis = _hermitian_basis(D)
+    basis1 = _hermitian_basis(d1)
 
-    if mode == "dual":
-        # Variables: S >= 0, E = S - J(A) + sum p J(B_x) >= 0,
-        #            G = r I - ptr2(S) >= 0, p >= 0, s = 1 - sum p >= 0, r >= 0.
-        # minimize r  ==  maximize -r.
-        blocks = [
-            sdp.Block(size=D, complex=True),   # S
-            sdp.Block(size=D, complex=True),   # E
-            sdp.Block(size=d1, complex=True),  # G
-            sdp.Block(size=n, diag=True),      # p
-            sdp.Block(size=1, diag=True),      # slack of sum p <= 1
-            sdp.Block(size=1, diag=True),      # r
-        ]
-        objective = [None, None, None, None, None, np.array([-1.0])]
-        constraints = []
-        for E in _hermitian_basis(D):
-            pc = np.real(np.einsum("ab,xba->x", E, JB))
-            constraints.append(
-                sdp.Constraint(
-                    coeffs={0: -E, 1: E, 3: -pc},
-                    rhs=-float(np.real(np.trace(E @ JA))),
-                )
-            )
-        for F in _hermitian_basis(d1):
-            constraints.append(
-                sdp.Constraint(
-                    coeffs={
-                        0: np.kron(F, np.eye(d2)),
-                        2: F,
-                        5: np.array([-float(np.real(np.trace(F)))]),
-                    },
-                    rhs=0.0,
-                )
-            )
-        constraints.append(
-            sdp.Constraint(coeffs={3: np.ones(n), 4: np.array([1.0])}, rhs=1.0)
+    # Variables: S >= 0, E = S - J(A) + sum p J(B_x) >= 0,
+    #            G = r I - ptr2(S) >= 0, p >= 0, r >= 0.
+    # minimize r  ==  maximize -r.
+    blocks = [
+        sdp.Block(size=D, complex=True),   # S
+        sdp.Block(size=D, complex=True),   # E
+        sdp.Block(size=d1, complex=True),  # G
+        sdp.Block(size=n, diag=True),      # p
+        sdp.Block(size=1, diag=True),      # r
+    ]
+    objective = [None, None, None, None, np.array([-1.0])]
+    pc = np.real(np.einsum("kab,xba->kx", basis, JB))
+    rhs = -np.real(np.einsum("kab,ba->k", basis, JA))
+    constraints = [
+        sdp.Constraint(coeffs={0: -E, 1: E, 3: -pc[k]}, rhs=float(rhs[k]))
+        for k, E in enumerate(basis)
+    ]
+    constraints += [
+        sdp.Constraint(
+            coeffs={0: np.kron(F, np.eye(d2)), 2: F, 4: np.array([-np.trace(F).real])},
+            rhs=0.0,
         )
-        problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
-        sol = _check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
-        p = np.maximum(sol.X[3], 0.0)
-        value = float(max(0.0, -sol.primal_value))
-    elif mode == "primal":
-        # maximize tr(J(A) T) - t over testers T with tr(J(B_x) T) <= t.
-        blocks, constraints = _tester(d1, d2)
-        blocks += [
-            sdp.Block(size=n, diag=True),      # q_x = t - tr(J(B_x) T)
-            sdp.Block(size=1, diag=True),      # t
-        ]
-        objective = [JA, None, None, None, np.array([-1.0])]
-        for x in range(n):
-            ek = np.zeros(n)
-            ek[x] = 1.0
-            constraints.append(
-                sdp.Constraint(
-                    coeffs={0: JB[x], 3: ek, 4: np.array([-1.0])}, rhs=0.0
-                )
-            )
-        problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
-        sol = _check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
-        value = float(max(0.0, sol.primal_value))
-        # Recover p from the dual multipliers of the tr(J(B_x) T) <= t rows.
-        p = np.maximum(sol.y[-n:], 0.0)
-    else:
-        raise ValueError("mode must be 'dual' or 'primal'")
+        for F in basis1
+    ]
+    constraints.append(sdp.Constraint(coeffs={3: np.ones(n)}, rhs=1.0))
+    problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
+    sol = _check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
 
-    total = float(np.sum(p))
-    if total > 0:
-        p = p / total
-    else:
-        p = np.full(n, 1.0 / n)
-    return p, value
+    p = np.maximum(sol.X[3], 0.0)
+    p /= p.sum()
+    S = sol.X[0]
+    dJ = JA - np.tensordot(p, JB, 1)
+    shift = max(0.0, -np.linalg.eigvalsh(S)[0], -np.linalg.eigvalsh(S - dJ)[0])
+    upper = float(np.linalg.eigvalsh(partial_trace(S, (d1, d2), 2))[-1] + d2 * shift)
+
+    T = np.tensordot(sol.y[: D * D], basis, 1)
+    w, V = np.linalg.eigh(np.tensordot(sol.y[D * D : D * D + d1 * d1], basis1, 1))
+    w = np.maximum(w, 0.0) + 1e-12
+    T /= w.sum()
+    w /= w.sum()
+    root = np.kron((V * np.sqrt(w)) @ V.conj().T, np.eye(d2))
+    root_inv = np.kron((V / np.sqrt(w)) @ V.conj().T, np.eye(d2))
+    lam, Q = np.linalg.eigh(root_inv @ T @ root_inv)
+    Tf = root @ (Q * np.clip(lam, 0.0, 1.0)) @ Q.conj().T @ root
+    values = np.real(np.einsum("ab,xba->x", Tf, JB))
+    lower = float(np.real(np.trace(JA @ Tf)) - values.max())
+    return p, upper, lower
+
+
+def diamond_distance(
+    A: ChoiOperator,
+    B: ChoiOperator,
+    gap_tol: float = sdp.DEFAULT_GAP_TOL,
+    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
+    full_output: bool = False,
+):
+    """Half-diamond distance (1/2)||A - B||_diamond via SDP.
+
+    Returns a certified upper bound on the distance; with full_output,
+    (upper, upper - lower), where lower is the dual's certified lower bound.
+    The SDP is the one of `optimal_mix` with the single candidate B.
+    """
+    if A.dims != B.dims:
+        raise ValueError("dimension mismatch")
+    if trace_norm(A.J - B.J) <= 1e-12:
+        return (0.0, 0.0) if full_output else 0.0
+    _, upper, lower = _mix(A, [B], gap_tol, feas_tol)
+    return (upper, upper - lower) if full_output else upper
+
+
+def optimal_mix(
+    target: ChoiOperator,
+    candidates: list[ChoiOperator],
+    gap_tol: float = sdp.DEFAULT_GAP_TOL,
+    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
+) -> tuple[np.ndarray, float]:
+    """Best convex mixture of candidates approximating the target channel.
+
+    Returns (p, value): value is a certified upper bound on the
+    half-diamond error (1/2)||target - sum p_x cand_x||_diamond of the
+    returned p, evaluated from the repaired solver iterate rather than read
+    from the solver's objective (see `_mix`). The constraint count of the
+    SDP is independent of the number of candidates.
+    """
+    p, upper, _ = _mix(target, candidates, gap_tol, feas_tol)
+    return p, upper
 
 
 def _check_density(rho: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:

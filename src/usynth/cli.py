@@ -100,6 +100,8 @@ def cmd_mixopt(args) -> int:
 
 
 def cmd_synth1q(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     target = _load_target(args.target)
     if args.gateset:
         with open(args.gateset, "r", encoding="utf-8") as f:

@@ -133,7 +133,6 @@ class SdpSolution:
     y: np.ndarray
     primal_value: float
     dual_value: float
-    gap: float
     status: str  # "Optimal" | "Stalled" | "MaxIter" | "Infeasible"
     iterations: int = 0
     # Relative primal and dual infeasibility and relative gap of the returned
@@ -445,8 +444,7 @@ def solve(
         if float(np.linalg.norm(y)) > 1e12 * norm_scale:
             return SdpSolution(
                 X=X, y=y, primal_value=inner(C, X), dual_value=float(b @ y),
-                gap=abs(inner(C, X) - float(b @ y)), status="Infeasible",
-                iterations=it,
+                status="Infeasible", iterations=it,
             )
 
     if status != "Optimal":
@@ -458,7 +456,6 @@ def solve(
         y=y,
         primal_value=pobj,
         dual_value=dobj,
-        gap=abs(pobj - dobj),
         status=status,
         iterations=it,
         pinf=pinf,

@@ -20,6 +20,7 @@ from usynth.channels import (
     unitary_distance,
 )
 from usynth.linalg import haar_unitary
+from usynth.qubit1 import magic_embed, magic_unembed, mix_distance_1q, optimal_mix_1q
 
 
 def rz(theta: float) -> np.ndarray:
@@ -73,14 +74,14 @@ def test_unitary_distance_symmetry_and_phase_invariance():
 
 def test_diamond_distance_metric_properties():
     rng = np.random.default_rng(4)
-    Us = [haar_unitary(2, rng) for _ in range(3)]
-    Js = [choi(U) for U in Us]
-    d01 = diamond_distance(Js[0], Js[1])
-    d10 = diamond_distance(Js[1], Js[0])
-    d02 = diamond_distance(Js[0], Js[2])
-    d12 = diamond_distance(Js[1], Js[2])
-    assert abs(d01 - d10) < 1e-8
-    assert d02 <= d01 + d12 + 1e-7
+    for d in (2, 3):
+        Js = [choi(haar_unitary(d, rng)) for _ in range(3)]
+        d01 = diamond_distance(Js[0], Js[1])
+        d10 = diamond_distance(Js[1], Js[0])
+        d02 = diamond_distance(Js[0], Js[2])
+        d12 = diamond_distance(Js[1], Js[2])
+        assert abs(d01 - d10) < 1e-8
+        assert d02 <= d01 + d12 + 1e-7
 
 
 def test_optimal_mix_target_in_candidates():
@@ -127,6 +128,16 @@ def test_optimal_mix_weights_normalized():
     )
     assert abs(p.sum() - 1.0) < 1e-12
     assert np.all(p >= 0)
+
+
+def test_optimal_mix_value_bounds_error_of_its_p():
+    # At this instance the solver's objective overstates the error of its own
+    # p, and the second candidate alone is slightly better than that p.
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    W = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]) / np.sqrt([[3.0], [4.0]])
+    p, value = optimal_mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
+    exact = mix_distance_1q(u, W, p)
+    assert exact <= value <= exact + 1e-8
 
 
 def test_fidelity_and_trace_distance_basics():
@@ -185,15 +196,17 @@ def _lowered(fn, *args, **kwargs) -> sdp.SdpProblem:
     return spy.call_args.args[0]
 
 
-@pytest.mark.parametrize("lowering", ["diamond", "dual", "primal"])
+@pytest.mark.parametrize("lowering", ["diamond", "dual"])
 @settings(max_examples=5)
 @given(seed=_seeds, n=_counts)
 def test_native_complex_blocks_match_real_embedding(lowering, seed, n):
+    # "diamond" is the one-candidate problem diamond_distance hands to the
+    # solver; "dual" is the mixing problem optimal_mix hands to it.
     target, *cands = [choi(U) for U in _haar_qubits(seed, n + 1)]
     if lowering == "diamond":
         problem = _lowered(diamond_distance, target, cands[0])
     else:
-        problem = _lowered(optimal_mix, target, cands, mode=lowering)
+        problem = _lowered(optimal_mix, target, cands)
     native = sdp.solve(problem)
     embedded = sdp.solve(sdp.real_embed(problem))
     assert native.status == embedded.status == "Optimal"
@@ -218,10 +231,16 @@ def test_optimal_mix_at_most_best_candidate(seed, n):
     assert value <= min(unitary_distance(target, U) for U in cands) + 1e-7
 
 
-@settings(max_examples=10)
+@settings(max_examples=300)
 @given(seed=_seeds, n=_counts)
 def test_optimal_mix_dual_equals_primal(seed, n):
-    target, *cands = [choi(U) for U in _haar_qubits(seed, n + 1)]
-    _, dual = optimal_mix(target, cands, mode="dual")
-    _, primal = optimal_mix(target, cands, mode="primal")
-    assert abs(dual - primal) <= 1e-7
+    # The certified primal (upper) and dual (lower) bounds meet; the upper
+    # bound is never below the exact error of its own p, and neither bound
+    # crosses those of the independent 4x4 lowering.
+    Us = _haar_qubits(seed, n + 1)
+    p, upper, lower = channels._mix(choi(Us[0]), [choi(U) for U in Us[1:]])
+    assert 0.0 <= upper - lower <= 1e-7
+    u, W = magic_embed(Us[0]), np.stack([magic_embed(U) for U in Us[1:]])
+    assert upper >= mix_distance_1q(u, W, p) - 1e-12
+    _, upper_1q, lower_1q = optimal_mix_1q(u, W)
+    assert lower <= upper_1q + 1e-12 and lower_1q <= upper + 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from usynth import cli, sdp
-from usynth.linalg import matrix_to_json
+from usynth.linalg import haar_unitary, matrix_to_json
 
 
 def save_matrix(path, M):
@@ -71,6 +71,20 @@ def test_synth1q_byte_identical_reruns(tmp_path, capsys):
     assert obj["prob_error_lower"] <= obj["prob_error"] <= obj["prob_error_lower"] + 1e-6
     assert len(obj["samples"]) == 20
 
+    # The commands that print the generic SDP's certified bounds.
+    rng = np.random.default_rng(3)
+    cdir = tmp_path / "cands"
+    cdir.mkdir()
+    for i in range(3):
+        save_matrix(str(cdir / f"c{i}.json"), haar_unitary(2, rng))
+    tgt = str(tmp_path / "t.json")
+    save_matrix(tgt, haar_unitary(2, rng))
+    for argv in (["diamond", tgt, str(cdir / "c0.json")],
+                 ["mixopt", tgt, str(cdir)],
+                 ["sharpness", "--d", "3", "--eps", "0.6", "--family", "lower"]):
+        first, second = (run_cli(capsys, *argv) for _ in range(2))
+        assert first == second and first[0] == 0
+
 
 def test_synth1q_named_rz_target(capsys):
     code, out, _ = run_cli(
@@ -127,6 +141,8 @@ def test_import_does_not_load_qhull():
      "mesh must be positive"),
     (["sharpness", "--d", "2", "--eps", "0.5", "--family", "upper", "--mesh", "inf"],
      "mesh must be positive and finite"),
+    (["synth1q", "--target", "T", "--eps", "0.35", "--samples", "-5"],
+     "--samples must be nonnegative"),
 ])
 def test_non_finite_arguments_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

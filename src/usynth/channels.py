@@ -1,11 +1,14 @@
 """Channel-level constructions.
 
-Choi operators, the optimal-mixing SDP that finds the best convex
-combination of candidate channels approximating a target (the half-diamond
-distance between two channels is its one-candidate case), the closed-form
-half-diamond distance between unitary channels, and state fidelity / trace
-distance. Both SDP results are certified bounds read from the repaired
-solver iterate, not the solver's objective.
+Choi operators, optimal mixing (the best convex combination of candidate
+channels approximating a target; the half-diamond distance between two
+channels is its one-candidate case), the closed-form half-diamond distance
+between unitary channels, and state fidelity / trace distance. Mixing solves
+Watrous's SDP, except when the target and every candidate are d = 2 unitary
+channels (dims (2, 2), trace preserving and rank one within
+linalg.TOL_UNITARY): those take the real 4x4 SDP of qubit1.optimal_mix_1q.
+Every returned distance or mixing value is a certified upper bound on the
+error, never the solver's objective.
 
 Conventions: the Choi operator of a channel Xi acting on a d1-dimensional
 input is J(Xi) = sum_ij |i><j| (x) Xi(|i><j|), an operator on H1 (x) H2
@@ -22,6 +25,7 @@ import numpy as np
 from . import sdp
 from .linalg import (
     TOL_HERM,
+    TOL_UNITARY,
     check_finite,
     check_hermitian,
     check_unitary,
@@ -247,6 +251,26 @@ def diamond_distance(
     return (upper, upper - lower) if full_output else upper
 
 
+def _qubit_unitaries(ops: list[ChoiOperator]) -> np.ndarray | None:
+    """Unitaries (up to phase) of d = 2 unitary channels; None if any op is not one.
+
+    Unitary: dims (2, 2), and ptr2(J) = I and J = v v^dag within TOL_UNITARY,
+    with v J's pivot column (largest diagonal entry) over the pivot's root.
+    """
+    if any(op.dims != (2, 2) for op in ops):
+        return None
+    J = np.stack([op.J for op in ops])
+    ptr2 = np.trace(J.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
+    if np.max(np.abs(ptr2 - np.eye(2))) > TOL_UNITARY:
+        return None
+    rows = np.arange(len(J))
+    piv = np.argmax(np.real(np.diagonal(J, axis1=1, axis2=2)), axis=1)
+    v = J[rows, :, piv] / np.sqrt(np.real(J[rows, piv, piv]))[:, None]
+    if np.max(np.abs(J - v[:, :, None] * v[:, None, :].conj())) > TOL_UNITARY:
+        return None
+    return v.reshape(-1, 2, 2).transpose(0, 2, 1)  # v[(i, k)] = U[k, i], as in choi
+
+
 def optimal_mix(
     target: ChoiOperator,
     candidates: list[ChoiOperator],
@@ -257,12 +281,23 @@ def optimal_mix(
 
     Returns (p, value): value is a certified upper bound on the
     half-diamond error (1/2)||target - sum p_x cand_x||_diamond of the
-    returned p, evaluated from the repaired solver iterate rather than read
-    from the solver's objective (see `_mix`). The constraint count of the
-    SDP is independent of the number of candidates.
+    returned p, not the solver's objective. When the target and every
+    candidate are d = 2 unitary channels (`_qubit_unitaries`: trace
+    preserving and rank one within TOL_UNITARY), the query is one real 4x4
+    SDP in the magic basis (`qubit1.optimal_mix_1q`) and value is
+    `qubit1.mix_distance_1q` at p, the exact error of p for the unitaries
+    read from the Choi operators. Every other input takes the Watrous SDP of
+    `_mix`, and value is its repaired-primal upper bound.
     """
-    p, upper, _ = _mix(target, candidates, gap_tol, feas_tol)
-    return p, upper
+    U = _qubit_unitaries([target, *candidates])
+    if U is None:
+        p, upper, _ = _mix(target, candidates, gap_tol, feas_tol)
+        return p, upper
+    from . import qubit1  # imported here: qubit1 imports this module
+
+    W = qubit1.magic_embed_batch(U)
+    p, _, _ = qubit1.optimal_mix_1q(W[0], W[1:], gap_tol, feas_tol)
+    return p, qubit1.mix_distance_1q(W[0], W[1:], p)
 
 
 def _check_density(rho: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:

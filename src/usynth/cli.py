@@ -150,6 +150,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
+    if args.family == "upper" and args.d >= 3:
+        raise ValueError(f"--family upper is supported only at --d 2, not {args.d}: "
+                         "at d >= 3 the family does not attain the eps^2 bound")
     bp = bounds.theorem1_bounds(args.eps, args.d)
     if args.family == "lower":
         fam = bounds.lower_family(args.eps, args.d, mesh=args.mesh)

@@ -149,7 +149,9 @@ def optimal_mix_1q(
     sol = channels._check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
     p = np.maximum(sol.X[1], 0.0)
     # Within the gap tolerance the best single candidate can beat the iterate.
-    P = np.vstack([p / p.sum(), np.eye(len(W))[np.argmax(np.abs(W @ u))]])
+    best = np.zeros(len(W))
+    best[np.argmax(np.abs(W @ u))] = 1.0
+    P = np.vstack([p / p.sum(), best])
     tops = np.linalg.eigvalsh(np.outer(u, u) - np.einsum("jx,xa,xb->jab", P, W, W))[:, -1]
     p, upper = P[np.argmin(tops)], float(np.min(tops))
     lam, V = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))

@@ -117,8 +117,9 @@ def test_optimal_mix_never_worse_than_best_candidate():
 
 
 def test_optimal_mix_empty_candidates():
-    with pytest.raises(EmptyCandidatesError):
-        optimal_mix(choi(np.eye(2)), [])
+    for d in (2, 3):
+        with pytest.raises(EmptyCandidatesError):
+            optimal_mix(choi(np.eye(d)), [])
 
 
 def test_optimal_mix_weights_normalized():
@@ -132,12 +133,53 @@ def test_optimal_mix_weights_normalized():
 
 def test_optimal_mix_value_bounds_error_of_its_p():
     # At this instance the solver's objective overstates the error of its own
-    # p, and the second candidate alone is slightly better than that p.
+    # p, and the second candidate alone is slightly better than that p. Both
+    # lowerings: optimal_mix (the 4x4 one for qubit unitaries) and _mix.
     u = np.array([1.0, 0.0, 0.0, 0.0])
     W = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]) / np.sqrt([[3.0], [4.0]])
-    p, value = optimal_mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
-    exact = mix_distance_1q(u, W, p)
-    assert exact <= value <= exact + 1e-8
+    target, cands = choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W]
+    for p, value in (optimal_mix(target, cands), channels._mix(target, cands)[:2]):
+        exact = mix_distance_1q(u, W, p)
+        assert exact <= value <= exact + 1e-8
+
+
+def test_optimal_mix_qubit_unitaries_skip_generic_path():
+    # d = 2 unitary channels go to the 4x4 lowering and agree with the
+    # Watrous SDP; p follows the candidates' order.
+    rng = np.random.default_rng(12)
+    cases = []
+    for k in range(20):
+        U, *Vs = [haar_unitary(2, rng) for _ in range(k % 5 + 2)]
+        cases.append((choi(U), [choi(V) for V in Vs]))
+    U = haar_unitary(2, rng)
+    cases.append((choi(U), [choi(haar_unitary(2, rng)), choi(1j * U), choi(haar_unitary(2, rng))]))
+    expected = [channels._mix(target, cands)[1] for target, cands in cases]
+    with mock.patch.object(channels, "_mix", side_effect=AssertionError("generic path")):
+        for (target, cands), ref in zip(cases, expected):
+            p, value = optimal_mix(target, cands)
+            assert p.shape == (len(cands),) and abs(value - ref) <= 1e-7
+    assert p[1] > 0.99 and value < 1e-7
+
+
+def test_optimal_mix_other_inputs_take_generic_path():
+    # Not trace preserving, not rank one, or d = 3: the Watrous SDP.
+    rng = np.random.default_rng(13)
+    U, V, W = (choi(haar_unitary(2, rng)) for _ in range(3))
+    mixture = choi_mixture([V, W], np.array([0.5, 0.5]))
+    half = ChoiOperator(J=0.5 * U.J, dims=(2, 2))
+    A, B, C = (choi(haar_unitary(3, rng)) for _ in range(3))
+    for target, cands in ((mixture, [U, V]), (U, [V, mixture]), (half, [V, W]), (U, [V, half]),
+                          (A, [B, C])):
+        with mock.patch.object(channels, "_mix", wraps=channels._mix) as spy:
+            p, _ = optimal_mix(target, cands)
+        assert spy.call_count == 1 and p.shape == (len(cands),)
+
+
+def test_optimal_mix_rejects_mixed_dims():
+    q, t = choi(np.eye(2)), choi(np.eye(3))
+    for target, cands in ((q, [t]), (t, [q]), (q, [q, t])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            optimal_mix(target, cands)
 
 
 def test_fidelity_and_trace_distance_basics():
@@ -201,12 +243,13 @@ def _lowered(fn, *args, **kwargs) -> sdp.SdpProblem:
 @given(seed=_seeds, n=_counts)
 def test_native_complex_blocks_match_real_embedding(lowering, seed, n):
     # "diamond" is the one-candidate problem diamond_distance hands to the
-    # solver; "dual" is the mixing problem optimal_mix hands to it.
+    # solver; "dual" is the Watrous mixing problem of channels._mix (for these
+    # qubit unitaries optimal_mix hands the solver a real 4x4 problem instead).
     target, *cands = [choi(U) for U in _haar_qubits(seed, n + 1)]
     if lowering == "diamond":
         problem = _lowered(diamond_distance, target, cands[0])
     else:
-        problem = _lowered(optimal_mix, target, cands)
+        problem = _lowered(channels._mix, target, cands)
     native = sdp.solve(problem)
     embedded = sdp.solve(sdp.real_embed(problem))
     assert native.status == embedded.status == "Optimal"

@@ -81,7 +81,8 @@ def test_synth1q_byte_identical_reruns(tmp_path, capsys):
     save_matrix(tgt, haar_unitary(2, rng))
     for argv in (["diamond", tgt, str(cdir / "c0.json")],
                  ["mixopt", tgt, str(cdir)],
-                 ["sharpness", "--d", "3", "--eps", "0.6", "--family", "lower"]):
+                 ["sharpness", "--d", "3", "--eps", "0.6", "--family", "lower"],
+                 ["sharpness", "--d", "2", "--eps", "0.6", "--family", "upper", "--mesh", "0.2"]):
         first, second = (run_cli(capsys, *argv) for _ in range(2))
         assert first == second and first[0] == 0
 
@@ -171,6 +172,20 @@ def test_sharpness_lower_d2(capsys):
     obj = json.loads(out)
     assert obj["slack"] < 1e-5
     assert abs(obj["expected"] - 0.25) < 1e-12
+
+
+def test_sharpness_upper_d3_exits_2(capsys, monkeypatch):
+    # The upper family attains eps^2 only at d = 2; at d = 3 it stops before
+    # building the family.
+    from usynth import bounds
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("upper family built")
+
+    monkeypatch.setattr(bounds, "upper_family", no_work)
+    code, out, err = run_cli(capsys, "sharpness", "--d", "3", "--eps", "0.6", "--family", "upper")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "only at --d 2" in err
 
 
 def test_axial_subcommand(capsys):

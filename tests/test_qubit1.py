@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usynth import qubit1, sdp
+from usynth import channels, qubit1, sdp
 from usynth.channels import (
     EmptyCandidatesError,
     SdpFailureError,
     choi,
     diamond_distance,
-    optimal_mix,
 )
 from usynth.linalg import haar_unitary
 from usynth.qubit1 import (
@@ -248,7 +248,8 @@ def test_optimal_mix_1q_certificate(u, W):
     assert abs(upper - mix_distance_1q(u, W, p)) <= 1e-12
     # Never worse than the best single candidate.
     assert upper <= min(distance_1q(u, w) for w in W) + 1e-9
-    _, value = optimal_mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
+    # Against the generic lowering: optimal_mix itself would call this function.
+    _, value, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
     assert abs(upper - value) <= 1e-7
 
 
@@ -287,3 +288,23 @@ def test_optimal_mix_1q_raises_when_solve_fails(monkeypatch):
     monkeypatch.setattr(sdp, "solve", lambda *a, **k: replace(solve(*a, **k), status="Stalled"))
     with pytest.raises(SdpFailureError, match="status Stalled"):
         optimal_mix_1q(np.array([1.0, 0.0, 0.0, 0.0]), np.eye(4)[1:])
+
+
+def test_optimal_mix_1q_wide_support_memory_is_linear():
+    # 10^5 candidates: n^2 floats would be 80 GB; the solve needs a few
+    # hundred bytes per candidate.
+    rng = np.random.default_rng(17)
+    n = 100_000
+    W = rng.standard_normal((n, 4))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    u = W[0] + 0.1 * rng.standard_normal(4)
+    u /= np.linalg.norm(u)
+    tracemalloc.start()
+    try:
+        p, upper, lower = optimal_mix_1q(u, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * n
+    assert p.shape == (n,) and abs(p.sum() - 1) < 1e-12
+    assert lower <= upper + 1e-12 and upper - lower <= 1e-7

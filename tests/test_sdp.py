@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from usynth import sdp
+from usynth import channels, sdp
 from usynth.channels import (
     SdpFailureError,
     choi,
     diamond_distance,
-    optimal_mix,
     unitary_distance,
 )
 from usynth.linalg import haar_unitary
@@ -182,7 +181,7 @@ def test_breakdown_ends_solve_as_stalled(monkeypatch):
     target = choi(haar_unitary(2, rng))
     cands = [choi(haar_unitary(2, rng)) for _ in range(3)]
     with pytest.raises(SdpFailureError, match=r"status Stalled after \d+ iterations; best iterate pinf "):
-        optimal_mix(target, cands)
+        channels._mix(target, cands)
 
 
 @pytest.mark.parametrize(

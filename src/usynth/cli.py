@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: diamond, mixopt, synth1q, bounds, sharpness, axial.
-Exit codes: 0 success, 2 argument/parse error, 3 SDP failure,
-4 covering unreachable in synthesis.
+Exit codes: 0 success, 2 argument/parse error (an exceeded sequence
+budget included), 3 SDP failure, 4 covering unreachable in synthesis.
 """
 
 from __future__ import annotations
@@ -150,16 +150,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    if args.family == "upper" and args.d >= 3:
-        raise ValueError(f"--family upper is supported only at --d 2, not {args.d}: "
-                         "at d >= 3 the family does not attain the eps^2 bound")
     bp = bounds.theorem1_bounds(args.eps, args.d)
     if args.family == "lower":
-        fam = bounds.lower_family(args.eps, args.d, mesh=args.mesh)
+        fam = bounds.lower_family(args.eps, args.d)
         target = np.eye(args.d, dtype=complex)
         expected = bp.lower
     else:
-        fam = bounds.upper_family(args.eps, args.d, mesh=args.mesh)
+        fam = bounds.upper_family(args.eps, args.d)
         target = bounds.upper_family_target(args.d)
         expected = bp.upper
     p, value = channels.optimal_mix(
@@ -170,7 +167,6 @@ def cmd_sharpness(args) -> int:
             "family": args.family,
             "d": args.d,
             "eps": _sig12(args.eps),
-            "mesh": _sig12(args.mesh),
             "size": len(fam),
             "value": _sig12(value),
             "expected": _sig12(expected),
@@ -234,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--family", choices=("lower", "upper"), required=True)
-    p.add_argument("--mesh", type=float, default=0.02)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sharpness)
 
@@ -261,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     except channels.SdpFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SDP
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError,
+            synth.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

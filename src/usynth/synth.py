@@ -164,6 +164,8 @@ def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pool_magic(pool: list[GateSequence]) -> np.ndarray:
+    if not pool:
+        raise EmptyPoolError("empty sequence pool")
     return np.stack([s.magic for s in pool])
 
 
@@ -175,8 +177,6 @@ def det_synth(
     Ties go to the shorter sequence, then lexicographic label order (the
     enumeration order of the pool).
     """
-    if not pool:
-        raise EmptyPoolError("empty sequence pool")
     u = qubit1.magic_embed(target) if target.ndim == 2 else np.asarray(target, float)
     idx, errs = _nearest(_pool_magic(pool), u[None, :])
     return pool[int(idx[0])], float(errs[0])

@@ -183,7 +183,7 @@ def test_acceptance_6_d3_lower_sharpness():
     bound 0.24889 within 5e-3."""
     t0 = time.perf_counter()
     eps, d = 0.6, 3
-    fam = bounds.lower_family(eps, d, mesh=0.02)
+    fam = bounds.lower_family(eps, d)
     _, v = optimal_mix(choi(np.eye(d, dtype=complex)), [choi(W) for W in fam])
     dt = time.perf_counter() - t0
     expect = bounds.theorem1_bounds(eps, d).lower

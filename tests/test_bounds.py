@@ -50,32 +50,53 @@ def test_theorem1_rejects_bad_args():
 
 @pytest.mark.parametrize("d,eps", [(2, 0.5), (3, 0.4)])
 def test_lower_family_member_distances(d, eps):
-    fam = lower_family(eps, d, mesh=0.05)
+    fam = lower_family(eps, d)
     I = np.eye(d, dtype=complex)
-    # the d^2 core members sit exactly at distance eps; the meshed
-    # supplement sits within mesh of the hull boundary, i.e. distance in
-    # [eps - O(mesh), eps]
-    for W in fam[: d * d]:
-        assert abs(unitary_distance(I, W) - eps) < 1e-10
+    # the d^2 displacement conjugates of W0 sit exactly at distance eps
+    assert len(fam) == d * d
     for W in fam:
-        dist = unitary_distance(I, W)
-        assert dist <= eps + 1e-9
-        assert dist >= eps - 0.12
+        assert abs(unitary_distance(I, W) - eps) < 1e-10
 
 
 def test_lower_family_attains_bound_d2():
     eps = 0.5
-    fam = lower_family(eps, 2, mesh=0.05)
+    fam = lower_family(eps, 2)
     p, v = optimal_mix(choi(np.eye(2, dtype=complex)), [choi(W) for W in fam])
     assert abs(v - theorem1_bounds(eps, 2).lower) < 1e-6
 
 
 def test_upper_family_members_at_least_eps_away():
     eps = 0.3
-    fam = upper_family(eps, 2, mesh=0.2)
-    tgt = upper_family_target(2)
-    for W in fam:
-        assert unitary_distance(tgt, W) >= eps - 1e-9
+    for d in (2, 3, 4):
+        fam = upper_family(eps, d)
+        tgt = upper_family_target(d)
+        dists = [unitary_distance(tgt, W) for W in fam]
+        assert len(fam) == 2**d
+        assert min(dists) >= eps - 1e-9
+        assert abs(min(dists) - eps) < 1e-12
+
+
+def test_upper_family_matches_phase_dressed_grid_d3():
+    # The denser witness that the 2^d signs replace: rotations by 4 angles up
+    # to arccos(eps), dressed on both sides by diag(1, e^{i a}, e^{i b}) with
+    # 4 phases per coordinate (1,024 members). Both sets stay at distance
+    # >= eps from the target, and both reach eps^2.
+    eps, d = 0.6, 3
+    tgt = upper_family_target(d)
+    phis = np.linspace(0, 2 * np.pi, 4, endpoint=False)
+    dress = [np.diag(np.exp(1j * np.array([0.0, a, b]))) for a in phis for b in phis]
+    grid = []
+    for th in np.linspace(0, np.arccos(eps), 4):
+        R = np.eye(d, dtype=complex)
+        R[0, 0] = R[1, 1] = np.cos(th)
+        R[0, 1], R[1, 0] = -np.sin(th), np.sin(th)
+        grid += [V1 @ R @ V2 for V1 in dress for V2 in dress]
+    assert len(grid) == 1024
+    assert min(unitary_distance(tgt, W) for W in grid) >= eps - 1e-9
+    _, v_grid = optimal_mix(choi(tgt), [choi(W) for W in grid])
+    _, v_fam = optimal_mix(choi(tgt), [choi(W) for W in upper_family(eps, d)])
+    assert abs(v_grid - v_fam) < 1e-7
+    assert abs(v_fam - eps**2) < 1e-7
 
 
 def test_upper_family_target_is_quarter_rotation():
@@ -111,13 +132,6 @@ def test_axial_rejects_empty():
 def test_axial_rejects_non_finite_angles(target, thetas):
     with pytest.raises(ValueError, match="must be finite"):
         axial_optimal(target, thetas)
-
-
-@pytest.mark.parametrize("family", [lower_family, upper_family])
-@pytest.mark.parametrize("mesh", [0.0, -0.1, np.nan, np.inf])
-def test_families_reject_bad_mesh(family, mesh):
-    with pytest.raises(ValueError, match="mesh must be positive"):
-        family(0.5, 2, mesh=mesh)
 
 
 def test_curve_sweep_rows():

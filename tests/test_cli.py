@@ -82,7 +82,8 @@ def test_synth1q_byte_identical_reruns(tmp_path, capsys):
     for argv in (["diamond", tgt, str(cdir / "c0.json")],
                  ["mixopt", tgt, str(cdir)],
                  ["sharpness", "--d", "3", "--eps", "0.6", "--family", "lower"],
-                 ["sharpness", "--d", "2", "--eps", "0.6", "--family", "upper", "--mesh", "0.2"]):
+                 ["sharpness", "--d", "2", "--eps", "0.6", "--family", "upper"],
+                 ["sharpness", "--d", "3", "--eps", "0.6", "--family", "upper"]):
         first, second = (run_cli(capsys, *argv) for _ in range(2))
         assert first == second and first[0] == 0
 
@@ -136,12 +137,9 @@ def test_import_does_not_load_qhull():
     (["axial", "--target-theta", "nan", "--thetas", "0,1"], "must be finite"),
     (["axial", "--target-theta", "0", "--thetas", "nan,1"], "must be finite"),
     (["synth1q", "--target", "T", "--eps", "0.3", "--delta", "nan"], "delta must be positive"),
-    (["sharpness", "--d", "2", "--eps", "0.5", "--family", "lower", "--mesh", "nan"],
-     "mesh must be positive"),
-    (["sharpness", "--d", "2", "--eps", "0.5", "--family", "upper", "--mesh", "nan"],
-     "mesh must be positive"),
-    (["sharpness", "--d", "2", "--eps", "0.5", "--family", "upper", "--mesh", "inf"],
-     "mesh must be positive and finite"),
+    (["sharpness", "--d", "2", "--eps", "nan", "--family", "lower"], "eps must lie in [0, 1]"),
+    (["sharpness", "--d", "2", "--eps", "nan", "--family", "upper"], "eps must lie in [0, 1]"),
+    (["sharpness", "--d", "2", "--eps", "inf", "--family", "upper"], "eps must lie in [0, 1]"),
     (["synth1q", "--target", "T", "--eps", "0.35", "--samples", "-5"],
      "--samples must be nonnegative"),
 ])
@@ -166,26 +164,37 @@ def test_non_finite_result_is_not_emitted(tmp_path, capsys, monkeypatch):
 
 
 def test_sharpness_lower_d2(capsys):
-    code, out, _ = run_cli(capsys, "sharpness", "--d", "2", "--eps", "0.5",
-                           "--family", "lower", "--mesh", "0.05")
+    code, out, _ = run_cli(capsys, "sharpness", "--d", "2", "--eps", "0.5", "--family", "lower")
     assert code == 0
     obj = json.loads(out)
     assert obj["slack"] < 1e-5
     assert abs(obj["expected"] - 0.25) < 1e-12
 
 
-def test_sharpness_upper_d3_exits_2(capsys, monkeypatch):
-    # The upper family attains eps^2 only at d = 2; at d = 3 it stops before
-    # building the family.
-    from usynth import bounds
+def test_sharpness_upper_d3_d4(capsys):
+    # The 2^d sign-dressed rotations attain eps^2 beyond qubits.
+    for d in (3, 4):
+        code, out, _ = run_cli(capsys, "sharpness", "--d", str(d), "--eps", "0.6",
+                               "--family", "upper")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["size"] == 2**d
+        assert obj["slack"] <= 1e-7
+        assert abs(obj["expected"] - 0.36) < 1e-12
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("upper family built")
 
-    monkeypatch.setattr(bounds, "upper_family", no_work)
-    code, out, err = run_cli(capsys, "sharpness", "--d", "3", "--eps", "0.6", "--family", "upper")
+def test_sequence_budget_exceeded_exits_2(capsys, monkeypatch):
+    # The CLI enumerates with the default budget of 500,000 sequences; a
+    # budget of 10 reaches the same error in milliseconds.
+    from functools import partial
+
+    from usynth import synth
+
+    monkeypatch.setattr(synth, "enumerate_sequences",
+                        partial(synth.enumerate_sequences, budget=10))
+    code, out, err = run_cli(capsys, "synth1q", "--target", "T", "--eps", "0.35")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "only at --d 2" in err
+    assert err.startswith("error: sequence budget 10 exceeded at length ")
 
 
 def test_axial_subcommand(capsys):

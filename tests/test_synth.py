@@ -229,8 +229,11 @@ def test_line_distance_keeps_digits_near_coincidence():
 
 
 def test_det_synth_empty_pool():
-    with pytest.raises(EmptyPoolError):
-        det_synth(np.eye(2, dtype=complex), [])
+    U = np.eye(2, dtype=complex)
+    with pytest.raises(EmptyPoolError, match="empty sequence pool"):
+        det_synth(U, [])
+    with pytest.raises(EmptyPoolError, match="empty sequence pool"):
+        prob_synth(U, eps=0.35, delta=1e-6, gs=standard_gate_set(), pool=[])
 
 
 def test_prob_synth_quadratic_bound(std_gateset, std_pool):

@@ -18,6 +18,7 @@ copies of the planar rotation by arccos(eps).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,16 @@ class BoundPoint:
     weak_lower: float
 
 
+def _check_d(d: int) -> None:
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+
+
 def theorem1_bounds(eps: float, d: int) -> BoundPoint:
     """Tight lower/upper bounds on the worst-case mixing error."""
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_d(d)
     delta = 1.0 - np.sqrt(max(0.0, 1.0 - eps * eps))
     lower = (4 * delta / d) * (1 - delta / d)
     return BoundPoint(
@@ -80,8 +85,7 @@ def lower_family(eps: float, d: int) -> list[np.ndarray]:
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_d(d)
     root = np.sqrt(max(0.0, 1.0 - eps * eps))
     lam = np.concatenate([[root + 1j * eps, root - 1j * eps], np.ones(d - 2)])
     W0 = np.diag(lam)
@@ -105,8 +109,7 @@ def upper_family(eps: float, d: int) -> list[np.ndarray]:
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_d(d)
     theta = np.arccos(eps)
     R = np.eye(d, dtype=complex)
     R[0, 0] = R[1, 1] = np.cos(theta)

@@ -28,6 +28,7 @@ from .linalg import (
     TOL_UNITARY,
     check_finite,
     check_hermitian,
+    check_probabilities,
     check_unitary,
     partial_trace,
     trace_norm,
@@ -71,12 +72,13 @@ def choi(U: np.ndarray) -> ChoiOperator:
 
 
 def choi_mixture(candidates: list[ChoiOperator], weights: np.ndarray) -> ChoiOperator:
-    """Convex combination sum_x p(x) J_x."""
+    """Convex combination sum_x p(x) J_x; ValueError unless p is a distribution."""
     if not candidates:
         raise EmptyCandidatesError("empty candidate list")
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(candidates),):
         raise ValueError("weights length does not match candidates")
+    check_probabilities(w)
     dims = candidates[0].dims
     J = np.zeros_like(candidates[0].J)
     for p, c in zip(w, candidates):
@@ -146,10 +148,7 @@ def _check_solution(sol: sdp.SdpSolution) -> sdp.SdpSolution:
 
 
 def _mix(
-    target: ChoiOperator,
-    candidates: list[ChoiOperator],
-    gap_tol: float = sdp.DEFAULT_GAP_TOL,
-    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
+    target: ChoiOperator, candidates: list[ChoiOperator]
 ) -> tuple[np.ndarray, float, float]:
     """Optimal mixture p of the candidates and certified bounds (p, upper, lower).
 
@@ -207,7 +206,7 @@ def _mix(
     ]
     constraints.append(sdp.Constraint(coeffs={3: np.ones(n)}, rhs=1.0))
     problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
-    sol = _check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
+    sol = _check_solution(sdp.solve(problem))
 
     p = np.maximum(sol.X[3], 0.0)
     p /= p.sum()
@@ -230,24 +229,19 @@ def _mix(
     return p, upper, lower
 
 
-def diamond_distance(
-    A: ChoiOperator,
-    B: ChoiOperator,
-    gap_tol: float = sdp.DEFAULT_GAP_TOL,
-    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
-    full_output: bool = False,
-):
+def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False):
     """Half-diamond distance (1/2)||A - B||_diamond via SDP.
 
     Returns a certified upper bound on the distance; with full_output,
     (upper, upper - lower), where lower is the dual's certified lower bound.
-    The SDP is the one of `optimal_mix` with the single candidate B.
+    The SDP is the one of `optimal_mix` with the single candidate B, solved
+    like it to relative gap and feasibility 1e-8.
     """
     if A.dims != B.dims:
         raise ValueError("dimension mismatch")
     if trace_norm(A.J - B.J) <= 1e-12:
         return (0.0, 0.0) if full_output else 0.0
-    _, upper, lower = _mix(A, [B], gap_tol, feas_tol)
+    _, upper, lower = _mix(A, [B])
     return (upper, upper - lower) if full_output else upper
 
 
@@ -272,10 +266,7 @@ def _qubit_unitaries(ops: list[ChoiOperator]) -> np.ndarray | None:
 
 
 def optimal_mix(
-    target: ChoiOperator,
-    candidates: list[ChoiOperator],
-    gap_tol: float = sdp.DEFAULT_GAP_TOL,
-    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
+    target: ChoiOperator, candidates: list[ChoiOperator]
 ) -> tuple[np.ndarray, float]:
     """Best convex mixture of candidates approximating the target channel.
 
@@ -287,27 +278,28 @@ def optimal_mix(
     SDP in the magic basis (`qubit1.optimal_mix_1q`) and value is
     `qubit1.mix_distance_1q` at p, the exact error of p for the unitaries
     read from the Choi operators. Every other input takes the Watrous SDP of
-    `_mix`, and value is its repaired-primal upper bound.
+    `_mix`, and value is its repaired-primal upper bound. Either SDP is
+    solved to relative gap and feasibility 1e-8 within 200 iterations.
     """
     U = _qubit_unitaries([target, *candidates])
     if U is None:
-        p, upper, _ = _mix(target, candidates, gap_tol, feas_tol)
+        p, upper, _ = _mix(target, candidates)
         return p, upper
     from . import qubit1  # imported here: qubit1 imports this module
 
     W = qubit1.magic_embed_batch(U)
-    p, _, _ = qubit1.optimal_mix_1q(W[0], W[1:], gap_tol, feas_tol)
+    p, _, _ = qubit1.optimal_mix_1q(W[0], W[1:])
     return p, qubit1.mix_distance_1q(W[0], W[1:], p)
 
 
-def _check_density(rho: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def _check_density(rho: np.ndarray) -> np.ndarray:
     rho = check_finite(rho)
     try:
-        rho = check_hermitian(rho, tol)
+        rho = check_hermitian(rho)
     except ValueError as exc:
         raise NotDensityError(str(exc)) from exc
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -tol or abs(np.sum(w) - 1.0) > tol:
+    if w[0] < -TOL_HERM or abs(np.sum(w) - 1.0) > TOL_HERM:
         raise NotDensityError("matrix is not a density operator within tolerance")
     return rho
 

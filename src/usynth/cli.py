@@ -27,14 +27,16 @@ def _sig12(x: float) -> float:
 
 
 def _named_target(name: str) -> np.ndarray:
+    gs = synth.standard_gate_set()
+    gates = dict(zip(gs.labels, gs.unitaries))
     table = {
         "I": np.eye(2, dtype=complex),
         "X": np.array([[0, 1], [1, 0]], dtype=complex),
         "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
         "Z": np.diag([1.0, -1.0]).astype(complex),
-        "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-        "S": np.diag([1, 1j]).astype(complex),
-        "T": np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex),
+        "H": gates["H"],
+        "S": gates["S"],
+        "T": gates["T"],
     }
     if name in table:
         return table[name]
@@ -113,10 +115,10 @@ def cmd_synth1q(args) -> int:
         eps=args.eps,
         delta=args.delta,
         gs=gs,
-        seed=args.seed,
         max_len=args.max_len,
     )
     obj = res.to_json()
+    obj["seed"] = args.seed
     obj["p"] = [_sig12(x) for x in obj["p"]]
     for k in ("det_error", "prob_error", "prob_error_lower", "eps", "achieved_eps", "delta"):
         obj[k] = _sig12(obj[k])

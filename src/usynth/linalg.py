@@ -30,23 +30,33 @@ def check_finite(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def check_hermitian(M: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def check_hermitian(M: np.ndarray) -> np.ndarray:
     M = check_finite(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if np.max(np.abs(M - M.conj().T)) > tol:
+    if np.max(np.abs(M - M.conj().T)) > TOL_HERM:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     return (M + M.conj().T) / 2
 
 
-def check_unitary(U: np.ndarray, tol: float = TOL_UNITARY) -> np.ndarray:
+def check_unitary(U: np.ndarray) -> np.ndarray:
     U = check_finite(U)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     d = U.shape[0]
-    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > tol:
+    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > TOL_UNITARY:
         raise NotUnitaryError("matrix is not unitary within tolerance")
     return U
+
+
+def check_probabilities(p) -> np.ndarray:
+    """p as floats; ValueError unless 1-D, all >= -1e-8 and summing to 1 +- 1e-6.
+
+    NaN fails both comparisons."""
+    p = np.asarray(p, dtype=float)
+    if not (p.ndim == 1 and np.all(p >= -1e-8) and abs(p.sum() - 1.0) <= 1e-6):
+        raise ValueError("invalid probability distribution")
+    return p
 
 
 def trace_norm(M: np.ndarray) -> float:
@@ -93,11 +103,15 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+    """Inverse of matrix_to_json; ValueError naming the format on other input."""
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        data = obj["data"]
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError, KeyError):
+        raise ValueError('expected {"rows": r, "cols": c, "data": [[re, im], ...]}') from None
     if len(data) != rows * cols:
         raise ValueError("rows*cols does not match the number of entries")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise ValueError("matrix contains non-finite entries")
     return flat.reshape(rows, cols)

@@ -105,10 +105,7 @@ def mix_distance_1q(target: np.ndarray, candidates: np.ndarray, p: np.ndarray) -
 
 
 def optimal_mix_1q(
-    target: np.ndarray,
-    candidates: np.ndarray,
-    gap_tol: float = sdp.DEFAULT_GAP_TOL,
-    feas_tol: float = sdp.DEFAULT_FEAS_TOL,
+    target: np.ndarray, candidates: np.ndarray, gap_tol: float = sdp.DEFAULT_GAP_TOL
 ) -> tuple[np.ndarray, float, float]:
     """Best mixture of the candidate magic vectors w_x for the target u.
 
@@ -124,7 +121,7 @@ def optimal_mix_1q(
 
     Raises ValueError unless u is a unit 4-vector and W has shape (n, 4)
     with unit rows, EmptyCandidatesError for n = 0 and SdpFailureError when
-    the solve does not reach the tolerances.
+    the solve does not reach relative gap gap_tol (see sdp.solve).
     """
     u = np.asarray(target, dtype=float)
     W = np.asarray(candidates, dtype=float)
@@ -146,7 +143,7 @@ def optimal_mix_1q(
     constraints.append(sdp.Constraint(coeffs={1: np.ones(len(W))}, rhs=1.0))
     blocks = [sdp.Block(size=4), sdp.Block(size=len(W), diag=True), sdp.Block(size=1, diag=True)]
     problem = sdp.SdpProblem(blocks, [None, None, np.array([-1.0])], constraints)
-    sol = channels._check_solution(sdp.solve(problem, gap_tol=gap_tol, feas_tol=feas_tol))
+    sol = channels._check_solution(sdp.solve(problem, gap_tol))
     p = np.maximum(sol.X[1], 0.0)
     # Within the gap tolerance the best single candidate can beat the iterate.
     best = np.zeros(len(W))

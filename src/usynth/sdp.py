@@ -37,13 +37,13 @@ residual becomes primal infeasibility that later steps cannot remove.
 
 A solve ends with one of these `SdpSolution.status` values:
 
-- "Optimal": relative primal and dual infeasibility within `feas_tol` and
-  relative gap within `gap_tol`.
+- "Optimal": relative gap within `gap_tol`, and relative primal and dual
+  infeasibility within min(gap_tol, FEAS_TOL), FEAS_TOL = 1e-8.
 - "Stalled": ten iterations without a better merit (the largest of the
   three measures), or a numerical breakdown: X or Z is no longer
   numerically positive definite, or R is singular. Both happen at the
   limit of double precision near the optimum.
-- "MaxIter": `max_iter` iterations without meeting the tolerances.
+- "MaxIter": MAX_ITER = 200 iterations without meeting the tolerances.
 - "Infeasible": the dual iterate diverges.
 
 On "Stalled" and "MaxIter" the best iterate seen is returned, and the
@@ -58,8 +58,8 @@ from typing import Optional
 import numpy as np
 
 DEFAULT_GAP_TOL = 1e-8
-DEFAULT_FEAS_TOL = 1e-8
-DEFAULT_MAX_ITER = 200
+FEAS_TOL = 1e-8  # the feasibility tolerance is min(gap_tol, FEAS_TOL)
+MAX_ITER = 200
 
 
 class SdpError(RuntimeError):
@@ -278,21 +278,15 @@ def _projected_step(rows, s, Q, R_inv, h: np.ndarray, rp: np.ndarray):
     return h - Q @ u, dy
 
 
-def solve(
-    problem: SdpProblem,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SdpSolution:
+def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Solve the SDP by the interior-point method described above.
 
     `X` holds a Hermitian matrix for each complex block, a real symmetric
     matrix for each real block and a nonnegative vector for each diag
     block; `y` holds the multipliers of the constraints in order.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     problem.validate()
+    feas_tol = min(gap_tol, FEAS_TOL)
     blocks = problem.blocks
     m = len(problem.constraints)
     b = np.array([c.rhs for c in problem.constraints], dtype=float)
@@ -348,7 +342,7 @@ def solve(
     it = 0
     best = None  # (merit, pinf, dinf, gap_rel, X, y, pobj, dobj)
     stall = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rp = b - a_of(X)
         Rd = [S - Ck - Zk for S, Ck, Zk in zip(a_adj(y), C, Z)]  # want 0
         mu = inner(X, Z) / ntot

@@ -1,23 +1,27 @@
 """Probabilistic synthesis of single-qubit unitaries over a finite gate set.
 
 Pipeline: enumerate distinct gate sequences up to a length budget (brute
-force, deduplicated up to global phase), deterministically synthesize a
-covering of a ball around the target, restrict support, and solve the
-mixing SDP. The first-order baseline of Campbell and Hastings is included
-for comparison: it works on the candidates' channels (magic vectors, not
+force, deduplicated up to global phase at DEDUP_DECIMALS = 8 decimals),
+deterministically synthesize a C*eps covering of a ball around the target
+to within C_PRIME*eps (C = C_PRIME = 1/2), restrict support, and solve the
+mixing SDP to relative gap delta. The first-order baseline of Campbell and
+Hastings is included for comparison: it works on the candidates' channels (magic vectors, not
 matrices with a global phase) and finds the exact minimum-norm mixture of
 their generators with one nonnegative least-squares solve.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels, qubit1
-from .linalg import check_unitary, matrix_from_json, matrix_to_json
+from .linalg import check_probabilities, check_unitary, matrix_from_json, matrix_to_json
+
+C = 0.5  # covering mesh of prob_synth, as a fraction of eps
+C_PRIME = 0.5  # deterministic synthesis radius of prob_synth, as a fraction of eps
+DEDUP_DECIMALS = 8  # sequences whose rounded magic vectors agree are one unitary
 
 
 class BudgetExceededError(RuntimeError):
@@ -46,17 +50,25 @@ class GateSet:
     def __post_init__(self):
         if len(self.labels) != len(self.unitaries):
             raise ValueError("labels and unitaries length mismatch")
-        object.__setattr__(
-            self, "unitaries", tuple(check_unitary(U) for U in self.unitaries)
-        )
+        if not self.labels:
+            raise ValueError("a gate set needs at least one gate")
+        if not all(isinstance(l, str) for l in self.labels):
+            raise ValueError("gate labels must be strings")
+        unitaries = tuple(check_unitary(U) for U in self.unitaries)
+        if any(U.shape != (2, 2) for U in unitaries):
+            raise ValueError("gates must be 2x2 single-qubit unitaries")
+        object.__setattr__(self, "unitaries", unitaries)
 
     @staticmethod
     def from_json(obj: dict) -> "GateSet":
-        gates = obj["gates"]
-        return GateSet(
-            labels=tuple(g["label"] for g in gates),
-            unitaries=tuple(matrix_from_json(g["matrix"]) for g in gates),
-        )
+        """Inverse of to_json; ValueError naming the format on other input."""
+        try:
+            gates = obj["gates"]
+            labels = tuple(g["label"] for g in gates)
+            unitaries = tuple(matrix_from_json(g["matrix"]) for g in gates)
+        except (TypeError, KeyError):
+            raise ValueError('expected {"gates": [{"label": ..., "matrix": ...}, ...]}') from None
+        return GateSet(labels=labels, unitaries=unitaries)
 
     def to_json(self) -> dict:
         return {
@@ -89,15 +101,12 @@ class GateSequence:
 
 
 def enumerate_sequences(
-    gs: GateSet,
-    max_len: int,
-    dedup_tol: float = 1e-9,
-    budget: int = 500000,
+    gs: GateSet, max_len: int, budget: int = 500000
 ) -> list[GateSequence]:
     """All distinct (up to phase) gate sequences of length <= max_len.
 
-    Breadth-first by length, deduplicated on magic vectors rounded to about
-    -log10(dedup_tol) - 1 decimals. Each length is deduplicated at once: the
+    Breadth-first by length, deduplicated on magic vectors rounded to
+    DEDUP_DECIMALS decimals. Each length is deduplicated at once: the
     rounded vector of every product is one byte key, a product is kept if
     its key is the first of its length and unseen at shorter lengths.
     Products are generated with gates in lexicographic label order, so the
@@ -107,14 +116,13 @@ def enumerate_sequences(
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    decimals = max(1, int(round(-np.log10(max(dedup_tol, 1e-12)))) - 1)
     order = sorted(range(len(gs.labels)), key=lambda i: gs.labels[i])
     glabels = [gs.labels[i] for i in order]
     gmats = np.stack([gs.unitaries[i] for i in order])
     ng = len(glabels)
 
     def keys_of(mv: np.ndarray) -> np.ndarray:
-        r = np.round(mv, decimals) + 0.0  # normalize -0.0
+        r = np.round(mv, DEDUP_DECIMALS) + 0.0  # normalize -0.0
         return r.view(np.dtype((np.void, r.itemsize * r.shape[1])))[:, 0]
 
     ident = np.eye(2, dtype=complex)
@@ -172,13 +180,13 @@ def _pool_magic(pool: list[GateSequence]) -> np.ndarray:
 def det_synth(
     target: np.ndarray, pool: list[GateSequence]
 ) -> tuple[GateSequence, float]:
-    """Closest pool element to the target in half-diamond distance.
+    """Closest pool element to the target unitary in half-diamond distance.
 
     Ties go to the shorter sequence, then lexicographic label order (the
-    enumeration order of the pool).
+    enumeration order of the pool). Raises ValueError unless target is a
+    2x2 unitary.
     """
-    u = qubit1.magic_embed(target) if target.ndim == 2 else np.asarray(target, float)
-    idx, errs = _nearest(_pool_magic(pool), u[None, :])
+    idx, errs = _nearest(_pool_magic(pool), qubit1.magic_embed(target)[None, :])
     return pool[int(idx[0])], float(errs[0])
 
 
@@ -192,7 +200,6 @@ class SynthesisResult:
     eps: float           # requested accuracy
     achieved_eps: float  # certified covering radius of the 2*eps ball
     delta: float
-    seed: int
 
     def to_json(self) -> dict:
         return {
@@ -204,7 +211,6 @@ class SynthesisResult:
             "eps": self.eps,
             "achieved_eps": self.achieved_eps,
             "delta": self.delta,
-            "seed": self.seed,
         }
 
 
@@ -213,21 +219,18 @@ def prob_synth(
     eps: float,
     delta: float,
     gs: GateSet,
-    seed: int = 0,
-    c: float = 0.5,
-    c_prime: float = 0.5,
     max_len: int = 12,
-    dedup_tol: float = 1e-9,
     pool: list[GateSequence] | None = None,
 ) -> SynthesisResult:
     """Probabilistic synthesis with certified quadratic error reduction.
 
     Covers the 2*eps-ball around the target with a c*eps mesh, synthesizes
-    each covering point deterministically to within c_prime*eps, restricts
-    to candidates within 2*eps of the target, and solves the mixing SDP to
-    accuracy delta. The mixture then has half-diamond error at most
-    achieved_eps**2 + delta, with achieved_eps = c*eps + (worst
-    deterministic synthesis error over covering points) <= eps.
+    each covering point deterministically to within c'*eps (c = c' = 1/2),
+    restricts to candidates within 2*eps of the target, and solves the
+    mixing SDP to relative gap delta. The mixture then has half-diamond
+    error at most achieved_eps**2 + delta, with achieved_eps = c*eps +
+    (worst deterministic synthesis error over covering points) <= eps. The
+    pool is `pool` if given, else enumerate_sequences(gs, max_len).
 
     prob_error is the exact error of the returned mixture p (an upper bound
     on the optimum); prob_error_lower is a dual lower bound: no mixture of
@@ -240,23 +243,21 @@ def prob_synth(
         raise ValueError(f"prob_synth needs 0 < eps < 1/2, got eps = {eps:g}")
     if not 0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
-    if not (c > 0 and c_prime > 0 and c + c_prime <= 1):
-        raise ValueError("require c, c_prime > 0 with c + c_prime <= 1")
     target = check_unitary(target)
     if pool is None:
-        pool = enumerate_sequences(gs, max_len, dedup_tol)
+        pool = enumerate_sequences(gs, max_len)
     u = qubit1.magic_embed(target)
-    cover = qubit1.cap_covering(u, min(2 * eps, 0.999), c * eps)
+    cover = qubit1.cap_covering(u, min(2 * eps, 0.999), C * eps)
     P = _pool_magic(pool)
     nearest, errs = _nearest(P, cover)
     worst = float(np.max(errs))
-    if worst > c_prime * eps:
+    if worst > C_PRIME * eps:
         raise CoveringUnreachableError(
             f"deterministic synthesis reached radius {worst:.6g} "
-            f"> c'*eps = {c_prime * eps:.6g}; increase max_len or eps",
+            f"> c'*eps = {C_PRIME * eps:.6g}; increase max_len or eps",
             achieved_radius=worst,
         )
-    achieved = c * eps + worst
+    achieved = C * eps + worst
 
     support_idx = sorted(set(int(i) for i in nearest))
     support = [pool[i] for i in support_idx]
@@ -265,7 +266,7 @@ def prob_synth(
     support = [support[int(i)] for i in keep]
     W = W[keep]
 
-    p, upper, lower = qubit1.optimal_mix_1q(u, W, gap_tol=delta, feas_tol=min(delta, 1e-8))
+    p, upper, lower = qubit1.optimal_mix_1q(u, W, delta)
     det_error = float(np.min(qubit1.line_distance(u, W)))
     return SynthesisResult(
         support=support,
@@ -276,7 +277,6 @@ def prob_synth(
         eps=eps,
         achieved_eps=achieved,
         delta=delta,
-        seed=seed,
     )
 
 
@@ -320,10 +320,7 @@ def campbell_mix(
 
 def sample(p: np.ndarray, seed: int, n: int) -> np.ndarray:
     """n i.i.d. indices distributed as p (deterministic in seed)."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-8) or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError("invalid probability distribution")
-    p = np.maximum(p, 0.0)
+    p = np.maximum(check_probabilities(p), 0.0)
     p /= p.sum()
     rng = np.random.default_rng(seed)
     return rng.choice(len(p), size=n, p=p)

@@ -48,6 +48,13 @@ def test_theorem1_rejects_bad_args():
         theorem1_bounds(0.5, 1)
 
 
+@pytest.mark.parametrize("fn", [theorem1_bounds, lower_family, upper_family])
+def test_bounds_require_integer_d(fn):
+    for d in (2.5, 2.0, 1, "3", None):
+        with pytest.raises(ValueError, match="d must be an integer >= 2"):
+            fn(0.5, d)
+
+
 @pytest.mark.parametrize("d,eps", [(2, 0.5), (3, 0.4)])
 def test_lower_family_member_distances(d, eps):
     fam = lower_family(eps, d)

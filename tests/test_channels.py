@@ -216,6 +216,10 @@ def test_fuchs_van_de_graaf_sample():
 def test_choi_mixture_dims_and_weights():
     with pytest.raises(ValueError):
         choi_mixture([choi(np.eye(2))], np.array([0.5, 0.5]))
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    for w in ([2.0, -1.0], [np.nan, 1.0], [0.5, 0.6]):
+        with pytest.raises(ValueError, match="invalid probability distribution"):
+            choi_mixture([choi(np.eye(2)), choi(X)], np.array(w))
     J = choi_mixture([choi(np.eye(2)), choi(np.eye(2))], np.array([0.3, 0.7]))
     assert np.allclose(J.J, choi(np.eye(2)).J)
 

@@ -227,6 +227,25 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, content, message", [
+    ("matrix", {"rows": 1, "cols": 1, "data": [1]}, 'expected {"rows"'),
+    ("matrix", {"rows": 1, "cols": 1, "data": [["a", "b"]]}, 'expected {"rows"'),
+    ("matrix", [[1, 0], [0, 1]], 'expected {"rows"'),
+    ("gateset", {"gates": 5}, 'expected {"gates"'),
+], ids=["bare-entry", "string-entries", "top-level-list", "gates-not-a-list"])
+def test_malformed_input_files_exit_2(tmp_path, capsys, kind, content, message):
+    path = str(tmp_path / "in.json")
+    with open(path, "w") as f:
+        json.dump(content, f)
+    if kind == "matrix":
+        argv = ["synth1q", "--target", path, "--eps", "0.35"]
+    else:
+        argv = ["synth1q", "--target", "H", "--eps", "0.35", "--gateset", path]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 def test_exit_code_synth1q_sdp_failure(monkeypatch, capsys):
     solve = sdp.solve
     monkeypatch.setattr(sdp, "solve", lambda *a, **k: replace(solve(*a, **k), status="MaxIter"))

@@ -201,13 +201,3 @@ def test_redundant_constraint(extra):
     s = sdp.solve(p)
     assert s.status == "Optimal"
     assert abs(s.primal_value - 2.0) < 1e-7
-
-
-def test_solve_rejects_nonpositive_max_iter():
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=1)],
-        objective=[np.array([[1.0]])],
-        constraints=[sdp.Constraint(coeffs={0: np.array([[1.0]])}, rhs=1.0)],
-    )
-    with pytest.raises(ValueError):
-        sdp.solve(p, max_iter=0)

@@ -19,14 +19,14 @@ from usynth.synth import (
 )
 
 
-def reference_enumerate(gs, max_len, dedup_tol=1e-9, budget=500000):
+def reference_enumerate(gs, max_len, budget=500000):
     """Per-product loop that deduplicates one product at a time.
 
     The reference for `enumerate_sequences`, which deduplicates a whole
     length at once and must return the same pool and raise the same
     BudgetExceededError.
     """
-    decimals = max(1, int(round(-np.log10(max(dedup_tol, 1e-12)))) - 1)
+    decimals = 8
     order = sorted(range(len(gs.labels)), key=lambda i: gs.labels[i])
     glabels = [gs.labels[i] for i in order]
     gmats = np.stack([gs.unitaries[i] for i in order])
@@ -228,6 +228,22 @@ def test_line_distance_keeps_digits_near_coincidence():
         qubit1.support_filter(u, w[None], exact / 2 * (1 - 1e-6))
 
 
+def test_det_synth_rejects_magic_vector(std_pool):
+    # The magic vector of the identity is e0; a 4-vector is not a unitary.
+    for target in (np.array([1.0, 0, 0, 0]), np.array([2.0, 0, 0, 0])):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            det_synth(target, std_pool)
+
+
+def test_gate_set_rejects_empty_and_non_qubit_gates():
+    with pytest.raises(ValueError, match="at least one gate"):
+        GateSet(labels=(), unitaries=())
+    with pytest.raises(ValueError, match="2x2"):
+        GateSet(labels=("I3",), unitaries=(np.eye(3, dtype=complex),))
+    with pytest.raises(ValueError, match="labels must be strings"):
+        GateSet(labels=(1,), unitaries=(np.eye(2, dtype=complex),))
+
+
 def test_det_synth_empty_pool():
     U = np.eye(2, dtype=complex)
     with pytest.raises(EmptyPoolError, match="empty sequence pool"):
@@ -240,7 +256,7 @@ def test_prob_synth_quadratic_bound(std_gateset, std_pool):
     from usynth.linalg import haar_unitary
 
     U = haar_unitary(2, np.random.default_rng(7))
-    res = prob_synth(U, eps=0.35, delta=1e-6, gs=std_gateset, seed=0, pool=std_pool)
+    res = prob_synth(U, eps=0.35, delta=1e-6, gs=std_gateset, pool=std_pool)
     assert res.achieved_eps <= 0.35 + 1e-12
     assert res.prob_error <= res.achieved_eps**2 + 1e-6
     assert res.det_error <= res.achieved_eps
@@ -269,8 +285,8 @@ def test_prob_synth_deterministic(std_gateset, std_pool):
     from usynth.linalg import haar_unitary
 
     U = haar_unitary(2, np.random.default_rng(8))
-    a = prob_synth(U, 0.35, 1e-6, std_gateset, seed=3, pool=std_pool).to_json()
-    b = prob_synth(U, 0.35, 1e-6, std_gateset, seed=3, pool=std_pool).to_json()
+    a = prob_synth(U, 0.35, 1e-6, std_gateset, pool=std_pool).to_json()
+    b = prob_synth(U, 0.35, 1e-6, std_gateset, pool=std_pool).to_json()
     assert a == b
 
 
@@ -290,16 +306,10 @@ def test_prob_synth_rejects_bad_args(std_gateset, std_pool):
             prob_synth(np.eye(2, dtype=complex), eps, 1e-6, std_gateset, pool=std_pool)
     with pytest.raises(ValueError):
         prob_synth(np.eye(2, dtype=complex), 0.3, 0.0, std_gateset)
-    with pytest.raises(ValueError):
-        prob_synth(np.eye(2, dtype=complex), 0.3, 1e-6, std_gateset, c=0.7, c_prime=0.7)
     # NaN fails every comparison, so a "<= 0" check lets it through.
     for delta in (np.nan, np.inf):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             prob_synth(np.eye(2, dtype=complex), 0.3, delta, std_gateset, pool=std_pool)
-    for c, c_prime in ((np.nan, 0.5), (0.5, np.nan)):
-        with pytest.raises(ValueError, match="require c, c_prime > 0"):
-            prob_synth(np.eye(2, dtype=complex), 0.3, 1e-6, std_gateset, c=c, c_prime=c_prime,
-                       pool=std_pool)
 
 
 def test_campbell_symmetric_pair():
@@ -399,5 +409,6 @@ def test_sample_point_mass_and_determinism():
     assert np.array_equal(a, b)
     # frequencies roughly match
     assert abs(np.mean(a) - 0.7) < 0.05
-    with pytest.raises(ValueError):
-        sample(np.array([0.5, 0.6]), seed=0, n=1)
+    for p in ([0.5, 0.6], [np.nan, 1.0], [2.0, -1.0], []):
+        with pytest.raises(ValueError, match="invalid probability distribution"):
+            sample(np.array(p), seed=0, n=1)

@@ -28,8 +28,8 @@ from .qubit1 import (
     support_filter,
 )
 from .synth import (
-    GateSequence,
     GateSet,
+    Pool,
     SynthesisResult,
     campbell_mix,
     det_synth,
@@ -44,8 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundPoint",
     "ChoiOperator",
-    "GateSequence",
     "GateSet",
+    "Pool",
     "SynthesisResult",
     "axial_optimal",
     "campbell_mix",

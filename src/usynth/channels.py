@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sdp
+from . import qubit1, sdp
 from .linalg import (
     TOL_HERM,
     TOL_UNITARY,
@@ -30,20 +30,15 @@ from .linalg import (
     check_hermitian,
     check_probabilities,
     check_unitary,
+    hermitian_basis,
     partial_trace,
     trace_norm,
 )
+from .qubit1 import EmptyCandidatesError
+from .sdp import SdpFailureError  # noqa: F401  (callers catch channels.SdpFailureError)
 
 
 class NotDensityError(ValueError):
-    pass
-
-
-class SdpFailureError(RuntimeError):
-    pass
-
-
-class EmptyCandidatesError(ValueError):
     pass
 
 
@@ -118,35 +113,6 @@ def unitary_distance(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - m * m)))
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (trace inner product) basis of d x d Hermitian matrices."""
-    out = np.zeros((d * d, d, d), dtype=complex)
-    n = 0
-    for k in range(d):
-        out[n, k, k] = 1.0
-        n += 1
-    s = 1 / np.sqrt(2)
-    for k in range(d):
-        for l in range(k + 1, d):
-            out[n, k, l] = s
-            out[n, l, k] = s
-            n += 1
-            out[n, k, l] = 1j * s
-            out[n, l, k] = -1j * s
-            n += 1
-    return out
-
-
-def _check_solution(sol: sdp.SdpSolution) -> sdp.SdpSolution:
-    if sol.status != "Optimal":
-        raise SdpFailureError(
-            f"SDP did not converge: status {sol.status} after {sol.iterations} "
-            f"iterations; best iterate pinf {sol.pinf:.2e}, dinf {sol.dinf:.2e}, "
-            f"relative gap {sol.rel_gap:.2e}"
-        )
-    return sol
-
-
 def _mix(
     target: ChoiOperator, candidates: list[ChoiOperator]
 ) -> tuple[np.ndarray, float, float]:
@@ -177,8 +143,8 @@ def _mix(
     n = len(candidates)
     JA = target.J
     JB = np.stack([c.J for c in candidates])
-    basis = _hermitian_basis(D)
-    basis1 = _hermitian_basis(d1)
+    basis = hermitian_basis(D)
+    basis1 = hermitian_basis(d1)
 
     # Variables: S >= 0, E = S - J(A) + sum p J(B_x) >= 0,
     #            G = r I - ptr2(S) >= 0, p >= 0, r >= 0.
@@ -206,7 +172,7 @@ def _mix(
     ]
     constraints.append(sdp.Constraint(coeffs={3: np.ones(n)}, rhs=1.0))
     problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
-    sol = _check_solution(sdp.solve(problem))
+    sol = sdp.check_optimal(sdp.solve(problem))
 
     p = np.maximum(sol.X[3], 0.0)
     p /= p.sum()
@@ -285,8 +251,6 @@ def optimal_mix(
     if U is None:
         p, upper, _ = _mix(target, candidates)
         return p, upper
-    from . import qubit1  # imported here: qubit1 imports this module
-
     W = qubit1.magic_embed_batch(U)
     p, _, _ = qubit1.optimal_mix_1q(W[0], W[1:])
     return p, qubit1.mix_distance_1q(W[0], W[1:], p)

@@ -64,8 +64,20 @@ def _load_choi(path: str) -> channels.ChoiOperator:
     return channels.ChoiOperator(J=M, dims=(d, d))
 
 
+def _rounded(obj):
+    """obj with every float in it rounded by _sig12; other values as they are."""
+    if isinstance(obj, float):
+        return _sig12(obj)
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Write obj as JSON, every float rounded to 12 significant digits."""
+    text = json.dumps(_rounded(obj), sort_keys=True, indent=2, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
@@ -77,7 +89,7 @@ def cmd_diamond(args) -> int:
     A = _load_choi(args.a)
     B = _load_choi(args.b)
     value, gap = channels.diamond_distance(A, B, full_output=True)
-    _emit({"value": _sig12(value), "gap": _sig12(gap)}, None)
+    _emit({"value": value, "gap": gap}, None)
     return 0
 
 
@@ -90,14 +102,7 @@ def cmd_mixopt(args) -> int:
         raise channels.EmptyCandidatesError("no candidate .json files found")
     cands = [_load_choi(os.path.join(args.candidates, f)) for f in files]
     p, value = channels.optimal_mix(target, cands)
-    _emit(
-        {
-            "candidates": files,
-            "p": [_sig12(x) for x in p],
-            "value": _sig12(value),
-        },
-        args.out,
-    )
+    _emit({"candidates": files, "p": list(p), "value": value}, args.out)
     return 0
 
 
@@ -110,18 +115,10 @@ def cmd_synth1q(args) -> int:
             gs = synth.GateSet.from_json(json.load(f))
     else:
         gs = synth.standard_gate_set()
-    res = synth.prob_synth(
-        target,
-        eps=args.eps,
-        delta=args.delta,
-        gs=gs,
-        max_len=args.max_len,
-    )
+    pool = synth.enumerate_sequences(gs, args.max_len)
+    res = synth.prob_synth(target, eps=args.eps, delta=args.delta, pool=pool)
     obj = res.to_json()
     obj["seed"] = args.seed
-    obj["p"] = [_sig12(x) for x in obj["p"]]
-    for k in ("det_error", "prob_error", "prob_error_lower", "eps", "achieved_eps", "delta"):
-        obj[k] = _sig12(obj[k])
     if args.samples > 0:
         obj["samples"] = [int(i) for i in synth.sample(res.p, args.seed, args.samples)]
     _emit(obj, args.out)
@@ -168,11 +165,11 @@ def cmd_sharpness(args) -> int:
         {
             "family": args.family,
             "d": args.d,
-            "eps": _sig12(args.eps),
+            "eps": args.eps,
             "size": len(fam),
-            "value": _sig12(value),
-            "expected": _sig12(expected),
-            "slack": _sig12(abs(value - expected)),
+            "value": value,
+            "expected": expected,
+            "slack": abs(value - expected),
         },
         args.out,
     )
@@ -183,12 +180,7 @@ def cmd_axial(args) -> int:
     thetas = [float(x) for x in args.thetas.split(",")]
     p, value = bounds.axial_optimal(args.target_theta, thetas)
     _emit(
-        {
-            "thetas": [_sig12(t) for t in thetas],
-            "target_theta": _sig12(args.target_theta),
-            "p": [_sig12(x) for x in p],
-            "value": _sig12(value),
-        },
+        {"thetas": thetas, "target_theta": args.target_theta, "p": list(p), "value": value},
         args.out,
     )
     return 0

@@ -67,6 +67,25 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(M, compute_uv=False)))
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal (trace inner product) basis of d x d Hermitian matrices."""
+    out = np.zeros((d * d, d, d), dtype=complex)
+    n = 0
+    for k in range(d):
+        out[n, k, k] = 1.0
+        n += 1
+    s = 1 / np.sqrt(2)
+    for k in range(d):
+        for l in range(k + 1, d):
+            out[n, k, l] = s
+            out[n, l, k] = s
+            n += 1
+            out[n, k, l] = 1j * s
+            out[n, l, k] = -1j * s
+            n += 1
+    return out
+
+
 def _split_dims(M: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
     d1, d2 = dims
     if M.shape != (d1 * d2, d1 * d2):
@@ -103,13 +122,18 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json; ValueError naming the format on other input."""
+    """Inverse of matrix_to_json; ValueError naming the format on other input.
+
+    rows and cols must be positive JSON integers (not booleans).
+    """
+    fmt = 'expected {"rows": r, "cols": c, "data": [[re, im], ...]}'
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = obj["data"]
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (TypeError, ValueError, KeyError):
-        raise ValueError('expected {"rows": r, "cols": c, "data": [[re, im], ...]}') from None
+        raise ValueError(fmt) from None
+    if not all(type(n) is int and n > 0 for n in (rows, cols)):
+        raise ValueError(fmt)
     if len(data) != rows * cols:
         raise ValueError("rows*cols does not match the number of entries")
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):

@@ -20,11 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import channels, sdp
-from .linalg import check_unitary
+from . import sdp
+from .linalg import check_unitary, hermitian_basis
 
 
 class EmptySupportError(ValueError):
+    pass
+
+
+class EmptyCandidatesError(ValueError):
     pass
 
 
@@ -130,10 +134,10 @@ def optimal_mix_1q(
     if W.ndim != 2 or W.shape[1] != 4:
         raise ValueError(f"candidates must have shape (n, 4), got {W.shape}")
     if len(W) == 0:
-        raise channels.EmptyCandidatesError("empty candidate list")
+        raise EmptyCandidatesError("empty candidate list")
     if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1) <= 1e-8):
         raise ValueError("candidates must be unit 4-vectors")
-    E = channels._hermitian_basis(4)
+    E = hermitian_basis(4)
     E = E[~np.any(E.imag, axis=(1, 2))].real  # the 10 real symmetric ones
     wEw = np.einsum("kab,xa,xb->kx", E, W, W)  # w_x^T E_k w_x
     constraints = [
@@ -143,7 +147,7 @@ def optimal_mix_1q(
     constraints.append(sdp.Constraint(coeffs={1: np.ones(len(W))}, rhs=1.0))
     blocks = [sdp.Block(size=4), sdp.Block(size=len(W), diag=True), sdp.Block(size=1, diag=True)]
     problem = sdp.SdpProblem(blocks, [None, None, np.array([-1.0])], constraints)
-    sol = channels._check_solution(sdp.solve(problem, gap_tol))
+    sol = sdp.check_optimal(sdp.solve(problem, gap_tol))
     p = np.maximum(sol.X[1], 0.0)
     # Within the gap tolerance the best single candidate can beat the iterate.
     best = np.zeros(len(W))

@@ -48,6 +48,8 @@ A solve ends with one of these `SdpSolution.status` values:
 
 On "Stalled" and "MaxIter" the best iterate seen is returned, and the
 status becomes "Optimal" if that iterate meets the tolerances.
+`check_optimal` raises SdpFailureError, with the status and the best
+iterate's residuals, on any status but "Optimal".
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class SdpError(RuntimeError):
 
 class NumericalBreakdown(SdpError):
     """A matrix the iteration needs positive definite is not, numerically."""
+
+
+class SdpFailureError(RuntimeError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,17 @@ class SdpSolution:
     pinf: float = float("nan")
     dinf: float = float("nan")
     rel_gap: float = float("nan")
+
+
+def check_optimal(sol: SdpSolution) -> SdpSolution:
+    """sol if its status is "Optimal"; SdpFailureError with its residuals otherwise."""
+    if sol.status != "Optimal":
+        raise SdpFailureError(
+            f"SDP did not converge: status {sol.status} after {sol.iterations} "
+            f"iterations; best iterate pinf {sol.pinf:.2e}, dinf {sol.dinf:.2e}, "
+            f"relative gap {sol.rel_gap:.2e}"
+        )
+    return sol
 
 
 def _embed_herm(M: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Probabilistic synthesis of single-qubit unitaries over a finite gate set.
 
-Pipeline: enumerate distinct gate sequences up to a length budget (brute
-force, deduplicated up to global phase at DEDUP_DECIMALS = 8 decimals),
-deterministically synthesize a C*eps covering of a ball around the target
-to within C_PRIME*eps (C = C_PRIME = 1/2), restrict support, and solve the
-mixing SDP to relative gap delta. The first-order baseline of Campbell and
-Hastings is included for comparison: it works on the candidates' channels (magic vectors, not
-matrices with a global phase) and finds the exact minimum-norm mixture of
-their generators with one nonnegative least-squares solve.
+Pipeline: enumerate distinct gate sequences up to a length budget into a
+Pool, their labels and magic vectors (brute force, deduplicated up to
+global phase at DEDUP_DECIMALS = 8 decimals); deterministically synthesize
+a C*eps covering of a ball around the target over the pool to within
+C_PRIME*eps (C = C_PRIME = 1/2), restrict support, and solve the mixing SDP
+to relative gap delta. The first-order baseline of Campbell and Hastings is
+included for comparison: it works on the candidates' channels (magic
+vectors, not matrices with a global phase) and finds the exact
+minimum-norm mixture of their generators with one nonnegative
+least-squares solve.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, qubit1
+from . import qubit1
 from .linalg import check_probabilities, check_unitary, matrix_from_json, matrix_to_json
 
 C = 0.5  # covering mesh of prob_synth, as a fraction of eps
@@ -54,6 +56,8 @@ class GateSet:
             raise ValueError("a gate set needs at least one gate")
         if not all(isinstance(l, str) for l in self.labels):
             raise ValueError("gate labels must be strings")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("gate labels must be distinct")
         unitaries = tuple(check_unitary(U) for U in self.unitaries)
         if any(U.shape != (2, 2) for U in unitaries):
             raise ValueError("gates must be 2x2 single-qubit unitaries")
@@ -91,18 +95,34 @@ def standard_gate_set() -> GateSet:
 
 
 @dataclass(frozen=True)
-class GateSequence:
-    labels: tuple[str, ...]
-    realized: np.ndarray  # product, leftmost label applied first
+class Pool:
+    """Gate sequences and their magic vectors, row i belonging to labels[i].
+
+    Each label tuple lists gates in the order they act: the leftmost label
+    acts first, so ("H", "T") realizes T @ H. magic is a read-only (n, 4)
+    float array. Raises EmptyPoolError for n = 0 and ValueError when the
+    shapes do not line up.
+    """
+
+    labels: tuple[tuple[str, ...], ...]
     magic: np.ndarray
 
-    def to_json(self) -> dict:
-        return {"labels": list(self.labels)}
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        magic = np.array(self.magic, dtype=float)
+        if magic.shape != (len(labels), 4):
+            raise ValueError(f"magic must have shape ({len(labels)}, 4), got {magic.shape}")
+        if not labels:
+            raise EmptyPoolError("empty sequence pool")
+        magic.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "magic", magic)
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
-def enumerate_sequences(
-    gs: GateSet, max_len: int, budget: int = 500000
-) -> list[GateSequence]:
+def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool:
     """All distinct (up to phase) gate sequences of length <= max_len.
 
     Breadth-first by length, deduplicated on magic vectors rounded to
@@ -126,12 +146,11 @@ def enumerate_sequences(
         return r.view(np.dtype((np.void, r.itemsize * r.shape[1])))[:, 0]
 
     ident = np.eye(2, dtype=complex)
-    mv0 = qubit1.magic_embed(ident)
-    out = [GateSequence(labels=(), realized=ident, magic=mv0)]
-    seen = keys_of(mv0[None, :])
-
+    mv = qubit1.magic_embed(ident)[None, :]
+    seen = keys_of(mv)
     frontier_mats = ident[None, :, :]
     frontier_labels: list[tuple[str, ...]] = [()]
+    labels, magic = [()], [mv]
     for length in range(1, max_len + 1):
         if frontier_mats.shape[0] == 0:
             break
@@ -143,22 +162,20 @@ def enumerate_sequences(
         _, first = np.unique(keys, return_index=True)
         first.sort()
         new = first[~np.isin(keys[first], seen)]
-        if new.size and len(out) + new.size > budget:
+        if new.size and len(labels) + new.size > budget:
             raise BudgetExceededError(
                 f"sequence budget {budget} exceeded at length {length}"
             )
         seen = np.concatenate([seen, keys[new]])
-        frontier_mats, mv = prod[new], mv[new]
+        frontier_mats = prod[new]
         parent, gate = np.divmod(new, ng)
         frontier_labels = [
             frontier_labels[f] + (glabels[g],)
             for f, g in zip(parent.tolist(), gate.tolist())
         ]
-        out.extend(
-            GateSequence(labels=lab, realized=U, magic=m)
-            for lab, U, m in zip(frontier_labels, frontier_mats, mv)
-        )
-    return out
+        labels += frontier_labels
+        magic.append(mv[new])
+    return Pool(labels=tuple(labels), magic=np.concatenate(magic))
 
 
 def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,28 +188,20 @@ def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, qubit1.line_distance(V, P[idx])
 
 
-def _pool_magic(pool: list[GateSequence]) -> np.ndarray:
-    if not pool:
-        raise EmptyPoolError("empty sequence pool")
-    return np.stack([s.magic for s in pool])
+def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
+    """Labels of the pool sequence closest to the target, and its error.
 
-
-def det_synth(
-    target: np.ndarray, pool: list[GateSequence]
-) -> tuple[GateSequence, float]:
-    """Closest pool element to the target unitary in half-diamond distance.
-
-    Ties go to the shorter sequence, then lexicographic label order (the
-    enumeration order of the pool). Raises ValueError unless target is a
-    2x2 unitary.
+    The error is the half-diamond distance. Ties go to the shorter
+    sequence, then lexicographic label order (the enumeration order of the
+    pool). Raises ValueError unless target is a 2x2 unitary.
     """
-    idx, errs = _nearest(_pool_magic(pool), qubit1.magic_embed(target)[None, :])
-    return pool[int(idx[0])], float(errs[0])
+    idx, errs = _nearest(pool.magic, qubit1.magic_embed(target)[None, :])
+    return pool.labels[int(idx[0])], float(errs[0])
 
 
 @dataclass
 class SynthesisResult:
-    support: list[GateSequence]
+    support: list[tuple[str, ...]]  # label tuples, leftmost label acting first
     p: np.ndarray
     det_error: float
     prob_error: float        # exact error of the mixture p: an upper bound
@@ -203,7 +212,7 @@ class SynthesisResult:
 
     def to_json(self) -> dict:
         return {
-            "support": [list(s.labels) for s in self.support],
+            "support": [list(s) for s in self.support],
             "p": [float(x) for x in self.p],
             "det_error": self.det_error,
             "prob_error": self.prob_error,
@@ -214,23 +223,16 @@ class SynthesisResult:
         }
 
 
-def prob_synth(
-    target: np.ndarray,
-    eps: float,
-    delta: float,
-    gs: GateSet,
-    max_len: int = 12,
-    pool: list[GateSequence] | None = None,
-) -> SynthesisResult:
+def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> SynthesisResult:
     """Probabilistic synthesis with certified quadratic error reduction.
 
     Covers the 2*eps-ball around the target with a c*eps mesh, synthesizes
-    each covering point deterministically to within c'*eps (c = c' = 1/2),
-    restricts to candidates within 2*eps of the target, and solves the
-    mixing SDP to relative gap delta. The mixture then has half-diamond
-    error at most achieved_eps**2 + delta, with achieved_eps = c*eps +
-    (worst deterministic synthesis error over covering points) <= eps. The
-    pool is `pool` if given, else enumerate_sequences(gs, max_len).
+    each covering point deterministically over `pool` to within c'*eps
+    (c = c' = 1/2), restricts to candidates within 2*eps of the target, and
+    solves the mixing SDP to relative gap delta. The mixture then has
+    half-diamond error at most achieved_eps**2 + delta, with achieved_eps =
+    c*eps + (worst deterministic synthesis error over covering points) <=
+    eps. CoveringUnreachableError if that worst error exceeds c'*eps.
 
     prob_error is the exact error of the returned mixture p (an upper bound
     on the optimum); prob_error_lower is a dual lower bound: no mixture of
@@ -244,12 +246,9 @@ def prob_synth(
     if not 0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
     target = check_unitary(target)
-    if pool is None:
-        pool = enumerate_sequences(gs, max_len)
     u = qubit1.magic_embed(target)
     cover = qubit1.cap_covering(u, min(2 * eps, 0.999), C * eps)
-    P = _pool_magic(pool)
-    nearest, errs = _nearest(P, cover)
+    nearest, errs = _nearest(pool.magic, cover)
     worst = float(np.max(errs))
     if worst > C_PRIME * eps:
         raise CoveringUnreachableError(
@@ -259,17 +258,14 @@ def prob_synth(
         )
     achieved = C * eps + worst
 
-    support_idx = sorted(set(int(i) for i in nearest))
-    support = [pool[i] for i in support_idx]
-    W = P[support_idx]
-    keep = qubit1.support_filter(u, W, eps)
-    support = [support[int(i)] for i in keep]
-    W = W[keep]
+    support_idx = np.unique(nearest)
+    support_idx = support_idx[qubit1.support_filter(u, pool.magic[support_idx], eps)]
+    W = pool.magic[support_idx]
 
     p, upper, lower = qubit1.optimal_mix_1q(u, W, delta)
     det_error = float(np.min(qubit1.line_distance(u, W)))
     return SynthesisResult(
-        support=support,
+        support=[pool.labels[i] for i in support_idx.tolist()],
         p=p,
         det_error=det_error,
         prob_error=upper,
@@ -295,7 +291,7 @@ def campbell_mix(
     1e-6 (an eigenphase of U^dag V at pi: no unique shortest H_x).
     """
     if not candidates:
-        raise channels.EmptyCandidatesError("empty candidate list")
+        raise qubit1.EmptyCandidatesError("empty candidate list")
     u = qubit1.magic_embed(target)
     W = np.stack([qubit1.magic_embed(V) for V in candidates])
     c = W @ u

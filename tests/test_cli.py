@@ -231,8 +231,15 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     ("matrix", {"rows": 1, "cols": 1, "data": [1]}, 'expected {"rows"'),
     ("matrix", {"rows": 1, "cols": 1, "data": [["a", "b"]]}, 'expected {"rows"'),
     ("matrix", [[1, 0], [0, 1]], 'expected {"rows"'),
+    ("matrix", {"rows": 1.9, "cols": "1", "data": [[1, 0]]}, 'expected {"rows"'),
+    ("matrix", {"rows": True, "cols": True, "data": [[1, 0]]}, 'expected {"rows"'),
+    ("matrix", {"rows": -1, "cols": -1, "data": [[1, 0]]}, 'expected {"rows"'),
     ("gateset", {"gates": 5}, 'expected {"gates"'),
-], ids=["bare-entry", "string-entries", "top-level-list", "gates-not-a-list"])
+    ("gateset", {"gates": [{"label": "A", "matrix": matrix_to_json(np.eye(2))},
+                           {"label": "A", "matrix": matrix_to_json(np.diag([1, 1j]))}]},
+     "labels must be distinct"),
+], ids=["bare-entry", "string-entries", "top-level-list", "float-and-string-dims",
+        "boolean-dims", "negative-dims", "gates-not-a-list", "duplicate-labels"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, kind, content, message):
     path = str(tmp_path / "in.json")
     with open(path, "w") as f:

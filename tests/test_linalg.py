@@ -68,3 +68,10 @@ def test_json_rejects_nonfinite(tmp_path):
         linalg.matrix_from_json(obj)
     with pytest.raises(ValueError):
         linalg.matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("rows, cols", [(1.9, "1"), (True, True), (-1, -1), (0, 0), (1.0, 1)])
+def test_json_requires_positive_integer_dims(rows, cols):
+    obj = {"rows": rows, "cols": cols, "data": [[1.0, 0.0]] if rows != 0 else []}
+    with pytest.raises(ValueError, match='expected {"rows"'):
+        linalg.matrix_from_json(obj)

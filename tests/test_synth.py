@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from usynth.synth import (
     BudgetExceededError,
     CoveringUnreachableError,
     EmptyPoolError,
-    GateSequence,
     GateSet,
+    Pool,
     _nearest,
     campbell_mix,
     det_synth,
@@ -24,7 +26,7 @@ def reference_enumerate(gs, max_len, budget=500000):
 
     The reference for `enumerate_sequences`, which deduplicates a whole
     length at once and must return the same pool and raise the same
-    BudgetExceededError.
+    BudgetExceededError. Returns the labels and the magic rows.
     """
     decimals = 8
     order = sorted(range(len(gs.labels)), key=lambda i: gs.labels[i])
@@ -39,7 +41,7 @@ def reference_enumerate(gs, max_len, budget=500000):
 
     ident = np.eye(2, dtype=complex)
     mv0 = qubit1.magic_embed(ident)
-    out = [GateSequence(labels=(), realized=ident, magic=mv0)]
+    labels, rows = [()], [mv0]
     seen = {key_of(mv0)}
     frontier_mats = ident[None, :, :]
     frontier_labels = [()]
@@ -55,16 +57,17 @@ def reference_enumerate(gs, max_len, budget=500000):
                 continue
             seen.add(k)
             lab = frontier_labels[i // ng] + (glabels[i % ng],)
-            out.append(GateSequence(labels=lab, realized=prod[i], magic=mv[i]))
+            labels.append(lab)
+            rows.append(mv[i])
             new_mats.append(prod[i])
             new_labels.append(lab)
-            if len(out) > budget:
+            if len(labels) > budget:
                 raise BudgetExceededError(
                     f"sequence budget {budget} exceeded at length {len(lab)}"
                 )
         frontier_mats = np.stack(new_mats) if new_mats else np.empty((0, 2, 2), complex)
         frontier_labels = new_labels
-    return out
+    return labels, np.stack(rows)
 
 
 def _std_gates():
@@ -92,17 +95,15 @@ def _twin_gate_set():
 def test_enumerate_matches_reference_loop(make_gs, max_len):
     gs = make_gs()
     got = enumerate_sequences(gs, max_len)
-    ref = reference_enumerate(gs, max_len)
-    assert [s.labels for s in got] == [s.labels for s in ref]
-    for a, b in zip(got, ref):
-        assert a.realized.tobytes() == b.realized.tobytes()
-        assert a.magic.tobytes() == b.magic.tobytes()
+    labels, magic = reference_enumerate(gs, max_len)
+    assert list(got.labels) == labels
+    assert got.magic.tobytes() == magic.tobytes()
 
 
 def test_enumerate_twin_gates_keep_first_label():
     pool = enumerate_sequences(_twin_gate_set(), 3)
-    assert ("G",) in {s.labels for s in pool}
-    assert not any("T" in s.labels for s in pool)
+    assert ("G",) in pool.labels
+    assert not any("T" in s for s in pool.labels)
 
 
 @pytest.mark.parametrize("make_gs", [standard_gate_set, _twin_gate_set])
@@ -124,6 +125,26 @@ def test_standard_gate_set_contents(std_gateset):
     assert abs(T[1, 1] - np.exp(1j * np.pi / 4)) < 1e-12
 
 
+def test_gate_set_rejects_duplicate_labels():
+    H, T = _std_gates()["H"], _std_gates()["T"]
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        GateSet(labels=("A", "A"), unitaries=(H, T))
+
+
+def test_pool_checks_its_shape_and_is_read_only(std_pool):
+    with pytest.raises(EmptyPoolError, match="empty sequence pool"):
+        Pool((), np.empty((0, 4)))
+    with pytest.raises(ValueError, match="magic must have shape"):
+        Pool(((), ("H",)), np.eye(4)[:1])
+    with pytest.raises(ValueError, match="magic must have shape"):
+        Pool(((),), np.eye(4)[:2])
+    with pytest.raises(ValueError, match="magic must have shape"):
+        Pool(((),), np.ones(4))
+    with pytest.raises(ValueError, match="read-only"):
+        std_pool.magic[0, 0] = 0.5
+    assert len(std_pool) == len(std_pool.labels) == len(std_pool.magic)
+
+
 def test_gateset_json_roundtrip(std_gateset):
     gs2 = GateSet.from_json(std_gateset.to_json())
     assert gs2.labels == std_gateset.labels
@@ -134,15 +155,15 @@ def test_gateset_json_roundtrip(std_gateset):
 def test_enumerate_length_zero(std_gateset):
     pool = enumerate_sequences(std_gateset, 0)
     assert len(pool) == 1
-    assert pool[0].labels == ()
-    assert np.allclose(pool[0].realized, np.eye(2))
+    assert pool.labels == ((),)
+    assert pool.magic.tobytes() == qubit1.magic_embed(np.eye(2)).tobytes()
 
 
 def test_enumerate_dedup_tt_equals_s():
     # With S in the gate set, TT duplicates S and must be dropped.
     gs = standard_gate_set()
     pool = enumerate_sequences(gs, 2)
-    label_sets = {p.labels for p in pool}
+    label_sets = set(pool.labels)
     assert ("S",) in label_sets
     assert ("T", "T") not in label_sets
     # SdgS = identity, also dropped
@@ -156,25 +177,26 @@ def test_enumerate_ht_counts():
     pool = enumerate_sequences(gs, 2)
     # identity, H, T, HH=I (dup), HT, TH, TT: 6 distinct
     assert len(pool) == 6
-    lens = sorted(len(p.labels) for p in pool)
+    lens = sorted(len(s) for s in pool.labels)
     assert lens == [0, 1, 1, 2, 2, 2]
 
 
 def test_sequence_leftmost_label_acts_first(std_gateset):
     H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
-    seq = next(s for s in enumerate_sequences(std_gateset, 2) if s.labels == ("H", "T"))
-    assert np.allclose(seq.realized, T @ H, rtol=0, atol=1e-15)
-    assert not np.allclose(seq.realized, H @ T)
+    pool = enumerate_sequences(std_gateset, 2)
+    row = pool.magic[pool.labels.index(("H", "T"))]
+    assert np.allclose(row, qubit1.magic_embed(T @ H), rtol=0, atol=1e-15)
+    assert not np.allclose(row, qubit1.magic_embed(H @ T))
 
 
 def test_enumerate_shortest_representative_wins(std_pool):
     # every kept unitary has no shorter equivalent in the pool
     by_key = {}
-    for p in std_pool:
-        k = tuple(np.round(p.magic, 8) + 0.0)
+    for labels, mv in zip(std_pool.labels, std_pool.magic):
+        k = tuple(np.round(mv, 8) + 0.0)
         assert k not in by_key
-        by_key[k] = p
+        by_key[k] = labels
 
 
 def test_enumerate_budget(std_gateset):
@@ -184,9 +206,9 @@ def test_enumerate_budget(std_gateset):
 
 def test_det_synth_exact_member(std_pool):
     T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
-    seq, err = det_synth(T, std_pool)
+    labels, err = det_synth(T, std_pool)
     assert err < 1e-9
-    assert seq.labels == ("T",)
+    assert labels == ("T",)
 
 
 def test_det_synth_monotone_in_pool_size(std_gateset, std_pool, rng):
@@ -201,7 +223,7 @@ def test_det_synth_monotone_in_pool_size(std_gateset, std_pool, rng):
 
 
 def test_nearest_ties_and_errors(std_pool):
-    P = np.stack([s.magic for s in std_pool])
+    P = std_pool.magic
     V = np.vstack([P[5], -P[7], P[3] + P[9]])
     V[2] /= np.linalg.norm(V[2])
     # Repeating a pool row makes an exact tie: the first index wins.
@@ -245,30 +267,31 @@ def test_gate_set_rejects_empty_and_non_qubit_gates():
 
 
 def test_det_synth_empty_pool():
+    # A pool cannot be empty, so neither synthesis sees an empty one.
     U = np.eye(2, dtype=complex)
     with pytest.raises(EmptyPoolError, match="empty sequence pool"):
-        det_synth(U, [])
-    with pytest.raises(EmptyPoolError, match="empty sequence pool"):
-        prob_synth(U, eps=0.35, delta=1e-6, gs=standard_gate_set(), pool=[])
+        det_synth(U, Pool(labels=(), magic=np.empty((0, 4))))
 
 
 def test_prob_synth_quadratic_bound(std_gateset, std_pool):
     from usynth.linalg import haar_unitary
 
     U = haar_unitary(2, np.random.default_rng(7))
-    res = prob_synth(U, eps=0.35, delta=1e-6, gs=std_gateset, pool=std_pool)
+    res = prob_synth(U, eps=0.35, delta=1e-6, pool=std_pool)
     assert res.achieved_eps <= 0.35 + 1e-12
     assert res.prob_error <= res.achieved_eps**2 + 1e-6
     assert res.det_error <= res.achieved_eps
     assert abs(sum(res.p) - 1) < 1e-9
-    # recompute the mixture error independently
+    # recompute the mixture error independently, from the support's labels
     u = qubit1.magic_embed(U)
-    W = np.stack([s.magic for s in res.support])
+    gates = dict(zip(std_gateset.labels, std_gateset.unitaries))
+    W = np.stack([qubit1.magic_embed(reduce(lambda V, g: gates[g] @ V, s, np.eye(2)))
+                  for s in res.support])
     recomputed = qubit1.mix_distance_1q(u, W, np.asarray(res.p))
     assert abs(recomputed - res.prob_error) < 1e-12
 
 
-def test_prob_synth_builds_no_choi_matrices(std_gateset, std_pool, monkeypatch):
+def test_prob_synth_builds_no_choi_matrices(std_pool, monkeypatch):
     from usynth.linalg import haar_unitary
 
     def no_choi(*_):
@@ -276,17 +299,17 @@ def test_prob_synth_builds_no_choi_matrices(std_gateset, std_pool, monkeypatch):
 
     monkeypatch.setattr(channels, "choi", no_choi)
     U = haar_unitary(2, np.random.default_rng(12))
-    res = prob_synth(U, 0.35, 1e-6, std_gateset, pool=std_pool)
+    res = prob_synth(U, 0.35, 1e-6, std_pool)
     assert res.prob_error_lower <= res.prob_error <= res.prob_error_lower + 1e-6
     assert res.to_json()["prob_error_lower"] == res.prob_error_lower
 
 
-def test_prob_synth_deterministic(std_gateset, std_pool):
+def test_prob_synth_deterministic(std_pool):
     from usynth.linalg import haar_unitary
 
     U = haar_unitary(2, np.random.default_rng(8))
-    a = prob_synth(U, 0.35, 1e-6, std_gateset, pool=std_pool).to_json()
-    b = prob_synth(U, 0.35, 1e-6, std_gateset, pool=std_pool).to_json()
+    a = prob_synth(U, 0.35, 1e-6, std_pool).to_json()
+    b = prob_synth(U, 0.35, 1e-6, std_pool).to_json()
     assert a == b
 
 
@@ -296,20 +319,20 @@ def test_prob_synth_unreachable(std_gateset):
     U = haar_unitary(2, np.random.default_rng(9))
     tiny_pool = enumerate_sequences(std_gateset, 2)
     with pytest.raises(CoveringUnreachableError) as exc:
-        prob_synth(U, 0.1, 1e-6, std_gateset, pool=tiny_pool)
+        prob_synth(U, 0.1, 1e-6, tiny_pool)
     assert exc.value.achieved_radius > 0.05
 
 
-def test_prob_synth_rejects_bad_args(std_gateset, std_pool):
+def test_prob_synth_rejects_bad_args(std_pool):
     for eps in (0.0, -0.1, 0.5, 0.6, 1.0):
         with pytest.raises(ValueError, match=r"prob_synth needs 0 < eps < 1/2"):
-            prob_synth(np.eye(2, dtype=complex), eps, 1e-6, std_gateset, pool=std_pool)
+            prob_synth(np.eye(2, dtype=complex), eps, 1e-6, std_pool)
     with pytest.raises(ValueError):
-        prob_synth(np.eye(2, dtype=complex), 0.3, 0.0, std_gateset)
+        prob_synth(np.eye(2, dtype=complex), 0.3, 0.0, std_pool)
     # NaN fails every comparison, so a "<= 0" check lets it through.
     for delta in (np.nan, np.inf):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
-            prob_synth(np.eye(2, dtype=complex), 0.3, delta, std_gateset, pool=std_pool)
+            prob_synth(np.eye(2, dtype=complex), 0.3, delta, std_pool)
 
 
 def test_campbell_symmetric_pair():

@@ -245,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except synth.CoveringUnreachableError as exc:
-        print(f"error: {exc} (achieved radius {exc.achieved_radius:.6g})", file=sys.stderr)
+        print(f"error: {exc} (achieved radius {exc.achieved_radius:.6g}); "
+              "raise --max-len or --eps", file=sys.stderr)
         return EXIT_COVERING
     except channels.SdpFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

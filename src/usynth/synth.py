@@ -126,11 +126,13 @@ def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool
     """All distinct (up to phase) gate sequences of length <= max_len.
 
     Breadth-first by length, deduplicated on magic vectors rounded to
-    DEDUP_DECIMALS decimals. Each length is deduplicated at once: the
-    rounded vector of every product is one byte key, a product is kept if
-    its key is the first of its length and unseen at shorter lengths.
-    Products are generated with gates in lexicographic label order, so the
-    kept sequence for each unitary is the shortest, ties broken
+    DEDUP_DECIMALS decimals. The rounded vector of every product is one
+    byte key, and each length makes one pass in product order over its
+    keys against the set of keys seen so far: a product is kept, and its
+    key added, if the key is not in the set. So a product is kept if its
+    key is the first of its length and unseen at shorter lengths. Products
+    are generated with gates in lexicographic label order, so the kept
+    sequence for each unitary is the shortest, ties broken
     lexicographically by label list. Raises BudgetExceededError past
     `budget` kept sequences, before the sequences of that length are built.
     """
@@ -147,7 +149,7 @@ def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool
 
     ident = np.eye(2, dtype=complex)
     mv = qubit1.magic_embed(ident)[None, :]
-    seen = keys_of(mv)
+    seen = set(keys_of(mv).tolist())
     frontier_mats = ident[None, :, :]
     frontier_labels: list[tuple[str, ...]] = [()]
     labels, magic = [()], [mv]
@@ -158,15 +160,16 @@ def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool
         # frontier-major, so product order is (length, labels) order.
         prod = np.einsum("gab,fbc->fgac", gmats, frontier_mats).reshape(-1, 2, 2)
         mv = qubit1.magic_embed_batch(prod)
-        keys = keys_of(mv)
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        new = first[~np.isin(keys[first], seen)]
+        kept = []
+        for j, key in enumerate(keys_of(mv).tolist()):
+            if key not in seen:
+                seen.add(key)
+                kept.append(j)
+        new = np.array(kept, dtype=np.intp)
         if new.size and len(labels) + new.size > budget:
             raise BudgetExceededError(
                 f"sequence budget {budget} exceeded at length {length}"
             )
-        seen = np.concatenate([seen, keys[new]])
         frontier_mats = prod[new]
         parent, gate = np.divmod(new, ng)
         frontier_labels = [
@@ -184,7 +187,9 @@ def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the indices and the half-diamond errors. Ties go to the lowest
     index: in pool order, the shorter sequence, then lexicographic labels.
     """
-    idx = np.argmax(np.abs(V @ P.T), axis=1)
+    dots = V @ P.T
+    np.abs(dots, out=dots)  # in place: one n-by-m array, not two
+    idx = np.argmax(dots, axis=1)
     return idx, qubit1.line_distance(V, P[idx])
 
 
@@ -253,7 +258,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     if worst > C_PRIME * eps:
         raise CoveringUnreachableError(
             f"deterministic synthesis reached radius {worst:.6g} "
-            f"> c'*eps = {C_PRIME * eps:.6g}; increase max_len or eps",
+            f"> c'*eps = {C_PRIME * eps:.6g}; use a longer pool or a larger eps",
             achieved_radius=worst,
         )
     achieved = C * eps + worst

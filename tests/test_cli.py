@@ -267,10 +267,16 @@ def test_synth1q_help_states_label_order(capsys):
 
 
 def test_exit_code_covering(capsys):
-    code, _, err = run_cli(capsys, "synth1q", "--target", "H", "--eps", "0.05",
-                           "--max-len", "3")
+    code, out, err = run_cli(capsys, "synth1q", "--target", "H", "--eps", "0.05",
+                             "--max-len", "3")
     assert code == 4
-    assert "achieved radius" in err
+    assert out == ""
+    # The library advises a longer pool; the CLI names the flags that give one.
+    assert err == (
+        "error: deterministic synthesis reached radius 0.155254 > c'*eps = 0.025; "
+        "use a longer pool or a larger eps (achieved radius 0.155254); "
+        "raise --max-len or --eps\n"
+    )
 
 
 def test_exit_code_synth1q_eps_outside_domain(capsys):

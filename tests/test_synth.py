@@ -1,9 +1,11 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from usynth import channels, qubit1
+from usynth.linalg import haar_unitary
 from usynth.synth import (
     BranchCutError,
     BudgetExceededError,
@@ -91,7 +93,7 @@ def _twin_gate_set():
     "make_gs", [standard_gate_set, _unsorted_gate_set, _twin_gate_set],
     ids=["standard", "unsorted-labels", "twin-gates"],
 )
-@pytest.mark.parametrize("max_len", [0, 1, 3, 10])
+@pytest.mark.parametrize("max_len", [0, 1, 3, 10, 12])
 def test_enumerate_matches_reference_loop(make_gs, max_len):
     gs = make_gs()
     got = enumerate_sequences(gs, max_len)
@@ -236,6 +238,48 @@ def test_nearest_ties_and_errors(std_pool):
         assert abs(errs[k] - qubit1.distance_1q(V[k], P[i])) < 1e-7
 
 
+def test_nearest_is_exact_on_a_covering(std_pool):
+    # The same product and argmax as the plain expression, bit for bit.
+    P = std_pool.magic
+    u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(3)))
+    V = qubit1.cap_covering(u, 0.7, 0.175)
+    idx, errs = _nearest(P, V)
+    ref = np.argmax(np.abs(V @ P.T), axis=1)
+    assert idx.tolist() == ref.tolist()
+    assert errs.tobytes() == qubit1.line_distance(V, P[ref]).tobytes()
+
+
+def test_nearest_planted_ties_go_to_the_lowest_index():
+    # Entries 0 and +-1/2 make every dot product exact, so the planted ties
+    # (each row p also as -p and again as p) are exact in any BLAS.
+    A = np.array(np.meshgrid(*[[0.5, -0.5]] * 4, indexing="ij")).reshape(4, -1).T
+    Q = np.vstack([A, -A, A])
+    V = np.vstack([np.eye(4), A, -A[::3]])
+    idx, errs = _nearest(Q, V)
+    dots = np.abs(V @ Q.T)
+    for r in range(len(V)):
+        assert idx[r] == np.flatnonzero(dots[r] == dots[r].max())[0]
+    assert idx[:4].tolist() == [0, 0, 0, 0]
+    assert (idx[4:] < 8).all() and (errs[4:] == 0).all()
+
+
+def test_nearest_memory_is_one_product(std_pool):
+    # One n-by-m float array for the products; taking |.| in place keeps
+    # a second one from being allocated.
+    P = std_pool.magic
+    u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(4)))
+    V = qubit1.cap_covering(u, 0.7, 0.175)
+    n, m = len(V), len(P)
+    assert (n, m) == (925, 2333)
+    tracemalloc.start()
+    try:
+        _nearest(P, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * m * 8
+
+
 def test_line_distance_keeps_digits_near_coincidence():
     # The lines of u and w meet at an angle of about 1.3856e-9, where
     # sqrt(1 - (u.w)^2) cancels to 0.
@@ -321,6 +365,9 @@ def test_prob_synth_unreachable(std_gateset):
     with pytest.raises(CoveringUnreachableError) as exc:
         prob_synth(U, 0.1, 1e-6, tiny_pool)
     assert exc.value.achieved_radius > 0.05
+    # prob_synth takes a pool, not a length: the advice names the pool.
+    assert str(exc.value).endswith("; use a longer pool or a larger eps")
+    assert "max_len" not in str(exc.value)
 
 
 def test_prob_synth_rejects_bad_args(std_pool):

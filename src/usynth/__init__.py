@@ -6,20 +6,17 @@ single-qubit unitaries probabilistically with quadratically reduced error,
 and evaluates/certifies tight worst-case error bounds.
 """
 
-from .bounds import BoundPoint, axial_optimal, curve_sweep, lower_family, theorem1_bounds, upper_family
+from .bounds import BoundPoint, axial_optimal, lower_family, theorem1_bounds, upper_family
 from .channels import (
     ChoiOperator,
     choi,
     choi_mixture,
     diamond_distance,
-    fidelity,
     optimal_mix,
-    trace_distance,
     unitary_distance,
 )
 from .qubit1 import (
     cap_covering,
-    distance_1q,
     magic_embed,
     magic_unembed,
     mix_distance_1q,
@@ -52,12 +49,9 @@ __all__ = [
     "cap_covering",
     "choi",
     "choi_mixture",
-    "curve_sweep",
     "det_synth",
     "diamond_distance",
-    "distance_1q",
     "enumerate_sequences",
-    "fidelity",
     "lower_family",
     "magic_embed",
     "magic_unembed",
@@ -70,7 +64,6 @@ __all__ = [
     "standard_gate_set",
     "support_filter",
     "theorem1_bounds",
-    "trace_distance",
     "unitary_distance",
     "upper_family",
 ]

@@ -172,8 +172,3 @@ def axial_optimal(target_theta: float, thetas: list[float]) -> tuple[np.ndarray,
                     best_p[x] = 1.0 - t
                     best_p[y] = t
     return best_p, float(best_d / 2)
-
-
-def curve_sweep(d: int, eps_grid: list[float]) -> list[BoundPoint]:
-    """BoundPoint rows for each eps in the grid."""
-    return [theorem1_bounds(e, d) for e in eps_grid]

@@ -2,11 +2,11 @@
 
 Choi operators, optimal mixing (the best convex combination of candidate
 channels approximating a target; the half-diamond distance between two
-channels is its one-candidate case), the closed-form half-diamond distance
-between unitary channels, and state fidelity / trace distance. Mixing solves
-Watrous's SDP, except when the target and every candidate are d = 2 unitary
-channels (dims (2, 2), trace preserving and rank one within
-linalg.TOL_UNITARY): those take the real 4x4 SDP of qubit1.optimal_mix_1q.
+channels is its one-candidate case), and the closed-form half-diamond
+distance between unitary channels. Mixing solves Watrous's SDP, except
+when the target and every candidate are d = 2 unitary channels (dims
+(2, 2), trace preserving and rank one within linalg.TOL_UNITARY): those
+take the real 4x4 SDP of qubit1.optimal_mix_1q.
 Every returned distance or mixing value is a certified upper bound on the
 error, never the solver's objective.
 
@@ -24,9 +24,7 @@ import numpy as np
 
 from . import qubit1, sdp
 from .linalg import (
-    TOL_HERM,
     TOL_UNITARY,
-    check_finite,
     check_hermitian,
     check_probabilities,
     check_unitary,
@@ -36,10 +34,6 @@ from .linalg import (
 )
 from .qubit1 import EmptyCandidatesError
 from .sdp import SdpFailureError  # noqa: F401  (callers catch channels.SdpFailureError)
-
-
-class NotDensityError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -254,41 +248,3 @@ def optimal_mix(
     W = qubit1.magic_embed_batch(U)
     p, _, _ = qubit1.optimal_mix_1q(W[0], W[1:])
     return p, qubit1.mix_distance_1q(W[0], W[1:], p)
-
-
-def _check_density(rho: np.ndarray) -> np.ndarray:
-    rho = check_finite(rho)
-    try:
-        rho = check_hermitian(rho)
-    except ValueError as exc:
-        raise NotDensityError(str(exc)) from exc
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -TOL_HERM or abs(np.sum(w) - 1.0) > TOL_HERM:
-        raise NotDensityError("matrix is not a density operator within tolerance")
-    return rho
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = _check_density(rho)
-    sigma = _check_density(sigma)
-    if rho.shape[0] == 2:
-        # Closed form for qubits; avoids the precision loss of the matrix
-        # square root when a state is (nearly) pure.
-        cross = 2.0 * np.sqrt(
-            max(0.0, np.linalg.det(rho).real) * max(0.0, np.linalg.det(sigma).real)
-        )
-        return min(1.0, float(np.trace(rho @ sigma).real + cross))
-    w, V = np.linalg.eigh(rho)
-    sq = (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
-    inner = sq @ sigma @ sq
-    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    root = float(np.sum(np.sqrt(np.maximum(lam, 0.0))))
-    return min(1.0, root * root)
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Trace distance (1/2)||rho - sigma||_1."""
-    rho = _check_density(rho)
-    sigma = _check_density(sigma)
-    return min(1.0, trace_norm(rho - sigma) / 2)

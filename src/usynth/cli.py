@@ -133,7 +133,7 @@ def cmd_bounds(args) -> int:
     if not (np.isfinite([a, b, step]).all() and a <= b and step > 0):
         raise ValueError(f"--eps-grid {args.eps_grid}: need finite a <= b and step > 0")
     grid = list(np.arange(a, b + step / 2, step))
-    rows = bounds.curve_sweep(args.d, grid)
+    rows = [bounds.theorem1_bounds(e, args.d) for e in grid]
     lines = ["eps,delta,lower,upper"]
     for r in rows:
         lines.append(
@@ -245,8 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except synth.CoveringUnreachableError as exc:
-        print(f"error: {exc} (achieved radius {exc.achieved_radius:.6g}); "
-              "raise --max-len or --eps", file=sys.stderr)
+        print(f"error: {exc}; raise --max-len or --eps", file=sys.stderr)
         return EXIT_COVERING
     except channels.SdpFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

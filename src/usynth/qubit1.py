@@ -11,9 +11,10 @@ and for mixtures it is (1/2)||M||_1 with M = uu^T - sum_x p_x w_x w_x^T.
 M has trace 0 and at most one positive eigenvalue (a rank-one PSD matrix
 minus a PSD one), so (1/2)||M||_1 = lambda_max(M), and optimal mixing is
 an SDP with one real 4x4 PSD block S = tI - M. This module provides the
-embedding, those distances, optimal mixing (`optimal_mix_1q`), support
-restriction, epsilon-coverings of (caps of) S^3, and the exact covering
-radius of a net from the convex hull of +-P (`covering_radius`).
+embedding, one key per channel (`line_keys`), those distances, optimal
+mixing (`optimal_mix_1q`), support restriction, epsilon-coverings of
+(caps of) S^3, and the exact covering radius of a net from the convex
+hull of +-P (`covering_radius`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import numpy as np
 
 from . import sdp
 from .linalg import check_unitary, hermitian_basis
+
+KEY_DECIMALS = 8  # magic vectors equal to this many decimals, up to sign, are one channel
 
 
 class EmptySupportError(ValueError):
@@ -42,11 +45,17 @@ def magic_embed(U: np.ndarray) -> np.ndarray:
     U = check_unitary(U)
     if U.shape != (2, 2):
         raise ValueError("magic_embed expects a 2x2 unitary")
-    return _embed_batch(U[None, :, :])[0]
+    return magic_embed_batch(U[None, :, :])[0]
 
 
-def _embed_batch(U: np.ndarray) -> np.ndarray:
-    """Magic vectors for a batch of 2x2 unitaries, shape (n, 2, 2) -> (n, 4)."""
+def magic_embed_batch(U: np.ndarray) -> np.ndarray:
+    """Magic vectors of a batch of 2x2 unitaries, shape (n, 2, 2) -> (n, 4).
+
+    Row by row as magic_embed, without its unitarity check.
+    """
+    U = np.asarray(U, dtype=complex)
+    if U.ndim != 3 or U.shape[1:] != (2, 2):
+        raise ValueError("expected shape (n, 2, 2)")
     c = np.empty((U.shape[0], 4), dtype=complex)
     c[:, 0] = (U[:, 0, 0] + U[:, 1, 1]) / 2
     c[:, 1] = -1j * (U[:, 0, 0] - U[:, 1, 1]) / 2
@@ -58,11 +67,19 @@ def _embed_batch(U: np.ndarray) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def magic_embed_batch(U: np.ndarray) -> np.ndarray:
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 3 or U.shape[1:] != (2, 2):
-        raise ValueError("expected shape (n, 2, 2)")
-    return _embed_batch(U)
+def line_keys(V: np.ndarray) -> np.ndarray:
+    """One byte key per row of V: rows with equal keys are one channel.
+
+    Each row is rounded to KEY_DECIMALS decimals and signed so that its
+    first nonzero rounded component is positive, so v and -v share a key.
+    The sign of a magic vector alone cannot do this: magic_embed takes it
+    from the largest component, and a near-tie of the two largest can give
+    one channel both signs. Returns a (n,) numpy void array.
+    """
+    R = np.round(V, KEY_DECIMALS)
+    lead = np.take_along_axis(R, np.argmax(R != 0, axis=1)[:, None], axis=1)
+    R = np.ascontiguousarray(R * np.sign(lead)) + 0.0  # normalize -0.0
+    return R.view(np.dtype((np.void, R.itemsize * R.shape[1])))[:, 0]
 
 
 def magic_unembed(u: np.ndarray) -> np.ndarray:
@@ -85,11 +102,6 @@ def line_distance(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
     s = np.minimum(np.linalg.norm(U - W, axis=-1), np.linalg.norm(U + W, axis=-1))
     return s * np.sqrt(1.0 - s * s / 4)
-
-
-def distance_1q(u: np.ndarray, w: np.ndarray) -> float:
-    """Half-diamond distance between the channels of two magic vectors."""
-    return float(line_distance(u, w))
 
 
 def mix_distance_1q(target: np.ndarray, candidates: np.ndarray, p: np.ndarray) -> float:
@@ -261,13 +273,8 @@ def _s3_net(h: float) -> np.ndarray:
         pts.append(layer)
     P = np.vstack(pts)
     P = _canonical_sign(P / np.linalg.norm(P, axis=1, keepdims=True))
-    # Dedup identified points (psi = pi/2 hemisphere overlap) up to sign: a
-    # near-tie of the two largest components can give p and -p opposite
-    # canonical signs, so the keys take the sign of the first nonzero
-    # rounded component.
-    R = np.round(P, 9) + 0.0
-    lead = np.take_along_axis(R, np.argmax(R != 0, axis=1)[:, None], axis=1)
-    _, keep = np.unique(R * np.sign(lead) + 0.0, axis=0, return_index=True)
+    # Drop the points the psi = pi/2 layer repeats, up to sign.
+    _, keep = np.unique(line_keys(P), return_index=True)
     return P[np.sort(keep)]
 
 

@@ -64,11 +64,7 @@ FEAS_TOL = 1e-8  # the feasibility tolerance is min(gap_tol, FEAS_TOL)
 MAX_ITER = 200
 
 
-class SdpError(RuntimeError):
-    pass
-
-
-class NumericalBreakdown(SdpError):
+class NumericalBreakdown(RuntimeError):
     """A matrix the iteration needs positive definite is not, numerically."""
 
 

@@ -1,11 +1,11 @@
 """Probabilistic synthesis of single-qubit unitaries over a finite gate set.
 
 Pipeline: enumerate distinct gate sequences up to a length budget into a
-Pool, their labels and magic vectors (brute force, deduplicated up to
-global phase at DEDUP_DECIMALS = 8 decimals); deterministically synthesize
-a C*eps covering of a ball around the target over the pool to within
-C_PRIME*eps (C = C_PRIME = 1/2), restrict support, and solve the mixing SDP
-to relative gap delta. The first-order baseline of Campbell and Hastings is
+Pool, their labels and magic vectors (brute force, one row per channel,
+keyed by qubit1.line_keys); deterministically synthesize a C*eps covering
+of a ball around the target over the pool to within C_PRIME*eps
+(C = C_PRIME = 1/2), restrict support, and solve the mixing SDP to
+relative gap delta. The first-order baseline of Campbell and Hastings is
 included for comparison: it works on the candidates' channels (magic
 vectors, not matrices with a global phase) and finds the exact
 minimum-norm mixture of their generators with one nonnegative
@@ -23,7 +23,6 @@ from .linalg import check_probabilities, check_unitary, matrix_from_json, matrix
 
 C = 0.5  # covering mesh of prob_synth, as a fraction of eps
 C_PRIME = 0.5  # deterministic synthesis radius of prob_synth, as a fraction of eps
-DEDUP_DECIMALS = 8  # sequences whose rounded magic vectors agree are one unitary
 
 
 class BudgetExceededError(RuntimeError):
@@ -125,16 +124,16 @@ class Pool:
 def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool:
     """All distinct (up to phase) gate sequences of length <= max_len.
 
-    Breadth-first by length, deduplicated on magic vectors rounded to
-    DEDUP_DECIMALS decimals. The rounded vector of every product is one
-    byte key, and each length makes one pass in product order over its
-    keys against the set of keys seen so far: a product is kept, and its
-    key added, if the key is not in the set. So a product is kept if its
-    key is the first of its length and unseen at shorter lengths. Products
-    are generated with gates in lexicographic label order, so the kept
-    sequence for each unitary is the shortest, ties broken
-    lexicographically by label list. Raises BudgetExceededError past
-    `budget` kept sequences, before the sequences of that length are built.
+    Breadth-first by length, one row per channel. Every product's magic
+    vector has one key, `qubit1.line_keys` (the same for u and -u), and
+    each length makes one pass in product order over its keys against the
+    set of keys seen so far: a product is kept, and its key added, if the
+    key is not in the set. So a product is kept if its key is the first of
+    its length and unseen at shorter lengths. Products are generated with
+    gates in lexicographic label order, so the kept sequence for each
+    unitary is the shortest, ties broken lexicographically by label list.
+    Raises BudgetExceededError past `budget` kept sequences, before the
+    sequences of that length are built.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -143,13 +142,9 @@ def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool
     gmats = np.stack([gs.unitaries[i] for i in order])
     ng = len(glabels)
 
-    def keys_of(mv: np.ndarray) -> np.ndarray:
-        r = np.round(mv, DEDUP_DECIMALS) + 0.0  # normalize -0.0
-        return r.view(np.dtype((np.void, r.itemsize * r.shape[1])))[:, 0]
-
     ident = np.eye(2, dtype=complex)
     mv = qubit1.magic_embed(ident)[None, :]
-    seen = set(keys_of(mv).tolist())
+    seen = set(qubit1.line_keys(mv).tolist())
     frontier_mats = ident[None, :, :]
     frontier_labels: list[tuple[str, ...]] = [()]
     labels, magic = [()], [mv]
@@ -161,7 +156,7 @@ def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool
         prod = np.einsum("gab,fbc->fgac", gmats, frontier_mats).reshape(-1, 2, 2)
         mv = qubit1.magic_embed_batch(prod)
         kept = []
-        for j, key in enumerate(keys_of(mv).tolist()):
+        for j, key in enumerate(qubit1.line_keys(mv).tolist()):
             if key not in seen:
                 seen.add(key)
                 kept.append(j)

@@ -3,7 +3,6 @@ import pytest
 
 from usynth.bounds import (
     axial_optimal,
-    curve_sweep,
     lower_family,
     theorem1_bounds,
     upper_family,
@@ -139,9 +138,3 @@ def test_axial_rejects_empty():
 def test_axial_rejects_non_finite_angles(target, thetas):
     with pytest.raises(ValueError, match="must be finite"):
         axial_optimal(target, thetas)
-
-
-def test_curve_sweep_rows():
-    rows = curve_sweep(3, [0.1, 0.2])
-    assert len(rows) == 2
-    assert rows[0].d == 3 and rows[1].eps == 0.2

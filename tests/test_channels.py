@@ -10,13 +10,10 @@ from usynth import channels, sdp
 from usynth.channels import (
     ChoiOperator,
     EmptyCandidatesError,
-    NotDensityError,
     choi,
     choi_mixture,
     diamond_distance,
-    fidelity,
     optimal_mix,
-    trace_distance,
     unitary_distance,
 )
 from usynth.linalg import haar_unitary
@@ -180,37 +177,6 @@ def test_optimal_mix_rejects_mixed_dims():
     for target, cands in ((q, [t]), (t, [q]), (q, [q, t])):
         with pytest.raises(ValueError, match="dimension mismatch"):
             optimal_mix(target, cands)
-
-
-def test_fidelity_and_trace_distance_basics():
-    rho = np.diag([0.5, 0.5]).astype(complex)
-    assert abs(fidelity(rho, rho) - 1) < 1e-12
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    assert fidelity(a, b) < 1e-12
-    assert abs(trace_distance(a, b) - 1) < 1e-12
-
-
-def test_fidelity_rejects_non_density():
-    with pytest.raises(NotDensityError):
-        fidelity(np.diag([2.0, 0.0]).astype(complex), np.eye(2) / 2)
-    with pytest.raises(NotDensityError):
-        trace_distance(np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2) / 2)
-
-
-def test_fuchs_van_de_graaf_sample():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rho = A @ A.conj().T
-        rho /= np.trace(rho).real
-        sig = B @ B.conj().T
-        sig /= np.trace(sig).real
-        F = fidelity(rho, sig)
-        D = trace_distance(rho, sig)
-        assert 1 - np.sqrt(F) <= D + 1e-9
-        assert D <= np.sqrt(1 - F) + 1e-9
 
 
 def test_choi_mixture_dims_and_weights():

@@ -274,8 +274,7 @@ def test_exit_code_covering(capsys):
     # The library advises a longer pool; the CLI names the flags that give one.
     assert err == (
         "error: deterministic synthesis reached radius 0.155254 > c'*eps = 0.025; "
-        "use a longer pool or a larger eps (achieved radius 0.155254); "
-        "raise --max-len or --eps\n"
+        "use a longer pool or a larger eps; raise --max-len or --eps\n"
     )
 
 

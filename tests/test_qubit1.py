@@ -19,7 +19,7 @@ from usynth.qubit1 import (
     EmptySupportError,
     cap_covering,
     covering_radius,
-    distance_1q,
+    line_distance,
     magic_embed,
     magic_embed_batch,
     magic_unembed,
@@ -72,7 +72,7 @@ def test_distance_1q_matches_diamond_sdp():
     rng = np.random.default_rng(3)
     for _ in range(20):
         U, V = haar_unitary(2, rng), haar_unitary(2, rng)
-        d = distance_1q(magic_embed(U), magic_embed(V))
+        d = line_distance(magic_embed(U), magic_embed(V))
         assert abs(d - diamond_distance(choi(U), choi(V))) < 1e-7
 
 
@@ -97,7 +97,7 @@ def test_mix_distance_point_mass_reduces_to_distance():
     rng = np.random.default_rng(5)
     u = magic_embed(haar_unitary(2, rng))
     w = magic_embed(haar_unitary(2, rng))
-    assert abs(mix_distance_1q(u, w[None, :], np.array([1.0])) - distance_1q(u, w)) < 1e-10
+    assert abs(mix_distance_1q(u, w[None, :], np.array([1.0])) - line_distance(u, w)) < 1e-10
 
 
 def test_support_filter_examples():
@@ -247,7 +247,7 @@ def test_optimal_mix_1q_certificate(u, W):
     assert abs(p.sum() - 1) < 1e-12 and np.all(p >= 0)
     assert abs(upper - mix_distance_1q(u, W, p)) <= 1e-12
     # Never worse than the best single candidate.
-    assert upper <= min(distance_1q(u, w) for w in W) + 1e-9
+    assert upper <= min(line_distance(u, w) for w in W) + 1e-9
     # Against the generic lowering: optimal_mix itself would call this function.
     _, value, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
     assert abs(upper - value) <= 1e-7

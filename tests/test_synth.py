@@ -37,9 +37,11 @@ def reference_enumerate(gs, max_len, budget=500000):
     ng = len(glabels)
 
     def key_of(mv):
-        r = np.round(mv, decimals)
-        r += 0.0
-        return tuple(r)
+        # u and -u are one channel: the first nonzero rounded component is
+        # made positive.
+        r = np.round(mv, decimals) + 0.0
+        lead = next(x for x in r if x != 0)
+        return tuple(r * np.sign(lead) + 0.0)
 
     ident = np.eye(2, dtype=complex)
     mv0 = qubit1.magic_embed(ident)
@@ -199,6 +201,20 @@ def test_enumerate_shortest_representative_wins(std_pool):
         k = tuple(np.round(mv, 8) + 0.0)
         assert k not in by_key
         by_key[k] = labels
+    # Sequences per length, 0 to 12.
+    assert np.bincount([len(s) for s in std_pool.labels]).tolist() == [
+        1, 5, 11, 24, 43, 71, 89, 132, 160, 248, 336, 528, 640]
+
+
+@pytest.mark.parametrize("max_len", [3, 12])
+def test_pool_rows_are_distinct_channels(std_gateset, max_len):
+    # No two rows on one line: u and -u are one channel, so ("H", "Tdg",
+    # "Tdg") must not sit beside ("H", "Sdg").
+    pool = enumerate_sequences(std_gateset, max_len)
+    dots = np.abs(pool.magic @ pool.magic.T)
+    np.fill_diagonal(dots, 0.0)
+    i, j = np.unravel_index(np.argmax(dots), dots.shape)
+    assert dots[i, j] <= 1 - 1e-12, (pool.labels[i], pool.labels[j])
 
 
 def test_enumerate_budget(std_gateset):
@@ -235,7 +251,7 @@ def test_nearest_ties_and_errors(std_pool):
     assert idx[0] == 5 and idx[1] == 7
     assert errs[0] < 1e-7 and errs[1] < 1e-7
     for k, i in enumerate(idx):
-        assert abs(errs[k] - qubit1.distance_1q(V[k], P[i])) < 1e-7
+        assert abs(errs[k] - qubit1.line_distance(V[k], P[i])) < 1e-7
 
 
 def test_nearest_is_exact_on_a_covering(std_pool):
@@ -270,7 +286,7 @@ def test_nearest_memory_is_one_product(std_pool):
     u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(4)))
     V = qubit1.cap_covering(u, 0.7, 0.175)
     n, m = len(V), len(P)
-    assert (n, m) == (925, 2333)
+    assert (n, m) == (925, len(std_pool))
     tracemalloc.start()
     try:
         _nearest(P, V)
@@ -287,7 +303,7 @@ def test_line_distance_keeps_digits_near_coincidence():
     u = np.array([1.0, 0.0, 0.0, 0.0])
     w = np.array([1.0, a, a, a]) / np.sqrt(1 + 3 * a * a)
     exact = np.sqrt(3) * a / np.sqrt(1 + 3 * a * a)
-    assert qubit1.distance_1q(u, -w) == pytest.approx(exact, rel=1e-6)
+    assert qubit1.line_distance(u, -w) == pytest.approx(exact, rel=1e-6)
     assert _nearest(w[None], u[None])[1][0] == pytest.approx(exact, rel=1e-6)
     assert qubit1.support_filter(u, w[None], exact / 2 * (1 + 1e-6)).tolist() == [0]
     with pytest.raises(qubit1.EmptySupportError):

@@ -123,7 +123,8 @@ def _mix(
       feasible at the returned p: no less than the error of p;
     - lower = the dual objective at the tester repaired to be feasible
       (rho clipped to a density operator, T into [0, rho (x) I]): no more
-      than the error of any mixture.
+      than the error of any mixture, clamped to at most upper against
+      rounding.
 
     With one candidate, p = 1 and the solve is the half-diamond distance.
     """
@@ -186,14 +187,15 @@ def _mix(
     Tf = root @ (Q * np.clip(lam, 0.0, 1.0)) @ Q.conj().T @ root
     values = np.real(np.einsum("ab,xba->x", Tf, JB))
     lower = float(np.real(np.trace(JA @ Tf)) - values.max())
-    return p, upper, lower
+    return p, upper, min(lower, upper)
 
 
 def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False):
     """Half-diamond distance (1/2)||A - B||_diamond via SDP.
 
     Returns a certified upper bound on the distance; with full_output,
-    (upper, upper - lower), where lower is the dual's certified lower bound.
+    (upper, upper - lower), where lower <= upper is the dual's certified
+    lower bound, so the gap is never negative.
     The SDP is the one of `optimal_mix` with the single candidate B, solved
     like it to relative gap and feasibility 1e-8.
     """

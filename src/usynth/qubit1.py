@@ -133,7 +133,8 @@ def optimal_mix_1q(
       half-diamond error of that mixture;
     - lower = u^T Y u - max_x w_x^T Y w_x with Y = sum y_k E_k from the dual
       multipliers of the basis rows, clipped to PSD and scaled to trace 1,
-      a dual feasible point: no mixture does better.
+      a dual feasible point: no mixture does better. It is clamped to at
+      most upper, as rounding can lift it above an exact hit's upper = 0.
 
     Raises ValueError unless u is a unit 4-vector and W has shape (n, 4)
     with unit rows, EmptyCandidatesError for n = 0 and SdpFailureError when
@@ -170,7 +171,7 @@ def optimal_mix_1q(
     lam, V = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))
     Y = (V * np.maximum(lam, 0.0)) @ V.T  # clipped to PSD, scaled to trace 1 below
     lower = float(u @ Y @ u - np.max(np.einsum("xa,ab,xb->x", W, Y, W))) / float(np.trace(Y))
-    return p, upper, lower
+    return p, upper, min(lower, upper)
 
 
 def support_filter(target: np.ndarray, candidates: np.ndarray, eps: float) -> np.ndarray:

@@ -22,18 +22,22 @@ up to a few hundred equality constraints, possibly many 1x1 blocks), so
 all factorizations are dense. Each block's coefficients are stacked over
 all m constraints, with zeros where a constraint does not touch the block.
 
-Each iteration factors once. X and Z of every dense block are factored
-by Cholesky; the factors give both step lengths. The Schur complement
-M_ij = Re tr(A_i X A_j Z^-1) is not formed: with X = L_X L_X^H and
-Z = L_Z L_Z^H it is M = G G^T, G_i = vec(L_Z^-1 A_i L_X) read as real
-numbers (2 s^2 of them for a complex s x s block). With the rows of G
-scaled to unit norm, G_s^T = Q R by QR, and R is the Cholesky factor of M
-scaled to unit diagonal. The predictor and the corrector reuse it. The
-primal step is an orthogonal projection with Q, so it meets its equality
-constraints to about eps * sqrt(cond(M)). Solving the normal equations with
-M itself leaves a residual of eps * cond(M): near the optimum of a
-degenerate problem cond(M) grows like 1/mu^2 and passes 1/eps, and that
-residual becomes primal infeasibility that later steps cannot remove.
+Each iteration factors once, in the Nesterov-Todd (NT) scaling (Todd, Toh
+and Tutuncu, SIAM J. Optim. 8:769, 1998): per dense block, X = L_X L_X^H
+and Z = L_Z L_Z^H and the SVD L_Z^H L_X = U diag(lam) V^H give
+R = L_X V diag(lam)^-1/2 with R^-1 X R^-H = R^H Z R = diag(lam). The
+complementarity is linearized and the step lengths are taken in these
+scaled variables. The Schur complement M_ij = Re tr(A_i W A_j W), W = R R^H,
+is M = G G^T with G_i = svec(R^H A_i R), the coordinates of a Hermitian
+matrix in an orthonormal basis: s^2 reals for a complex s x s block and
+s(s+1)/2 for a real one, half the columns of HKM's non-Hermitian rows.
+M is not formed: with the rows of G scaled to unit norm, G_s^T = Q T by QR,
+and T is the Cholesky factor of the equilibrated M; the predictor and the
+corrector reuse it. The primal step is an orthogonal projection with Q, so
+it meets its equality constraints to about eps * sqrt(cond(M)). Solving the
+normal equations with M itself leaves a residual of eps * cond(M): near the
+optimum of a degenerate problem cond(M) grows like 1/mu^2 and passes 1/eps,
+and that residual becomes primal infeasibility that later steps cannot remove.
 
 A solve ends with one of these `SdpSolution.status` values:
 
@@ -41,7 +45,7 @@ A solve ends with one of these `SdpSolution.status` values:
   infeasibility within min(gap_tol, FEAS_TOL), FEAS_TOL = 1e-8.
 - "Stalled": ten iterations without a better merit (the largest of the
   three measures), or a numerical breakdown: X or Z is no longer
-  numerically positive definite, or R is singular. Both happen at the
+  numerically positive definite, or T is singular. Both happen at the
   limit of double precision near the optimum.
 - "MaxIter": MAX_ITER = 200 iterations without meeting the tolerances.
 - "Infeasible": the dual iterate diverges.
@@ -58,6 +62,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .linalg import hermitian_basis
 
 DEFAULT_GAP_TOL = 1e-8
 FEAS_TOL = 1e-8  # the feasibility tolerance is min(gap_tol, FEAS_TOL)
@@ -198,7 +204,7 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
 
 def _herm(M: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix; a diag block's vector is returned as is."""
-    return (M + M.conj().T) / 2
+    return M if M.ndim == 1 else (M + M.conj().T) / 2
 
 
 def _flat(M: np.ndarray) -> np.ndarray:
@@ -211,42 +217,56 @@ def _unflat(v: np.ndarray, like: np.ndarray) -> np.ndarray:
     return v.view(like.dtype).reshape(like.shape)
 
 
-def _chol(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of S = L L^H and its inverse L^-1.
-
-    Raises NumericalBreakdown when S is not numerically positive definite.
-    """
+def _chol(S: np.ndarray) -> np.ndarray:
+    """L with S = L L^H; NumericalBreakdown if S is not numerically positive definite."""
     try:
-        L = np.linalg.cholesky(S)
-        return L, np.linalg.inv(L)
+        return np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"Cholesky factorization failed: {exc}") from None
 
 
-def _factor(blk: Block, X: np.ndarray, Z: np.ndarray):
-    """(L_X, L_X^-1, L_Z^-1) with X = L_X L_X^H and Z = L_Z L_Z^H.
+def _nt_scaling(blk: Block, X: np.ndarray, Z: np.ndarray):
+    """NT scaling (R, lam): R^-1 X R^-H = R^H Z R = diag(lam), R from the module docstring.
 
-    The factors of a diag block are the square roots of its vectors.
+    A diag block's R and lam are the vectors (x/z)^1/4 and sqrt(xz).
     """
     if blk.diag:
-        sx = np.sqrt(X)
-        return sx, 1 / sx, 1 / np.sqrt(Z)
-    LX, LiX = _chol(X)
-    return LX, LiX, _chol(Z)[1]
+        return (X / Z) ** 0.25, np.sqrt(X * Z)
+    LX = _chol(X)
+    _, lam, Vh = np.linalg.svd(_chol(Z).conj().T @ LX)
+    if not lam[-1] > 0:
+        raise NumericalBreakdown("X Z is singular")
+    return LX @ Vh.conj().T / np.sqrt(lam), lam
 
 
-def _max_step(Li: np.ndarray, dS: np.ndarray) -> float:
-    """Largest a with S + a dS psd, given Li = L^-1 for S = L L^H.
+def _svec_basis(blk: Block) -> np.ndarray:
+    """Orthonormal basis P of a dense block's Hermitian matrices, as _flat rows.
 
-    A diag block's Li and dS are vectors.
+    svec(M) = P @ _flat(M) and _flat(M) = svec(M) @ P for Hermitian M: s^2
+    reals for a complex s x s block, s(s+1)/2 for a real one (the diagonal,
+    and the upper triangle times sqrt(2)).
     """
-    if dS.ndim == 1:
-        lam = float(np.min(Li * dS * Li))
-    else:
-        lam = np.linalg.eigvalsh(_herm(Li @ dS @ Li.conj().T))[0]
-    if lam >= 0:
-        return np.inf
-    return -1.0 / lam
+    E = hermitian_basis(blk.size)
+    E = E if blk.complex else E[~np.any(E.imag, axis=(1, 2))].real
+    return E.reshape(len(E), -1).view(float)
+
+
+def _congruence(R: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """R^H M R for one matrix M or a stack of them; R M R for diag blocks' vectors."""
+    if R.ndim == 1:
+        return R * M * R
+    if M.ndim == 2:
+        return R.conj().T @ M @ R
+    s = len(R)  # two products over the whole stack, not two per matrix
+    B = (M.reshape(-1, s) @ R).reshape(-1, s, s).transpose(1, 0, 2).reshape(s, -1)
+    return (R.conj().T @ B).reshape(s, -1, s).transpose(1, 0, 2).reshape(M.shape)
+
+
+def _max_step(w: np.ndarray, dS: np.ndarray) -> float:
+    """Largest a with diag(lam) + a dS psd, given w_ij = (lam_i lam_j)^-1/2 (1/lam if diag)."""
+    S = dS * w  # diag(lam)^-1/2 dS diag(lam)^-1/2; eigvalsh reads one triangle
+    low = float(np.min(S)) if S.ndim == 1 else np.linalg.eigvalsh(S)[0]
+    return np.inf if low >= 0 else -1.0 / low
 
 
 def _schur_factor(G: np.ndarray):
@@ -326,8 +346,13 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             A[k][i] = coeff(k, Ak)
     Af = [Ak.reshape(m, Ck.size).view(float) for Ak, Ck in zip(A, C)]
     muls = [np.multiply if blk.diag else np.matmul for blk in blocks]
+    P = [None if blk.diag else _svec_basis(blk) for blk in blocks]  # None: the identity
     # Columns of the Schur factor G (see below) per block.
-    offsets = np.cumsum([0] + [Afk.shape[1] for Afk in Af])
+    offsets = np.cumsum([0] + [Ck.size if Pk is None else len(Pk) for Pk, Ck in zip(P, C)])
+    cols = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+
+    def svec(Pk, F: np.ndarray) -> np.ndarray:  # F: _flat rows of one block
+        return F if Pk is None else F @ Pk.T
 
     def a_of(Xs) -> np.ndarray:
         return sum((Afk @ _flat(Xk) for Afk, Xk in zip(Af, Xs)), np.zeros(m))
@@ -378,16 +403,16 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             status = "Stalled"  # no progress near the optimum; keep best iterate
             break
 
-        # Every factorization of the iteration. With X = L_X L_X^H and
-        # Z = L_Z L_Z^H per block, M_ij = Re tr(A_i X A_j Z^-1) = G_i . G_j
-        # with G_i = vec(L_Z^-1 A_i L_X) as real numbers.
+        # Every factorization of the iteration. With the NT scaling R of each
+        # block (R^-1 X R^-H = R^H Z R = diag(lam)) and W = R R^H, the Schur
+        # complement M_ij = Re tr(A_i W A_j W) is G_i . G_j, G_i = svec(R^H A_i R).
         schur = None  # release the last factor before making the next
         try:
-            fac = [_factor(blk, Xk, Zk) for blk, Xk, Zk in zip(blocks, X, Z)]
+            Rs, lams = zip(*[_nt_scaling(blk, Xk, Zk) for blk, Xk, Zk in zip(blocks, X, Z)])
             G = np.concatenate(
                 [
-                    mul(mul(LiZ, Ak), LX).reshape(m, Ck.size).view(float)
-                    for mul, Ak, Ck, (LX, _, LiZ) in zip(muls, A, C, fac)
+                    svec(Pk, _congruence(R, Ak).reshape(m, Ck.size).view(float))
+                    for Pk, Ak, Ck, R in zip(P, A, C, Rs)
                 ],
                 axis=1,
             )
@@ -395,56 +420,54 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         except NumericalBreakdown:
             status = "Stalled"  # keep best iterate
             break
+        Lam = [lam * I for I, lam in zip(eye, lams)]
+        col = [lam if blk.diag else lam[:, None] for blk, lam in zip(blocks, lams)]
+        half = [(c + lam) / 2 for c, lam in zip(col, lams)]  # (lam_i + lam_j) / 2
+        w = [1 / np.sqrt(c * lam) for c, lam in zip(col, lams)]  # (lam_i lam_j)^-1/2
 
-        def directions(Rc: list[np.ndarray]):
-            # Solve for (dX, dy, dZ) with
-            #   a(dX) = rp,  sum dy A - dZ = -Rd,  dX Z + X dZ = Rc (HKM)
-            # so dZ = sum dy A + Rd and dX = (Rc - X dZ) Z^-1. In the variables
-            # of G, h = L_Z^-1 F^H L_X^-H with F = Rc - X Rd,
-            # dX = herm(L_Z^-H r L_X^H) with r = h - G^T dy, and a(dX) = G r = rp.
+        def directions(T: list[np.ndarray]):
+            # Solve for (dX, dy, dZ) with a(dX) = rp, sum dy A - dZ = -Rd and,
+            # in the scaled variables dX~ = R^-1 dX R^-H and dZ~ = R^H dZ R,
+            # (Lam (dX~ + dZ~) + (dX~ + dZ~) Lam) / 2 = rhs, so dX~ + dZ~ = T
+            # with T_ij = rhs_ij / half_ij. As dZ~ = sum dy R^H A R + R^H Rd R,
+            # svec(dX~) = r = h - G^T dy with h = svec(T - R^H Rd R), and
+            # a(dX) = G r = rp. Returns dX~ and dy.
             h = np.concatenate(
                 [
-                    _flat(mul(mul(LiZ, (Rck - mul(Xk, Rdk)).conj().T), LiX.conj().T))
-                    for mul, Rck, Xk, Rdk, (_, LiX, LiZ) in zip(muls, Rc, X, Rd, fac)
+                    svec(Pk, _flat(Tk - _congruence(R, Rdk)))
+                    for Pk, Tk, Rdk, R in zip(P, T, Rd, Rs)
                 ]
             )
             r, dy = _projected_step(*schur, h, rp)
-            dX = [
-                _herm(mul(mul(LiZ.conj().T, _unflat(rk, Ck)), LX.conj().T))
-                for mul, rk, Ck, (LX, _, LiZ) in zip(muls, np.split(r, offsets[1:-1]), C, fac)
-            ]
-            dZ = [_herm(S + Rdk) for S, Rdk in zip(a_adj(dy), Rd)]
-            return dX, dy, dZ
+            return [
+                _unflat(rk if Pk is None else rk @ Pk, Ck)
+                for Pk, rk, Ck in zip(P, (r[c] for c in cols), C)
+            ], dy
 
-        def max_steps(dX, dZ):
-            ap = min(_max_step(LiX, dXk) for (_, LiX, _), dXk in zip(fac, dX))
-            ad = min(_max_step(LiZ, dZk) for (_, _, LiZ), dZk in zip(fac, dZ))
-            return ap, ad
-
-        # Predictor (affine scaling).
-        XZ = [mul(Xk, Zk) for mul, Xk, Zk in zip(muls, X, Z)]
-        dXa, dya, dZa = directions([-P for P in XZ])
-        ap_a, ad_a = max_steps(dXa, dZa)
-        ap_a = min(1.0, 0.95 * ap_a)
-        ad_a = min(1.0, 0.95 * ad_a)
+        # Predictor (affine scaling): rhs = -Lam^2, so T = -Lam, and only its
+        # step lengths and Mehrotra term are used, so dZ~ = T - dX~ will do.
+        dXa, _ = directions([-L for L in Lam])
+        dZa = [-L - dXk for L, dXk in zip(Lam, dXa)]
+        ap_a, ad_a = (min(1.0, 0.95 * min(map(_max_step, w, dS))) for dS in (dXa, dZa))
         mu_aff = inner(
-            [Xk + ap_a * dXk for Xk, dXk in zip(X, dXa)],
-            [Zk + ad_a * dZk for Zk, dZk in zip(Z, dZa)],
+            [L + ap_a * dXk for L, dXk in zip(Lam, dXa)],
+            [L + ad_a * dZk for L, dZk in zip(Lam, dZa)],
         ) / ntot
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
 
-        # Corrector.
-        dX, dy, dZ = directions(
+        # Corrector, with the Mehrotra term symmetrized in the scaled space. Its step
+        # is taken on dZ = sum dy A + Rd itself, exactly Hermitian as A, C and Z are.
+        dXs, dy = directions(
             [
-                sigma * mu * I - P - mul(dXk, dZk)
-                for mul, I, P, dXk, dZk in zip(muls, eye, XZ, dXa, dZa)
+                (sigma * mu * I - mul(L, L) - _herm(mul(dXk, dZk))) / hk
+                for mul, I, L, dXk, dZk, hk in zip(muls, eye, Lam, dXa, dZa, half)
             ]
         )
-        ap, ad = max_steps(dX, dZ)
+        dZ = [S + Rdk for S, Rdk in zip(a_adj(dy), Rd)]
+        dZs = [_congruence(R, dZk) for dZk, R in zip(dZ, Rs)]
         tau = 0.98 if mu > 1e-7 else 0.99
-        ap = min(1.0, tau * ap)
-        ad = min(1.0, tau * ad)
-        X = [Xk + ap * dXk for Xk, dXk in zip(X, dX)]
+        ap, ad = (min(1.0, tau * min(map(_max_step, w, dS))) for dS in (dXs, dZs))
+        X = [Xk + ap * _herm(_congruence(R.conj().T, dXk)) for Xk, dXk, R in zip(X, dXs, Rs)]
         Z = [Zk + ad * dZk for Zk, dZk in zip(Z, dZ)]
         y = y + ad * dy
 

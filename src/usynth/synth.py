@@ -182,9 +182,11 @@ def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the indices and the half-diamond errors. Ties go to the lowest
     index: in pool order, the shorter sequence, then lexicographic labels.
     """
-    dots = V @ P.T
-    np.abs(dots, out=dots)  # in place: one n-by-m array, not two
-    idx = np.argmax(dots, axis=1)
+    idx = np.empty(len(V), dtype=np.intp)
+    dots = np.empty((min(len(V), 64), len(P)))  # 64 rows at a time, in one reused array:
+    for s in range(0, len(V), 64):  # a fresh one per block costs more in page faults
+        d = np.matmul(V[s : s + 64], P.T, out=dots[: len(V) - s])
+        idx[s : s + 64] = np.argmax(np.abs(d, out=d), axis=1)
     return idx, qubit1.line_distance(V, P[idx])
 
 

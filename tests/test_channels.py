@@ -90,6 +90,16 @@ def test_optimal_mix_target_in_candidates():
     assert p[-1] > 0.99
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_mix_exact_hit_keeps_lower_at_most_upper(d):
+    rng = np.random.default_rng(30 + d)
+    for _ in range(3):
+        U, V = haar_unitary(d, rng), haar_unitary(d, rng)
+        _, upper, lower = channels._mix(choi(U), [choi(V), choi(U)])
+        assert lower <= upper < 1e-7
+        assert diamond_distance(choi(U), choi(V), full_output=True)[1] >= 0
+
+
 def test_optimal_mix_fig3_axial():
     thetas = [0, np.pi / 3, 2 * np.pi / 3, np.pi, 4 * np.pi / 3, 5 * np.pi / 3]
     cands = [choi(rz(t)) for t in thetas]

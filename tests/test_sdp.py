@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usynth import channels, sdp
+from usynth import channels, qubit1, sdp
 from usynth.channels import (
     SdpFailureError,
     choi,
@@ -160,8 +160,10 @@ def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
     assert -2e-16 < np.linalg.eigvalsh(S)[0] < -5e-17
     with pytest.raises(sdp.NumericalBreakdown):
         sdp._chol(S)
-    _, Li = sdp._chol(np.diag([4.0, 1.0]))
-    assert sdp._max_step(Li, -np.eye(2)) == pytest.approx(1.0)
+    assert np.array_equal(sdp._chol(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
+    lam = np.array([4.0, 1.0])
+    assert sdp._max_step(1 / np.sqrt(np.outer(lam, lam)), -np.eye(2)) == pytest.approx(1.0)
+    assert sdp._max_step(1 / lam, -lam) == pytest.approx(1.0)
 
 
 def test_breakdown_ends_solve_as_stalled(monkeypatch):
@@ -180,8 +182,60 @@ def test_breakdown_ends_solve_as_stalled(monkeypatch):
     rng = np.random.default_rng(3)
     target = choi(haar_unitary(2, rng))
     cands = [choi(haar_unitary(2, rng)) for _ in range(3)]
-    with pytest.raises(SdpFailureError, match=r"status Stalled after \d+ iterations; best iterate pinf "):
+    with pytest.raises(SdpFailureError, match=r"status Stalled after 3 iterations; best iterate pinf "):
         channels._mix(target, cands)
+    assert calls["n"] == 13
+
+
+@pytest.mark.parametrize(
+    "blk",
+    [sdp.Block(size=5), sdp.Block(size=5, complex=True), sdp.Block(size=7, diag=True)],
+    ids=["real", "complex", "diag"],
+)
+def test_nt_scaling_makes_x_and_z_one_diagonal(blk):
+    rng = np.random.default_rng(blk.size + blk.complex)
+
+    def random_pd():
+        if blk.diag:
+            return rng.uniform(0.01, 3.0, blk.size)
+        F = rng.standard_normal((blk.size, blk.size))
+        if blk.complex:
+            F = F + 1j * rng.standard_normal((blk.size, blk.size))
+        return F @ F.conj().T + 0.01 * np.eye(blk.size)
+
+    X, Z = random_pd(), random_pd()
+    R, lam = sdp._nt_scaling(blk, X, Z)
+    if blk.diag:
+        scaled_x, scaled_z, want = X / R**2, R**2 * Z, lam
+    else:
+        Ri = np.linalg.inv(R)
+        scaled_x, scaled_z, want = Ri @ X @ Ri.conj().T, R.conj().T @ Z @ R, np.diag(lam)
+    assert np.all(lam > 0)
+    for S in (scaled_x, scaled_z):
+        assert np.max(np.abs(S - want)) <= 1e-12 * np.max(lam)
+
+
+def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch):
+    # svec of R^H A_i R: s^2 reals for a complex s x s block, s(s+1)/2 for a
+    # real one, one per entry of a diag block.
+    shapes = []
+    schur_factor = sdp._schur_factor
+
+    def recording(G):
+        shapes.append(G.shape)
+        return schur_factor(G)
+
+    monkeypatch.setattr(sdp, "_schur_factor", recording)
+    rng = np.random.default_rng(4)
+    for n in (2, 4):
+        shapes.clear()
+        channels._mix(choi(haar_unitary(3, rng)), [choi(haar_unitary(3, rng)) for _ in range(n)])
+        assert set(shapes) == {(91, 81 + 81 + 9 + n + 1)}
+        shapes.clear()
+        u = qubit1.magic_embed(haar_unitary(2, rng))
+        W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
+        qubit1.optimal_mix_1q(u, W)
+        assert set(shapes) == {(11, 10 + n + 1)}
 
 
 @pytest.mark.parametrize(

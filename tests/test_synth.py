@@ -279,21 +279,31 @@ def test_nearest_planted_ties_go_to_the_lowest_index():
     assert (idx[4:] < 8).all() and (errs[4:] == 0).all()
 
 
-def test_nearest_memory_is_one_product(std_pool):
-    # One n-by-m float array for the products; taking |.| in place keeps
-    # a second one from being allocated.
-    P = std_pool.magic
+def _nearest_peak(pool):
+    P = pool.magic
     u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(4)))
     V = qubit1.cap_covering(u, 0.7, 0.175)
     n, m = len(V), len(P)
-    assert (n, m) == (925, len(std_pool))
+    assert (n, m) == (925, len(pool))
     tracemalloc.start()
     try:
         _nearest(P, V)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * m * 8
+    return peak, n * m * 8
+
+
+def test_nearest_memory_is_one_product(std_pool):
+    # At most one n-by-m float array for the products.
+    peak, product = _nearest_peak(std_pool)
+    assert peak < 1.5 * product
+
+
+def test_nearest_memory_is_a_row_block(std_pool):
+    # The products of 64 cover points at a time, not of all 925.
+    peak, product = _nearest_peak(std_pool)
+    assert peak < 0.25 * product
 
 
 def test_line_distance_keeps_digits_near_coincidence():
@@ -371,6 +381,20 @@ def test_prob_synth_deterministic(std_pool):
     a = prob_synth(U, 0.35, 1e-6, std_pool).to_json()
     b = prob_synth(U, 0.35, 1e-6, std_pool).to_json()
     assert a == b
+
+
+@pytest.mark.parametrize("eps", [0.35, 0.4, 0.45])
+def test_prob_synth_exact_hits_keep_lower_at_most_upper(std_gateset, std_pool, eps):
+    # A target in the pool is hit exactly: prob_error is 0 or about 1e-16,
+    # and the dual bound, a rounded sum, came out up to 3.3e-16 above it.
+    gates = dict(zip(std_gateset.labels, std_gateset.unitaries))
+    members = [
+        reduce(lambda V, g: gates[g] @ V, std_pool.labels[i], np.eye(2, dtype=complex))
+        for i in range(6, 60, 4)
+    ]
+    for U in [np.eye(2, dtype=complex), *std_gateset.unitaries, *members]:
+        res = prob_synth(U, eps, 1e-8, std_pool)
+        assert res.prob_error_lower <= res.prob_error < 1e-15
 
 
 def test_prob_synth_unreachable(std_gateset):

@@ -136,39 +136,32 @@ def upper_family_target(d: int) -> np.ndarray:
 def axial_optimal(target_theta: float, thetas: list[float]) -> tuple[np.ndarray, float]:
     """Optimal mixing of rotations about a common axis.
 
-    The error is half the Euclidean distance from e^{i target_theta} to the
-    convex hull of {e^{i theta_x}}; the optimum is attained on a single
-    vertex or one edge, giving at most two nonzero weights. Raises ValueError
+    The error is half the distance from z = e^{i target_theta} to the convex
+    hull of {e^{i theta_x}}. From z, on the unit circle, the hull shows one
+    edge: the chord from the nearest point behind z to the nearest one ahead
+    (the lowest index among equal angles). The optimum is z's projection on
+    it, clipped to its ends: at most two nonzero weights. Raises ValueError
     for an empty or non-finite thetas or a non-finite target_theta.
     """
-    if len(thetas) == 0:
+    theta = np.asarray(thetas, dtype=float)
+    if len(theta) == 0:
         raise ValueError("thetas must be nonempty")
-    if not np.all(np.isfinite(np.append(np.asarray(thetas, dtype=float), target_theta))):
+    if not np.all(np.isfinite(np.append(theta, target_theta))):
         raise ValueError("target_theta and thetas must be finite")
     z = np.exp(1j * target_theta)
-    pts = np.exp(1j * np.asarray(thetas, dtype=float))
-    n = len(thetas)
-    best_d = np.inf
-    best_p = np.zeros(n)
-    for x in range(n):
-        dx = abs(z - pts[x])
-        if dx < best_d:
-            best_d = dx
-            best_p = np.zeros(n)
-            best_p[x] = 1.0
-    for x in range(n):
-        for y in range(x + 1, n):
-            a, b = pts[x], pts[y]
-            ab = b - a
-            denom = abs(ab) ** 2
-            if denom < 1e-30:
-                continue
-            t = np.real((z - a) * np.conj(ab)) / denom
-            if 0.0 < t < 1.0:
-                dxy = abs(z - (a + t * ab))
-                if dxy < best_d:
-                    best_d = dxy
-                    best_p = np.zeros(n)
-                    best_p[x] = 1.0 - t
-                    best_p[y] = t
-    return best_p, float(best_d / 2)
+    pts = np.exp(1j * theta)
+    ahead = np.mod(theta - target_theta, 2 * np.pi)
+    x, y = sorted((int(np.argmax(ahead)), int(np.argmin(ahead))))  # the chord's ends
+    dist = abs(z - pts[x]), abs(z - pts[y])
+    s = float(dist[1] < dist[0])  # the weight on y: the nearer end, x on a tie
+    best = dist[int(s)]
+    ab = pts[y] - pts[x]
+    if abs(ab) ** 2 >= 1e-30:
+        t = np.real((z - pts[x]) * np.conj(ab)) / abs(ab) ** 2
+        d = abs(z - (pts[x] + t * ab))
+        if 0.0 < t < 1.0 and d < best:
+            s, best = t, d
+    p = np.zeros(len(pts))
+    p[x] += 1.0 - s
+    p[y] += s
+    return p, float(best / 2)

@@ -48,17 +48,17 @@ A solve ends with one of these `SdpSolution.status` values:
   numerically positive definite, or T is singular. Both happen at the
   limit of double precision near the optimum.
 - "MaxIter": MAX_ITER = 200 iterations without meeting the tolerances.
-- "Infeasible": the dual iterate diverges.
+- "Infeasible": the dual iterate diverges, as when no X meets the constraints.
 
-On "Stalled" and "MaxIter" the best iterate seen is returned, and the
-status becomes "Optimal" if that iterate meets the tolerances.
-`check_optimal` raises SdpFailureError, with the status and the best
-iterate's residuals, on any status but "Optimal".
+Every iterate is checked: "Optimal" returns the first that meets the
+tolerances, every other status the one with the best merit, each with its
+own residuals. `check_optimal` raises SdpFailureError, with the status and
+those residuals, on any status but "Optimal".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -142,12 +142,11 @@ class SdpSolution:
     primal_value: float
     dual_value: float
     status: str  # "Optimal" | "Stalled" | "MaxIter" | "Infeasible"
-    iterations: int = 0
-    # Relative primal and dual infeasibility and relative gap of the returned
-    # iterate, the measures the tolerances apply to (nan on "Infeasible").
-    pinf: float = float("nan")
-    dinf: float = float("nan")
-    rel_gap: float = float("nan")
+    iterations: int
+    # The returned iterate's relative infeasibilities and gap, as the tolerances read them.
+    pinf: float
+    dinf: float
+    rel_gap: float
 
 
 def check_optimal(sol: SdpSolution) -> SdpSolution:
@@ -377,8 +376,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     y = np.zeros(m)
 
     status = "MaxIter"
-    it = 0
-    best = None  # (merit, pinf, dinf, gap_rel, X, y, pobj, dobj)
+    best = None  # the checked iterate with the smallest merit
     stall = 0
     for it in range(1, MAX_ITER + 1):
         rp = b - a_of(X)
@@ -390,17 +388,16 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         pinf = float(np.max(np.abs(rp))) / (1 + float(np.max(np.abs(b)))) if m else 0.0
         dinf = max(float(np.max(np.abs(R))) for R in Rd) / (1 + norm_scale)
         gap_rel = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
+        current = SdpSolution(X, y, pobj, dobj, "Optimal", it, pinf, dinf, gap_rel)
+        if pinf <= feas_tol and dinf <= feas_tol and gap_rel <= gap_tol:
+            return current
         merit = max(pinf, dinf, gap_rel)
-        if best is None or merit < best[0]:
-            best = (merit, pinf, dinf, gap_rel, X, y, pobj, dobj)
-            stall = 0
+        if best is None or merit < best_merit:
+            best, best_merit, stall = current, merit, 0
         else:
             stall += 1
-        if pinf <= feas_tol and dinf <= feas_tol and gap_rel <= gap_tol:
-            status = "Optimal"
-            break
         if stall >= 10:
-            status = "Stalled"  # no progress near the optimum; keep best iterate
+            status = "Stalled"  # no progress near the optimum
             break
 
         # Every factorization of the iteration. With the NT scaling R of each
@@ -418,7 +415,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             )
             schur = _schur_factor(G)
         except NumericalBreakdown:
-            status = "Stalled"  # keep best iterate
+            status = "Stalled"
             break
         Lam = [lam * I for I, lam in zip(eye, lams)]
         col = [lam if blk.diag else lam[:, None] for blk, lam in zip(blocks, lams)]
@@ -472,23 +469,6 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         y = y + ad * dy
 
         if float(np.linalg.norm(y)) > 1e12 * norm_scale:
-            return SdpSolution(
-                X=X, y=y, primal_value=inner(C, X), dual_value=float(b @ y),
-                status="Infeasible", iterations=it,
-            )
-
-    if status != "Optimal":
-        _, pinf, dinf, gap_rel, X, y, pobj, dobj = best
-        if pinf <= feas_tol and dinf <= feas_tol and gap_rel <= gap_tol:
-            status = "Optimal"
-    return SdpSolution(
-        X=X,
-        y=y,
-        primal_value=pobj,
-        dual_value=dobj,
-        status=status,
-        iterations=it,
-        pinf=pinf,
-        dinf=dinf,
-        rel_gap=gap_rel,
-    )
+            status = "Infeasible"
+            break
+    return replace(best, status=status, iterations=it)

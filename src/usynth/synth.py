@@ -23,6 +23,7 @@ from .linalg import check_probabilities, check_unitary, matrix_from_json, matrix
 
 C = 0.5  # covering mesh of prob_synth, as a fraction of eps
 C_PRIME = 0.5  # deterministic synthesis radius of prob_synth, as a fraction of eps
+BUDGET = 500000  # the most sequences enumerate_sequences keeps
 
 
 class BudgetExceededError(RuntimeError):
@@ -121,7 +122,7 @@ class Pool:
         return len(self.labels)
 
 
-def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool:
+def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
     """All distinct (up to phase) gate sequences of length <= max_len.
 
     Breadth-first by length, one row per channel. Every product's magic
@@ -132,7 +133,7 @@ def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool
     its length and unseen at shorter lengths. Products are generated with
     gates in lexicographic label order, so the kept sequence for each
     unitary is the shortest, ties broken lexicographically by label list.
-    Raises BudgetExceededError past `budget` kept sequences, before the
+    Raises BudgetExceededError past BUDGET kept sequences, before the
     sequences of that length are built.
     """
     if max_len < 0:
@@ -161,9 +162,9 @@ def enumerate_sequences(gs: GateSet, max_len: int, budget: int = 500000) -> Pool
                 seen.add(key)
                 kept.append(j)
         new = np.array(kept, dtype=np.intp)
-        if new.size and len(labels) + new.size > budget:
+        if new.size and len(labels) + new.size > BUDGET:
             raise BudgetExceededError(
-                f"sequence budget {budget} exceeded at length {length}"
+                f"sequence budget {BUDGET} exceeded at length {length}"
             )
         frontier_mats = prod[new]
         parent, gate = np.divmod(new, ng)

@@ -138,3 +138,38 @@ def test_axial_rejects_empty():
 def test_axial_rejects_non_finite_angles(target, thetas):
     with pytest.raises(ValueError, match="must be finite"):
         axial_optimal(target, thetas)
+
+
+def _axial_reference(target_theta, thetas):
+    """Half the distance from e^{i target_theta} to the hull, by brute force:
+    every vertex, and every pair's projection that falls inside the pair."""
+    z = np.exp(1j * target_theta)
+    pts = np.exp(1j * np.asarray(thetas))
+    best = min(abs(z - w) for w in pts)
+    for x in range(len(pts)):
+        for y in range(x + 1, len(pts)):
+            ab = pts[y] - pts[x]
+            if abs(ab) ** 2 > 1e-30:
+                t = np.real((z - pts[x]) * np.conj(ab)) / abs(ab) ** 2
+                if 0 < t < 1:
+                    best = min(best, abs(z - (pts[x] + t * ab)))
+    return best / 2
+
+
+def test_axial_matches_brute_force_reference():
+    rng = np.random.default_rng(12)
+    for case in range(600):
+        n = int(rng.integers(1, 8))
+        thetas = rng.uniform(-2 * np.pi, 2 * np.pi, n)
+        if case % 2:
+            thetas = thetas[rng.integers(0, n, n)]  # repeated angles
+        target = thetas[-1] if case % 7 == 0 else rng.uniform(-2 * np.pi, 2 * np.pi)
+        p, v = axial_optimal(target, list(thetas))
+        assert abs(v - _axial_reference(target, thetas)) <= 1e-15
+        assert np.all(p >= 0) and abs(p.sum() - 1) <= 1e-15 and np.count_nonzero(p) <= 2
+        # The weights attain the value ...
+        mixed = p @ np.exp(1j * thetas)
+        assert abs(abs(np.exp(1j * target) - mixed) / 2 - v) <= 1e-15
+        # ... and among equal angles they sit on the lowest index.
+        for k in np.flatnonzero(p):
+            assert k == np.flatnonzero(thetas == thetas[k])[0]

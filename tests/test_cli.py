@@ -184,14 +184,11 @@ def test_sharpness_upper_d3_d4(capsys):
 
 
 def test_sequence_budget_exceeded_exits_2(capsys, monkeypatch):
-    # The CLI enumerates with the default budget of 500,000 sequences; a
-    # budget of 10 reaches the same error in milliseconds.
-    from functools import partial
-
+    # The CLI enumerates with synth.BUDGET = 500,000 sequences; a budget of
+    # 10 reaches the same error in milliseconds.
     from usynth import synth
 
-    monkeypatch.setattr(synth, "enumerate_sequences",
-                        partial(synth.enumerate_sequences, budget=10))
+    monkeypatch.setattr(synth, "BUDGET", 10)
     code, out, err = run_cli(capsys, "synth1q", "--target", "T", "--eps", "0.35")
     assert code == 2 and out == ""
     assert err.startswith("error: sequence budget 10 exceeded at length ")

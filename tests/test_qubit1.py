@@ -118,10 +118,11 @@ def test_support_filter_examples():
 
 
 def test_cap_covering_zero_radius():
+    # A cap needs 0 < mesh_eps <= cap_radius_eps < 1; prob_synth's cap, 2 eps,
+    # is never 0.
     c = np.array([1.0, 0.0, 0.0, 0.0])
-    pts = cap_covering(c, 0.0, 0.1)
-    assert pts.shape == (1, 4)
-    assert np.allclose(pts[0], c)
+    with pytest.raises(ValueError, match="0 < mesh_eps <= cap_radius_eps < 1"):
+        cap_covering(c, 0.0, 0.1)
 
 
 def test_cap_covering_count_is_scale_free():
@@ -151,7 +152,7 @@ def test_sphere_covering_radius_window():
     pts, rad = sphere_covering(0.5, seed=0)
     assert rad <= 0.985 * 0.5 + 1e-12
     assert rad >= 0.9 * 0.5
-    # every point is a unit vector with canonical sign
+    # every point is a unit vector
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-9)
 
 

@@ -166,25 +166,92 @@ def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
     assert sdp._max_step(1 / lam, -lam) == pytest.approx(1.0)
 
 
-def test_breakdown_ends_solve_as_stalled(monkeypatch):
-    # Let the positive-definiteness checks fail from the third iteration on
-    # (6 factorizations per iteration of a d=2 dual mixing SDP).
+def _break_chol_after(monkeypatch, n):
+    """Make every _chol call after the first n raise NumericalBreakdown."""
     calls = {"n": 0}
     chol = sdp._chol
 
     def failing(S):
         calls["n"] += 1
-        if calls["n"] > 12:
+        if calls["n"] > n:
             raise sdp.NumericalBreakdown("forced")
         return chol(S)
 
     monkeypatch.setattr(sdp, "_chol", failing)
+    return calls
+
+
+def test_breakdown_ends_solve_as_stalled(monkeypatch):
+    # Let the positive-definiteness checks fail from the third iteration on
+    # (6 factorizations per iteration of a d=2 dual mixing SDP).
+    calls = _break_chol_after(monkeypatch, 12)
     rng = np.random.default_rng(3)
     target = choi(haar_unitary(2, rng))
     cands = [choi(haar_unitary(2, rng)) for _ in range(3)]
     with pytest.raises(SdpFailureError, match=r"status Stalled after 3 iterations; best iterate pinf "):
         channels._mix(target, cands)
     assert calls["n"] == 13
+
+
+def _infeasible_problem():
+    # tr X = -1 has no psd solution; the dual ray y -> +inf makes y diverge.
+    return sdp.SdpProblem(
+        blocks=[sdp.Block(size=1)],
+        objective=[None],
+        constraints=[sdp.Constraint(coeffs={0: np.array([[1.0]])}, rhs=-1.0)],
+    )
+
+
+def test_infeasible_returns_a_checked_iterate():
+    s = sdp.solve(_infeasible_problem())
+    assert s.status == "Infeasible"
+    assert np.all(np.isfinite([s.pinf, s.dinf, s.rel_gap]))
+    # The residuals are those of the returned X and y.
+    assert s.pinf == abs(-1.0 - s.X[0][0, 0]) / 2
+    assert s.dual_value == -s.y[0]
+    with pytest.raises(SdpFailureError) as exc:
+        sdp.check_optimal(s)
+    assert "nan" not in str(exc.value)
+    assert f"status Infeasible after {s.iterations} iterations; best iterate pinf {s.pinf:.2e}" \
+        in str(exc.value)
+
+
+def test_status_is_optimal_exactly_when_residuals_meet_tolerances(monkeypatch):
+    seen = []
+    solve = sdp.solve
+
+    def recording(problem, gap_tol=sdp.DEFAULT_GAP_TOL):
+        sol = solve(problem, gap_tol)
+        seen.append((sol, gap_tol))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    rng = np.random.default_rng(13)
+    for i in range(9):
+        d = 3 if i % 3 == 0 else 2
+        n = 2 + i % 4
+        channels._mix(choi(haar_unitary(d, rng)), [choi(haar_unitary(d, rng)) for _ in range(n)])
+        if d == 2:
+            u = qubit1.magic_embed(haar_unitary(2, rng))
+            W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
+            qubit1.optimal_mix_1q(u, W, gap_tol=(1e-8, 1e-6)[i % 2])
+    sdp.solve(_infeasible_problem())
+    with monkeypatch.context() as m:
+        m.setattr(sdp, "MAX_ITER", 3)
+        sdp.solve(_infeasible_problem(), 1e-6)
+        W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(3)]))
+        with pytest.raises(SdpFailureError, match="status MaxIter after 3 iterations"):
+            qubit1.optimal_mix_1q(qubit1.magic_embed(haar_unitary(2, rng)), W)
+    _break_chol_after(monkeypatch, 12)
+    with pytest.raises(SdpFailureError, match="status Stalled after 3 iterations"):
+        channels._mix(choi(haar_unitary(2, rng)), [choi(haar_unitary(2, rng)) for _ in range(3)])
+
+    assert {sol.status for sol, _ in seen} == {"Optimal", "Stalled", "MaxIter", "Infeasible"}
+    for sol, gap_tol in seen:
+        feas_tol = min(gap_tol, sdp.FEAS_TOL)
+        meets = sol.pinf <= feas_tol and sol.dinf <= feas_tol and sol.rel_gap <= gap_tol
+        assert (sol.status == "Optimal") == meets, (sol.status, sol.pinf, sol.dinf, sol.rel_gap)
+        assert np.all(np.isfinite([sol.pinf, sol.dinf, sol.rel_gap]))
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from usynth import channels, qubit1
+from usynth import channels, qubit1, synth
 from usynth.linalg import haar_unitary
 from usynth.synth import (
     BranchCutError,
@@ -111,13 +111,15 @@ def test_enumerate_twin_gates_keep_first_label():
 
 
 @pytest.mark.parametrize("make_gs", [standard_gate_set, _twin_gate_set])
-def test_enumerate_budget_boundary(make_gs):
+def test_enumerate_budget_boundary(make_gs, monkeypatch):
     gs = make_gs()
     pool = enumerate_sequences(gs, 10)
-    assert len(enumerate_sequences(gs, 10, budget=len(pool))) == len(pool)
+    monkeypatch.setattr(synth, "BUDGET", len(pool))
+    assert len(enumerate_sequences(gs, 10)) == len(pool)
     for budget in (len(pool) - 1, 100, 1, 0):
+        monkeypatch.setattr(synth, "BUDGET", budget)
         with pytest.raises(BudgetExceededError) as got:
-            enumerate_sequences(gs, 10, budget=budget)
+            enumerate_sequences(gs, 10)
         with pytest.raises(BudgetExceededError) as ref:
             reference_enumerate(gs, 10, budget=budget)
         assert str(got.value) == str(ref.value)
@@ -217,9 +219,10 @@ def test_pool_rows_are_distinct_channels(std_gateset, max_len):
     assert dots[i, j] <= 1 - 1e-12, (pool.labels[i], pool.labels[j])
 
 
-def test_enumerate_budget(std_gateset):
+def test_enumerate_budget(std_gateset, monkeypatch):
+    monkeypatch.setattr(synth, "BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        enumerate_sequences(std_gateset, 12, budget=100)
+        enumerate_sequences(std_gateset, 12)
 
 
 def test_det_synth_exact_member(std_pool):

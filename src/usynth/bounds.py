@@ -31,7 +31,6 @@ class BoundPoint:
     delta: float
     lower: float
     upper: float
-    weak_lower: float
 
 
 def _check_d(d: int) -> None:
@@ -52,7 +51,6 @@ def theorem1_bounds(eps: float, d: int) -> BoundPoint:
         delta=float(delta),
         lower=float(lower),
         upper=float(eps * eps),
-        weak_lower=float(2 * eps * eps / d),
     )
 
 

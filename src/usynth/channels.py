@@ -174,7 +174,7 @@ def _mix(
     S = sol.X[0]
     dJ = JA - np.tensordot(p, JB, 1)
     shift = max(0.0, -np.linalg.eigvalsh(S)[0], -np.linalg.eigvalsh(S - dJ)[0])
-    upper = float(np.linalg.eigvalsh(partial_trace(S, (d1, d2), 2))[-1] + d2 * shift)
+    upper = float(np.linalg.eigvalsh(partial_trace(S, (d1, d2)))[-1] + d2 * shift)
 
     T = np.tensordot(sol.y[: D * D], basis, 1)
     w, V = np.linalg.eigh(np.tensordot(sol.y[D * D : D * D + d1 * d1], basis1, 1))

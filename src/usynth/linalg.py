@@ -86,23 +86,13 @@ def hermitian_basis(d: int) -> np.ndarray:
     return out
 
 
-def _split_dims(M: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
+def partial_trace(M: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Partial trace over the second factor H2 of H1 (x) H2, dims = (d1, d2)."""
+    M = check_finite(M)
     d1, d2 = dims
     if M.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix of shape {M.shape} does not factor as {d1}x{d2}")
-    return d1, d2
-
-
-def partial_trace(M: np.ndarray, dims: tuple[int, int], which: int) -> np.ndarray:
-    """Partial trace over subsystem `which` (1 or 2) of H1 (x) H2."""
-    M = check_finite(M)
-    d1, d2 = _split_dims(M, dims)
-    T = M.reshape(d1, d2, d1, d2)
-    if which == 1:
-        return np.trace(T, axis1=0, axis2=2)
-    if which == 2:
-        return np.trace(T, axis1=1, axis2=3)
-    raise ValueError("which must be 1 or 2")
+    return np.trace(M.reshape(d1, d2, d1, d2), axis1=1, axis2=3)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

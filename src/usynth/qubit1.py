@@ -85,7 +85,7 @@ def line_keys(V: np.ndarray) -> np.ndarray:
 def magic_unembed(u: np.ndarray) -> np.ndarray:
     """Single-qubit unitary (up to global phase) of a magic vector."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (4,) or abs(np.linalg.norm(u) - 1.0) > 1e-10:
+    if u.shape != (4,) or not abs(np.linalg.norm(u) - 1.0) <= 1e-10:
         raise ValueError("expected a unit 4-vector")
     a, b, c, d = u
     return np.array(
@@ -212,7 +212,7 @@ def cap_covering(center: np.ndarray, cap_radius_eps: float, mesh_eps: float) -> 
     center is a unit 4-vector and 0 < mesh_eps <= cap_radius_eps < 1.
     """
     center = np.asarray(center, dtype=float)
-    if center.shape != (4,) or abs(np.linalg.norm(center) - 1.0) > 1e-8:
+    if center.shape != (4,) or not abs(np.linalg.norm(center) - 1.0) <= 1e-8:
         raise ValueError("center must be a unit 4-vector")
     if not 0 < mesh_eps <= cap_radius_eps < 1:
         raise ValueError("require 0 < mesh_eps <= cap_radius_eps < 1")

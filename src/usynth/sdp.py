@@ -21,6 +21,9 @@ Mehrotra predictor-corrector. Problems here are tiny (block sizes <= ~40,
 up to a few hundred equality constraints, possibly many 1x1 blocks), so
 all factorizations are dense. Each block's coefficients are stacked over
 all m constraints, with zeros where a constraint does not touch the block.
+`solve` reads its input in one pass: each coefficient is checked (shape,
+finite entries, no imaginary part on a real block) as it is written into
+its block's stack, and each dense stack is then made Hermitian once.
 
 Each iteration factors once, in the Nesterov-Todd (NT) scaling (Todd, Toh
 and Tutuncu, SIAM J. Optim. 8:769, 1998): per dense block, X = L_X L_X^H
@@ -101,38 +104,11 @@ class Constraint:
     rhs: float
 
 
-def _check_coeff(blk: Block, M, what: str) -> None:
-    M = np.asarray(M)
-    expect = (blk.size,) if blk.diag else (blk.size, blk.size)
-    if M.shape != expect:
-        raise ValueError(f"{what} has shape {M.shape}, expected {expect}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{what} has a non-finite entry")
-    if np.iscomplexobj(M) and not blk.complex and np.any(M.imag != 0):
-        raise ValueError(f"{what} has an imaginary part on a real block")
-
-
 @dataclass
 class SdpProblem:
     blocks: list[Block]
     objective: list[Optional[np.ndarray]]
     constraints: list[Constraint]
-
-    def validate(self) -> None:
-        if len(self.objective) != len(self.blocks):
-            raise ValueError("objective must have one entry per block")
-        for k, blk in enumerate(self.blocks):
-            if blk.complex and blk.diag:
-                raise ValueError(f"block {k}: a diag block cannot be complex")
-            if self.objective[k] is not None:
-                _check_coeff(blk, self.objective[k], f"objective block {k}")
-        for i, con in enumerate(self.constraints):
-            if not np.isfinite(con.rhs):
-                raise ValueError("constraint rhs must be finite")
-            for k, A in con.coeffs.items():
-                if not 0 <= k < len(self.blocks):
-                    raise ValueError(f"constraint references unknown block {k}")
-                _check_coeff(self.blocks[k], A, f"constraint {i}, block {k}")
 
 
 @dataclass
@@ -202,8 +178,8 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
 
 
 def _herm(M: np.ndarray) -> np.ndarray:
-    """Hermitian part of a matrix; a diag block's vector is returned as is."""
-    return M if M.ndim == 1 else (M + M.conj().T) / 2
+    """Hermitian part of a matrix or a stack of them; a diag block's vector as is."""
+    return M if M.ndim == 1 else (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 def _flat(M: np.ndarray) -> np.ndarray:
@@ -315,13 +291,20 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
 
     `X` holds a Hermitian matrix for each complex block, a real symmetric
     matrix for each real block and a nonnegative vector for each diag
-    block; `y` holds the multipliers of the constraints in order.
+    block; `y` holds the multipliers of the constraints in order. A
+    malformed problem raises ValueError naming the entry at fault.
     """
-    problem.validate()
-    feas_tol = min(gap_tol, FEAS_TOL)
     blocks = problem.blocks
-    m = len(problem.constraints)
+    if len(problem.objective) != len(blocks):
+        raise ValueError("objective must have one entry per block")
+    for k, blk in enumerate(blocks):
+        if blk.complex and blk.diag:
+            raise ValueError(f"block {k}: a diag block cannot be complex")
     b = np.array([c.rhs for c in problem.constraints], dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("constraint rhs must be finite")
+    feas_tol = min(gap_tol, FEAS_TOL)
+    m = len(b)
 
     # Per block: the identity, C, the coefficients A stacked over all m
     # constraints and their real rows Af, and the product that acts in the
@@ -334,15 +317,29 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     C = [np.zeros_like(I) for I in eye]
     A = [np.zeros((m,) + I.shape, I.dtype) for I in eye]
 
-    def coeff(k: int, M) -> np.ndarray:  # validate() ruled out Im M != 0 on real blocks
-        return _herm(np.asarray(M) if blocks[k].complex else np.real(M))
+    def given():  # (name, block, destination, coefficient) of each coefficient given
+        for k, M in enumerate(problem.objective):
+            if M is not None:
+                yield f"objective block {k}", k, C[k], M
+        for i, con in enumerate(problem.constraints):
+            for k, M in con.coeffs.items():
+                if not 0 <= k < len(blocks):
+                    raise ValueError(f"constraint references unknown block {k}")
+                yield f"constraint {i}, block {k}", k, A[k][i], M
 
-    for k, Ck in enumerate(problem.objective):
-        if Ck is not None:
-            C[k][...] = coeff(k, Ck)
-    for i, con in enumerate(problem.constraints):
-        for k, Ak in con.coeffs.items():
-            A[k][i] = coeff(k, Ak)
+    # One pass: check each coefficient and write it into its block's stack.
+    for what, k, dest, M in given():
+        M = np.asarray(M)
+        if M.shape != dest.shape:
+            raise ValueError(f"{what} has shape {M.shape}, expected {dest.shape}")
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"{what} has a non-finite entry")
+        if np.iscomplexobj(M) and not blocks[k].complex and np.any(M.imag != 0):
+            raise ValueError(f"{what} has an imaginary part on a real block")
+        dest[...] = M if blocks[k].complex else np.real(M)
+    for k, blk in enumerate(blocks):
+        if not blk.diag:
+            C[k], A[k] = _herm(C[k]), _herm(A[k])
     Af = [Ak.reshape(m, Ck.size).view(float) for Ak, Ck in zip(A, C)]
     muls = [np.multiply if blk.diag else np.matmul for blk in blocks]
     P = [None if blk.diag else _svec_basis(blk) for blk in blocks]  # None: the identity

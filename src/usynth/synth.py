@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qubit1
-from .linalg import check_probabilities, check_unitary, matrix_from_json, matrix_to_json
+from .linalg import check_probabilities, check_unitary, matrix_from_json
 
 C = 0.5  # covering mesh of prob_synth, as a fraction of eps
 C_PRIME = 0.5  # deterministic synthesis radius of prob_synth, as a fraction of eps
@@ -65,7 +65,11 @@ class GateSet:
 
     @staticmethod
     def from_json(obj: dict) -> "GateSet":
-        """Inverse of to_json; ValueError naming the format on other input."""
+        """The gate set of {"gates": [{"label": ..., "matrix": ...}, ...]}.
+
+        Each matrix is in linalg.matrix_to_json's format; ValueError naming
+        the format on other input.
+        """
         try:
             gates = obj["gates"]
             labels = tuple(g["label"] for g in gates)
@@ -73,14 +77,6 @@ class GateSet:
         except (TypeError, KeyError):
             raise ValueError('expected {"gates": [{"label": ..., "matrix": ...}, ...]}') from None
         return GateSet(labels=labels, unitaries=unitaries)
-
-    def to_json(self) -> dict:
-        return {
-            "gates": [
-                {"label": l, "matrix": matrix_to_json(U)}
-                for l, U in zip(self.labels, self.unitaries)
-            ]
-        }
 
 
 def standard_gate_set() -> GateSet:
@@ -248,7 +244,6 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
         raise ValueError(f"prob_synth needs 0 < eps < 1/2, got eps = {eps:g}")
     if not 0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
-    target = check_unitary(target)
     u = qubit1.magic_embed(target)
     cover = qubit1.cap_covering(u, min(2 * eps, 0.999), C * eps)
     nearest, errs = _nearest(pool.magic, cover)

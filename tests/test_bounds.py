@@ -29,7 +29,7 @@ def test_theorem1_d4_example():
     assert abs(bp.delta - delta) < 1e-12
     assert abs(bp.lower - delta * (1 - delta / 4)) < 1e-12
     assert abs(bp.upper - 0.36) < 1e-12
-    assert bp.weak_lower < bp.lower < bp.upper
+    assert 2 * 0.36 / 4 < bp.lower < bp.upper  # above the weaker bound 2 eps^2 / d
 
 
 def test_theorem1_ordering_generic():
@@ -37,7 +37,7 @@ def test_theorem1_ordering_generic():
         for eps in (0.1, 0.4, 0.8):
             bp = theorem1_bounds(eps, d)
             assert bp.lower <= bp.upper + 1e-12
-            assert bp.weak_lower <= bp.upper + 1e-12
+            assert 2 * eps * eps / d <= bp.upper + 1e-12
 
 
 def test_theorem1_rejects_bad_args():

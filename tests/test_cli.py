@@ -121,16 +121,28 @@ def test_bounds_rejects_empty_or_endless_eps_grid(capsys, grid):
     assert "need finite a <= b and step > 0" in err
 
 
-def test_import_does_not_load_qhull():
+def test_import_does_not_load_qhull(tmp_path):
     # scipy.spatial is imported only inside qubit1.covering_radius and
     # scipy.optimize only inside synth.campbell_mix: loading them would add to
-    # the start-up time and memory of every CLI command.
+    # the start-up time and memory of every CLI command. synth1q and mixopt
+    # run without any scipy module.
+    cdir = tmp_path / "cands"
+    cdir.mkdir()
+    rng = np.random.default_rng(4)
+    for i in range(2):
+        save_matrix(str(cdir / f"c{i}.json"), haar_unitary(3, rng))
+    save_matrix(str(tmp_path / "t.json"), haar_unitary(3, rng))
     code = ("import sys, usynth.cli; "
-            "print([m in sys.modules for m in ('scipy.spatial', 'scipy.optimize')])")
+            "print([m in sys.modules for m in ('scipy.spatial', 'scipy.optimize')]); "
+            "assert usynth.cli.main(['synth1q', '--target', 'T', '--eps', '0.35', "
+            "'--out', sys.argv[1] + '/s.json']) == 0; "
+            "assert usynth.cli.main(['mixopt', sys.argv[1] + '/t.json', sys.argv[1] + '/cands', "
+            "'--out', sys.argv[1] + '/m.json']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[False, False]"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:2] == ["[False, False]", "[]"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -117,6 +117,15 @@ def test_support_filter_examples():
         support_filter(u, W, 0.0)
 
 
+def test_nan_vector_is_not_a_unit_vector():
+    # abs(nan - 1) > tol is False: the checks must read not abs(...) <= tol.
+    u = np.array([np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="expected a unit 4-vector"):
+        magic_unembed(u)
+    with pytest.raises(ValueError, match="center must be a unit 4-vector"):
+        cap_covering(u, 0.4, 0.1)
+
+
 def test_cap_covering_zero_radius():
     # A cap needs 0 < mesh_eps <= cap_radius_eps < 1; prob_synth's cap, 2 eps,
     # is never 0.

@@ -122,12 +122,32 @@ def test_constraint_permutation_invariance():
 
 
 def test_validate_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        sdp.SdpProblem(
-            blocks=[sdp.Block(size=2)],
-            objective=[np.eye(3)],
-            constraints=[],
-        ).validate()
+    p = sdp.SdpProblem(blocks=[sdp.Block(size=2)], objective=[np.eye(3)], constraints=[])
+    with pytest.raises(ValueError, match=r"^objective block 0 has shape \(3, 3\), expected \(2, 2\)$"):
+        sdp.solve(p)
+
+
+@pytest.mark.parametrize(
+    "objective, constraint, message",
+    [
+        ([None, None], sdp.Constraint(coeffs={0: np.eye(2)}, rhs=1.0),
+         "objective must have one entry per block"),
+        ([None], sdp.Constraint(coeffs={0: np.eye(2)}, rhs=np.nan),
+         "constraint rhs must be finite"),
+        ([None], sdp.Constraint(coeffs={0: np.eye(2)}, rhs=-np.inf),
+         "constraint rhs must be finite"),
+        ([None], sdp.Constraint(coeffs={1: np.eye(2)}, rhs=1.0),
+         "constraint references unknown block 1"),
+        ([None], sdp.Constraint(coeffs={-1: np.eye(2)}, rhs=1.0),
+         "constraint references unknown block -1"),
+    ],
+    ids=["objective-count", "nan-rhs", "inf-rhs", "unknown-block", "negative-block"],
+)
+def test_solve_rejects_bad_problems(objective, constraint, message):
+    p = sdp.SdpProblem(blocks=[sdp.Block(size=2)], objective=objective, constraints=[constraint])
+    with pytest.raises(ValueError) as exc:
+        sdp.solve(p)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from functools import reduce
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from usynth import channels, qubit1, synth
-from usynth.linalg import haar_unitary
+from usynth.linalg import haar_unitary, matrix_to_json
 from usynth.synth import (
     BranchCutError,
     BudgetExceededError,
@@ -152,7 +153,9 @@ def test_pool_checks_its_shape_and_is_read_only(std_pool):
 
 
 def test_gateset_json_roundtrip(std_gateset):
-    gs2 = GateSet.from_json(std_gateset.to_json())
+    obj = {"gates": [{"label": l, "matrix": matrix_to_json(U)}
+                     for l, U in zip(std_gateset.labels, std_gateset.unitaries)]}
+    gs2 = GateSet.from_json(json.loads(json.dumps(obj)))
     assert gs2.labels == std_gateset.labels
     for A, B in zip(gs2.unitaries, std_gateset.unitaries):
         assert np.allclose(A, B)

@@ -148,28 +148,26 @@ def _mix(
         sdp.Block(size=D, complex=True),   # S
         sdp.Block(size=D, complex=True),   # E
         sdp.Block(size=d1, complex=True),  # G
-        sdp.Block(size=n, diag=True),      # p
-        sdp.Block(size=1, diag=True),      # r
+        sdp.Block(size=n + 1, diag=True),  # (p, r)
     ]
-    objective = [None, None, None, None, np.array([-1.0])]
+    neg_r = np.append(np.zeros(n), -1.0)  # -r, as a row of the (p, r) block
+    objective = [None, None, None, neg_r]
     pc = np.real(np.einsum("kab,xba->kx", basis, JB))
     rhs = -np.real(np.einsum("kab,ba->k", basis, JA))
     constraints = [
-        sdp.Constraint(coeffs={0: -E, 1: E, 3: -pc[k]}, rhs=float(rhs[k]))
+        sdp.Constraint(coeffs={0: -E, 1: E, 3: np.append(-pc[k], 0.0)}, rhs=float(rhs[k]))
         for k, E in enumerate(basis)
     ]
     constraints += [
-        sdp.Constraint(
-            coeffs={0: np.kron(F, np.eye(d2)), 2: F, 4: np.array([-np.trace(F).real])},
-            rhs=0.0,
-        )
+        sdp.Constraint(coeffs={0: np.kron(F, np.eye(d2)), 2: F, 3: F.trace().real * neg_r},
+                       rhs=0.0)
         for F in basis1
     ]
-    constraints.append(sdp.Constraint(coeffs={3: np.ones(n)}, rhs=1.0))
+    constraints.append(sdp.Constraint(coeffs={3: np.append(np.ones(n), 0.0)}, rhs=1.0))
     problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
     sol = sdp.check_optimal(sdp.solve(problem))
 
-    p = np.maximum(sol.X[3], 0.0)
+    p = np.maximum(sol.X[3][:n], 0.0)
     p /= p.sum()
     S = sol.X[0]
     dJ = JA - np.tensordot(p, JB, 1)
@@ -237,16 +235,14 @@ def optimal_mix(
     returned p, not the solver's objective. When the target and every
     candidate are d = 2 unitary channels (`_qubit_unitaries`: trace
     preserving and rank one within TOL_UNITARY), the query is one real 4x4
-    SDP in the magic basis (`qubit1.optimal_mix_1q`) and value is
-    `qubit1.mix_distance_1q` at p, the exact error of p for the unitaries
-    read from the Choi operators. Every other input takes the Watrous SDP of
-    `_mix`, and value is its repaired-primal upper bound. Either SDP is
+    SDP in the magic basis, and value is `qubit1.optimal_mix_1q`'s upper,
+    `qubit1.mix_distance_1q` at p: the exact error of p for the unitaries
+    read from the Choi operators. Every other input takes the Watrous SDP
+    of `_mix`, and value is its repaired-primal upper bound. Either SDP is
     solved to relative gap and feasibility 1e-8 within 200 iterations.
     """
     U = _qubit_unitaries([target, *candidates])
     if U is None:
-        p, upper, _ = _mix(target, candidates)
-        return p, upper
+        return _mix(target, candidates)[:2]
     W = qubit1.magic_embed_batch(U)
-    p, _, _ = qubit1.optimal_mix_1q(W[0], W[1:])
-    return p, qubit1.mix_distance_1q(W[0], W[1:], p)
+    return qubit1.optimal_mix_1q(W[0], W[1:])[:2]

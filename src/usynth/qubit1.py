@@ -82,6 +82,17 @@ def line_keys(V: np.ndarray) -> np.ndarray:
     return R.view(np.dtype((np.void, R.itemsize * R.shape[1])))[:, 0]
 
 
+def left_multiplication(Q: np.ndarray) -> np.ndarray:
+    """4x4 matrices of left multiplication by magic vectors, (..., 4) -> (..., 4, 4).
+
+    Magic vectors compose as unit quaternions: m(G V) = +-L(m(G)) m(V),
+    with L = left_multiplication(m(G)) orthogonal.
+    """
+    a, b, c, d = np.moveaxis(np.asarray(Q, dtype=float), -1, 0)
+    rows = ([a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a])
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
 def magic_unembed(u: np.ndarray) -> np.ndarray:
     """Single-qubit unitary (up to global phase) of a magic vector."""
     u = np.asarray(u, dtype=float)
@@ -127,10 +138,10 @@ def optimal_mix_1q(
 
     Solves max -t subject to S - tI - sum_x p_x w_x w_x^T = -uu^T (taken
     against the 10 basis matrices E_k of 4x4 real symmetric matrices) and
-    sum p = 1, with S >= 0, p >= 0, t >= 0. Returns (p, upper, lower):
+    sum p = 1, over S >= 0 and one LP block (p, t) >= 0. Returns (p, upper, lower):
 
-    - upper = lambda_max(uu^T - sum p w w^T) at the returned p, the exact
-      half-diamond error of that mixture;
+    - upper = mix_distance_1q(u, W, p), the exact half-diamond error of the
+      returned p: the solver's or the best single candidate, whichever errs less;
     - lower = u^T Y u - max_x w_x^T Y w_x with Y = sum y_k E_k from the dual
       multipliers of the basis rows, clipped to PSD and scaled to trace 1,
       a dual feasible point: no mixture does better. It is clamped to at
@@ -152,22 +163,23 @@ def optimal_mix_1q(
         raise ValueError("candidates must be unit 4-vectors")
     E = hermitian_basis(4)
     E = E[~np.any(E.imag, axis=(1, 2))].real  # the 10 real symmetric ones
+    n = len(W)
     wEw = np.einsum("kab,xa,xb->kx", E, W, W)  # w_x^T E_k w_x
     constraints = [
-        sdp.Constraint(coeffs={0: Ek, 1: -wk, 2: -np.trace(Ek)[None]}, rhs=-float(u @ Ek @ u))
+        sdp.Constraint(coeffs={0: Ek, 1: np.append(-wk, -np.trace(Ek))}, rhs=-float(u @ Ek @ u))
         for Ek, wk in zip(E, wEw)
     ]
-    constraints.append(sdp.Constraint(coeffs={1: np.ones(len(W))}, rhs=1.0))
-    blocks = [sdp.Block(size=4), sdp.Block(size=len(W), diag=True), sdp.Block(size=1, diag=True)]
-    problem = sdp.SdpProblem(blocks, [None, None, np.array([-1.0])], constraints)
+    constraints.append(sdp.Constraint(coeffs={1: np.append(np.ones(n), 0.0)}, rhs=1.0))
+    blocks = [sdp.Block(size=4), sdp.Block(size=n + 1, diag=True)]  # S, then (p, t)
+    problem = sdp.SdpProblem(blocks, [None, np.append(np.zeros(n), -1.0)], constraints)
     sol = sdp.check_optimal(sdp.solve(problem, gap_tol))
-    p = np.maximum(sol.X[1], 0.0)
+    p = np.maximum(sol.X[1][:n], 0.0)
     # Within the gap tolerance the best single candidate can beat the iterate.
-    best = np.zeros(len(W))
+    best = np.zeros(n)
     best[np.argmax(np.abs(W @ u))] = 1.0
-    P = np.vstack([p / p.sum(), best])
-    tops = np.linalg.eigvalsh(np.outer(u, u) - np.einsum("jx,xa,xb->jab", P, W, W))[:, -1]
-    p, upper = P[np.argmin(tops)], float(np.min(tops))
+    P = (p / p.sum(), best)
+    errs = [mix_distance_1q(u, W, q) for q in P]
+    p, upper = P[int(np.argmin(errs))], min(errs)
     lam, V = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))
     Y = (V * np.maximum(lam, 0.0)) @ V.T  # clipped to PSD, scaled to trace 1 below
     lower = float(u @ Y @ u - np.max(np.einsum("xa,ab,xb->x", W, Y, W))) / float(np.trace(Y))

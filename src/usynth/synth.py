@@ -1,15 +1,15 @@
 """Probabilistic synthesis of single-qubit unitaries over a finite gate set.
 
 Pipeline: enumerate distinct gate sequences up to a length budget into a
-Pool, their labels and magic vectors (brute force, one row per channel,
-keyed by qubit1.line_keys); deterministically synthesize a C*eps covering
-of a ball around the target over the pool to within C_PRIME*eps
-(C = C_PRIME = 1/2), restrict support, and solve the mixing SDP to
-relative gap delta. The first-order baseline of Campbell and Hastings is
-included for comparison: it works on the candidates' channels (magic
-vectors, not matrices with a global phase) and finds the exact
-minimum-norm mixture of their generators with one nonnegative
-least-squares solve.
+Pool, their labels and magic vectors (brute force over quaternion
+products, one row per channel, keyed by qubit1.line_keys);
+deterministically synthesize a C*eps covering of a ball around the target
+over the pool to within C_PRIME*eps (C = C_PRIME = 1/2), restrict
+support, and solve the mixing SDP to relative gap delta. The first-order
+baseline of Campbell and Hastings is included for comparison: it works on
+the candidates' channels (magic vectors, not matrices with a global
+phase) and finds the exact minimum-norm mixture of their generators with
+one nonnegative least-squares solve.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class Pool:
 
     Each label tuple lists gates in the order they act: the leftmost label
     acts first, so ("H", "T") realizes T @ H. magic is a read-only (n, 4)
-    float array. Raises EmptyPoolError for n = 0 and ValueError when the
+    float array of unit vectors with no sign rule (u and -u are one
+    channel). Raises EmptyPoolError for n = 0 and ValueError when the
     shapes do not line up.
     """
 
@@ -121,39 +122,40 @@ class Pool:
 def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
     """All distinct (up to phase) gate sequences of length <= max_len.
 
-    Breadth-first by length, one row per channel. Every product's magic
-    vector has one key, `qubit1.line_keys` (the same for u and -u), and
-    each length makes one pass in product order over its keys against the
-    set of keys seen so far: a product is kept, and its key added, if the
-    key is not in the set. So a product is kept if its key is the first of
-    its length and unseen at shorter lengths. Products are generated with
-    gates in lexicographic label order, so the kept sequence for each
-    unitary is the shortest, ties broken lexicographically by label list.
-    Raises BudgetExceededError past BUDGET kept sequences, before the
-    sequences of that length are built.
+    Breadth-first by length, one row per channel. Each length is one real
+    GEMM of the frontier's magic vectors with every gate's quaternion left
+    multiplication (`qubit1.left_multiplication`), rows renormalized and
+    carrying no sign rule. Each product's magic vector has one key,
+    `qubit1.line_keys` (the same for u and -u), and each length makes one
+    pass in product order over its keys against the set of keys seen so
+    far: a product is kept, and its key added, if the key is not in the
+    set. So a product is kept if its key is the first of its length and
+    unseen at shorter lengths. Products are generated with gates in
+    lexicographic label order, so the kept sequence for each unitary is
+    the shortest, ties broken lexicographically by label list. Raises
+    BudgetExceededError past BUDGET kept sequences, before the sequences
+    of that length are built.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     order = sorted(range(len(gs.labels)), key=lambda i: gs.labels[i])
     glabels = [gs.labels[i] for i in order]
-    gmats = np.stack([gs.unitaries[i] for i in order])
     ng = len(glabels)
+    # Column block g of LT is L(m(g))^T: row f * ng + g of the product is +-m(g V_f).
+    gates = qubit1.magic_embed_batch(np.stack([gs.unitaries[i] for i in order]))
+    LT = qubit1.left_multiplication(gates).transpose(2, 0, 1).reshape(4, 4 * ng)
 
-    ident = np.eye(2, dtype=complex)
-    mv = qubit1.magic_embed(ident)[None, :]
-    seen = set(qubit1.line_keys(mv).tolist())
-    frontier_mats = ident[None, :, :]
+    frontier = qubit1.magic_embed(np.eye(2))[None, :]
+    seen = set(qubit1.line_keys(frontier).tolist())
     frontier_labels: list[tuple[str, ...]] = [()]
-    labels, magic = [()], [mv]
+    labels, magic = [()], [frontier]
     for length in range(1, max_len + 1):
-        if frontier_mats.shape[0] == 0:
+        if frontier.shape[0] == 0:
             break
-        # New label applied after the existing sequence: U_new = g @ U_old,
-        # frontier-major, so product order is (length, labels) order.
-        prod = np.einsum("gab,fbc->fgac", gmats, frontier_mats).reshape(-1, 2, 2)
-        mv = qubit1.magic_embed_batch(prod)
+        prod = (frontier @ LT).reshape(-1, 4)
+        prod /= np.linalg.norm(prod, axis=1, keepdims=True)
         kept = []
-        for j, key in enumerate(qubit1.line_keys(mv).tolist()):
+        for j, key in enumerate(qubit1.line_keys(prod).tolist()):
             if key not in seen:
                 seen.add(key)
                 kept.append(j)
@@ -162,14 +164,14 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
             raise BudgetExceededError(
                 f"sequence budget {BUDGET} exceeded at length {length}"
             )
-        frontier_mats = prod[new]
+        frontier = prod[new]
         parent, gate = np.divmod(new, ng)
         frontier_labels = [
             frontier_labels[f] + (glabels[g],)
             for f, g in zip(parent.tolist(), gate.tolist())
         ]
         labels += frontier_labels
-        magic.append(mv[new])
+        magic.append(frontier)
     return Pool(labels=tuple(labels), magic=np.concatenate(magic))
 
 

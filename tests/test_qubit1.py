@@ -19,6 +19,7 @@ from usynth.qubit1 import (
     EmptySupportError,
     cap_covering,
     covering_radius,
+    left_multiplication,
     line_distance,
     magic_embed,
     magic_embed_batch,
@@ -66,6 +67,17 @@ def test_magic_embed_is_unit_and_isometric():
     for v in V[:50]:
         W = magic_unembed(v)
         assert np.linalg.norm(W.conj().T @ W - np.eye(2)) < 1e-9
+
+
+def test_left_multiplication_composes_magic_vectors():
+    # m(G V) = +-L(m(G)) m(V): magic vectors compose as unit quaternions.
+    rng = np.random.default_rng(3)
+    G = np.stack([haar_unitary(2, rng) for _ in range(200)])
+    V = np.stack([haar_unitary(2, rng) for _ in range(200)])
+    L = left_multiplication(magic_embed_batch(G))
+    got = np.einsum("nab,nb->na", L, magic_embed_batch(V))
+    assert np.max(line_distance(magic_embed_batch(G @ V), got)) <= 1e-14
+    assert np.max(np.abs(L @ L.transpose(0, 2, 1) - np.eye(4))) <= 1e-15
 
 
 def test_distance_1q_matches_diamond_sdp():

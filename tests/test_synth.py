@@ -102,7 +102,11 @@ def test_enumerate_matches_reference_loop(make_gs, max_len):
     got = enumerate_sequences(gs, max_len)
     labels, magic = reference_enumerate(gs, max_len)
     assert list(got.labels) == labels
-    assert got.magic.tobytes() == magic.tobytes()
+    # Same channel per row: the pool composes quaternions where the
+    # reference embeds 2x2 products, so a row may differ in sign (or -0.0).
+    diff = np.minimum(np.abs(got.magic - magic).max(axis=1),
+                      np.abs(got.magic + magic).max(axis=1))
+    assert diff.max() <= 1e-15
 
 
 def test_enumerate_twin_gates_keep_first_label():
@@ -220,6 +224,26 @@ def test_pool_rows_are_distinct_channels(std_gateset, max_len):
     np.fill_diagonal(dots, 0.0)
     i, j = np.unravel_index(np.argmax(dots), dots.shape)
     assert dots[i, j] <= 1 - 1e-12, (pool.labels[i], pool.labels[j])
+
+
+@pytest.mark.parametrize("max_len, size", [(16, 9296), (18, 18640), (20, 37328)])
+def test_standard_pool_sizes(std_gateset, max_len, size):
+    assert len(enumerate_sequences(std_gateset, max_len)) == size
+
+
+@pytest.mark.parametrize("max_len, radius", [(8, 0.27326), (12, 0.15769)])
+def test_mixing_at_the_pool_deepest_hole_attains_r_squared(std_gateset, max_len, radius):
+    # The paper's d = 2 tightness on the real gate set: at the deepest hole
+    # of the pool of sequences of length <= L, the best mixture of the
+    # pool errs by r^2, r the pool's covering radius. support_filter at r
+    # is lossless for an r-covering.
+    pool = enumerate_sequences(std_gateset, max_len)
+    r, hole = qubit1.covering_radius(pool.magic, return_witness=True)
+    assert abs(r - radius) <= 5e-6
+    W = pool.magic[qubit1.support_filter(hole, pool.magic, r)]
+    _, upper, lower = qubit1.optimal_mix_1q(hole, W)
+    assert lower - 1e-12 <= r**2 <= upper + 1e-12
+    assert upper / r**2 - 1 <= 2e-7
 
 
 def test_enumerate_budget(std_gateset, monkeypatch):

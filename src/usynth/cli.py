@@ -65,12 +65,12 @@ def _load_choi(path: str) -> channels.ChoiOperator:
 
 
 def _rounded(obj):
-    """obj with every float in it rounded by _sig12; other values as they are."""
+    """obj with every float in it rounded by _sig12; lists of strings (gate labels) as they are."""
     if isinstance(obj, float):
         return _sig12(obj)
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, list) and set(map(type, obj)) != {str}:
         return [_rounded(v) for v in obj]
     return obj
 

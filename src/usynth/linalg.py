@@ -24,8 +24,9 @@ class NotUnitaryError(ValueError):
 
 
 def check_finite(M: np.ndarray) -> np.ndarray:
+    """M as complex; ValueError if any entry has a non-finite real or imaginary part."""
     M = np.asarray(M, dtype=complex)
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
     return M
 
@@ -34,9 +35,10 @@ def check_hermitian(M: np.ndarray) -> np.ndarray:
     M = check_finite(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if np.max(np.abs(M - M.conj().T)) > TOL_HERM:
+    H = M.conj().T
+    if np.abs(M - H).max() > TOL_HERM:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    return (M + M.conj().T) / 2
+    return (M + H) / 2
 
 
 def check_unitary(U: np.ndarray) -> np.ndarray:
@@ -44,7 +46,7 @@ def check_unitary(U: np.ndarray) -> np.ndarray:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     d = U.shape[0]
-    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > TOL_UNITARY:
+    if np.abs(U.conj().T @ U - np.eye(d)).max() > TOL_UNITARY:
         raise NotUnitaryError("matrix is not unitary within tolerance")
     return U
 

@@ -36,11 +36,15 @@ matrix in an orthonormal basis: s^2 reals for a complex s x s block and
 s(s+1)/2 for a real one, half the columns of HKM's non-Hermitian rows.
 M is not formed: with the rows of G scaled to unit norm, G_s^T = Q T by QR,
 and T is the Cholesky factor of the equilibrated M; the predictor and the
-corrector reuse it. The primal step is an orthogonal projection with Q, so
-it meets its equality constraints to about eps * sqrt(cond(M)). Solving the
-normal equations with M itself leaves a residual of eps * cond(M): near the
-optimum of a degenerate problem cond(M) grows like 1/mu^2 and passes 1/eps,
-and that residual becomes primal infeasibility that later steps cannot remove.
+corrector reuse it, solving on T itself (no inverse is formed). The primal
+step is an orthogonal projection with Q, so it meets its equality
+constraints to about eps * sqrt(cond(M)). Solving the normal equations with
+M itself leaves a residual of eps * cond(M): near the optimum of a
+degenerate problem cond(M) grows like 1/mu^2 and passes 1/eps, and that
+residual becomes primal infeasibility that later steps cannot remove.
+X and Z are held as one real vector each and the scaled directions in svec
+coordinates; a direction's step lengths come from one eigvalsh over every
+dense block, zero-padded to one size (the padding adds the eigenvalue 0).
 
 A solve ends with one of these `SdpSolution.status` values:
 
@@ -61,16 +65,16 @@ those residuals, on any status but "Optimal".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import hermitian_basis
-
 DEFAULT_GAP_TOL = 1e-8
 FEAS_TOL = 1e-8  # the feasibility tolerance is min(gap_tol, FEAS_TOL)
 MAX_ITER = 200
+EPS = np.finfo(float).eps
 
 
 class NumericalBreakdown(RuntimeError):
@@ -152,12 +156,7 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
     blocks are halved, which keeps every tr(A X) = b constraint and the
     objective value unchanged.
     """
-    blocks = []
-    for blk in problem.blocks:
-        if blk.complex:
-            blocks.append(Block(size=2 * blk.size))
-        else:
-            blocks.append(Block(size=blk.size, diag=blk.diag))
+    blocks = [Block(2 * blk.size) if blk.complex else blk for blk in problem.blocks]
 
     def conv(k: int, M: Optional[np.ndarray]) -> Optional[np.ndarray]:
         if M is None:
@@ -168,28 +167,20 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
 
     objective = [conv(k, C) for k, C in enumerate(problem.objective)]
     constraints = [
-        Constraint(
-            coeffs={k: conv(k, A) for k, A in con.coeffs.items()},
-            rhs=con.rhs,
-        )
+        Constraint({k: conv(k, A) for k, A in con.coeffs.items()}, con.rhs)
         for con in problem.constraints
     ]
     return SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
 
 
 def _herm(M: np.ndarray) -> np.ndarray:
-    """Hermitian part of a matrix or a stack of them; a diag block's vector as is."""
-    return M if M.ndim == 1 else (M + M.conj().swapaxes(-1, -2)) / 2
+    """Hermitian part of a matrix, or of each M[:, i] of a stack; a diag block's vector as is."""
+    return M if M.ndim == 1 else (M + M.conj().swapaxes(0, -1)) / 2
 
 
 def _flat(M: np.ndarray) -> np.ndarray:
     """M as real numbers: Re tr(A X) = _flat(A) @ _flat(X) for Hermitian X."""
     return M.reshape(-1).view(float)
-
-
-def _unflat(v: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Inverse of _flat: the real numbers v as an array shaped like `like`."""
-    return v.view(like.dtype).reshape(like.shape)
 
 
 def _chol(S: np.ndarray) -> np.ndarray:
@@ -214,76 +205,82 @@ def _nt_scaling(blk: Block, X: np.ndarray, Z: np.ndarray):
     return LX @ Vh.conj().T / np.sqrt(lam), lam
 
 
-def _svec_basis(blk: Block) -> np.ndarray:
-    """Orthonormal basis P of a dense block's Hermitian matrices, as _flat rows.
+@functools.lru_cache(maxsize=8)
+def _stack_layout(dense: tuple[Block, ...]):
+    """(shape, dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb)): svec to and from one stack.
 
-    svec(M) = P @ _flat(M) and _flat(M) = svec(M) @ P for Hermitian M: s^2
-    reals for a complex s x s block, s(s+1)/2 for a real one (the diagonal,
-    and the upper triangle times sqrt(2)).
+    svec(M) lists M_aa, then sqrt(2) Re M_ab and (if complex) sqrt(2) Im M_ab
+    for a < b, as `hermitian_basis` does. The stack holds dense block j in the
+    corner of its n x n slice (n the largest size). For v the blocks' svec
+    coordinates, coordinate i is entry (aa[i], bb[i]) of block jj[i], the stack
+    is v[src] * coef, and the svec of its Hermitian part, with F its _flat
+    numbers, is F[t1] * c1 + F[t2] * c2.
     """
-    E = hermitian_basis(blk.size)
-    E = E if blk.complex else E[~np.any(E.imag, axis=(1, 2))].real
-    return E.reshape(len(E), -1).view(float)
+    n = max([1] + [blk.size for blk in dense])
+    nc = 2 if any(blk.complex for blk in dense) else 1
+    jj, aa, bb, pp = np.array(
+        [
+            (j, a, b, p)
+            for j, blk in enumerate(dense)
+            for a, b, p in [(a, a, 0) for a in range(blk.size)]
+            + [(a, b, p) for a in range(blk.size) for b in range(a + 1, blk.size)
+               for p in range(1 + blk.complex)]
+        ],
+        dtype=int,
+    ).reshape(-1, 4).T
+    t1, t2 = ((jj * n + aa) * n + bb) * nc + pp, ((jj * n + bb) * n + aa) * nc + pp
+    r = 1 / np.sqrt(2)
+    c1 = np.where(aa == bb, 1.0, r)
+    c2 = np.where(aa == bb, 0.0, np.where(pp == 1, -r, r))  # M_ba = conj(M_ab)
+    src, coef = np.zeros(len(dense) * n * n * nc, int), np.zeros(len(dense) * n * n * nc)
+    src[t2], coef[t2] = np.arange(len(t2)), c2
+    src[t1], coef[t1] = np.arange(len(t1)), c1  # after t2: a diagonal entry is its t1
+    dtype = complex if nc == 2 else float
+    return (len(dense), n, n), dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb)
 
 
 def _congruence(R: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """R^H M R for one matrix M or a stack of them; R M R for diag blocks' vectors."""
+    """R^H M[:, i] R for each matrix of a stack, in two products; R M[i] R for a diag block."""
     if R.ndim == 1:
         return R * M * R
-    if M.ndim == 2:
-        return R.conj().T @ M @ R
-    s = len(R)  # two products over the whole stack, not two per matrix
-    B = (M.reshape(-1, s) @ R).reshape(-1, s, s).transpose(1, 0, 2).reshape(s, -1)
-    return (R.conj().T @ B).reshape(s, -1, s).transpose(1, 0, 2).reshape(M.shape)
+    s = len(R)
+    return ((R.conj().T @ M.reshape(s, -1)).reshape(-1, s) @ R).reshape(M.shape)
 
 
-def _max_step(w: np.ndarray, dS: np.ndarray) -> float:
-    """Largest a with diag(lam) + a dS psd, given w_ij = (lam_i lam_j)^-1/2 (1/lam if diag)."""
-    S = dS * w  # diag(lam)^-1/2 dS diag(lam)^-1/2; eigvalsh reads one triangle
-    low = float(np.min(S)) if S.ndim == 1 else np.linalg.eigvalsh(S)[0]
-    return np.inf if low >= 0 else -1.0 / low
+def _max_step(S: np.ndarray, v: np.ndarray) -> list[float]:
+    """Per i, the largest a (inf if none binds) with I + a S[i, j] psd for all j, 1 + a v[i] >= 0.
+
+    S[i] stacks Hermitian matrices zero-padded to one size: padding adds the eigenvalue 0.
+    """
+    low = np.concatenate((np.linalg.eigvalsh(S)[..., 0], v), axis=-1).min(-1, initial=0.0)
+    return [-1.0 / a if a < 0 else np.inf for a in low.tolist()]
 
 
 def _schur_factor(G: np.ndarray):
-    """(rows, s, Q, R^-1) for the Schur complement M = G G^T.
+    """(rows, s, Q, T, Gs) for the Schur complement M = G G^T.
 
     The rows of G are scaled to unit norm by s, which scales M to unit
-    diagonal, and (diag(s) G[rows])^T = Q R, so R is the Cholesky factor of
-    the equilibrated M, found without forming M. `rows` leaves out each row
-    that is zero or in the span of the rows before it (a redundant equality
-    constraint); its multiplier stays 0. Raises NumericalBreakdown when R is
-    singular.
+    diagonal, and Gs = diag(s) G[rows] has Gs^T = Q T, so T is the Cholesky
+    factor of the equilibrated M, found without forming M. `rows` leaves out
+    each row that is zero or in the span of the rows before it (a redundant
+    equality constraint); its multiplier stays 0. Raises NumericalBreakdown
+    when T is singular.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", G, G))
-    rows = np.flatnonzero(norms > 0)
+    rows = norms.nonzero()[0]
     if len(rows) < len(G):
         G = G[rows]
     G /= norms[rows, None]  # in place: G is the caller's scratch
-    Gs = G.T
-    Q, R = np.linalg.qr(Gs)
+    Q, T = np.linalg.qr(G.T)
     d = np.zeros(len(rows))
-    d[: min(R.shape)] = np.abs(np.diag(R))
-    independent = d > max(Gs.shape) * np.finfo(float).eps * d.max(initial=0.0)
+    d[: min(T.shape)] = np.abs(T.diagonal())
+    independent = d > max(G.shape) * EPS * d.max(initial=0.0)
     if not independent.all():
-        rows = rows[independent]
-        Q, R = np.linalg.qr(Gs[:, independent])
-    try:
-        return rows, 1.0 / norms[rows], Q, np.linalg.inv(R)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"Schur complement is singular: {exc}") from None
-
-
-def _projected_step(rows, s, Q, R_inv, h: np.ndarray, rp: np.ndarray):
-    """(r, dy) with r = h - G^T dy and G r = rp, from _schur_factor(G).
-
-    This is the normal-equations solve dy = M^-1 (G h - rp), but r is formed
-    as a projection with the orthonormal Q, so G r = rp holds to about
-    eps * cond(G) = eps * sqrt(cond(M)), not eps * cond(M).
-    """
-    u = Q.T @ h - R_inv.T @ (s * rp[rows])
-    dy = np.zeros(len(rp))
-    dy[rows] = s * (R_inv @ u)
-    return h - Q @ u, dy
+        rows, G = rows[independent], G[independent]
+        Q, T = np.linalg.qr(G.T)
+        if not T.diagonal().all():
+            raise NumericalBreakdown("Schur complement is singular")
+    return rows, 1.0 / norms[rows], Q, T, G
 
 
 def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
@@ -306,16 +303,17 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     feas_tol = min(gap_tol, FEAS_TOL)
     m = len(b)
 
-    # Per block: the identity, C, the coefficients A stacked over all m
-    # constraints and their real rows Af, and the product that acts in the
-    # Newton system (matrix product, or elementwise for diag blocks).
+    # Per block: the identity, C, and the coefficients A stacked over all m
+    # constraints with one more row, which each iteration fills with the
+    # block's dual residual. A[k][..., i, :] is row i: a dense stack is laid
+    # out (s, m + 1, s), as _congruence reads it.
     eye = [
         np.ones(blk.size) if blk.diag
         else np.eye(blk.size, dtype=complex if blk.complex else float)
         for blk in blocks
     ]
     C = [np.zeros_like(I) for I in eye]
-    A = [np.zeros((m,) + I.shape, I.dtype) for I in eye]
+    A = [np.zeros(I.shape[:-1] + (m + 1, I.shape[-1]), I.dtype) for I in eye]
 
     def given():  # (name, block, destination, coefficient) of each coefficient given
         for k, M in enumerate(problem.objective):
@@ -325,72 +323,84 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             for k, M in con.coeffs.items():
                 if not 0 <= k < len(blocks):
                     raise ValueError(f"constraint references unknown block {k}")
-                yield f"constraint {i}, block {k}", k, A[k][i], M
+                yield f"constraint {i}, block {k}", k, A[k][..., i, :], M
 
     # One pass: check each coefficient and write it into its block's stack.
     for what, k, dest, M in given():
         M = np.asarray(M)
         if M.shape != dest.shape:
             raise ValueError(f"{what} has shape {M.shape}, expected {dest.shape}")
-        if not np.all(np.isfinite(M)):
+        if not np.isfinite(M).all():
             raise ValueError(f"{what} has a non-finite entry")
-        if np.iscomplexobj(M) and not blocks[k].complex and np.any(M.imag != 0):
+        if M.dtype.kind == "c" and not blocks[k].complex and M.imag.any():
             raise ValueError(f"{what} has an imaginary part on a real block")
-        dest[...] = M if blocks[k].complex else np.real(M)
-    for k, blk in enumerate(blocks):
-        if not blk.diag:
-            C[k], A[k] = _herm(C[k]), _herm(A[k])
-    Af = [Ak.reshape(m, Ck.size).view(float) for Ak, Ck in zip(A, C)]
-    muls = [np.multiply if blk.diag else np.matmul for blk in blocks]
-    P = [None if blk.diag else _svec_basis(blk) for blk in blocks]  # None: the identity
-    # Columns of the Schur factor G (see below) per block.
-    offsets = np.cumsum([0] + [Ck.size if Pk is None else len(Pk) for Pk, Ck in zip(P, C)])
-    cols = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        dest[...] = M if blocks[k].complex else M.real
+    C, A = [_herm(Ck) for Ck in C], [Ak if blk.diag else _herm(Ak) for Ak, blk in zip(A, blocks)]
 
-    def svec(Pk, F: np.ndarray) -> np.ndarray:  # F: _flat rows of one block
-        return F if Pk is None else F @ Pk.T
+    # X, Z and Rd view each block's part of one real vector, with
+    # Re tr(A_i X) = Af[i] @ x and Re tr(C X) = c @ x.
+    ends = np.cumsum([_flat(Ck).size for Ck in C])[:-1]
 
-    def a_of(Xs) -> np.ndarray:
-        return sum((Afk @ _flat(Xk) for Afk, Xk in zip(Af, Xs)), np.zeros(m))
+    def views(v: np.ndarray) -> list[np.ndarray]:
+        return [u.view(Ck.dtype).reshape(Ck.shape) for u, Ck in zip(np.split(v, ends), C)]
 
-    def a_adj(v) -> list[np.ndarray]:
-        return [_unflat(v @ Afk, Ck) for Afk, Ck in zip(Af, C)]
+    rows_of = [Ak[..., :m, :].swapaxes(0, -2).reshape(m, Ck.size) for Ak, Ck in zip(A, C)]
+    Af = np.concatenate([Ai.view(float) for Ai in rows_of], axis=1)
+    c = np.concatenate([_flat(Ck) for Ck in C])
 
-    def inner(Ps, Qs) -> float:
-        return sum(float(_flat(P) @ _flat(Q)) for P, Q in zip(Ps, Qs))
+    # The scaled variables in svec coordinates: the dense blocks', then the
+    # diag blocks' entries (vcut). Coordinate (a, b) of a block reads lam_a =
+    # lam[ci] and lam_b = lam[cj] of the blocks' lam concatenated in this order.
+    dense = [k for k, blk in enumerate(blocks) if not blk.diag]
+    order, nd = dense + [k for k, blk in enumerate(blocks) if blk.diag], len(dense)
+    layout = _stack_layout(tuple(blocks[k] for k in dense))  # cached: read only
+    shape, dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb) = layout
+    kd = len(t1)
+    first = np.cumsum([0] + [blocks[k].size for k in order])  # each block's first lam
+    ntot = int(first[-1])
+    tail = np.arange(first[nd], ntot)
+    ci, cj = np.concatenate((first[jj] + aa, tail)), np.concatenate((first[jj] + bb, tail))
+    ev = (ci == cj) * 1.0  # svec of the identity
+    off = kd - first[nd]  # a diag block's svec coordinates follow its lam
+    vcut = [slice(off + a, off + e) for a, e in zip(first[nd:-1], first[nd + 1 :])]
+    F = np.zeros((m + 1,) + shape, dtype)  # R^H A_i R and R^H Rd R of every dense block
+    Ff = F.reshape(m + 1, F[0].size).view(float)
 
-    ntot = sum(blk.size for blk in blocks)
+    def lift(V: np.ndarray) -> np.ndarray:  # svec coordinates -> stack of Hermitian matrices
+        return (V.take(src, -1) * coef).view(dtype).reshape(V.shape[:-1] + shape)
+
+    def svec(Fr: np.ndarray) -> np.ndarray:  # _flat numbers of stacks -> svec coordinates
+        return Fr.take(t1, -1) * c1 + Fr.take(t2, -1) * c2
 
     # Cold start scaled from problem norms.
-    norm_scale = max(
-        1.0,
-        float(np.max(np.abs(b))) if m else 1.0,
-        max((float(np.max(np.abs(Ck))) if Ck.size else 0.0) for Ck in C),
-    )
+    bmax = float(np.abs(b).max(initial=0.0))
+    norm_scale = max(1.0, bmax, max(float(np.abs(Ck).max(initial=0.0)) for Ck in C))
     rho0 = float(np.sqrt(norm_scale) * max(1.0, np.sqrt(ntot)))
-    X = [rho0 * I for I in eye]
-    Z = [rho0 * I for I in eye]
+    x = rho0 * np.concatenate([_flat(E) for E in eye])
+    z, rd = x.copy(), np.empty_like(x)
+    X, Z, Rd = views(x), views(z), views(rd)
     y = np.zeros(m)
 
-    status = "MaxIter"
-    best = None  # the checked iterate with the smallest merit
-    stall = 0
-    for it in range(1, MAX_ITER + 1):
-        rp = b - a_of(X)
-        Rd = [S - Ck - Zk for S, Ck, Zk in zip(a_adj(y), C, Z)]  # want 0
-        mu = inner(X, Z) / ntot
+    def solution(xv, y, pobj, dobj, pinf, dinf, gap_rel, status, it) -> SdpSolution:
+        return SdpSolution(views(xv), y, pobj, dobj, status, it, pinf, dinf, gap_rel)
 
-        pobj = inner(C, X)
-        dobj = float(b @ y)
-        pinf = float(np.max(np.abs(rp))) / (1 + float(np.max(np.abs(b)))) if m else 0.0
-        dinf = max(float(np.max(np.abs(R))) for R in Rd) / (1 + norm_scale)
+    status, best, stall = "MaxIter", None, 0  # best: the checked iterate with the smallest merit
+    for it in range(1, MAX_ITER + 1):
+        rp = b - Af @ x
+        np.matmul(y, Af, out=rd)  # Rd = sum y A - C - Z, want 0
+        rd -= c
+        rd -= z
+        mu = float(x @ z) / ntot
+
+        pobj, dobj = float(c @ x), float(b @ y)
+        pinf = float(np.abs(rp).max(initial=0.0)) / (1 + bmax)
+        dinf = max(float(np.abs(R).max(initial=0.0)) for R in Rd) / (1 + norm_scale)
         gap_rel = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
-        current = SdpSolution(X, y, pobj, dobj, "Optimal", it, pinf, dinf, gap_rel)
         if pinf <= feas_tol and dinf <= feas_tol and gap_rel <= gap_tol:
-            return current
+            return solution(x, y, pobj, dobj, pinf, dinf, gap_rel, "Optimal", it)
         merit = max(pinf, dinf, gap_rel)
         if best is None or merit < best_merit:
-            best, best_merit, stall = current, merit, 0
+            best, best_merit, stall = (x.copy(), y, pobj, dobj, pinf, dinf, gap_rel), merit, 0
         else:
             stall += 1
         if stall >= 10:
@@ -399,73 +409,71 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
 
         # Every factorization of the iteration. With the NT scaling R of each
         # block (R^-1 X R^-H = R^H Z R = diag(lam)) and W = R R^H, the Schur
-        # complement M_ij = Re tr(A_i W A_j W) is G_i . G_j, G_i = svec(R^H A_i R).
-        schur = None  # release the last factor before making the next
+        # complement M_ij = Re tr(A_i W A_j W) is G_i . G_j, G_i = svec(R^H A_i R);
+        # row m of G is svec(R^H Rd R).
         try:
-            Rs, lams = zip(*[_nt_scaling(blk, Xk, Zk) for blk, Xk, Zk in zip(blocks, X, Z)])
+            Rs, lams = zip(*[_nt_scaling(blocks[k], X[k], Z[k]) for k in order])
+            for k in order:
+                A[k][..., m, :] = Rd[k]
+            for j, (k, R) in enumerate(zip(dense, Rs)):
+                F[:, j, : len(R), : len(R)] = _congruence(R, A[k]).transpose(1, 0, 2)
             G = np.concatenate(
-                [
-                    svec(Pk, _congruence(R, Ak).reshape(m, Ck.size).view(float))
-                    for Pk, Ak, Ck, R in zip(P, A, C, Rs)
-                ],
-                axis=1,
+                [svec(Ff)] + [_congruence(R, A[k]) for k, R in zip(order[nd:], Rs[nd:])], axis=1
             )
-            schur = _schur_factor(G)
-        except NumericalBreakdown:
+            rows, s, Q, T, Gs = _schur_factor(G[:m])
+            v = np.linalg.solve(T.T, s * rp[rows])  # G r = rp for r = h - Q (Q^T h - v)
+        except (NumericalBreakdown, np.linalg.LinAlgError):
             status = "Stalled"
             break
-        Lam = [lam * I for I, lam in zip(eye, lams)]
-        col = [lam if blk.diag else lam[:, None] for blk, lam in zip(blocks, lams)]
-        half = [(c + lam) / 2 for c, lam in zip(col, lams)]  # (lam_i + lam_j) / 2
-        w = [1 / np.sqrt(c * lam) for c, lam in zip(col, lams)]  # (lam_i lam_j)^-1/2
+        lam = np.concatenate(lams)
+        li, lj = lam[ci], lam[cj]
+        lamv = li * ev  # svec(diag(lam))
+        half = (li + lj) / 2  # (lam_i + lam_j) / 2
+        w = 1 / np.sqrt(li * lj)  # (lam_i lam_j)^-1/2
 
-        def directions(T: list[np.ndarray]):
+        def direction(h: np.ndarray):
             # Solve for (dX, dy, dZ) with a(dX) = rp, sum dy A - dZ = -Rd and,
             # in the scaled variables dX~ = R^-1 dX R^-H and dZ~ = R^H dZ R,
             # (Lam (dX~ + dZ~) + (dX~ + dZ~) Lam) / 2 = rhs, so dX~ + dZ~ = T
             # with T_ij = rhs_ij / half_ij. As dZ~ = sum dy R^H A R + R^H Rd R,
-            # svec(dX~) = r = h - G^T dy with h = svec(T - R^H Rd R), and
-            # a(dX) = G r = rp. Returns dX~ and dy.
-            h = np.concatenate(
-                [
-                    svec(Pk, _flat(Tk - _congruence(R, Rdk)))
-                    for Pk, Tk, Rdk, R in zip(P, T, Rd, Rs)
-                ]
-            )
-            r, dy = _projected_step(*schur, h, rp)
-            return [
-                _unflat(rk if Pk is None else rk @ Pk, Ck)
-                for Pk, rk, Ck in zip(P, (r[c] for c in cols), C)
-            ], dy
+            # svec(dX~) = r = h - G^T dy with h = svec(T - R^H Rd R) and G r = rp,
+            # r a projection with Q. Returns r and u, with dy[rows] = s T^-1 u.
+            u = Q.T @ h - v
+            return h - Q @ u, u
 
         # Predictor (affine scaling): rhs = -Lam^2, so T = -Lam, and only its
         # step lengths and Mehrotra term are used, so dZ~ = T - dX~ will do.
-        dXa, _ = directions([-L for L in Lam])
-        dZa = [-L - dXk for L, dXk in zip(Lam, dXa)]
-        ap_a, ad_a = (min(1.0, 0.95 * min(map(_max_step, w, dS))) for dS in (dXa, dZa))
-        mu_aff = inner(
-            [L + ap_a * dXk for L, dXk in zip(Lam, dXa)],
-            [L + ad_a * dZk for L, dZk in zip(Lam, dZa)],
-        ) / ntot
+        ra, _ = direction(-lamv - G[m])
+        za = -lamv - ra
+        V = np.array((ra, za, ra * w, za * w))
+        S = lift(V)
+        ap_a, ad_a = (min(1.0, 0.95 * a) for a in _max_step(S[2:], V[2:, kd:]))
+        mu_aff = float((lamv + ap_a * ra) @ (lamv + ad_a * za)) / ntot
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
 
-        # Corrector, with the Mehrotra term symmetrized in the scaled space. Its step
-        # is taken on dZ = sum dy A + Rd itself, exactly Hermitian as A, C and Z are.
-        dXs, dy = directions(
-            [
-                (sigma * mu * I - mul(L, L) - _herm(mul(dXk, dZk))) / hk
-                for mul, I, L, dXk, dZk, hk in zip(muls, eye, Lam, dXa, dZa, half)
-            ]
-        )
-        dZ = [S + Rdk for S, Rdk in zip(a_adj(dy), Rd)]
-        dZs = [_congruence(R, dZk) for dZk, R in zip(dZ, Rs)]
+        # Corrector, with the Mehrotra term symmetrized in the scaled space. Its
+        # step is taken on dZ~ = R^H dZ R for dZ = sum dy A + Rd itself:
+        # svec(dZ~) = G^T dy + svec(R^H Rd R), with G^T dy = Gs^T t.
+        dxdz = ra * za
+        dxdz[:kd] = svec((S[0] @ S[1]).reshape(-1).view(float))
+        r, u = direction((sigma * mu * ev - lamv * lamv - dxdz) / half - G[m])
+        t = np.linalg.solve(T, u)
+        dy = np.zeros(m)
+        dy[rows] = s * t
+        V = np.array((r * w, (t @ Gs + G[m]) * w, r))
+        S = lift(V)
         tau = 0.98 if mu > 1e-7 else 0.99
-        ap, ad = (min(1.0, tau * min(map(_max_step, w, dS))) for dS in (dXs, dZs))
-        X = [Xk + ap * _herm(_congruence(R.conj().T, dXk)) for Xk, dXk, R in zip(X, dXs, Rs)]
-        Z = [Zk + ad * dZk for Zk, dZk in zip(Z, dZ)]
+        ap, ad = (min(1.0, tau * a) for a in _max_step(S[:2], V[:2, kd:]))
+        for j, (k, R) in enumerate(zip(order, Rs)):
+            if j < nd:
+                dXk = S[2, j, : len(R), : len(R)]
+                X[k] += ap * _herm(R @ (dXk if blocks[k].complex else dXk.real) @ R.conj().T)
+            else:
+                X[k] += ap * (R * r[vcut[j - nd]] * R)
+        z += ad * (dy @ Af + rd)
         y = y + ad * dy
 
-        if float(np.linalg.norm(y)) > 1e12 * norm_scale:
+        if float(np.sqrt(y @ y)) > 1e12 * norm_scale:
             status = "Infeasible"
             break
-    return replace(best, status=status, iterations=it)
+    return solution(*best, status, it)

@@ -189,6 +189,20 @@ def test_optimal_mix_rejects_mixed_dims():
             optimal_mix(target, cands)
 
 
+@pytest.mark.parametrize(
+    "bad", [complex(1.0, np.nan), complex(np.inf, 0.0)], ids=["imag-nan", "real-inf"]
+)
+def test_choi_rejects_a_non_finite_entry_in_either_part(bad):
+    U = np.eye(2, dtype=complex)
+    U[1, 0] = bad
+    J = choi(np.eye(2)).J
+    J[3, 0] = bad
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        choi(U)
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        ChoiOperator(J=J, dims=(2, 2))
+
+
 def test_choi_mixture_dims_and_weights():
     with pytest.raises(ValueError):
         choi_mixture([choi(np.eye(2))], np.array([0.5, 0.5]))

@@ -8,7 +8,7 @@ from usynth.channels import (
     diamond_distance,
     unitary_distance,
 )
-from usynth.linalg import haar_unitary
+from usynth.linalg import haar_unitary, hermitian_basis
 
 
 def test_trivial_scalar():
@@ -182,8 +182,78 @@ def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
         sdp._chol(S)
     assert np.array_equal(sdp._chol(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
     lam = np.array([4.0, 1.0])
-    assert sdp._max_step(1 / np.sqrt(np.outer(lam, lam)), -np.eye(2)) == pytest.approx(1.0)
-    assert sdp._max_step(1 / lam, -lam) == pytest.approx(1.0)
+    scaled = -np.eye(2) / np.sqrt(np.outer(lam, lam))
+    assert sdp._max_step(scaled[None, None], np.zeros((1, 0))) == pytest.approx([1.0])
+    assert sdp._max_step(np.zeros((1, 0, 1, 1)), (-lam / lam)[None]) == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("case", ["matrix-binds", "diag-binds", "psd"])
+def test_max_step_reads_padded_stacks_like_one_eigvalsh_per_matrix(case):
+    # Two directions over complex blocks of sizes 9, 9 and 3, zero-padded to
+    # 9 x 9, and a diag block of 5 entries.
+    rng = np.random.default_rng(5)
+    sizes = (9, 9, 3)
+    S = np.zeros((2, 3, 9, 9), dtype=complex)
+    v = {"matrix-binds": 1.0, "diag-binds": 100.0, "psd": 0.0}[case] * rng.standard_normal((2, 5))
+    for i in range(2):
+        for j, s in enumerate(sizes):
+            F = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+            S[i, j, :s, :s] = F @ F.conj().T + np.eye(s) if case == "psd" else F + F.conj().T
+    low = [
+        min([v[i].min()] + [np.linalg.eigvalsh(S[i, j, :s, :s])[0] for j, s in enumerate(sizes)])
+        for i in range(2)
+    ]
+    got = sdp._max_step(S, v)
+    if case == "psd":
+        assert got == [np.inf, np.inf]
+    else:
+        diag_binds = np.array(low) == v.min(axis=1)
+        assert max(low) < 0
+        assert diag_binds.all() if case == "diag-binds" else not diag_binds.any()
+        assert got == pytest.approx([-1.0 / a for a in low], rel=1e-12)
+
+
+def test_solve_forms_no_explicit_inverse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    rng = np.random.default_rng(6)
+    channels._mix(choi(haar_unitary(3, rng)), [choi(haar_unitary(3, rng)) for _ in range(3)])
+    u = qubit1.magic_embed(haar_unitary(2, rng))
+    W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(4)]))
+    qubit1.optimal_mix_1q(u, W)
+
+
+def test_stack_layout_gathers_match_hermitian_basis():
+    # Real blocks keep the real elements of hermitian_basis; the gathers stand
+    # for sum_i v_i E_i (the stack) and Re tr(E_i H) of its Hermitian part H.
+    dense = (sdp.Block(3), sdp.Block(4, complex=True), sdp.Block(2))
+    shape, dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb) = sdp._stack_layout(dense)
+    assert shape == (3, 4, 4) and dtype is complex
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal(len(t1))
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack = (v[src] * coef).view(complex).reshape(shape)
+    Ff = F.reshape(-1).view(float)
+    coords = Ff[t1] * c1 + Ff[t2] * c2
+    start = 0
+    for j, blk in enumerate(dense):
+        E = hermitian_basis(blk.size)
+        E = E if blk.complex else E[~np.any(E.imag, axis=(1, 2))]
+        want = np.zeros(shape[1:], complex)
+        want[: blk.size, : blk.size] = np.tensordot(v[start : start + len(E)], E, 1)
+        assert np.array_equal(stack[j] == 0, want == 0)
+        assert np.allclose(stack[j], want, rtol=0, atol=1e-15)
+        M = F[j, : blk.size, : blk.size]
+        H = (M + M.conj().T) / 2
+        got = coords[start : start + len(E)]
+        assert np.allclose(got, [np.real(np.trace(Ei @ H)) for Ei in E], rtol=0, atol=1e-14)
+        assert set(jj[start : start + len(E)]) == {j}
+        # coordinate i is entry (aa[i], bb[i]) of block j: that entry of E_i is nonzero
+        assert all(E[i, a, b] != 0 for i, a, b in zip(range(len(E)), aa[start:], bb[start:]))
+        start += len(E)
+    assert start == len(t1)
 
 
 def _break_chol_after(monkeypatch, n):

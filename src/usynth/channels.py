@@ -28,7 +28,6 @@ from .linalg import (
     check_hermitian,
     check_probabilities,
     check_unitary,
-    hermitian_basis,
     partial_trace,
     trace_norm,
 )
@@ -138,8 +137,6 @@ def _mix(
     n = len(candidates)
     JA = target.J
     JB = np.stack([c.J for c in candidates])
-    basis = hermitian_basis(D)
-    basis1 = hermitian_basis(d1)
 
     # Variables: S >= 0, E = S - J(A) + sum p J(B_x) >= 0,
     #            G = r I - ptr2(S) >= 0, p >= 0, r >= 0.
@@ -150,6 +147,7 @@ def _mix(
         sdp.Block(size=d1, complex=True),  # G
         sdp.Block(size=n + 1, diag=True),  # (p, r)
     ]
+    basis, basis1 = sdp.hermitian_basis(blocks[0]), sdp.hermitian_basis(blocks[2])
     neg_r = np.append(np.zeros(n), -1.0)  # -r, as a row of the (p, r) block
     objective = [None, None, None, neg_r]
     pc = np.real(np.einsum("kab,xba->kx", basis, JB))

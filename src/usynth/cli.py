@@ -75,14 +75,18 @@ def _rounded(obj):
     return obj
 
 
-def _emit(obj, out: str | None) -> None:
-    """Write obj as JSON, every float rounded to 12 significant digits."""
-    text = json.dumps(_rounded(obj), sort_keys=True, indent=2, allow_nan=False)
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
     if out:
         with open(out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+            f.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(obj, out: str | None) -> None:
+    """Write obj as JSON, every float rounded to 12 significant digits."""
+    _write(json.dumps(_rounded(obj), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def cmd_diamond(args) -> int:
@@ -134,17 +138,8 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"--eps-grid {args.eps_grid}: need finite a <= b and step > 0")
     grid = list(np.arange(a, b + step / 2, step))
     rows = [bounds.theorem1_bounds(e, args.d) for e in grid]
-    lines = ["eps,delta,lower,upper"]
-    for r in rows:
-        lines.append(
-            f"{r.eps:.12g},{r.delta:.12g},{r.lower:.12g},{r.upper:.12g}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    csv = "".join(f"{r.eps:.12g},{r.delta:.12g},{r.lower:.12g},{r.upper:.12g}\n" for r in rows)
+    _write("eps,delta,lower,upper\n" + csv, args.out)
     return 0
 
 

@@ -69,25 +69,6 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(M, compute_uv=False)))
 
 
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (trace inner product) basis of d x d Hermitian matrices."""
-    out = np.zeros((d * d, d, d), dtype=complex)
-    n = 0
-    for k in range(d):
-        out[n, k, k] = 1.0
-        n += 1
-    s = 1 / np.sqrt(2)
-    for k in range(d):
-        for l in range(k + 1, d):
-            out[n, k, l] = s
-            out[n, l, k] = s
-            n += 1
-            out[n, k, l] = 1j * s
-            out[n, l, k] = -1j * s
-            n += 1
-    return out
-
-
 def partial_trace(M: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Partial trace over the second factor H2 of H1 (x) H2, dims = (d1, d2)."""
     M = check_finite(M)

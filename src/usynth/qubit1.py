@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import sdp
-from .linalg import check_unitary, hermitian_basis
+from .linalg import check_unitary
 
 KEY_DECIMALS = 8  # magic vectors equal to this many decimals, up to sign, are one channel
 
@@ -161,16 +161,15 @@ def optimal_mix_1q(
         raise EmptyCandidatesError("empty candidate list")
     if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1) <= 1e-8):
         raise ValueError("candidates must be unit 4-vectors")
-    E = hermitian_basis(4)
-    E = E[~np.any(E.imag, axis=(1, 2))].real  # the 10 real symmetric ones
     n = len(W)
+    blocks = [sdp.Block(size=4), sdp.Block(size=n + 1, diag=True)]  # S, then (p, t)
+    E = sdp.hermitian_basis(blocks[0])  # the 10 real symmetric basis matrices
     wEw = np.einsum("kab,xa,xb->kx", E, W, W)  # w_x^T E_k w_x
     constraints = [
         sdp.Constraint(coeffs={0: Ek, 1: np.append(-wk, -np.trace(Ek))}, rhs=-float(u @ Ek @ u))
         for Ek, wk in zip(E, wEw)
     ]
     constraints.append(sdp.Constraint(coeffs={1: np.append(np.ones(n), 0.0)}, rhs=1.0))
-    blocks = [sdp.Block(size=4), sdp.Block(size=n + 1, diag=True)]  # S, then (p, t)
     problem = sdp.SdpProblem(blocks, [None, np.append(np.zeros(n), -1.0)], constraints)
     sol = sdp.check_optimal(sdp.solve(problem, gap_tol))
     p = np.maximum(sol.X[1][:n], 0.0)

@@ -21,9 +21,10 @@ Mehrotra predictor-corrector. Problems here are tiny (block sizes <= ~40,
 up to a few hundred equality constraints, possibly many 1x1 blocks), so
 all factorizations are dense. Each block's coefficients are stacked over
 all m constraints, with zeros where a constraint does not touch the block.
-`solve` reads its input in one pass: each coefficient is checked (shape,
-finite entries, no imaginary part on a real block) as it is written into
-its block's stack, and each dense stack is then made Hermitian once.
+`solve` reads its input in one pass: it writes each coefficient into its
+block's stack, checking its shape (and that a real block's has no imaginary
+part), checks the stacks for non-finite entries once and makes each dense
+stack Hermitian once; only a failed check walks the coefficients again.
 
 Each iteration factors once, in the Nesterov-Todd (NT) scaling (Todd, Toh
 and Tutuncu, SIAM J. Optim. 8:769, 1998): per dense block, X = L_X L_X^H
@@ -210,11 +211,11 @@ def _stack_layout(dense: tuple[Block, ...]):
     """(shape, dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb)): svec to and from one stack.
 
     svec(M) lists M_aa, then sqrt(2) Re M_ab and (if complex) sqrt(2) Im M_ab
-    for a < b, as `hermitian_basis` does. The stack holds dense block j in the
-    corner of its n x n slice (n the largest size). For v the blocks' svec
-    coordinates, coordinate i is entry (aa[i], bb[i]) of block jj[i], the stack
-    is v[src] * coef, and the svec of its Hermitian part, with F its _flat
-    numbers, is F[t1] * c1 + F[t2] * c2.
+    for a < b: the coordinates of M in `hermitian_basis`. The stack holds
+    dense block j in the corner of its n x n slice (n the largest size). For
+    v the blocks' svec coordinates, coordinate i is entry (aa[i], bb[i]) of
+    block jj[i], the stack is `_lift(layout, v)`, and the svec of its
+    Hermitian part, with F its _flat numbers, is F[t1] * c1 + F[t2] * c2.
     """
     n = max([1] + [blk.size for blk in dense])
     nc = 2 if any(blk.complex for blk in dense) else 1
@@ -237,6 +238,22 @@ def _stack_layout(dense: tuple[Block, ...]):
     src[t1], coef[t1] = np.arange(len(t1)), c1  # after t2: a diagonal entry is its t1
     dtype = complex if nc == 2 else float
     return (len(dense), n, n), dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb)
+
+
+def _lift(layout, V: np.ndarray) -> np.ndarray:
+    """The stack of Hermitian matrices whose svec coordinates are V[..., :], for each V[..., :]."""
+    shape, dtype, src, coef = layout[:4]
+    return (V.take(src, -1) * coef).view(dtype).reshape(V.shape[:-1] + shape)
+
+
+def hermitian_basis(blk: Block) -> np.ndarray:
+    """Orthonormal basis (under Re tr) of a dense block's matrices; element i has svec e_i.
+
+    That is E_aa, then for a < b (E_ab + E_ba)/sqrt(2) and, if complex, i(E_ab - E_ba)/sqrt(2):
+    s^2 Hermitian matrices for a complex block, s(s+1)/2 real symmetric ones for a real one.
+    """
+    layout = _stack_layout((blk,))
+    return _lift(layout, np.eye(len(layout[4][0])))[:, 0] + 0.0  # no -0.0 from 0 * -1/sqrt(2)
 
 
 def _congruence(R: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -315,26 +332,33 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     C = [np.zeros_like(I) for I in eye]
     A = [np.zeros(I.shape[:-1] + (m + 1, I.shape[-1]), I.dtype) for I in eye]
 
-    def given():  # (name, block, destination, coefficient) of each coefficient given
-        for k, M in enumerate(problem.objective):
-            if M is not None:
-                yield f"objective block {k}", k, C[k], M
-        for i, con in enumerate(problem.constraints):
-            for k, M in con.coeffs.items():
-                if not 0 <= k < len(blocks):
-                    raise ValueError(f"constraint references unknown block {k}")
-                yield f"constraint {i}, block {k}", k, A[k][..., i, :], M
+    # Write each coefficient into its block's stack, checking its shape (and a real block's
+    # imaginary part), then check the stacks for non-finite entries at once. Only a failed
+    # check walks `given` (name, block, destination or None, coefficient) to name the fault.
+    given = [(f"objective block {k}", k, C[k], np.asarray(M))
+             for k, M in enumerate(problem.objective) if M is not None]
+    given += [(f"constraint {i}, block {k}", k, A[k][..., i, :] if 0 <= k < len(blocks) else None,
+               np.asarray(M)) for i, con in enumerate(problem.constraints)
+              for k, M in con.coeffs.items()]
 
-    # One pass: check each coefficient and write it into its block's stack.
-    for what, k, dest, M in given():
-        M = np.asarray(M)
+    def fault(what, k, dest, M, finite=True) -> Optional[str]:  # the first check M fails
+        if dest is None:
+            return f"constraint references unknown block {k}"
         if M.shape != dest.shape:
-            raise ValueError(f"{what} has shape {M.shape}, expected {dest.shape}")
-        if not np.isfinite(M).all():
-            raise ValueError(f"{what} has a non-finite entry")
+            return f"{what} has shape {M.shape}, expected {dest.shape}"
+        if finite and not np.isfinite(M).all():
+            return f"{what} has a non-finite entry"
         if M.dtype.kind == "c" and not blocks[k].complex and M.imag.any():
-            raise ValueError(f"{what} has an imaginary part on a real block")
+            return f"{what} has an imaginary part on a real block"
+
+    written = 0
+    for what, k, dest, M in given:
+        if fault(what, k, dest, M, finite=False):
+            break
         dest[...] = M if blocks[k].complex else M.real
+        written += 1
+    if written < len(given) or not all(np.isfinite(S).all() for S in C + A):
+        raise ValueError(next(msg for msg in (fault(*g) for g in given) if msg))
     C, A = [_herm(Ck) for Ck in C], [Ak if blk.diag else _herm(Ak) for Ak, blk in zip(A, blocks)]
 
     # X, Z and Rd view each block's part of one real vector, with
@@ -354,7 +378,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     dense = [k for k, blk in enumerate(blocks) if not blk.diag]
     order, nd = dense + [k for k, blk in enumerate(blocks) if blk.diag], len(dense)
     layout = _stack_layout(tuple(blocks[k] for k in dense))  # cached: read only
-    shape, dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb) = layout
+    shape, dtype, _, _, (t1, c1, t2, c2), (jj, aa, bb) = layout
     kd = len(t1)
     first = np.cumsum([0] + [blocks[k].size for k in order])  # each block's first lam
     ntot = int(first[-1])
@@ -365,9 +389,6 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     vcut = [slice(off + a, off + e) for a, e in zip(first[nd:-1], first[nd + 1 :])]
     F = np.zeros((m + 1,) + shape, dtype)  # R^H A_i R and R^H Rd R of every dense block
     Ff = F.reshape(m + 1, F[0].size).view(float)
-
-    def lift(V: np.ndarray) -> np.ndarray:  # svec coordinates -> stack of Hermitian matrices
-        return (V.take(src, -1) * coef).view(dtype).reshape(V.shape[:-1] + shape)
 
     def svec(Fr: np.ndarray) -> np.ndarray:  # _flat numbers of stacks -> svec coordinates
         return Fr.take(t1, -1) * c1 + Fr.take(t2, -1) * c2
@@ -446,7 +467,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         ra, _ = direction(-lamv - G[m])
         za = -lamv - ra
         V = np.array((ra, za, ra * w, za * w))
-        S = lift(V)
+        S = _lift(layout, V)
         ap_a, ad_a = (min(1.0, 0.95 * a) for a in _max_step(S[2:], V[2:, kd:]))
         mu_aff = float((lamv + ap_a * ra) @ (lamv + ad_a * za)) / ntot
         sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
@@ -461,7 +482,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         dy = np.zeros(m)
         dy[rows] = s * t
         V = np.array((r * w, (t @ Gs + G[m]) * w, r))
-        S = lift(V)
+        S = _lift(layout, V)
         tau = 0.98 if mu > 1e-7 else 0.99
         ap, ad = (min(1.0, tau * a) for a in _max_step(S[:2], V[:2, kd:]))
         for j, (k, R) in enumerate(zip(order, Rs)):

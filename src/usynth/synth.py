@@ -178,8 +178,10 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
 def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest row of the pool magic vectors P to each row of V.
 
-    Returns the indices and the half-diamond errors. Ties go to the lowest
-    index: in pool order, the shorter sequence, then lexicographic labels.
+    Returns the indices and the half-diamond errors. Of the rows whose
+    computed |dot| is exactly the largest, the lowest index wins (in pool
+    order: the shorter sequence, then lexicographic labels); near-ties are
+    decided by the rounding of the products.
     """
     idx = np.empty(len(V), dtype=np.intp)
     dots = np.empty((min(len(V), 64), len(P)))  # 64 rows at a time, in one reused array:
@@ -192,9 +194,10 @@ def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
     """Labels of the pool sequence closest to the target, and its error.
 
-    The error is the half-diamond distance. Ties go to the shorter
-    sequence, then lexicographic label order (the enumeration order of the
-    pool). Raises ValueError unless target is a 2x2 unitary.
+    The error is the half-diamond distance. Exact ties of the computed
+    |dot| go to the lowest pool index (the shorter sequence, then
+    lexicographic labels); near-ties are decided by rounding. Raises
+    ValueError unless target is a 2x2 unitary.
     """
     idx, errs = _nearest(pool.magic, qubit1.magic_embed(target)[None, :])
     return pool.labels[int(idx[0])], float(errs[0])

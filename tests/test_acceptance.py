@@ -20,7 +20,6 @@ from usynth.qubit1 import (
     magic_embed,
     magic_unembed,
     mix_distance_1q,
-    sphere_covering,
     support_filter,
 )
 
@@ -74,30 +73,40 @@ def test_acceptance_1_axial_three_paths():
 
 
 def test_acceptance_2_qubit_bound_attained():
-    """d=2: the bound curve collapses to eps^2, and constructed
-    eps-coverings realize worst-case mixing error within 10% of eps^2."""
+    """d=2: the bound curve collapses to r^2 at the covering radius r of the
+    standard pool of sequences of length <= L, the best mixture at the
+    pool's deepest hole errs by r^2, and no Haar target does worse."""
+    t0 = time.perf_counter()
     lines = []
     ok = True
-    for eps in (0.1, 0.3, 0.5):
-        bp = bounds.theorem1_bounds(eps, 2)
-        ok &= abs(bp.lower - eps * eps) <= 1e-12 and abs(bp.upper - eps * eps) <= 1e-12
+    gs = synth.standard_gate_set()
+    rng = np.random.default_rng(123)
+    targets = [magic_embed(haar_unitary(2, rng)) for _ in range(50)]
+    for L in (4, 6, 8, 10, 12):
+        P = synth.enumerate_sequences(gs, L).magic
+        r, hole = covering_radius(P, return_witness=True)
+        bp = bounds.theorem1_bounds(r, 2)
+        ok &= abs(bp.lower - r * r) <= 1e-12 and abs(bp.upper - r * r) <= 1e-12
 
-        pts, rad = sphere_covering(eps)
-        _, witness = covering_radius(pts, return_witness=True)
-        rng = np.random.default_rng(123)
-        targets = [magic_embed(haar_unitary(2, rng)) for _ in range(50)] + [witness]
-        eps_f = min(eps, 0.499)
+        # support_filter at r keeps what an r-covering needs; it takes r < 1/2.
+        def support(u):
+            return P if r >= 0.5 else P[support_filter(u, P, r)]
+
+        _, upper, lower = qubit1.optimal_mix_1q(hole, support(hole))
+        ok &= lower - 1e-12 <= r * r and upper / (r * r) - 1 <= 2e-7
         worst = 0.0
-        top = 0.0
         for u in targets:
-            idx = support_filter(u, pts, eps_f)
-            cands = [choi(magic_unembed(pts[i])) for i in idx]
-            _, v = optimal_mix(choi(magic_unembed(u / np.linalg.norm(u))), cands)
+            cands = [choi(magic_unembed(w)) for w in support(u)]
+            _, v = optimal_mix(choi(magic_unembed(u)), cands)
             worst = max(worst, v)
-            top = max(top, v)
-        ok &= 0.9 * eps * eps <= worst <= eps * eps + 1e-6
-        lines.append(f"eps={eps}: n={len(pts)} rad={rad:.4f} worst={worst:.6f}")
-    _report("criterion 2 (d=2 bound attained on coverings)", ok, "; ".join(lines))
+        ok &= worst <= r * r + 1e-6
+        lines.append(
+            f"L={L}: n={len(P)} r={r:.5f} hole upper/r^2-1={upper / (r * r) - 1:.1e} "
+            f"worst={worst:.6f}"
+        )
+    dt = time.perf_counter() - t0
+    _report("criterion 2 (d=2 bound attained on the gate set's pools)", ok,
+            "; ".join(lines) + f" t={dt:.1f}s")
 
 
 def test_acceptance_3_sdp_vs_eigen_path():
@@ -153,20 +162,20 @@ def test_acceptance_4_primal_dual_agreement():
 
 
 def test_acceptance_5_support_restriction_lossless():
-    """100 targets against a verified covering: restricting the mixing SDP
-    to candidates within 2*eps of the target does not change the value.
-    Both solves use the generic (Watrous) lowering; the 4x4 lowering that
-    optimal_mix takes for qubit unitaries is checked by criterion 2."""
-    eps = 0.3
-    pts, rad = sphere_covering(eps)
-    assert rad == covering_radius(pts) <= eps
+    """100 targets against the standard pool of sequences of length <= 6,
+    an r-covering with r its certified covering radius: restricting the
+    mixing SDP to candidates within 2r of the target does not change the
+    value. Both solves use the generic (Watrous) lowering; the 4x4 lowering
+    that optimal_mix takes for qubit unitaries is checked by criterion 2."""
+    pts = synth.enumerate_sequences(synth.standard_gate_set(), 6).magic
+    rad = covering_radius(pts)
     all_cands = [choi(magic_unembed(v)) for v in pts]
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
         U = haar_unitary(2, rng)
         u = magic_embed(U)
-        idx = support_filter(u, pts, eps)
+        idx = support_filter(u, pts, rad)
         _, v_full, _ = channels._mix(choi(U), all_cands)
         _, v_filt, _ = channels._mix(choi(U), [all_cands[i] for i in idx])
         worst = max(worst, abs(v_full - v_filt))
@@ -174,7 +183,7 @@ def test_acceptance_5_support_restriction_lossless():
     _report(
         "criterion 5 (support restriction lossless, 100 cases)",
         ok,
-        f"net size {len(pts)} rad={rad:.4f}, max deviation {worst:.2e}",
+        f"pool size {len(pts)} rad={rad:.5f}, max deviation {worst:.2e}",
     )
 
 

@@ -8,7 +8,7 @@ from usynth.channels import (
     diamond_distance,
     unitary_distance,
 )
-from usynth.linalg import haar_unitary, hermitian_basis
+from usynth.linalg import haar_unitary
 
 
 def test_trivial_scalar():
@@ -150,24 +150,52 @@ def test_solve_rejects_bad_problems(objective, constraint, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize(
-    "blk, coeff, message",
-    [
-        (sdp.Block(size=3), np.eye(2), "has shape"),
-        (sdp.Block(size=3, diag=True), np.eye(3), "has shape"),
-        (sdp.Block(size=3), np.diag([1.0, np.nan, 0.0]), "non-finite"),
-        (sdp.Block(size=3, complex=True), np.diag([1.0, np.inf, 0.0]), "non-finite"),
-        (sdp.Block(size=2), np.array([[1.0, 1j], [-1j, 1.0]]), "imaginary part"),
-        (sdp.Block(size=2, diag=True), np.array([1.0, 1j]), "imaginary part"),
-        (sdp.Block(size=2, complex=True, diag=True), np.ones(2), "cannot be complex"),
-    ],
-    ids=["shape", "shape-diag", "nan", "inf-complex", "imag-real", "imag-diag", "complex-diag"],
+def _one(blk, coeff):
+    return [blk], [{0: coeff}]
+
+
+_LATER = (
+    [sdp.Block(size=2), sdp.Block(size=3, complex=True), sdp.Block(size=2, diag=True)],
+    [{0: np.eye(2), 1: np.eye(3), 2: np.ones(2)}, {2: np.ones(2)}, {1: np.eye(3), 0: np.eye(2)}],
 )
-def test_validate_rejects_bad_coefficients(blk, coeff, message):
+
+
+def _bad(*faults):
+    """_LATER with coefficient (constraint i, block k) replaced, for each (i, k, coeff)."""
+    blocks, cons = _LATER
+    cons = [dict(c) for c in cons]
+    for i, k, coeff in faults:
+        cons[i][k] = coeff
+    return blocks, cons
+
+
+@pytest.mark.parametrize(
+    "blocks, coeffs, message",
+    [
+        (*_one(sdp.Block(size=3), np.eye(2)), "has shape"),
+        (*_one(sdp.Block(size=3, diag=True), np.eye(3)), "has shape"),
+        (*_one(sdp.Block(size=3), np.diag([1.0, np.nan, 0.0])), "non-finite"),
+        (*_one(sdp.Block(size=3, complex=True), np.diag([1.0, np.inf, 0.0])), "non-finite"),
+        (*_one(sdp.Block(size=2), np.array([[1.0, 1j], [-1j, 1.0]])), "imaginary part"),
+        (*_one(sdp.Block(size=2, diag=True), np.array([1.0, 1j])), "imaginary part"),
+        (*_one(sdp.Block(size=2, complex=True, diag=True), np.ones(2)), "cannot be complex"),
+        (*_one(sdp.Block(size=2), np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]])),
+         "^constraint 0, block 0 has a non-finite entry$"),
+        (*_bad((2, 0, np.diag([1.0, np.nan]))), "^constraint 2, block 0 has a non-finite entry$"),
+        (*_bad((2, 1, np.eye(2))), r"^constraint 2, block 1 has shape \(2, 2\), expected \(3, 3\)$"),
+        # The first coefficient at fault is named, though shapes are checked
+        # as the stacks are written and finiteness after.
+        (*_bad((1, 2, np.array([np.inf, 1.0])), (2, 1, np.eye(2))),
+         "^constraint 1, block 2 has a non-finite entry$"),
+    ],
+    ids=["shape", "shape-diag", "nan", "inf-complex", "imag-real", "imag-diag", "complex-diag",
+         "nan-imag-real", "later-constraint", "later-shape", "first-fault-named"],
+)
+def test_validate_rejects_bad_coefficients(blocks, coeffs, message):
     p = sdp.SdpProblem(
-        blocks=[blk],
-        objective=[None],
-        constraints=[sdp.Constraint(coeffs={0: coeff}, rhs=1.0)],
+        blocks=blocks,
+        objective=[None] * len(blocks),
+        constraints=[sdp.Constraint(coeffs=c, rhs=1.0) for c in coeffs],
     )
     with pytest.raises(ValueError, match=message):
         sdp.solve(p)
@@ -225,22 +253,40 @@ def test_solve_forms_no_explicit_inverse(monkeypatch):
     qubit1.optimal_mix_1q(u, W)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_hermitian_basis_is_orthonormal_with_unit_svec(size, cplx):
+    blk = sdp.Block(size, complex=cplx)
+    E = sdp.hermitian_basis(blk)
+    k = size * size if cplx else size * (size + 1) // 2
+    assert E.shape == (k, size, size) and E.dtype == (complex if cplx else float)
+    assert np.array_equal(E, E.conj().swapaxes(1, 2))
+    gram = np.real(np.einsum("iab,jba->ij", E, E))
+    assert np.allclose(gram, np.eye(k), rtol=0, atol=1e-15)
+    # svec, the gathers of the block's layout, reads E_i as the i-th unit vector.
+    _, _, _, _, (t1, c1, t2, c2), _ = sdp._stack_layout((blk,))
+    Ef = E.reshape(k, -1).view(float)
+    assert np.allclose(Ef[:, t1] * c1 + Ef[:, t2] * c2, np.eye(k), rtol=0, atol=1e-15)
+    assert not np.signbit(Ef[Ef == 0]).any()  # every zero is +0.0
+
+
 def test_stack_layout_gathers_match_hermitian_basis():
-    # Real blocks keep the real elements of hermitian_basis; the gathers stand
-    # for sum_i v_i E_i (the stack) and Re tr(E_i H) of its Hermitian part H.
+    # The layout of several dense blocks holds each block as its own basis
+    # does: the stack of svec coordinates v is sum_i v_i E_i per block, and
+    # the svec of a stack's Hermitian part H is Re tr(E_i H).
     dense = (sdp.Block(3), sdp.Block(4, complex=True), sdp.Block(2))
-    shape, dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb) = sdp._stack_layout(dense)
+    layout = sdp._stack_layout(dense)
+    shape, dtype, _, _, (t1, c1, t2, c2), (jj, aa, bb) = layout
     assert shape == (3, 4, 4) and dtype is complex
     rng = np.random.default_rng(8)
     v = rng.standard_normal(len(t1))
     F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    stack = (v[src] * coef).view(complex).reshape(shape)
+    stack = sdp._lift(layout, v)
     Ff = F.reshape(-1).view(float)
     coords = Ff[t1] * c1 + Ff[t2] * c2
     start = 0
     for j, blk in enumerate(dense):
-        E = hermitian_basis(blk.size)
-        E = E if blk.complex else E[~np.any(E.imag, axis=(1, 2))]
+        E = sdp.hermitian_basis(blk)
         want = np.zeros(shape[1:], complex)
         want[: blk.size, : blk.size] = np.tensordot(v[start : start + len(E)], E, 1)
         assert np.array_equal(stack[j] == 0, want == 0)
@@ -254,6 +300,28 @@ def test_stack_layout_gathers_match_hermitian_basis():
         assert all(E[i, a, b] != 0 for i, a, b in zip(range(len(E)), aa[start:], bb[start:]))
         start += len(E)
     assert start == len(t1)
+
+
+def test_ten_iterations_without_progress_end_solve_as_stalled(monkeypatch):
+    # With every step length zero the iterate never moves, so its merit
+    # never improves after the first iteration.
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    p = sdp.SdpProblem(
+        blocks=[sdp.Block(size=3, complex=True), sdp.Block(size=2, diag=True)],
+        objective=[(A + A.conj().T) / 2, np.array([0.5, -1.0])],
+        constraints=[sdp.Constraint(coeffs={0: np.eye(3, dtype=complex), 1: np.ones(2)}, rhs=1.0)],
+    )
+    with monkeypatch.context() as m:
+        m.setattr(sdp, "MAX_ITER", 1)
+        first = sdp.solve(p)
+    monkeypatch.setattr(sdp, "_max_step", lambda S, v: [0.0] * len(S))
+    s = sdp.solve(p)
+    assert (first.status, first.iterations) == ("MaxIter", 1)
+    assert (s.status, s.iterations) == ("Stalled", 11)
+    assert (s.pinf, s.dinf, s.rel_gap) == (first.pinf, first.dinf, first.rel_gap)
+    assert all(np.array_equal(X, X1) for X, X1 in zip(s.X, first.X))
+    assert np.array_equal(s.y, first.y)
 
 
 def _break_chol_after(monkeypatch, n):

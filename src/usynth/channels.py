@@ -231,13 +231,13 @@ def optimal_mix(
     Returns (p, value): value is a certified upper bound on the
     half-diamond error (1/2)||target - sum p_x cand_x||_diamond of the
     returned p, not the solver's objective. When the target and every
-    candidate are d = 2 unitary channels (`_qubit_unitaries`: trace
-    preserving and rank one within TOL_UNITARY), the query is one real 4x4
-    SDP in the magic basis, and value is `qubit1.optimal_mix_1q`'s upper,
-    `qubit1.mix_distance_1q` at p: the exact error of p for the unitaries
-    read from the Choi operators. Every other input takes the Watrous SDP
-    of `_mix`, and value is its repaired-primal upper bound. Either SDP is
-    solved to relative gap and feasibility 1e-8 within 200 iterations.
+    candidate are d = 2 unitary channels (`_qubit_unitaries`: trace preserving
+    and rank one within TOL_UNITARY), the query is the column generation over
+    real 4x4 SDPs of `qubit1.optimal_mix_1q` (p is zero off its solved columns),
+    and value is its upper, `mix_distance_1q` at p: the exact error of p for
+    the unitaries read from the Choi operators. Every other input takes the
+    Watrous SDP of `_mix`, and value is its repaired-primal upper bound. Either
+    SDP is solved to relative gap and feasibility 1e-8 within 200 iterations.
     """
     U = _qubit_unitaries([target, *candidates])
     if U is None:

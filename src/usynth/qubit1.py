@@ -12,9 +12,9 @@ M has trace 0 and at most one positive eigenvalue (a rank-one PSD matrix
 minus a PSD one), so (1/2)||M||_1 = lambda_max(M), and optimal mixing is
 an SDP with one real 4x4 PSD block S = tI - M. This module provides the
 embedding, one key per channel (`line_keys`), those distances, optimal
-mixing (`optimal_mix_1q`), support restriction, epsilon-coverings of
-(caps of) S^3, and the exact covering radius of a net from the convex
-hull of +-P (`covering_radius`).
+mixing by column generation priced by the SDP's dual (`optimal_mix_1q`),
+support restriction, epsilon-coverings of (caps of) S^3, and the exact
+covering radius of a net from the convex hull of +-P (`covering_radius`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import sdp
 from .linalg import check_unitary
 
 KEY_DECIMALS = 8  # magic vectors equal to this many decimals, up to sign, are one channel
+COLUMNS = 16  # candidates optimal_mix_1q adds per round: the nearest, then the best priced
 
 
 class EmptySupportError(ValueError):
@@ -138,18 +139,22 @@ def optimal_mix_1q(
 
     Solves max -t subject to S - tI - sum_x p_x w_x w_x^T = -uu^T (taken
     against the 10 basis matrices E_k of 4x4 real symmetric matrices) and
-    sum p = 1, over S >= 0 and one LP block (p, t) >= 0. Returns (p, upper, lower):
+    sum p = 1, over S >= 0 and one LP block (p, t) >= 0, by column
+    generation: first over the COLUMNS candidates nearest u (in candidate
+    order), then, while upper - lower > gap_tol, adding the (at most
+    COLUMNS) best priced candidates that price above every solved column.
+    The price of w_x is w_x^T Y w_x, Y = sum y_k E_k from the dual
+    multipliers of the basis rows, clipped to PSD and scaled to trace 1: a
+    dual feasible point. Returns (p, upper, lower) of the last solve:
 
     - upper = mix_distance_1q(u, W, p), the exact half-diamond error of the
-      returned p: the solver's or the best single candidate, whichever errs less;
-    - lower = u^T Y u - max_x w_x^T Y w_x with Y = sum y_k E_k from the dual
-      multipliers of the basis rows, clipped to PSD and scaled to trace 1,
-      a dual feasible point: no mixture does better. It is clamped to at
-      most upper, as rounding can lift it above an exact hit's upper = 0.
+      returned p: the solver's (zero off the solved columns) or the nearest
+      single candidate, whichever errs less;
+    - lower = u^T Y u - max_x w_x^T Y w_x over every candidate: no mixture
+      does better. It is clamped to [0, upper] against rounding.
 
-    Raises ValueError unless u is a unit 4-vector and W has shape (n, 4)
-    with unit rows, EmptyCandidatesError for n = 0 and SdpFailureError when
-    the solve does not reach relative gap gap_tol (see sdp.solve).
+    Raises ValueError unless u is a unit 4-vector and W has shape (n, 4) with unit
+    rows, EmptyCandidatesError for n = 0, and as sdp.solve and check_optimal do.
     """
     u = np.asarray(target, dtype=float)
     W = np.asarray(candidates, dtype=float)
@@ -161,28 +166,34 @@ def optimal_mix_1q(
         raise EmptyCandidatesError("empty candidate list")
     if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1) <= 1e-8):
         raise ValueError("candidates must be unit 4-vectors")
-    n = len(W)
-    blocks = [sdp.Block(size=4), sdp.Block(size=n + 1, diag=True)]  # S, then (p, t)
-    E = sdp.hermitian_basis(blocks[0])  # the 10 real symmetric basis matrices
-    wEw = np.einsum("kab,xa,xb->kx", E, W, W)  # w_x^T E_k w_x
-    constraints = [
-        sdp.Constraint(coeffs={0: Ek, 1: np.append(-wk, -np.trace(Ek))}, rhs=-float(u @ Ek @ u))
-        for Ek, wk in zip(E, wEw)
-    ]
-    constraints.append(sdp.Constraint(coeffs={1: np.append(np.ones(n), 0.0)}, rhs=1.0))
-    problem = sdp.SdpProblem(blocks, [None, np.append(np.zeros(n), -1.0)], constraints)
-    sol = sdp.check_optimal(sdp.solve(problem, gap_tol))
-    p = np.maximum(sol.X[1][:n], 0.0)
-    # Within the gap tolerance the best single candidate can beat the iterate.
-    best = np.zeros(n)
-    best[np.argmax(np.abs(W @ u))] = 1.0
-    P = (p / p.sum(), best)
-    errs = [mix_distance_1q(u, W, q) for q in P]
-    p, upper = P[int(np.argmin(errs))], min(errs)
-    lam, V = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))
-    Y = (V * np.maximum(lam, 0.0)) @ V.T  # clipped to PSD, scaled to trace 1 below
-    lower = float(u @ Y @ u - np.max(np.einsum("xa,ab,xb->x", W, Y, W))) / float(np.trace(Y))
-    return p, upper, min(lower, upper)
+    E = sdp.hermitian_basis(sdp.Block(size=4))  # the 10 real symmetric basis matrices
+    dots = np.abs(W @ u)
+    # Within the gap tolerance the nearest single candidate can beat the iterate.
+    best = (np.arange(len(W)) == np.argmax(dots)) * 1.0
+    cols = np.sort(np.argsort(-dots, kind="stable")[:COLUMNS])
+    while True:
+        blocks = [sdp.Block(size=4), sdp.Block(size=len(cols) + 1, diag=True)]  # S, then (p, t)
+        wEw = np.einsum("kab,xa,xb->kx", E, W[cols], W[cols])  # w_x^T E_k w_x
+        constraints = [
+            sdp.Constraint(coeffs={0: Ek, 1: np.append(-wk, -np.trace(Ek))}, rhs=-float(u @ Ek @ u))
+            for Ek, wk in zip(E, wEw)
+        ]
+        constraints.append(sdp.Constraint(coeffs={1: np.append(np.ones(len(cols)), 0.0)}, rhs=1.0))
+        problem = sdp.SdpProblem(blocks, [None, np.append(np.zeros(len(cols)), -1.0)], constraints)
+        sol = sdp.check_optimal(sdp.solve(problem, gap_tol))
+        p = np.zeros(len(W))
+        p[cols] = np.maximum(sol.X[1][:-1], 0.0)
+        P = (p / p.sum(), best)
+        errs = [mix_distance_1q(u, W, q) for q in P]
+        p, upper = P[int(np.argmin(errs))], min(errs)
+        lam, V = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))
+        Y = (V * np.maximum(lam, 0.0)) @ V.T  # clipped to PSD, scaled to trace 1 below
+        price = np.einsum("xa,ab,xb->x", W, Y, W)
+        lower = float(u @ Y @ u - np.max(price)) / float(np.trace(Y))
+        new = np.flatnonzero(price > price[cols].max())
+        if upper - lower <= gap_tol or not new.size:
+            return p, upper, min(max(lower, 0.0), upper)
+        cols = np.union1d(cols, new[np.argsort(-price[new], kind="stable")[:COLUMNS]])
 
 
 def support_filter(target: np.ndarray, candidates: np.ndarray, eps: float) -> np.ndarray:

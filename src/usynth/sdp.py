@@ -306,7 +306,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     `X` holds a Hermitian matrix for each complex block, a real symmetric
     matrix for each real block and a nonnegative vector for each diag
     block; `y` holds the multipliers of the constraints in order. A
-    malformed problem raises ValueError naming the entry at fault.
+    malformed problem or gap_tol raises ValueError naming the fault.
     """
     blocks = problem.blocks
     if len(problem.objective) != len(blocks):
@@ -314,6 +314,8 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     for k, blk in enumerate(blocks):
         if blk.complex and blk.diag:
             raise ValueError(f"block {k}: a diag block cannot be complex")
+    if not 0 < gap_tol < np.inf:
+        raise ValueError("gap_tol must be positive and finite")
     b = np.array([c.rhs for c in problem.constraints], dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("constraint rhs must be finite")

@@ -239,8 +239,8 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     eps. CoveringUnreachableError if that worst error exceeds c'*eps.
 
     prob_error is the exact error of the returned mixture p (an upper bound
-    on the optimum); prob_error_lower is a dual lower bound: no mixture of
-    the support does better (qubit1.optimal_mix_1q).
+    on the optimum; p is zero off the columns qubit1.optimal_mix_1q solved);
+    prob_error_lower is its dual bound: no mixture of the support does better.
 
     eps must lie in (0, 1/2), so that the 2*eps-ball is a proper cap of the
     unitaries; ValueError otherwise.

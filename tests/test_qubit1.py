@@ -322,3 +322,48 @@ def test_optimal_mix_1q_wide_support_memory_is_linear():
     assert peak < 2000 * n
     assert p.shape == (n,) and abs(p.sum() - 1) < 1e-12
     assert lower <= upper + 1e-12 and upper - lower <= 1e-7
+
+
+def _recording_solve(monkeypatch):
+    """The LP width (number of candidates) of every sdp.solve call, in order."""
+    widths, solve = [], sdp.solve
+
+    def recording(problem, *args):
+        widths.append(problem.blocks[1].size - 1)
+        return solve(problem, *args)
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    return widths
+
+
+def test_optimal_mix_1q_second_round_adds_the_far_candidate(monkeypatch):
+    # 20 candidates at angles 0.100-0.138 from u = e0, all tilted toward +e1,
+    # and one at 0.2 tilted toward -e1. The nearest COLUMNS cannot cancel the
+    # tilt, so the dual prices the far candidate above them.
+    th = 0.100 + 0.002 * np.arange(20)
+    phi = 2 * np.pi * np.arange(20) / 20
+    tilt = np.column_stack([np.full(20, 0.6), np.cos(phi), np.sin(phi)])
+    tilt /= np.linalg.norm(tilt, axis=1, keepdims=True)
+    W = np.vstack([np.column_stack([np.cos(th), np.sin(th)[:, None] * tilt]),
+                   [np.cos(0.2), -np.sin(0.2), 0.0, 0.0]])
+    u = np.eye(4)[0]
+    widths = _recording_solve(monkeypatch)
+    p, upper, lower = optimal_mix_1q(u, W)
+    assert len(widths) >= 2 and widths[0] == qubit1.COLUMNS
+    assert p[-1] > 0 and np.all(p[qubit1.COLUMNS : -1] == 0.0)
+    assert abs(upper - mix_distance_1q(u, W, p)) <= 1e-15 and 0 <= lower <= upper
+    # Watrous's lowering over all 21 channels agrees.
+    _, value, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
+    assert abs(upper - value) <= 1e-7
+    # The nearest COLUMNS alone are far worse: the second round is needed.
+    assert optimal_mix_1q(u, W[: qubit1.COLUMNS])[1] > 3 * upper
+
+
+@pytest.mark.parametrize("n", [1, 5, 16])
+def test_optimal_mix_1q_at_most_columns_is_one_solve(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    u = magic_embed(haar_unitary(2, rng))
+    W = magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
+    widths = _recording_solve(monkeypatch)
+    optimal_mix_1q(u, W)
+    assert widths == [n]

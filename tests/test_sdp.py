@@ -201,6 +201,19 @@ def test_validate_rejects_bad_coefficients(blocks, coeffs, message):
         sdp.solve(p)
 
 
+@pytest.mark.parametrize("gap_tol", [np.nan, 0.0, -1.0, np.inf])
+def test_solve_rejects_a_gap_tol_that_is_not_positive_and_finite(gap_tol):
+    problem = sdp.SdpProblem(
+        blocks=[sdp.Block(size=1)],
+        objective=[np.array([[1.0]])],
+        constraints=[sdp.Constraint(coeffs={0: np.array([[1.0]])}, rhs=1.0)],
+    )
+    with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
+        sdp.solve(problem, gap_tol)
+    with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
+        qubit1.optimal_mix_1q(np.eye(4)[0], np.eye(4)[1:], gap_tol)
+
+
 def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
     # Exactly representable, so every BLAS sees the same matrix: the second
     # Cholesky pivot is -2**-52 and the smallest eigenvalue about -1.1e-16.

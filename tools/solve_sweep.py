@@ -11,9 +11,19 @@ all, and writes for each its SDP status and iteration count and, when the
 solve is optimal, `upper`, `lower` and `p`. Floats are written as Python's
 shortest round-trip repr, so equal JSON means bitwise-equal numbers.
 
-`--compare` prints every solve whose status or iteration count differs,
-then the largest move of `upper`, `lower` and `p` over the solves optimal
-on both sides; it exits 1 if anything differs at all.
+A second set, keyed `synth-L-i` on the path `prob_synth`, runs `prob_synth`
+at eps 0.35 and delta 1e-6 over the L = 12 and L = 14 pools of the standard
+gate set on 60 Haar targets each, target i from `default_rng([3, i])`:
+mixing problems of a few hundred candidates, where `optimal_mix_1q` may
+solve more than once. For each it writes `rounds` (the solves made), the
+status of the last solve, the iterations of every solve, and `upper`,
+`lower` and `p` as returned.
+
+`--compare` pairs the records of two sweeps by case and path, and counts
+those that only one sweep has without comparing them. It prints every
+solve whose status or iteration counts differ, then the largest move of
+`upper`, `lower` and `p` over the solves optimal on both sides (the
+iterations may differ); it exits 1 if any paired solve differs at all.
 """
 
 import os
@@ -30,6 +40,7 @@ import numpy as np  # noqa: E402
 
 SEEDS = (1, 2)
 CASES = 300
+SYNTH_SEED, SYNTH_CASES, SYNTH_LENGTHS = 3, 60, (12, 14)
 
 
 def cases():
@@ -46,7 +57,8 @@ def cases():
 
 
 def sweep() -> list[dict]:
-    from usynth import channels, qubit1, sdp
+    from usynth import channels, qubit1, sdp, synth
+    from usynth.linalg import haar_unitary
 
     seen = []
     solve = sdp.solve
@@ -75,6 +87,19 @@ def sweep() -> list[dict]:
                 (sol,) = seen
                 rec.update(status=sol.status, iterations=sol.iterations)
                 records.append(rec)
+        for max_len in SYNTH_LENGTHS:
+            pool = synth.enumerate_sequences(synth.standard_gate_set(), max_len)
+            for i in range(SYNTH_CASES):
+                U = haar_unitary(2, np.random.default_rng([SYNTH_SEED, i]))
+                seen.clear()
+                res = synth.prob_synth(U, 0.35, 1e-6, pool)
+                records.append({
+                    "case": f"synth-{max_len}-{i}", "d": 2, "path": "prob_synth",
+                    "rounds": len(seen), "status": seen[-1].status,
+                    "iterations": [sol.iterations for sol in seen],
+                    "upper": res.prob_error, "lower": res.prob_error_lower,
+                    "p": [float(x) for x in res.p],
+                })
     finally:
         sdp.solve = solve
     return records
@@ -82,28 +107,29 @@ def sweep() -> list[dict]:
 
 def compare(a: list[dict], b: list[dict]) -> int:
     """Print what differs between two sweeps; the number of differing solves."""
-    if [(r["case"], r["path"]) for r in a] != [(r["case"], r["path"]) for r in b]:
-        print("the sweeps list different solves")
-        return max(len(a), len(b))
+    keyed = [{(r["case"], r["path"]): r for r in recs} for recs in (a, b)]
+    only = len(keyed[0].keys() ^ keyed[1].keys())
+    if only:
+        print(f"{only} solves in one sweep only, not compared")
+    pairs = [(ra, keyed[1][key]) for key, ra in keyed[0].items() if key in keyed[1]]
     differ = 0
     moves = {"upper": (0.0, None), "lower": (0.0, None), "p": (0.0, None)}
-    for ra, rb in zip(a, b):
+    for ra, rb in pairs:
         where = f"{ra['case']} {ra['path']}"
-        if (ra["status"], ra["iterations"]) != (rb["status"], rb["iterations"]):
+        changed = (ra["status"], ra["iterations"]) != (rb["status"], rb["iterations"])
+        if changed:
             print(f"{where}: {ra['status']} after {ra['iterations']} -> "
                   f"{rb['status']} after {rb['iterations']}")
-            differ += 1
-            continue
-        if "p" not in ra:
-            continue
-        differ += any(ra[k] != rb[k] for k in moves)
-        for k in moves:
-            move = float(np.max(np.abs(np.subtract(ra[k], rb[k]))))
-            if move > moves[k][0]:
-                moves[k] = (move, where)
+        if "p" in ra and "p" in rb:
+            changed |= any(ra[k] != rb[k] for k in moves)
+            for k in moves:
+                move = float(np.max(np.abs(np.subtract(ra[k], rb[k]))))
+                if move > moves[k][0]:
+                    moves[k] = (move, where)
+        differ += changed
     for k, (move, where) in moves.items():
         print(f"largest move of {k}: {move:.3e}" + (f" ({where})" if where else ""))
-    print(f"{len(a)} solves, {differ} differ")
+    print(f"{len(pairs)} solves compared, {differ} differ")
     return differ
 
 

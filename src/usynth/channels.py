@@ -6,9 +6,11 @@ channels is its one-candidate case), and the closed-form half-diamond
 distance between unitary channels. Mixing solves Watrous's SDP, except
 when the target and every candidate are d = 2 unitary channels (dims
 (2, 2), trace preserving and rank one within linalg.TOL_UNITARY): those
-take the real 4x4 SDP of qubit1.optimal_mix_1q.
+take the real 4x4 SDP of qubit1.optimal_mix_1q. Watrous's SDP is posed
+exactly on the joint support of the Choi operators (`_mix`): n + 1
+dimensions for n unitary candidates of a unitary target, not d^2.
 Every returned distance or mixing value is a certified upper bound on the
-error, never the solver's objective.
+error, evaluated on the full space, never the solver's objective.
 
 Conventions: the Choi operator of a channel Xi acting on a d1-dimensional
 input is J(Xi) = sum_ij |i><j| (x) Xi(|i><j|), an operator on H1 (x) H2
@@ -33,6 +35,10 @@ from .linalg import (
 )
 from .qubit1 import EmptyCandidatesError
 from .sdp import SdpFailureError  # noqa: F401  (callers catch channels.SdpFailureError)
+
+# An eigenvalue of a Choi operator below this fraction of its largest leaves
+# the mixing SDP's support; `_mix`'s lower bound pays for what it drops.
+SUPPORT_CUT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,23 @@ def unitary_distance(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - m * m)))
 
 
+def _support(J: np.ndarray) -> np.ndarray:
+    """Orthonormal basis V, D x k, of the joint support K of the stacked operators J.
+
+    Each operator contributes its eigenvectors whose |eigenvalue| is at least
+    SUPPORT_CUT times its largest (all of them for a zero operator); the
+    stacked vectors are orthonormalized by SVD, dropping singular values only
+    at rounding level. Two supports a distance delta apart thus stay apart,
+    where the spectrum of their sum would show delta only as delta^2.
+    """
+    w, U = np.linalg.eigh(J)
+    a = np.abs(w)
+    keep = a >= SUPPORT_CUT * a.max(axis=-1, keepdims=True)
+    F = U.swapaxes(-1, -2)[keep].T
+    Q, s, _ = np.linalg.svd(F, full_matrices=False)
+    return Q[:, s > max(F.shape) * sdp.EPS * s[0]]
+
+
 def _mix(
     target: ChoiOperator, candidates: list[ChoiOperator]
 ) -> tuple[np.ndarray, float, float]:
@@ -116,14 +139,26 @@ def _mix(
     r I >= ptr2(S), p >= 0 and sum p = 1. Its dual maximizes
     tr(J(A) T) - max_x tr(J(B_x) T) over testers 0 <= T <= rho (x) I,
     tr(rho) <= 1, which are the multipliers of the basis rows and of the
-    partial-trace rows. Neither bound is the solver's objective:
+    partial-trace rows.
 
-    - upper = ||ptr2(S + s I)||_inf with the smallest s >= 0 that makes S
-      feasible at the returned p: no less than the error of p;
+    The SDP is posed on K, the joint support of J(A) and the J(B_x) (`_support`),
+    with V an orthonormal basis of K: S = V S' V^H, with k x k blocks S' and E'
+    (k = n + 1 for n unitary candidates of a unitary target, whatever d), k^2
+    basis rows in V^H J V and d1^2 partial-trace rows with coefficients
+    V^H (F (x) I) V. That is exact when the operators live on K: testers enter
+    the dual only through V^H T V, and the compressions of 0 <= T <= rho (x) I
+    are exactly 0 <= T' <= N = V^H (rho (x) I) V (T = C^H T' C with
+    C = N^-1 V^H (rho (x) I) extends T'). Neither bound is the solver's
+    objective, and both hold on the full space whatever the support cut dropped:
+
+    - upper = ||ptr2(S + s I)||_inf with S = V S' V^H and the smallest s >= 0
+      that makes S feasible at the returned p: no less than the error of p;
     - lower = the dual objective at the tester repaired to be feasible
-      (rho clipped to a density operator, T into [0, rho (x) I]): no more
-      than the error of any mixture, clamped to at most upper against
-      rounding.
+      (rho clipped to a density operator, T' into [0, N]), less the trace
+      norm of the target's part J - P J P outside K (P = V V^H) and the
+      largest such norm of a candidate's, which bound what the extended
+      tester, of norm at most 1, sees there: no more than the error of any
+      mixture, clamped to at most upper against rounding.
 
     With one candidate, p = 1 and the solve is the half-diamond distance.
     """
@@ -133,17 +168,21 @@ def _mix(
     for c in candidates:
         if c.dims != target.dims:
             raise ValueError("dimension mismatch")
-    D = d1 * d2
     n = len(candidates)
-    JA = target.J
-    JB = np.stack([c.J for c in candidates])
+    J = np.stack([target.J] + [c.J for c in candidates])
+    V = _support(J)
+    k = V.shape[1]
+    Jk = V.conj().T @ J @ V  # the operators compressed to K
+    P = V @ V.conj().T
+    outside = np.abs(np.linalg.eigvalsh(J - P @ J @ P)).sum(axis=-1)
+    JA, JB = Jk[0], Jk[1:]
 
-    # Variables: S >= 0, E = S - J(A) + sum p J(B_x) >= 0,
-    #            G = r I - ptr2(S) >= 0, p >= 0, r >= 0.
+    # Variables: S' >= 0, E' = S' - V^H J(A) V + sum p V^H J(B_x) V >= 0,
+    #            G = r I - ptr2(V S' V^H) >= 0, p >= 0, r >= 0.
     # minimize r  ==  maximize -r.
     blocks = [
-        sdp.Block(size=D, complex=True),   # S
-        sdp.Block(size=D, complex=True),   # E
+        sdp.Block(size=k, complex=True),   # S'
+        sdp.Block(size=k, complex=True),   # E'
         sdp.Block(size=d1, complex=True),  # G
         sdp.Block(size=n + 1, diag=True),  # (p, r)
     ]
@@ -153,13 +192,14 @@ def _mix(
     pc = np.real(np.einsum("kab,xba->kx", basis, JB))
     rhs = -np.real(np.einsum("kab,ba->k", basis, JA))
     constraints = [
-        sdp.Constraint(coeffs={0: -E, 1: E, 3: np.append(-pc[k], 0.0)}, rhs=float(rhs[k]))
-        for k, E in enumerate(basis)
+        sdp.Constraint(coeffs={0: -E, 1: E, 3: np.append(-pc[i], 0.0)}, rhs=float(rhs[i]))
+        for i, E in enumerate(basis)
     ]
+    Vr = V.reshape(d1, d2, k)
+    ptr = np.einsum("iba,fij,jbc->fac", Vr.conj(), basis1, Vr)  # V^H (F (x) I) V
     constraints += [
-        sdp.Constraint(coeffs={0: np.kron(F, np.eye(d2)), 2: F, 3: F.trace().real * neg_r},
-                       rhs=0.0)
-        for F in basis1
+        sdp.Constraint(coeffs={0: ptr[f], 2: F, 3: F.trace().real * neg_r}, rhs=0.0)
+        for f, F in enumerate(basis1)
     ]
     constraints.append(sdp.Constraint(coeffs={3: np.append(np.ones(n), 0.0)}, rhs=1.0))
     problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
@@ -167,22 +207,23 @@ def _mix(
 
     p = np.maximum(sol.X[3][:n], 0.0)
     p /= p.sum()
-    S = sol.X[0]
-    dJ = JA - np.tensordot(p, JB, 1)
+    S = V @ sol.X[0] @ V.conj().T
+    dJ = J[0] - np.tensordot(p, J[1:], 1)
     shift = max(0.0, -np.linalg.eigvalsh(S)[0], -np.linalg.eigvalsh(S - dJ)[0])
     upper = float(np.linalg.eigvalsh(partial_trace(S, (d1, d2)))[-1] + d2 * shift)
 
-    T = np.tensordot(sol.y[: D * D], basis, 1)
-    w, V = np.linalg.eigh(np.tensordot(sol.y[D * D : D * D + d1 * d1], basis1, 1))
+    T = np.tensordot(sol.y[: k * k], basis, 1)
+    w, R = np.linalg.eigh(np.tensordot(sol.y[k * k : k * k + d1 * d1], basis1, 1))
     w = np.maximum(w, 0.0) + 1e-12
     T /= w.sum()
     w /= w.sum()
-    root = np.kron((V * np.sqrt(w)) @ V.conj().T, np.eye(d2))
-    root_inv = np.kron((V / np.sqrt(w)) @ V.conj().T, np.eye(d2))
+    N = np.einsum("iba,ij,jbc->ac", Vr.conj(), (R * w) @ R.conj().T, Vr)
+    nu, Q = np.linalg.eigh(N)
+    root, root_inv = (Q * np.sqrt(nu)) @ Q.conj().T, (Q / np.sqrt(nu)) @ Q.conj().T
     lam, Q = np.linalg.eigh(root_inv @ T @ root_inv)
     Tf = root @ (Q * np.clip(lam, 0.0, 1.0)) @ Q.conj().T @ root
-    values = np.real(np.einsum("ab,xba->x", Tf, JB))
-    lower = float(np.real(np.trace(JA @ Tf)) - values.max())
+    values = np.real(np.einsum("ab,xba->x", Tf, Jk))
+    lower = float(values[0] - values[1:].max() - outside[0] - outside[1:].max())
     return p, upper, min(lower, upper)
 
 

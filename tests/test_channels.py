@@ -81,6 +81,101 @@ def test_diamond_distance_metric_properties():
         assert d02 <= d01 + d12 + 1e-7
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_diamond_distance_matches_unitary_closed_form(d):
+    # The SDP against the closed form: at d = 4 and 5 the solve runs on the
+    # two-dimensional support of the two Choi operators, not on d^2.
+    rng = np.random.default_rng(40 + d)
+    for _ in range(3):
+        U, V = haar_unitary(d, rng), haar_unitary(d, rng)
+        value, gap = diamond_distance(choi(U), choi(V), full_output=True)
+        assert abs(value - unitary_distance(U, V)) <= 1e-7 and gap <= 1e-7
+
+
+def _choi_stack(*ops: ChoiOperator) -> np.ndarray:
+    return np.stack([op.J for op in ops])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mix_on_the_support_equals_the_full_space_solve(seed):
+    # The same SDP posed on all of C^9 (V = I): the support loses nothing.
+    rng = np.random.default_rng([60, seed])
+    target, *cands = [choi(haar_unitary(3, rng)) for _ in range(2 + seed)]
+    assert channels._support(_choi_stack(target, *cands)).shape == (9, 2 + seed)
+    _, upper, lower = channels._mix(target, cands)
+    with mock.patch.object(channels, "_support", lambda J: np.eye(9)):
+        _, upper_full, lower_full = channels._mix(target, cands)
+    assert abs(upper - upper_full) <= 1e-7 and abs(lower - lower_full) <= 1e-7
+    assert lower <= upper <= lower + 1e-7
+
+
+def test_mix_keeps_a_candidate_a_hair_from_the_target():
+    # Supports 5.5e-8 apart: the spectrum of J(A) + J(B) shows the gap only as
+    # an eigenvalue of about 3e-15, under any cut on it; each operator's own
+    # eigenvector keeps it.
+    t = 5.5e-8
+    u, w = np.array([1.0, 0.0, 0.0, 0.0]), np.array([np.cos(t), np.sin(t), 0.0, 0.0])
+    _, upper_1q, _ = optimal_mix_1q(u, w[None, :])
+    _, upper, lower = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w))])
+    assert lower <= upper and abs(upper - upper_1q) <= 1e-7
+
+
+def test_mix_drops_a_small_eigen_part_and_stays_certified():
+    rng = np.random.default_rng(50)
+    U, V, W = (haar_unitary(3, rng) for _ in range(3))
+    v = V.T.reshape(-1) / np.sqrt(3)  # the unit eigenvector of choi(V)
+    phi = rng.normal(size=9) + 1j * rng.normal(size=9)
+    phi -= (v.conj() @ phi) * v
+    phi /= np.linalg.norm(phi)
+    # 2e-10 is under SUPPORT_CUT times choi(V)'s eigenvalue 3: the part leaves K.
+    noisy = ChoiOperator(J=choi(V).J + 2e-10 * np.outer(phi, phi.conj()), dims=(3, 3))
+    assert channels._support(_choi_stack(choi(U), noisy, choi(W))).shape == (9, 3)
+    _, upper, lower = channels._mix(choi(U), [noisy, choi(W)])
+    _, upper_r, lower_r = channels._mix(choi(U), [choi(V), choi(W)])
+    assert lower <= upper
+    assert abs(upper - upper_r) <= 1e-7 and abs(lower - lower_r) <= 1e-7
+
+
+_support = channels._support
+
+
+def _candidates_and_another(J: np.ndarray) -> np.ndarray:
+    """The candidates' support and one fixed direction, not the target's."""
+    extra = np.random.default_rng(72).normal(size=(J.shape[-1], 1)) + 0j
+    return np.linalg.qr(np.concatenate([_support(J[1:]), extra], axis=1))[0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("cut", [lambda J: _support(J[:2]), _candidates_and_another],
+                         ids=["target-and-first", "candidates-and-another"])
+def test_mix_bounds_hold_on_a_support_that_drops_parts(d, cut):
+    # A K that leaves out parts of the operators: upper is still evaluated on
+    # all of C^(d^2), and lower pays for the parts outside K.
+    rng = np.random.default_rng([70, 0])
+    target, *cands = [choi(haar_unitary(d, rng)) for _ in range(3)]
+    _, upper, lower = channels._mix(target, cands)
+    with mock.patch.object(channels, "_support", cut):
+        p, upper_cut, lower_cut = channels._mix(target, cands)
+    assert lower_cut <= upper and upper_cut >= lower
+    assert upper_cut >= diamond_distance(target, choi_mixture(cands, p)) - 1e-7
+
+
+def test_mix_of_kraus_rank_two_channels_on_the_full_space():
+    # A unitary target and five channels of Kraus rank 2: 11 >= 9 directions,
+    # so K is all of C^9 and V only changes the basis.
+    rng = np.random.default_rng(51)
+    target = choi(haar_unitary(3, rng))
+    cands = [
+        choi_mixture([choi(haar_unitary(3, rng)), choi(haar_unitary(3, rng))], np.array([q, 1 - q]))
+        for q in (0.9, 0.8, 0.7, 0.6, 0.5)
+    ]
+    assert channels._support(_choi_stack(target, *cands)).shape == (9, 9)
+    p, upper, lower = channels._mix(target, cands)
+    assert 0 <= upper - lower <= 1e-7
+    assert upper >= diamond_distance(target, choi_mixture(cands, p)) - 1e-7
+    assert upper <= min(diamond_distance(target, c) for c in cands) + 1e-7
+
+
 def test_optimal_mix_target_in_candidates():
     rng = np.random.default_rng(5)
     U = haar_unitary(2, rng)

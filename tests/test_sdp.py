@@ -455,7 +455,9 @@ def test_nt_scaling_makes_x_and_z_one_diagonal(blk):
 
 def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch):
     # svec of R^H A_i R: s^2 reals for a complex s x s block, s(s+1)/2 for a
-    # real one, one per entry of a diag block.
+    # real one, one per entry of a diag block. At d = 3, _mix poses its S' and
+    # E' blocks on the k = n + 1 dimensional support of n + 1 unitary channels:
+    # k^2 basis rows, 9 partial-trace rows and the simplex row.
     shapes = []
     schur_factor = sdp._schur_factor
 
@@ -468,7 +470,8 @@ def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch):
     for n in (2, 4):
         shapes.clear()
         channels._mix(choi(haar_unitary(3, rng)), [choi(haar_unitary(3, rng)) for _ in range(n)])
-        assert set(shapes) == {(91, 81 + 81 + 9 + n + 1)}
+        k = n + 1
+        assert set(shapes) == {(k * k + 10, 2 * k * k + 9 + n + 1)}
         shapes.clear()
         u = qubit1.magic_embed(haar_unitary(2, rng))
         W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))

@@ -19,6 +19,13 @@ solve more than once. For each it writes `rounds` (the solves made), the
 status of the last solve, the iterations of every solve, and `upper`,
 `lower` and `p` as returned.
 
+A third set runs `channels._mix` on cases keyed `diamond4-i`, the
+half-diamond distance between two Haar unitaries at d = 4 from
+`default_rng([4, i])` (a support of 2 of 16 dimensions), and `kraus3-i`, a
+Haar d = 3 target with 2-5 candidates of Kraus rank 2 (`choi_mixture` of two
+Haar unitaries at a weight drawn from [0.5, 1)) from `default_rng([5, i])`,
+whose support is all of C^9 from four candidates on; 60 cases each.
+
 `--compare` pairs the records of two sweeps by case and path, and counts
 those that only one sweep has without comparing them. It prints every
 solve whose status or iteration counts differ, then the largest move of
@@ -41,6 +48,7 @@ import numpy as np  # noqa: E402
 SEEDS = (1, 2)
 CASES = 300
 SYNTH_SEED, SYNTH_CASES, SYNTH_LENGTHS = 3, 60, (12, 14)
+DIAMOND4_SEED, KRAUS3_SEED, SUPPORT_CASES = 4, 5, 60
 
 
 def cases():
@@ -56,6 +64,26 @@ def cases():
             yield f"{seed}-{i}", d, U, [haar_unitary(d, rng) for _ in range(n)]
 
 
+def support_cases():
+    """(name, d, target, candidates) of the third set, as Choi operators."""
+    from usynth.channels import choi, choi_mixture
+    from usynth.linalg import haar_unitary
+
+    for i in range(SUPPORT_CASES):
+        rng = np.random.default_rng([DIAMOND4_SEED, i])
+        yield f"diamond4-{i}", 4, choi(haar_unitary(4, rng)), [choi(haar_unitary(4, rng))]
+    for i in range(SUPPORT_CASES):
+        rng = np.random.default_rng([KRAUS3_SEED, i])
+        n = int(rng.integers(2, 6))
+        target = choi(haar_unitary(3, rng))
+        cands = []
+        for _ in range(n):
+            q = float(rng.uniform(0.5, 1.0))
+            pair = [choi(haar_unitary(3, rng)), choi(haar_unitary(3, rng))]
+            cands.append(choi_mixture(pair, np.array([q, 1 - q])))
+        yield f"kraus3-{i}", 3, target, cands
+
+
 def sweep() -> list[dict]:
     from usynth import channels, qubit1, sdp, synth
     from usynth.linalg import haar_unitary
@@ -68,25 +96,30 @@ def sweep() -> list[dict]:
         seen.append(sol)
         return sol
 
+    def record(name, d, path, run) -> dict:
+        seen.clear()
+        rec = {"case": name, "d": d, "path": path}
+        try:
+            p, upper, lower = run()
+            rec.update(upper=upper, lower=lower, p=[float(x) for x in p])
+        except sdp.SdpFailureError:
+            pass
+        (sol,) = seen
+        rec.update(status=sol.status, iterations=sol.iterations)
+        return rec
+
     sdp.solve = recording
     records = []
     try:
         for name, d, U, Vs in cases():
-            runs = [("mix", lambda: channels._mix(channels.choi(U), [channels.choi(V) for V in Vs]))]
+            records.append(record(name, d, "mix", lambda: channels._mix(
+                channels.choi(U), [channels.choi(V) for V in Vs])))
             if d == 2:
                 W = qubit1.magic_embed_batch(np.stack(Vs))
-                runs.append(("mix_1q", lambda: qubit1.optimal_mix_1q(qubit1.magic_embed(U), W)))
-            for path, run in runs:
-                seen.clear()
-                rec = {"case": name, "d": d, "path": path}
-                try:
-                    p, upper, lower = run()
-                    rec.update(upper=upper, lower=lower, p=[float(x) for x in p])
-                except sdp.SdpFailureError:
-                    pass
-                (sol,) = seen
-                rec.update(status=sol.status, iterations=sol.iterations)
-                records.append(rec)
+                records.append(record(name, d, "mix_1q", lambda: qubit1.optimal_mix_1q(
+                    qubit1.magic_embed(U), W)))
+        for name, d, target, cands in support_cases():
+            records.append(record(name, d, "mix", lambda: channels._mix(target, cands)))
         for max_len in SYNTH_LENGTHS:
             pool = synth.enumerate_sequences(synth.standard_gate_set(), max_len)
             for i in range(SYNTH_CASES):

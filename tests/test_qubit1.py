@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -254,6 +254,8 @@ _unit_sets = arrays(
 
 
 @given(u=_units, W=_unit_sets)
+# An exact hit twice over: the least-squares start is optimal, and unfloored its shifts vanish.
+@example(u=np.array([1.0, 0, 0, 0]), W=np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]))
 def test_optimal_mix_1q_certificate(u, W):
     p, upper, lower = optimal_mix_1q(u, W)
     # Both bounds are evaluated in floating point: allow rounding at 1e-12.

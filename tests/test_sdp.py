@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -496,3 +498,47 @@ def test_redundant_constraint(extra):
     s = sdp.solve(p)
     assert s.status == "Optimal"
     assert abs(s.primal_value - 2.0) < 1e-7
+
+
+def test_objective_in_the_constraint_span_starts_off_the_boundary():
+    # C is the constraint's own coefficients, so the least-squares dual slack
+    # z^ = sum y A - C is 0 and tr(C X) = 1 on every feasible X. Without
+    # START_FLOOR both of Mehrotra's shifts of z^ are 0 and the start divides
+    # x^ . z^ = 0 by tr z^ = 0.
+    coeffs = {0: np.eye(2), 1: np.ones(2)}
+    p = sdp.SdpProblem(
+        blocks=[sdp.Block(size=2), sdp.Block(size=2, diag=True)],
+        objective=[np.eye(2), np.ones(2)],
+        constraints=[sdp.Constraint(coeffs=coeffs, rhs=1.0)],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s = sdp.solve(p)
+    assert s.status == "Optimal"
+    assert abs(s.primal_value - 1.0) < 1e-7 and abs(s.dual_value - 1.0) < 1e-7
+
+
+def test_trace_has_one_entry_per_iteration(monkeypatch):
+    seen = []
+    solve = sdp.solve
+
+    def recording(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        seen.append(sol)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    rng = np.random.default_rng(8)
+    for d in (2, 3):
+        channels._mix(choi(haar_unitary(d, rng)), [choi(haar_unitary(d, rng)) for _ in range(3)])
+    u = qubit1.magic_embed(haar_unitary(2, rng))
+    qubit1.optimal_mix_1q(u, qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng)] * 2)))
+    assert len(seen) == 3
+    for sol in seen:
+        assert sol.status == "Optimal" and len(sol.trace) == sol.iterations
+        *steps, last = sol.trace
+        assert (last["pinf"], last["dinf"], last["gap"]) == (sol.pinf, sol.dinf, sol.rel_gap)
+        assert (last["sigma"], last["ap"], last["ad"]) == (None, None, None)
+        for step in steps:
+            assert 0 < step["ap"] <= 1 and 0 < step["ad"] <= 1 and 0 < step["sigma"] <= 1
+            assert step["mu"] > 0

@@ -5,7 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from usynth import channels, qubit1, synth
+from usynth import channels, qubit1, sdp, synth
 from usynth.linalg import haar_unitary, matrix_to_json
 from usynth.synth import (
     BranchCutError,
@@ -402,6 +402,24 @@ def test_prob_synth_builds_no_choi_matrices(std_pool, monkeypatch):
     res = prob_synth(U, 0.35, 1e-6, std_pool)
     assert res.prob_error_lower <= res.prob_error <= res.prob_error_lower + 1e-6
     assert res.to_json()["prob_error_lower"] == res.prob_error_lower
+
+
+def test_prob_synth_solves_take_few_interior_point_iterations(std_pool, monkeypatch):
+    # The mean over every solve for 20 targets (tools/solve_sweep.py's synth-12-i set) is
+    # 8.65 from Mehrotra's starting point and 10.20 from a multiple of the identity;
+    # 9.5 leaves a 10% margin above the first.
+    iterations = []
+    solve = sdp.solve
+
+    def recording(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    for i in range(20):
+        prob_synth(haar_unitary(2, np.random.default_rng([3, i])), 0.35, 1e-6, std_pool)
+    assert np.mean(iterations) <= 9.5
 
 
 def test_prob_synth_deterministic(std_pool):

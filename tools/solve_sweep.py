@@ -28,9 +28,14 @@ whose support is all of C^9 from four candidates on; 60 cases each.
 
 `--compare` pairs the records of two sweeps by case and path, and counts
 those that only one sweep has without comparing them. It prints every
-solve whose status or iteration counts differ, then the largest move of
-`upper`, `lower` and `p` over the solves optimal on both sides (the
-iterations may differ); it exits 1 if any paired solve differs at all.
+solve whose status or iteration counts differ; then, per path (`mix` at
+d = 2 and at d = 3, `mix_1q`, `diamond4`, `kraus3`, `prob_synth`), the
+mean and largest iteration counts of each sweep, how many records took
+fewer, equal or more iterations in the second, the largest move of `upper`
+and `lower` and each sweep's largest width `upper - lower`; then the
+largest move of `upper`, `lower` and `p` over all solves optimal on both
+sides (the iterations may differ). It exits 1 if any paired solve differs
+at all.
 """
 
 import os
@@ -138,6 +143,41 @@ def sweep() -> list[dict]:
     return records
 
 
+GROUPS = ("mix d=2", "mix d=3", "mix_1q", "diamond4", "kraus3", "prob_synth")
+
+
+def group(rec: dict) -> str:
+    """The path a record summarizes under: one of GROUPS."""
+    kind = rec["case"].split("-")[0]
+    if kind in ("diamond4", "kraus3"):
+        return kind
+    return f"mix d={rec['d']}" if rec["path"] == "mix" else rec["path"]
+
+
+def summarize(pairs: list[tuple[dict, dict]]) -> None:
+    """Print, per path, the iterations and the bounds of the paired solves on each side."""
+    def iterations(rec):
+        its = rec["iterations"]
+        return its if isinstance(its, list) else [its]
+
+    for name in GROUPS:
+        here = [(ra, rb) for ra, rb in pairs if group(ra) == name]
+        if not here:
+            continue
+        its = [[n for rec in side for n in iterations(rec)] for side in zip(*here)]
+        delta = np.sign([sum(iterations(rb)) - sum(iterations(ra)) for ra, rb in here])
+        both = [(ra, rb) for ra, rb in here if "p" in ra and "p" in rb]
+        move = {k: max([abs(ra[k] - rb[k]) for ra, rb in both], default=0.0)
+                for k in ("upper", "lower")}
+        width = [max([rec["upper"] - rec["lower"] for rec in side if "p" in rec], default=0.0)
+                 for side in zip(*here)]
+        print(f"{name}: {len(here)} records; iterations mean {np.mean(its[0]):.2f} -> "
+              f"{np.mean(its[1]):.2f}, max {max(its[0])} -> {max(its[1])}; fewer "
+              f"{np.sum(delta < 0)}, equal {np.sum(delta == 0)}, more {np.sum(delta > 0)}; "
+              f"largest move upper {move['upper']:.1e}, lower {move['lower']:.1e}; "
+              f"largest width {width[0]:.1e} -> {width[1]:.1e}")
+
+
 def compare(a: list[dict], b: list[dict]) -> int:
     """Print what differs between two sweeps; the number of differing solves."""
     keyed = [{(r["case"], r["path"]): r for r in recs} for recs in (a, b)]
@@ -160,6 +200,7 @@ def compare(a: list[dict], b: list[dict]) -> int:
                 if move > moves[k][0]:
                     moves[k] = (move, where)
         differ += changed
+    summarize(pairs)
     for k, (move, where) in moves.items():
         print(f"largest move of {k}: {move:.3e}" + (f" ({where})" if where else ""))
     print(f"{len(pairs)} solves compared, {differ} differ")

@@ -189,17 +189,19 @@ def _mix(
     basis, basis1 = sdp.hermitian_basis(blocks[0]), sdp.hermitian_basis(blocks[2])
     neg_r = np.append(np.zeros(n), -1.0)  # -r, as a row of the (p, r) block
     objective = [None, None, None, neg_r]
-    pc = np.real(np.einsum("kab,xba->kx", basis, JB))
+    # Every row's coefficients are views into arrays built once per call.
+    lp = np.zeros((k * k, n + 1))  # row i: (-tr(E_i V^H J(B_x) V) for each x, 0) on (p, r)
+    lp[:, :n] = -np.real(np.einsum("kab,xba->kx", basis, JB))
     rhs = -np.real(np.einsum("kab,ba->k", basis, JA))
     constraints = [
-        sdp.Constraint(coeffs={0: -E, 1: E, 3: np.append(-pc[i], 0.0)}, rhs=float(rhs[i]))
-        for i, E in enumerate(basis)
+        sdp.Constraint(coeffs={0: neg, 1: E, 3: row}, rhs=float(b))
+        for neg, E, row, b in zip(-basis, basis, lp, rhs)
     ]
     Vr = V.reshape(d1, d2, k)
     ptr = np.einsum("iba,fij,jbc->fac", Vr.conj(), basis1, Vr)  # V^H (F (x) I) V
+    tr_r = np.trace(basis1, axis1=1, axis2=2).real[:, None] * neg_r  # tr(F) (-r)
     constraints += [
-        sdp.Constraint(coeffs={0: ptr[f], 2: F, 3: F.trace().real * neg_r}, rhs=0.0)
-        for f, F in enumerate(basis1)
+        sdp.Constraint(coeffs={0: P, 2: F, 3: row}, rhs=0.0) for P, F, row in zip(ptr, basis1, tr_r)
     ]
     constraints.append(sdp.Constraint(coeffs={3: np.append(np.ones(n), 0.0)}, rhs=1.0))
     problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)

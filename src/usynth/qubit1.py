@@ -167,16 +167,19 @@ def optimal_mix_1q(
     if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1) <= 1e-8):
         raise ValueError("candidates must be unit 4-vectors")
     E = sdp.hermitian_basis(sdp.Block(size=4))  # the 10 real symmetric basis matrices
+    trE = np.trace(E, axis1=1, axis2=2)
+    rhs = -((u @ E)[:, None] @ u)[:, 0]  # -u^T E_k u, each as the product u @ E_k @ u
     dots = np.abs(W @ u)
     # Within the gap tolerance the nearest single candidate can beat the iterate.
     best = (np.arange(len(W)) == np.argmax(dots)) * 1.0
     cols = np.sort(np.argsort(-dots, kind="stable")[:COLUMNS])
     while True:
         blocks = [sdp.Block(size=4), sdp.Block(size=len(cols) + 1, diag=True)]  # S, then (p, t)
-        wEw = np.einsum("kab,xa,xb->kx", E, W[cols], W[cols])  # w_x^T E_k w_x
+        lp = np.empty((len(E), len(cols) + 1))  # row k: (-w_x^T E_k w_x, -tr E_k)
+        lp[:, :-1] = -np.einsum("kab,xa,xb->kx", E, W[cols], W[cols])
+        lp[:, -1] = -trE
         constraints = [
-            sdp.Constraint(coeffs={0: Ek, 1: np.append(-wk, -np.trace(Ek))}, rhs=-float(u @ Ek @ u))
-            for Ek, wk in zip(E, wEw)
+            sdp.Constraint(coeffs={0: Ek, 1: row}, rhs=float(b)) for Ek, row, b in zip(E, lp, rhs)
         ]
         constraints.append(sdp.Constraint(coeffs={1: np.append(np.ones(len(cols)), 0.0)}, rhs=1.0))
         problem = sdp.SdpProblem(blocks, [None, np.append(np.zeros(len(cols)), -1.0)], constraints)

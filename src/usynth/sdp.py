@@ -61,6 +61,22 @@ to 1e-1 the mixing solves take 12% to 24% fewer iterations than from the
 cold start X = Z = sqrt(norm * ntot) I; with 0.3 or 1.0 they lose a fifth
 to two thirds of that saving.
 
+The corrector aims at sigma mu, with sigma = (mu_aff / mu) ** CENTERING_EXPONENT
+clipped to [1e-10, 1] and mu_aff the mu the predictor's step would reach.
+Mehrotra took the cube. On these small, degenerate mixing SDPs the cube
+centers too little: in tools/solve_sweep.py its mean step lengths per path
+are 0.85 to 0.98, against 0.92 to 0.99 with 1.5. Mean iterations on the
+problems of 40 synth1q, 100 cover and 200 mix_d3 benchmark items (seed 77):
+
+    exponent   1      1.25   1.5    1.75   2      3
+    synth1q    8.52   7.83   7.62   7.76   7.90   8.38
+    cover      10.12  9.15   8.75   8.67   8.65   8.87
+    mix_d3     11.37  10.30  10.09  10.20  10.38  11.28
+
+1.5 takes the fewest on synth1q and mix_d3, 1.2% more than the fewest on
+cover; the sharpness witnesses and unitary diamond distances (d = 4, 5)
+take 7.88 at 1.5 and 7.79 at 3.
+
 A solve ends with one of these `SdpSolution.status` values:
 
 - "Optimal": relative gap within `gap_tol`, and relative primal and dual
@@ -90,6 +106,7 @@ import numpy as np
 DEFAULT_GAP_TOL = 1e-8
 FEAS_TOL = 1e-8  # the feasibility tolerance is min(gap_tol, FEAS_TOL)
 START_FLOOR = 1e-2  # least first shift of Mehrotra's starting point (module docstring)
+CENTERING_EXPONENT = 1.5  # sigma = (mu_aff / mu) ** CENTERING_EXPONENT (module docstring)
 MAX_ITER = 200
 EPS = np.finfo(float).eps
 
@@ -522,7 +539,8 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         S = _lift(layout, V)
         ap_a, ad_a = (min(1.0, 0.95 * a) for a in _max_step(S[2:], V[2:, kd:]))
         mu_aff = float((lamv + ap_a * ra) @ (lamv + ad_a * za)) / ntot
-        sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10))
+        ratio = max(mu_aff / mu, 0.0)  # < 0 only by rounding, where ** would return a complex
+        sigma = min(1.0, max(ratio ** CENTERING_EXPONENT, 1e-10))
 
         # Corrector, with the Mehrotra term symmetrized in the scaled space. Its
         # step is taken on dZ~ = R^H dZ R for dZ = sum dy A + Rd itself:

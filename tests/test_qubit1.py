@@ -369,3 +369,21 @@ def test_optimal_mix_1q_at_most_columns_is_one_solve(monkeypatch, n):
     widths = _recording_solve(monkeypatch)
     optimal_mix_1q(u, W)
     assert widths == [n]
+
+
+def test_optimal_mix_1q_rows_equal_the_per_row_products(monkeypatch):
+    # The rows of every basis matrix E_k are built at once; each must be bitwise the
+    # per-row (-w_x^T E_k w_x, -tr E_k) and rhs -u @ E_k @ u, so that a solve poses
+    # the same problem either way.
+    problems, solve = [], sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda prob, *a: problems.append(prob) or solve(prob, *a))
+    E = sdp.hermitian_basis(sdp.Block(size=4))
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        u, *W = (magic_embed(haar_unitary(2, rng)) for _ in range(4))
+        problems.clear()
+        optimal_mix_1q(u, np.array(W))
+        wEw = np.einsum("kab,xa,xb->kx", E, W, W)  # w_x^T E_k w_x
+        for con, Ek, wk in zip(problems[0].constraints, E, wEw):
+            assert con.rhs == -float(u @ Ek @ u)
+            assert np.array_equal(con.coeffs[1], np.append(-wk, -np.trace(Ek)))

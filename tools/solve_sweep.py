@@ -8,7 +8,10 @@ The sweep draws seeds 1 and 2 x 300 Haar cases, case i of seed s from
 otherwise, and a target with 2-5 candidates. It runs `channels._mix` on
 every case and `qubit1.optimal_mix_1q` on the d = 2 ones, 1,000 solves in
 all, and writes for each its SDP status and iteration count and, when the
-solve is optimal, `upper`, `lower` and `p`. Floats are written as Python's
+solve is optimal, `upper`, `lower` and `p`. Every record also holds
+`sigma_mean`, `ap_mean` and `ad_mean`: the mean centering parameter and
+primal and dual step lengths over the steps its solves took, read from
+`SdpSolution.trace` (null if they took none). Floats are written as Python's
 shortest round-trip repr, so equal JSON means bitwise-equal numbers.
 
 A second set, keyed `synth-L-i` on the path `prob_synth`, runs `prob_synth`
@@ -32,7 +35,9 @@ solve whose status or iteration counts differ; then, per path (`mix` at
 d = 2 and at d = 3, `mix_1q`, `diamond4`, `kraus3`, `prob_synth`), the
 mean and largest iteration counts of each sweep, how many records took
 fewer, equal or more iterations in the second, the largest move of `upper`
-and `lower` and each sweep's largest width `upper - lower`; then the
+and `lower`, each sweep's largest width `upper - lower` and its mean of the
+records' `sigma_mean`, `ap_mean` and `ad_mean` ("-" for a sweep written
+without them); then the
 largest move of `upper`, `lower` and `p` over all solves optimal on both
 sides (the iterations may differ). It exits 1 if any paired solve differs
 at all.
@@ -89,6 +94,16 @@ def support_cases():
         yield f"kraus3-{i}", 3, target, cands
 
 
+STEPS = ("sigma", "ap", "ad")
+
+
+def step_means(sols) -> dict:
+    """sigma_mean, ap_mean and ad_mean over the steps the solves took (None if none)."""
+    taken = [step for sol in sols for step in sol.trace if step["sigma"] is not None]
+    return {f"{k}_mean": sum(step[k] for step in taken) / len(taken) if taken else None
+            for k in STEPS}
+
+
 def sweep() -> list[dict]:
     from usynth import channels, qubit1, sdp, synth
     from usynth.linalg import haar_unitary
@@ -110,7 +125,7 @@ def sweep() -> list[dict]:
         except sdp.SdpFailureError:
             pass
         (sol,) = seen
-        rec.update(status=sol.status, iterations=sol.iterations)
+        rec.update(status=sol.status, iterations=sol.iterations, **step_means(seen))
         return rec
 
     sdp.solve = recording
@@ -136,7 +151,7 @@ def sweep() -> list[dict]:
                     "rounds": len(seen), "status": seen[-1].status,
                     "iterations": [sol.iterations for sol in seen],
                     "upper": res.prob_error, "lower": res.prob_error_lower,
-                    "p": [float(x) for x in res.p],
+                    "p": [float(x) for x in res.p], **step_means(seen),
                 })
     finally:
         sdp.solve = solve
@@ -152,6 +167,12 @@ def group(rec: dict) -> str:
     if kind in ("diamond4", "kraus3"):
         return kind
     return f"mix d={rec['d']}" if rec["path"] == "mix" else rec["path"]
+
+
+def side_mean(records, k: str) -> str:
+    """The mean of the records' f"{k}_mean" that are set, or "-" if none is."""
+    vals = [rec[f"{k}_mean"] for rec in records if rec.get(f"{k}_mean") is not None]
+    return f"{np.mean(vals):.3f}" if vals else "-"
 
 
 def summarize(pairs: list[tuple[dict, dict]]) -> None:
@@ -171,11 +192,13 @@ def summarize(pairs: list[tuple[dict, dict]]) -> None:
                 for k in ("upper", "lower")}
         width = [max([rec["upper"] - rec["lower"] for rec in side if "p" in rec], default=0.0)
                  for side in zip(*here)]
+        a, b = zip(*here)
+        means = ", ".join(f"{k} {side_mean(a, k)} -> {side_mean(b, k)}" for k in STEPS)
         print(f"{name}: {len(here)} records; iterations mean {np.mean(its[0]):.2f} -> "
               f"{np.mean(its[1]):.2f}, max {max(its[0])} -> {max(its[1])}; fewer "
               f"{np.sum(delta < 0)}, equal {np.sum(delta == 0)}, more {np.sum(delta > 0)}; "
               f"largest move upper {move['upper']:.1e}, lower {move['lower']:.1e}; "
-              f"largest width {width[0]:.1e} -> {width[1]:.1e}")
+              f"largest width {width[0]:.1e} -> {width[1]:.1e}; mean {means}")
 
 
 def compare(a: list[dict], b: list[dict]) -> int:

@@ -23,8 +23,9 @@ all factorizations are dense. Each block's coefficients are stacked over
 all m constraints, with zeros where a constraint does not touch the block.
 `solve` reads its input in one pass: it writes each coefficient into its
 block's stack, checking its shape (and that a real block's has no imaginary
-part), checks the stacks for non-finite entries once and makes each dense
-stack Hermitian once; only a failed check walks the coefficients again.
+part), and checks the stacks for non-finite entries once; only a failed
+check walks the coefficients again. Only a coefficient's Hermitian part
+counts, and svec (below) reads just that part.
 
 Each iteration factors once, in the Nesterov-Todd (NT) scaling (Todd, Toh
 and Tutuncu, SIAM J. Optim. 8:769, 1998): per dense block, X = L_X L_X^H
@@ -43,9 +44,12 @@ constraints to about eps * sqrt(cond(M)). Solving the normal equations with
 M itself leaves a residual of eps * cond(M): near the optimum of a
 degenerate problem cond(M) grows like 1/mu^2 and passes 1/eps, and that
 residual becomes primal infeasibility that later steps cannot remove.
-X and Z are held as one real vector each and the scaled directions in svec
-coordinates; a direction's step lengths come from one eigvalsh over every
-dense block, zero-padded to one size (the padding adds the eigenvalue 0).
+The solver works in one coordinate system, svec: X, Z, the dual residual
+and the scaled directions are one real vector each, and the constraints are
+read through the rows at R = I, Re tr(A_i X) = svec(A_i) . svec(X). Each
+iteration lifts X, Z and the residual into per-block matrices once, for the
+scaling; a direction's step lengths come from one eigvalsh over every dense
+block, zero-padded to one size (the padding adds the eigenvalue 0).
 
 The iteration starts from Mehrotra's point (Mehrotra, SIAM J. Optim.
 2:575, 1992), built from one more factorization, that of the scale R = I,
@@ -123,7 +127,7 @@ class SdpFailureError(RuntimeError):
 class Block:
     """One block of the block-diagonal variable.
 
-    size: matrix dimension (or vector length for diag blocks).
+    size: matrix dimension (or vector length for diag blocks), a positive integer.
     complex: True for a complex Hermitian block.
     diag: True for a batch of independent 1x1 blocks stored as a vector
     (always real).
@@ -210,16 +214,6 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
     return SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
 
 
-def _herm(M: np.ndarray) -> np.ndarray:
-    """Hermitian part of a matrix, or of each M[:, i] of a stack; a diag block's vector as is."""
-    return M if M.ndim == 1 else (M + M.conj().swapaxes(0, -1)) / 2
-
-
-def _flat(M: np.ndarray) -> np.ndarray:
-    """M as real numbers: Re tr(A X) = _flat(A) @ _flat(X) for Hermitian X."""
-    return M.reshape(-1).view(float)
-
-
 def _chol(S: np.ndarray) -> np.ndarray:
     """L with S = L L^H; NumericalBreakdown if S is not numerically positive definite."""
     try:
@@ -251,7 +245,7 @@ def _stack_layout(dense: tuple[Block, ...]):
     dense block j in the corner of its n x n slice (n the largest size). For
     v the blocks' svec coordinates, coordinate i is entry (aa[i], bb[i]) of
     block jj[i], the stack is `_lift(layout, v)`, and the svec of its
-    Hermitian part, with F its _flat numbers, is F[t1] * c1 + F[t2] * c2.
+    Hermitian part, with F = stack.reshape(-1).view(float), is F[t1] * c1 + F[t2] * c2.
     """
     n = max([1] + [blk.size for blk in dense])
     nc = 2 if any(blk.complex for blk in dense) else 1
@@ -287,7 +281,10 @@ def hermitian_basis(blk: Block) -> np.ndarray:
 
     That is E_aa, then for a < b (E_ab + E_ba)/sqrt(2) and, if complex, i(E_ab - E_ba)/sqrt(2):
     s^2 Hermitian matrices for a complex block, s(s+1)/2 real symmetric ones for a real one.
+    A diag block raises ValueError.
     """
+    if blk.diag:
+        raise ValueError("hermitian_basis: a diag block has no matrix basis")
     layout = _stack_layout((blk,))
     return _lift(layout, np.eye(len(layout[4][0])))[:, 0] + 0.0  # no -0.0 from 0 * -1/sqrt(2)
 
@@ -356,6 +353,8 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     if len(problem.objective) != len(blocks):
         raise ValueError("objective must have one entry per block")
     for k, blk in enumerate(blocks):
+        if not isinstance(blk.size, (int, np.integer)) or blk.size < 1:
+            raise ValueError(f"block {k}: size must be a positive integer")
         if blk.complex and blk.diag:
             raise ValueError(f"block {k}: a diag block cannot be complex")
     if not 0 < gap_tol < np.inf:
@@ -366,22 +365,21 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     feas_tol = min(gap_tol, FEAS_TOL)
     m = len(b)
 
-    # Per block: the identity, C, and the coefficients A stacked over all m
-    # constraints with one more row, which each iteration fills with the
-    # block's dual residual. A[k][..., i, :] is row i: a dense stack is laid
-    # out (s, m + 1, s), as _congruence reads it.
+    # Per block: the identity, and the coefficients A stacked over all m
+    # constraints with one more row, m, which holds the objective C until the
+    # start is built and the block's dual residual after that. A[k][..., i, :]
+    # is row i: a dense stack is laid out (s, m + 1, s), as _congruence reads it.
     eye = [
         np.ones(blk.size) if blk.diag
         else np.eye(blk.size, dtype=complex if blk.complex else float)
         for blk in blocks
     ]
-    C = [np.zeros_like(I) for I in eye]
     A = [np.zeros(I.shape[:-1] + (m + 1, I.shape[-1]), I.dtype) for I in eye]
 
     # Write each coefficient into its block's stack, checking its shape (and a real block's
     # imaginary part), then check the stacks for non-finite entries at once. Only a failed
     # check walks `given` (name, block, destination or None, coefficient) to name the fault.
-    given = [(f"objective block {k}", k, C[k], np.asarray(M))
+    given = [(f"objective block {k}", k, A[k][..., m, :], np.asarray(M))
              for k, M in enumerate(problem.objective) if M is not None]
     given += [(f"constraint {i}, block {k}", k, A[k][..., i, :] if 0 <= k < len(blocks) else None,
                np.asarray(M)) for i, con in enumerate(problem.constraints)
@@ -403,24 +401,16 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             break
         dest[...] = M if blocks[k].complex else M.real
         written += 1
-    if written < len(given) or not all(np.isfinite(S).all() for S in C + A):
+    if written < len(given) or not all(np.isfinite(Ak).all() for Ak in A):
         raise ValueError(next(msg for msg in (fault(*g) for g in given) if msg))
-    C, A = [_herm(Ck) for Ck in C], [Ak if blk.diag else _herm(Ak) for Ak, blk in zip(A, blocks)]
+    bmax = float(np.abs(b).max(initial=0.0))
+    norm_scale = max(1.0, bmax, max(float(np.abs(Ak[..., m, :]).max(initial=0.0)) for Ak in A))
 
-    # X, Z and Rd view each block's part of one real vector, with
-    # Re tr(A_i X) = Af[i] @ x and Re tr(C X) = c @ x.
-    ends = np.cumsum([_flat(Ck).size for Ck in C])[:-1]
-
-    def views(v: np.ndarray) -> list[np.ndarray]:
-        return [u.view(Ck.dtype).reshape(Ck.shape) for u, Ck in zip(np.split(v, ends), C)]
-
-    rows_of = [Ak[..., :m, :].swapaxes(0, -2).reshape(m, Ck.size) for Ak, Ck in zip(A, C)]
-    Af = np.concatenate([Ai.view(float) for Ai in rows_of], axis=1)
-    c = np.concatenate([_flat(Ck) for Ck in C])
-
-    # The scaled variables in svec coordinates: the dense blocks', then the
-    # diag blocks' entries (vcut). Coordinate (a, b) of a block reads lam_a =
-    # lam[ci] and lam_b = lam[cj] of the blocks' lam concatenated in this order.
+    # X, Z, the dual residual and the scaled directions are vectors of svec
+    # coordinates: the dense blocks', then the diag blocks' entries (vcut).
+    # svec reads a matrix's Hermitian part, so Re tr(A_i X) = svec(A_i) . x for
+    # Hermitian X. Coordinate (a, b) of a block reads lam_a = lam[ci] and
+    # lam_b = lam[cj] of the blocks' lam concatenated in this order.
     dense = [k for k, blk in enumerate(blocks) if not blk.diag]
     order, nd = dense + [k for k, blk in enumerate(blocks) if blk.diag], len(dense)
     layout = _stack_layout(tuple(blocks[k] for k in dense))  # cached: read only
@@ -435,9 +425,17 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     vcut = [slice(off + a, off + e) for a, e in zip(first[nd:-1], first[nd + 1 :])]
     F = np.zeros((m + 1,) + shape, dtype)  # R^H A_i R and R^H Rd R of every dense block
     Ff = F.reshape(m + 1, F[0].size).view(float)
+    P = np.zeros(shape, dtype)  # R dX~ R^H of every dense block
+    Pf = P.reshape(-1).view(float)
 
-    def svec(Fr: np.ndarray) -> np.ndarray:  # _flat numbers of stacks -> svec coordinates
+    def svec(Fr: np.ndarray) -> np.ndarray:  # the real numbers of stacks -> svec coordinates
         return Fr.take(t1, -1) * c1 + Fr.take(t2, -1) * c2
+
+    def blockwise(V: np.ndarray) -> list[np.ndarray]:  # per block in `order`, V[..., :] lifted
+        S = _lift(layout, V)
+        lifted = (S[..., j, : blocks[k].size, : blocks[k].size] for j, k in enumerate(dense))
+        dense_blocks = [M if blocks[k].complex else M.real for M, k in zip(lifted, dense)]
+        return dense_blocks + [V[..., cut] for cut in vcut]
 
     def scaled_rows(Rs) -> np.ndarray:  # row i: svec(R^H A_i R), with A_m the stacks' row m
         for j, (k, R) in enumerate(zip(dense, Rs)):
@@ -446,15 +444,14 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             [svec(Ff)] + [_congruence(R, A[k]) for k, R in zip(order[nd:], Rs[nd:])], axis=1
         )
 
-    # Mehrotra's starting point (module docstring) in svec coordinates. At
-    # R = I the rows are G_i = svec(A_i), and row m is gc = svec(C): x^ is
-    # the min-norm solution of G x = b, y[rows] = s T^-1 Q^T gc the
-    # least-squares one of G^T y = gc, and z^ = G^T y - gc = Q Q^T gc - gc.
-    for k in order:
-        A[k][..., m, :] = C[k]
+    # Mehrotra's starting point (module docstring). At R = I the rows are
+    # G0_i = svec(A_i), and row m is gc = svec(C): x^ is the min-norm solution
+    # of G0 x = b, y[rows] = s T^-1 Q^T gc the least-squares one of G0^T y = gc,
+    # and z^ = G0^T y - gc = Q Q^T gc - gc. G0 and gc read the constraints and
+    # the objective from then on: Re tr(A_i X) = G0[i] . x, Re tr(C X) = gc . x.
     G = scaled_rows([eye[k] for k in order])
+    G0, gc = G[:m].copy(), G[m]  # _schur_factor scales G's rows in place
     rows, s, Q, T, _ = _schur_factor(G[:m])
-    gc = G[m]
     qc = Q.T @ gc
     y = np.zeros(m)
     y[rows] = s * np.linalg.solve(T, qc)
@@ -463,30 +460,24 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         V[i] += max(-1.5 * low, START_FLOOR) * ev
     xz = float(V[0] @ V[1])
     V += 0.5 * xz / (V[::-1] @ ev)[:, None] * ev
-    x, z, rd = (np.zeros_like(c) for _ in range(3))
-    X, Z, Rd = views(x), views(z), views(rd)
-    S = _lift(layout, V)
-    for j, k in enumerate(order):  # V's svec coordinates into the blocks of X and Z
-        M = S[:, j, : blocks[k].size, : blocks[k].size] if j < nd else V[:, vcut[j - nd]]
-        X[k][...], Z[k][...] = M if blocks[k].complex else M.real
-    bmax = float(np.abs(b).max(initial=0.0))
-    norm_scale = max(1.0, bmax, max(float(np.abs(Ck).max(initial=0.0)) for Ck in C))
+    x, z = V
 
     def solution(xv, y, pobj, dobj, pinf, dinf, gap_rel, status, it) -> SdpSolution:
-        return SdpSolution(views(xv), y, pobj, dobj, status, it, pinf, dinf, gap_rel, trace)
+        X = dict(zip(order, blockwise(xv)))
+        return SdpSolution([X[k] for k in range(len(blocks))], y, pobj, dobj, status, it, pinf,
+                           dinf, gap_rel, trace)
 
     trace: list[dict] = []
     status, best, stall = "MaxIter", None, 0  # best: the checked iterate with the smallest merit
     for it in range(1, MAX_ITER + 1):
-        rp = b - Af @ x
-        np.matmul(y, Af, out=rd)  # Rd = sum y A - C - Z, want 0
-        rd -= c
-        rd -= z
+        rp = b - G0 @ x
+        rd = y @ G0 - gc - z  # svec(sum y A - C - Z), want 0
+        XZR = blockwise(np.array((x, z, rd)))  # per block: X, Z and Rd
         mu = float(x @ z) / ntot
 
-        pobj, dobj = float(c @ x), float(b @ y)
+        pobj, dobj = float(gc @ x), float(b @ y)
         pinf = float(np.abs(rp).max(initial=0.0)) / (1 + bmax)
-        dinf = max(float(np.abs(R).max(initial=0.0)) for R in Rd) / (1 + norm_scale)
+        dinf = max(float(np.abs(M[2]).max(initial=0.0)) for M in XZR) / (1 + norm_scale)
         gap_rel = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
         step = dict(pinf=pinf, dinf=dinf, gap=gap_rel, mu=mu, sigma=None, ap=None, ad=None)
         trace.append(step)
@@ -494,7 +485,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             return solution(x, y, pobj, dobj, pinf, dinf, gap_rel, "Optimal", it)
         merit = max(pinf, dinf, gap_rel)
         if best is None or merit < best_merit:
-            best, best_merit, stall = (x.copy(), y, pobj, dobj, pinf, dinf, gap_rel), merit, 0
+            best, best_merit, stall = (x, y, pobj, dobj, pinf, dinf, gap_rel), merit, 0
         else:
             stall += 1
         if stall >= 10:
@@ -506,9 +497,9 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         # complement M_ij = Re tr(A_i W A_j W) is G_i . G_j, G_i = svec(R^H A_i R);
         # row m of G is svec(R^H Rd R).
         try:
-            Rs, lams = zip(*[_nt_scaling(blocks[k], X[k], Z[k]) for k in order])
-            for k in order:
-                A[k][..., m, :] = Rd[k]
+            Rs, lams = zip(*[_nt_scaling(blocks[k], M[0], M[1]) for k, M in zip(order, XZR)])
+            for k, M in zip(order, XZR):
+                A[k][..., m, :] = M[2]
             G = scaled_rows(Rs)
             rows, s, Q, T, Gs = _schur_factor(G[:m])
             v = np.linalg.solve(T.T, s * rp[rows])  # G r = rp for r = h - Q (Q^T h - v)
@@ -555,13 +546,11 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         S = _lift(layout, V)
         tau = 0.98 if mu > 1e-7 else 0.99
         ap, ad = (min(1.0, tau * a) for a in _max_step(S[:2], V[:2, kd:]))
-        for j, (k, R) in enumerate(zip(order, Rs)):
-            if j < nd:
-                dXk = S[2, j, : len(R), : len(R)]
-                X[k] += ap * _herm(R @ (dXk if blocks[k].complex else dXk.real) @ R.conj().T)
-            else:
-                X[k] += ap * (R * r[vcut[j - nd]] * R)
-        z += ad * (dy @ Af + rd)
+        for j, (k, R) in enumerate(zip(dense, Rs)):  # dX = R dX~ R^H
+            dXk = S[2, j, : len(R), : len(R)]
+            P[j, : len(R), : len(R)] = R @ (dXk if blocks[k].complex else dXk.real) @ R.conj().T
+        x = x + ap * np.concatenate([svec(Pf)] + [R * r[cut] * R for R, cut in zip(Rs[nd:], vcut)])
+        z = z + ad * (dy @ G0 + rd)
         y = y + ad * dy
         step.update(sigma=sigma, ap=ap, ad=ad)
 

@@ -104,6 +104,45 @@ def test_diamond_sdp_matches_closed_form(d):
         assert abs(diamond_distance(choi(U), choi(V)) - unitary_distance(U, V)) < 1e-6
 
 
+def _herm_part_problem(rng, hermitian: bool) -> sdp.SdpProblem:
+    """A feasible, bounded problem on a real, a complex and a diag block.
+
+    Its objective and dense coefficients have an anti-Hermitian part unless
+    `hermitian`; the problem with their Hermitian parts is drawn from the
+    same rng state either way.
+    """
+    blocks = [sdp.Block(3), sdp.Block(3, complex=True), sdp.Block(4, diag=True)]
+
+    def coeffs():
+        real, cplx = rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 2)) @ [1, 1j]
+        parts = [(real, real.T), (cplx, cplx.conj().T), (rng.standard_normal(4), None)]
+        return [M if T is None else (M + T) / 2 if hermitian else M for M, T in parts]
+
+    X0 = [np.eye(3) / 10, np.eye(3, dtype=complex) / 10, np.full(4, 0.1)]  # trace 1
+    objective = coeffs()
+    constraints = [sdp.Constraint({0: np.eye(3), 1: np.eye(3, dtype=complex), 2: np.ones(4)}, 1.0)]
+    for _ in range(4):
+        A = coeffs()
+        rhs = sum(np.real(np.trace(Ak @ Xk)) for Ak, Xk in zip(A[:2], X0[:2])) + A[2] @ X0[2]
+        constraints.append(sdp.Constraint(dict(enumerate(A)), float(rhs)))
+    return sdp.SdpProblem(blocks, objective, constraints)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_reads_only_the_hermitian_part_of_each_coefficient(seed):
+    given = sdp.solve(_herm_part_problem(np.random.default_rng(seed), hermitian=False))
+    herm = sdp.solve(_herm_part_problem(np.random.default_rng(seed), hermitian=True))
+    assert herm.status == "Optimal"
+    assert (given.status, given.iterations) == (herm.status, herm.iterations)
+    assert given.primal_value == pytest.approx(herm.primal_value, rel=0, abs=1e-10)
+    assert given.dual_value == pytest.approx(herm.dual_value, rel=0, abs=1e-10)
+    assert np.allclose(given.y, herm.y, rtol=0, atol=1e-10)
+    for X, Xh in zip(given.X, herm.X):
+        assert np.allclose(X, Xh, rtol=0, atol=1e-10)
+    for X in given.X[:2]:
+        assert np.array_equal(X, X.conj().T)
+
+
 def test_constraint_permutation_invariance():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -181,6 +220,13 @@ def _bad(*faults):
         (*_one(sdp.Block(size=2), np.array([[1.0, 1j], [-1j, 1.0]])), "imaginary part"),
         (*_one(sdp.Block(size=2, diag=True), np.array([1.0, 1j])), "imaginary part"),
         (*_one(sdp.Block(size=2, complex=True, diag=True), np.ones(2)), "cannot be complex"),
+        (*_one(sdp.Block(size=0), np.zeros((0, 0))), "^block 0: size must be a positive integer$"),
+        (*_one(sdp.Block(size=-1), np.eye(1)), "^block 0: size must be a positive integer$"),
+        (*_one(sdp.Block(size=2.5), np.eye(2)), "^block 0: size must be a positive integer$"),
+        (*_one(sdp.Block(size=0, diag=True), np.ones(0)),
+         "^block 0: size must be a positive integer$"),
+        ([sdp.Block(size=2), sdp.Block(size=-3, diag=True)], [{0: np.eye(2)}],
+         "^block 1: size must be a positive integer$"),
         (*_one(sdp.Block(size=2), np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]])),
          "^constraint 0, block 0 has a non-finite entry$"),
         (*_bad((2, 0, np.diag([1.0, np.nan]))), "^constraint 2, block 0 has a non-finite entry$"),
@@ -191,6 +237,7 @@ def _bad(*faults):
          "^constraint 1, block 2 has a non-finite entry$"),
     ],
     ids=["shape", "shape-diag", "nan", "inf-complex", "imag-real", "imag-diag", "complex-diag",
+         "size-0", "size-negative", "size-fraction", "size-0-diag", "size-later-block",
          "nan-imag-real", "later-constraint", "later-shape", "first-fault-named"],
 )
 def test_validate_rejects_bad_coefficients(blocks, coeffs, message):
@@ -283,6 +330,11 @@ def test_hermitian_basis_is_orthonormal_with_unit_svec(size, cplx):
     Ef = E.reshape(k, -1).view(float)
     assert np.allclose(Ef[:, t1] * c1 + Ef[:, t2] * c2, np.eye(k), rtol=0, atol=1e-15)
     assert not np.signbit(Ef[Ef == 0]).any()  # every zero is +0.0
+
+
+def test_hermitian_basis_rejects_a_diag_block():
+    with pytest.raises(ValueError, match="diag block"):
+        sdp.hermitian_basis(sdp.Block(3, diag=True))
 
 
 def test_stack_layout_gathers_match_hermitian_basis():

@@ -39,8 +39,9 @@ and `lower`, each sweep's largest width `upper - lower` and its mean of the
 records' `sigma_mean`, `ap_mean` and `ad_mean` ("-" for a sweep written
 without them); then the
 largest move of `upper`, `lower` and `p` over all solves optimal on both
-sides (the iterations may differ). It exits 1 if any paired solve differs
-at all.
+sides (the iterations may differ); then how many paired solves differ at
+all, and how many of those in status or iterations rather than only in
+values. It exits 1 if any paired solve differs at all.
 """
 
 import os
@@ -208,12 +209,12 @@ def compare(a: list[dict], b: list[dict]) -> int:
     if only:
         print(f"{only} solves in one sweep only, not compared")
     pairs = [(ra, keyed[1][key]) for key, ra in keyed[0].items() if key in keyed[1]]
-    differ = 0
+    differ = steps = 0
     moves = {"upper": (0.0, None), "lower": (0.0, None), "p": (0.0, None)}
     for ra, rb in pairs:
         where = f"{ra['case']} {ra['path']}"
-        changed = (ra["status"], ra["iterations"]) != (rb["status"], rb["iterations"])
-        if changed:
+        changed = stepped = (ra["status"], ra["iterations"]) != (rb["status"], rb["iterations"])
+        if stepped:
             print(f"{where}: {ra['status']} after {ra['iterations']} -> "
                   f"{rb['status']} after {rb['iterations']}")
         if "p" in ra and "p" in rb:
@@ -223,10 +224,11 @@ def compare(a: list[dict], b: list[dict]) -> int:
                 if move > moves[k][0]:
                     moves[k] = (move, where)
         differ += changed
+        steps += stepped
     summarize(pairs)
     for k, (move, where) in moves.items():
         print(f"largest move of {k}: {move:.3e}" + (f" ({where})" if where else ""))
-    print(f"{len(pairs)} solves compared, {differ} differ")
+    print(f"{len(pairs)} solves compared, {differ} differ ({steps} in status or iterations)")
     return differ
 
 

@@ -1,11 +1,14 @@
 """Probabilistic synthesis of single-qubit unitaries over a finite gate set.
 
 Pipeline: enumerate distinct gate sequences up to a length budget into a
-Pool, their labels and magic vectors (brute force over quaternion
-products, one row per channel, keyed by qubit1.line_keys);
+Pool, their labels and magic vectors (quaternion products, one row per
+channel, keyed by qubit1.line_keys; a product is keyed only when its
+suffix is kept, since the kept sequences are closed under factors);
 deterministically synthesize a C*eps covering of a ball around the target
-over the pool to within C_PRIME*eps (C = C_PRIME = 1/2), restrict
-support, and solve the mixing SDP to relative gap delta. The first-order
+over the pool to within C_PRIME*eps (C = C_PRIME = 1/2), each cover point
+searched over the rows whose angle to the target can put them within
+reach, ties going to the lowest pool index; restrict support, and solve
+the mixing SDP to relative gap delta. The first-order
 baseline of Campbell and Hastings is included for comparison: it works on
 the candidates' channels (magic vectors, not matrices with a global
 phase) and finds the exact minimum-norm mixture of their generators with
@@ -24,6 +27,9 @@ from .linalg import check_probabilities, check_unitary, matrix_from_json
 C = 0.5  # covering mesh of prob_synth, as a fraction of eps
 C_PRIME = 0.5  # deterministic synthesis radius of prob_synth, as a fraction of eps
 BUDGET = 500000  # the most sequences enumerate_sequences keeps
+BLOCK = 96  # cover points _nearest searches per product
+TIE_TOL = 1e-12  # |dot| within this of the largest is a tie in _nearest: see _nearest
+SHELL_MARGIN = 2e-6  # radians _nearest's shells reach past arcsin(reach): see _nearest
 
 
 class BudgetExceededError(RuntimeError):
@@ -129,12 +135,19 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
     `qubit1.line_keys` (the same for u and -u), and each length makes one
     pass in product order over its keys against the set of keys seen so
     far: a product is kept, and its key added, if the key is not in the
-    set. So a product is kept if its key is the first of its length and
-    unseen at shorter lengths. Products are generated with gates in
-    lexicographic label order, so the kept sequence for each unitary is
-    the shortest, ties broken lexicographically by label list. Raises
-    BudgetExceededError past BUDGET kept sequences, before the sequences
-    of that length are built.
+    set. Products are generated with gates in lexicographic label order, so
+    the kept sequence for each unitary is the least of its key in shortlex
+    order: the shortest, ties broken lexicographically by label list.
+
+    Such least words are closed under taking factors (a factor with a
+    shortlex-smaller equal would make a smaller equal of the whole word),
+    so the product w g is keyed only when w minus its first gate, followed
+    by g, is itself kept; every other product is a duplicate. Each frontier
+    row carries the index of its suffix and each row of the length before
+    it the index of its child by each gate, which decide this. The pool is
+    the one the pass over every product keeps. Raises BudgetExceededError
+    past BUDGET kept sequences, before the sequences of that length are
+    built.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -149,23 +162,31 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
     seen = set(qubit1.line_keys(frontier).tolist())
     frontier_labels: list[tuple[str, ...]] = [()]
     labels, magic = [()], [frontier]
+    # suffix[f]: the row of the length before holding frontier row f minus its
+    # first gate; child[r, g]: the frontier row holding row r followed by gate
+    # g, or -1. The empty sequence starts as its own suffix, every gate its child.
+    suffix, child = np.zeros(1, dtype=np.intp), np.zeros((1, ng), dtype=np.intp)
     for length in range(1, max_len + 1):
         if frontier.shape[0] == 0:
             break
-        prod = (frontier @ LT).reshape(-1, 4)
+        cand = np.flatnonzero(child[suffix] >= 0)  # product f * ng + g, in product order
+        prod = (frontier @ LT).reshape(-1, 4)[cand]
         prod /= np.linalg.norm(prod, axis=1, keepdims=True)
         kept = []
         for j, key in enumerate(qubit1.line_keys(prod).tolist()):
             if key not in seen:
                 seen.add(key)
                 kept.append(j)
-        new = np.array(kept, dtype=np.intp)
+        new = cand[np.array(kept, dtype=np.intp)]
         if new.size and len(labels) + new.size > BUDGET:
             raise BudgetExceededError(
                 f"sequence budget {BUDGET} exceeded at length {length}"
             )
-        frontier = prod[new]
         parent, gate = np.divmod(new, ng)
+        frontier = prod[kept]
+        suffix = child[suffix[parent], gate]
+        child = np.full((len(frontier_labels), ng), -1, dtype=np.intp)
+        child[parent, gate] = np.arange(new.size)
         frontier_labels = [
             frontier_labels[f] + (glabels[g],)
             for f, g in zip(parent.tolist(), gate.tolist())
@@ -175,28 +196,82 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
     return Pool(labels=tuple(labels), magic=np.concatenate(magic))
 
 
-def _nearest(P: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    P: np.ndarray, V: np.ndarray, target: np.ndarray | None = None, reach: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest row of the pool magic vectors P to each row of V.
 
     Returns the indices and the half-diamond errors. Of the rows whose
-    computed |dot| is exactly the largest, the lowest index wins (in pool
-    order: the shorter sequence, then lexicographic labels); near-ties are
-    decided by the rounding of the products.
+    computed |dot| lies within TIE_TOL of the largest, the lowest index wins
+    (in pool order: the shorter sequence, then lexicographic labels), so a
+    tie is decided by the pool, not by how the products round. TIE_TOL
+    separates the two kinds of gap seen between the best and second-best
+    |dot| of the cover points of H, T, S, X and Rz(0.3) (L = 12 and 14 at
+    eps 0.35 and 0.4, L = 20 at eps 0.16): 0 or at most 2 ulps of 1, ties
+    that only rounding breaks, against at least 5.9e-7; over the 157,250
+    cover points of 90 Haar targets the smallest gap was 2.5e-8.
+
+    Given the target u and a reach (a half-diamond error), the rows of V
+    are taken in order of their angle to u, BLOCK at a time, and each block
+    is searched over the rows of P, in pool order, whose angle to u
+    (`qubit1.line_angle`) lies within arcsin(reach) + SHELL_MARGIN of the
+    block's angles. The line angle is a metric, so every row within reach
+    of a point lies in its shell, and so does every row within TIE_TOL of
+    such a row's |dot|: it lies at most arccos(1 - TIE_TOL) = 1.42e-6
+    further out, inside SHELL_MARGIN. So a point whose shell holds a row
+    within reach gets the index and error of a search over every row: its
+    products round differently, but only within ties. A point whose shell
+    holds none is searched again over every row, so its error is exact too.
     """
-    idx = np.empty(len(V), dtype=np.intp)
-    dots = np.empty((min(len(V), 64), len(P)))  # 64 rows at a time, in one reused array:
-    for s in range(0, len(V), 64):  # a fresh one per block costs more in page faults
-        d = np.matmul(V[s : s + 64], P.T, out=dots[: len(V) - s])
-        idx[s : s + 64] = np.argmax(np.abs(d, out=d), axis=1)
-    return idx, qubit1.line_distance(V, P[idx])
+    if target is None:
+        blocks = [(np.arange(s, min(s + BLOCK, len(V))), None) for s in range(0, len(V), BLOCK)]
+    else:
+        to_row = qubit1.line_angle(target, P)
+        to_point = qubit1.line_angle(target, V)
+        order = np.argsort(to_point, kind="stable")
+        width = np.arcsin(reach) + SHELL_MARGIN
+        blocks = []
+        for b in np.split(order, range(BLOCK, len(V), BLOCK)):
+            lo, hi = to_point[b[0]] - width, to_point[b[-1]] + width
+            blocks.append((b, np.flatnonzero((to_row >= lo) & (to_row <= hi))))
+    # Every block's products go into one reused array: a fresh one per block
+    # costs more in page faults.
+    cols = max((len(P) if rows is None else len(rows) for _, rows in blocks), default=0)
+    buf = np.empty(min(len(V), BLOCK) * cols)
+    idx = np.zeros(len(V), dtype=np.intp)  # row 0 stands in for an empty shell: a miss below
+    for block, rows in blocks:
+        if rows is None:
+            idx[block] = _nearest_rows(V[block], P, buf)
+        elif rows.size:
+            idx[block] = rows[_nearest_rows(V[block], P[rows], buf)]
+    errs = qubit1.line_distance(V, P[idx])
+    if target is not None:
+        miss = np.flatnonzero(errs > reach)
+        if miss.size:
+            idx[miss], errs[miss] = _nearest(P, V[miss])
+    return idx, errs
+
+
+def _nearest_rows(V: np.ndarray, P: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """_nearest's tie rule over the rows of P for each row of V, products written into buf."""
+    d = np.matmul(V, P.T, out=buf[: len(V) * len(P)].reshape(len(V), len(P)))
+    np.abs(d, out=d)
+    at = np.arange(len(V))
+    idx = np.argmax(d, axis=1)
+    best = d[at, idx]
+    d[at, idx] = -1.0  # the runner-up tells which points have a tie to resolve
+    tied = np.flatnonzero(d.max(axis=1) >= best - TIE_TOL)
+    d[at, idx] = best
+    idx[tied] = np.argmax(d[tied] >= best[tied, None] - TIE_TOL, axis=1)
+    return idx
 
 
 def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
     """Labels of the pool sequence closest to the target, and its error.
 
-    The error is the half-diamond distance. Exact ties of the computed
-    |dot| go to the lowest pool index (the shorter sequence, then
-    lexicographic labels); near-ties are decided by rounding. Raises
+    The error is the half-diamond distance. Every row is searched; of the
+    rows within TIE_TOL of the largest computed |dot|, the lowest pool index
+    wins (the shorter sequence, then lexicographic labels). Raises
     ValueError unless target is a 2x2 unitary.
     """
     idx, errs = _nearest(pool.magic, qubit1.magic_embed(target)[None, :])
@@ -238,6 +313,12 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     c*eps + (worst deterministic synthesis error over covering points) <=
     eps. CoveringUnreachableError if that worst error exceeds c'*eps.
 
+    The deterministic step searches each covering point over the pool rows
+    in a shell of angles to the target that holds every row within c'*eps
+    of it (see _nearest); it returns the indices and errors of a search over
+    every row, near-ties included, and a point with no row within reach is
+    searched over every row, so the exception's achieved_radius is exact.
+
     prob_error is the exact error of the returned mixture p (an upper bound
     on the optimum; p is zero off the columns qubit1.optimal_mix_1q solved);
     prob_error_lower is its dual bound: no mixture of the support does better.
@@ -251,7 +332,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
         raise ValueError("delta must be positive and finite")
     u = qubit1.magic_embed(target)
     cover = qubit1.cap_covering(u, min(2 * eps, 0.999), C * eps)
-    nearest, errs = _nearest(pool.magic, cover)
+    nearest, errs = _nearest(pool.magic, cover, u, C_PRIME * eps)
     worst = float(np.max(errs))
     if worst > C_PRIME * eps:
         raise CoveringUnreachableError(

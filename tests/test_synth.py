@@ -92,11 +92,21 @@ def _twin_gate_set():
     return GateSet(labels=("T", "H", "G"), unitaries=(g["T"], g["H"], g["T"]))
 
 
-@pytest.mark.parametrize(
-    "make_gs", [standard_gate_set, _unsorted_gate_set, _twin_gate_set],
-    ids=["standard", "unsorted-labels", "twin-gates"],
-)
-@pytest.mark.parametrize("max_len", [0, 1, 3, 10, 12])
+def _haar_gate_set():
+    # Three generic gates: no relations, so the pool grows as 3**L.
+    rng = np.random.default_rng(2028)
+    return GateSet(labels=("c", "a", "b"), unitaries=tuple(haar_unitary(2, rng) for _ in range(3)))
+
+
+GATE_SETS = {"standard": standard_gate_set, "unsorted-labels": _unsorted_gate_set,
+             "twin-gates": _twin_gate_set}
+ENUMERATION_CASES = [(make_gs, max_len, f"{max_len}-{name}")
+                     for name, make_gs in GATE_SETS.items() for max_len in (0, 1, 3, 10, 12)]
+ENUMERATION_CASES.append((_haar_gate_set, 7, "7-haar"))
+
+
+@pytest.mark.parametrize("make_gs, max_len", [c[:2] for c in ENUMERATION_CASES],
+                         ids=[c[2] for c in ENUMERATION_CASES])
 def test_enumerate_matches_reference_loop(make_gs, max_len):
     gs = make_gs()
     got = enumerate_sequences(gs, max_len)
@@ -107,6 +117,33 @@ def test_enumerate_matches_reference_loop(make_gs, max_len):
     diff = np.minimum(np.abs(got.magic - magic).max(axis=1),
                       np.abs(got.magic + magic).max(axis=1))
     assert diff.max() <= 1e-15
+
+
+@pytest.mark.parametrize("make_gs", GATE_SETS.values(), ids=GATE_SETS.keys())
+def test_pool_is_suffix_closed(make_gs):
+    # The least sequence of a channel in shortlex order has least factors,
+    # which is what lets enumerate_sequences key only the products whose
+    # suffix is kept. The reference loop keys every product and agrees.
+    gs = make_gs()
+    for labels in (enumerate_sequences(gs, 12).labels, reference_enumerate(gs, 12)[0]):
+        kept = set(labels)
+        assert all(s[1:] in kept and s[:-1] in kept for s in labels if s)
+
+
+def test_enumerate_keys_few_more_products_than_it_keeps(std_gateset, monkeypatch):
+    # At L = 12, 2,506 products are keyed for 2,288 kept sequences; keying
+    # every product of every kept sequence with a gate is 8,241 (3.6x).
+    keyed = []
+    line_keys = qubit1.line_keys
+
+    def counting(V):
+        keyed.append(len(V))
+        return line_keys(V)
+
+    monkeypatch.setattr(qubit1, "line_keys", counting)
+    pool = enumerate_sequences(std_gateset, 12)
+    assert len(pool) == 2288
+    assert sum(keyed) <= 1.2 * len(pool)
 
 
 def test_enumerate_twin_gates_keep_first_label():
@@ -274,11 +311,14 @@ def test_nearest_ties_and_errors(std_pool):
     P = std_pool.magic
     V = np.vstack([P[5], -P[7], P[3] + P[9]])
     V[2] /= np.linalg.norm(V[2])
-    # Repeating a pool row makes an exact tie: the first index wins.
+    # Repeating a pool row makes an exact tie: the first index wins. Rows
+    # 152 and 179 are equally near V[2], and which |dot| rounds higher is
+    # the BLAS's choice (179 by 1 ulp here): the lower index wins.
     idx, errs = _nearest(np.vstack([P, P]), V)
     dots = np.abs(V @ P.T)
-    assert idx.tolist() == np.argmax(dots, axis=1).tolist()
-    assert idx[0] == 5 and idx[1] == 7
+    ties = dots >= dots.max(axis=1, keepdims=True) - synth.TIE_TOL
+    assert idx.tolist() == np.argmax(ties, axis=1).tolist() == [5, 7, 152]
+    assert abs(dots[2, 152] - dots[2, 179]) <= 4 * np.spacing(1.0)
     assert errs[0] < 1e-7 and errs[1] < 1e-7
     for k, i in enumerate(idx):
         assert abs(errs[k] - qubit1.line_distance(V[k], P[i])) < 1e-7
@@ -307,6 +347,32 @@ def test_nearest_planted_ties_go_to_the_lowest_index():
         assert idx[r] == np.flatnonzero(dots[r] == dots[r].max())[0]
     assert idx[:4].tolist() == [0, 0, 0, 0]
     assert (idx[4:] < 8).all() and (errs[4:] == 0).all()
+
+    # Near-ties. A[:8] holds 8 distinct lines. Row i of `near` is A[i] with
+    # its last entry moved towards 0 by k * 2**-52, so its dot with A[i] is
+    # exactly 1 - k * 2**-53: k = 1-4 ulps below the exact best, which sits
+    # at a higher index. Plain argmax takes the exact best; the tie rule
+    # takes the lower index. Row i of `far` lies 2**-30 below, a real gap,
+    # and loses.
+    A = A[:8]
+    V = np.vstack([np.eye(4), A, -A[::3]])
+    far = A.copy()
+    far[:, 3] -= np.sign(A[:, 3]) * 2.0**-29
+    for k in (1, 2, 3, 4):
+        near = A.copy()
+        near[:, 3] -= np.sign(A[:, 3]) * k * 2.0**-52
+        assert (A * near).sum(axis=1).tolist() == [1 - k * 2.0**-53] * 8
+        for Q, first in ((np.vstack([near, A, -A]), 0), (np.vstack([far, A, -A]), 8)):
+            idx, _ = _nearest(Q, V)
+            dots = np.abs(V @ Q.T)
+            ties = dots >= dots.max(axis=1, keepdims=True) - synth.TIE_TOL
+            assert idx.tolist() == np.argmax(ties, axis=1).tolist()
+            assert idx[4:].tolist() == [first + i for i in [*range(8), 0, 3, 6]]
+        # A search over any subset of rows that keeps both gives the lower one.
+        Q = np.vstack([near, A])
+        for cols in (np.arange(16), np.array([0, 8]), np.array([0, 5, 8, 15])):
+            idx, _ = _nearest(Q[cols], A[:1])
+            assert cols[idx[0]] == 0
 
 
 def _nearest_peak(pool):
@@ -348,6 +414,107 @@ def test_line_distance_keeps_digits_near_coincidence():
     assert qubit1.support_filter(u, w[None], exact / 2 * (1 + 1e-6)).tolist() == [0]
     with pytest.raises(qubit1.EmptySupportError):
         qubit1.support_filter(u, w[None], exact / 2 * (1 - 1e-6))
+
+
+def test_line_angle_keeps_digits_near_coincidence_and_never_warns():
+    # The lines of u and w meet at an angle of about 1.3856e-9, where
+    # arccos(|u.w|) rounds to 0.
+    a = 8e-10
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    w = np.array([1.0, a, a, a]) / np.sqrt(1 + 3 * a * a)
+    assert np.arccos(abs(u @ w)) == 0.0
+    assert qubit1.line_angle(u, -w) == pytest.approx(np.arctan(np.sqrt(3) * a), rel=1e-6)
+    # |v.v| rounds above 1, where arccos warns (an error under this suite).
+    v = np.random.default_rng(12).standard_normal((11, 4))[10]
+    v /= np.linalg.norm(v)
+    assert v @ v > 1
+    with pytest.warns(RuntimeWarning):
+        np.arccos(v @ v)
+    assert qubit1.line_angle(v, np.vstack([v, -v])).tolist() == [0.0, 0.0]
+    # Its sine is line_distance, and it is a metric, to rounding.
+    rng = np.random.default_rng(11)
+    U, W, X = (x / np.linalg.norm(x, axis=1, keepdims=True)
+               for x in rng.standard_normal((3, 1000, 4)))
+    UW, WX, UX = qubit1.line_angle(U, W), qubit1.line_angle(W, X), qubit1.line_angle(U, X)
+    assert np.all((0 <= UW) & (UW <= np.pi / 2 + 1e-15))
+    assert np.max(np.abs(np.sin(UW) - qubit1.line_distance(U, W))) <= 1e-15
+    assert np.all(UX <= UW + WX + 1e-15) and np.all(UW <= UX + WX + 1e-15)
+    # _nearest's shells reach past arcsin(reach) by more than a row within
+    # TIE_TOL of a tie can lie past it.
+    assert synth.SHELL_MARGIN > 1.4 * np.arccos(1 - synth.TIE_TOL)
+
+
+def _named_targets(gs):
+    """Targets on a symmetry of the gate set, where near-ties are common."""
+    gates = dict(zip(gs.labels, gs.unitaries))
+    rz = np.diag([np.exp(-0.15j), np.exp(0.15j)])
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    return [gates["H"], gates["T"], gates["S"], X, rz]
+
+
+@pytest.mark.parametrize("max_len, eps", [(12, 0.35), (16, 0.25)])
+def test_prob_synth_shell_search_returns_the_full_search_indices(
+    std_gateset, std_pool, max_len, eps, monkeypatch
+):
+    # Every search prob_synth makes over the shells gives the indices and
+    # errors of the search over every row, on Haar targets and on targets
+    # whose cover points have near-tied rows.
+    pool = std_pool if max_len == 12 else enumerate_sequences(std_gateset, max_len)
+    nearest, searches = synth._nearest, []
+
+    def recording(P, V, *args):
+        got = nearest(P, V, *args)
+        if args:
+            searches.append((P, V, got))
+        return got
+
+    monkeypatch.setattr(synth, "_nearest", recording)
+    haar = [haar_unitary(2, np.random.default_rng([28, max_len, i])) for i in range(12)]
+    reached = 0
+    for U in haar + _named_targets(std_gateset):
+        try:
+            prob_synth(U, eps, 1e-6, pool)
+            reached += 1
+        except CoveringUnreachableError:
+            pass
+    assert len(searches) == 17 and reached >= 12
+    for P, V, (idx, errs) in searches:
+        ref_idx, ref_errs = nearest(P, V)
+        assert idx.tolist() == ref_idx.tolist()
+        assert errs.tobytes() == ref_errs.tobytes()
+
+
+def test_nearest_shells_keep_rows_tied_with_a_row_within_reach():
+    # Row 1 is the point itself; row 0 lies 1e-6 further from the target
+    # along the same great circle, so its |dot| with the point, cos(1e-6),
+    # is within TIE_TOL of 1 and the lower index wins. At a reach of 5e-7
+    # only SHELL_MARGIN puts row 0 in the point's shell.
+    a, u = 0.3, np.eye(4)[0]
+    line = lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])  # noqa: E731
+    P = np.vstack([line(a + 1e-6), line(a), line(a - 0.2), np.eye(4)[2]])
+    v = line(a)[None]
+    assert _nearest(P, v)[0].tolist() == [0]
+    assert _nearest(P, v, u, 5e-7)[0].tolist() == [0]
+
+
+def test_prob_synth_unreachable_reports_the_full_search_radius(std_gateset):
+    # At L = 8 (covering radius 0.273) and eps 0.3, c'*eps = 0.15: some
+    # cover points find a row within reach in their shell and some do not.
+    # The misses are searched again over every row, so the reported radius
+    # is the full search's.
+    pool = enumerate_sequences(std_gateset, 8)
+    eps = 0.3
+    for i in range(5):
+        U = haar_unitary(2, np.random.default_rng([29, i]))
+        u = qubit1.magic_embed(U)
+        cover = qubit1.cap_covering(u, 2 * eps, synth.C * eps)
+        _, full = _nearest(pool.magic, cover)
+        _, errs = _nearest(pool.magic, cover, u, synth.C_PRIME * eps)
+        assert errs.tobytes() == full.tobytes()
+        assert 0 < np.sum(full <= synth.C_PRIME * eps) < len(cover)
+        with pytest.raises(CoveringUnreachableError) as exc:
+            prob_synth(U, eps, 1e-6, pool)
+        assert exc.value.achieved_radius == float(np.max(full))
 
 
 def test_det_synth_rejects_magic_vector(std_pool):

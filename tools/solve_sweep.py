@@ -19,8 +19,9 @@ at eps 0.35 and delta 1e-6 over the L = 12 and L = 14 pools of the standard
 gate set on 60 Haar targets each, target i from `default_rng([3, i])`:
 mixing problems of a few hundred candidates, where `optimal_mix_1q` may
 solve more than once. For each it writes `rounds` (the solves made), the
-status of the last solve, the iterations of every solve, and `upper`,
-`lower` and `p` as returned.
+status of the last solve, the iterations of every solve, `upper`,
+`lower` and `p` as returned, and what `synth1q` prints besides: `support`
+(the label lists), `det_error` and `achieved_eps`.
 
 A third set runs `channels._mix` on cases keyed `diamond4-i`, the
 half-diamond distance between two Haar unitaries at d = 4 from
@@ -40,8 +41,12 @@ records' `sigma_mean`, `ap_mean` and `ad_mean` ("-" for a sweep written
 without them); then the
 largest move of `upper`, `lower` and `p` over all solves optimal on both
 sides (the iterations may differ); then how many paired solves differ at
-all, and how many of those in status or iterations rather than only in
-values. It exits 1 if any paired solve differs at all.
+all, how many of those in status or iterations rather than only in
+values, and how many `prob_synth` records in their support. A record whose
+support, `det_error` or `achieved_eps` differs counts as differing, and
+each support that differs is printed with the labels it loses and gains;
+a sweep written without these keys is compared without them. It exits 1
+if any paired solve differs at all.
 """
 
 import os
@@ -153,6 +158,8 @@ def sweep() -> list[dict]:
                     "iterations": [sol.iterations for sol in seen],
                     "upper": res.prob_error, "lower": res.prob_error_lower,
                     "p": [float(x) for x in res.p], **step_means(seen),
+                    "support": [list(s) for s in res.support],
+                    "det_error": res.det_error, "achieved_eps": res.achieved_eps,
                 })
     finally:
         sdp.solve = solve
@@ -209,7 +216,7 @@ def compare(a: list[dict], b: list[dict]) -> int:
     if only:
         print(f"{only} solves in one sweep only, not compared")
     pairs = [(ra, keyed[1][key]) for key, ra in keyed[0].items() if key in keyed[1]]
-    differ = steps = 0
+    differ = steps = supports = 0
     moves = {"upper": (0.0, None), "lower": (0.0, None), "p": (0.0, None)}
     for ra, rb in pairs:
         where = f"{ra['case']} {ra['path']}"
@@ -217,6 +224,13 @@ def compare(a: list[dict], b: list[dict]) -> int:
         if stepped:
             print(f"{where}: {ra['status']} after {ra['iterations']} -> "
                   f"{rb['status']} after {rb['iterations']}")
+        if "support" in ra and "support" in rb and ra["support"] != rb["support"]:
+            sa, sb = ({tuple(s) for s in rec["support"]} for rec in (ra, rb))
+            print(f"{where}: support {len(sa)} -> {len(sb)} labels, "
+                  f"{len(sa - sb)} out, {len(sb - sa)} in")
+            supports += 1
+        changed |= any(ra[k] != rb[k] for k in ("support", "det_error", "achieved_eps")
+                       if k in ra and k in rb)
         if "p" in ra and "p" in rb:
             changed |= any(ra[k] != rb[k] for k in moves)
             for k in moves:
@@ -228,7 +242,8 @@ def compare(a: list[dict], b: list[dict]) -> int:
     summarize(pairs)
     for k, (move, where) in moves.items():
         print(f"largest move of {k}: {move:.3e}" + (f" ({where})" if where else ""))
-    print(f"{len(pairs)} solves compared, {differ} differ ({steps} in status or iterations)")
+    print(f"{len(pairs)} solves compared, {differ} differ ({steps} in status or iterations, "
+          f"{supports} in support)")
     return differ
 
 

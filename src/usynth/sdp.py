@@ -19,37 +19,36 @@ Re tr(A X); `real_embed` is kept as a reference lowering to real blocks.
 The solver is a primal-dual path-following interior-point method with a
 Mehrotra predictor-corrector. Problems here are tiny (block sizes <= ~40,
 up to a few hundred equality constraints, possibly many 1x1 blocks), so
-all factorizations are dense. Each block's coefficients are stacked over
-all m constraints, with zeros where a constraint does not touch the block.
-`solve` reads its input in one pass: it writes each coefficient into its
-block's stack, checking its shape (and that a real block's has no imaginary
-part), and checks the stacks for non-finite entries once; only a failed
-check walks the coefficients again. Only a coefficient's Hermitian part
-counts, and svec (below) reads just that part.
+all factorizations are dense. `solve` reads its input in one pass: each
+coefficient is checked as it is written into a stack per block, and the
+stacks are read once into svec rows, G0_i = svec(A_i) and gc = svec(C), and
+not kept. svec(M) lists the coordinates of M's Hermitian part in the
+orthonormal basis E_i of `hermitian_basis`: s^2 reals for a complex s x s
+block, s(s+1)/2 for a real one. X, Z, the dual residual and the scaled
+directions are svec vectors too, and Re tr(A_i X) = G0_i . svec(X).
 
 Each iteration factors once, in the Nesterov-Todd (NT) scaling (Todd, Toh
 and Tutuncu, SIAM J. Optim. 8:769, 1998): per dense block, X = L_X L_X^H
 and Z = L_Z L_Z^H and the SVD L_Z^H L_X = U diag(lam) V^H give
 R = L_X V diag(lam)^-1/2 with R^-1 X R^-H = R^H Z R = diag(lam). The
 complementarity is linearized and the step lengths are taken in these
-scaled variables. The Schur complement M_ij = Re tr(A_i W A_j W), W = R R^H,
-is M = G G^T with G_i = svec(R^H A_i R), the coordinates of a Hermitian
-matrix in an orthonormal basis: s^2 reals for a complex s x s block and
-s(s+1)/2 for a real one, half the columns of HKM's non-Hermitian rows.
-M is not formed: with the rows of G scaled to unit norm, G_s^T = Q T by QR,
-and T is the Cholesky factor of the equilibrated M; the predictor and the
-corrector reuse it, solving on T itself (no inverse is formed). The primal
-step is an orthogonal projection with Q, so it meets its equality
-constraints to about eps * sqrt(cond(M)). Solving the normal equations with
-M itself leaves a residual of eps * cond(M): near the optimum of a
-degenerate problem cond(M) grows like 1/mu^2 and passes 1/eps, and that
-residual becomes primal infeasibility that later steps cannot remove.
-The solver works in one coordinate system, svec: X, Z, the dual residual
-and the scaled directions are one real vector each, and the constraints are
-read through the rows at R = I, Re tr(A_i X) = svec(A_i) . svec(X). Each
-iteration lifts X, Z and the residual into per-block matrices once, for the
-scaling; a direction's step lengths come from one eigvalsh over every dense
-block, zero-padded to one size (the padding adds the eigenvalue 0).
+scaled variables. In svec coordinates a block's scaling is one matrix K,
+column i svec(R^H E_i R): svec(R^H M R) = K svec(M) and
+svec(R M R^H) = K^T svec(M) (a diag block's K is the vector R^2). So the
+Schur complement M_ij = Re tr(A_i W A_j W), W = R R^H, is G G^T with
+G = G0 K^T blockwise, and the primal step is svec(dX) = K^T r for
+r = svec(dX~). M is not formed: with the rows of G scaled to unit norm,
+G_s^T = Q T by QR, and T is the Cholesky factor of the equilibrated M; the
+predictor and the corrector reuse it, solving on T itself (no inverse is
+formed). The primal step is an orthogonal projection with Q, so it meets
+its equality constraints to about eps * sqrt(cond(M)). Solving the normal
+equations with M itself leaves a residual of eps * cond(M): near the
+optimum of a degenerate problem cond(M) grows like 1/mu^2 and passes 1/eps,
+and that residual becomes primal infeasibility that later steps cannot
+remove. Each iteration lifts X, Z and the residual into per-block matrices
+once, for the scaling; a direction's step lengths come from one eigvalsh
+over every dense block, zero-padded to one size (the padding adds the
+eigenvalue 0).
 
 The iteration starts from Mehrotra's point (Mehrotra, SIAM J. Optim.
 2:575, 1992), built from one more factorization, that of the scale R = I,
@@ -289,12 +288,32 @@ def hermitian_basis(blk: Block) -> np.ndarray:
     return _lift(layout, np.eye(len(layout[4][0])))[:, 0] + 0.0  # no -0.0 from 0 * -1/sqrt(2)
 
 
-def _congruence(R: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """R^H M[:, i] R for each matrix of a stack, in two products; R M[i] R for a diag block."""
-    if R.ndim == 1:
-        return R * M * R
+def _svec(blk: Block, M: np.ndarray) -> np.ndarray:
+    """svec of the Hermitian part of each matrix M[..., :, :] of a dense block."""
+    _, _, _, _, (t1, c1, t2, c2), _ = _stack_layout((blk,))
+    F = M.reshape(M.shape[:-2] + (-1,)).view(float)
+    return F.take(t1, -1) * c1 + F.take(t2, -1) * c2
+
+
+def _nt_matrix(blk: Block, R: np.ndarray, E: Optional[np.ndarray]) -> np.ndarray:
+    """K with svec(R^H M R) = K svec(M) and svec(R M R^H) = K^T svec(M) for Hermitian M.
+
+    E is the block's `hermitian_basis`: column i of K is svec(R^H E_i R), in two
+    products as svec((E_i R)^H R). A diag block's K is the vector R^2 (E is None).
+    """
+    if blk.diag:
+        return R * R
     s = len(R)
-    return ((R.conj().T @ M.reshape(s, -1)).reshape(-1, s) @ R).reshape(M.shape)
+    Y = (E.reshape(-1, s) @ R).reshape(E.shape)  # E_i R
+    return _svec(blk, (Y.conj().swapaxes(1, 2).reshape(-1, s) @ R).reshape(E.shape)).T
+
+
+def _nt_rows(Ks: list[np.ndarray], cuts: list[slice], V: np.ndarray, adjoint=False) -> np.ndarray:
+    """Per block j, K_j svec(M) for each row V[..., cuts[j]] = svec(M), or K_j^T svec(M)."""
+    out = np.empty_like(V)
+    for K, cut in zip(Ks, cuts):
+        out[..., cut] = V[..., cut] * K if K.ndim == 1 else V[..., cut] @ (K if adjoint else K.T)
+    return out
 
 
 def _lowest(S: np.ndarray, v: np.ndarray) -> list[float]:
@@ -341,6 +360,45 @@ def _schur_factor(G: np.ndarray):
     return rows, 1.0 / norms[rows], Q, T, G
 
 
+def _read_rows(problem: SdpProblem, order: list[int]) -> tuple[np.ndarray, float]:
+    """(G, cmax): G[i] = svec(A_i) for constraint i < m, G[m] = svec(C), blocks in `order`.
+
+    cmax is C's largest |entry|. Each coefficient is checked (its shape, a real block's
+    imaginary part) as it is written into its row of its block's stack A[k], and the
+    stacks for non-finite entries at once; only a failed check walks `given` again.
+    """
+    blocks, m = problem.blocks, len(problem.constraints)
+    A = [np.zeros((m + 1,) + (blk.size,) * (2 - blk.diag), complex if blk.complex else float)
+         for blk in blocks]
+    given = [(None, k, A[k][m], np.asarray(M)) for k, M in enumerate(problem.objective)
+             if M is not None]
+    given += [(i, k, A[k][i] if 0 <= k < len(blocks) else None, np.asarray(M))
+              for i, con in enumerate(problem.constraints) for k, M in con.coeffs.items()]
+
+    def fault(i, k, dest, M, finite=True) -> Optional[str]:  # the first check M fails
+        if dest is None:
+            return f"constraint references unknown block {k}"
+        if M.shape != dest.shape:
+            what = f"has shape {M.shape}, expected {dest.shape}"
+        elif finite and not np.isfinite(M).all():
+            what = "has a non-finite entry"
+        elif M.dtype.kind == "c" and not blocks[k].complex and M.imag.any():
+            what = "has an imaginary part on a real block"
+        else:
+            return None
+        return f"{'objective' if i is None else f'constraint {i},'} block {k} {what}"
+
+    for i, k, dest, M in given:
+        if fault(i, k, dest, M, finite=False):
+            break
+        dest[...] = M if blocks[k].complex else M.real
+    else:
+        if all(np.isfinite(Ak).all() for Ak in A):
+            G = [A[k] if blocks[k].diag else _svec(blocks[k], A[k]) for k in order]
+            return np.concatenate(G, axis=1), max(float(np.abs(Ak[m]).max()) for Ak in A)
+    raise ValueError(next(msg for msg in (fault(*g) for g in given) if msg))
+
+
 def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Solve the SDP by the interior-point method described above.
 
@@ -365,91 +423,37 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     feas_tol = min(gap_tol, FEAS_TOL)
     m = len(b)
 
-    # Per block: the identity, and the coefficients A stacked over all m
-    # constraints with one more row, m, which holds the objective C until the
-    # start is built and the block's dual residual after that. A[k][..., i, :]
-    # is row i: a dense stack is laid out (s, m + 1, s), as _congruence reads it.
-    eye = [
-        np.ones(blk.size) if blk.diag
-        else np.eye(blk.size, dtype=complex if blk.complex else float)
-        for blk in blocks
-    ]
-    A = [np.zeros(I.shape[:-1] + (m + 1, I.shape[-1]), I.dtype) for I in eye]
-
-    # Write each coefficient into its block's stack, checking its shape (and a real block's
-    # imaginary part), then check the stacks for non-finite entries at once. Only a failed
-    # check walks `given` (name, block, destination or None, coefficient) to name the fault.
-    given = [(f"objective block {k}", k, A[k][..., m, :], np.asarray(M))
-             for k, M in enumerate(problem.objective) if M is not None]
-    given += [(f"constraint {i}, block {k}", k, A[k][..., i, :] if 0 <= k < len(blocks) else None,
-               np.asarray(M)) for i, con in enumerate(problem.constraints)
-              for k, M in con.coeffs.items()]
-
-    def fault(what, k, dest, M, finite=True) -> Optional[str]:  # the first check M fails
-        if dest is None:
-            return f"constraint references unknown block {k}"
-        if M.shape != dest.shape:
-            return f"{what} has shape {M.shape}, expected {dest.shape}"
-        if finite and not np.isfinite(M).all():
-            return f"{what} has a non-finite entry"
-        if M.dtype.kind == "c" and not blocks[k].complex and M.imag.any():
-            return f"{what} has an imaginary part on a real block"
-
-    written = 0
-    for what, k, dest, M in given:
-        if fault(what, k, dest, M, finite=False):
-            break
-        dest[...] = M if blocks[k].complex else M.real
-        written += 1
-    if written < len(given) or not all(np.isfinite(Ak).all() for Ak in A):
-        raise ValueError(next(msg for msg in (fault(*g) for g in given) if msg))
-    bmax = float(np.abs(b).max(initial=0.0))
-    norm_scale = max(1.0, bmax, max(float(np.abs(Ak[..., m, :]).max(initial=0.0)) for Ak in A))
-
-    # X, Z, the dual residual and the scaled directions are vectors of svec
-    # coordinates: the dense blocks', then the diag blocks' entries (vcut).
-    # svec reads a matrix's Hermitian part, so Re tr(A_i X) = svec(A_i) . x for
-    # Hermitian X. Coordinate (a, b) of a block reads lam_a = lam[ci] and
-    # lam_b = lam[cj] of the blocks' lam concatenated in this order.
+    # Vectors of svec coordinates hold the dense blocks', then the diag blocks'
+    # entries: block j of `order` at cuts[j]. Coordinate (a, b) of a block reads
+    # lam_a = lam[ci] and lam_b = lam[cj] of the blocks' lam concatenated in order.
     dense = [k for k, blk in enumerate(blocks) if not blk.diag]
     order, nd = dense + [k for k, blk in enumerate(blocks) if blk.diag], len(dense)
     layout = _stack_layout(tuple(blocks[k] for k in dense))  # cached: read only
-    shape, dtype, _, _, (t1, c1, t2, c2), (jj, aa, bb) = layout
+    _, _, _, _, (t1, c1, t2, c2), (jj, aa, bb) = layout
     kd = len(t1)
     first = np.cumsum([0] + [blocks[k].size for k in order])  # each block's first lam
     ntot = int(first[-1])
     tail = np.arange(first[nd], ntot)
     ci, cj = np.concatenate((first[jj] + aa, tail)), np.concatenate((first[jj] + bb, tail))
     ev = (ci == cj) * 1.0  # svec of the identity
-    off = kd - first[nd]  # a diag block's svec coordinates follow its lam
-    vcut = [slice(off + a, off + e) for a, e in zip(first[nd:-1], first[nd + 1 :])]
-    F = np.zeros((m + 1,) + shape, dtype)  # R^H A_i R and R^H Rd R of every dense block
-    Ff = F.reshape(m + 1, F[0].size).view(float)
-    P = np.zeros(shape, dtype)  # R dX~ R^H of every dense block
-    Pf = P.reshape(-1).view(float)
-
-    def svec(Fr: np.ndarray) -> np.ndarray:  # the real numbers of stacks -> svec coordinates
-        return Fr.take(t1, -1) * c1 + Fr.take(t2, -1) * c2
+    E = [hermitian_basis(blocks[k]) for k in dense]  # for _nt_matrix
+    edges = np.cumsum([0] + [len(Ej) for Ej in E] + [blocks[k].size for k in order[nd:]])
+    cuts, E = [slice(a, e) for a, e in zip(edges[:-1], edges[1:])], E + [None] * (len(order) - nd)
+    G, cmax = _read_rows(problem, order)
+    bmax = float(np.abs(b).max(initial=0.0))
+    norm_scale = max(1.0, bmax, cmax)
 
     def blockwise(V: np.ndarray) -> list[np.ndarray]:  # per block in `order`, V[..., :] lifted
         S = _lift(layout, V)
         lifted = (S[..., j, : blocks[k].size, : blocks[k].size] for j, k in enumerate(dense))
         dense_blocks = [M if blocks[k].complex else M.real for M, k in zip(lifted, dense)]
-        return dense_blocks + [V[..., cut] for cut in vcut]
-
-    def scaled_rows(Rs) -> np.ndarray:  # row i: svec(R^H A_i R), with A_m the stacks' row m
-        for j, (k, R) in enumerate(zip(dense, Rs)):
-            F[:, j, : len(R), : len(R)] = _congruence(R, A[k]).transpose(1, 0, 2)
-        return np.concatenate(
-            [svec(Ff)] + [_congruence(R, A[k]) for k, R in zip(order[nd:], Rs[nd:])], axis=1
-        )
+        return dense_blocks + [V[..., cut] for cut in cuts[nd:]]
 
     # Mehrotra's starting point (module docstring). At R = I the rows are
     # G0_i = svec(A_i), and row m is gc = svec(C): x^ is the min-norm solution
     # of G0 x = b, y[rows] = s T^-1 Q^T gc the least-squares one of G0^T y = gc,
     # and z^ = G0^T y - gc = Q Q^T gc - gc. G0 and gc read the constraints and
     # the objective from then on: Re tr(A_i X) = G0[i] . x, Re tr(C X) = gc . x.
-    G = scaled_rows([eye[k] for k in order])
     G0, gc = G[:m].copy(), G[m]  # _schur_factor scales G's rows in place
     rows, s, Q, T, _ = _schur_factor(G[:m])
     qc = Q.T @ gc
@@ -492,15 +496,13 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             status = "Stalled"  # no progress near the optimum
             break
 
-        # Every factorization of the iteration. With the NT scaling R of each
-        # block (R^-1 X R^-H = R^H Z R = diag(lam)) and W = R R^H, the Schur
-        # complement M_ij = Re tr(A_i W A_j W) is G_i . G_j, G_i = svec(R^H A_i R);
-        # row m of G is svec(R^H Rd R).
+        # Every factorization of the iteration. With the NT scaling R of each block
+        # and W = R R^H, M_ij = Re tr(A_i W A_j W) is G_i . G_j for the rows
+        # G_i = svec(R^H A_i R) = K svec(A_i) per block; row m is K rd = svec(R^H Rd R).
         try:
             Rs, lams = zip(*[_nt_scaling(blocks[k], M[0], M[1]) for k, M in zip(order, XZR)])
-            for k, M in zip(order, XZR):
-                A[k][..., m, :] = M[2]
-            G = scaled_rows(Rs)
+            Ks = [_nt_matrix(blocks[k], R, Ej) for k, R, Ej in zip(order, Rs, E)]
+            G = _nt_rows(Ks, cuts, np.vstack((G0, rd)))
             rows, s, Q, T, Gs = _schur_factor(G[:m])
             v = np.linalg.solve(T.T, s * rp[rows])  # G r = rp for r = h - Q (Q^T h - v)
         except (NumericalBreakdown, np.linalg.LinAlgError):
@@ -537,19 +539,16 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         # step is taken on dZ~ = R^H dZ R for dZ = sum dy A + Rd itself:
         # svec(dZ~) = G^T dy + svec(R^H Rd R), with G^T dy = Gs^T t.
         dxdz = ra * za
-        dxdz[:kd] = svec((S[0] @ S[1]).reshape(-1).view(float))
+        F = (S[0] @ S[1]).reshape(-1).view(float)  # the padded stack's svec, as in _svec
+        dxdz[:kd] = F[t1] * c1 + F[t2] * c2
         r, u = direction((sigma * mu * ev - lamv * lamv - dxdz) / half - G[m])
         t = np.linalg.solve(T, u)
         dy = np.zeros(m)
         dy[rows] = s * t
-        V = np.array((r * w, (t @ Gs + G[m]) * w, r))
-        S = _lift(layout, V)
+        V = np.array((r * w, (t @ Gs + G[m]) * w))
         tau = 0.98 if mu > 1e-7 else 0.99
-        ap, ad = (min(1.0, tau * a) for a in _max_step(S[:2], V[:2, kd:]))
-        for j, (k, R) in enumerate(zip(dense, Rs)):  # dX = R dX~ R^H
-            dXk = S[2, j, : len(R), : len(R)]
-            P[j, : len(R), : len(R)] = R @ (dXk if blocks[k].complex else dXk.real) @ R.conj().T
-        x = x + ap * np.concatenate([svec(Pf)] + [R * r[cut] * R for R, cut in zip(Rs[nd:], vcut)])
+        ap, ad = (min(1.0, tau * a) for a in _max_step(_lift(layout, V), V[:, kd:]))
+        x = x + ap * _nt_rows(Ks, cuts, r, adjoint=True)  # svec(dX) = svec(R dX~ R^H) = K^T r
         z = z + ad * (dy @ G0 + rd)
         y = y + ad * dy
         step.update(sigma=sigma, ap=ap, ad=ad)

@@ -197,7 +197,7 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
 
 
 def _nearest(
-    P: np.ndarray, V: np.ndarray, target: np.ndarray | None = None, reach: float = 0.0
+    P: np.ndarray, V: np.ndarray, target: np.ndarray, reach: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest row of the pool magic vectors P to each row of V.
 
@@ -211,44 +211,39 @@ def _nearest(
     that only rounding breaks, against at least 5.9e-7; over the 157,250
     cover points of 90 Haar targets the smallest gap was 2.5e-8.
 
-    Given the target u and a reach (a half-diamond error), the rows of V
-    are taken in order of their angle to u, BLOCK at a time, and each block
-    is searched over the rows of P, in pool order, whose angle to u
-    (`qubit1.line_angle`) lies within arcsin(reach) + SHELL_MARGIN of the
-    block's angles. The line angle is a metric, so every row within reach
-    of a point lies in its shell, and so does every row within TIE_TOL of
-    such a row's |dot|: it lies at most arccos(1 - TIE_TOL) = 1.42e-6
-    further out, inside SHELL_MARGIN. So a point whose shell holds a row
-    within reach gets the index and error of a search over every row: its
-    products round differently, but only within ties. A point whose shell
-    holds none is searched again over every row, so its error is exact too.
+    The rows of V are taken in order of their angle to the target u, BLOCK
+    at a time, and each block is searched over the rows of P, in pool order,
+    whose angle to u (`qubit1.line_angle`) lies within arcsin(reach) +
+    SHELL_MARGIN of the block's angles, reach a half-diamond error. The line
+    angle is a metric, so every row within reach of a point lies in its
+    shell, and so does every row within TIE_TOL of such a row's |dot|: it
+    lies at most arccos(1 - TIE_TOL) = 1.42e-6 further out, inside
+    SHELL_MARGIN. So a point whose shell holds a row within reach gets the
+    index and error of a search over every row: its products round
+    differently, but only within ties. A point whose shell holds none is
+    searched again at reach 1, whose shell holds every row (line angles lie
+    in [0, pi/2]): that is the search over every row, so its error is exact
+    too, and it never misses.
     """
-    if target is None:
-        blocks = [(np.arange(s, min(s + BLOCK, len(V))), None) for s in range(0, len(V), BLOCK)]
-    else:
-        to_row = qubit1.line_angle(target, P)
-        to_point = qubit1.line_angle(target, V)
-        order = np.argsort(to_point, kind="stable")
-        width = np.arcsin(reach) + SHELL_MARGIN
-        blocks = []
-        for b in np.split(order, range(BLOCK, len(V), BLOCK)):
-            lo, hi = to_point[b[0]] - width, to_point[b[-1]] + width
-            blocks.append((b, np.flatnonzero((to_row >= lo) & (to_row <= hi))))
+    to_row = qubit1.line_angle(target, P)
+    to_point = qubit1.line_angle(target, V)
+    order = np.argsort(to_point, kind="stable")
+    width = np.arcsin(reach) + SHELL_MARGIN
+    blocks = []
+    for b in np.split(order, range(BLOCK, len(V), BLOCK)):
+        lo, hi = to_point[b[0]] - width, to_point[b[-1]] + width
+        blocks.append((b, np.flatnonzero((to_row >= lo) & (to_row <= hi))))
     # Every block's products go into one reused array: a fresh one per block
     # costs more in page faults.
-    cols = max((len(P) if rows is None else len(rows) for _, rows in blocks), default=0)
-    buf = np.empty(min(len(V), BLOCK) * cols)
+    buf = np.empty(min(len(V), BLOCK) * max((len(rows) for _, rows in blocks), default=0))
     idx = np.zeros(len(V), dtype=np.intp)  # row 0 stands in for an empty shell: a miss below
     for block, rows in blocks:
-        if rows is None:
-            idx[block] = _nearest_rows(V[block], P, buf)
-        elif rows.size:
+        if rows.size:
             idx[block] = rows[_nearest_rows(V[block], P[rows], buf)]
     errs = qubit1.line_distance(V, P[idx])
-    if target is not None:
-        miss = np.flatnonzero(errs > reach)
-        if miss.size:
-            idx[miss], errs[miss] = _nearest(P, V[miss])
+    miss = np.flatnonzero(errs > reach)
+    if miss.size and reach < 1:  # at reach 1, errs past 1 are rounding
+        idx[miss], errs[miss] = _nearest(P, V[miss], target, 1.0)
     return idx, errs
 
 
@@ -274,7 +269,8 @@ def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
     wins (the shorter sequence, then lexicographic labels). Raises
     ValueError unless target is a 2x2 unitary.
     """
-    idx, errs = _nearest(pool.magic, qubit1.magic_embed(target)[None, :])
+    v = qubit1.magic_embed(target)
+    idx, errs = _nearest(pool.magic, v[None], v, 1.0)
     return pool.labels[int(idx[0])], float(errs[0])
 
 

@@ -507,6 +507,92 @@ def test_nt_scaling_makes_x_and_z_one_diagonal(blk):
         assert np.max(np.abs(S - want)) <= 1e-12 * np.max(lam)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["real", "complex", "diag"])
+def test_nt_matrix_is_the_scaling_in_svec_coordinates(kind, size):
+    # K maps svec(M) to svec(R^H M R) and K^T maps it to svec(R M R^H), for
+    # Hermitian M, a random R and the R of an NT scaling; a diag block's K is R^2.
+    blk = sdp.Block(size, complex=kind == "complex", diag=kind == "diag")
+    rng = np.random.default_rng([size, len(kind)])
+
+    def random(shape):
+        F = rng.standard_normal(shape)
+        return F + 1j * rng.standard_normal(shape) if blk.complex else F
+
+    def random_pd():
+        if blk.diag:
+            return rng.uniform(0.01, 3.0, size)
+        F = random((size, size))
+        return F @ F.conj().T + 0.01 * np.eye(size)
+
+    E = None if blk.diag else sdp.hermitian_basis(blk)
+    if blk.diag:
+        M = random((3, size))
+        v, congruent, adjoint = M, lambda R: R * M * R, lambda R: R * M * R
+    else:
+        F = random((3, size, size))
+        M = F + F.conj().swapaxes(1, 2)  # three Hermitian matrices
+        v = sdp._svec(blk, M)
+        congruent = lambda R: sdp._svec(blk, R.conj().T @ M @ R)  # noqa: E731
+        adjoint = lambda R: sdp._svec(blk, R @ M @ R.conj().T)  # noqa: E731
+    R_random = rng.uniform(0.1, 2.0, size) if blk.diag else random((size, size))
+    for R in (R_random, sdp._nt_scaling(blk, random_pd(), random_pd())[0]):
+        K = sdp._nt_matrix(blk, R, E)
+        assert K.dtype == float and K.shape == ((size,) if blk.diag else (len(E), len(E)))
+        for got, want in ((sdp._nt_rows([K], [slice(None)], v), congruent(R)),
+                          (sdp._nt_rows([K], [slice(None)], v, adjoint=True), adjoint(R))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _four_block_problem():
+    """A feasible, bounded problem on blocks diag(2), complex(3), real(2), diag(3)."""
+    rng = np.random.default_rng(29)
+    blocks = [sdp.Block(2, diag=True), sdp.Block(3, complex=True), sdp.Block(2),
+              sdp.Block(3, diag=True)]
+
+    def coeffs():
+        c, r = rng.standard_normal((3, 3, 2)) @ [1, 1j], rng.standard_normal((2, 2))
+        return [rng.standard_normal(2), c + c.conj().T, r + r.T, rng.standard_normal(3)]
+
+    # Each block has trace 1/4, so the optimum is nonzero on every block, and
+    # the other constraints hold at X0 = I / (4 s) on each block of size s.
+    eye = [np.ones(2), np.eye(3, dtype=complex), np.eye(2), np.ones(3)]
+    constraints = [sdp.Constraint({k: I}, 0.25) for k, I in enumerate(eye)]
+    for _ in range(5):
+        A = coeffs()
+        rhs = sum(np.real(np.sum(Ak * I)) / (4 * blk.size) for Ak, I, blk in zip(A, eye, blocks))
+        constraints.append(sdp.Constraint(dict(enumerate(A)), float(rhs)))
+    return sdp.SdpProblem(blocks, coeffs(), constraints)
+
+
+def _declared_in_order(p: sdp.SdpProblem, perm) -> sdp.SdpProblem:
+    """p with its block perm[j] declared as block j."""
+    new = {k: j for j, k in enumerate(perm)}
+    return sdp.SdpProblem(
+        [p.blocks[k] for k in perm], [p.objective[k] for k in perm],
+        [sdp.Constraint({new[k]: A for k, A in c.coeffs.items()}, c.rhs) for c in p.constraints],
+    )
+
+
+def test_solution_does_not_depend_on_block_order_or_lowering():
+    # Two diag blocks, one declared first, around a complex and a real block;
+    # the permutation puts the real block before the complex one, so the
+    # solver's dense and diag blocks both come in a new order.
+    p = _four_block_problem()
+    native = sdp.solve(p)
+    embedded = sdp.solve(sdp.real_embed(p))
+    perm = (3, 2, 0, 1)
+    permuted = sdp.solve(_declared_in_order(p, perm))
+    for sol in (native, embedded, permuted):
+        assert sol.status == "Optimal"
+        assert sol.primal_value == pytest.approx(native.primal_value, rel=0, abs=1e-7)
+        assert sol.dual_value == pytest.approx(native.dual_value, rel=0, abs=1e-7)
+    assert np.allclose(permuted.y, native.y, rtol=0, atol=1e-6)
+    for j, k in enumerate(perm):
+        assert permuted.X[j].shape == native.X[k].shape
+        assert np.allclose(permuted.X[j], native.X[k], rtol=0, atol=1e-7)
+
+
 def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch):
     # svec of R^H A_i R: s^2 reals for a complex s x s block, s(s+1)/2 for a
     # real one, one per entry of a diag block. At d = 3, _mix poses its S' and

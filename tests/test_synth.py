@@ -314,7 +314,7 @@ def test_nearest_ties_and_errors(std_pool):
     # Repeating a pool row makes an exact tie: the first index wins. Rows
     # 152 and 179 are equally near V[2], and which |dot| rounds higher is
     # the BLAS's choice (179 by 1 ulp here): the lower index wins.
-    idx, errs = _nearest(np.vstack([P, P]), V)
+    idx, errs = _nearest(np.vstack([P, P]), V, V[0], 1.0)
     dots = np.abs(V @ P.T)
     ties = dots >= dots.max(axis=1, keepdims=True) - synth.TIE_TOL
     assert idx.tolist() == np.argmax(ties, axis=1).tolist() == [5, 7, 152]
@@ -329,7 +329,7 @@ def test_nearest_is_exact_on_a_covering(std_pool):
     P = std_pool.magic
     u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(3)))
     V = qubit1.cap_covering(u, 0.7, 0.175)
-    idx, errs = _nearest(P, V)
+    idx, errs = _nearest(P, V, u, 1.0)
     ref = np.argmax(np.abs(V @ P.T), axis=1)
     assert idx.tolist() == ref.tolist()
     assert errs.tobytes() == qubit1.line_distance(V, P[ref]).tobytes()
@@ -341,7 +341,7 @@ def test_nearest_planted_ties_go_to_the_lowest_index():
     A = np.array(np.meshgrid(*[[0.5, -0.5]] * 4, indexing="ij")).reshape(4, -1).T
     Q = np.vstack([A, -A, A])
     V = np.vstack([np.eye(4), A, -A[::3]])
-    idx, errs = _nearest(Q, V)
+    idx, errs = _nearest(Q, V, V[0], 1.0)
     dots = np.abs(V @ Q.T)
     for r in range(len(V)):
         assert idx[r] == np.flatnonzero(dots[r] == dots[r].max())[0]
@@ -363,7 +363,7 @@ def test_nearest_planted_ties_go_to_the_lowest_index():
         near[:, 3] -= np.sign(A[:, 3]) * k * 2.0**-52
         assert (A * near).sum(axis=1).tolist() == [1 - k * 2.0**-53] * 8
         for Q, first in ((np.vstack([near, A, -A]), 0), (np.vstack([far, A, -A]), 8)):
-            idx, _ = _nearest(Q, V)
+            idx, _ = _nearest(Q, V, V[0], 1.0)
             dots = np.abs(V @ Q.T)
             ties = dots >= dots.max(axis=1, keepdims=True) - synth.TIE_TOL
             assert idx.tolist() == np.argmax(ties, axis=1).tolist()
@@ -371,7 +371,7 @@ def test_nearest_planted_ties_go_to_the_lowest_index():
         # A search over any subset of rows that keeps both gives the lower one.
         Q = np.vstack([near, A])
         for cols in (np.arange(16), np.array([0, 8]), np.array([0, 5, 8, 15])):
-            idx, _ = _nearest(Q[cols], A[:1])
+            idx, _ = _nearest(Q[cols], A[:1], A[0], 1.0)
             assert cols[idx[0]] == 0
 
 
@@ -383,7 +383,7 @@ def _nearest_peak(pool):
     assert (n, m) == (925, len(pool))
     tracemalloc.start()
     try:
-        _nearest(P, V)
+        _nearest(P, V, u, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,7 +410,7 @@ def test_line_distance_keeps_digits_near_coincidence():
     w = np.array([1.0, a, a, a]) / np.sqrt(1 + 3 * a * a)
     exact = np.sqrt(3) * a / np.sqrt(1 + 3 * a * a)
     assert qubit1.line_distance(u, -w) == pytest.approx(exact, rel=1e-6)
-    assert _nearest(w[None], u[None])[1][0] == pytest.approx(exact, rel=1e-6)
+    assert _nearest(w[None], u[None], u, 1.0)[1][0] == pytest.approx(exact, rel=1e-6)
     assert qubit1.support_filter(u, w[None], exact / 2 * (1 + 1e-6)).tolist() == [0]
     with pytest.raises(qubit1.EmptySupportError):
         qubit1.support_filter(u, w[None], exact / 2 * (1 - 1e-6))
@@ -462,10 +462,10 @@ def test_prob_synth_shell_search_returns_the_full_search_indices(
     pool = std_pool if max_len == 12 else enumerate_sequences(std_gateset, max_len)
     nearest, searches = synth._nearest, []
 
-    def recording(P, V, *args):
-        got = nearest(P, V, *args)
-        if args:
-            searches.append((P, V, got))
+    def recording(P, V, target, reach):
+        got = nearest(P, V, target, reach)
+        if reach < 1:  # not the search of the misses over every row
+            searches.append((P, V, target, got))
         return got
 
     monkeypatch.setattr(synth, "_nearest", recording)
@@ -478,8 +478,8 @@ def test_prob_synth_shell_search_returns_the_full_search_indices(
         except CoveringUnreachableError:
             pass
     assert len(searches) == 17 and reached >= 12
-    for P, V, (idx, errs) in searches:
-        ref_idx, ref_errs = nearest(P, V)
+    for P, V, u, (idx, errs) in searches:
+        ref_idx, ref_errs = nearest(P, V, u, 1.0)
         assert idx.tolist() == ref_idx.tolist()
         assert errs.tobytes() == ref_errs.tobytes()
 
@@ -493,8 +493,25 @@ def test_nearest_shells_keep_rows_tied_with_a_row_within_reach():
     line = lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])  # noqa: E731
     P = np.vstack([line(a + 1e-6), line(a), line(a - 0.2), np.eye(4)[2]])
     v = line(a)[None]
-    assert _nearest(P, v)[0].tolist() == [0]
+    assert _nearest(P, v, u, 1.0)[0].tolist() == [0]
     assert _nearest(P, v, u, 5e-7)[0].tolist() == [0]
+
+
+def test_nearest_search_of_every_row_ends_past_a_distance_of_one():
+    # u and w are orthogonal unit vectors whose line distance rounds to
+    # 1 + 2**-52. The shell at reach 0.5 misses w, and the search again at
+    # reach 1, over every row, returns it rather than missing again.
+    u = np.array([float.fromhex(x) for x in (
+        "-0x1.4bad59a4810e6p-1", "-0x1.b36a1684a5803p-3", "0x1.57f86646506d0p-2",
+        "-0x1.4cb9bb5fc981cp-1")])
+    w = np.array([float.fromhex(x) for x in (
+        "-0x1.819814d70ebc5p-1", "0x1.212ef7a09cdbfp-2", "-0x1.66e9dd4093694p-3",
+        "0x1.22b1c76ad8434p-1")])
+    d = qubit1.line_distance(u, w)
+    assert d > 1
+    for reach in (0.5, 1.0):
+        idx, errs = _nearest(w[None], u[None], u, reach)
+        assert idx.tolist() == [0] and errs.tolist() == [d]
 
 
 def test_prob_synth_unreachable_reports_the_full_search_radius(std_gateset):
@@ -508,7 +525,7 @@ def test_prob_synth_unreachable_reports_the_full_search_radius(std_gateset):
         U = haar_unitary(2, np.random.default_rng([29, i]))
         u = qubit1.magic_embed(U)
         cover = qubit1.cap_covering(u, 2 * eps, synth.C * eps)
-        _, full = _nearest(pool.magic, cover)
+        _, full = _nearest(pool.magic, cover, u, 1.0)
         _, errs = _nearest(pool.magic, cover, u, synth.C_PRIME * eps)
         assert errs.tobytes() == full.tobytes()
         assert 0 < np.sum(full <= synth.C_PRIME * eps) < len(cover)

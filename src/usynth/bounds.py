@@ -11,8 +11,9 @@ axial (fixed rotation axis) case in closed form, and builds one exact
 finite witness per bound: a candidate set whose nearest member is at
 distance eps from a target and whose optimal mixing error equals the
 bound. The lower witness is the d^2 Weyl-Heisenberg conjugates of one
-extremal diagonal unitary; the upper witness is the 2^d sign-dressed
-copies of the planar rotation by arccos(eps).
+extremal diagonal unitary, each a cyclic shift of its diagonal; the upper
+witness is the 2^d copies of the planar rotation by arccos(eps) with signs
+on their rows and columns.
 """
 
 from __future__ import annotations
@@ -54,40 +55,33 @@ def theorem1_bounds(eps: float, d: int) -> BoundPoint:
     )
 
 
-def _weyl_heisenberg(d: int) -> list[np.ndarray]:
-    """The d^2 discrete displacement operators X^a Z^b."""
-    X = np.roll(np.eye(d), 1, axis=0).astype(complex)
-    Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    out = []
-    Xa = np.eye(d, dtype=complex)
-    for _ in range(d):
-        Zb = np.eye(d, dtype=complex)
-        for _ in range(d):
-            out.append(Xa @ Zb)
-            Zb = Zb @ Z
-        Xa = Xa @ X
-    return out
-
-
 def lower_family(eps: float, d: int) -> list[np.ndarray]:
     """The d^2 displacement conjugates of W0, a witness of the lower bound.
 
-    W0 = diag(l+, l-, 1, ..., 1) with l+- = sqrt(1-eps^2) +- i eps sits at
-    distance exactly eps from the identity, and so does each conjugate
-    g W0 g^dag by a discrete displacement operator g. Their uniform mixture
-    is the discrete twirl of W0, a generalized-Pauli channel whose
+    W0 = diag(lam), lam = (l+, l-, 1, ..., 1) with l+- = sqrt(1-eps^2) +- i eps,
+    sits at distance exactly eps from the identity, and so does each
+    conjugate g W0 g^dag by a displacement operator g = X^a Z^b (a outer,
+    b inner): Z^b is diagonal and commutes with W0, and the cyclic shift X^a
+    moves entry j to j + a, so g W0 g^dag = diag(roll(lam, a)). Their uniform
+    mixture is the discrete twirl of W0, a generalized-Pauli channel whose
     half-diamond distance from the identity equals the lower bound
-    (4 delta / d)(1 - delta / d). So this finite candidate set has its
-    nearest member at distance eps and optimal mixing error equal to the
-    lower bound.
+    (4 delta / d)(1 - delta / d). So this finite candidate set has its nearest
+    member at distance eps and optimal mixing error equal to the lower bound.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     _check_d(d)
     root = np.sqrt(max(0.0, 1.0 - eps * eps))
     lam = np.concatenate([[root + 1j * eps, root - 1j * eps], np.ones(d - 2)])
-    W0 = np.diag(lam)
-    return [g @ W0 @ g.conj().T for g in _weyl_heisenberg(d)]
+    return [np.diag(np.roll(lam, a)) for a in range(d) for _ in range(d)]
+
+
+def _rotation(c: float, s: float, d: int) -> np.ndarray:
+    """[[c, -s], [s, c]] on the first coordinate plane of C^d, identity elsewhere."""
+    R = np.eye(d, dtype=complex)
+    R[0, 0] = R[1, 1] = c
+    R[0, 1], R[1, 0] = -s, s
+    return R
 
 
 def upper_family(eps: float, d: int) -> list[np.ndarray]:
@@ -95,40 +89,29 @@ def upper_family(eps: float, d: int) -> list[np.ndarray]:
 
     R is the rotation by theta = arccos(eps) of the first coordinate plane
     (identity elsewhere), D_a = diag(1, a, 1, ..., 1) and D_b = diag(1, b,
-    s_2, ..., s_{d-1}), over all signs a, b, s_k in {+1, -1}. Every member
-    is at distance >= eps from upper_family_target(d), the quarter rotation
-    of that plane, and R itself is at exactly eps. The optimal mixing error
-    of this finite candidate set equals eps^2 (channels.optimal_mix
-    certifies it within 1e-8 at d = 2 to 5 and eps in {0.1, 0.6, 0.9}; it
-    is not proved here). At d = 2 the lower bound equals eps^2, so there
-    this witness is also the optimum over every candidate set at distance
-    >= eps. Whether every eps-covering at d >= 3 has a target at error
-    eps^2 is not shown here.
+    s_2, ..., s_{d-1}), over all signs a, b, s_k in {+1, -1}; the D are
+    diagonal, so D_a R D_b is R with its rows and columns times their signs.
+    Every member is at distance >= eps from upper_family_target(d), the
+    quarter rotation of that plane, and R itself is at exactly eps. The
+    optimal mixing error of this finite candidate set equals eps^2
+    (channels.optimal_mix certifies it within 1e-8 at d = 2 to 5 and eps in
+    {0.1, 0.6, 0.9}; it is not proved here). At d = 2 the lower bound equals
+    eps^2, so there this witness is also the optimum over every candidate
+    set at distance >= eps. Whether every eps-covering at d >= 3 has a
+    target at error eps^2 is not shown here.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     _check_d(d)
     theta = np.arccos(eps)
-    R = np.eye(d, dtype=complex)
-    R[0, 0] = R[1, 1] = np.cos(theta)
-    R[0, 1] = -np.sin(theta)
-    R[1, 0] = np.sin(theta)
-    out = []
-    for a, *signs in itertools.product((1.0, -1.0), repeat=d):
-        D_a = np.eye(d)
-        D_a[1, 1] = a
-        D_b = np.diag([1.0, *signs])
-        out.append(D_a @ R @ D_b)
-    return out
+    R = _rotation(np.cos(theta), np.sin(theta), d)
+    return [R * np.outer(np.r_[1.0, a, np.ones(d - 2)], np.r_[1.0, signs])
+            for a, *signs in itertools.product((1.0, -1.0), repeat=d)]
 
 
 def upper_family_target(d: int) -> np.ndarray:
     """The hardest target for upper_family: quarter rotation of a plane."""
-    R = np.eye(d, dtype=complex)
-    R[0, 0] = R[1, 1] = 0.0
-    R[0, 1] = -1.0
-    R[1, 0] = 1.0
-    return R
+    return _rotation(0.0, 1.0, d)
 
 
 def axial_optimal(target_theta: float, thetas: list[float]) -> tuple[np.ndarray, float]:

@@ -15,14 +15,6 @@ TOL_HERM = 1e-8
 TOL_UNITARY = 1e-8
 
 
-class NotHermitianError(ValueError):
-    pass
-
-
-class NotUnitaryError(ValueError):
-    pass
-
-
 def check_finite(M: np.ndarray) -> np.ndarray:
     """M as complex; ValueError if any entry has a non-finite real or imaginary part."""
     M = np.asarray(M, dtype=complex)
@@ -37,7 +29,7 @@ def check_hermitian(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     H = M.conj().T
     if np.abs(M - H).max() > TOL_HERM:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
+        raise ValueError("matrix is not Hermitian within tolerance")
     return (M + H) / 2
 
 
@@ -47,7 +39,7 @@ def check_unitary(U: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
     d = U.shape[0]
     if np.abs(U.conj().T @ U - np.eye(d)).max() > TOL_UNITARY:
-        raise NotUnitaryError("matrix is not unitary within tolerance")
+        raise ValueError("matrix is not unitary within tolerance")
     return U
 
 

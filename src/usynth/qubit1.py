@@ -270,8 +270,7 @@ def cap_covering(center: np.ndarray, cap_radius_eps: float, mesh_eps: float) -> 
     G = G * mesh_eps
     r = np.linalg.norm(G, axis=1)
     frame = _tangent_frame(center)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dirs = np.where(r[:, None] > 0, G / np.maximum(r, 1e-300)[:, None], 0.0)
+    dirs = G / np.maximum(r, 1e-300)[:, None]
     pts = np.cos(r)[:, None] * center + np.sin(r)[:, None] * (dirs @ frame)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 

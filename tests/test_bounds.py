@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,37 @@ def test_upper_family_matches_phase_dressed_grid_d3():
     _, v_fam = optimal_mix(choi(tgt), [choi(W) for W in upper_family(eps, d)])
     assert abs(v_grid - v_fam) < 1e-7
     assert abs(v_fam - eps**2) < 1e-7
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_witnesses_equal_their_group_definitions(d):
+    # lower: member a*d + b is (X^a Z^b) W0 (X^a Z^b)^dag, X the cyclic shift
+    # and Z the clock; upper: member number k is D_a R D_b, (a, *signs) the
+    # k-th sign tuple of itertools.product, as explicit matrix products.
+    X = np.roll(np.eye(d), 1, axis=0).astype(complex)
+    Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    for eps in (0.1, 0.3, 0.6, 0.9):
+        root = np.sqrt(1 - eps * eps)
+        lam = np.array([root + 1j * eps, root - 1j * eps, *np.ones(d - 2)])
+        fam = lower_family(eps, d)
+        assert len(fam) == d * d
+        for a in range(d):
+            for b in range(d):
+                W = fam[a * d + b]
+                assert np.array_equal(W, np.diag(np.roll(lam, a)))
+                g = np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
+                assert np.abs(W - g @ np.diag(lam) @ g.conj().T).max() <= 1e-15
+
+        theta = np.arccos(eps)
+        R = np.eye(d, dtype=complex)
+        R[0, 0] = R[1, 1] = np.cos(theta)
+        R[0, 1], R[1, 0] = -np.sin(theta), np.sin(theta)
+        fam = upper_family(eps, d)
+        assert len(fam) == 2**d
+        for W, (a, *signs) in zip(fam, itertools.product((1.0, -1.0), repeat=d)):
+            D_a = np.diag([1.0, a, *np.ones(d - 2)])
+            # Entry by entry: a zero may be -0.0 on one side and 0.0 on the other.
+            assert np.array_equal(W, D_a @ R @ np.diag([1.0, *signs]))
 
 
 def test_upper_family_target_is_quarter_rotation():

@@ -1,0 +1,72 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SWEEP = Path(__file__).resolve().parents[1] / "tools" / "solve_sweep.py"
+
+
+@pytest.fixture(scope="module")
+def solve_sweep():
+    spec = importlib.util.spec_from_file_location("solve_sweep", SWEEP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def mix(case, upper=0.25):
+    return {"case": case, "d": 2, "path": "mix", "status": "Optimal", "iterations": 9,
+            "upper": upper, "lower": 0.25 - 1e-9, "p": [0.5, 0.5],
+            "sigma_mean": 0.2, "ap_mean": 0.9, "ad_mean": 0.9}
+
+
+def synth(support):
+    return {"case": "synth-12-0", "d": 2, "path": "prob_synth", "rounds": 1,
+            "status": "Optimal", "iterations": [11], "upper": 0.01, "lower": 0.01 - 1e-9,
+            "p": [0.5, 0.25, 0.25], "sigma_mean": 0.2, "ap_mean": 0.9, "ad_mean": 0.9,
+            "support": support, "det_error": 0.1, "achieved_eps": 0.35}
+
+
+def compare(solve_sweep, tmp_path, capsys, a, b):
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path, records in zip(paths, (a, b)):
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(records, f)
+    code = solve_sweep.main(["--compare", *paths])
+    return code, capsys.readouterr().out
+
+
+def test_compare_of_equal_sweeps_finds_nothing(solve_sweep, tmp_path, capsys):
+    records = [mix("1-1"), mix("1-2"), synth([["H"], ["T"], ["H", "T"]])]
+    code, out = compare(solve_sweep, tmp_path, capsys, records, records)
+    assert code == 0
+    assert "3 solves compared, 0 differ (0 in status or iterations, 0 in support)" in out
+    assert "in one sweep only" not in out
+
+
+def test_compare_prints_a_moved_bound(solve_sweep, tmp_path, capsys):
+    code, out = compare(solve_sweep, tmp_path, capsys,
+                        [mix("1-1"), mix("1-2")], [mix("1-1"), mix("1-2", 0.25 + 1e-12)])
+    assert code == 1
+    assert "largest move of upper: 1.000e-12 (1-2 mix)" in out
+    assert "largest move of lower: 0.000e+00\n" in out
+    assert "2 solves compared, 1 differ (0 in status or iterations, 0 in support)" in out
+
+
+def test_compare_prints_a_changed_support(solve_sweep, tmp_path, capsys):
+    code, out = compare(solve_sweep, tmp_path, capsys,
+                        [synth([["H"], ["T"], ["H", "T"]])],
+                        [synth([["H"], ["T"], ["T", "H"]])])
+    assert code == 1
+    assert "synth-12-0 prob_synth: support 3 -> 3 labels, 1 out, 1 in" in out
+    assert "1 solves compared, 1 differ (0 in status or iterations, 1 in support)" in out
+
+
+def test_compare_counts_unpaired_records_without_comparing_them(solve_sweep, tmp_path,
+                                                                capsys):
+    code, out = compare(solve_sweep, tmp_path, capsys,
+                        [mix("1-1"), mix("1-2", 0.5)], [mix("1-1"), mix("1-3", 0.75)])
+    assert code == 0
+    assert "2 solves in one sweep only, not compared" in out
+    assert "1 solves compared, 0 differ" in out

@@ -187,24 +187,23 @@ def _mix(
         sdp.Block(size=n + 1, diag=True),  # (p, r)
     ]
     basis, basis1 = sdp.hermitian_basis(blocks[0]), sdp.hermitian_basis(blocks[2])
-    neg_r = np.append(np.zeros(n), -1.0)  # -r, as a row of the (p, r) block
-    objective = [None, None, None, neg_r]
-    # Every row's coefficients are views into arrays built once per call.
-    lp = np.zeros((k * k, n + 1))  # row i: (-tr(E_i V^H J(B_x) V) for each x, 0) on (p, r)
-    lp[:, :n] = -np.real(np.einsum("kab,xba->kx", basis, JB))
-    rhs = -np.real(np.einsum("kab,ba->k", basis, JA))
-    constraints = [
-        sdp.Constraint(coeffs={0: neg, 1: E, 3: row}, rhs=float(b))
-        for neg, E, row, b in zip(-basis, basis, lp, rhs)
-    ]
+    kk, dd = k * k, d1 * d1
+    lp = 2 * kk + dd  # the columns: S' from 0, E' from kk, G from 2 kk, then p and r (the last)
+    A = np.zeros((kk + dd + 1, lp + n + 1))
+    # The basis rows: svec(E' - S') - sum_x p_x svec(V^H J(B_x) V) = -svec(V^H J(A) V).
+    A[:kk, :kk], A[:kk, kk : 2 * kk] = -np.eye(kk), np.eye(kk)
+    A[:kk, lp:-1] = -sdp.svec(blocks[0], JB).T
+    # The partial-trace rows, one per basis matrix F of H1: Re tr(F ptr2(V S' V^H)) + svec(G)_F
+    # - tr(F) r = 0, with Re tr(F ptr2(V S' V^H)) = svec(V^H (F (x) I) V) . svec(S').
     Vr = V.reshape(d1, d2, k)
     ptr = np.einsum("iba,fij,jbc->fac", Vr.conj(), basis1, Vr)  # V^H (F (x) I) V
-    tr_r = np.trace(basis1, axis1=1, axis2=2).real[:, None] * neg_r  # tr(F) (-r)
-    constraints += [
-        sdp.Constraint(coeffs={0: P, 2: F, 3: row}, rhs=0.0) for P, F, row in zip(ptr, basis1, tr_r)
-    ]
-    constraints.append(sdp.Constraint(coeffs={3: np.append(np.ones(n), 0.0)}, rhs=1.0))
-    problem = sdp.SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
+    A[kk:-1, :kk], A[kk:-1, 2 * kk : lp] = sdp.svec(blocks[0], ptr), np.eye(dd)
+    A[kk:-1, -1] = -sdp.svec(blocks[2], np.eye(d1))  # tr(F) = svec(I)_F
+    A[-1, lp:-1] = 1.0  # sum p = 1
+    rhs = np.concatenate((-sdp.svec(blocks[0], JA), np.zeros(dd), [1.0]))
+    objective = np.zeros(lp + n + 1)
+    objective[-1] = -1.0
+    problem = sdp.SdpProblem(blocks, objective, A, rhs)
     sol = sdp.check_optimal(sdp.solve(problem))
 
     p = np.maximum(sol.X[3][:n], 0.0)

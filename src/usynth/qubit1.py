@@ -150,8 +150,8 @@ def optimal_mix_1q(
 ) -> tuple[np.ndarray, float, float]:
     """Best mixture of the candidate magic vectors w_x for the target u.
 
-    Solves max -t subject to S - tI - sum_x p_x w_x w_x^T = -uu^T (taken
-    against the 10 basis matrices E_k of 4x4 real symmetric matrices) and
+    Solves max -t subject to S - tI - sum_x p_x w_x w_x^T = -uu^T (in the 10
+    svec coordinates of 4x4 real symmetric matrices, `sdp.svec`) and
     sum p = 1, over S >= 0 and one LP block (p, t) >= 0, by column
     generation: first over the COLUMNS candidates nearest u (in candidate
     order), then, while upper - lower > gap_tol, adding the (at most
@@ -179,24 +179,25 @@ def optimal_mix_1q(
         raise EmptyCandidatesError("empty candidate list")
     if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1) <= 1e-8):
         raise ValueError("candidates must be unit 4-vectors")
-    E = sdp.hermitian_basis(sdp.Block(size=4))  # the 10 real symmetric basis matrices
-    trE = np.trace(E, axis1=1, axis2=2)
-    rhs = -((u @ E)[:, None] @ u)[:, 0]  # -u^T E_k u, each as the product u @ E_k @ u
+    S = sdp.Block(size=4)
+    E = sdp.hermitian_basis(S)  # the 10 real symmetric basis matrices, for the dual's Y
+    rhs = np.append(-sdp.svec(S, np.outer(u, u)), 1.0)
     dots = np.abs(W @ u)
     # Within the gap tolerance the nearest single candidate can beat the iterate.
     best = (np.arange(len(W)) == np.argmax(dots)) * 1.0
     cols = np.sort(np.argsort(-dots, kind="stable")[:COLUMNS])
     while True:
-        blocks = [sdp.Block(size=4), sdp.Block(size=len(cols) + 1, diag=True)]  # S, then (p, t)
-        lp = np.empty((len(E), len(cols) + 1))  # row k: (-w_x^T E_k w_x, -tr E_k)
-        lp[:, :-1] = -np.einsum("kab,xa,xb->kx", E, W[cols], W[cols])
-        lp[:, -1] = -trE
-        constraints = [
-            sdp.Constraint(coeffs={0: Ek, 1: row}, rhs=float(b)) for Ek, row, b in zip(E, lp, rhs)
-        ]
-        constraints.append(sdp.Constraint(coeffs={1: np.append(np.ones(len(cols)), 0.0)}, rhs=1.0))
-        problem = sdp.SdpProblem(blocks, [None, np.append(np.zeros(len(cols)), -1.0)], constraints)
-        sol = sdp.check_optimal(sdp.solve(problem, gap_tol))
+        # Rows over (svec(S), p, t): [I | -svec(w_x w_x^T) for each x | -svec(I)] = -svec(uu^T),
+        # then the simplex row sum p = 1.
+        nc = len(cols)
+        A = np.zeros((11, 11 + nc))
+        A[:10, :10] = np.eye(10)
+        A[:10, 10:-1] = -sdp.svec(S, W[cols, :, None] * W[cols, None, :]).T
+        A[:10, -1] = -sdp.svec(S, np.eye(4))
+        A[10, 10:-1] = 1.0
+        objective = np.append(np.zeros(10 + nc), -1.0)  # max -t
+        blocks = [S, sdp.Block(size=nc + 1, diag=True)]
+        sol = sdp.check_optimal(sdp.solve(sdp.SdpProblem(blocks, objective, A, rhs), gap_tol))
         p = np.zeros(len(W))
         p[cols] = np.maximum(sol.X[1][:-1], 0.0)
         P = (p / p.sum(), best)

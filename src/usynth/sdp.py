@@ -16,16 +16,19 @@ independent 1x1 blocks, i.e. a nonnegative vector). Complex Hermitian
 blocks are solved in complex arithmetic, with the real inner product
 Re tr(A X); `real_embed` is kept as a reference lowering to real blocks.
 
+A problem is given as svec rows (`SdpProblem`). svec(M) lists the
+coordinates of M's Hermitian part in the orthonormal basis E_i of
+`hermitian_basis`, `width(blk)` reals: s^2 for a complex s x s block,
+s(s+1)/2 for a real one, a diag block's s entries. Row i of `constraints`
+is svec(A_i) and `objective` is svec(C) over the blocks in declared order,
+so Re tr(A_i X) = svec(A_i) . svec(X); the callers write these rows.
+
 The solver is a primal-dual path-following interior-point method with a
 Mehrotra predictor-corrector. Problems here are tiny (block sizes <= ~40,
 up to a few hundred equality constraints, possibly many 1x1 blocks), so
-all factorizations are dense. `solve` reads its input in one pass: each
-coefficient is checked as it is written into a stack per block, and the
-stacks are read once into svec rows, G0_i = svec(A_i) and gc = svec(C), and
-not kept. svec(M) lists the coordinates of M's Hermitian part in the
-orthonormal basis E_i of `hermitian_basis`: s^2 reals for a complex s x s
-block, s(s+1)/2 for a real one. X, Z, the dual residual and the scaled
-directions are svec vectors too, and Re tr(A_i X) = G0_i . svec(X).
+all factorizations are dense. `solve` permutes the columns into the dense
+blocks' and then the diag blocks': G0_i = svec(A_i) and gc = svec(C). X, Z,
+the dual residual and the scaled directions are svec vectors in that order.
 
 Each iteration factors once, in the Nesterov-Todd (NT) scaling (Todd, Toh
 and Tutuncu, SIAM J. Optim. 8:769, 1998): per dense block, X = L_X L_X^H
@@ -137,19 +140,24 @@ class Block:
     diag: bool = False
 
 
-@dataclass
-class Constraint:
-    """tr(A X) = rhs with A given per block; missing blocks contribute 0."""
-
-    coeffs: dict[int, np.ndarray]
-    rhs: float
+def width(blk: Block) -> int:
+    """The number of svec coordinates of a block: s^2 complex, s(s+1)/2 real, s diag."""
+    s = blk.size
+    return s if blk.diag else s * s if blk.complex else s * (s + 1) // 2
 
 
 @dataclass
 class SdpProblem:
+    """max objective . x subject to constraints x = rhs, x the blocks' svec coordinates.
+
+    objective is the (n,) row svec(C), constraints the real (m, n) array of rows
+    svec(A_i) and rhs the (m,) b, n the sum of `width` over the blocks in order.
+    """
+
     blocks: list[Block]
-    objective: list[Optional[np.ndarray]]
-    constraints: list[Constraint]
+    objective: np.ndarray
+    constraints: np.ndarray
+    rhs: np.ndarray
 
 
 @dataclass
@@ -180,37 +188,29 @@ def check_optimal(sol: SdpSolution) -> SdpSolution:
     return sol
 
 
-def _embed_herm(M: np.ndarray) -> np.ndarray:
-    """[[Re, -Im], [Im, Re]]: real symmetric iff M Hermitian; PSD preserved."""
-    R, I = M.real, M.imag
-    return np.block([[R, -I], [I, R]])
-
-
 def real_embed(problem: SdpProblem) -> SdpProblem:
     """Lower complex Hermitian blocks to real symmetric ones.
 
     `solve` handles complex blocks itself; this is the reference lowering
     that tests compare it against. Each complex d x d block becomes a real
-    symmetric 2d x 2d variable block. The raw embedding doubles traces
-    (tr phi(A) phi(X) = 2 tr(A X)), so all coefficient matrices on complex
-    blocks are halved, which keeps every tr(A X) = b constraint and the
-    objective value unchanged.
+    symmetric 2d x 2d variable block, phi(X) = [[Re X, -Im X], [Im X, Re X]].
+    The embedding doubles traces (tr phi(A) phi(X) = 2 tr(A X)), so each
+    complex block's part svec(A) of a row becomes svec(phi(A) / 2), which
+    keeps every tr(A X) = b constraint and the objective value unchanged.
     """
-    blocks = [Block(2 * blk.size) if blk.complex else blk for blk in problem.blocks]
-
-    def conv(k: int, M: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        if M is None:
-            return None
-        if problem.blocks[k].complex:
-            return _embed_herm(np.asarray(M, dtype=complex)) / 2
-        return np.asarray(M, dtype=float)
-
-    objective = [conv(k, C) for k, C in enumerate(problem.objective)]
-    constraints = [
-        Constraint({k: conv(k, A) for k, A in con.coeffs.items()}, con.rhs)
-        for con in problem.constraints
-    ]
-    return SdpProblem(blocks=blocks, objective=objective, constraints=constraints)
+    rows = np.vstack((problem.objective, problem.constraints))
+    edges = np.cumsum([0] + [width(blk) for blk in problem.blocks])
+    blocks, parts = [], []
+    for blk, a, e in zip(problem.blocks, edges[:-1], edges[1:]):
+        part = rows[:, a:e]
+        if blk.complex:
+            M = np.tensordot(part, hermitian_basis(blk), 1)
+            blk = Block(2 * blk.size)
+            part = svec(blk, np.block([[M.real, -M.imag], [M.imag, M.real]]) / 2)
+        blocks.append(blk)
+        parts.append(part)
+    rows = np.hstack(parts)
+    return SdpProblem(blocks, rows[0], rows[1:], problem.rhs)
 
 
 def _chol(S: np.ndarray) -> np.ndarray:
@@ -288,9 +288,18 @@ def hermitian_basis(blk: Block) -> np.ndarray:
     return _lift(layout, np.eye(len(layout[4][0])))[:, 0] + 0.0  # no -0.0 from 0 * -1/sqrt(2)
 
 
-def _svec(blk: Block, M: np.ndarray) -> np.ndarray:
-    """svec of the Hermitian part of each matrix M[..., :, :] of a dense block."""
+def svec(blk: Block, M: np.ndarray) -> np.ndarray:
+    """svec of the Hermitian part of each matrix M[..., :, :] of a dense block.
+
+    A complex M on a real block, or a diag block (whose svec coordinates are
+    its entries), raises ValueError.
+    """
+    if blk.diag:
+        raise ValueError("svec: a diag block's coordinates are its entries")
+    if not blk.complex and np.iscomplexobj(M):
+        raise ValueError("svec: a real block's matrix must be real")
     _, _, _, _, (t1, c1, t2, c2), _ = _stack_layout((blk,))
+    M = np.asarray(M, complex if blk.complex else float)
     F = M.reshape(M.shape[:-2] + (-1,)).view(float)
     return F.take(t1, -1) * c1 + F.take(t2, -1) * c2
 
@@ -305,7 +314,7 @@ def _nt_matrix(blk: Block, R: np.ndarray, E: Optional[np.ndarray]) -> np.ndarray
         return R * R
     s = len(R)
     Y = (E.reshape(-1, s) @ R).reshape(E.shape)  # E_i R
-    return _svec(blk, (Y.conj().swapaxes(1, 2).reshape(-1, s) @ R).reshape(E.shape)).T
+    return svec(blk, (Y.conj().swapaxes(1, 2).reshape(-1, s) @ R).reshape(E.shape)).T
 
 
 def _nt_rows(Ks: list[np.ndarray], cuts: list[slice], V: np.ndarray, adjoint=False) -> np.ndarray:
@@ -360,56 +369,22 @@ def _schur_factor(G: np.ndarray):
     return rows, 1.0 / norms[rows], Q, T, G
 
 
-def _read_rows(problem: SdpProblem, order: list[int]) -> tuple[np.ndarray, float]:
-    """(G, cmax): G[i] = svec(A_i) for constraint i < m, G[m] = svec(C), blocks in `order`.
-
-    cmax is C's largest |entry|. Each coefficient is checked (its shape, a real block's
-    imaginary part) as it is written into its row of its block's stack A[k], and the
-    stacks for non-finite entries at once; only a failed check walks `given` again.
-    """
-    blocks, m = problem.blocks, len(problem.constraints)
-    A = [np.zeros((m + 1,) + (blk.size,) * (2 - blk.diag), complex if blk.complex else float)
-         for blk in blocks]
-    given = [(None, k, A[k][m], np.asarray(M)) for k, M in enumerate(problem.objective)
-             if M is not None]
-    given += [(i, k, A[k][i] if 0 <= k < len(blocks) else None, np.asarray(M))
-              for i, con in enumerate(problem.constraints) for k, M in con.coeffs.items()]
-
-    def fault(i, k, dest, M, finite=True) -> Optional[str]:  # the first check M fails
-        if dest is None:
-            return f"constraint references unknown block {k}"
-        if M.shape != dest.shape:
-            what = f"has shape {M.shape}, expected {dest.shape}"
-        elif finite and not np.isfinite(M).all():
-            what = "has a non-finite entry"
-        elif M.dtype.kind == "c" and not blocks[k].complex and M.imag.any():
-            what = "has an imaginary part on a real block"
-        else:
-            return None
-        return f"{'objective' if i is None else f'constraint {i},'} block {k} {what}"
-
-    for i, k, dest, M in given:
-        if fault(i, k, dest, M, finite=False):
-            break
-        dest[...] = M if blocks[k].complex else M.real
-    else:
-        if all(np.isfinite(Ak).all() for Ak in A):
-            G = [A[k] if blocks[k].diag else _svec(blocks[k], A[k]) for k in order]
-            return np.concatenate(G, axis=1), max(float(np.abs(Ak[m]).max()) for Ak in A)
-    raise ValueError(next(msg for msg in (fault(*g) for g in given) if msg))
-
-
 def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Solve the SDP by the interior-point method described above.
 
     `X` holds a Hermitian matrix for each complex block, a real symmetric
     matrix for each real block and a nonnegative vector for each diag
-    block; `y` holds the multipliers of the constraints in order. A
-    malformed problem or gap_tol raises ValueError naming the fault.
+    block; `y` holds the multipliers of the constraints in order. No block,
+    a bad block or a bad gap_tol raises ValueError naming it; then, every shape before
+    any entry, "constraints must have shape (m, n), got ...", and so for
+    objective (n,) and rhs (m,); then per array "... must be real, got dtype
+    ..." (nothing is cast) and "... has a non-finite entry at (i, ...)".
+    The dual infeasibility is scaled by max |objective|: 1 on the mixing
+    problems, whose objective is -1 on one LP entry.
     """
     blocks = problem.blocks
-    if len(problem.objective) != len(blocks):
-        raise ValueError("objective must have one entry per block")
+    if not blocks:
+        raise ValueError("a problem needs at least one block")
     for k, blk in enumerate(blocks):
         if not isinstance(blk.size, (int, np.integer)) or blk.size < 1:
             raise ValueError(f"block {k}: size must be a positive integer")
@@ -417,11 +392,23 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             raise ValueError(f"block {k}: a diag block cannot be complex")
     if not 0 < gap_tol < np.inf:
         raise ValueError("gap_tol must be positive and finite")
-    b = np.array([c.rhs for c in problem.constraints], dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("constraint rhs must be finite")
+    c, A, b = (np.asarray(v) for v in (problem.objective, problem.constraints, problem.rhs))
+    widths = [width(blk) for blk in blocks]
+    n = sum(widths)
+    if A.ndim != 2 or A.shape[1] != n:
+        raise ValueError(f"constraints must have shape (m, {n}), got {A.shape}")
+    m = len(A)
+    for name, v, shape in (("objective", c, (n,)), ("rhs", b, (m,))):
+        if v.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
+    for name, v in (("objective", c), ("constraints", A), ("rhs", b)):
+        if v.dtype.kind not in "fiu":
+            raise ValueError(f"{name} must be real, got dtype {v.dtype}")
+        finite = np.isfinite(v)
+        if not finite.all():
+            at = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise ValueError(f"{name} has a non-finite entry at {at}")
     feas_tol = min(gap_tol, FEAS_TOL)
-    m = len(b)
 
     # Vectors of svec coordinates hold the dense blocks', then the diag blocks'
     # entries: block j of `order` at cuts[j]. Coordinate (a, b) of a block reads
@@ -436,12 +423,13 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     tail = np.arange(first[nd], ntot)
     ci, cj = np.concatenate((first[jj] + aa, tail)), np.concatenate((first[jj] + bb, tail))
     ev = (ci == cj) * 1.0  # svec of the identity
-    E = [hermitian_basis(blocks[k]) for k in dense]  # for _nt_matrix
-    edges = np.cumsum([0] + [len(Ej) for Ej in E] + [blocks[k].size for k in order[nd:]])
-    cuts, E = [slice(a, e) for a, e in zip(edges[:-1], edges[1:])], E + [None] * (len(order) - nd)
-    G, cmax = _read_rows(problem, order)
+    E = [hermitian_basis(blocks[k]) for k in dense] + [None] * (len(order) - nd)  # for _nt_matrix
+    given = np.cumsum([0] + widths)  # each block's first column, in declared order
+    perm = np.concatenate([np.arange(given[k], given[k + 1]) for k in order])
+    edges = np.cumsum([0] + [widths[k] for k in order])
+    cuts = [slice(a, e) for a, e in zip(edges[:-1], edges[1:])]
     bmax = float(np.abs(b).max(initial=0.0))
-    norm_scale = max(1.0, bmax, cmax)
+    norm_scale = max(1.0, bmax, float(np.abs(c).max(initial=0.0)))
 
     def blockwise(V: np.ndarray) -> list[np.ndarray]:  # per block in `order`, V[..., :] lifted
         S = _lift(layout, V)
@@ -450,12 +438,12 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         return dense_blocks + [V[..., cut] for cut in cuts[nd:]]
 
     # Mehrotra's starting point (module docstring). At R = I the rows are
-    # G0_i = svec(A_i), and row m is gc = svec(C): x^ is the min-norm solution
-    # of G0 x = b, y[rows] = s T^-1 Q^T gc the least-squares one of G0^T y = gc,
+    # G0_i = svec(A_i), and gc = svec(C): x^ is the min-norm solution of
+    # G0 x = b, y[rows] = s T^-1 Q^T gc the least-squares one of G0^T y = gc,
     # and z^ = G0^T y - gc = Q Q^T gc - gc. G0 and gc read the constraints and
     # the objective from then on: Re tr(A_i X) = G0[i] . x, Re tr(C X) = gc . x.
-    G0, gc = G[:m].copy(), G[m]  # _schur_factor scales G's rows in place
-    rows, s, Q, T, _ = _schur_factor(G[:m])
+    G0, gc = np.asarray(A[:, perm], float), c[perm]
+    rows, s, Q, T, _ = _schur_factor(G0.copy())  # it scales the rows in place
     qc = Q.T @ gc
     y = np.zeros(m)
     y[rows] = s * np.linalg.solve(T, qc)
@@ -539,7 +527,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         # step is taken on dZ~ = R^H dZ R for dZ = sum dy A + Rd itself:
         # svec(dZ~) = G^T dy + svec(R^H Rd R), with G^T dy = Gs^T t.
         dxdz = ra * za
-        F = (S[0] @ S[1]).reshape(-1).view(float)  # the padded stack's svec, as in _svec
+        F = (S[0] @ S[1]).reshape(-1).view(float)  # the padded stack's svec, as in svec
         dxdz[:kd] = F[t1] * c1 + F[t2] * c2
         r, u = direction((sigma * mu * ev - lamv * lamv - dxdz) / half - G[m])
         t = np.linalg.solve(T, u)

@@ -223,22 +223,28 @@ def _nearest(
     differently, but only within ties. A point whose shell holds none is
     searched again at reach 1, whose shell holds every row (line angles lie
     in [0, pi/2]): that is the search over every row, so its error is exact
-    too, and it never misses.
+    too, and it never misses. At reach 1 the shells are not computed: each
+    block is searched over P itself, with no angle test and no copy of P.
     """
-    to_row = qubit1.line_angle(target, P)
     to_point = qubit1.line_angle(target, V)
     order = np.argsort(to_point, kind="stable")
-    width = np.arcsin(reach) + SHELL_MARGIN
-    blocks = []
-    for b in np.split(order, range(BLOCK, len(V), BLOCK)):
-        lo, hi = to_point[b[0]] - width, to_point[b[-1]] + width
-        blocks.append((b, np.flatnonzero((to_row >= lo) & (to_row <= hi))))
+    blocks = np.split(order, range(BLOCK, len(V), BLOCK))
+    if reach < 1:
+        to_row = qubit1.line_angle(target, P)
+        width = np.arcsin(reach) + SHELL_MARGIN
+        shells = [np.flatnonzero((to_row >= to_point[b[0]] - width)
+                                 & (to_row <= to_point[b[-1]] + width)) for b in blocks]
+    else:  # every row: P itself is searched
+        shells = [None] * len(blocks)
     # Every block's products go into one reused array: a fresh one per block
     # costs more in page faults.
-    buf = np.empty(min(len(V), BLOCK) * max((len(rows) for _, rows in blocks), default=0))
+    most = max((len(P) if rows is None else len(rows) for rows in shells), default=0)
+    buf = np.empty(min(len(V), BLOCK) * most)
     idx = np.zeros(len(V), dtype=np.intp)  # row 0 stands in for an empty shell: a miss below
-    for block, rows in blocks:
-        if rows.size:
+    for block, rows in zip(blocks, shells):
+        if rows is None:
+            idx[block] = _nearest_rows(V[block], P, buf)
+        elif rows.size:
             idx[block] = rows[_nearest_rows(V[block], P[rows], buf)]
     errs = qubit1.line_distance(V, P[idx])
     miss = np.flatnonzero(errs > reach)

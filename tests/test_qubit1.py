@@ -371,19 +371,47 @@ def test_optimal_mix_1q_at_most_columns_is_one_solve(monkeypatch, n):
     assert widths == [n]
 
 
-def test_optimal_mix_1q_rows_equal_the_per_row_products(monkeypatch):
-    # The rows of every basis matrix E_k are built at once; each must be bitwise the
-    # per-row (-w_x^T E_k w_x, -tr E_k) and rhs -u @ E_k @ u, so that a solve poses
-    # the same problem either way.
+def _problems(monkeypatch) -> list:
+    """Every problem handed to sdp.solve, in order."""
     problems, solve = [], sdp.solve
     monkeypatch.setattr(sdp, "solve", lambda prob, *a: problems.append(prob) or solve(prob, *a))
-    E = sdp.hermitian_basis(sdp.Block(size=4))
+    return problems
+
+
+def test_optimal_mix_1q_rows_equal_the_per_row_products(monkeypatch):
+    # The rows over (svec(S), p, t) are built for every candidate at once; they must be
+    # bitwise [I | -svec(w_x w_x^T) | -svec(I)] from one sdp.svec call per candidate, then
+    # the simplex row, with rhs (-svec(uu^T), 1), so that a solve poses the same problem
+    # either way.
+    problems = _problems(monkeypatch)
+    S = sdp.Block(size=4)
     rng = np.random.default_rng(26)
     for _ in range(50):
         u, *W = (magic_embed(haar_unitary(2, rng)) for _ in range(4))
         problems.clear()
         optimal_mix_1q(u, np.array(W))
-        wEw = np.einsum("kab,xa,xb->kx", E, W, W)  # w_x^T E_k w_x
-        for con, Ek, wk in zip(problems[0].constraints, E, wEw):
-            assert con.rhs == -float(u @ Ek @ u)
-            assert np.array_equal(con.coeffs[1], np.append(-wk, -np.trace(Ek)))
+        (problem,) = problems
+        want = np.zeros((11, 14))
+        want[:10, :10] = np.eye(10)
+        for x, w in enumerate(W):
+            want[:10, 10 + x] = -sdp.svec(S, np.outer(w, w))
+        want[:10, 13] = -sdp.svec(S, np.eye(4))
+        want[10, 10:13] = 1.0
+        assert problem.blocks == [S, sdp.Block(size=4, diag=True)]
+        assert np.array_equal(problem.constraints, want)
+        assert np.array_equal(problem.rhs, np.append(-sdp.svec(S, np.outer(u, u)), 1.0))
+        assert np.array_equal(problem.objective, np.append(np.zeros(13), -1.0))
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 4), (4, 2)])
+def test_mixing_problems_have_the_row_counts_the_benchmark_reads(monkeypatch, d, n):
+    # The benchmark's tracer reports len(problem.constraints) of every solve: 11 rows
+    # for optimal_mix_1q, and (n + 1)^2 + d^2 + 1 for _mix with n unitary candidates
+    # of a unitary target, whose support has n + 1 dimensions (n + 1 <= d^2).
+    problems = _problems(monkeypatch)
+    rng = np.random.default_rng([d, n])
+    U = [haar_unitary(d, rng) for _ in range(n + 1)]
+    channels._mix(choi(U[0]), [choi(V) for V in U[1:]])
+    if d == 2:
+        optimal_mix_1q(magic_embed(U[0]), magic_embed_batch(np.stack(U[1:])))
+    assert [len(p.constraints) for p in problems] == [(n + 1) ** 2 + d * d + 1] + [11] * (d == 2)

@@ -13,54 +13,72 @@ from usynth.channels import (
 from usynth.linalg import haar_unitary
 
 
+def lowered(blocks, objective, constraints) -> sdp.SdpProblem:
+    """The SdpProblem of a problem given by coefficient matrices.
+
+    objective maps block k to C_k and constraints lists pairs ({k: A_ik}, b_i);
+    a block not named contributes 0, and a diag block's coefficient is its
+    vector. Each matrix becomes its svec row (`sdp.svec`, its Hermitian part).
+    """
+    def row(coeffs):
+        return np.concatenate([
+            np.zeros(sdp.width(blk)) if k not in coeffs
+            else np.asarray(coeffs[k], float) if blk.diag else sdp.svec(blk, coeffs[k])
+            for k, blk in enumerate(blocks)
+        ])
+
+    A = np.array([row(coeffs) for coeffs, _ in constraints]).reshape(len(constraints), -1)
+    return sdp.SdpProblem(blocks, row(objective), A, np.array([b for _, b in constraints], float))
+
+
+def _lift(blk, v):
+    """The real symmetric matrix of a real block with svec coordinates v."""
+    return np.tensordot(v, sdp.hermitian_basis(blk), 1)
+
+
 def test_trivial_scalar():
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=1)],
-        objective=[np.array([[1.0]])],
-        constraints=[sdp.Constraint(coeffs={0: np.array([[1.0]])}, rhs=1.0)],
-    )
+    p = lowered([sdp.Block(size=1)], {0: np.array([[1.0]])}, [({0: np.array([[1.0]])}, 1.0)])
     s = sdp.solve(p)
     assert s.status == "Optimal"
     assert abs(s.primal_value - 1.0) < 1e-7
 
 
 def test_real_embed_scalar_identity():
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=1)],
-        objective=[np.array([[2.0]])],
-        constraints=[sdp.Constraint(coeffs={0: np.array([[1.0]])}, rhs=3.0)],
-    )
+    p = lowered([sdp.Block(size=1)], {0: np.array([[2.0]])}, [({0: np.array([[1.0]])}, 3.0)])
     q = sdp.real_embed(p)
-    assert q.blocks[0].size == 1
-    assert np.allclose(q.objective[0], [[2.0]])
-    assert q.constraints[0].rhs == 3.0
+    assert q.blocks == [sdp.Block(size=1)]
+    assert np.array_equal(q.objective, [2.0])
+    assert np.array_equal(q.constraints, [[1.0]]) and np.array_equal(q.rhs, [3.0])
 
 
 def test_real_embed_pauli_y_eigenvalues():
+    # A complex block's part svec(A) of a row becomes svec(phi(A) / 2) on the real
+    # block of twice the size, phi(A) = [[Re A, -Im A], [Im A, Re A]].
     Y = np.array([[0, -1j], [1j, 0]])
-    E = sdp._embed_herm(Y)
-    assert np.allclose(E, E.T)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(E)), [-1, -1, 1, 1])
+    blk = sdp.Block(size=2, complex=True)
+    q = sdp.real_embed(sdp.SdpProblem([blk], sdp.svec(blk, Y), np.zeros((0, 4)), np.zeros(0)))
+    assert q.blocks == [sdp.Block(size=4)]
+    E = _lift(q.blocks[0], q.objective)
+    assert np.allclose(E, np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]) / 2)
+    assert np.allclose(np.sort(np.linalg.eigvalsh(E)), [-0.5, -0.5, 0.5, 0.5])
 
 
 def test_real_embed_preserves_psd():
     rng = np.random.default_rng(0)
-    for _ in range(500):
-        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        M = A @ A.conj().T
-        E = sdp._embed_herm(M)
-        assert np.min(np.linalg.eigvalsh(E)) > -1e-9
+    blk = sdp.Block(size=3, complex=True)
+    F = rng.standard_normal((500, 3, 3)) + 1j * rng.standard_normal((500, 3, 3))
+    M = F @ F.conj().swapaxes(1, 2)
+    q = sdp.real_embed(sdp.SdpProblem([blk], np.zeros(9), sdp.svec(blk, M), np.ones(500)))
+    E = _lift(q.blocks[0], q.constraints)
+    assert E.shape == (500, 6, 6)
+    assert np.min(np.linalg.eigvalsh(E)) > -1e-9
 
 
 def test_max_eigenvalue_complex_block():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     C = (A + A.conj().T) / 2
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=3, complex=True)],
-        objective=[C],
-        constraints=[sdp.Constraint(coeffs={0: np.eye(3, dtype=complex)}, rhs=1.0)],
-    )
+    p = lowered([sdp.Block(size=3, complex=True)], {0: C}, [({0: np.eye(3)}, 1.0)])
     s = sdp.solve(p)
     assert s.status == "Optimal"
     assert abs(s.primal_value - np.max(np.linalg.eigvalsh(C))) < 1e-6
@@ -75,11 +93,7 @@ def test_max_eigenvalue_complex_block():
 
 def test_diag_block_lp():
     c = np.array([0.3, 0.7, 0.2])
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=3, diag=True)],
-        objective=[c],
-        constraints=[sdp.Constraint(coeffs={0: np.ones(3)}, rhs=1.0)],
-    )
+    p = lowered([sdp.Block(size=3, diag=True)], {0: c}, [({0: np.ones(3)}, 1.0)])
     s = sdp.solve(p)
     assert s.status == "Optimal"
     assert abs(s.primal_value - 0.7) < 1e-7
@@ -105,7 +119,7 @@ def test_diamond_sdp_matches_closed_form(d):
 
 
 def _herm_part_problem(rng, hermitian: bool) -> sdp.SdpProblem:
-    """A feasible, bounded problem on a real, a complex and a diag block.
+    """A feasible, bounded problem on a real, a complex and a diag block, lowered by svec.
 
     Its objective and dense coefficients have an anti-Hermitian part unless
     `hermitian`; the problem with their Hermitian parts is drawn from the
@@ -119,19 +133,25 @@ def _herm_part_problem(rng, hermitian: bool) -> sdp.SdpProblem:
         return [M if T is None else (M + T) / 2 if hermitian else M for M, T in parts]
 
     X0 = [np.eye(3) / 10, np.eye(3, dtype=complex) / 10, np.full(4, 0.1)]  # trace 1
-    objective = coeffs()
-    constraints = [sdp.Constraint({0: np.eye(3), 1: np.eye(3, dtype=complex), 2: np.ones(4)}, 1.0)]
+    objective = dict(enumerate(coeffs()))
+    constraints = [({0: np.eye(3), 1: np.eye(3), 2: np.ones(4)}, 1.0)]
     for _ in range(4):
         A = coeffs()
         rhs = sum(np.real(np.trace(Ak @ Xk)) for Ak, Xk in zip(A[:2], X0[:2])) + A[2] @ X0[2]
-        constraints.append(sdp.Constraint(dict(enumerate(A)), float(rhs)))
-    return sdp.SdpProblem(blocks, objective, constraints)
+        constraints.append((dict(enumerate(A)), float(rhs)))
+    return lowered(blocks, objective, constraints)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_solve_reads_only_the_hermitian_part_of_each_coefficient(seed):
-    given = sdp.solve(_herm_part_problem(np.random.default_rng(seed), hermitian=False))
-    herm = sdp.solve(_herm_part_problem(np.random.default_rng(seed), hermitian=True))
+    # svec reads the Hermitian part of a coefficient, so the rows of a problem
+    # and of its Hermitian part agree to rounding, and so do their solutions.
+    given_problem = _herm_part_problem(np.random.default_rng(seed), hermitian=False)
+    herm_problem = _herm_part_problem(np.random.default_rng(seed), hermitian=True)
+    for field in ("objective", "constraints", "rhs"):
+        got, want = getattr(given_problem, field), getattr(herm_problem, field)
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+    given, herm = sdp.solve(given_problem), sdp.solve(herm_problem)
     assert herm.status == "Optimal"
     assert (given.status, given.iterations) == (herm.status, herm.iterations)
     assert given.primal_value == pytest.approx(herm.primal_value, rel=0, abs=1e-10)
@@ -147,116 +167,101 @@ def test_constraint_permutation_invariance():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     C = (A + A.conj().T) / 2
-    cons = [
-        sdp.Constraint(coeffs={0: np.eye(3, dtype=complex)}, rhs=1.0),
-        sdp.Constraint(coeffs={0: np.diag([1.0, -1.0, 0.0]).astype(complex)}, rhs=0.2),
-    ]
+    cons = [({0: np.eye(3)}, 1.0), ({0: np.diag([1.0, -1.0, 0.0])}, 0.2)]
     vals = []
     for order in ([0, 1], [1, 0]):
-        p = sdp.SdpProblem(
-            blocks=[sdp.Block(size=3, complex=True)],
-            objective=[C],
-            constraints=[cons[i] for i in order],
-        )
+        p = lowered([sdp.Block(size=3, complex=True)], {0: C}, [cons[i] for i in order])
         vals.append(sdp.solve(p).primal_value)
     assert abs(vals[0] - vals[1]) < 1e-8
 
 
+def _given(blocks, n, m=3, **arrays):
+    """A problem on blocks of total width n: m rows of ones and a zero objective, or `arrays`."""
+    given = dict(objective=np.zeros(n), constraints=np.ones((m, n)), rhs=np.ones(m))
+    return sdp.SdpProblem(blocks, **{**given, **arrays})
+
+
+def _with(shape, at, value, dtype=float):
+    """An array of ones with entry `at` set to value."""
+    a = np.ones(shape, dtype)
+    a[at] = value
+    return a
+
+
 def test_validate_rejects_bad_shapes():
-    p = sdp.SdpProblem(blocks=[sdp.Block(size=2)], objective=[np.eye(3)], constraints=[])
-    with pytest.raises(ValueError, match=r"^objective block 0 has shape \(3, 3\), expected \(2, 2\)$"):
+    # A block's coefficient matrix in place of its svec row.
+    p = _given([sdp.Block(size=2)], 3, objective=np.eye(2))
+    with pytest.raises(ValueError, match=r"^objective must have shape \(3,\), got \(2, 2\)$"):
         sdp.solve(p)
 
 
 @pytest.mark.parametrize(
-    "objective, constraint, message",
+    "arrays, message",
     [
-        ([None, None], sdp.Constraint(coeffs={0: np.eye(2)}, rhs=1.0),
-         "objective must have one entry per block"),
-        ([None], sdp.Constraint(coeffs={0: np.eye(2)}, rhs=np.nan),
-         "constraint rhs must be finite"),
-        ([None], sdp.Constraint(coeffs={0: np.eye(2)}, rhs=-np.inf),
-         "constraint rhs must be finite"),
-        ([None], sdp.Constraint(coeffs={1: np.eye(2)}, rhs=1.0),
-         "constraint references unknown block 1"),
-        ([None], sdp.Constraint(coeffs={-1: np.eye(2)}, rhs=1.0),
-         "constraint references unknown block -1"),
+        (dict(objective=np.zeros(6)), "objective must have shape (3,), got (6,)"),
+        (dict(rhs=_with(3, 1, np.nan)), "rhs has a non-finite entry at (1,)"),
+        (dict(rhs=_with(3, 2, -np.inf)), "rhs has a non-finite entry at (2,)"),
+        # A row that reaches past the last block.
+        (dict(constraints=np.ones((3, 4))), "constraints must have shape (m, 3), got (3, 4)"),
+        (dict(constraints=np.ones(3)), "constraints must have shape (m, 3), got (3,)"),
+        (dict(objective=_with(3, 0, np.inf)), "objective has a non-finite entry at (0,)"),
     ],
-    ids=["objective-count", "nan-rhs", "inf-rhs", "unknown-block", "negative-block"],
+    ids=["objective-count", "nan-rhs", "inf-rhs", "unknown-block", "flat-constraints",
+         "inf-objective"],
 )
-def test_solve_rejects_bad_problems(objective, constraint, message):
-    p = sdp.SdpProblem(blocks=[sdp.Block(size=2)], objective=objective, constraints=[constraint])
+def test_solve_rejects_bad_problems(arrays, message):
     with pytest.raises(ValueError) as exc:
-        sdp.solve(p)
+        sdp.solve(_given([sdp.Block(size=2)], 3, **arrays))
     assert str(exc.value) == message
 
 
-def _one(blk, coeff):
-    return [blk], [{0: coeff}]
-
-
-_LATER = (
-    [sdp.Block(size=2), sdp.Block(size=3, complex=True), sdp.Block(size=2, diag=True)],
-    [{0: np.eye(2), 1: np.eye(3), 2: np.ones(2)}, {2: np.ones(2)}, {1: np.eye(3), 0: np.eye(2)}],
-)
-
-
-def _bad(*faults):
-    """_LATER with coefficient (constraint i, block k) replaced, for each (i, k, coeff)."""
-    blocks, cons = _LATER
-    cons = [dict(c) for c in cons]
-    for i, k, coeff in faults:
-        cons[i][k] = coeff
-    return blocks, cons
-
-
 @pytest.mark.parametrize(
-    "blocks, coeffs, message",
+    "blocks, n, arrays, message",
     [
-        (*_one(sdp.Block(size=3), np.eye(2)), "has shape"),
-        (*_one(sdp.Block(size=3, diag=True), np.eye(3)), "has shape"),
-        (*_one(sdp.Block(size=3), np.diag([1.0, np.nan, 0.0])), "non-finite"),
-        (*_one(sdp.Block(size=3, complex=True), np.diag([1.0, np.inf, 0.0])), "non-finite"),
-        (*_one(sdp.Block(size=2), np.array([[1.0, 1j], [-1j, 1.0]])), "imaginary part"),
-        (*_one(sdp.Block(size=2, diag=True), np.array([1.0, 1j])), "imaginary part"),
-        (*_one(sdp.Block(size=2, complex=True, diag=True), np.ones(2)), "cannot be complex"),
-        (*_one(sdp.Block(size=0), np.zeros((0, 0))), "^block 0: size must be a positive integer$"),
-        (*_one(sdp.Block(size=-1), np.eye(1)), "^block 0: size must be a positive integer$"),
-        (*_one(sdp.Block(size=2.5), np.eye(2)), "^block 0: size must be a positive integer$"),
-        (*_one(sdp.Block(size=0, diag=True), np.ones(0)),
-         "^block 0: size must be a positive integer$"),
-        ([sdp.Block(size=2), sdp.Block(size=-3, diag=True)], [{0: np.eye(2)}],
+        ([sdp.Block(size=3)], 6, dict(constraints=np.ones((3, 9))),
+         r"^constraints must have shape \(m, 6\), got \(3, 9\)$"),
+        ([sdp.Block(size=3, diag=True)], 3, dict(constraints=np.ones((3, 3, 3))),
+         r"^constraints must have shape \(m, 3\), got \(3, 3, 3\)$"),
+        ([sdp.Block(size=3)], 6, dict(constraints=_with((3, 6), (0, 4), np.nan)),
+         r"^constraints has a non-finite entry at \(0, 4\)$"),
+        ([sdp.Block(size=3, complex=True)], 9, dict(constraints=_with((3, 9), (1, 0), np.inf)),
+         r"^constraints has a non-finite entry at \(1, 0\)$"),
+        # A complex array is refused, not cast to its real part.
+        ([sdp.Block(size=2)], 3, dict(constraints=_with((3, 3), (0, 1), 1j, complex)),
+         "^constraints must be real, got dtype complex128$"),
+        ([sdp.Block(size=2, diag=True)], 2, dict(objective=np.array([1.0, 1j])),
+         "^objective must be real, got dtype complex128$"),
+        ([sdp.Block(size=2, complex=True, diag=True)], 2, {}, "cannot be complex"),
+        ([sdp.Block(size=0)], 0, {}, "^block 0: size must be a positive integer$"),
+        ([sdp.Block(size=-1)], 1, {}, "^block 0: size must be a positive integer$"),
+        ([sdp.Block(size=2.5)], 3, {}, "^block 0: size must be a positive integer$"),
+        ([sdp.Block(size=0, diag=True)], 0, {}, "^block 0: size must be a positive integer$"),
+        ([sdp.Block(size=2), sdp.Block(size=-3, diag=True)], 3, {},
          "^block 1: size must be a positive integer$"),
-        (*_one(sdp.Block(size=2), np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]])),
-         "^constraint 0, block 0 has a non-finite entry$"),
-        (*_bad((2, 0, np.diag([1.0, np.nan]))), "^constraint 2, block 0 has a non-finite entry$"),
-        (*_bad((2, 1, np.eye(2))), r"^constraint 2, block 1 has shape \(2, 2\), expected \(3, 3\)$"),
-        # The first coefficient at fault is named, though shapes are checked
-        # as the stacks are written and finiteness after.
-        (*_bad((1, 2, np.array([np.inf, 1.0])), (2, 1, np.eye(2))),
-         "^constraint 1, block 2 has a non-finite entry$"),
+        ([], 0, {}, "^a problem needs at least one block$"),
+        # Even with a NaN imaginary part the dtype is named: nothing is cast.
+        ([sdp.Block(size=2)], 3, dict(rhs=_with(3, 0, complex(1.0, np.nan), complex)),
+         "^rhs must be real, got dtype complex128$"),
+        ([sdp.Block(size=2), sdp.Block(size=2, diag=True)], 5,
+         dict(constraints=_with((3, 5), (2, 4), np.nan)),
+         r"^constraints has a non-finite entry at \(2, 4\)$"),
+        ([sdp.Block(size=2)], 3, dict(rhs=np.ones(2)), r"^rhs must have shape \(3,\), got \(2,\)$"),
+        # Every shape is checked before any entry: the short rhs is named, not the NaN.
+        ([sdp.Block(size=2)], 3, dict(constraints=_with((3, 3), (0, 0), np.nan), rhs=np.ones(4)),
+         r"^rhs must have shape \(3,\), got \(4,\)$"),
     ],
     ids=["shape", "shape-diag", "nan", "inf-complex", "imag-real", "imag-diag", "complex-diag",
          "size-0", "size-negative", "size-fraction", "size-0-diag", "size-later-block",
-         "nan-imag-real", "later-constraint", "later-shape", "first-fault-named"],
+         "no-blocks", "nan-imag-real", "later-constraint", "later-shape", "first-fault-named"],
 )
-def test_validate_rejects_bad_coefficients(blocks, coeffs, message):
-    p = sdp.SdpProblem(
-        blocks=blocks,
-        objective=[None] * len(blocks),
-        constraints=[sdp.Constraint(coeffs=c, rhs=1.0) for c in coeffs],
-    )
+def test_validate_rejects_bad_coefficients(blocks, n, arrays, message):
     with pytest.raises(ValueError, match=message):
-        sdp.solve(p)
+        sdp.solve(_given(blocks, n, **arrays))
 
 
 @pytest.mark.parametrize("gap_tol", [np.nan, 0.0, -1.0, np.inf])
 def test_solve_rejects_a_gap_tol_that_is_not_positive_and_finite(gap_tol):
-    problem = sdp.SdpProblem(
-        blocks=[sdp.Block(size=1)],
-        objective=[np.array([[1.0]])],
-        constraints=[sdp.Constraint(coeffs={0: np.array([[1.0]])}, rhs=1.0)],
-    )
+    problem = lowered([sdp.Block(size=1)], {0: np.array([[1.0]])}, [({0: np.array([[1.0]])}, 1.0)])
     with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
         sdp.solve(problem, gap_tol)
     with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
@@ -337,6 +342,15 @@ def test_hermitian_basis_rejects_a_diag_block():
         sdp.hermitian_basis(sdp.Block(3, diag=True))
 
 
+def test_svec_rejects_a_diag_block_and_a_complex_matrix_on_a_real_block():
+    with pytest.raises(ValueError, match="^svec: a diag block's coordinates are its entries$"):
+        sdp.svec(sdp.Block(3, diag=True), np.eye(3))
+    with pytest.raises(ValueError, match="^svec: a real block's matrix must be real$"):
+        sdp.svec(sdp.Block(2), np.eye(2, dtype=complex))
+    # A real matrix on a complex block is read as complex.
+    assert np.array_equal(sdp.svec(sdp.Block(2, complex=True), np.eye(2)), [1.0, 1.0, 0.0, 0.0])
+
+
 def test_stack_layout_gathers_match_hermitian_basis():
     # The layout of several dense blocks holds each block as its own basis
     # does: the stack of svec coordinates v is sum_i v_i E_i per block, and
@@ -374,10 +388,10 @@ def test_ten_iterations_without_progress_end_solve_as_stalled(monkeypatch):
     # never improves after the first iteration.
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=3, complex=True), sdp.Block(size=2, diag=True)],
-        objective=[(A + A.conj().T) / 2, np.array([0.5, -1.0])],
-        constraints=[sdp.Constraint(coeffs={0: np.eye(3, dtype=complex), 1: np.ones(2)}, rhs=1.0)],
+    p = lowered(
+        [sdp.Block(size=3, complex=True), sdp.Block(size=2, diag=True)],
+        {0: (A + A.conj().T) / 2, 1: np.array([0.5, -1.0])},
+        [({0: np.eye(3), 1: np.ones(2)}, 1.0)],
     )
     with monkeypatch.context() as m:
         m.setattr(sdp, "MAX_ITER", 1)
@@ -420,11 +434,7 @@ def test_breakdown_ends_solve_as_stalled(monkeypatch):
 
 def _infeasible_problem():
     # tr X = -1 has no psd solution; the dual ray y -> +inf makes y diverge.
-    return sdp.SdpProblem(
-        blocks=[sdp.Block(size=1)],
-        objective=[None],
-        constraints=[sdp.Constraint(coeffs={0: np.array([[1.0]])}, rhs=-1.0)],
-    )
+    return lowered([sdp.Block(size=1)], {}, [({0: np.array([[1.0]])}, -1.0)])
 
 
 def test_infeasible_returns_a_checked_iterate():
@@ -532,9 +542,9 @@ def test_nt_matrix_is_the_scaling_in_svec_coordinates(kind, size):
     else:
         F = random((3, size, size))
         M = F + F.conj().swapaxes(1, 2)  # three Hermitian matrices
-        v = sdp._svec(blk, M)
-        congruent = lambda R: sdp._svec(blk, R.conj().T @ M @ R)  # noqa: E731
-        adjoint = lambda R: sdp._svec(blk, R @ M @ R.conj().T)  # noqa: E731
+        v = sdp.svec(blk, M)
+        congruent = lambda R: sdp.svec(blk, R.conj().T @ M @ R)  # noqa: E731
+        adjoint = lambda R: sdp.svec(blk, R @ M @ R.conj().T)  # noqa: E731
     R_random = rng.uniform(0.1, 2.0, size) if blk.diag else random((size, size))
     for R in (R_random, sdp._nt_scaling(blk, random_pd(), random_pd())[0]):
         K = sdp._nt_matrix(blk, R, E)
@@ -545,7 +555,10 @@ def test_nt_matrix_is_the_scaling_in_svec_coordinates(kind, size):
 
 
 def _four_block_problem():
-    """A feasible, bounded problem on blocks diag(2), complex(3), real(2), diag(3)."""
+    """(blocks, objective, constraints) of a feasible, bounded problem, as `lowered` reads them.
+
+    The blocks are diag(2), complex(3), real(2) and diag(3).
+    """
     rng = np.random.default_rng(29)
     blocks = [sdp.Block(2, diag=True), sdp.Block(3, complex=True), sdp.Block(2),
               sdp.Block(3, diag=True)]
@@ -557,20 +570,20 @@ def _four_block_problem():
     # Each block has trace 1/4, so the optimum is nonzero on every block, and
     # the other constraints hold at X0 = I / (4 s) on each block of size s.
     eye = [np.ones(2), np.eye(3, dtype=complex), np.eye(2), np.ones(3)]
-    constraints = [sdp.Constraint({k: I}, 0.25) for k, I in enumerate(eye)]
+    constraints = [({k: I}, 0.25) for k, I in enumerate(eye)]
     for _ in range(5):
         A = coeffs()
         rhs = sum(np.real(np.sum(Ak * I)) / (4 * blk.size) for Ak, I, blk in zip(A, eye, blocks))
-        constraints.append(sdp.Constraint(dict(enumerate(A)), float(rhs)))
-    return sdp.SdpProblem(blocks, coeffs(), constraints)
+        constraints.append((dict(enumerate(A)), float(rhs)))
+    return blocks, dict(enumerate(coeffs())), constraints
 
 
-def _declared_in_order(p: sdp.SdpProblem, perm) -> sdp.SdpProblem:
-    """p with its block perm[j] declared as block j."""
+def _declared_in_order(blocks, objective, constraints, perm) -> sdp.SdpProblem:
+    """The lowered problem with its block perm[j] declared as block j."""
     new = {k: j for j, k in enumerate(perm)}
-    return sdp.SdpProblem(
-        [p.blocks[k] for k in perm], [p.objective[k] for k in perm],
-        [sdp.Constraint({new[k]: A for k, A in c.coeffs.items()}, c.rhs) for c in p.constraints],
+    return lowered(
+        [blocks[k] for k in perm], {new[k]: C for k, C in objective.items()},
+        [({new[k]: A for k, A in coeffs.items()}, b) for coeffs, b in constraints],
     )
 
 
@@ -578,11 +591,12 @@ def test_solution_does_not_depend_on_block_order_or_lowering():
     # Two diag blocks, one declared first, around a complex and a real block;
     # the permutation puts the real block before the complex one, so the
     # solver's dense and diag blocks both come in a new order.
-    p = _four_block_problem()
+    given = _four_block_problem()
+    p = lowered(*given)
     native = sdp.solve(p)
     embedded = sdp.solve(sdp.real_embed(p))
     perm = (3, 2, 0, 1)
-    permuted = sdp.solve(_declared_in_order(p, perm))
+    permuted = sdp.solve(_declared_in_order(*given, perm))
     for sol in (native, embedded, permuted):
         assert sol.status == "Optimal"
         assert sol.primal_value == pytest.approx(native.primal_value, rel=0, abs=1e-7)
@@ -622,17 +636,13 @@ def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch):
 @pytest.mark.parametrize(
     "extra",
     [
-        sdp.Constraint(coeffs={0: np.eye(3)}, rhs=1.0),       # duplicate
-        sdp.Constraint(coeffs={0: 2 * np.eye(3)}, rhs=2.0),   # multiple
-        sdp.Constraint(coeffs={}, rhs=0.0),                   # empty
+        ({0: np.eye(3)}, 1.0),       # duplicate
+        ({0: 2 * np.eye(3)}, 2.0),   # multiple
+        ({}, 0.0),                   # empty
     ],
 )
 def test_redundant_constraint(extra):
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=3)],
-        objective=[np.diag([1.0, 2.0, 0.5])],
-        constraints=[sdp.Constraint(coeffs={0: np.eye(3)}, rhs=1.0), extra],
-    )
+    p = lowered([sdp.Block(size=3)], {0: np.diag([1.0, 2.0, 0.5])}, [({0: np.eye(3)}, 1.0), extra])
     s = sdp.solve(p)
     assert s.status == "Optimal"
     assert abs(s.primal_value - 2.0) < 1e-7
@@ -644,11 +654,7 @@ def test_objective_in_the_constraint_span_starts_off_the_boundary():
     # START_FLOOR both of Mehrotra's shifts of z^ are 0 and the start divides
     # x^ . z^ = 0 by tr z^ = 0.
     coeffs = {0: np.eye(2), 1: np.ones(2)}
-    p = sdp.SdpProblem(
-        blocks=[sdp.Block(size=2), sdp.Block(size=2, diag=True)],
-        objective=[np.eye(2), np.ones(2)],
-        constraints=[sdp.Constraint(coeffs=coeffs, rhs=1.0)],
-    )
+    p = lowered([sdp.Block(size=2), sdp.Block(size=2, diag=True)], coeffs, [(coeffs, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         s = sdp.solve(p)

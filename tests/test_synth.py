@@ -307,6 +307,22 @@ def test_det_synth_monotone_in_pool_size(std_gateset, std_pool, rng):
         assert e_big <= e_small + 1e-12
 
 
+@pytest.mark.parametrize("max_len", [12, 16])
+def test_det_synth_is_the_tie_rule_over_the_whole_pool(std_gateset, max_len):
+    # det_synth searches at reach 1, where _nearest takes the pool itself as the
+    # shell: its index and error bytes are those of _nearest_rows over every row.
+    pool = enumerate_sequences(std_gateset, max_len)
+    P = pool.magic
+    rng = np.random.default_rng([31, max_len])
+    for _ in range(20):
+        U = haar_unitary(2, rng)
+        v = qubit1.magic_embed(U)
+        labels, err = det_synth(U, pool)
+        (i,) = synth._nearest_rows(v[None], P, np.empty(len(P)))
+        assert labels == pool.labels[i]
+        assert np.float64(err).tobytes() == qubit1.line_distance(v[None], P[[i]]).tobytes()
+
+
 def test_nearest_ties_and_errors(std_pool):
     P = std_pool.magic
     V = np.vstack([P[5], -P[7], P[3] + P[9]])

@@ -70,3 +70,16 @@ def test_compare_counts_unpaired_records_without_comparing_them(solve_sweep, tmp
     assert code == 0
     assert "2 solves in one sweep only, not compared" in out
     assert "1 solves compared, 0 differ" in out
+
+
+def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
+    # Two mixing cases per seed (one at d = 3, one at d = 2 with its mix_1q), one
+    # diamond4 and one kraus3 case, and two prob_synth targets at L = 12.
+    for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("SYNTH_CASES", 2),
+                        ("SYNTH_LENGTHS", (12,))):
+        monkeypatch.setattr(solve_sweep, name, value)
+    records = solve_sweep.sweep()
+    paths = [(rec["path"], rec["d"]) for rec in records]
+    assert paths == [("mix", 3), ("mix", 2), ("mix_1q", 2)] * 2 + [("mix", 4), ("mix", 3)] \
+        + [("prob_synth", 2)] * 2
+    assert all(rec["status"] == "Optimal" and "p" in rec for rec in records)

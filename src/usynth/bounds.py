@@ -10,8 +10,8 @@ and both bounds are sharp. This module evaluates the bounds, solves the
 axial (fixed rotation axis) case in closed form, and builds one exact
 finite witness per bound: a candidate set whose nearest member is at
 distance eps from a target and whose optimal mixing error equals the
-bound. The lower witness is the d^2 Weyl-Heisenberg conjugates of one
-extremal diagonal unitary, each a cyclic shift of its diagonal; the upper
+bound. The lower witness is the d distinct Weyl-Heisenberg conjugates of
+one extremal diagonal unitary, the cyclic shifts of its diagonal; the upper
 witness is the 2^d copies of the planar rotation by arccos(eps) with signs
 on their rows and columns.
 """
@@ -56,14 +56,15 @@ def theorem1_bounds(eps: float, d: int) -> BoundPoint:
 
 
 def lower_family(eps: float, d: int) -> list[np.ndarray]:
-    """The d^2 displacement conjugates of W0, a witness of the lower bound.
+    """The d distinct displacement conjugates of W0, a witness of the lower bound.
 
     W0 = diag(lam), lam = (l+, l-, 1, ..., 1) with l+- = sqrt(1-eps^2) +- i eps,
     sits at distance exactly eps from the identity, and so does each
-    conjugate g W0 g^dag by a displacement operator g = X^a Z^b (a outer,
-    b inner): Z^b is diagonal and commutes with W0, and the cyclic shift X^a
-    moves entry j to j + a, so g W0 g^dag = diag(roll(lam, a)). Their uniform
-    mixture is the discrete twirl of W0, a generalized-Pauli channel whose
+    conjugate g W0 g^dag by a displacement operator g = X^a Z^b: Z^b is
+    diagonal and commutes with W0, and the cyclic shift X^a moves entry j to
+    j + a, so g W0 g^dag = diag(roll(lam, a)), member a. The d^2 conjugates
+    are these d, each d times, so the uniform mixture of the d is that of
+    the d^2: the discrete twirl of W0, a generalized-Pauli channel whose
     half-diamond distance from the identity equals the lower bound
     (4 delta / d)(1 - delta / d). So this finite candidate set has its nearest
     member at distance eps and optimal mixing error equal to the lower bound.
@@ -73,7 +74,7 @@ def lower_family(eps: float, d: int) -> list[np.ndarray]:
     _check_d(d)
     root = np.sqrt(max(0.0, 1.0 - eps * eps))
     lam = np.concatenate([[root + 1j * eps, root - 1j * eps], np.ones(d - 2)])
-    return [np.diag(np.roll(lam, a)) for a in range(d) for _ in range(d)]
+    return [np.diag(np.roll(lam, a)) for a in range(d)]
 
 
 def _rotation(c: float, s: float, d: int) -> np.ndarray:
@@ -94,8 +95,8 @@ def upper_family(eps: float, d: int) -> list[np.ndarray]:
     Every member is at distance >= eps from upper_family_target(d), the
     quarter rotation of that plane, and R itself is at exactly eps. The
     optimal mixing error of this finite candidate set equals eps^2
-    (channels.optimal_mix certifies it within 1e-8 at d = 2 to 5 and eps in
-    {0.1, 0.6, 0.9}; it is not proved here). At d = 2 the lower bound equals
+    (channels.optimal_mix certifies it within 4.5e-9 at d = 2 to 4 and 2.1e-8
+    at d = 5, eps in {0.1, 0.3, 0.6, 0.9}; it is not proved here). At d = 2 the lower bound equals
     eps^2, so there this witness is also the optimum over every candidate
     set at distance >= eps. Whether every eps-covering at d >= 3 has a
     target at error eps^2 is not shown here.

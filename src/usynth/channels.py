@@ -33,7 +33,6 @@ from .linalg import (
     partial_trace,
     trace_norm,
 )
-from .qubit1 import EmptyCandidatesError
 from .sdp import SdpFailureError  # noqa: F401  (callers catch channels.SdpFailureError)
 
 # An eigenvalue of a Choi operator below this fraction of its largest leaves
@@ -68,7 +67,7 @@ def choi(U: np.ndarray) -> ChoiOperator:
 def choi_mixture(candidates: list[ChoiOperator], weights: np.ndarray) -> ChoiOperator:
     """Convex combination sum_x p(x) J_x; ValueError unless p is a distribution."""
     if not candidates:
-        raise EmptyCandidatesError("empty candidate list")
+        raise ValueError("empty candidate list")
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(candidates),):
         raise ValueError("weights length does not match candidates")
@@ -163,7 +162,7 @@ def _mix(
     With one candidate, p = 1 and the solve is the half-diamond distance.
     """
     if not candidates:
-        raise EmptyCandidatesError("empty candidate list")
+        raise ValueError("empty candidate list")
     d1, d2 = target.dims
     for c in candidates:
         if c.dims != target.dims:

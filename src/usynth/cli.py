@@ -103,7 +103,7 @@ def cmd_mixopt(args) -> int:
         f for f in os.listdir(args.candidates) if f.endswith(".json")
     )
     if not files:
-        raise channels.EmptyCandidatesError("no candidate .json files found")
+        raise ValueError("no candidate .json files found")
     cands = [_load_choi(os.path.join(args.candidates, f)) for f in files]
     p, value = channels.optimal_mix(target, cands)
     _emit({"candidates": files, "p": list(p), "value": value}, args.out)
@@ -245,8 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except channels.SdpFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SDP
-    except (ValueError, OSError, KeyError, json.JSONDecodeError,
-            synth.BudgetExceededError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

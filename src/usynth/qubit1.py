@@ -28,14 +28,6 @@ KEY_DECIMALS = 8  # magic vectors equal to this many decimals, up to sign, are o
 COLUMNS = 16  # candidates optimal_mix_1q adds per round: the nearest, then the best priced
 
 
-class EmptySupportError(ValueError):
-    pass
-
-
-class EmptyCandidatesError(ValueError):
-    pass
-
-
 def magic_embed(U: np.ndarray) -> np.ndarray:
     """Real unit 4-vector of a single-qubit unitary (global phase removed).
 
@@ -166,8 +158,8 @@ def optimal_mix_1q(
     - lower = u^T Y u - max_x w_x^T Y w_x over every candidate: no mixture
       does better. It is clamped to [0, upper] against rounding.
 
-    Raises ValueError unless u is a unit 4-vector and W has shape (n, 4) with unit
-    rows, EmptyCandidatesError for n = 0, and as sdp.solve and check_optimal do.
+    Raises ValueError unless u is a unit 4-vector and W has shape (n, 4) with
+    unit rows, n > 0, and as sdp.solve and check_optimal do.
     """
     u = np.asarray(target, dtype=float)
     W = np.asarray(candidates, dtype=float)
@@ -176,7 +168,7 @@ def optimal_mix_1q(
     if W.ndim != 2 or W.shape[1] != 4:
         raise ValueError(f"candidates must have shape (n, 4), got {W.shape}")
     if len(W) == 0:
-        raise EmptyCandidatesError("empty candidate list")
+        raise ValueError("empty candidate list")
     if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1) <= 1e-8):
         raise ValueError("candidates must be unit 4-vectors")
     S = sdp.Block(size=4)
@@ -225,7 +217,7 @@ def support_filter(target: np.ndarray, candidates: np.ndarray, eps: float) -> np
     W = np.atleast_2d(np.asarray(candidates, dtype=float))
     idx = np.flatnonzero(line_distance(u, W) <= 2 * eps)
     if idx.size == 0:
-        raise EmptySupportError(
+        raise ValueError(
             f"no candidate within 2*eps = {2 * eps:.6g} of the target; "
             "the covering premise is violated"
         )

@@ -88,9 +88,10 @@ A solve ends with one of these `SdpSolution.status` values:
 - "Optimal": relative gap within `gap_tol`, and relative primal and dual
   infeasibility within min(gap_tol, FEAS_TOL), FEAS_TOL = 1e-8.
 - "Stalled": ten iterations without a better merit (the largest of the
-  three measures), or a numerical breakdown: X or Z is no longer
-  numerically positive definite, or T is singular. Both happen at the
-  limit of double precision near the optimum.
+  three measures), or a numerical breakdown, any np.linalg.LinAlgError
+  of an iteration's factorizations: X or Z is no longer numerically
+  positive definite, or T is singular. Both happen at the limit of double
+  precision near the optimum.
 - "MaxIter": MAX_ITER = 200 iterations without meeting the tolerances.
 - "Infeasible": the dual iterate diverges, as when no X meets the constraints.
 
@@ -115,10 +116,6 @@ START_FLOOR = 1e-2  # least first shift of Mehrotra's starting point (module doc
 CENTERING_EXPONENT = 1.5  # sigma = (mu_aff / mu) ** CENTERING_EXPONENT (module docstring)
 MAX_ITER = 200
 EPS = np.finfo(float).eps
-
-
-class NumericalBreakdown(RuntimeError):
-    """A matrix the iteration needs positive definite is not, numerically."""
 
 
 class SdpFailureError(RuntimeError):
@@ -213,25 +210,19 @@ def real_embed(problem: SdpProblem) -> SdpProblem:
     return SdpProblem(blocks, rows[0], rows[1:], problem.rhs)
 
 
-def _chol(S: np.ndarray) -> np.ndarray:
-    """L with S = L L^H; NumericalBreakdown if S is not numerically positive definite."""
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"Cholesky factorization failed: {exc}") from None
-
-
 def _nt_scaling(blk: Block, X: np.ndarray, Z: np.ndarray):
     """NT scaling (R, lam): R^-1 X R^-H = R^H Z R = diag(lam), R from the module docstring.
 
     A diag block's R and lam are the vectors (x/z)^1/4 and sqrt(xz).
+    Raises np.linalg.LinAlgError when X or Z is not numerically positive
+    definite or X Z is singular.
     """
     if blk.diag:
         return (X / Z) ** 0.25, np.sqrt(X * Z)
-    LX = _chol(X)
-    _, lam, Vh = np.linalg.svd(_chol(Z).conj().T @ LX)
+    LX = np.linalg.cholesky(X)
+    _, lam, Vh = np.linalg.svd(np.linalg.cholesky(Z).conj().T @ LX)
     if not lam[-1] > 0:
-        raise NumericalBreakdown("X Z is singular")
+        raise np.linalg.LinAlgError("X Z is singular")
     return LX @ Vh.conj().T / np.sqrt(lam), lam
 
 
@@ -349,8 +340,8 @@ def _schur_factor(G: np.ndarray):
     diagonal, and Gs = diag(s) G[rows] has Gs^T = Q T, so T is the Cholesky
     factor of the equilibrated M, found without forming M. `rows` leaves out
     each row that is zero or in the span of the rows before it (a redundant
-    equality constraint); its multiplier stays 0. Raises NumericalBreakdown
-    when T is singular.
+    equality constraint); its multiplier stays 0. Raises
+    np.linalg.LinAlgError when T is singular.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", G, G))
     rows = norms.nonzero()[0]
@@ -365,7 +356,7 @@ def _schur_factor(G: np.ndarray):
         rows, G = rows[independent], G[independent]
         Q, T = np.linalg.qr(G.T)
         if not T.diagonal().all():
-            raise NumericalBreakdown("Schur complement is singular")
+            raise np.linalg.LinAlgError("Schur complement is singular")
     return rows, 1.0 / norms[rows], Q, T, G
 
 
@@ -493,7 +484,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
             G = _nt_rows(Ks, cuts, np.vstack((G0, rd)))
             rows, s, Q, T, Gs = _schur_factor(G[:m])
             v = np.linalg.solve(T.T, s * rp[rows])  # G r = rp for r = h - Q (Q^T h - v)
-        except (NumericalBreakdown, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             status = "Stalled"
             break
         lam = np.concatenate(lams)

@@ -32,22 +32,10 @@ TIE_TOL = 1e-12  # |dot| within this of the largest is a tie in _nearest: see _n
 SHELL_MARGIN = 2e-6  # radians _nearest's shells reach past arcsin(reach): see _nearest
 
 
-class BudgetExceededError(RuntimeError):
-    pass
-
-
-class EmptyPoolError(ValueError):
-    pass
-
-
 class CoveringUnreachableError(RuntimeError):
     def __init__(self, msg: str, achieved_radius: float):
         super().__init__(msg)
         self.achieved_radius = achieved_radius
-
-
-class BranchCutError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -103,8 +91,8 @@ class Pool:
     Each label tuple lists gates in the order they act: the leftmost label
     acts first, so ("H", "T") realizes T @ H. magic is a read-only (n, 4)
     float array of unit vectors with no sign rule (u and -u are one
-    channel). Raises EmptyPoolError for n = 0 and ValueError when the
-    shapes do not line up.
+    channel). Raises ValueError for n = 0 and when the shapes do not line
+    up.
     """
 
     labels: tuple[tuple[str, ...], ...]
@@ -116,7 +104,7 @@ class Pool:
         if magic.shape != (len(labels), 4):
             raise ValueError(f"magic must have shape ({len(labels)}, 4), got {magic.shape}")
         if not labels:
-            raise EmptyPoolError("empty sequence pool")
+            raise ValueError("empty sequence pool")
         magic.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "magic", magic)
@@ -145,9 +133,8 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
     by g, is itself kept; every other product is a duplicate. Each frontier
     row carries the index of its suffix and each row of the length before
     it the index of its child by each gate, which decide this. The pool is
-    the one the pass over every product keeps. Raises BudgetExceededError
-    past BUDGET kept sequences, before the sequences of that length are
-    built.
+    the one the pass over every product keeps. Raises ValueError past
+    BUDGET kept sequences, before the sequences of that length are built.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -179,7 +166,7 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
                 kept.append(j)
         new = cand[np.array(kept, dtype=np.intp)]
         if new.size and len(labels) + new.size > BUDGET:
-            raise BudgetExceededError(
+            raise ValueError(
                 f"sequence budget {BUDGET} exceeded at length {length}"
             )
         parent, gate = np.divmod(new, ng)
@@ -373,16 +360,17 @@ def campbell_mix(
     theta_x (w_x - (u.w_x) u) / sin(theta_x), and |h_x| = ||H_x||_F. Returns
     the p on the simplex minimizing ||sum_x p_x h_x||, and that residual; a
     zero residual makes the mixture correct to first order. Depends on the
-    channels only, not on global phases. Raises BranchCutError if |u.w_x| <
-    1e-6 (an eigenphase of U^dag V at pi: no unique shortest H_x).
+    channels only, not on global phases. Raises ValueError for no candidates
+    and if |u.w_x| < 1e-6 (an eigenphase of U^dag V at pi: no unique
+    shortest H_x).
     """
     if not candidates:
-        raise qubit1.EmptyCandidatesError("empty candidate list")
+        raise ValueError("empty candidate list")
     u = qubit1.magic_embed(target)
     W = np.stack([qubit1.magic_embed(V) for V in candidates])
     c = W @ u
     if np.any(np.abs(c) < 1e-6):
-        raise BranchCutError("candidate orthogonal to the target: eigenphase at pi")
+        raise ValueError("candidate orthogonal to the target: eigenphase at pi")
     W *= np.sign(c)[:, None]
     c = np.abs(c)
     T = W - c[:, None] * u

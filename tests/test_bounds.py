@@ -60,8 +60,8 @@ def test_bounds_require_integer_d(fn):
 def test_lower_family_member_distances(d, eps):
     fam = lower_family(eps, d)
     I = np.eye(d, dtype=complex)
-    # the d^2 displacement conjugates of W0 sit exactly at distance eps
-    assert len(fam) == d * d
+    # the d distinct displacement conjugates of W0 sit exactly at distance eps
+    assert len(fam) == d
     for W in fam:
         assert abs(unitary_distance(I, W) - eps) < 1e-10
 
@@ -109,22 +109,26 @@ def test_upper_family_matches_phase_dressed_grid_d3():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_witnesses_equal_their_group_definitions(d):
-    # lower: member a*d + b is (X^a Z^b) W0 (X^a Z^b)^dag, X the cyclic shift
-    # and Z the clock; upper: member number k is D_a R D_b, (a, *signs) the
-    # k-th sign tuple of itertools.product, as explicit matrix products.
+    # lower: member a is diag(roll(lam, a)), the d members are pairwise
+    # distinct, and every conjugate (X^a Z^b) W0 (X^a Z^b)^dag, X the cyclic
+    # shift and Z the clock, is one of them; upper: member number k is
+    # D_a R D_b, (a, *signs) the k-th sign tuple of itertools.product, as
+    # explicit matrix products.
     X = np.roll(np.eye(d), 1, axis=0).astype(complex)
     Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
     for eps in (0.1, 0.3, 0.6, 0.9):
         root = np.sqrt(1 - eps * eps)
         lam = np.array([root + 1j * eps, root - 1j * eps, *np.ones(d - 2)])
         fam = lower_family(eps, d)
-        assert len(fam) == d * d
+        assert len(fam) == d
+        for a, W in enumerate(fam):
+            assert np.array_equal(W, np.diag(np.roll(lam, a)))
+            assert not any(np.array_equal(W, V) for V in fam[:a])
         for a in range(d):
             for b in range(d):
-                W = fam[a * d + b]
-                assert np.array_equal(W, np.diag(np.roll(lam, a)))
                 g = np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
-                assert np.abs(W - g @ np.diag(lam) @ g.conj().T).max() <= 1e-15
+                conj = g @ np.diag(lam) @ g.conj().T
+                assert min(np.abs(W - conj).max() for W in fam) <= 1e-15
 
         theta = np.arccos(eps)
         R = np.eye(d, dtype=complex)

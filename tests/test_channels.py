@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from usynth import channels, sdp
 from usynth.channels import (
     ChoiOperator,
-    EmptyCandidatesError,
     choi,
     choi_mixture,
     diamond_distance,
@@ -241,7 +240,7 @@ def test_optimal_mix_never_worse_than_best_candidate():
 
 def test_optimal_mix_empty_candidates():
     for d in (2, 3):
-        with pytest.raises(EmptyCandidatesError):
+        with pytest.raises(ValueError, match="empty candidate list"):
             optimal_mix(choi(np.eye(d)), [])
 
 

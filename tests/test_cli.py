@@ -53,6 +53,17 @@ def test_mixopt_axial(tmp_path, capsys):
     assert obj["candidates"] == sorted(obj["candidates"])
 
 
+def test_mixopt_without_candidates_exits_2(tmp_path, capsys):
+    cdir = tmp_path / "cands"
+    cdir.mkdir()
+    (cdir / "notes.txt").write_text("not a candidate\n")
+    tgt = str(tmp_path / "t.json")
+    save_matrix(tgt, np.eye(2, dtype=complex))
+    code, out, err = run_cli(capsys, "mixopt", tgt, str(cdir))
+    assert code == 2 and out == ""
+    assert err == "error: no candidate .json files found\n"
+
+
 def test_synth1q_byte_identical_reruns(tmp_path, capsys):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")
@@ -179,6 +190,7 @@ def test_sharpness_lower_d2(capsys):
     code, out, _ = run_cli(capsys, "sharpness", "--d", "2", "--eps", "0.5", "--family", "lower")
     assert code == 0
     obj = json.loads(out)
+    assert obj["size"] == 2
     assert obj["slack"] < 1e-5
     assert abs(obj["expected"] - 0.25) < 1e-12
 

@@ -9,14 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 from usynth import channels, qubit1, sdp
 from usynth.channels import (
-    EmptyCandidatesError,
     SdpFailureError,
     choi,
     diamond_distance,
 )
 from usynth.linalg import haar_unitary
 from usynth.qubit1 import (
-    EmptySupportError,
     cap_covering,
     covering_radius,
     left_multiplication,
@@ -122,7 +120,8 @@ def test_support_filter_examples():
     W = np.stack([rz_vec(2 * np.arcsin(d)) for d in dists])
     idx = support_filter(u, W, 0.1)
     assert list(idx) == [0, 1]
-    with pytest.raises(EmptySupportError):
+    with pytest.raises(ValueError, match=r"no candidate within 2\*eps = 0.2 of the target; "
+                       "the covering premise is violated"):
         support_filter(u, W[2:], 0.1)
     with pytest.raises(ValueError):
         support_filter(u, W, 0.5)
@@ -295,7 +294,7 @@ def test_optimal_mix_1q_rejects_bad_input():
     for bad_W in (2 * W, np.vstack([W, np.full(4, np.inf)])):
         with pytest.raises(ValueError, match="candidates must be unit 4-vectors"):
             optimal_mix_1q(u, bad_W)
-    with pytest.raises(EmptyCandidatesError):
+    with pytest.raises(ValueError, match="empty candidate list"):
         optimal_mix_1q(u, np.zeros((0, 4)))
 
 

@@ -273,9 +273,15 @@ def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
     # Cholesky pivot is -2**-52 and the smallest eigenvalue about -1.1e-16.
     S = np.array([[1.0, 1.0], [1.0, 1.0 - 2.0**-52]])
     assert -2e-16 < np.linalg.eigvalsh(S)[0] < -5e-17
-    with pytest.raises(sdp.NumericalBreakdown):
-        sdp._chol(S)
-    assert np.array_equal(sdp._chol(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
+    blk = sdp.Block(size=2)
+    for X, Z in ((S, np.eye(2)), (np.eye(2), S)):
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._nt_scaling(blk, X, Z)
+    X = np.diag([4.0, 1.0])
+    R, lam = sdp._nt_scaling(blk, X, np.eye(2))
+    assert lam == pytest.approx([2.0, 1.0])
+    Ri = np.linalg.inv(R)
+    assert np.allclose(Ri @ X @ Ri.T, np.diag(lam)) and np.allclose(R.T @ R, np.diag(lam))
     lam = np.array([4.0, 1.0])
     scaled = -np.eye(2) / np.sqrt(np.outer(lam, lam))
     assert sdp._max_step(scaled[None, None], np.zeros((1, 0))) == pytest.approx([1.0])
@@ -405,31 +411,31 @@ def test_ten_iterations_without_progress_end_solve_as_stalled(monkeypatch):
     assert np.array_equal(s.y, first.y)
 
 
-def _break_chol_after(monkeypatch, n):
-    """Make every _chol call after the first n raise NumericalBreakdown."""
+def _break_nt_scaling_after(monkeypatch, n):
+    """Make every _nt_scaling call after the first n raise np.linalg.LinAlgError."""
     calls = {"n": 0}
-    chol = sdp._chol
+    nt_scaling = sdp._nt_scaling
 
-    def failing(S):
+    def failing(*args):
         calls["n"] += 1
         if calls["n"] > n:
-            raise sdp.NumericalBreakdown("forced")
-        return chol(S)
+            raise np.linalg.LinAlgError("forced")
+        return nt_scaling(*args)
 
-    monkeypatch.setattr(sdp, "_chol", failing)
+    monkeypatch.setattr(sdp, "_nt_scaling", failing)
     return calls
 
 
 def test_breakdown_ends_solve_as_stalled(monkeypatch):
-    # Let the positive-definiteness checks fail from the third iteration on
-    # (6 factorizations per iteration of a d=2 dual mixing SDP).
-    calls = _break_chol_after(monkeypatch, 12)
+    # Let the NT scaling fail from the third iteration on (4 per iteration of a
+    # d=2 mixing SDP: its three dense blocks and its diag block).
+    calls = _break_nt_scaling_after(monkeypatch, 8)
     rng = np.random.default_rng(3)
     target = choi(haar_unitary(2, rng))
     cands = [choi(haar_unitary(2, rng)) for _ in range(3)]
     with pytest.raises(SdpFailureError, match=r"status Stalled after 3 iterations; best iterate pinf "):
         channels._mix(target, cands)
-    assert calls["n"] == 13
+    assert calls["n"] == 9
 
 
 def _infeasible_problem():
@@ -477,7 +483,7 @@ def test_status_is_optimal_exactly_when_residuals_meet_tolerances(monkeypatch):
         W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(3)]))
         with pytest.raises(SdpFailureError, match="status MaxIter after 3 iterations"):
             qubit1.optimal_mix_1q(qubit1.magic_embed(haar_unitary(2, rng)), W)
-    _break_chol_after(monkeypatch, 12)
+    _break_nt_scaling_after(monkeypatch, 8)
     with pytest.raises(SdpFailureError, match="status Stalled after 3 iterations"):
         channels._mix(choi(haar_unitary(2, rng)), [choi(haar_unitary(2, rng)) for _ in range(3)])
 

@@ -72,14 +72,31 @@ def test_compare_counts_unpaired_records_without_comparing_them(solve_sweep, tmp
     assert "1 solves compared, 0 differ" in out
 
 
+@pytest.mark.parametrize("p", [[1.0], [0.25, 0.25, 0.5]], ids=["broadcasts", "mismatched"])
+def test_compare_counts_a_p_of_another_length_as_differing(solve_sweep, tmp_path, capsys, p):
+    # A p of length 1 would broadcast against the other into a move of 0.5; one of
+    # length 3 would not subtract at all. Neither is a move.
+    code, out = compare(solve_sweep, tmp_path, capsys,
+                        [mix("1-1"), mix("1-2")], [mix("1-1"), dict(mix("1-2"), p=p)])
+    assert code == 1
+    assert f"1-2 mix: p has 2 -> {len(p)} entries" in out
+    assert "largest move of p: 0.000e+00\n" in out
+    assert "2 solves compared, 1 differ (0 in status or iterations, 0 in support)" in out
+
+
 def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
     # Two mixing cases per seed (one at d = 3, one at d = 2 with its mix_1q), one
-    # diamond4 and one kraus3 case, and two prob_synth targets at L = 12.
+    # diamond4 and one kraus3 case, one witness per family, and two prob_synth
+    # targets at L = 12.
     for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("SYNTH_CASES", 2),
-                        ("SYNTH_LENGTHS", (12,))):
+                        ("SYNTH_LENGTHS", (12,)), ("WITNESS_DIMS", (3,)),
+                        ("WITNESS_EPS", (0.6,))):
         monkeypatch.setattr(solve_sweep, name, value)
     records = solve_sweep.sweep()
     paths = [(rec["path"], rec["d"]) for rec in records]
     assert paths == [("mix", 3), ("mix", 2), ("mix_1q", 2)] * 2 + [("mix", 4), ("mix", 3)] \
-        + [("prob_synth", 2)] * 2
+        + [("sharpness", 3)] * 2 + [("prob_synth", 2)] * 2
+    assert [rec["case"] for rec in records if rec["path"] == "sharpness"] == [
+        "lower-3-0.6", "upper-3-0.6"]
+    assert [len(rec["p"]) for rec in records if rec["path"] == "sharpness"] == [3, 8]
     assert all(rec["status"] == "Optimal" and "p" in rec for rec in records)

@@ -30,10 +30,19 @@ Haar d = 3 target with 2-5 candidates of Kraus rank 2 (`choi_mixture` of two
 Haar unitaries at a weight drawn from [0.5, 1)) from `default_rng([5, i])`,
 whose support is all of C^9 from four candidates on; 60 cases each.
 
+A fourth set, on the path `sharpness`, runs the solve `channels.optimal_mix`
+makes for `sharpness` on both Theorem 1 witnesses (`bounds.lower_family`
+against the identity, `bounds.upper_family` against `upper_family_target`)
+at d = 2 to 5 and eps 0.1, 0.3, 0.6 and 0.9, keyed `lower-d-eps` and
+`upper-d-eps`: `qubit1.optimal_mix_1q` at d = 2 and `channels._mix` above.
+They are the most degenerate mixing problems here.
+
 `--compare` pairs the records of two sweeps by case and path, and counts
 those that only one sweep has without comparing them. It prints every
-solve whose status or iteration counts differ; then, per path (`mix` at
-d = 2 and at d = 3, `mix_1q`, `diamond4`, `kraus3`, `prob_synth`), the
+solve whose status or iteration counts differ, and every `p` whose length
+differs (such a solve differs, and `p` gives it no move); then, per path
+(`mix` at d = 2 and at d = 3, `mix_1q`, `diamond4`, `kraus3`, `prob_synth`,
+and the `sharpness` witnesses as `lower` and `upper`), the
 mean and largest iteration counts of each sweep, how many records took
 fewer, equal or more iterations in the second, the largest move of `upper`
 and `lower`, each sweep's largest width `upper - lower` and its mean of the
@@ -65,6 +74,7 @@ SEEDS = (1, 2)
 CASES = 300
 SYNTH_SEED, SYNTH_CASES, SYNTH_LENGTHS = 3, 60, (12, 14)
 DIAMOND4_SEED, KRAUS3_SEED, SUPPORT_CASES = 4, 5, 60
+WITNESS_DIMS, WITNESS_EPS = (2, 3, 4, 5), (0.1, 0.3, 0.6, 0.9)
 
 
 def cases():
@@ -98,6 +108,31 @@ def support_cases():
             pair = [choi(haar_unitary(3, rng)), choi(haar_unitary(3, rng))]
             cands.append(choi_mixture(pair, np.array([q, 1 - q])))
         yield f"kraus3-{i}", 3, target, cands
+
+
+def witness_cases():
+    """(name, d, target, candidates) of the fourth set, as Choi operators."""
+    from usynth import bounds
+    from usynth.channels import choi
+
+    for d in WITNESS_DIMS:
+        for eps in WITNESS_EPS:
+            for family, target, fam in (
+                ("lower", np.eye(d), bounds.lower_family(eps, d)),
+                ("upper", bounds.upper_family_target(d), bounds.upper_family(eps, d)),
+            ):
+                yield f"{family}-{d}-{eps}", d, choi(target), [choi(W) for W in fam]
+
+
+def optimal_mix(target, candidates):
+    """(p, upper, lower) of the solve `channels.optimal_mix` makes, read as it reads them."""
+    from usynth import channels, qubit1
+
+    U = channels._qubit_unitaries([target, *candidates])
+    if U is None:
+        return channels._mix(target, candidates)
+    W = qubit1.magic_embed_batch(U)
+    return qubit1.optimal_mix_1q(W[0], W[1:])
 
 
 STEPS = ("sigma", "ap", "ad")
@@ -146,6 +181,8 @@ def sweep() -> list[dict]:
                     qubit1.magic_embed(U), W)))
         for name, d, target, cands in support_cases():
             records.append(record(name, d, "mix", lambda: channels._mix(target, cands)))
+        for name, d, target, cands in witness_cases():
+            records.append(record(name, d, "sharpness", lambda: optimal_mix(target, cands)))
         for max_len in SYNTH_LENGTHS:
             pool = synth.enumerate_sequences(synth.standard_gate_set(), max_len)
             for i in range(SYNTH_CASES):
@@ -166,13 +203,13 @@ def sweep() -> list[dict]:
     return records
 
 
-GROUPS = ("mix d=2", "mix d=3", "mix_1q", "diamond4", "kraus3", "prob_synth")
+GROUPS = ("mix d=2", "mix d=3", "mix_1q", "diamond4", "kraus3", "prob_synth", "lower", "upper")
 
 
 def group(rec: dict) -> str:
     """The path a record summarizes under: one of GROUPS."""
     kind = rec["case"].split("-")[0]
-    if kind in ("diamond4", "kraus3"):
+    if kind in ("diamond4", "kraus3", "lower", "upper"):
         return kind
     return f"mix d={rec['d']}" if rec["path"] == "mix" else rec["path"]
 
@@ -233,7 +270,10 @@ def compare(a: list[dict], b: list[dict]) -> int:
                        if k in ra and k in rb)
         if "p" in ra and "p" in rb:
             changed |= any(ra[k] != rb[k] for k in moves)
-            for k in moves:
+            resized = len(ra["p"]) != len(rb["p"])
+            if resized:
+                print(f"{where}: p has {len(ra['p'])} -> {len(rb['p'])} entries")
+            for k in ("upper", "lower") if resized else moves:
                 move = float(np.max(np.abs(np.subtract(ra[k], rb[k]))))
                 if move > moves[k][0]:
                     moves[k] = (move, where)

@@ -123,8 +123,8 @@ def cmd_synth1q(args) -> int:
     res = synth.prob_synth(target, eps=args.eps, delta=args.delta, pool=pool)
     obj = res.to_json()
     obj["seed"] = args.seed
-    if args.samples > 0:
-        obj["samples"] = [int(i) for i in synth.sample(res.p, args.seed, args.samples)]
+    if args.samples > 0:  # indices into the printed support
+        obj["samples"] = synth.sample(np.array(obj["p"]), args.seed, args.samples).tolist()
     _emit(obj, args.out)
     return 0
 
@@ -197,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mixopt)
 
     p = sub.add_parser("synth1q", help="probabilistic single-qubit synthesis", description=(
-        "Each support entry lists gate labels in the order they act: the leftmost label acts "
-        "first, so [\"H\", \"T\"] realizes T @ H."))
+        "support and p list the members the mixture weights, and support_size counts the "
+        "covering support. Each support entry lists gate labels in the order they act: the "
+        "leftmost label acts first, so [\"H\", \"T\"] realizes T @ H."))
     p.add_argument("--target", required=True, help="named target or matrix JSON path")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=1e-6)

@@ -1,14 +1,15 @@
 """Probabilistic synthesis of single-qubit unitaries over a finite gate set.
 
 Pipeline: enumerate distinct gate sequences up to a length budget into a
-Pool, their labels and magic vectors (quaternion products, one row per
-channel, keyed by qubit1.line_keys; a product is keyed only when its
-suffix is kept, since the kept sequences are closed under factors);
-deterministically synthesize a C*eps covering of a ball around the target
-over the pool to within C_PRIME*eps (C = C_PRIME = 1/2), each cover point
-searched over the rows whose angle to the target can put them within
-reach, ties going to the lowest pool index; restrict support, and solve
-the mixing SDP to relative gap delta. The first-order
+Pool, each row a parent row, a last gate and a magic vector (quaternion
+products, one row per channel, keyed by qubit1.line_keys; a product is
+keyed only when its suffix is kept, since the kept sequences are closed
+under factors), whose label tuples are spelled out only for the rows an
+answer returns; deterministically synthesize a C*eps covering of a ball
+around the target over the pool to within C_PRIME*eps (C = C_PRIME =
+1/2), each cover point searched over the rows whose angle to the target
+can put them within reach, ties going to the lowest pool index; restrict
+support, and solve the mixing SDP to relative gap delta. The first-order
 baseline of Campbell and Hastings is included for comparison: it works on
 the candidates' channels (magic vectors, not matrices with a global
 phase) and finds the exact minimum-norm mixture of their generators with
@@ -26,7 +27,10 @@ from .linalg import check_probabilities, check_unitary, matrix_from_json
 
 C = 0.5  # covering mesh of prob_synth, as a fraction of eps
 C_PRIME = 0.5  # deterministic synthesis radius of prob_synth, as a fraction of eps
-BUDGET = 500000  # the most sequences enumerate_sequences keeps
+# The most sequences enumerate_sequences keeps: a memory guard. Enumeration
+# peaks at about 300 bytes per kept sequence (tracemalloc, L = 20 and 24),
+# and the pool keeps 48 of them (magic 32, parent and last 16).
+BUDGET = 500000
 BLOCK = 96  # cover points _nearest searches per product
 TIE_TOL = 1e-12  # |dot| within this of the largest is a tie in _nearest: see _nearest
 SHELL_MARGIN = 2e-6  # radians _nearest's shells reach past arcsin(reach): see _nearest
@@ -86,31 +90,72 @@ def standard_gate_set() -> GateSet:
 
 @dataclass(frozen=True)
 class Pool:
-    """Gate sequences and their magic vectors, row i belonging to labels[i].
+    """Gate sequences and their magic vectors, one row per sequence.
 
-    Each label tuple lists gates in the order they act: the leftmost label
-    acts first, so ("H", "T") realizes T @ H. magic is a read-only (n, 4)
-    float array of unit vectors with no sign rule (u and -u are one
-    channel). Raises ValueError for n = 0 and when the shapes do not line
-    up.
+    Row i stores its sequence as a parent row and a last gate: it is row
+    parent[i]'s sequence followed by the gate labelled gates[last[i]], or
+    the empty sequence where parent[i] is -1. Every parent precedes its
+    row. words(rows) spells rows out as label tuples, which list gates in
+    the order they act: the leftmost label acts first, so ("H", "T")
+    realizes T @ H. magic is a read-only (n, 4) float array of unit vectors
+    with no sign rule (u and -u are one channel), and parent and last are
+    read-only integer arrays of length n. Raises ValueError for n = 0, when
+    the shapes do not line up, for a parent that does not precede its row
+    and for a last gate that is not an index into gates.
     """
 
-    labels: tuple[tuple[str, ...], ...]
+    gates: tuple[str, ...]
+    parent: np.ndarray
+    last: np.ndarray
     magic: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        gates = tuple(self.gates)
+        parent = np.array(self.parent, dtype=np.intp)
+        last = np.array(self.last, dtype=np.intp)
         magic = np.array(self.magic, dtype=float)
-        if magic.shape != (len(labels), 4):
-            raise ValueError(f"magic must have shape ({len(labels)}, 4), got {magic.shape}")
-        if not labels:
+        if parent.ndim != 1 or last.shape != parent.shape:
+            raise ValueError(f"parent and last must be two arrays of one length, "
+                             f"got shapes {parent.shape} and {last.shape}")
+        if magic.shape != (len(parent), 4):
+            raise ValueError(f"magic must have shape ({len(parent)}, 4), got {magic.shape}")
+        if not len(parent):
             raise ValueError("empty sequence pool")
-        magic.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        if np.any((parent < -1) | (parent >= np.arange(len(parent)))):
+            raise ValueError("every row's parent must be -1 or an earlier row")
+        if np.any((parent >= 0) & ((last < 0) | (last >= len(gates)))):
+            raise ValueError(f"last gates must index the {len(gates)} gates")
+        for a in (parent, last, magic):
+            a.setflags(write=False)
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "last", last)
         object.__setattr__(self, "magic", magic)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.magic)
+
+    def words(self, rows) -> list[tuple[str, ...]]:
+        """The label tuples of the given rows, in the order given.
+
+        Walks every row up its parents at once, one gate per step, so a call
+        costs the returned labels and the longest of their sequences.
+        """
+        at = np.asarray(rows, dtype=np.intp).reshape(-1)
+        length = np.zeros(len(at), dtype=np.intp)
+        steps = []  # steps[k][j]: the gate k places from the end of row j's word, if it has one
+        while True:
+            up = self.parent[at]
+            live = up >= 0
+            if not live.any():
+                break
+            steps.append(np.where(live, self.last[at], 0))
+            length += live
+            at = np.where(live, up, at)
+        k = len(steps)
+        idx = np.array(steps[::-1], dtype=np.intp).reshape(k, len(at)).T
+        spelled = np.array(self.gates, dtype=object)[idx].tolist()
+        return [tuple(w[k - m:]) for w, m in zip(spelled, length.tolist())]
 
 
 def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
@@ -135,6 +180,11 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
     it the index of its child by each gate, which decide this. The pool is
     the one the pass over every product keeps. Raises ValueError past
     BUDGET kept sequences, before the sequences of that length are built.
+
+    Each kept product stores its frontier row as parent and its gate as
+    last, and no label tuple is built: Pool.words spells out the rows a
+    caller returns. The peak is about 300 bytes per kept sequence at L = 20
+    and 24 (tracemalloc), most of it the set of keys.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -147,8 +197,8 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
 
     frontier = qubit1.magic_embed(np.eye(2))[None, :]
     seen = set(qubit1.line_keys(frontier).tolist())
-    frontier_labels: list[tuple[str, ...]] = [()]
-    labels, magic = [()], [frontier]
+    parents, lasts, magic = [np.array([-1])], [np.array([-1])], [frontier]
+    start, n = 0, 1  # the pool row of frontier row 0, and the rows kept
     # suffix[f]: the row of the length before holding frontier row f minus its
     # first gate; child[r, g]: the frontier row holding row r followed by gate
     # g, or -1. The empty sequence starts as its own suffix, every gate its child.
@@ -165,22 +215,21 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
                 seen.add(key)
                 kept.append(j)
         new = cand[np.array(kept, dtype=np.intp)]
-        if new.size and len(labels) + new.size > BUDGET:
+        if new.size and n + new.size > BUDGET:
             raise ValueError(
                 f"sequence budget {BUDGET} exceeded at length {length}"
             )
         parent, gate = np.divmod(new, ng)
-        frontier = prod[kept]
         suffix = child[suffix[parent], gate]
-        child = np.full((len(frontier_labels), ng), -1, dtype=np.intp)
+        child = np.full((len(frontier), ng), -1, dtype=np.intp)
         child[parent, gate] = np.arange(new.size)
-        frontier_labels = [
-            frontier_labels[f] + (glabels[g],)
-            for f, g in zip(parent.tolist(), gate.tolist())
-        ]
-        labels += frontier_labels
+        frontier = prod[kept]
+        parents.append(start + parent)
+        lasts.append(gate)
         magic.append(frontier)
-    return Pool(labels=tuple(labels), magic=np.concatenate(magic))
+        start, n = n, n + new.size
+    return Pool(gates=tuple(glabels), parent=np.concatenate(parents),
+                last=np.concatenate(lasts), magic=np.concatenate(magic))
 
 
 def _nearest(
@@ -257,19 +306,27 @@ def _nearest_rows(V: np.ndarray, P: np.ndarray, buf: np.ndarray) -> np.ndarray:
 def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
     """Labels of the pool sequence closest to the target, and its error.
 
-    The error is the half-diamond distance. Every row is searched; of the
-    rows within TIE_TOL of the largest computed |dot|, the lowest pool index
-    wins (the shorter sequence, then lexicographic labels). Raises
-    ValueError unless target is a 2x2 unitary.
+    The labels are Pool.words of that row, and the error is the half-diamond
+    distance. Every row is searched; of the rows within TIE_TOL of the
+    largest computed |dot|, the lowest pool index wins (the shorter
+    sequence, then lexicographic labels). Raises ValueError unless target
+    is a 2x2 unitary.
     """
     v = qubit1.magic_embed(target)
     idx, errs = _nearest(pool.magic, v[None], v, 1.0)
-    return pool.labels[int(idx[0])], float(errs[0])
+    return pool.words(idx)[0], float(errs[0])
 
 
 @dataclass
 class SynthesisResult:
-    support: list[tuple[str, ...]]  # label tuples, leftmost label acting first
+    """prob_synth's answer.
+
+    support is the whole covering support, as label tuples with the leftmost
+    label acting first, and p its mixture, zero off the members the mixing
+    solve weighted; prob_error_lower holds for every mixture of support.
+    """
+
+    support: list[tuple[str, ...]]
     p: np.ndarray
     det_error: float
     prob_error: float        # exact error of the mixture p: an upper bound
@@ -279,9 +336,17 @@ class SynthesisResult:
     delta: float
 
     def to_json(self) -> dict:
+        """The answer as synth1q writes it.
+
+        support and p list only the members with p > 0, in support's order;
+        support_size is the size of the whole covering support, over which
+        prob_error_lower holds.
+        """
+        weighted = np.flatnonzero(self.p > 0)
         return {
-            "support": [list(s) for s in self.support],
-            "p": [float(x) for x in self.p],
+            "support": [list(self.support[i]) for i in weighted.tolist()],
+            "p": self.p[weighted].tolist(),
+            "support_size": len(self.support),
             "det_error": self.det_error,
             "prob_error": self.prob_error,
             "prob_error_lower": self.prob_error_lower,
@@ -308,6 +373,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     every row, near-ties included, and a point with no row within reach is
     searched over every row, so the exception's achieved_radius is exact.
 
+    support is the whole covering support, spelled out by Pool.words, and
     prob_error is the exact error of the returned mixture p (an upper bound
     on the optimum; p is zero off the columns qubit1.optimal_mix_1q solved);
     prob_error_lower is its dual bound: no mixture of the support does better.
@@ -338,7 +404,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     p, upper, lower = qubit1.optimal_mix_1q(u, W, delta)
     det_error = float(np.min(qubit1.line_distance(u, W)))
     return SynthesisResult(
-        support=[pool.labels[i] for i in support_idx.tolist()],
+        support=pool.words(support_idx),
         p=p,
         det_error=det_error,
         prob_error=upper,

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from usynth import cli, sdp
+from usynth import cli, qubit1, sdp, synth
 from usynth.linalg import haar_unitary, matrix_to_json
 
 
@@ -97,6 +97,51 @@ def test_synth1q_byte_identical_reruns(tmp_path, capsys):
                  ["sharpness", "--d", "3", "--eps", "0.6", "--family", "upper"]):
         first, second = (run_cli(capsys, *argv) for _ in range(2))
         assert first == second and first[0] == 0
+
+
+def _haar_answer(tmp_path, i, seed, samples=0):
+    """synth1q's --out answer for the Haar target default_rng([33, i]), and the target."""
+    U = haar_unitary(2, np.random.default_rng([33, i]))
+    target, out = str(tmp_path / f"t{i}.json"), str(tmp_path / f"a{i}-{seed}.json")
+    save_matrix(target, U)
+    assert cli.main(["synth1q", "--target", target, "--eps", "0.35", "--max-len", "12",
+                     "--seed", str(seed), "--samples", str(samples), "--out", out]) == 0
+    with open(out) as f:
+        return json.load(f), U
+
+
+def test_synth1q_answer_rechecks_from_its_own_bytes(tmp_path, std_pool):
+    # Each listed member is rebuilt from its labels alone, with the gates
+    # written out here, and the listed weights give the printed prob_error.
+    t = np.exp(1j * np.pi / 4)
+    gates = {"H": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "S": np.diag([1, 1j]),
+             "Sdg": np.diag([1, -1j]), "T": np.diag([1, t]), "Tdg": np.diag([1, np.conj(t)])}
+    for i in range(3):
+        obj, U = _haar_answer(tmp_path, i, 0)
+        W = []
+        for labels in obj["support"]:
+            V = np.eye(2, dtype=complex)
+            for g in labels:  # the leftmost label acts first
+                V = gates[g] @ V
+            W.append(qubit1.magic_embed(V))
+        p = np.array(obj["p"])
+        u = qubit1.magic_embed(U)
+        assert abs(qubit1.mix_distance_1q(u, np.stack(W), p) - obj["prob_error"]) <= 1e-9
+        assert abs(p.sum() - 1) <= 1e-9 and (p > 0).all()
+        assert obj["support_size"] == len(synth.prob_synth(U, 0.35, 1e-6, std_pool).support)
+
+
+def test_synth1q_samples_index_the_printed_support(tmp_path, std_pool):
+    # Drawn over the weighted members, the samples name the sequences a draw
+    # over the whole covering support names.
+    for i in range(10):
+        for seed in range(5):
+            obj, U = _haar_answer(tmp_path, i, seed, samples=40)
+            if seed == 0:
+                res = synth.prob_synth(U, 0.35, 1e-6, std_pool)
+            assert all(0 <= k < len(obj["support"]) for k in obj["samples"])
+            full = [list(res.support[k]) for k in synth.sample(res.p, seed, 40)]
+            assert [obj["support"][k] for k in obj["samples"]] == full
 
 
 def test_synth1q_named_rz_target(capsys):

@@ -108,7 +108,10 @@ def test_enumerate_matches_reference_loop(make_gs, max_len):
     gs = make_gs()
     got = enumerate_sequences(gs, max_len)
     labels, magic = reference_enumerate(gs, max_len)
-    assert list(got.labels) == labels
+    assert got.words(range(len(got))) == labels
+    # Any rows, in any order and repeated, spell the same words.
+    rows = np.random.default_rng(max_len).integers(0, len(got), 2 * len(got))
+    assert got.words(rows) == [labels[i] for i in rows]
     # Same channel per row: the pool composes quaternions where the
     # reference embeds 2x2 products, so a row may differ in sign (or -0.0).
     diff = np.minimum(np.abs(got.magic - magic).max(axis=1),
@@ -122,7 +125,8 @@ def test_pool_is_suffix_closed(make_gs):
     # which is what lets enumerate_sequences key only the products whose
     # suffix is kept. The reference loop keys every product and agrees.
     gs = make_gs()
-    for labels in (enumerate_sequences(gs, 12).labels, reference_enumerate(gs, 12)[0]):
+    pool = enumerate_sequences(gs, 12)
+    for labels in (pool.words(range(len(pool))), reference_enumerate(gs, 12)[0]):
         kept = set(labels)
         assert all(s[1:] in kept and s[:-1] in kept for s in labels if s)
 
@@ -145,8 +149,9 @@ def test_enumerate_keys_few_more_products_than_it_keeps(std_gateset, monkeypatch
 
 def test_enumerate_twin_gates_keep_first_label():
     pool = enumerate_sequences(_twin_gate_set(), 3)
-    assert ("G",) in pool.labels
-    assert not any("T" in s for s in pool.labels)
+    words = pool.words(range(len(pool)))
+    assert ("G",) in words
+    assert not any("T" in s for s in words)
 
 
 @pytest.mark.parametrize("make_gs", [standard_gate_set, _twin_gate_set])
@@ -179,16 +184,31 @@ def test_gate_set_rejects_duplicate_labels():
 
 def test_pool_checks_its_shape_and_is_read_only(std_pool):
     with pytest.raises(ValueError, match="empty sequence pool"):
-        Pool((), np.empty((0, 4)))
+        Pool(("H",), (), (), np.empty((0, 4)))
     with pytest.raises(ValueError, match="magic must have shape"):
-        Pool(((), ("H",)), np.eye(4)[:1])
+        Pool(("H",), (-1, 0), (-1, 0), np.eye(4)[:1])
     with pytest.raises(ValueError, match="magic must have shape"):
-        Pool(((),), np.eye(4)[:2])
+        Pool(("H",), (-1,), (-1,), np.eye(4)[:2])
     with pytest.raises(ValueError, match="magic must have shape"):
-        Pool(((),), np.ones(4))
-    with pytest.raises(ValueError, match="read-only"):
-        std_pool.magic[0, 0] = 0.5
-    assert len(std_pool) == len(std_pool.labels) == len(std_pool.magic)
+        Pool(("H",), (-1,), (-1,), np.ones(4))
+    with pytest.raises(ValueError, match="parent and last must be two arrays of one length"):
+        Pool(("H",), (-1, 0), (-1,), np.eye(4)[:2])
+    with pytest.raises(ValueError, match="parent and last must be two arrays of one length"):
+        Pool(("H",), -1, -1, np.eye(4)[:1])
+    # A parent after its row, or its row itself, would never end a word.
+    for parent in ((-1, 1), (1, -1), (-1, -2)):
+        with pytest.raises(ValueError, match="parent must be -1 or an earlier row"):
+            Pool(("H",), parent, (-1, 0), np.eye(4)[:2])
+    for last in (1, -1):
+        with pytest.raises(ValueError, match="last gates must index the 1 gates"):
+            Pool(("H",), (-1, 0), (-1, last), np.eye(4)[:2])
+    tiny = Pool(("H",), (-1, 0), (-1, 0), np.eye(4)[:2])
+    assert tiny.words([1, 0]) == [("H",), ()] and tiny.words([]) == []
+    for field in (std_pool.magic, std_pool.parent, std_pool.last):
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0
+    assert len(std_pool) == len(std_pool.parent) == len(std_pool.last) == len(std_pool.magic)
+    assert std_pool.gates == ("H", "S", "Sdg", "T", "Tdg")
 
 
 def test_gateset_json_roundtrip(std_gateset):
@@ -203,7 +223,8 @@ def test_gateset_json_roundtrip(std_gateset):
 def test_enumerate_length_zero(std_gateset):
     pool = enumerate_sequences(std_gateset, 0)
     assert len(pool) == 1
-    assert pool.labels == ((),)
+    assert pool.words([0]) == [()]
+    assert pool.parent.tolist() == [-1]
     assert pool.magic.tobytes() == qubit1.magic_embed(np.eye(2)).tobytes()
 
 
@@ -211,7 +232,7 @@ def test_enumerate_dedup_tt_equals_s():
     # With S in the gate set, TT duplicates S and must be dropped.
     gs = standard_gate_set()
     pool = enumerate_sequences(gs, 2)
-    label_sets = set(pool.labels)
+    label_sets = set(pool.words(range(len(pool))))
     assert ("S",) in label_sets
     assert ("T", "T") not in label_sets
     # SdgS = identity, also dropped
@@ -225,7 +246,7 @@ def test_enumerate_ht_counts():
     pool = enumerate_sequences(gs, 2)
     # identity, H, T, HH=I (dup), HT, TH, TT: 6 distinct
     assert len(pool) == 6
-    lens = sorted(len(s) for s in pool.labels)
+    lens = sorted(len(s) for s in pool.words(range(len(pool))))
     assert lens == [0, 1, 1, 2, 2, 2]
 
 
@@ -233,7 +254,7 @@ def test_sequence_leftmost_label_acts_first(std_gateset):
     H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
     pool = enumerate_sequences(std_gateset, 2)
-    row = pool.magic[pool.labels.index(("H", "T"))]
+    row = pool.magic[pool.words(range(len(pool))).index(("H", "T"))]
     assert np.allclose(row, qubit1.magic_embed(T @ H), rtol=0, atol=1e-15)
     assert not np.allclose(row, qubit1.magic_embed(H @ T))
 
@@ -241,12 +262,13 @@ def test_sequence_leftmost_label_acts_first(std_gateset):
 def test_enumerate_shortest_representative_wins(std_pool):
     # every kept unitary has no shorter equivalent in the pool
     by_key = {}
-    for labels, mv in zip(std_pool.labels, std_pool.magic):
+    words = std_pool.words(range(len(std_pool)))
+    for labels, mv in zip(words, std_pool.magic):
         k = tuple(np.round(mv, 8) + 0.0)
         assert k not in by_key
         by_key[k] = labels
     # Sequences per length, 0 to 12.
-    assert np.bincount([len(s) for s in std_pool.labels]).tolist() == [
+    assert np.bincount([len(s) for s in words]).tolist() == [
         1, 5, 11, 24, 43, 71, 89, 132, 160, 248, 336, 528, 640]
 
 
@@ -258,7 +280,7 @@ def test_pool_rows_are_distinct_channels(std_gateset, max_len):
     dots = np.abs(pool.magic @ pool.magic.T)
     np.fill_diagonal(dots, 0.0)
     i, j = np.unravel_index(np.argmax(dots), dots.shape)
-    assert dots[i, j] <= 1 - 1e-12, (pool.labels[i], pool.labels[j])
+    assert dots[i, j] <= 1 - 1e-12, pool.words([i, j])
 
 
 @pytest.mark.parametrize("max_len, size", [(16, 9296), (18, 18640), (20, 37328)])
@@ -317,7 +339,7 @@ def test_det_synth_is_the_tie_rule_over_the_whole_pool(std_gateset, max_len):
         v = qubit1.magic_embed(U)
         labels, err = det_synth(U, pool)
         (i,) = synth._nearest_rows(v[None], P, np.empty(len(P)))
-        assert labels == pool.labels[i]
+        assert [labels] == pool.words([i])
         assert np.float64(err).tobytes() == qubit1.line_distance(v[None], P[[i]]).tobytes()
 
 
@@ -568,7 +590,7 @@ def test_det_synth_empty_pool():
     # A pool cannot be empty, so neither synthesis sees an empty one.
     U = np.eye(2, dtype=complex)
     with pytest.raises(ValueError, match="empty sequence pool"):
-        det_synth(U, Pool(labels=(), magic=np.empty((0, 4))))
+        det_synth(U, Pool(gates=("H",), parent=(), last=(), magic=np.empty((0, 4))))
 
 
 def test_prob_synth_quadratic_bound(std_gateset, std_pool):
@@ -630,14 +652,27 @@ def test_prob_synth_deterministic(std_pool):
     assert a == b
 
 
+def test_synthesis_result_json_lists_the_weighted_members(std_pool):
+    # The dataclass keeps the whole covering support; its JSON lists the
+    # members with weight, in support order, and counts the support.
+    res = prob_synth(haar_unitary(2, np.random.default_rng(8)), 0.35, 1e-6, std_pool)
+    obj = res.to_json()
+    weighted = np.flatnonzero(res.p > 0)
+    assert 0 < len(weighted) < len(res.support) == obj["support_size"]
+    assert obj["support"] == [list(res.support[i]) for i in weighted]
+    assert obj["p"] == res.p[weighted].tolist()
+    assert set(obj) == {"support", "p", "support_size", "det_error", "prob_error",
+                        "prob_error_lower", "eps", "achieved_eps", "delta"}
+
+
 @pytest.mark.parametrize("eps", [0.35, 0.4, 0.45])
 def test_prob_synth_exact_hits_keep_lower_at_most_upper(std_gateset, std_pool, eps):
     # A target in the pool is hit exactly: prob_error is 0 or about 1e-16,
     # and the dual bound, a rounded sum, came out up to 3.3e-16 above it.
     gates = dict(zip(std_gateset.labels, std_gateset.unitaries))
     members = [
-        reduce(lambda V, g: gates[g] @ V, std_pool.labels[i], np.eye(2, dtype=complex))
-        for i in range(6, 60, 4)
+        reduce(lambda V, g: gates[g] @ V, word, np.eye(2, dtype=complex))
+        for word in std_pool.words(range(6, 60, 4))
     ]
     for U in [np.eye(2, dtype=complex), *std_gateset.unitaries, *members]:
         res = prob_synth(U, eps, 1e-8, std_pool)

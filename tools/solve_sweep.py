@@ -20,8 +20,9 @@ gate set on 60 Haar targets each, target i from `default_rng([3, i])`:
 mixing problems of a few hundred candidates, where `optimal_mix_1q` may
 solve more than once. For each it writes `rounds` (the solves made), the
 status of the last solve, the iterations of every solve, `upper`,
-`lower` and `p` as returned, and what `synth1q` prints besides: `support`
-(the label lists), `det_error` and `achieved_eps`.
+`lower` and `p` as returned, the whole covering support `support` (the
+label lists of `SynthesisResult.support`, of which `synth1q` prints the
+members with weight), `det_error` and `achieved_eps`.
 
 A third set runs `channels._mix` on cases keyed `diamond4-i`, the
 half-diamond distance between two Haar unitaries at d = 4 from

@@ -20,6 +20,7 @@ from .linalg import check_unitary, load_matrix
 EXIT_PARSE = 2
 EXIT_SDP = 3
 EXIT_COVERING = 4
+MAX_GRID_POINTS = 1_000_000  # of `bounds --eps-grid`: one theorem1_bounds call each
 
 
 def _sig12(x: float) -> float:
@@ -136,6 +137,11 @@ def cmd_bounds(args) -> int:
         raise ValueError("--eps-grid must be a:b:step") from exc
     if not (np.isfinite([a, b, step]).all() and a <= b and step > 0):
         raise ValueError(f"--eps-grid {args.eps_grid}: need finite a <= b and step > 0")
+    span = (b - a) / step  # the grid has floor(span) + 1 points
+    if span >= MAX_GRID_POINTS:
+        points = int(span) + 1 if np.isfinite(span) else "infinitely many"
+        raise ValueError(
+            f"--eps-grid {args.eps_grid}: {points} points, more than {MAX_GRID_POINTS}")
     grid = list(np.arange(a, b + step / 2, step))
     rows = [bounds.theorem1_bounds(e, args.d) for e in grid]
     csv = "".join(f"{r.eps:.12g},{r.delta:.12g},{r.lower:.12g},{r.upper:.12g}\n" for r in rows)

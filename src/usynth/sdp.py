@@ -37,8 +37,10 @@ R = L_X V diag(lam)^-1/2 with R^-1 X R^-H = R^H Z R = diag(lam). The
 complementarity is linearized and the step lengths are taken in these
 scaled variables. In svec coordinates a block's scaling is one matrix K,
 column i svec(R^H E_i R): svec(R^H M R) = K svec(M) and
-svec(R M R^H) = K^T svec(M) (a diag block's K is the vector R^2). So the
-Schur complement M_ij = Re tr(A_i W A_j W), W = R R^H, is G G^T with
+svec(R M R^H) = K^T svec(M) (a diag block's K is the vector R^2). K is
+Re(B^H (R^H (x) R^T) B), B the basis flattened: one broadcast product, read
+at B's two nonzeros per column by one gather. So the Schur complement
+M_ij = Re tr(A_i W A_j W), W = R R^H, is G G^T with
 G = G0 K^T blockwise, and the primal step is svec(dX) = K^T r for
 r = svec(dX~). M is not formed: with the rows of G scaled to unit norm,
 G_s^T = Q T by QR, and T is the Cholesky factor of the equilibrated M; the
@@ -51,7 +53,9 @@ and that residual becomes primal infeasibility that later steps cannot
 remove. Each iteration lifts X, Z and the residual into per-block matrices
 once, for the scaling; a direction's step lengths come from one eigvalsh
 over every dense block, zero-padded to one size (the padding adds the
-eigenvalue 0).
+eigenvalue 0). What depends on the block shapes alone (column order, index
+maps, gathers) is built once per tuple of blocks (`_setup`), and a solve
+writes its rows [G0; rd] and G in place, allocated once.
 
 The iteration starts from Mehrotra's point (Mehrotra, SIAM J. Optim.
 2:575, 1992), built from one more factorization, that of the scale R = I,
@@ -106,7 +110,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -219,8 +222,8 @@ def _nt_scaling(blk: Block, X: np.ndarray, Z: np.ndarray):
     """
     if blk.diag:
         return (X / Z) ** 0.25, np.sqrt(X * Z)
-    LX = np.linalg.cholesky(X)
-    _, lam, Vh = np.linalg.svd(np.linalg.cholesky(Z).conj().T @ LX)
+    LX, LZ = np.linalg.cholesky(np.array((X, Z)))
+    _, lam, Vh = np.linalg.svd(LZ.conj().T @ LX)
     if not lam[-1] > 0:
         raise np.linalg.LinAlgError("X Z is singular")
     return LX @ Vh.conj().T / np.sqrt(lam), lam
@@ -257,7 +260,15 @@ def _stack_layout(dense: tuple[Block, ...]):
     src[t2], coef[t2] = np.arange(len(t2)), c2
     src[t1], coef[t1] = np.arange(len(t1)), c1  # after t2: a diagonal entry is its t1
     dtype = complex if nc == 2 else float
+    _frozen(src, coef, t1, c1, t2, c2, jj, aa, bb)
     return (len(dense), n, n), dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb)
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only: the caches hand them to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _lift(layout, V: np.ndarray) -> np.ndarray:
@@ -266,17 +277,18 @@ def _lift(layout, V: np.ndarray) -> np.ndarray:
     return (V.take(src, -1) * coef).view(dtype).reshape(V.shape[:-1] + shape)
 
 
+@functools.lru_cache(maxsize=16)
 def hermitian_basis(blk: Block) -> np.ndarray:
     """Orthonormal basis (under Re tr) of a dense block's matrices; element i has svec e_i.
 
     That is E_aa, then for a < b (E_ab + E_ba)/sqrt(2) and, if complex, i(E_ab - E_ba)/sqrt(2):
     s^2 Hermitian matrices for a complex block, s(s+1)/2 real symmetric ones for a real one.
-    A diag block raises ValueError.
+    A diag block raises ValueError. Built once per block shape: the array is read-only.
     """
     if blk.diag:
         raise ValueError("hermitian_basis: a diag block has no matrix basis")
     layout = _stack_layout((blk,))
-    return _lift(layout, np.eye(len(layout[4][0])))[:, 0] + 0.0  # no -0.0 from 0 * -1/sqrt(2)
+    return _frozen(_lift(layout, np.eye(len(layout[4][0])))[:, 0] + 0.0)[0]  # + 0.0: no -0.0
 
 
 def svec(blk: Block, M: np.ndarray) -> np.ndarray:
@@ -295,25 +307,76 @@ def svec(blk: Block, M: np.ndarray) -> np.ndarray:
     return F.take(t1, -1) * c1 + F.take(t2, -1) * c2
 
 
-def _nt_matrix(blk: Block, R: np.ndarray, E: Optional[np.ndarray]) -> np.ndarray:
+def _kron_gather(blk: Block):
+    """(idx, coef), each (2, k, k): `_nt_matrix` reads K^T as (coef * F.take(idx)).sum(0).
+
+    F is the floats of the Kronecker product P[a, b] = R^H E_ab R. Row j of K^T
+    is svec(R^H E_j R) = svec(c' P[a, b]), E_j being E_aa (c' = 1) or c E_ab +
+    conj(c) E_ba (c' = 2c, c = 1/sqrt(2) or i/sqrt(2)), as svec reads Hermitian parts.
+    """
+    _, _, _, _, (t1, c1, t2, c2), (_, aa, bb) = _stack_layout((blk,))
+    s, nc = blk.size, 1 + blk.complex
+    imag = (c2 < 0)[:, None]  # c' = i sqrt(2)
+    scale = np.where(c2 == 0, 1.0, np.sqrt(2))[:, None]
+    base = ((aa * s + bb) * s * s * nc)[:, None]  # the first float of P[a, b]
+    idx, coef = [], []
+    for t, c in ((t1, c1), (t2, c2)):
+        real = t % nc == 0  # Re(i P) = -Im P, one float on; Im(i P) = Re P, one back
+        idx.append(base + t + np.where(imag, np.where(real, 1, -1), 0))
+        coef.append(scale * c * np.where(imag & real, -1.0, 1.0))
+    return _frozen(np.array(idx), np.array(coef))
+
+
+def _nt_matrix(blk: Block, R: np.ndarray, gather) -> np.ndarray:
     """K with svec(R^H M R) = K svec(M) and svec(R M R^H) = K^T svec(M) for Hermitian M.
 
-    E is the block's `hermitian_basis`: column i of K is svec(R^H E_i R), in two
-    products as svec((E_i R)^H R). A diag block's K is the vector R^2 (E is None).
+    Column i of K is svec(R^H E_i R): K = Re(B^H (R^H (x) R^T) B), B the basis
+    flattened, read off the Kronecker product by the block's `_kron_gather`, as
+    B has two nonzeros per column. A diag block's K is the vector R^2 (gather None).
     """
     if blk.diag:
         return R * R
-    s = len(R)
-    Y = (E.reshape(-1, s) @ R).reshape(E.shape)  # E_i R
-    return svec(blk, (Y.conj().swapaxes(1, 2).reshape(-1, s) @ R).reshape(E.shape)).T
+    idx, coef = gather
+    T = (R.conj()[:, None, :, None] * R[None, :, None, :]).reshape(-1).view(float).take(idx)
+    T *= coef
+    return (T[0] + T[1]).T
 
 
-def _nt_rows(Ks: list[np.ndarray], cuts: list[slice], V: np.ndarray, adjoint=False) -> np.ndarray:
-    """Per block j, K_j svec(M) for each row V[..., cuts[j]] = svec(M), or K_j^T svec(M)."""
-    out = np.empty_like(V)
+def _nt_rows(Ks: list[np.ndarray], cuts: list[slice], V: np.ndarray, adjoint=False,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Per block j, K_j svec(M) for each row V[..., cuts[j]] = svec(M), or K_j^T svec(M).
+
+    Written into out, shaped as V, if given."""
+    out = np.empty_like(V) if out is None else out
     for K, cut in zip(Ks, cuts):
         out[..., cut] = V[..., cut] * K if K.ndim == 1 else V[..., cut] @ (K if adjoint else K.T)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _setup(blocks: tuple[Block, ...]):
+    """What `solve` reads off the block shapes alone, built once per tuple and read-only.
+
+    (order, layout, ntot, ci, cj, ev, perm, cuts, gathers): the blocks, the dense
+    ones first, the dense ones' `_stack_layout` and the ntot eigenvalues over all;
+    coordinate (a, b) of a block reads lam_a = lam[ci] and lam_b = lam[cj]; ev =
+    svec(I); perm takes the declared columns to `order`, block j at cuts[j]; and
+    each block's `_kron_gather` (None if diag).
+    """
+    dense = [k for k, blk in enumerate(blocks) if not blk.diag]
+    order, nd = dense + [k for k, blk in enumerate(blocks) if blk.diag], len(dense)
+    layout = _stack_layout(tuple(blocks[k] for k in dense))
+    _, _, _, _, _, (jj, aa, bb) = layout
+    first = np.cumsum([0] + [blocks[k].size for k in order])  # each block's first lam
+    tail = np.arange(first[nd], first[-1])
+    ci, cj = np.concatenate((first[jj] + aa, tail)), np.concatenate((first[jj] + bb, tail))
+    given = np.cumsum([0] + [width(blk) for blk in blocks])  # each block's first column
+    perm = np.concatenate([np.arange(given[k], given[k + 1]) for k in order])
+    edges = np.cumsum([0] + [width(blocks[k]) for k in order])
+    cuts = tuple(slice(a, e) for a, e in zip(edges[:-1], edges[1:]))
+    gathers = tuple(None if blocks[k].diag else _kron_gather(blocks[k]) for k in order)
+    return (tuple(order), layout, int(first[-1]), *_frozen(ci, cj, (ci == cj) * 1.0, perm),
+            cuts, gathers)
 
 
 def _lowest(S: np.ndarray, v: np.ndarray) -> list[float]:
@@ -340,24 +403,25 @@ def _schur_factor(G: np.ndarray):
     diagonal, and Gs = diag(s) G[rows] has Gs^T = Q T, so T is the Cholesky
     factor of the equilibrated M, found without forming M. `rows` leaves out
     each row that is zero or in the span of the rows before it (a redundant
-    equality constraint); its multiplier stays 0. Raises
+    equality constraint); its multiplier stays 0. When every row is nonzero
+    and T's diagonal clears the rank threshold, that first QR is the answer,
+    and G itself, scaled in place (it is the caller's scratch), is Gs. Raises
     np.linalg.LinAlgError when T is singular.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", G, G))
-    rows = norms.nonzero()[0]
+    rows = np.arange(len(G)) if norms.all() else norms.nonzero()[0]
     if len(rows) < len(G):
-        G = G[rows]
-    G /= norms[rows, None]  # in place: G is the caller's scratch
+        G, norms = G[rows], norms[rows]
+    G /= norms[:, None]  # in place: G is the caller's scratch
     Q, T = np.linalg.qr(G.T)
-    d = np.zeros(len(rows))
-    d[: min(T.shape)] = np.abs(T.diagonal())
+    d = np.abs(T.diagonal())
     independent = d > max(G.shape) * EPS * d.max(initial=0.0)
-    if not independent.all():
-        rows, G = rows[independent], G[independent]
+    if len(d) < len(rows) or not independent.all():
+        rows, G, norms = (a[: len(d)][independent] for a in (rows, G, norms))
         Q, T = np.linalg.qr(G.T)
         if not T.diagonal().all():
             raise np.linalg.LinAlgError("Schur complement is singular")
-    return rows, 1.0 / norms[rows], Q, T, G
+    return rows, 1.0 / norms, Q, T, G
 
 
 def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
@@ -384,8 +448,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     if not 0 < gap_tol < np.inf:
         raise ValueError("gap_tol must be positive and finite")
     c, A, b = (np.asarray(v) for v in (problem.objective, problem.constraints, problem.rhs))
-    widths = [width(blk) for blk in blocks]
-    n = sum(widths)
+    n = sum(map(width, blocks))
     if A.ndim != 2 or A.shape[1] != n:
         raise ValueError(f"constraints must have shape (m, {n}), got {A.shape}")
     m = len(A)
@@ -402,39 +465,32 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     feas_tol = min(gap_tol, FEAS_TOL)
 
     # Vectors of svec coordinates hold the dense blocks', then the diag blocks'
-    # entries: block j of `order` at cuts[j]. Coordinate (a, b) of a block reads
-    # lam_a = lam[ci] and lam_b = lam[cj] of the blocks' lam concatenated in order.
-    dense = [k for k, blk in enumerate(blocks) if not blk.diag]
-    order, nd = dense + [k for k, blk in enumerate(blocks) if blk.diag], len(dense)
-    layout = _stack_layout(tuple(blocks[k] for k in dense))  # cached: read only
-    _, _, _, _, (t1, c1, t2, c2), (jj, aa, bb) = layout
+    # entries: block j of `order` at cuts[j] (`_setup`, cached per block shape).
+    order, layout, ntot, ci, cj, ev, perm, cuts, gathers = _setup(tuple(blocks))
+    in_order = [blocks[k] for k in order]
+    _, _, _, _, (t1, c1, t2, c2), _ = layout
     kd = len(t1)
-    first = np.cumsum([0] + [blocks[k].size for k in order])  # each block's first lam
-    ntot = int(first[-1])
-    tail = np.arange(first[nd], ntot)
-    ci, cj = np.concatenate((first[jj] + aa, tail)), np.concatenate((first[jj] + bb, tail))
-    ev = (ci == cj) * 1.0  # svec of the identity
-    E = [hermitian_basis(blocks[k]) for k in dense] + [None] * (len(order) - nd)  # for _nt_matrix
-    given = np.cumsum([0] + widths)  # each block's first column, in declared order
-    perm = np.concatenate([np.arange(given[k], given[k + 1]) for k in order])
-    edges = np.cumsum([0] + [widths[k] for k in order])
-    cuts = [slice(a, e) for a, e in zip(edges[:-1], edges[1:])]
     bmax = float(np.abs(b).max(initial=0.0))
     norm_scale = max(1.0, bmax, float(np.abs(c).max(initial=0.0)))
 
-    def blockwise(V: np.ndarray) -> list[np.ndarray]:  # per block in `order`, V[..., :] lifted
-        S = _lift(layout, V)
-        lifted = (S[..., j, : blocks[k].size, : blocks[k].size] for j, k in enumerate(dense))
-        dense_blocks = [M if blocks[k].complex else M.real for M, k in zip(lifted, dense)]
-        return dense_blocks + [V[..., cut] for cut in cuts[nd:]]
+    def block(j: int, S: np.ndarray, V: np.ndarray) -> np.ndarray:
+        # Block j of `order` of each V[..., :], S = _lift(layout, V) its dense blocks' stack.
+        blk = in_order[j]
+        M = V[..., cuts[j]] if blk.diag else S[..., j, : blk.size, : blk.size]
+        return M if blk.complex else M.real
+
+    # The workspace, written in place: the rows [G0; rd] and their scaled rows G = [G0; rd] K^T.
+    rows0, G = np.empty((2, m + 1, n))
+    G0, rd = rows0[:m], rows0[m]
 
     # Mehrotra's starting point (module docstring). At R = I the rows are
     # G0_i = svec(A_i), and gc = svec(C): x^ is the min-norm solution of
     # G0 x = b, y[rows] = s T^-1 Q^T gc the least-squares one of G0^T y = gc,
     # and z^ = G0^T y - gc = Q Q^T gc - gc. G0 and gc read the constraints and
     # the objective from then on: Re tr(A_i X) = G0[i] . x, Re tr(C X) = gc . x.
-    G0, gc = np.asarray(A[:, perm], float), c[perm]
-    rows, s, Q, T, _ = _schur_factor(G0.copy())  # it scales the rows in place
+    G0[:], gc = A[:, perm], c[perm]
+    G[:m] = G0
+    rows, s, Q, T, _ = _schur_factor(G[:m])  # it scales the rows in place
     qc = Q.T @ gc
     y = np.zeros(m)
     y[rows] = s * np.linalg.solve(T, qc)
@@ -446,7 +502,8 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     x, z = V
 
     def solution(xv, y, pobj, dobj, pinf, dinf, gap_rel, status, it) -> SdpSolution:
-        X = dict(zip(order, blockwise(xv)))
+        S = _lift(layout, xv)
+        X = dict(zip(order, (block(j, S, xv) for j in range(len(order)))))
         return SdpSolution([X[k] for k in range(len(blocks))], y, pobj, dobj, status, it, pinf,
                            dinf, gap_rel, trace)
 
@@ -454,13 +511,17 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     status, best, stall = "MaxIter", None, 0  # best: the checked iterate with the smallest merit
     for it in range(1, MAX_ITER + 1):
         rp = b - G0 @ x
-        rd = y @ G0 - gc - z  # svec(sum y A - C - Z), want 0
-        XZR = blockwise(np.array((x, z, rd)))  # per block: X, Z and Rd
+        np.matmul(y, G0, out=rd)
+        rd -= gc
+        rd -= z  # svec(sum y A - C - Z), want 0
+        V = np.array((x, z, rd))
+        S = _lift(layout, V)
         mu = float(x @ z) / ntot
 
         pobj, dobj = float(gc @ x), float(b @ y)
         pinf = float(np.abs(rp).max(initial=0.0)) / (1 + bmax)
-        dinf = max(float(np.abs(M[2]).max(initial=0.0)) for M in XZR) / (1 + norm_scale)
+        dinf = max(np.abs(S[2]).max(initial=0.0), np.abs(rd[kd:]).max(initial=0.0))
+        dinf = float(dinf) / (1 + norm_scale)
         gap_rel = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
         step = dict(pinf=pinf, dinf=dinf, gap=gap_rel, mu=mu, sigma=None, ap=None, ad=None)
         trace.append(step)
@@ -479,9 +540,12 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
         # and W = R R^H, M_ij = Re tr(A_i W A_j W) is G_i . G_j for the rows
         # G_i = svec(R^H A_i R) = K svec(A_i) per block; row m is K rd = svec(R^H Rd R).
         try:
-            Rs, lams = zip(*[_nt_scaling(blocks[k], M[0], M[1]) for k, M in zip(order, XZR)])
-            Ks = [_nt_matrix(blocks[k], R, Ej) for k, R, Ej in zip(order, Rs, E)]
-            G = _nt_rows(Ks, cuts, np.vstack((G0, rd)))
+            Ks, lams = [], []
+            for j, (blk, gather) in enumerate(zip(in_order, gathers)):
+                R, lam = _nt_scaling(blk, *block(j, S, V)[:2])
+                Ks.append(_nt_matrix(blk, R, gather))
+                lams.append(lam)
+            _nt_rows(Ks, cuts, rows0, out=G)
             rows, s, Q, T, Gs = _schur_factor(G[:m])
             v = np.linalg.solve(T.T, s * rp[rows])  # G r = rp for r = h - Q (Q^T h - v)
         except np.linalg.LinAlgError:
@@ -505,8 +569,9 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
 
         # Predictor (affine scaling): rhs = -Lam^2, so T = -Lam, and only its
         # step lengths and Mehrotra term are used, so dZ~ = T - dX~ will do.
-        ra, _ = direction(-lamv - G[m])
-        za = -lamv - ra
+        nlamv = -lamv
+        ra, _ = direction(nlamv - G[m])
+        za = nlamv - ra
         V = np.array((ra, za, ra * w, za * w))
         S = _lift(layout, V)
         ap_a, ad_a = (min(1.0, 0.95 * a) for a in _max_step(S[2:], V[2:, kd:]))

@@ -177,6 +177,16 @@ def test_bounds_rejects_empty_or_endless_eps_grid(capsys, grid):
     assert "need finite a <= b and step > 0" in err
 
 
+@pytest.mark.parametrize("grid, points", [("0:1:1e-12", "1000000000001"), ("0:1:1e-8", "100000001"),
+                                          ("0:1:1e-6", "1000001"),
+                                          ("0:1e308:1e-10", "infinitely many")])
+def test_bounds_rejects_an_eps_grid_of_more_than_a_million_points(capsys, grid, points):
+    # Checked before any grid is built: 0:1:1e-12 would ask np.arange for 7.28 TiB.
+    code, out, err = run_cli(capsys, "bounds", "--d", "2", "--eps-grid", grid)
+    assert code == 2 and out == ""
+    assert err == f"error: --eps-grid {grid}: {points} points, more than 1000000\n"
+
+
 def test_import_does_not_load_qhull(tmp_path):
     # scipy.spatial is imported only inside qubit1.covering_radius and
     # scipy.optimize only inside synth.campbell_mix: loading them would add to

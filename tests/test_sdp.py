@@ -389,6 +389,76 @@ def test_stack_layout_gathers_match_hermitian_basis():
     assert start == len(t1)
 
 
+def test_setup_is_built_once_per_block_shape_and_read_only():
+    # Equal tuples of blocks share one entry, and so do equal blocks' bases;
+    # every array the caches hand out is read-only.
+    blocks = (sdp.Block(3, complex=True), sdp.Block(4, diag=True), sdp.Block(2))
+    equal = tuple(sdp.Block(b.size, b.complex, b.diag) for b in blocks)
+    assert equal == blocks and equal[0] is not blocks[0]
+    assert sdp._setup(equal) is sdp._setup(blocks)
+    assert sdp.hermitian_basis(equal[0]) is sdp.hermitian_basis(blocks[0])
+    order, layout, ntot, ci, cj, ev, perm, cuts, gathers = sdp._setup(blocks)
+    assert (order, ntot) == ((0, 2, 1), 9) and gathers[2] is None
+    arrays = [ci, cj, ev, perm, *layout[2:4], *layout[4], *layout[5],
+              *(a for g in gathers if g is not None for a in g), sdp.hermitian_basis(blocks[0])]
+    for a in arrays:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ev[0] = 2.0
+
+
+def _recorded_problems(monkeypatch, run) -> list:
+    """The SdpProblems that run() solves."""
+    seen, solve = [], sdp.solve
+
+    def recording(problem, *args):
+        seen.append(problem)
+        return solve(problem, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sdp, "solve", recording)
+        run()
+    return seen
+
+
+def test_a_solve_is_bitwise_the_same_after_other_block_shapes(monkeypatch):
+    rng = np.random.default_rng(17)
+    (d2,) = _recorded_problems(monkeypatch, lambda: channels._mix(
+        choi(haar_unitary(2, rng)), [choi(haar_unitary(2, rng)) for _ in range(3)]))
+    (d3,) = _recorded_problems(monkeypatch, lambda: channels._mix(
+        choi(haar_unitary(3, rng)), [choi(haar_unitary(3, rng)) for _ in range(4)]))
+    sdp._setup.cache_clear()
+    first = sdp.solve(d2)  # builds its set-up
+    sdp.solve(d3)
+    again = sdp.solve(d2)  # reads it from the cache
+    assert first.status == "Optimal" and again.trace == first.trace
+    assert np.array_equal(again.y, first.y)
+    assert all(np.array_equal(X, X1) for X, X1 in zip(again.X, first.X))
+
+
+@pytest.mark.parametrize("extra", ["none", "zero", "repeated"])
+def test_schur_factor_returns_the_full_rank_answer_once_rows_are_dropped(monkeypatch, extra):
+    # Full-rank rows take one QR and are scaled in place; a zero row is left
+    # out before it, and a repeated row (in the span of those before it) after
+    # it, by a second QR of the rows kept. Either way the same rows, s, Q and T.
+    rng = np.random.default_rng(21)
+    G = rng.standard_normal((5, 9))
+    want = sdp._schur_factor(G.copy())
+    qrs, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or qr(a))
+    given = {"none": G.copy(), "zero": np.vstack((G, np.zeros(9))),
+             "repeated": np.vstack((G, G[2]))}[extra]
+    got = sdp._schur_factor(given)
+    assert len(qrs) == (2 if extra == "repeated" else 1)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    rows, s, Q, T, Gs = got
+    assert np.array_equal(rows, np.arange(5))
+    assert np.shares_memory(Gs, given) == (extra == "none")
+    assert np.allclose(Gs, s[:, None] * G, rtol=0, atol=1e-15)
+    assert np.allclose(Q @ T, Gs.T, rtol=0, atol=1e-14) and np.array_equal(T, np.triu(T))
+
+
 def test_ten_iterations_without_progress_end_solve_as_stalled(monkeypatch):
     # With every step length zero the iterate never moves, so its merit
     # never improves after the first iteration.
@@ -523,11 +593,12 @@ def test_nt_scaling_makes_x_and_z_one_diagonal(blk):
         assert np.max(np.abs(S - want)) <= 1e-12 * np.max(lam)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("kind", ["real", "complex", "diag"])
 def test_nt_matrix_is_the_scaling_in_svec_coordinates(kind, size):
     # K maps svec(M) to svec(R^H M R) and K^T maps it to svec(R M R^H), for
     # Hermitian M, a random R and the R of an NT scaling; a diag block's K is R^2.
+    # Size 6 is the k of a 5-candidate mix_d3 item.
     blk = sdp.Block(size, complex=kind == "complex", diag=kind == "diag")
     rng = np.random.default_rng([size, len(kind)])
 
@@ -541,7 +612,7 @@ def test_nt_matrix_is_the_scaling_in_svec_coordinates(kind, size):
         F = random((size, size))
         return F @ F.conj().T + 0.01 * np.eye(size)
 
-    E = None if blk.diag else sdp.hermitian_basis(blk)
+    gather = None if blk.diag else sdp._kron_gather(blk)
     if blk.diag:
         M = random((3, size))
         v, congruent, adjoint = M, lambda R: R * M * R, lambda R: R * M * R
@@ -553,8 +624,9 @@ def test_nt_matrix_is_the_scaling_in_svec_coordinates(kind, size):
         adjoint = lambda R: sdp.svec(blk, R @ M @ R.conj().T)  # noqa: E731
     R_random = rng.uniform(0.1, 2.0, size) if blk.diag else random((size, size))
     for R in (R_random, sdp._nt_scaling(blk, random_pd(), random_pd())[0]):
-        K = sdp._nt_matrix(blk, R, E)
-        assert K.dtype == float and K.shape == ((size,) if blk.diag else (len(E), len(E)))
+        K = sdp._nt_matrix(blk, R, gather)
+        k = sdp.width(blk)
+        assert K.dtype == float and K.shape == ((size,) if blk.diag else (k, k))
         for got, want in ((sdp._nt_rows([K], [slice(None)], v), congruent(R)),
                           (sdp._nt_rows([K], [slice(None)], v, adjoint=True), adjoint(R))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -100,3 +100,24 @@ def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
         "lower-3-0.6", "upper-3-0.6"]
     assert [len(rec["p"]) for rec in records if rec["path"] == "sharpness"] == [3, 8]
     assert all(rec["status"] == "Optimal" and "p" in rec for rec in records)
+
+
+def test_solve_time_against_its_own_source_runs_every_path(solve_sweep, monkeypatch, capsys):
+    # The sweep's cut-down case set, each problem solved twice by each side;
+    # both sides are this checkout's sdp.py, so their ratio is near 1.
+    spec = importlib.util.spec_from_file_location("solve_time", SWEEP.with_name("solve_time.py"))
+    solve_time = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(solve_time)
+    for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("SYNTH_CASES", 1),
+                        ("SYNTH_LENGTHS", (12,)), ("WITNESS_DIMS", (3,)),
+                        ("WITNESS_EPS", (0.6,))):
+        monkeypatch.setattr(solve_time.solve_sweep, name, value)
+    monkeypatch.setattr(solve_time, "REPEATS", 2)
+    assert solve_time.main([str(SWEEP.parents[1] / "src")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "11 solves, fastest of 2 each; median us here, other, ratio"
+    paths = [line.split(":")[0] for line in out[1:]]
+    assert paths == [*solve_sweep.GROUPS, "all"]
+    for line in out[1:]:
+        here, other, ratio = (float(x) for x in line.split("; ")[1].split())
+        assert here > 0 and other > 0 and ratio == pytest.approx(here / other, abs=1e-3)

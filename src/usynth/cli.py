@@ -3,11 +3,18 @@
 Subcommands: diamond, mixopt, synth1q, bounds, sharpness, axial.
 Exit codes: 0 success, 2 argument/parse error (an exceeded sequence
 budget included), 3 SDP failure, 4 covering unreachable in synthesis.
+
+A process that calls main more than once keeps two things between calls:
+the argument parser, built by the first call, and the last sequence pool
+synth1q enumerated, keyed by the gate set's labels and matrix bytes,
+--max-len and synth.BUDGET (48 bytes a sequence, at most 24 MB). A
+one-shot command builds each once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,6 +28,8 @@ EXIT_PARSE = 2
 EXIT_SDP = 3
 EXIT_COVERING = 4
 MAX_GRID_POINTS = 1_000_000  # of `bounds --eps-grid`: one theorem1_bounds call each
+MAX_SAMPLES = 1_000_000  # of `synth1q --samples`: one printed index each
+_HELD = {}  # the last pool synth1q enumerated, under its key: see _pool
 
 
 def _sig12(x: float) -> float:
@@ -111,17 +120,30 @@ def cmd_mixopt(args) -> int:
     return 0
 
 
+def _pool(gs: synth.GateSet, max_len: int) -> synth.Pool:
+    """synth.enumerate_sequences(gs, max_len), held until a call with another key.
+
+    The holder is emptied first, so a failed enumeration leaves it empty.
+    """
+    key = (gs.labels, np.array(gs.unitaries, dtype=complex).tobytes(), max_len, synth.BUDGET)
+    if key not in _HELD:
+        _HELD.clear()
+        _HELD[key] = synth.enumerate_sequences(gs, max_len)
+    return _HELD[key]
+
+
 def cmd_synth1q(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples {args.samples}: more than {MAX_SAMPLES}")
     target = _load_target(args.target)
     if args.gateset:
         with open(args.gateset, "r", encoding="utf-8") as f:
             gs = synth.GateSet.from_json(json.load(f))
     else:
         gs = synth.standard_gate_set()
-    pool = synth.enumerate_sequences(gs, args.max_len)
-    res = synth.prob_synth(target, eps=args.eps, delta=args.delta, pool=pool)
+    res = synth.prob_synth(target, eps=args.eps, delta=args.delta, pool=_pool(gs, args.max_len))
     obj = res.to_json()
     obj["seed"] = args.seed
     if args.samples > 0:  # indices into the printed support
@@ -238,10 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)  # main's parser, built by its first call
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:

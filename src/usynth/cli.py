@@ -3,18 +3,11 @@
 Subcommands: diamond, mixopt, synth1q, bounds, sharpness, axial.
 Exit codes: 0 success, 2 argument/parse error (an exceeded sequence
 budget included), 3 SDP failure, 4 covering unreachable in synthesis.
-
-A process that calls main more than once keeps two things between calls:
-the argument parser, built by the first call, and the last sequence pool
-synth1q enumerated, keyed by the gate set's labels and matrix bytes,
---max-len and synth.BUDGET (48 bytes a sequence, at most 24 MB). A
-one-shot command builds each once either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -29,7 +22,6 @@ EXIT_SDP = 3
 EXIT_COVERING = 4
 MAX_GRID_POINTS = 1_000_000  # of `bounds --eps-grid`: one theorem1_bounds call each
 MAX_SAMPLES = 1_000_000  # of `synth1q --samples`: one printed index each
-_HELD = {}  # the last pool synth1q enumerated, under its key: see _pool
 
 
 def _sig12(x: float) -> float:
@@ -120,18 +112,6 @@ def cmd_mixopt(args) -> int:
     return 0
 
 
-def _pool(gs: synth.GateSet, max_len: int) -> synth.Pool:
-    """synth.enumerate_sequences(gs, max_len), held until a call with another key.
-
-    The holder is emptied first, so a failed enumeration leaves it empty.
-    """
-    key = (gs.labels, np.array(gs.unitaries, dtype=complex).tobytes(), max_len, synth.BUDGET)
-    if key not in _HELD:
-        _HELD.clear()
-        _HELD[key] = synth.enumerate_sequences(gs, max_len)
-    return _HELD[key]
-
-
 def cmd_synth1q(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
@@ -143,7 +123,8 @@ def cmd_synth1q(args) -> int:
             gs = synth.GateSet.from_json(json.load(f))
     else:
         gs = synth.standard_gate_set()
-    res = synth.prob_synth(target, eps=args.eps, delta=args.delta, pool=_pool(gs, args.max_len))
+    pool = synth.enumerate_sequences(gs, args.max_len)
+    res = synth.prob_synth(target, eps=args.eps, delta=args.delta, pool=pool)
     obj = res.to_json()
     obj["seed"] = args.seed
     if args.samples > 0:  # indices into the printed support
@@ -209,63 +190,79 @@ def cmd_axial(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("diamond", "mixopt", "synth1q", "bounds", "sharpness", "axial")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """usynth's parser: every subcommand, or only `command` if it names one.
+
+    main passes its first argument, so a call builds only the subcommand it
+    runs. Their usage lines name every subcommand alike, so a parser with
+    one subcommand parses its arguments and prints its messages as the whole
+    one does; a first argument that names none gets the whole parser.
+    """
+    built = (command,) if command in COMMANDS else COMMANDS
     ap = argparse.ArgumentParser(prog="usynth")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None))
 
-    p = sub.add_parser("diamond", help="half-diamond distance between two channels")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_diamond)
+    if "diamond" in built:
+        p = sub.add_parser("diamond", help="half-diamond distance between two channels")
+        p.add_argument("a")
+        p.add_argument("b")
+        p.set_defaults(func=cmd_diamond)
 
-    p = sub.add_parser("mixopt", help="optimal mixing of candidate channels")
-    p.add_argument("target")
-    p.add_argument("candidates", help="directory of candidate .json matrices")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_mixopt)
+    if "mixopt" in built:
+        p = sub.add_parser("mixopt", help="optimal mixing of candidate channels")
+        p.add_argument("target")
+        p.add_argument("candidates", help="directory of candidate .json matrices")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_mixopt)
 
-    p = sub.add_parser("synth1q", help="probabilistic single-qubit synthesis", description=(
-        "support and p list the members the mixture weights, and support_size counts the "
-        "covering support. Each support entry lists gate labels in the order they act: the "
-        "leftmost label acts first, so [\"H\", \"T\"] realizes T @ H."))
-    p.add_argument("--target", required=True, help="named target or matrix JSON path")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--gateset", help="gate set JSON path (default H,S,Sdg,T,Tdg)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_synth1q)
+    if "synth1q" in built:
+        p = sub.add_parser("synth1q", help="probabilistic single-qubit synthesis", description=(
+            "support and p list the members the mixture weights, and support_size counts the "
+            "covering support. Each support entry lists gate labels in the order they act: the "
+            "leftmost label acts first, so [\"H\", \"T\"] realizes T @ H."))
+        p.add_argument("--target", required=True, help="named target or matrix JSON path")
+        p.add_argument("--eps", type=float, required=True)
+        p.add_argument("--delta", type=float, default=1e-6)
+        p.add_argument("--gateset", help="gate set JSON path (default H,S,Sdg,T,Tdg)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=int, default=0)
+        p.add_argument("--max-len", type=int, default=12)
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_synth1q)
 
-    p = sub.add_parser("bounds", help="lower/upper bound curve sweep")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps-grid", required=True, help="a:b:step")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bounds)
+    if "bounds" in built:
+        p = sub.add_parser("bounds", help="lower/upper bound curve sweep")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--eps-grid", required=True, help="a:b:step")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("sharpness", help="sharpness certificate for one bound")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--family", choices=("lower", "upper"), required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sharpness)
+    if "sharpness" in built:
+        p = sub.add_parser("sharpness", help="sharpness certificate for one bound")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--eps", type=float, required=True)
+        p.add_argument("--family", choices=("lower", "upper"), required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_sharpness)
 
-    p = sub.add_parser("axial", help="optimal mixing of axial rotations")
-    p.add_argument("--target-theta", type=float, required=True)
-    p.add_argument("--thetas", required=True, help="comma-separated angles")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_axial)
+    if "axial" in built:
+        p = sub.add_parser("axial", help="optimal mixing of axial rotations")
+        p.add_argument("--target-theta", type=float, required=True)
+        p.add_argument("--thetas", required=True, help="comma-separated angles")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_axial)
 
     return ap
 
 
-_parser = functools.cache(build_parser)  # main's parser, built by its first call
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:

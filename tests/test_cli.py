@@ -144,95 +144,45 @@ def test_synth1q_samples_index_the_printed_support(tmp_path, std_pool):
             assert [obj["support"][k] for k in obj["samples"]] == full
 
 
-@pytest.fixture
-def fresh_cli():
-    """cli as a new process finds it: no parser built and no pool held."""
-    cli._HELD.clear()
-    cli._parser.cache_clear()
-    yield
-    cli._HELD.clear()
-    cli._parser.cache_clear()
+def _parsed(capsys, ap, argv):
+    """What a parse prints and returns: its exit code or namespace, stdout and stderr."""
+    try:
+        got = vars(ap.parse_args(argv))
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr()
+    return got, out.out, out.err
 
 
-def _answer_bytes(capsys, out, *argv):
-    code = cli.main(["synth1q", *argv, "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    return out.read_bytes()
+@pytest.mark.parametrize("argv", [
+    ["synth1q", "--target", "T", "--eps", "0.3", "--samples", "7", "--max-len", "9"],
+    ["synth1q", "--target", "T"],
+    ["synth1q", "--target", "T", "--eps", "x"],
+    ["synth1q", "--target", "T", "--eps", "0.3", "--bogus"],
+    ["synth1q", "--target", "T", "--eps", "0.3", "extra"],
+    ["synth1q", "--help"],
+    ["synth1q"],
+    ["diamond", "a.json"],
+    ["diamond", "a.json", "b.json"],
+    ["mixopt", "-h"],
+    ["bounds", "--d", "2", "--eps-grid", "0.1:0.2:0.1", "--out", "o.csv"],
+    ["sharpness", "--d", "2", "--eps", "0.2", "--family", "mid"],
+    ["axial", "--target-theta", "0.3"],
+    ["axial", "--target-theta", "0.3", "--thetas", "0.1,0.5"],
+])
+def test_one_subcommand_parser_parses_as_the_whole_one(capsys, argv):
+    # main builds only the subcommand its first argument names.
+    whole = _parsed(capsys, cli.build_parser(), argv)
+    assert _parsed(capsys, cli.build_parser(argv[0]), argv) == whole
+    assert (whole[0] == 0) == ("-h" in argv or "--help" in argv)
 
 
-RZ_ARGV = ("--target", "Rz(0.3)", "--eps", "0.35", "--seed", "5", "--samples", "20")
-
-
-def test_synth1q_held_pool_answers_like_a_fresh_one(tmp_path, capsys, fresh_cli):
-    cold = _answer_bytes(capsys, tmp_path / "cold.json", *RZ_ARGV)
-    warm = _answer_bytes(capsys, tmp_path / "warm.json", *RZ_ARGV)
-    # Another --max-len evicts the held pool; the next call enumerates it again.
-    assert cli.main(["synth1q", *RZ_ARGV[:4], "--max-len", "11"]) == 0
-    evicted = _answer_bytes(capsys, tmp_path / "evicted.json", *RZ_ARGV)
-    assert cold == warm == evicted
-    assert len(json.loads(cold)["samples"]) == 20
-
-
-def test_synth1q_enumerates_once_per_pool_key(tmp_path, capsys, monkeypatch, fresh_cli):
-    calls = []
-    enumerate_sequences = synth.enumerate_sequences
-
-    def counted(gs, max_len):
-        calls.append(max_len)
-        return enumerate_sequences(gs, max_len)
-
-    monkeypatch.setattr(synth, "enumerate_sequences", counted)
-
-    def run(*extra):
-        assert run_cli(capsys, "synth1q", "--target", "H", "--eps", "0.35", *extra)[0] == 0
-        return len(calls)
-
-    gs = synth.standard_gate_set()
-    gates = [{"label": l, "matrix": matrix_to_json(U)} for l, U in zip(gs.labels, gs.unitaries)]
-    relabelled = [dict(gates[0], label="Had"), *gates[1:]]
-    swapped = [*gates[:3], dict(gates[3], matrix=gates[4]["matrix"]),
-               dict(gates[4], matrix=gates[3]["matrix"])]  # T and Tdg: the same labels
-    files = {}
-    for name, content in [("same", gates), ("relabelled", relabelled), ("swapped", swapped)]:
-        files[name] = tmp_path / f"{name}.json"
-        files[name].write_text(json.dumps({"gates": content}))
-    assert [run(), run()] == [1, 1]
-    # The key is the gate set's content, not the file it came from.
-    assert run("--gateset", str(files["same"])) == 1
-    assert run("--gateset", str(files["swapped"])) == 2
-    assert run() == 3
-    assert run("--gateset", str(files["relabelled"])) == 4
-    assert run("--gateset", str(files["relabelled"])) == 4
-    assert run("--max-len", "11") == 5
-    monkeypatch.setattr(synth, "BUDGET", synth.BUDGET + 1)
-    assert run("--max-len", "11") == 6
-    assert len(cli._HELD) == 1
-
-
-def test_synth1q_after_an_exceeded_budget(tmp_path, capsys, monkeypatch, fresh_cli):
-    before = _answer_bytes(capsys, tmp_path / "a.json", *RZ_ARGV)
-    monkeypatch.setattr(synth, "BUDGET", 10)
-    code, out, err = run_cli(capsys, "synth1q", *RZ_ARGV)
-    assert code == 2 and out == "" and "sequence budget 10 exceeded" in err
-    assert cli._HELD == {}  # the failed enumeration holds nothing
-    monkeypatch.undo()
-    assert _answer_bytes(capsys, tmp_path / "b.json", *RZ_ARGV) == before
-
-
-def test_shared_parser_after_a_parse_error(tmp_path, capsys, fresh_cli):
-    fresh = _answer_bytes(capsys, tmp_path / "fresh.json", *RZ_ARGV)
-    cli._HELD.clear()
-    cli._parser.cache_clear()
-    code, out, err = run_cli(capsys, "synth1q", "--target", "T")
-    assert code == 2 and out == "" and "--eps" in err
-    assert _answer_bytes(capsys, tmp_path / "after.json", *RZ_ARGV) == fresh
-    assert cli.main(["synth1q", "--help"]) == 0
-    capsys.readouterr()
-    # Each parse starts from a new namespace: no value carries over.
-    first = cli._parser().parse_args(["synth1q", "--target", "T", "--eps", "0.3", "--samples", "7"])
-    second = cli._parser().parse_args(["synth1q", "--target", "T", "--eps", "0.3"])
-    assert (first.samples, second.samples) == (7, 0) and first is not second
+@pytest.mark.parametrize("argv", [[], ["-h"], ["synth"], ["--", "synth1q"]])
+def test_a_first_argument_naming_no_subcommand_gets_the_whole_parser(capsys, argv):
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    assert code == (0 if argv == ["-h"] else 2)
+    assert "{diamond,mixopt,synth1q,bounds,sharpness,axial}" in out.out + out.err
 
 
 @pytest.mark.parametrize("samples", ["1000001", "10000000000000"])

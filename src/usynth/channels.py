@@ -3,12 +3,12 @@
 Choi operators, optimal mixing (the best convex combination of candidate
 channels approximating a target; the half-diamond distance between two
 channels is its one-candidate case), and the closed-form half-diamond
-distance between unitary channels. Mixing solves Watrous's SDP, except
-when the target and every candidate are d = 2 unitary channels (dims
-(2, 2), trace preserving and rank one within linalg.TOL_UNITARY): those
-take the real 4x4 SDP of qubit1.optimal_mix_1q. Watrous's SDP is posed
-exactly on the joint support of the Choi operators (`_mix`): n + 1
-dimensions for n unitary candidates of a unitary target, not d^2.
+distance between unitary channels. `_optimal_mix` sends every mixing query,
+distances too, to Watrous's SDP, except when the target and every candidate
+are d = 2 unitary channels (`_qubit_unitaries`): those take the real 4x4
+SDP of qubit1.optimal_mix_1q. Watrous's SDP is posed exactly on the joint
+support of the Choi operators (`_mix`): n + 1 dimensions for n unitary
+candidates of a unitary target, not d^2.
 Every returned distance or mixing value is a certified upper bound on the
 error, evaluated on the full space, never the solver's objective.
 
@@ -232,15 +232,15 @@ def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False
 
     Returns a certified upper bound on the distance; with full_output,
     (upper, upper - lower), where lower <= upper is the dual's certified
-    lower bound, so the gap is never negative.
-    The SDP is the one of `optimal_mix` with the single candidate B, solved
-    like it to relative gap and feasibility 1e-8.
+    lower bound, so the gap is never negative. It is `optimal_mix` with the
+    single candidate B, solved as it is: for d = 2 unitary channels the upper
+    bound is the exact distance of the unitaries read from the Choi operators.
     """
     if A.dims != B.dims:
         raise ValueError("dimension mismatch")
     if trace_norm(A.J - B.J) <= 1e-12:
         return (0.0, 0.0) if full_output else 0.0
-    _, upper, lower = _mix(A, [B])
+    _, upper, lower = _optimal_mix(A, [B])
     return (upper, upper - lower) if full_output else upper
 
 
@@ -264,6 +264,15 @@ def _qubit_unitaries(ops: list[ChoiOperator]) -> np.ndarray | None:
     return v.reshape(-1, 2, 2).transpose(0, 2, 1)  # v[(i, k)] = U[k, i], as in choi
 
 
+def _optimal_mix(target: ChoiOperator, candidates: list[ChoiOperator]):
+    """(p, upper, lower) of the one lowering a mixing query takes: see optimal_mix."""
+    U = _qubit_unitaries([target, *candidates])
+    if U is None:
+        return _mix(target, candidates)
+    W = qubit1.magic_embed_batch(U)
+    return qubit1.optimal_mix_1q(W[0], W[1:])
+
+
 def optimal_mix(
     target: ChoiOperator, candidates: list[ChoiOperator]
 ) -> tuple[np.ndarray, float]:
@@ -279,9 +288,6 @@ def optimal_mix(
     the unitaries read from the Choi operators. Every other input takes the
     Watrous SDP of `_mix`, and value is its repaired-primal upper bound. Either
     SDP is solved to relative gap and feasibility 1e-8 within 200 iterations.
+    `_optimal_mix` makes this choice, for `diamond_distance` too.
     """
-    U = _qubit_unitaries([target, *candidates])
-    if U is None:
-        return _mix(target, candidates)[:2]
-    W = qubit1.magic_embed_batch(U)
-    return qubit1.optimal_mix_1q(W[0], W[1:])[:2]
+    return _optimal_mix(target, candidates)[:2]

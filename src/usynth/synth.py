@@ -9,11 +9,11 @@ answer returns; deterministically synthesize a C*eps covering of a ball
 around the target over the pool to within C_PRIME*eps (C = C_PRIME =
 1/2), each cover point searched over the rows whose angle to the target
 can put them within reach, ties going to the lowest pool index; restrict
-support, and solve the mixing SDP to relative gap delta. The first-order
-baseline of Campbell and Hastings is included for comparison: it works on
-the candidates' channels (magic vectors, not matrices with a global
-phase) and finds the exact minimum-norm mixture of their generators with
-one nonnegative least-squares solve.
+support, and solve the mixing SDP to relative gap delta, its column
+generation stopping at the absolute width upper - lower <= delta. The
+first-order baseline of Campbell and Hastings, for comparison, works on
+the candidates' channels (magic vectors, not matrices with a global phase)
+and finds the exact minimum-norm mixture of their generators by NNLS.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class Pool:
     realizes T @ H. magic is a read-only (n, 4) float array of unit vectors
     with no sign rule (u and -u are one channel), and parent and last are
     read-only integer arrays of length n. Raises ValueError for n = 0, when
-    the shapes do not line up, for a parent that does not precede its row
-    and for a last gate that is not an index into gates.
+    the shapes do not line up, for a magic row not of norm 1 within 1e-8,
+    for a parent after its row and for a last gate not indexing gates.
     """
 
     gates: tuple[str, ...]
@@ -125,6 +125,8 @@ class Pool:
             raise ValueError("every row's parent must be -1 or an earlier row")
         if np.any((parent >= 0) & ((last < 0) | (last >= len(gates)))):
             raise ValueError(f"last gates must index the {len(gates)} gates")
+        if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", magic, magic)) - 1) <= 1e-8):
+            raise ValueError("magic rows must be finite unit vectors")
         for a in (parent, last, magic):
             a.setflags(write=False)
         object.__setattr__(self, "gates", gates)
@@ -195,7 +197,7 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
     gates = qubit1.magic_embed_batch(np.stack([gs.unitaries[i] for i in order]))
     LT = qubit1.left_multiplication(gates).transpose(2, 0, 1).reshape(4, 4 * ng)
 
-    frontier = qubit1.magic_embed(np.eye(2))[None, :]
+    frontier = np.array([[1.0, 0.0, 0.0, 0.0]])  # the empty sequence's magic vector
     seen = set(qubit1.line_keys(frontier).tolist())
     parents, lasts, magic = [np.array([-1])], [np.array([-1])], [frontier]
     start, n = 0, 1  # the pool row of frontier row 0, and the rows kept
@@ -362,7 +364,8 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     Covers the 2*eps-ball around the target with a c*eps mesh, synthesizes
     each covering point deterministically over `pool` to within c'*eps
     (c = c' = 1/2), restricts to candidates within 2*eps of the target, and
-    solves the mixing SDP to relative gap delta. The mixture then has
+    solves the mixing SDP to relative gap delta, its column generation
+    stopping at the absolute width upper - lower <= delta. The mixture then has
     half-diamond error at most achieved_eps**2 + delta, with achieved_eps =
     c*eps + (worst deterministic synthesis error over covering points) <=
     eps. CoveringUnreachableError if that worst error exceeds c'*eps.

@@ -1,4 +1,5 @@
 import os
+from typing import NamedTuple
 
 # BLAS reads its thread count once, when numpy is first imported, so pin it
 # here, before that import: the solver's small factorizations run faster on
@@ -10,6 +11,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
+from usynth import sdp  # noqa: E402
 from usynth.synth import enumerate_sequences, standard_gate_set  # noqa: E402
 
 # Property tests draw the same examples on every run, and a slow shared
@@ -31,3 +33,23 @@ def std_pool(std_gateset):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+class Solve(NamedTuple):
+    problem: sdp.SdpProblem
+    gap_tol: float
+    sol: sdp.SdpSolution
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every sdp.solve call that returns, in order, as a Solve; a test clears it as it needs."""
+    seen, solve = [], sdp.solve
+
+    def recording(problem, gap_tol=sdp.DEFAULT_GAP_TOL):
+        sol = solve(problem, gap_tol)
+        seen.append(Solve(problem, gap_tol, sol))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    return seen

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -175,24 +175,16 @@ def test_mix_of_kraus_rank_two_channels_on_the_full_space():
     assert upper <= min(diamond_distance(target, c) for c in cands) + 1e-7
 
 
-def test_mix_solves_take_few_interior_point_iterations(monkeypatch):
+def test_mix_solves_take_few_interior_point_iterations(solves):
     # tools/solve_sweep.py's first 30 d = 3 cases (seed 1, i = 0, 3, ..., 87), drawn in
     # its order. The mean is 10.20 with the centering exponent 1.5 and 11.40 with 3;
     # 11.0 leaves an 8% margin above the first.
-    iterations = []
-    solve = sdp.solve
-
-    def recording(problem, *args, **kwargs):
-        sol = solve(problem, *args, **kwargs)
-        iterations.append(sol.iterations)
-        return sol
-
-    monkeypatch.setattr(sdp, "solve", recording)
     for i in range(0, 90, 3):
         rng = np.random.default_rng([1, i])
         n = int(rng.integers(2, 6))
         target = choi(haar_unitary(3, rng))
         channels._mix(target, [choi(haar_unitary(3, rng)) for _ in range(n)])
+    iterations = [s.sol.iterations for s in solves]
     assert len(iterations) == 30 and np.mean(iterations) <= 11.0
 
 
@@ -297,6 +289,22 @@ def test_optimal_mix_other_inputs_take_generic_path():
         assert spy.call_count == 1 and p.shape == (len(cands),)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_diamond_distance_is_optimal_mix_with_one_candidate(solves, d):
+    # One dispatch picks the lowering of both: at d = 2 one real 4x4 solve (11 rows),
+    # whose upper is the exact distance of the unitaries; at d = 3 Watrous's SDP on a
+    # support of 2 dimensions, (1 + 1)^2 + d^2 + 1 rows.
+    rng = np.random.default_rng([36, d])
+    for _ in range(10):
+        U, V = haar_unitary(d, rng), haar_unitary(d, rng)
+        value, gap = diamond_distance(choi(U), choi(V), full_output=True)
+        assert value == optimal_mix(choi(U), [choi(V)])[1] and 0.0 <= gap <= 1e-7
+        if d == 2:
+            assert abs(value - unitary_distance(U, V)) <= 1e-12
+    rows = 11 if d == 2 else 4 + d * d + 1
+    assert [len(s.problem.constraints) for s in solves] == [rows] * 20
+
+
 def test_optimal_mix_rejects_mixed_dims():
     q, t = choi(np.eye(2)), choi(np.eye(3))
     for target, cands in ((q, [t]), (t, [q]), (q, [q, t])):
@@ -340,25 +348,18 @@ def _haar_qubits(seed: int, n: int) -> list[np.ndarray]:
     return [haar_unitary(2, rng) for _ in range(n)]
 
 
-def _lowered(fn, *args, **kwargs) -> sdp.SdpProblem:
-    """The problem that fn hands to sdp.solve."""
-    with mock.patch.object(sdp, "solve", wraps=sdp.solve) as spy:
-        fn(*args, **kwargs)
-    return spy.call_args.args[0]
-
-
 @pytest.mark.parametrize("lowering", ["diamond", "dual"])
-@settings(max_examples=5)
+@settings(max_examples=5, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=_seeds, n=_counts)
-def test_native_complex_blocks_match_real_embedding(lowering, seed, n):
-    # "diamond" is the one-candidate problem diamond_distance hands to the
-    # solver; "dual" is the Watrous mixing problem of channels._mix (for these
-    # qubit unitaries optimal_mix hands the solver a real 4x4 problem instead).
+def test_native_complex_blocks_match_real_embedding(solves, lowering, seed, n):
+    # "diamond" is Watrous's one-candidate problem and "dual" the Watrous mixing
+    # problem, both of channels._mix (for these qubit unitaries diamond_distance
+    # and optimal_mix hand the solver a real 4x4 problem instead, which
+    # real_embed leaves as it is). solves is cleared for each example.
     target, *cands = [choi(U) for U in _haar_qubits(seed, n + 1)]
-    if lowering == "diamond":
-        problem = _lowered(diamond_distance, target, cands[0])
-    else:
-        problem = _lowered(channels._mix, target, cands)
+    solves.clear()
+    channels._mix(target, cands[:1] if lowering == "diamond" else cands)
+    ((problem, _, _),) = solves
     native = sdp.solve(problem)
     embedded = sdp.solve(sdp.real_embed(problem))
     assert native.status == embedded.status == "Optimal"

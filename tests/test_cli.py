@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from usynth import cli, qubit1, sdp, synth
+from usynth import channels, cli, qubit1, sdp, synth
 from usynth.linalg import haar_unitary, matrix_to_json
 
 
@@ -32,6 +32,20 @@ def test_diamond_named_equivalents(tmp_path, capsys):
     obj = json.loads(out)
     assert abs(obj["value"] - 1.0) < 1e-6
     assert obj["gap"] <= 1e-6
+
+
+def test_diamond_on_qubit_unitaries_prints_the_closed_form(tmp_path, capsys):
+    # Through the 4x4 lowering, value is the exact distance of the two unitaries: I
+    # against X prints 1.0, not a solver's 1.00000000171.
+    rng = np.random.default_rng([3600, 0])
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    for U, V in ((np.eye(2), X), (haar_unitary(2, rng), haar_unitary(2, rng))):
+        save_matrix(tmp_path / "u.json", U)
+        save_matrix(tmp_path / "v.json", V)
+        code, out, _ = run_cli(capsys, "diamond", str(tmp_path / "u.json"),
+                               str(tmp_path / "v.json"))
+        want = float(f"{channels.unitary_distance(U, V):.12g}")
+        assert code == 0 and json.loads(out)["value"] == want
 
 
 def test_mixopt_axial(tmp_path, capsys):

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from usynth import channels, qubit1, sdp
-from usynth.channels import (
-    SdpFailureError,
-    choi,
-    diamond_distance,
-)
+from usynth.channels import SdpFailureError, choi
 from usynth.linalg import haar_unitary
 from usynth.qubit1 import (
     cap_covering,
@@ -80,11 +76,12 @@ def test_left_multiplication_composes_magic_vectors():
 
 
 def test_distance_1q_matches_diamond_sdp():
+    # Watrous's one-candidate SDP (`_mix`): diamond_distance takes the 4x4 lowering here.
     rng = np.random.default_rng(3)
     for _ in range(20):
         U, V = haar_unitary(2, rng), haar_unitary(2, rng)
         d = line_distance(magic_embed(U), magic_embed(V))
-        assert abs(d - diamond_distance(choi(U), choi(V))) < 1e-7
+        assert abs(d - channels._mix(choi(U), [choi(V)])[1]) < 1e-7
 
 
 def test_mix_distance_1q_matches_diamond_sdp():
@@ -325,19 +322,12 @@ def test_optimal_mix_1q_wide_support_memory_is_linear():
     assert lower <= upper + 1e-12 and upper - lower <= 1e-7
 
 
-def _recording_solve(monkeypatch):
-    """The LP width (number of candidates) of every sdp.solve call, in order."""
-    widths, solve = [], sdp.solve
-
-    def recording(problem, *args):
-        widths.append(problem.blocks[1].size - 1)
-        return solve(problem, *args)
-
-    monkeypatch.setattr(sdp, "solve", recording)
-    return widths
+def _widths(solves) -> list[int]:
+    """The LP width (number of candidates) of every recorded solve, in order."""
+    return [s.problem.blocks[1].size - 1 for s in solves]
 
 
-def test_optimal_mix_1q_second_round_adds_the_far_candidate(monkeypatch):
+def test_optimal_mix_1q_second_round_adds_the_far_candidate(solves):
     # 20 candidates at angles 0.100-0.138 from u = e0, all tilted toward +e1,
     # and one at 0.2 tilted toward -e1. The nearest COLUMNS cannot cancel the
     # tilt, so the dual prices the far candidate above them.
@@ -348,8 +338,8 @@ def test_optimal_mix_1q_second_round_adds_the_far_candidate(monkeypatch):
     W = np.vstack([np.column_stack([np.cos(th), np.sin(th)[:, None] * tilt]),
                    [np.cos(0.2), -np.sin(0.2), 0.0, 0.0]])
     u = np.eye(4)[0]
-    widths = _recording_solve(monkeypatch)
     p, upper, lower = optimal_mix_1q(u, W)
+    widths = _widths(solves)
     assert len(widths) >= 2 and widths[0] == qubit1.COLUMNS
     assert p[-1] > 0 and np.all(p[qubit1.COLUMNS : -1] == 0.0)
     assert abs(upper - mix_distance_1q(u, W, p)) <= 1e-15 and 0 <= lower <= upper
@@ -361,35 +351,26 @@ def test_optimal_mix_1q_second_round_adds_the_far_candidate(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 5, 16])
-def test_optimal_mix_1q_at_most_columns_is_one_solve(monkeypatch, n):
+def test_optimal_mix_1q_at_most_columns_is_one_solve(solves, n):
     rng = np.random.default_rng(n)
     u = magic_embed(haar_unitary(2, rng))
     W = magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
-    widths = _recording_solve(monkeypatch)
     optimal_mix_1q(u, W)
-    assert widths == [n]
+    assert _widths(solves) == [n]
 
 
-def _problems(monkeypatch) -> list:
-    """Every problem handed to sdp.solve, in order."""
-    problems, solve = [], sdp.solve
-    monkeypatch.setattr(sdp, "solve", lambda prob, *a: problems.append(prob) or solve(prob, *a))
-    return problems
-
-
-def test_optimal_mix_1q_rows_equal_the_per_row_products(monkeypatch):
+def test_optimal_mix_1q_rows_equal_the_per_row_products(solves):
     # The rows over (svec(S), p, t) are built for every candidate at once; they must be
     # bitwise [I | -svec(w_x w_x^T) | -svec(I)] from one sdp.svec call per candidate, then
     # the simplex row, with rhs (-svec(uu^T), 1), so that a solve poses the same problem
     # either way.
-    problems = _problems(monkeypatch)
     S = sdp.Block(size=4)
     rng = np.random.default_rng(26)
     for _ in range(50):
         u, *W = (magic_embed(haar_unitary(2, rng)) for _ in range(4))
-        problems.clear()
+        solves.clear()
         optimal_mix_1q(u, np.array(W))
-        (problem,) = problems
+        ((problem, _, _),) = solves
         want = np.zeros((11, 14))
         want[:10, :10] = np.eye(10)
         for x, w in enumerate(W):
@@ -403,14 +384,14 @@ def test_optimal_mix_1q_rows_equal_the_per_row_products(monkeypatch):
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 4), (4, 2)])
-def test_mixing_problems_have_the_row_counts_the_benchmark_reads(monkeypatch, d, n):
+def test_mixing_problems_have_the_row_counts_the_benchmark_reads(solves, d, n):
     # The benchmark's tracer reports len(problem.constraints) of every solve: 11 rows
     # for optimal_mix_1q, and (n + 1)^2 + d^2 + 1 for _mix with n unitary candidates
     # of a unitary target, whose support has n + 1 dimensions (n + 1 <= d^2).
-    problems = _problems(monkeypatch)
     rng = np.random.default_rng([d, n])
     U = [haar_unitary(d, rng) for _ in range(n + 1)]
     channels._mix(choi(U[0]), [choi(V) for V in U[1:]])
     if d == 2:
         optimal_mix_1q(magic_embed(U[0]), magic_embed_batch(np.stack(U[1:])))
-    assert [len(p.constraints) for p in problems] == [(n + 1) ** 2 + d * d + 1] + [11] * (d == 2)
+    rows = [len(s.problem.constraints) for s in solves]
+    assert rows == [(n + 1) ** 2 + d * d + 1] + [11] * (d == 2)

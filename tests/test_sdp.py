@@ -407,26 +407,11 @@ def test_setup_is_built_once_per_block_shape_and_read_only():
         ev[0] = 2.0
 
 
-def _recorded_problems(monkeypatch, run) -> list:
-    """The SdpProblems that run() solves."""
-    seen, solve = [], sdp.solve
-
-    def recording(problem, *args):
-        seen.append(problem)
-        return solve(problem, *args)
-
-    with monkeypatch.context() as m:
-        m.setattr(sdp, "solve", recording)
-        run()
-    return seen
-
-
-def test_a_solve_is_bitwise_the_same_after_other_block_shapes(monkeypatch):
+def test_a_solve_is_bitwise_the_same_after_other_block_shapes(solves):
     rng = np.random.default_rng(17)
-    (d2,) = _recorded_problems(monkeypatch, lambda: channels._mix(
-        choi(haar_unitary(2, rng)), [choi(haar_unitary(2, rng)) for _ in range(3)]))
-    (d3,) = _recorded_problems(monkeypatch, lambda: channels._mix(
-        choi(haar_unitary(3, rng)), [choi(haar_unitary(3, rng)) for _ in range(4)]))
+    for d, n in ((2, 3), (3, 4)):
+        channels._mix(choi(haar_unitary(d, rng)), [choi(haar_unitary(d, rng)) for _ in range(n)])
+    d2, d3 = (s.problem for s in solves)
     sdp._setup.cache_clear()
     first = sdp.solve(d2)  # builds its set-up
     sdp.solve(d3)
@@ -527,16 +512,7 @@ def test_infeasible_returns_a_checked_iterate():
         in str(exc.value)
 
 
-def test_status_is_optimal_exactly_when_residuals_meet_tolerances(monkeypatch):
-    seen = []
-    solve = sdp.solve
-
-    def recording(problem, gap_tol=sdp.DEFAULT_GAP_TOL):
-        sol = solve(problem, gap_tol)
-        seen.append((sol, gap_tol))
-        return sol
-
-    monkeypatch.setattr(sdp, "solve", recording)
+def test_status_is_optimal_exactly_when_residuals_meet_tolerances(solves, monkeypatch):
     rng = np.random.default_rng(13)
     for i in range(9):
         d = 3 if i % 3 == 0 else 2
@@ -557,8 +533,8 @@ def test_status_is_optimal_exactly_when_residuals_meet_tolerances(monkeypatch):
     with pytest.raises(SdpFailureError, match="status Stalled after 3 iterations"):
         channels._mix(choi(haar_unitary(2, rng)), [choi(haar_unitary(2, rng)) for _ in range(3)])
 
-    assert {sol.status for sol, _ in seen} == {"Optimal", "Stalled", "MaxIter", "Infeasible"}
-    for sol, gap_tol in seen:
+    assert {s.sol.status for s in solves} == {"Optimal", "Stalled", "MaxIter", "Infeasible"}
+    for _, gap_tol, sol in solves:
         feas_tol = min(gap_tol, sdp.FEAS_TOL)
         meets = sol.pinf <= feas_tol and sol.dinf <= feas_tol and sol.rel_gap <= gap_tol
         assert (sol.status == "Optimal") == meets, (sol.status, sol.pinf, sol.dinf, sol.rel_gap)
@@ -740,23 +716,14 @@ def test_objective_in_the_constraint_span_starts_off_the_boundary():
     assert abs(s.primal_value - 1.0) < 1e-7 and abs(s.dual_value - 1.0) < 1e-7
 
 
-def test_trace_has_one_entry_per_iteration(monkeypatch):
-    seen = []
-    solve = sdp.solve
-
-    def recording(problem, *args, **kwargs):
-        sol = solve(problem, *args, **kwargs)
-        seen.append(sol)
-        return sol
-
-    monkeypatch.setattr(sdp, "solve", recording)
+def test_trace_has_one_entry_per_iteration(solves):
     rng = np.random.default_rng(8)
     for d in (2, 3):
         channels._mix(choi(haar_unitary(d, rng)), [choi(haar_unitary(d, rng)) for _ in range(3)])
     u = qubit1.magic_embed(haar_unitary(2, rng))
     qubit1.optimal_mix_1q(u, qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng)] * 2)))
-    assert len(seen) == 3
-    for sol in seen:
+    assert len(solves) == 3
+    for _, _, sol in solves:
         assert sol.status == "Optimal" and len(sol.trace) == sol.iterations
         *steps, last = sol.trace
         assert (last["pinf"], last["dinf"], last["gap"]) == (sol.pinf, sol.dinf, sol.rel_gap)

@@ -31,12 +31,12 @@ Haar d = 3 target with 2-5 candidates of Kraus rank 2 (`choi_mixture` of two
 Haar unitaries at a weight drawn from [0.5, 1)) from `default_rng([5, i])`,
 whose support is all of C^9 from four candidates on; 60 cases each.
 
-A fourth set, on the path `sharpness`, runs the solve `channels.optimal_mix`
-makes for `sharpness` on both Theorem 1 witnesses (`bounds.lower_family`
-against the identity, `bounds.upper_family` against `upper_family_target`)
-at d = 2 to 5 and eps 0.1, 0.3, 0.6 and 0.9, keyed `lower-d-eps` and
-`upper-d-eps`: `qubit1.optimal_mix_1q` at d = 2 and `channels._mix` above.
-They are the most degenerate mixing problems here.
+A fourth set, on the path `sharpness`, runs `channels._optimal_mix`, the
+dispatch of `optimal_mix` and so of `sharpness`, on both Theorem 1 witnesses
+(`bounds.lower_family` against the identity, `bounds.upper_family` against
+`upper_family_target`) at d = 2 to 5 and eps 0.1, 0.3, 0.6 and 0.9, keyed
+`lower-d-eps` and `upper-d-eps`: `qubit1.optimal_mix_1q` at d = 2 and
+`channels._mix` above. They are the most degenerate mixing problems here.
 
 `--compare` pairs the records of two sweeps by case and path, and counts
 those that only one sweep has without comparing them. It prints every
@@ -125,17 +125,6 @@ def witness_cases():
                 yield f"{family}-{d}-{eps}", d, choi(target), [choi(W) for W in fam]
 
 
-def optimal_mix(target, candidates):
-    """(p, upper, lower) of the solve `channels.optimal_mix` makes, read as it reads them."""
-    from usynth import channels, qubit1
-
-    U = channels._qubit_unitaries([target, *candidates])
-    if U is None:
-        return channels._mix(target, candidates)
-    W = qubit1.magic_embed_batch(U)
-    return qubit1.optimal_mix_1q(W[0], W[1:])
-
-
 STEPS = ("sigma", "ap", "ad")
 
 
@@ -183,7 +172,8 @@ def sweep() -> list[dict]:
         for name, d, target, cands in support_cases():
             records.append(record(name, d, "mix", lambda: channels._mix(target, cands)))
         for name, d, target, cands in witness_cases():
-            records.append(record(name, d, "sharpness", lambda: optimal_mix(target, cands)))
+            records.append(record(name, d, "sharpness",
+                                  lambda: channels._optimal_mix(target, cands)))
         for max_len in SYNTH_LENGTHS:
             pool = synth.enumerate_sequences(synth.standard_gate_set(), max_len)
             for i in range(SYNTH_CASES):

@@ -40,12 +40,16 @@ def _check_d(d: int) -> None:
 
 
 def theorem1_bounds(eps: float, d: int) -> BoundPoint:
-    """Tight lower/upper bounds on the worst-case mixing error."""
+    """Tight lower/upper bounds on the worst-case mixing error.
+
+    delta is eps^2 / (1 + sqrt(1 - eps^2)), which does not cancel at small eps;
+    lower is clamped to at most upper, which it equals at d = 2.
+    """
     if not 0 <= eps <= 1:
         raise ValueError("eps must lie in [0, 1]")
     _check_d(d)
-    delta = 1.0 - np.sqrt(max(0.0, 1.0 - eps * eps))
-    lower = (4 * delta / d) * (1 - delta / d)
+    delta = eps * eps / (1.0 + np.sqrt(max(0.0, 1.0 - eps * eps)))
+    lower = min((4 * delta / d) * (1 - delta / d), eps * eps)  # at most upper against rounding
     return BoundPoint(
         eps=float(eps),
         d=int(d),

@@ -20,6 +20,7 @@ half-diamond distance (1/2)||A - B||_diamond.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,20 @@ SUPPORT_CUT = 1e-10
 
 @dataclass(frozen=True)
 class ChoiOperator:
-    """Choi operator J on H1 (x) H2 with dims = (d1, d2)."""
+    """Choi operator J on H1 (x) H2 with dims = (d1, d2), each a positive integer."""
 
     J: np.ndarray
     dims: tuple[int, int]
 
     def __post_init__(self):
         J = check_hermitian(self.J)
-        d1, d2 = self.dims
-        if J.shape != (d1 * d2, d1 * d2):
-            raise ValueError("Choi matrix shape does not match dims")
+        try:
+            d1, d2 = map(operator.index, self.dims)
+        except (TypeError, ValueError):
+            d1 = d2 = 0
+        if min(d1, d2) < 1 or J.shape != (d1 * d2, d1 * d2):
+            raise ValueError(f"dims must be two positive integers d1, d2 with J of shape "
+                             f"(d1 d2, d1 d2), got {self.dims!r} for {J.shape}")
         object.__setattr__(self, "J", J)
 
 
@@ -81,34 +86,24 @@ def choi_mixture(candidates: list[ChoiOperator], weights: np.ndarray) -> ChoiOpe
     return ChoiOperator(J=J, dims=dims)
 
 
-def _circle_hull_distance(eigs: np.ndarray) -> float:
-    """Distance from the origin to conv{eigs} for unit-modulus eigs.
-
-    The hull contains the origin iff every cyclic gap between sorted
-    eigenphases is <= pi; otherwise the closest boundary point lies on the
-    chord closing the largest gap, at distance |cos(gap/2)|.
-    """
-    ang = np.sort(np.angle(eigs))
-    gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
-    gmax = float(np.max(gaps))
-    if gmax <= np.pi:
-        return 0.0
-    return abs(np.cos(gmax / 2))
-
-
 def unitary_distance(U: np.ndarray, V: np.ndarray) -> float:
     """Half-diamond distance between the channels of two unitaries.
 
-    Closed form: sqrt(1 - m^2) with m the distance from the origin to the
-    convex hull of the eigenvalues of U^dag V.
+    sin(s/2) if s < pi, else 1, with s the spread max - min of the eigenphases
+    of U^dag V relative to one eigenvalue: each lies in (-pi, pi] and one is 0,
+    so s < pi is the shortest arc holding them all (else their hull holds 0).
+    The sine keeps the digits that sqrt(1 - m^2), m the hull's distance, cancels.
     """
     U = check_unitary(U)
     V = check_unitary(V)
     if U.shape != V.shape:
         raise ValueError("dimension mismatch")
+    if np.array_equal(U, V):
+        return 0.0
     eigs = np.linalg.eigvals(U.conj().T @ V)
-    m = _circle_hull_distance(eigs)
-    return float(np.sqrt(max(0.0, 1.0 - m * m)))
+    phases = np.angle(eigs * eigs[0].conj())
+    s = phases.max() - phases.min()
+    return float(np.sin(s / 2)) if s < np.pi else 1.0
 
 
 def _support(J: np.ndarray) -> np.ndarray:

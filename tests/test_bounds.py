@@ -25,6 +25,17 @@ def test_theorem1_d2_bounds_coincide():
         assert abs(bp.lower - bp.upper) < 1e-12
 
 
+def test_theorem1_bounds_keep_their_digits_at_small_eps():
+    # delta = eps^2 / (1 + sqrt(1 - eps^2)) does not cancel: at d = 2 lower equals
+    # upper to 4 ulps, and lower never exceeds upper.
+    for eps in np.logspace(-9, 0, 91):
+        for d in range(2, 9):
+            bp = theorem1_bounds(float(eps), d)
+            assert 0.0 < bp.lower <= bp.upper
+        two = theorem1_bounds(float(eps), 2)
+        assert abs(two.lower - two.upper) <= 4 * np.spacing(two.upper)
+
+
 def test_theorem1_d4_example():
     bp = theorem1_bounds(0.6, 4)
     delta = 1 - np.sqrt(1 - 0.36)

@@ -16,7 +16,13 @@ from usynth.channels import (
     unitary_distance,
 )
 from usynth.linalg import haar_unitary
-from usynth.qubit1 import magic_embed, magic_unembed, mix_distance_1q, optimal_mix_1q
+from usynth.qubit1 import (
+    line_distance,
+    magic_embed,
+    magic_unembed,
+    mix_distance_1q,
+    optimal_mix_1q,
+)
 
 
 def rz(theta: float) -> np.ndarray:
@@ -66,6 +72,23 @@ def test_unitary_distance_symmetry_and_phase_invariance():
         U, V = haar_unitary(d, rng), haar_unitary(d, rng)
         assert abs(unitary_distance(U, V) - unitary_distance(V, U)) < 1e-12
         assert abs(unitary_distance(U, np.exp(0.7j) * V) - unitary_distance(U, V)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_unitary_distance_keeps_its_digits_at_small_distances(d):
+    # U diag(e^{ith}), h = (1, -1, 0, ...), is at distance sin t from U: the eigenphase
+    # arc is 2t. At d = 2 the magic vectors' chord form agrees (Haar pairs too).
+    rng = np.random.default_rng([37, d])
+    U = haar_unitary(d, rng)
+    h = np.r_[1.0, -1.0, np.zeros(d - 2)]
+    for t in np.logspace(-12, 0, 49):
+        V = U @ np.diag(np.exp(1j * t * h))
+        assert abs(unitary_distance(U, V) - np.sin(t)) <= 1e-15
+        if d == 2:
+            W = haar_unitary(2, rng)
+            for A, B in ((U, V), (U, W)):
+                chord = line_distance(magic_embed(A), magic_embed(B))
+                assert abs(unitary_distance(A, B) - chord) <= 1e-15
 
 
 def test_diamond_distance_metric_properties():
@@ -324,6 +347,14 @@ def test_choi_rejects_a_non_finite_entry_in_either_part(bad):
         choi(U)
     with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
         ChoiOperator(J=J, dims=(2, 2))
+
+
+@pytest.mark.parametrize("dims", [(-2, -2), (0, 4), (2.5, 1.6)],
+                         ids=["negative", "zero", "non-integer"])
+def test_choi_operator_rejects_dims_that_are_not_positive_integers(dims):
+    # Each product is 4, so J = I_4 once matched the shape of every one.
+    with pytest.raises(ValueError, match=r"^dims must be two positive integers d1, d2 "):
+        ChoiOperator(J=np.eye(4), dims=dims)
 
 
 def test_choi_mixture_dims_and_weights():

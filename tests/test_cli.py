@@ -235,6 +235,16 @@ def test_bounds_csv_d2_columns_match(tmp_path, capsys):
         assert abs(upper - eps * eps) < 1e-12
 
 
+def test_bounds_d2_prints_lower_equal_to_upper_at_small_eps(capsys):
+    # At eps = 1e-8, 1 - sqrt(1 - eps^2) would cancel to 1.1e-16 and print lower = 2 upper.
+    code, out, _ = run_cli(capsys, "bounds", "--d", "2", "--eps-grid", "1e-8:3e-8:1e-8")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "eps,delta,lower,upper" and len(lines) == 4
+    for line in lines[1:]:
+        _, _, lower, upper = line.split(",")
+        assert lower == upper
+
+
 @pytest.mark.parametrize("grid", ["0.1:0.3:0", "0.3:0.1:0.1", "0.1:0.3:-0.1", "nan:0.3:0.1",
                                   "0.1:inf:0.1", "0.1:0.3:inf"])
 def test_bounds_rejects_empty_or_endless_eps_grid(capsys, grid):

@@ -60,13 +60,20 @@ class ChoiOperator:
         object.__setattr__(self, "J", J)
 
 
+def _choi(J: np.ndarray, dims: tuple[int, int]) -> ChoiOperator:
+    """ChoiOperator(J, dims) for a J built here from checked input: symmetrized, not checked."""
+    op = object.__new__(ChoiOperator)
+    vars(op).update(J=(J + J.conj().T) / 2, dims=dims)  # bitwise the J check_hermitian returns
+    return op
+
+
 def choi(U: np.ndarray) -> ChoiOperator:
-    """Choi operator of conjugation by a unitary: rank one, trace d."""
+    """Choi operator of conjugation by a unitary: rank one, trace d; only U is checked."""
     U = check_unitary(U)
     d = U.shape[0]
     # sum_i |i> (x) U|i>  has components v[(i,k)] = U[k,i]
     v = U.T.reshape(-1)
-    return ChoiOperator(J=np.outer(v, v.conj()), dims=(d, d))
+    return _choi(np.outer(v, v.conj()), (d, d))
 
 
 def choi_mixture(candidates: list[ChoiOperator], weights: np.ndarray) -> ChoiOperator:
@@ -83,7 +90,7 @@ def choi_mixture(candidates: list[ChoiOperator], weights: np.ndarray) -> ChoiOpe
         if c.dims != dims:
             raise ValueError("mixed Choi dimensions")
         J = J + p * c.J
-    return ChoiOperator(J=J, dims=dims)
+    return _choi(J, dims)
 
 
 def unitary_distance(U: np.ndarray, V: np.ndarray) -> float:

@@ -18,14 +18,18 @@ TOL_UNITARY = 1e-8
 def check_finite(M: np.ndarray) -> np.ndarray:
     """M as complex; ValueError if any entry has a non-finite real or imaginary part."""
     M = np.asarray(M, dtype=complex)
-    if not np.isfinite(M).all():
+    # Re vdot(M, M) = sum |M_ij|^2 is finite unless an entry is not (or the sum overflows).
+    if not np.isfinite(np.vdot(M, M).real) and not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
     return M
 
 
 def check_hermitian(M: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2. ValueError, in this order: "matrix contains non-finite entries",
+    "expected a square matrix, got shape (r, c)" (0 x 0 too) and "matrix is not
+    Hermitian within tolerance" (an entry of M - M^dag above TOL_HERM in modulus)."""
     M = check_finite(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     H = M.conj().T
     if np.abs(M - H).max() > TOL_HERM:
@@ -34,11 +38,15 @@ def check_hermitian(M: np.ndarray) -> np.ndarray:
 
 
 def check_unitary(U: np.ndarray) -> np.ndarray:
+    """U as complex. ValueError, in this order: "matrix contains non-finite entries",
+    "expected a square matrix, got shape (r, c)" (0 x 0 too) and "matrix is not
+    unitary within tolerance" (an entry of U^dag U - I above TOL_UNITARY in modulus)."""
     U = check_finite(U)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+    if U.ndim != 2 or not 0 < U.shape[0] == U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
-    d = U.shape[0]
-    if np.abs(U.conj().T @ U - np.eye(d)).max() > TOL_UNITARY:
+    G = U.conj().T @ U
+    G.ravel()[:: len(G) + 1] -= 1  # U^dag U - I in place, with no identity temporary
+    if np.abs(G).max() > TOL_UNITARY:
         raise ValueError("matrix is not unitary within tolerance")
     return U
 
@@ -101,9 +109,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(fmt)
     if len(data) != rows * cols:
         raise ValueError("rows*cols does not match the number of entries")
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
-        raise ValueError("matrix contains non-finite entries")
-    return flat.reshape(rows, cols)
+    return check_finite(flat).reshape(rows, cols)
 
 
 def load_matrix(path: str) -> np.ndarray:

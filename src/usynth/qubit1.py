@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import sdp
-from .linalg import check_unitary
+from .linalg import check_probabilities, check_unitary
 
 KEY_DECIMALS = 8  # magic vectors equal to this many decimals, up to sign, are one channel
 COLUMNS = 16  # candidates optimal_mix_1q adds per round: the nearest, then the best priced
@@ -89,9 +89,9 @@ def left_multiplication(Q: np.ndarray) -> np.ndarray:
 def magic_unembed(u: np.ndarray) -> np.ndarray:
     """Single-qubit unitary (up to global phase) of a magic vector."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (4,) or not abs(np.linalg.norm(u) - 1.0) <= 1e-10:
+    if u.shape != (4,) or not abs(np.sqrt(u @ u) - 1.0) <= 1e-10:
         raise ValueError("expected a unit 4-vector")
-    a, b, c, d = u
+    a, b, c, d = u.tolist()  # Python floats: numpy scalar arithmetic costs 4x the call
     return np.array(
         [[a + 1j * b, -d + 1j * c], [d + 1j * c, a - 1j * b]], dtype=complex
     )
@@ -121,18 +121,43 @@ def line_angle(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     return 2 * np.arcsin(np.sqrt(np.einsum("...i,...i->...", D, D)) / 2)
 
 
+def _unit(V: np.ndarray) -> np.bool_:
+    """Whether every row of V (V itself, for a vector) is finite with norm 1 within 1e-8."""
+    return np.all(np.abs(np.sqrt(np.einsum("...i,...i", V, V)) - 1) <= 1e-8)
+
+
+def _checked(target, candidates) -> tuple[np.ndarray, np.ndarray]:
+    """(u, W) as floats, after optimal_mix_1q's checks of the target and the candidates."""
+    u = np.asarray(target, dtype=float)
+    W = np.asarray(candidates, dtype=float)
+    if u.shape != (4,) or not _unit(u):
+        raise ValueError("target must be a unit 4-vector")
+    if W.ndim != 2 or W.shape[1] != 4:
+        raise ValueError(f"candidates must have shape (n, 4), got {W.shape}")
+    if len(W) == 0:
+        raise ValueError("empty candidate list")
+    if not _unit(W):
+        raise ValueError("candidates must be unit 4-vectors")
+    return u, W
+
+
 def mix_distance_1q(target: np.ndarray, candidates: np.ndarray, p: np.ndarray) -> float:
     """Half-diamond distance between a channel and a mixture of channels.
 
     Computed as (1/2) sum |eig| of the real symmetric 4x4 matrix
     uu^T - sum_x p(x) w_x w_x^T (difference of Choi operators over 2, in
-    the magic basis).
+    the magic basis). ValueError unless u and W pass optimal_mix_1q's checks
+    (W may be one 4-vector) and p is a distribution over W (`check_probabilities`).
     """
-    u = np.asarray(target, dtype=float)
-    W = np.atleast_2d(np.asarray(candidates, dtype=float))
-    p = np.asarray(p, dtype=float)
+    u, W = _checked(target, np.atleast_2d(candidates))
+    p = check_probabilities(p)
     if p.shape != (W.shape[0],):
         raise ValueError("weights length does not match candidates")
+    return _mix_distance(u, W, p)
+
+
+def _mix_distance(u: np.ndarray, W: np.ndarray, p: np.ndarray) -> float:
+    """mix_distance_1q on inputs already checked."""
     M = np.outer(u, u) - (W.T * p) @ W
     return float(np.sum(np.abs(np.linalg.eigvalsh(M))) / 2)
 
@@ -161,16 +186,7 @@ def optimal_mix_1q(
     Raises ValueError unless u is a unit 4-vector and W has shape (n, 4) with
     unit rows, n > 0, and as sdp.solve and check_optimal do.
     """
-    u = np.asarray(target, dtype=float)
-    W = np.asarray(candidates, dtype=float)
-    if u.shape != (4,) or not abs(np.linalg.norm(u) - 1) <= 1e-8:
-        raise ValueError("target must be a unit 4-vector")
-    if W.ndim != 2 or W.shape[1] != 4:
-        raise ValueError(f"candidates must have shape (n, 4), got {W.shape}")
-    if len(W) == 0:
-        raise ValueError("empty candidate list")
-    if not np.all(np.abs(np.linalg.norm(W, axis=1) - 1) <= 1e-8):
-        raise ValueError("candidates must be unit 4-vectors")
+    u, W = _checked(target, candidates)
     S = sdp.Block(size=4)
     E = sdp.hermitian_basis(S)  # the 10 real symmetric basis matrices, for the dual's Y
     rhs = np.append(-sdp.svec(S, np.outer(u, u)), 1.0)
@@ -193,7 +209,7 @@ def optimal_mix_1q(
         p = np.zeros(len(W))
         p[cols] = np.maximum(sol.X[1][:-1], 0.0)
         P = (p / p.sum(), best)
-        errs = [mix_distance_1q(u, W, q) for q in P]
+        errs = [_mix_distance(u, W, q) for q in P]
         p, upper = P[int(np.argmin(errs))], min(errs)
         lam, V = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))
         Y = (V * np.maximum(lam, 0.0)) @ V.T  # clipped to PSD, scaled to trace 1 below
@@ -209,12 +225,12 @@ def support_filter(target: np.ndarray, candidates: np.ndarray, eps: float) -> np
     """Indices of candidates within half-diamond distance 2*eps of the target.
 
     Restricting the mixing optimization to this set is lossless whenever
-    the candidates form an eps-covering of the unitaries.
+    the candidates form an eps-covering of the unitaries. ValueError unless
+    0 < eps < 1/2 and the target and candidates pass mix_distance_1q's checks.
     """
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    u = np.asarray(target, dtype=float)
-    W = np.atleast_2d(np.asarray(candidates, dtype=float))
+    u, W = _checked(target, np.atleast_2d(candidates))
     idx = np.flatnonzero(line_distance(u, W) <= 2 * eps)
     if idx.size == 0:
         raise ValueError(
@@ -243,7 +259,7 @@ def cap_covering(center: np.ndarray, cap_radius_eps: float, mesh_eps: float) -> 
     center is a unit 4-vector and 0 < mesh_eps <= cap_radius_eps < 1.
     """
     center = np.asarray(center, dtype=float)
-    if center.shape != (4,) or not abs(np.linalg.norm(center) - 1.0) <= 1e-8:
+    if center.shape != (4,) or not _unit(center):
         raise ValueError("center must be a unit 4-vector")
     if not 0 < mesh_eps <= cap_radius_eps < 1:
         raise ValueError("require 0 < mesh_eps <= cap_radius_eps < 1")
@@ -314,7 +330,7 @@ def covering_radius(points: np.ndarray, return_witness: bool = False):
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[1] != 4 or len(P) == 0:
         raise ValueError(f"points must have shape (n, 4) with n >= 1, got {P.shape}")
-    if not np.all(np.abs(np.linalg.norm(P, axis=1) - 1) <= 1e-8):
+    if not _unit(P):
         raise ValueError("points must be unit 4-vectors")
     _, s, Vt = np.linalg.svd(np.linalg.qr(P, mode="r"))  # R is at most 4x4
     if len(s) < 4 or s[-1] <= 1e-8:

@@ -125,7 +125,7 @@ class Pool:
             raise ValueError("every row's parent must be -1 or an earlier row")
         if np.any((parent >= 0) & ((last < 0) | (last >= len(gates)))):
             raise ValueError(f"last gates must index the {len(gates)} gates")
-        if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", magic, magic)) - 1) <= 1e-8):
+        if not qubit1._unit(magic):
             raise ValueError("magic rows must be finite unit vectors")
         for a in (parent, last, magic):
             a.setflags(write=False)

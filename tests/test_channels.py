@@ -58,6 +58,30 @@ def test_choi_is_rank_one_projector_scaled():
     assert np.all(np.abs(w[:-1]) < 1e-9)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_choi_is_bitwise_the_symmetrized_outer_product(d):
+    # choi checks U only; its J is (J + J^dag) / 2 of the outer product, the
+    # J that ChoiOperator's own check returns, to the last bit.
+    for i in range(50):
+        U = haar_unitary(d, np.random.default_rng([d, i]))
+        v = U.T.reshape(-1)
+        J = np.outer(v, v.conj())
+        op = choi(U)
+        assert op.J.tobytes() == ((J + J.conj().T) / 2).tobytes()
+        assert op.J.tobytes() == ChoiOperator(J=J, dims=(d, d)).J.tobytes()
+        assert op.dims == (d, d)
+
+
+def test_choi_mixture_is_bitwise_the_checked_operator():
+    rng = np.random.default_rng(7)
+    cands = [choi(haar_unitary(3, rng)) for _ in range(3)]
+    w = rng.dirichlet(np.ones(3))
+    J = sum((p * c.J for p, c in zip(w, cands)), np.zeros((9, 9), dtype=complex))
+    mixture = choi_mixture(cands, w)
+    assert mixture.J.tobytes() == ChoiOperator(J=J, dims=(3, 3)).J.tobytes()
+    assert mixture.dims == (3, 3)
+
+
 def test_unitary_distance_examples():
     U = haar_unitary(2, np.random.default_rng(2))
     assert unitary_distance(U, U) == 0

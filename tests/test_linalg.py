@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from usynth import linalg
+from usynth import channels, linalg, qubit1
 
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,3 +77,43 @@ def test_json_requires_positive_integer_dims(rows, cols):
     obj = {"rows": rows, "cols": cols, "data": [[1.0, 0.0]] if rows != 0 else []}
     with pytest.raises(ValueError, match='expected {"rows"'):
         linalg.matrix_from_json(obj)
+
+
+# The public entry points that check a matrix; ChoiOperator takes it as J with dims (1, n).
+_CHECKS = {
+    "check_unitary": linalg.check_unitary,
+    "check_hermitian": linalg.check_hermitian,
+    "choi": channels.choi,
+    "ChoiOperator": lambda M: channels.ChoiOperator(J=M, dims=(1, len(M))),
+    "magic_embed": qubit1.magic_embed,
+}
+
+
+@pytest.mark.parametrize("check", _CHECKS.values(), ids=_CHECKS.keys())
+def test_an_empty_matrix_fails_the_shape_test(check):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(0, 0\)$"):
+        check(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("check", _CHECKS.values(), ids=_CHECKS.keys())
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("at", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_a_non_finite_entry_fails_the_finiteness_test_without_a_warning(check, value, part, at):
+    M = np.eye(2, dtype=complex)
+    M[at] = complex(value, M[at].imag) if part == "real" else complex(M[at].real, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            check(M)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "matrix contains non-finite entries"
+
+
+def test_a_huge_finite_matrix_is_finite():
+    # Re vdot(M, M) overflows to inf here; the entries themselves are finite.
+    M = np.array([[1e200, 0.0], [0.0, 1e200]])
+    assert linalg.check_finite(M).tobytes() == M.astype(complex).tobytes()
+    M[0, 1] = 1.0
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        linalg.check_hermitian(M)

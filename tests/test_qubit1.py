@@ -126,6 +126,48 @@ def test_support_filter_examples():
         support_filter(u, W, 0.0)
 
 
+def test_magic_unembed_is_bitwise_the_numpy_scalar_formula():
+    # The formula on numpy scalars, as magic_unembed once computed it. Python's
+    # complex(a, b) would differ: it keeps the sign of a zero b that a + 1j * b drops.
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        u = rng.standard_normal(4) * (rng.random(4) < 0.7)
+        u[0] += not u.any()
+        u = u / np.linalg.norm(u) * rng.choice([-1.0, 1.0], 4)  # zeros of both signs
+        a, b, c, d = u
+        ref = np.array([[a + 1j * b, -d + 1j * c], [d + 1j * c, a - 1j * b]], dtype=complex)
+        assert magic_unembed(u).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e0, I2: mix_distance_1q(2 * e0, I2, [1.0, 0.0]),
+        lambda e0, I2: mix_distance_1q(e0, I2, [2.0, -1.0]),
+        lambda e0, I2: mix_distance_1q(e0, I2, [1.0]),
+        lambda e0, I2: mix_distance_1q(e0, [[np.nan, 0, 0, 0]], [1.0]),
+        lambda e0, I2: mix_distance_1q(e0, I2[:, :3], [1.0, 0.0]),
+        lambda e0, I2: support_filter(e0, [[0.5, 0, 0, 0]], 0.3),
+        lambda e0, I2: support_filter(e0[:3], I2, 0.3),
+        lambda e0, I2: support_filter(np.full(4, np.inf), I2, 0.3),
+        lambda e0, I2: support_filter(e0, np.zeros((0, 4)), 0.3),
+    ],
+    ids=["long-target", "negative-weight", "short-weights", "nan-row", "short-rows",
+         "half-length-row", "short-target", "inf-target", "no-rows"],
+)
+def test_mix_distance_and_support_filter_check_their_inputs(call):
+    e0, I2 = np.eye(4)[0], np.eye(4)[:2]
+    with pytest.raises(ValueError):
+        call(e0, I2)
+
+
+def test_mix_distance_1q_takes_one_candidate_as_a_vector():
+    rng = np.random.default_rng(5)
+    u, w = (magic_embed(haar_unitary(2, rng)) for _ in range(2))
+    assert mix_distance_1q(u, w, [1.0]) == mix_distance_1q(u, w[None], [1.0])
+    assert support_filter(u, u, 0.1).tolist() == [0]
+
+
 def test_nan_vector_is_not_a_unit_vector():
     # abs(nan - 1) > tol is False: the checks must read not abs(...) <= tol.
     u = np.array([np.nan, 0.0, 0.0, 0.0])

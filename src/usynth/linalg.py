@@ -17,11 +17,16 @@ TOL_UNITARY = 1e-8
 
 def check_finite(M: np.ndarray) -> np.ndarray:
     """M as complex; ValueError if any entry has a non-finite real or imaginary part."""
+    return _finite(M)[0]
+
+
+def _finite(M: np.ndarray) -> tuple[np.ndarray, np.float64]:
+    """check_finite(M) and sum |M_ij|^2 = Re vdot(M, M), a BLAS sum that overflows unwarned."""
     M = np.asarray(M, dtype=complex)
-    # Re vdot(M, M) = sum |M_ij|^2 is finite unless an entry is not (or the sum overflows).
-    if not np.isfinite(np.vdot(M, M).real) and not np.isfinite(M).all():
+    norm2 = np.vdot(M, M).real
+    if not norm2 < np.inf and not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
-    return M
+    return M, norm2
 
 
 def check_hermitian(M: np.ndarray) -> np.ndarray:
@@ -32,7 +37,7 @@ def check_hermitian(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     H = M.conj().T
-    if np.abs(M - H).max() > TOL_HERM:
+    if np.abs(M / 2 - H / 2).max() > TOL_HERM / 2:  # in halves, as M - H could overflow
         raise ValueError("matrix is not Hermitian within tolerance")
     return (M + H) / 2
 
@@ -41,9 +46,11 @@ def check_unitary(U: np.ndarray) -> np.ndarray:
     """U as complex. ValueError, in this order: "matrix contains non-finite entries",
     "expected a square matrix, got shape (r, c)" (0 x 0 too) and "matrix is not
     unitary within tolerance" (an entry of U^dag U - I above TOL_UNITARY in modulus)."""
-    U = check_finite(U)
+    U, norm2 = _finite(U)
     if U.ndim != 2 or not 0 < U.shape[0] == U.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {U.shape}")
+    if not abs(norm2 - len(U)) <= len(U) * TOL_UNITARY:  # norm2 = tr U^dag U; then U^dag U fits
+        raise ValueError("matrix is not unitary within tolerance")
     G = U.conj().T @ U
     G.ravel()[:: len(G) + 1] -= 1  # U^dag U - I in place, with no identity temporary
     if np.abs(G).max() > TOL_UNITARY:

@@ -89,7 +89,7 @@ def left_multiplication(Q: np.ndarray) -> np.ndarray:
 def magic_unembed(u: np.ndarray) -> np.ndarray:
     """Single-qubit unitary (up to global phase) of a magic vector."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (4,) or not abs(np.sqrt(u @ u) - 1.0) <= 1e-10:
+    if u.shape != (4,) or not abs(np.sqrt(np.vdot(u, u)) - 1.0) <= 1e-10:  # vdot: silent overflow
         raise ValueError("expected a unit 4-vector")
     a, b, c, d = u.tolist()  # Python floats: numpy scalar arithmetic costs 4x the call
     return np.array(

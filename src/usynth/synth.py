@@ -261,28 +261,21 @@ def _nearest(
     differently, but only within ties. A point whose shell holds none is
     searched again at reach 1, whose shell holds every row (line angles lie
     in [0, pi/2]): that is the search over every row, so its error is exact
-    too, and it never misses. At reach 1 the shells are not computed: each
-    block is searched over P itself, with no angle test and no copy of P.
+    too, and it never misses.
     """
     to_point = qubit1.line_angle(target, V)
     order = np.argsort(to_point, kind="stable")
     blocks = np.split(order, range(BLOCK, len(V), BLOCK))
-    if reach < 1:
-        to_row = qubit1.line_angle(target, P)
-        width = np.arcsin(reach) + SHELL_MARGIN
-        shells = [np.flatnonzero((to_row >= to_point[b[0]] - width)
-                                 & (to_row <= to_point[b[-1]] + width)) for b in blocks]
-    else:  # every row: P itself is searched
-        shells = [None] * len(blocks)
+    to_row = qubit1.line_angle(target, P)
+    width = np.arcsin(reach) + SHELL_MARGIN
+    shells = [np.flatnonzero((to_row >= to_point[b[0]] - width)
+                             & (to_row <= to_point[b[-1]] + width)) for b in blocks]
     # Every block's products go into one reused array: a fresh one per block
     # costs more in page faults.
-    most = max((len(P) if rows is None else len(rows) for rows in shells), default=0)
-    buf = np.empty(min(len(V), BLOCK) * most)
+    buf = np.empty(min(len(V), BLOCK) * max(map(len, shells), default=0))
     idx = np.zeros(len(V), dtype=np.intp)  # row 0 stands in for an empty shell: a miss below
     for block, rows in zip(blocks, shells):
-        if rows is None:
-            idx[block] = _nearest_rows(V[block], P, buf)
-        elif rows.size:
+        if rows.size:
             idx[block] = rows[_nearest_rows(V[block], P[rows], buf)]
     errs = qubit1.line_distance(V, P[idx])
     miss = np.flatnonzero(errs > reach)
@@ -309,14 +302,14 @@ def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
     """Labels of the pool sequence closest to the target, and its error.
 
     The labels are Pool.words of that row, and the error is the half-diamond
-    distance. Every row is searched; of the rows within TIE_TOL of the
-    largest computed |dot|, the lowest pool index wins (the shorter
-    sequence, then lexicographic labels). Raises ValueError unless target
-    is a 2x2 unitary.
+    distance. _nearest_rows searches every row, with no shell: of the rows
+    within TIE_TOL of the largest computed |dot|, the lowest pool index wins
+    (the shorter sequence, then lexicographic labels). Raises ValueError
+    unless target is a 2x2 unitary.
     """
     v = qubit1.magic_embed(target)
-    idx, errs = _nearest(pool.magic, v[None], v, 1.0)
-    return pool.words(idx)[0], float(errs[0])
+    i = _nearest_rows(v[None], pool.magic, np.empty(len(pool)))
+    return pool.words(i)[0], float(qubit1.line_distance(v, pool.magic[i[0]]))
 
 
 @dataclass
@@ -374,7 +367,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     in a shell of angles to the target that holds every row within c'*eps
     of it (see _nearest); it returns the indices and errors of a search over
     every row, near-ties included, and a point with no row within reach is
-    searched over every row, so the exception's achieved_radius is exact.
+    searched again in the shell at reach 1 (every row): achieved_radius is exact.
 
     support is the whole covering support, spelled out by Pool.words, and
     prob_error is the exact error of the returned mixture p (an upper bound

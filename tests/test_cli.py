@@ -78,6 +78,15 @@ def test_mixopt_without_candidates_exits_2(tmp_path, capsys):
     assert err == "error: no candidate .json files found\n"
 
 
+def test_synth1q_rejects_a_huge_finite_target_with_only_its_error_line(tmp_path, capsys):
+    # U^dag U of this target overflows; the check fails before it is formed.
+    path = str(tmp_path / "huge.json")
+    save_matrix(path, np.array([[1e200, 0.0], [0.0, 1.0]]))
+    code, out, err = run_cli(capsys, "synth1q", "--target", path, "--eps", "0.35")
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: matrix is not unitary within tolerance\n"
+
+
 def test_synth1q_byte_identical_reruns(tmp_path, capsys):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")

@@ -117,3 +117,31 @@ def test_a_huge_finite_matrix_is_finite():
     M[0, 1] = 1.0
     with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
         linalg.check_hermitian(M)
+    # M - M^dag is taken in halves against half the tolerance, which cannot
+    # overflow: an entry 0.8e-8 off passes, one 1.2e-8 off fails.
+    M = np.array([[1e300, 1e300], [1e300, 0.4e-8j]])
+    assert linalg.check_hermitian(M).tobytes() == M.real.astype(complex).tobytes()
+    M[1, 1] = 0.6e-8j
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+        linalg.check_hermitian(M)
+
+
+def test_a_huge_finite_input_fails_its_check_without_a_warning():
+    # U^dag U, M - M^dag and u.u would overflow here; each entry point raises
+    # its documented error first, and warns of nothing.
+    huge = np.array([[1e200, 0.0], [0.0, 1.0]])
+    cases = [
+        (linalg.check_unitary, huge, "matrix is not unitary within tolerance"),
+        (channels.choi, huge, "matrix is not unitary within tolerance"),
+        (qubit1.magic_embed, huge, "matrix is not unitary within tolerance"),
+        (linalg.check_hermitian, np.array([[1e308, 1e308], [-1e308, 0.0]]),
+         "matrix is not Hermitian within tolerance"),
+        (qubit1.magic_unembed, np.array([1e200, 0.0, 0.0, 0.0]), "expected a unit 4-vector"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check, M, message in cases:
+            with pytest.raises(ValueError) as info:
+                check(M)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message

@@ -337,16 +337,22 @@ def test_det_synth_monotone_in_pool_size(std_gateset, std_pool, rng):
 
 
 @pytest.mark.parametrize("max_len", [12, 16])
-def test_det_synth_is_the_tie_rule_over_the_whole_pool(std_gateset, max_len):
-    # det_synth searches at reach 1, where _nearest takes the pool itself as the
-    # shell: its index and error bytes are those of _nearest_rows over every row.
+def test_det_synth_is_the_tie_rule_over_the_whole_pool(std_gateset, max_len, monkeypatch):
+    # det_synth runs _nearest_rows over every row, with no shell: its index and
+    # error bytes are the kernel's, and it never takes a line angle.
     pool = enumerate_sequences(std_gateset, max_len)
     P = pool.magic
     rng = np.random.default_rng([31, max_len])
+
+    def no_angle(*args):
+        raise AssertionError("det_synth computed a line angle")
+
     for _ in range(20):
         U = haar_unitary(2, rng)
         v = qubit1.magic_embed(U)
-        labels, err = det_synth(U, pool)
+        with monkeypatch.context() as m:
+            m.setattr(qubit1, "line_angle", no_angle)
+            labels, err = det_synth(U, pool)
         (i,) = synth._nearest_rows(v[None], P, np.empty(len(P)))
         assert [labels] == pool.words([i])
         assert np.float64(err).tobytes() == qubit1.line_distance(v[None], P[[i]]).tobytes()
@@ -562,15 +568,19 @@ def test_nearest_search_of_every_row_ends_past_a_distance_of_one():
 def test_prob_synth_unreachable_reports_the_full_search_radius(std_gateset):
     # At L = 8 (covering radius 0.273) and eps 0.3, c'*eps = 0.15: some
     # cover points find a row within reach in their shell and some do not.
-    # The misses are searched again over every row, so the reported radius
-    # is the full search's.
+    # The misses are searched again over every row, so the errors and the
+    # reported radius are those of the tie kernel over every row, cover point
+    # by cover point in blocks, with no shell.
     pool = enumerate_sequences(std_gateset, 8)
     eps = 0.3
     for i in range(5):
         U = haar_unitary(2, np.random.default_rng([29, i]))
         u = qubit1.magic_embed(U)
         cover = qubit1.cap_covering(u, 2 * eps, synth.C * eps)
-        _, full = _nearest(pool.magic, cover, u, 1.0)
+        buf = np.empty(synth.BLOCK * len(pool))
+        best = np.concatenate([synth._nearest_rows(cover[k:k + synth.BLOCK], pool.magic, buf)
+                               for k in range(0, len(cover), synth.BLOCK)])
+        full = qubit1.line_distance(cover, pool.magic[best])
         _, errs = _nearest(pool.magic, cover, u, synth.C_PRIME * eps)
         assert errs.tobytes() == full.tobytes()
         assert 0 < np.sum(full <= synth.C_PRIME * eps) < len(cover)

@@ -25,7 +25,8 @@ def synth(support):
     return {"case": "synth-12-0", "d": 2, "path": "prob_synth", "rounds": 1,
             "status": "Optimal", "iterations": [11], "upper": 0.01, "lower": 0.01 - 1e-9,
             "p": [0.5, 0.25, 0.25], "sigma_mean": 0.2, "ap_mean": 0.9, "ad_mean": 0.9,
-            "support": support, "det_error": 0.1, "achieved_eps": 0.35}
+            "support": support, "det_error": 0.1, "achieved_eps": 0.35,
+            "det_synth_labels": ["H", "T"], "det_synth_error": 0.1}
 
 
 def compare(solve_sweep, tmp_path, capsys, a, b):
@@ -61,6 +62,21 @@ def test_compare_prints_a_changed_support(solve_sweep, tmp_path, capsys):
     assert code == 1
     assert "synth-12-0 prob_synth: support 3 -> 3 labels, 1 out, 1 in" in out
     assert "1 solves compared, 1 differ (0 in status or iterations, 1 in support)" in out
+
+
+def test_compare_counts_det_synth_keys_when_both_sweeps_have_them(solve_sweep, tmp_path,
+                                                                   capsys):
+    support = [["H"], ["T"], ["H", "T"]]
+    code, out = compare(solve_sweep, tmp_path, capsys, [synth(support)],
+                        [dict(synth(support), det_synth_labels=["T", "H"])])
+    assert code == 1
+    assert "1 solves compared, 1 differ (0 in status or iterations, 0 in support)" in out
+    # A sweep written without the keys is compared without them.
+    old = {k: v for k, v in synth(support).items() if not k.startswith("det_synth")}
+    code, out = compare(solve_sweep, tmp_path, capsys, [old],
+                        [dict(synth(support), det_synth_error=0.2)])
+    assert code == 0
+    assert "1 solves compared, 0 differ" in out
 
 
 def test_compare_counts_unpaired_records_without_comparing_them(solve_sweep, tmp_path,
@@ -100,6 +116,9 @@ def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
         "lower-3-0.6", "upper-3-0.6"]
     assert [len(rec["p"]) for rec in records if rec["path"] == "sharpness"] == [3, 8]
     assert all(rec["status"] == "Optimal" and "p" in rec for rec in records)
+    for rec in records[-2:]:  # the whole pool's best is no worse than the support's
+        assert rec["det_synth_error"] <= rec["det_error"] + 1e-9
+        assert all(isinstance(label, str) for label in rec["det_synth_labels"])
 
 
 def test_solve_time_against_its_own_source_runs_every_path(solve_sweep, monkeypatch, capsys):

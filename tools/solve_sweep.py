@@ -22,7 +22,10 @@ solve more than once. For each it writes `rounds` (the solves made), the
 status of the last solve, the iterations of every solve, `upper`,
 `lower` and `p` as returned, the whole covering support `support` (the
 label lists of `SynthesisResult.support`, of which `synth1q` prints the
-members with weight), `det_error` and `achieved_eps`.
+members with weight), `det_error` and `achieved_eps`, and the labels and
+error `det_synth` returns for the same target over the same pool,
+`det_synth_labels` and `det_synth_error`: the deterministic baseline the
+mixture is measured against.
 
 A third set runs `channels._mix` on cases keyed `diamond4-i`, the
 half-diamond distance between two Haar unitaries at d = 4 from
@@ -53,10 +56,10 @@ largest move of `upper`, `lower` and `p` over all solves optimal on both
 sides (the iterations may differ); then how many paired solves differ at
 all, how many of those in status or iterations rather than only in
 values, and how many `prob_synth` records in their support. A record whose
-support, `det_error` or `achieved_eps` differs counts as differing, and
-each support that differs is printed with the labels it loses and gains;
-a sweep written without these keys is compared without them. It exits 1
-if any paired solve differs at all.
+support, `det_error`, `achieved_eps`, `det_synth_labels` or
+`det_synth_error` differs counts as differing, and each support that
+differs is printed with the labels it loses and gains; a key that only one
+sweep has is not compared. It exits 1 if any paired solve differs at all.
 """
 
 import os
@@ -180,6 +183,7 @@ def sweep() -> list[dict]:
                 U = haar_unitary(2, np.random.default_rng([SYNTH_SEED, i]))
                 seen.clear()
                 res = synth.prob_synth(U, 0.35, 1e-6, pool)
+                labels, det_err = synth.det_synth(U, pool)
                 records.append({
                     "case": f"synth-{max_len}-{i}", "d": 2, "path": "prob_synth",
                     "rounds": len(seen), "status": seen[-1].status,
@@ -188,6 +192,7 @@ def sweep() -> list[dict]:
                     "p": [float(x) for x in res.p], **step_means(seen),
                     "support": [list(s) for s in res.support],
                     "det_error": res.det_error, "achieved_eps": res.achieved_eps,
+                    "det_synth_labels": list(labels), "det_synth_error": det_err,
                 })
     finally:
         sdp.solve = solve
@@ -257,7 +262,8 @@ def compare(a: list[dict], b: list[dict]) -> int:
             print(f"{where}: support {len(sa)} -> {len(sb)} labels, "
                   f"{len(sa - sb)} out, {len(sb - sa)} in")
             supports += 1
-        changed |= any(ra[k] != rb[k] for k in ("support", "det_error", "achieved_eps")
+        changed |= any(ra[k] != rb[k] for k in ("support", "det_error", "achieved_eps",
+                                                "det_synth_labels", "det_synth_error")
                        if k in ra and k in rb)
         if "p" in ra and "p" in rb:
             changed |= any(ra[k] != rb[k] for k in moves)

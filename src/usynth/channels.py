@@ -28,6 +28,7 @@ import numpy as np
 from . import qubit1, sdp
 from .linalg import (
     TOL_UNITARY,
+    _hermitian_part,
     check_hermitian,
     check_probabilities,
     check_unitary,
@@ -63,7 +64,7 @@ class ChoiOperator:
 def _choi(J: np.ndarray, dims: tuple[int, int]) -> ChoiOperator:
     """ChoiOperator(J, dims) for a J built here from checked input: symmetrized, not checked."""
     op = object.__new__(ChoiOperator)
-    vars(op).update(J=(J + J.conj().T) / 2, dims=dims)  # bitwise the J check_hermitian returns
+    vars(op).update(J=_hermitian_part(J), dims=dims)  # the J check_hermitian returns
     return op
 
 

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: diamond, mixopt, synth1q, bounds, sharpness, axial.
+Subcommands: the keys of COMMANDS, the table that declares each one once.
 Exit codes: 0 success, 2 argument/parse error (an exceeded sequence
 budget included), 3 SDP failure, 4 covering unreachable in synthesis.
 """
@@ -22,6 +22,7 @@ EXIT_SDP = 3
 EXIT_COVERING = 4
 MAX_GRID_POINTS = 1_000_000  # of `bounds --eps-grid`: one theorem1_bounds call each
 MAX_SAMPLES = 1_000_000  # of `synth1q --samples`: one printed index each
+MAX_SHARPNESS_D = 10  # of `sharpness --d`: upper builds 2^d Choi operators, each d^2 x d^2
 
 
 def _sig12(x: float) -> float:
@@ -153,6 +154,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
+    if args.d > MAX_SHARPNESS_D:
+        raise ValueError(f"--d {args.d}: more than {MAX_SHARPNESS_D}")
     bp = bounds.theorem1_bounds(args.eps, args.d)
     if args.family == "lower":
         fam = bounds.lower_family(args.eps, args.d)
@@ -165,18 +168,8 @@ def cmd_sharpness(args) -> int:
     p, value = channels.optimal_mix(
         channels.choi(target), [channels.choi(W) for W in fam]
     )
-    _emit(
-        {
-            "family": args.family,
-            "d": args.d,
-            "eps": args.eps,
-            "size": len(fam),
-            "value": value,
-            "expected": expected,
-            "slack": abs(value - expected),
-        },
-        args.out,
-    )
+    _emit({"family": args.family, "d": args.d, "eps": args.eps, "size": len(fam),
+           "value": value, "expected": expected, "slack": abs(value - expected)}, args.out)
     return 0
 
 
@@ -190,72 +183,60 @@ def cmd_axial(args) -> int:
     return 0
 
 
-COMMANDS = ("diamond", "mixopt", "synth1q", "bounds", "sharpness", "axial")
+COMMANDS = {  # name: (handler, add_parser keywords, arguments as (flag, add_argument keywords))
+    "diamond": (cmd_diamond, {"help": "half-diamond distance between two channels"}, (
+        ("a", {}), ("b", {}))),
+    "mixopt": (cmd_mixopt, {"help": "optimal mixing of candidate channels"}, (
+        ("target", {}),
+        ("candidates", {"help": "directory of candidate .json matrices"}),
+        ("--out", {}))),
+    "synth1q": (cmd_synth1q, {"help": "probabilistic single-qubit synthesis", "description": (
+        "support and p list the members the mixture weights, and support_size counts the "
+        "covering support. Each support entry lists gate labels in the order they act: the "
+        "leftmost label acts first, so [\"H\", \"T\"] realizes T @ H.")}, (
+        ("--target", {"required": True, "help": "named target or matrix JSON path"}),
+        ("--eps", {"type": float, "required": True}),
+        ("--delta", {"type": float, "default": 1e-6}),
+        ("--gateset", {"help": "gate set JSON path (default H,S,Sdg,T,Tdg)"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--samples", {"type": int, "default": 0}),
+        ("--max-len", {"type": int, "default": 12}),
+        ("--out", {}))),
+    "bounds": (cmd_bounds, {"help": "lower/upper bound curve sweep"}, (
+        ("--d", {"type": int, "required": True}),
+        ("--eps-grid", {"required": True, "help": "a:b:step"}),
+        ("--out", {}))),
+    "sharpness": (cmd_sharpness, {"help": "sharpness certificate for one bound"}, (
+        ("--d", {"type": int, "required": True}),
+        ("--eps", {"type": float, "required": True}),
+        ("--family", {"choices": ("lower", "upper"), "required": True}),
+        ("--out", {}))),
+    "axial": (cmd_axial, {"help": "optimal mixing of axial rotations"}, (
+        ("--target-theta", {"type": float, "required": True}),
+        ("--thetas", {"required": True, "help": "comma-separated angles"}),
+        ("--out", {}))),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """usynth's parser: every subcommand, or only `command` if it names one.
 
-    main passes its first argument, so a call builds only the subcommand it
-    runs. Their usage lines name every subcommand alike, so a parser with
-    one subcommand parses its arguments and prints its messages as the whole
-    one does; a first argument that names none gets the whole parser.
+    Each subcommand is declared once, by its COMMANDS entry. main passes its
+    first argument, so a call builds only the subcommand it runs. Their usage
+    lines name every subcommand alike, so a parser with one subcommand parses
+    its arguments and prints its messages as the whole one does; a first
+    argument that names none gets the whole parser.
     """
-    built = (command,) if command in COMMANDS else COMMANDS
+    built = [command] if command in COMMANDS else COMMANDS
     ap = argparse.ArgumentParser(prog="usynth")
     sub = ap.add_subparsers(dest="command", required=True, metavar=(
         "{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None))
-
-    if "diamond" in built:
-        p = sub.add_parser("diamond", help="half-diamond distance between two channels")
-        p.add_argument("a")
-        p.add_argument("b")
-        p.set_defaults(func=cmd_diamond)
-
-    if "mixopt" in built:
-        p = sub.add_parser("mixopt", help="optimal mixing of candidate channels")
-        p.add_argument("target")
-        p.add_argument("candidates", help="directory of candidate .json matrices")
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_mixopt)
-
-    if "synth1q" in built:
-        p = sub.add_parser("synth1q", help="probabilistic single-qubit synthesis", description=(
-            "support and p list the members the mixture weights, and support_size counts the "
-            "covering support. Each support entry lists gate labels in the order they act: the "
-            "leftmost label acts first, so [\"H\", \"T\"] realizes T @ H."))
-        p.add_argument("--target", required=True, help="named target or matrix JSON path")
-        p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--delta", type=float, default=1e-6)
-        p.add_argument("--gateset", help="gate set JSON path (default H,S,Sdg,T,Tdg)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=0)
-        p.add_argument("--max-len", type=int, default=12)
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_synth1q)
-
-    if "bounds" in built:
-        p = sub.add_parser("bounds", help="lower/upper bound curve sweep")
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--eps-grid", required=True, help="a:b:step")
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_bounds)
-
-    if "sharpness" in built:
-        p = sub.add_parser("sharpness", help="sharpness certificate for one bound")
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--family", choices=("lower", "upper"), required=True)
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_sharpness)
-
-    if "axial" in built:
-        p = sub.add_parser("axial", help="optimal mixing of axial rotations")
-        p.add_argument("--target-theta", type=float, required=True)
-        p.add_argument("--thetas", required=True, help="comma-separated angles")
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_axial)
-
+    for name in built:
+        func, keywords, arguments = COMMANDS[name]
+        p = sub.add_parser(name, **keywords)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 

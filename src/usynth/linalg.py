@@ -29,17 +29,23 @@ def _finite(M: np.ndarray) -> tuple[np.ndarray, np.float64]:
     return M, norm2
 
 
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2, halved first: the same bits outside subnormals, and no overflow."""
+    H = M / 2
+    return H + H.conj().T
+
+
 def check_hermitian(M: np.ndarray) -> np.ndarray:
-    """(M + M^dag) / 2. ValueError, in this order: "matrix contains non-finite entries",
+    """_hermitian_part(M). ValueError, in this order: "matrix contains non-finite entries",
     "expected a square matrix, got shape (r, c)" (0 x 0 too) and "matrix is not
     Hermitian within tolerance" (an entry of M - M^dag above TOL_HERM in modulus)."""
     M = check_finite(M)
     if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    H = M.conj().T
-    if np.abs(M / 2 - H / 2).max() > TOL_HERM / 2:  # in halves, as M - H could overflow
+    H = M / 2
+    if np.abs(H - H.conj().T).max() > TOL_HERM / 2:  # in halves, as M - M^dag could overflow
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (M + H) / 2
+    return _hermitian_part(M)
 
 
 def check_unitary(U: np.ndarray) -> np.ndarray:

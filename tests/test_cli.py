@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from usynth import channels, cli, qubit1, sdp, synth
+from usynth import bounds, channels, cli, qubit1, sdp, synth
 from usynth.linalg import haar_unitary, matrix_to_json
 
 
@@ -177,7 +177,7 @@ def _parsed(capsys, ap, argv):
     return got, out.out, out.err
 
 
-@pytest.mark.parametrize("argv", [
+PARSE_CASES = [
     ["synth1q", "--target", "T", "--eps", "0.3", "--samples", "7", "--max-len", "9"],
     ["synth1q", "--target", "T"],
     ["synth1q", "--target", "T", "--eps", "x"],
@@ -192,7 +192,13 @@ def _parsed(capsys, ap, argv):
     ["sharpness", "--d", "2", "--eps", "0.2", "--family", "mid"],
     ["axial", "--target-theta", "0.3"],
     ["axial", "--target-theta", "0.3", "--thetas", "0.1,0.5"],
-])
+]
+# Every subcommand in the table, with -h and bare, so a new entry is covered too.
+PARSE_CASES += [argv for name in cli.COMMANDS for argv in ([name, "-h"], [name])
+                if argv not in PARSE_CASES]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
 def test_one_subcommand_parser_parses_as_the_whole_one(capsys, argv):
     # main builds only the subcommand its first argument names.
     whole = _parsed(capsys, cli.build_parser(), argv)
@@ -333,6 +339,20 @@ def test_sharpness_lower_d2(capsys):
     assert obj["size"] == 2
     assert obj["slack"] < 1e-5
     assert abs(obj["expected"] - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["lower", "upper"])
+@pytest.mark.parametrize("d", [11, 10**6])
+def test_sharpness_rejects_d_above_ten_before_building_a_witness(capsys, monkeypatch, family, d):
+    # upper builds 2^d Choi operators of size d^2 x d^2: about 6.7 GB of unitaries at d = 20.
+    def refuse(*args):
+        raise AssertionError("a witness was built")
+    monkeypatch.setattr(bounds, "lower_family", refuse)
+    monkeypatch.setattr(bounds, "upper_family", refuse)
+    code, out, err = run_cli(capsys, "sharpness", "--d", str(d), "--eps", "0.5",
+                             "--family", family)
+    assert code == 2 and out == ""
+    assert err == f"error: --d {d}: more than 10\n"
 
 
 def test_sharpness_upper_d3_d4(capsys):

@@ -145,3 +145,12 @@ def test_a_huge_finite_input_fails_its_check_without_a_warning():
                 check(M)
             assert type(info.value) is ValueError
             assert str(info.value) == message
+
+
+def test_a_huge_finite_hermitian_matrix_passes_its_check_without_a_warning():
+    # (M + M^dag) / 2 would overflow to inf at 1e308 + 1e308; it is halved first.
+    M = np.array([[1e308, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for J in (linalg.check_hermitian(M), channels.ChoiOperator(J=M, dims=(1, 2)).J):
+            assert J.tobytes() == M.astype(complex).tobytes()

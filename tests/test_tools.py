@@ -121,12 +121,18 @@ def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
         assert all(isinstance(label, str) for label in rec["det_synth_labels"])
 
 
-def test_solve_time_against_its_own_source_runs_every_path(solve_sweep, monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def solve_time():
+    spec = importlib.util.spec_from_file_location("solve_time", SWEEP.with_name("solve_time.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solve_time_against_its_own_source_runs_every_path(solve_sweep, solve_time, monkeypatch,
+                                                           capsys):
     # The sweep's cut-down case set, each problem solved twice by each side;
     # both sides are this checkout's sdp.py, so their ratio is near 1.
-    spec = importlib.util.spec_from_file_location("solve_time", SWEEP.with_name("solve_time.py"))
-    solve_time = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(solve_time)
     for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("SYNTH_CASES", 1),
                         ("SYNTH_LENGTHS", (12,)), ("WITNESS_DIMS", (3,)),
                         ("WITNESS_EPS", (0.6,))):
@@ -140,3 +146,16 @@ def test_solve_time_against_its_own_source_runs_every_path(solve_sweep, monkeypa
     for line in out[1:]:
         here, other, ratio = (float(x) for x in line.split("; ")[1].split())
         assert here > 0 and other > 0 and ratio == pytest.approx(here / other, abs=1e-3)
+
+
+def test_solve_time_refuses_a_tree_without_sdp_py_before_the_sweep(solve_time, monkeypatch,
+                                                                   tmp_path, capsys):
+    def refuse():
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(solve_time.solve_sweep, "sweep", refuse)
+    other = tmp_path / "no-src"
+    with pytest.raises(SystemExit) as info:
+        solve_time.main([str(other)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {other}: no usynth/sdp.py in it\n")

@@ -12,7 +12,8 @@ the one before. For each of the sweep's paths (`solve_sweep.GROUPS`) and for
 all problems together it prints the median over the problems of each
 side's fastest solve of a problem, in microseconds, and their ratio,
 here / other. Both sides must return the same status and iteration count on
-every problem, or it exits 1.
+every problem, or it exits 1. An OTHER_SRC with no `usynth/sdp.py` exits 2
+before the sweep runs.
 """
 
 import os
@@ -94,6 +95,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("other", type=Path, help="the src/ directory to compare against")
     args = ap.parse_args(argv)
+    if not (args.other / "usynth" / "sdp.py").is_file():
+        ap.error(f"{args.other}: no usynth/sdp.py in it")
     calls = recorded()
     sides = [load_sdp(HERE, "sdp_here"), load_sdp(args.other.resolve(), "sdp_other")]
     best = timings(sides, calls)

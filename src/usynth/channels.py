@@ -6,8 +6,9 @@ channels is its one-candidate case), and the closed-form half-diamond
 distance between unitary channels. `_optimal_mix` sends every mixing query,
 distances too, to Watrous's SDP, except when the target and every candidate
 are d = 2 unitary channels (`_qubit_unitaries`): those take the real 4x4
-SDP of qubit1.optimal_mix_1q. Watrous's SDP is posed exactly on the joint
-support of the Choi operators (`_mix`): n + 1 dimensions for n unitary
+SDP of qubit1.optimal_mix_1q. Both read each Choi operator through its
+factors, made once with it (`ChoiOperator`), and Watrous's SDP is posed
+exactly on the span of the factors (`_mix`): n + 1 dimensions for n unitary
 candidates of a unitary target, not d^2.
 Every returned distance or mixing value is a certified upper bound on the
 error, evaluated on the full space, never the solver's objective.
@@ -21,7 +22,7 @@ half-diamond distance (1/2)||A - B||_diamond.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +45,15 @@ SUPPORT_CUT = 1e-10
 
 @dataclass(frozen=True)
 class ChoiOperator:
-    """Choi operator J on H1 (x) H2 with dims = (d1, d2), each a positive integer."""
+    """Choi operator J on H1 (x) H2 with dims = (d1, d2), each a positive integer.
+
+    factors = (F, w, rest), made here by one eigh (choi gives its own): J = F diag(w) F^dag + R
+    with rest = ||R||_1, F the eigenvectors whose |eigenvalue| w is >= SUPPORT_CUT times the
+    largest (all of them if J = 0)."""
 
     J: np.ndarray
     dims: tuple[int, int]
+    factors: tuple[np.ndarray, np.ndarray, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         J = check_hermitian(self.J)
@@ -58,27 +64,27 @@ class ChoiOperator:
         if min(d1, d2) < 1 or J.shape != (d1 * d2, d1 * d2):
             raise ValueError(f"dims must be two positive integers d1, d2 with J of shape "
                              f"(d1 d2, d1 d2), got {self.dims!r} for {J.shape}")
-        object.__setattr__(self, "J", J)
-
-
-def _choi(J: np.ndarray, dims: tuple[int, int]) -> ChoiOperator:
-    """ChoiOperator(J, dims) for a J built here from checked input: symmetrized, not checked."""
-    op = object.__new__(ChoiOperator)
-    vars(op).update(J=_hermitian_part(J), dims=dims)  # the J check_hermitian returns
-    return op
+        w, F = np.linalg.eigh(J)
+        a = np.abs(w)
+        keep = a >= SUPPORT_CUT * a.max()
+        vars(self).update(J=J, factors=(F[:, keep], w[keep], float(a[~keep].sum())))
 
 
 def choi(U: np.ndarray) -> ChoiOperator:
-    """Choi operator of conjugation by a unitary: rank one, trace d; only U is checked."""
+    """Choi operator of conjugation by a unitary: rank one, trace d; only U is checked.
+    Its factors are (v, 1, 0), J = v v^dag, from no decomposition."""
     U = check_unitary(U)
     d = U.shape[0]
     # sum_i |i> (x) U|i>  has components v[(i,k)] = U[k,i]
     v = U.T.reshape(-1)
-    return _choi(np.outer(v, v.conj()), (d, d))
+    op = object.__new__(ChoiOperator)  # unchecked, its J symmetrized as check_hermitian does
+    vars(op).update(J=_hermitian_part(np.outer(v, v.conj())), dims=(d, d),
+                    factors=(v[:, None], np.array([1.0]), 0.0))
+    return op
 
 
 def choi_mixture(candidates: list[ChoiOperator], weights: np.ndarray) -> ChoiOperator:
-    """Convex combination sum_x p(x) J_x; ValueError unless p is a distribution."""
+    """Convex combination sum_x p(x) J_x (one eigh); ValueError unless p is a distribution."""
     if not candidates:
         raise ValueError("empty candidate list")
     w = np.asarray(weights, dtype=float)
@@ -91,7 +97,7 @@ def choi_mixture(candidates: list[ChoiOperator], weights: np.ndarray) -> ChoiOpe
         if c.dims != dims:
             raise ValueError("mixed Choi dimensions")
         J = J + p * c.J
-    return _choi(J, dims)
+    return ChoiOperator(J=J, dims=dims)
 
 
 def unitary_distance(U: np.ndarray, V: np.ndarray) -> float:
@@ -114,19 +120,13 @@ def unitary_distance(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.sin(s / 2)) if s < np.pi else 1.0
 
 
-def _support(J: np.ndarray) -> np.ndarray:
-    """Orthonormal basis V, D x k, of the joint support K of the stacked operators J.
+def _support(F: np.ndarray) -> np.ndarray:
+    """Orthonormal basis V, D x k, of the span K of the stacked factor columns F.
 
-    Each operator contributes its eigenvectors whose |eigenvalue| is at least
-    SUPPORT_CUT times its largest (all of them for a zero operator); the
-    stacked vectors are orthonormalized by SVD, dropping singular values only
-    at rounding level. Two supports a distance delta apart thus stay apart,
-    where the spectrum of their sum would show delta only as delta^2.
+    The SVD drops singular values only at rounding level, so two supports a
+    distance delta apart stay apart, where the spectrum of their sum shows
+    delta only as delta^2.
     """
-    w, U = np.linalg.eigh(J)
-    a = np.abs(w)
-    keep = a >= SUPPORT_CUT * a.max(axis=-1, keepdims=True)
-    F = U.swapaxes(-1, -2)[keep].T
     Q, s, _ = np.linalg.svd(F, full_matrices=False)
     return Q[:, s > max(F.shape) * sdp.EPS * s[0]]
 
@@ -143,24 +143,28 @@ def _mix(
     tr(rho) <= 1, which are the multipliers of the basis rows and of the
     partial-trace rows.
 
-    The SDP is posed on K, the joint support of J(A) and the J(B_x) (`_support`),
-    with V an orthonormal basis of K: S = V S' V^H, with k x k blocks S' and E'
-    (k = n + 1 for n unitary candidates of a unitary target, whatever d), k^2
-    basis rows in V^H J V and d1^2 partial-trace rows with coefficients
-    V^H (F (x) I) V. That is exact when the operators live on K: testers enter
-    the dual only through V^H T V, and the compressions of 0 <= T <= rho (x) I
-    are exactly 0 <= T' <= N = V^H (rho (x) I) V (T = C^H T' C with
-    C = N^-1 V^H (rho (x) I) extends T'). Neither bound is the solver's
-    objective, and both hold on the full space whatever the support cut dropped:
+    Each operator J = F diag(w) F^H + R enters through its factors
+    (`ChoiOperator`). The SDP is posed on K, the span of all their columns
+    (`_support`), with V an orthonormal basis of K: S = V S' V^H, with k x k
+    blocks S' and E' (k = n + 1 for n unitary candidates of a unitary target,
+    whatever d), k^2 basis rows in V^H F diag(w) F^H V, formed from V^H F, and
+    d1^2 partial-trace rows with coefficients V^H (M (x) I) V, M a basis of H1.
+    That is exact when the operators live on K: testers enter the dual only
+    through V^H T V, and the compressions of 0 <= T <= rho (x) I are exactly
+    0 <= T' <= N = V^H (rho (x) I) V (T = C^H T' C with C = N^-1 V^H (rho (x) I)
+    extends T'). Neither bound is the solver's objective, and both hold on the
+    full space whatever the support cut dropped:
 
     - upper = ||ptr2(S + s I)||_inf with S = V S' V^H and the smallest s >= 0
-      that makes S feasible at the returned p: no less than the error of p;
+      that makes S feasible at the returned p on the full J: no less than the error of p;
     - lower = the dual objective at the tester repaired to be feasible
-      (rho clipped to a density operator, T' into [0, N]), less the trace
-      norm of the target's part J - P J P outside K (P = V V^H) and the
-      largest such norm of a candidate's, which bound what the extended
-      tester, of norm at most 1, sees there: no more than the error of any
-      mixture, clamped to at most upper against rounding.
+      (rho clipped to a density operator, T' into [0, N]), less the target's
+      bound on ||J - P F diag(w) F^H P||_1 (P = V V^H) and the largest
+      candidate's, which bound what the extended tester, of norm at most 1, sees
+      there: no more than the error of any mixture, clamped to [0, upper] against
+      rounding. Per factor f = P f + h, of weight w, a = |P f| and b = |h|, the trace
+      norm of f f^H - P f f^H P = P f h^H + h f^H P + h h^H is at most 2ab + b^2;
+      the bound is rest plus their sum weighted by |w|.
 
     With one candidate, p = 1 and the solve is the half-diamond distance.
     """
@@ -171,12 +175,15 @@ def _mix(
         if c.dims != target.dims:
             raise ValueError("dimension mismatch")
     n = len(candidates)
-    J = np.stack([target.J] + [c.J for c in candidates])
-    V = _support(J)
+    Fs, ws, rests = zip(*(op.factors for op in [target, *candidates]))
+    F, w = np.concatenate(Fs, axis=1), np.concatenate(ws)
+    starts = np.cumsum([0, *map(len, ws[:-1])])  # each operator's first column
+    V = _support(F)
     k = V.shape[1]
-    Jk = V.conj().T @ J @ V  # the operators compressed to K
-    P = V @ V.conj().T
-    outside = np.abs(np.linalg.eigvalsh(J - P @ J @ P)).sum(axis=-1)
+    FK = V.conj().T @ F
+    Jk = np.add.reduceat((FK.T * w[:, None])[:, :, None] * FK.T.conj()[:, None, :], starts)
+    a, b = np.linalg.norm(FK, axis=0), np.linalg.norm(F - V @ FK, axis=0)
+    outside = np.add.reduceat(np.abs(w) * (2 * a * b + b * b), starts) + rests
     JA, JB = Jk[0], Jk[1:]
 
     # Variables: S' >= 0, E' = S' - V^H J(A) V + sum p V^H J(B_x) V >= 0,
@@ -195,12 +202,12 @@ def _mix(
     # The basis rows: svec(E' - S') - sum_x p_x svec(V^H J(B_x) V) = -svec(V^H J(A) V).
     A[:kk, :kk], A[:kk, kk : 2 * kk] = -np.eye(kk), np.eye(kk)
     A[:kk, lp:-1] = -sdp.svec(blocks[0], JB).T
-    # The partial-trace rows, one per basis matrix F of H1: Re tr(F ptr2(V S' V^H)) + svec(G)_F
-    # - tr(F) r = 0, with Re tr(F ptr2(V S' V^H)) = svec(V^H (F (x) I) V) . svec(S').
+    # The partial-trace rows, one per basis matrix M of H1: Re tr(M ptr2(V S' V^H)) + svec(G)_M
+    # - tr(M) r = 0, with Re tr(M ptr2(V S' V^H)) = svec(V^H (M (x) I) V) . svec(S').
     Vr = V.reshape(d1, d2, k)
-    ptr = np.einsum("iba,fij,jbc->fac", Vr.conj(), basis1, Vr)  # V^H (F (x) I) V
+    ptr = np.einsum("iba,fij,jbc->fac", Vr.conj(), basis1, Vr)  # V^H (M (x) I) V
     A[kk:-1, :kk], A[kk:-1, 2 * kk : lp] = sdp.svec(blocks[0], ptr), np.eye(dd)
-    A[kk:-1, -1] = -sdp.svec(blocks[2], np.eye(d1))  # tr(F) = svec(I)_F
+    A[kk:-1, -1] = -sdp.svec(blocks[2], np.eye(d1))  # tr(M) = svec(I)_M
     A[-1, lp:-1] = 1.0  # sum p = 1
     rhs = np.concatenate((-sdp.svec(blocks[0], JA), np.zeros(dd), [1.0]))
     objective = np.zeros(lp + n + 1)
@@ -211,7 +218,7 @@ def _mix(
     p = np.maximum(sol.X[3][:n], 0.0)
     p /= p.sum()
     S = V @ sol.X[0] @ V.conj().T
-    dJ = J[0] - np.tensordot(p, J[1:], 1)
+    dJ = target.J - sum(px * c.J for px, c in zip(p, candidates))
     shift = max(0.0, -np.linalg.eigvalsh(S)[0], -np.linalg.eigvalsh(S - dJ)[0])
     upper = float(np.linalg.eigvalsh(partial_trace(S, (d1, d2)))[-1] + d2 * shift)
 
@@ -227,7 +234,7 @@ def _mix(
     Tf = root @ (Q * np.clip(lam, 0.0, 1.0)) @ Q.conj().T @ root
     values = np.real(np.einsum("ab,xba->x", Tf, Jk))
     lower = float(values[0] - values[1:].max() - outside[0] - outside[1:].max())
-    return p, upper, min(lower, upper)
+    return p, upper, min(max(lower, 0.0), upper)
 
 
 def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False):
@@ -250,21 +257,19 @@ def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False
 def _qubit_unitaries(ops: list[ChoiOperator]) -> np.ndarray | None:
     """Unitaries (up to phase) of d = 2 unitary channels; None if any op is not one.
 
-    Unitary: dims (2, 2), and ptr2(J) = I and J = v v^dag within TOL_UNITARY,
-    with v J's pivot column (largest diagonal entry) over the pivot's root.
+    Unitary: dims (2, 2), one factor f of weight w > 0, rest and U^dag U - I within
+    TOL_UNITARY for U read off v = sqrt(w) f as in choi, v[(i, k)] = U[k, i]: J is
+    rank one and trace preserving (ptr2(J) = (U^dag U)^T) within TOL_UNITARY.
     """
-    if any(op.dims != (2, 2) for op in ops):
+    if any(op.dims != (2, 2) or len(op.factors[1]) != 1 or op.factors[2] > TOL_UNITARY
+           for op in ops):
         return None
-    J = np.stack([op.J for op in ops])
-    ptr2 = np.trace(J.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
-    if np.max(np.abs(ptr2 - np.eye(2))) > TOL_UNITARY:
+    w = np.concatenate([op.factors[1] for op in ops])
+    v = np.concatenate([op.factors[0] for op in ops], axis=1).T * np.sqrt(np.abs(w))[:, None]
+    U = v.reshape(-1, 2, 2).transpose(0, 2, 1)
+    if w.min() <= 0 or np.max(np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(2))) > TOL_UNITARY:
         return None
-    rows = np.arange(len(J))
-    piv = np.argmax(np.real(np.diagonal(J, axis1=1, axis2=2)), axis=1)
-    v = J[rows, :, piv] / np.sqrt(np.real(J[rows, piv, piv]))[:, None]
-    if np.max(np.abs(J - v[:, :, None] * v[:, None, :].conj())) > TOL_UNITARY:
-        return None
-    return v.reshape(-1, 2, 2).transpose(0, 2, 1)  # v[(i, k)] = U[k, i], as in choi
+    return U
 
 
 def _optimal_mix(target: ChoiOperator, candidates: list[ChoiOperator]):

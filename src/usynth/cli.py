@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except synth.CoveringUnreachableError as exc:
-        print(f"error: {exc}; raise --max-len or --eps", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_COVERING
     except channels.SdpFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

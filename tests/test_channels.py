@@ -138,8 +138,8 @@ def test_diamond_distance_matches_unitary_closed_form(d):
         assert abs(value - unitary_distance(U, V)) <= 1e-7 and gap <= 1e-7
 
 
-def _choi_stack(*ops: ChoiOperator) -> np.ndarray:
-    return np.stack([op.J for op in ops])
+def _factor_columns(*ops: ChoiOperator) -> np.ndarray:
+    return np.concatenate([op.factors[0] for op in ops], axis=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -147,7 +147,7 @@ def test_mix_on_the_support_equals_the_full_space_solve(seed):
     # The same SDP posed on all of C^9 (V = I): the support loses nothing.
     rng = np.random.default_rng([60, seed])
     target, *cands = [choi(haar_unitary(3, rng)) for _ in range(2 + seed)]
-    assert channels._support(_choi_stack(target, *cands)).shape == (9, 2 + seed)
+    assert channels._support(_factor_columns(target, *cands)).shape == (9, 2 + seed)
     _, upper, lower = channels._mix(target, cands)
     with mock.patch.object(channels, "_support", lambda J: np.eye(9)):
         _, upper_full, lower_full = channels._mix(target, cands)
@@ -175,7 +175,7 @@ def test_mix_drops_a_small_eigen_part_and_stays_certified():
     phi /= np.linalg.norm(phi)
     # 2e-10 is under SUPPORT_CUT times choi(V)'s eigenvalue 3: the part leaves K.
     noisy = ChoiOperator(J=choi(V).J + 2e-10 * np.outer(phi, phi.conj()), dims=(3, 3))
-    assert channels._support(_choi_stack(choi(U), noisy, choi(W))).shape == (9, 3)
+    assert channels._support(_factor_columns(choi(U), noisy, choi(W))).shape == (9, 3)
     _, upper, lower = channels._mix(choi(U), [noisy, choi(W)])
     _, upper_r, lower_r = channels._mix(choi(U), [choi(V), choi(W)])
     assert lower <= upper
@@ -185,14 +185,14 @@ def test_mix_drops_a_small_eigen_part_and_stays_certified():
 _support = channels._support
 
 
-def _candidates_and_another(J: np.ndarray) -> np.ndarray:
+def _candidates_and_another(F: np.ndarray) -> np.ndarray:
     """The candidates' support and one fixed direction, not the target's."""
-    extra = np.random.default_rng(72).normal(size=(J.shape[-1], 1)) + 0j
-    return np.linalg.qr(np.concatenate([_support(J[1:]), extra], axis=1))[0]
+    extra = np.random.default_rng(72).normal(size=(F.shape[0], 1)) + 0j
+    return np.linalg.qr(np.concatenate([_support(F[:, 1:]), extra], axis=1))[0]
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("cut", [lambda J: _support(J[:2]), _candidates_and_another],
+@pytest.mark.parametrize("cut", [lambda F: _support(F[:, :2]), _candidates_and_another],
                          ids=["target-and-first", "candidates-and-another"])
 def test_mix_bounds_hold_on_a_support_that_drops_parts(d, cut):
     # A K that leaves out parts of the operators: upper is still evaluated on
@@ -215,7 +215,7 @@ def test_mix_of_kraus_rank_two_channels_on_the_full_space():
         choi_mixture([choi(haar_unitary(3, rng)), choi(haar_unitary(3, rng))], np.array([q, 1 - q]))
         for q in (0.9, 0.8, 0.7, 0.6, 0.5)
     ]
-    assert channels._support(_choi_stack(target, *cands)).shape == (9, 9)
+    assert channels._support(_factor_columns(target, *cands)).shape == (9, 9)
     p, upper, lower = channels._mix(target, cands)
     assert 0 <= upper - lower <= 1e-7
     assert upper >= diamond_distance(target, choi_mixture(cands, p)) - 1e-7
@@ -252,6 +252,43 @@ def test_mix_exact_hit_keeps_lower_at_most_upper(d):
         _, upper, lower = channels._mix(choi(U), [choi(V), choi(U)])
         assert lower <= upper < 1e-7
         assert diamond_distance(choi(U), choi(V), full_output=True)[1] >= 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_mix_lower_is_never_negative_near_the_target(d):
+    # U against itself and against U diag(e^{i theta}), theta from 1e-12 to 1e-6: lower
+    # is clamped to [0, upper], as optimal_mix_1q's is, so a gap never exceeds its value.
+    rng = np.random.default_rng([41, d])
+    for theta in np.logspace(-12, -6, 7):
+        U = haar_unitary(d, rng)
+        A, B = choi(U), choi(U @ np.diag(np.exp(1j * theta * np.eye(d)[0])))
+        for cands in ([A], [B]):
+            _, upper, lower = channels._mix(A, cands)
+            assert 0 <= lower <= upper
+        value, gap = diamond_distance(A, B, full_output=True)
+        assert 0 <= gap <= value
+
+
+def test_each_operator_is_factored_once_where_it_is_made(monkeypatch):
+    # choi makes no eigendecomposition, a J given as a matrix one eigh at construction,
+    # and optimal_mix on choi-built operators never decomposes the stack of all four.
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def record(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    rng = np.random.default_rng(41)
+    for d in (2, 3):
+        target, *cands = [choi(haar_unitary(d, rng)) for _ in range(4)]
+        assert shapes == []
+        optimal_mix(target, cands)
+        assert (4, d * d, d * d) not in shapes
+        shapes.clear()
+    ChoiOperator(J=target.J, dims=(3, 3))
+    assert shapes == [(9, 9)]
+    choi_mixture(cands, np.full(3, 1 / 3))
+    assert shapes == [(9, 9)] * 2
 
 
 def test_optimal_mix_fig3_axial():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +47,45 @@ def test_diamond_on_qubit_unitaries_prints_the_closed_form(tmp_path, capsys):
                                str(tmp_path / "v.json"))
         want = float(f"{channels.unitary_distance(U, V):.12g}")
         assert code == 0 and json.loads(out)["value"] == want
+
+
+@pytest.mark.parametrize("d, value", [(2, 0.954159523224), (3, 0.635723893551)])
+def test_diamond_reads_a_choi_matrix_file_as_its_unitary_file(tmp_path, capsys, d, value):
+    # A d^2 x d^2 file that is no unitary is a Choi matrix, factored where it is read:
+    # J(U) prints U's value. The gap moves by rounding, as U's factor is read off J.
+    rng = np.random.default_rng([41, d])
+    U, V = haar_unitary(d, rng), haar_unitary(d, rng)
+    for name, M in (("u", U), ("j", channels.choi(U).J), ("v", V)):
+        save_matrix(tmp_path / f"{name}.json", M)
+    answers = [run_cli(capsys, "diamond", str(tmp_path / f"{a}.json"), str(tmp_path / "v.json"))
+               for a in "uj"]
+    (code_u, out_u, err_u), (code_j, out_j, err_j) = answers
+    (gap_u, value_u), (gap_j, value_j) = (json.loads(out).values() for out in (out_u, out_j))
+    assert code_u == code_j == 0 and err_u == err_j == ""
+    assert value_u == value_j == value and abs(gap_u - gap_j) <= 1e-12
+
+
+def test_a_qubit_mixture_choi_file_takes_the_watrous_sdp(tmp_path, capsys, monkeypatch):
+    # Rank two: no qubit unitary, so the distance is _mix's.
+    rng = np.random.default_rng([41, 1])
+    U, V, W = (haar_unitary(2, rng) for _ in range(3))
+    mixture = channels.choi_mixture([channels.choi(V), channels.choi(W)], np.array([0.25, 0.75]))
+    save_matrix(tmp_path / "u.json", U)
+    save_matrix(tmp_path / "m.json", mixture.J)
+    want = channels._mix(channels.choi(U), [mixture])[1]
+    spy = mock.Mock(wraps=channels._mix)
+    monkeypatch.setattr(channels, "_mix", spy)
+    code, out, _ = run_cli(capsys, "diamond", str(tmp_path / "u.json"), str(tmp_path / "m.json"))
+    assert code == 0 and spy.call_count == 1
+    assert abs(json.loads(out)["value"] - want) <= 1e-9
+
+
+def test_a_matrix_neither_unitary_nor_choi_shaped_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "m.json")
+    save_matrix(path, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    code, out, err = run_cli(capsys, "diamond", path, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: neither a unitary nor a Choi-shaped matrix\n"
 
 
 def test_mixopt_axial(tmp_path, capsys):
@@ -452,10 +492,10 @@ def test_exit_code_covering(capsys):
                              "--max-len", "3")
     assert code == 4
     assert out == ""
-    # The library advises a longer pool; the CLI names the flags that give one.
+    # The library's advice, once, as every other error line.
     assert err == (
         "error: deterministic synthesis reached radius 0.155254 > c'*eps = 0.025; "
-        "use a longer pool or a larger eps; raise --max-len or --eps\n"
+        "use a longer pool or a larger eps\n"
     )
 
 

@@ -259,6 +259,15 @@ def test_enumerate_ht_counts():
     assert lens == [0, 1, 1, 2, 2, 2]
 
 
+def test_enumerate_over_h_and_s_stops_at_the_clifford_group():
+    # The 24 single-qubit Cliffords up to phase are all reached by length 6; from
+    # there on no product is new, and the frontier empties before max_len.
+    gates = dict(zip(standard_gate_set().labels, standard_gate_set().unitaries))
+    gs = GateSet(labels=("H", "S"), unitaries=(gates["H"], gates["S"]))
+    assert [len(enumerate_sequences(gs, L)) for L in range(4, 9)] == [16, 21, 24, 24, 24]
+    assert len(enumerate_sequences(gs, 1000)) == 24
+
+
 def test_sequence_leftmost_label_acts_first(std_gateset):
     H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)

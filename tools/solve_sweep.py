@@ -37,7 +37,7 @@ whose support is all of C^9 from four candidates on; 60 cases each.
 A fourth set, on the path `sharpness`, runs `channels._optimal_mix`, the
 dispatch of `optimal_mix` and so of `sharpness`, on both Theorem 1 witnesses
 (`bounds.lower_family` against the identity, `bounds.upper_family` against
-`upper_family_target`) at d = 2 to 5 and eps 0.1, 0.3, 0.6 and 0.9, keyed
+`upper_family_target`) at d = 2 to 6 and eps 0.1, 0.3, 0.6 and 0.9, keyed
 `lower-d-eps` and `upper-d-eps`: `qubit1.optimal_mix_1q` at d = 2 and
 `channels._mix` above. They are the most degenerate mixing problems here.
 
@@ -78,7 +78,7 @@ SEEDS = (1, 2)
 CASES = 300
 SYNTH_SEED, SYNTH_CASES, SYNTH_LENGTHS = 3, 60, (12, 14)
 DIAMOND4_SEED, KRAUS3_SEED, SUPPORT_CASES = 4, 5, 60
-WITNESS_DIMS, WITNESS_EPS = (2, 3, 4, 5), (0.1, 0.3, 0.6, 0.9)
+WITNESS_DIMS, WITNESS_EPS = (2, 3, 4, 5, 6), (0.1, 0.3, 0.6, 0.9)
 
 
 def cases():

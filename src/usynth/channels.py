@@ -33,8 +33,6 @@ from .linalg import (
     check_hermitian,
     check_probabilities,
     check_unitary,
-    partial_trace,
-    trace_norm,
 )
 from .sdp import SdpFailureError  # noqa: F401  (callers catch channels.SdpFailureError)
 
@@ -43,17 +41,18 @@ from .sdp import SdpFailureError  # noqa: F401  (callers catch channels.SdpFailu
 SUPPORT_CUT = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiOperator:
     """Choi operator J on H1 (x) H2 with dims = (d1, d2), each a positive integer.
 
     factors = (F, w, rest), made here by one eigh (choi gives its own): J = F diag(w) F^dag + R
     with rest = ||R||_1, F the eigenvectors whose |eigenvalue| w is >= SUPPORT_CUT times the
-    largest (all of them if J = 0)."""
+    largest (all of them if J = 0). A `choi` operator forms J on its first read. Two
+    operators are equal only if they are the same object, and hash by identity."""
 
     J: np.ndarray
     dims: tuple[int, int]
-    factors: tuple[np.ndarray, np.ndarray, float] = field(init=False, repr=False, compare=False)
+    factors: tuple[np.ndarray, np.ndarray, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         J = check_hermitian(self.J)
@@ -69,17 +68,24 @@ class ChoiOperator:
         keep = a >= SUPPORT_CUT * a.max()
         vars(self).update(J=J, factors=(F[:, keep], w[keep], float(a[~keep].sum())))
 
+    def __getattr__(self, name):  # J, unset only by choi: formed from its factor v
+        if name != "J":
+            return object.__getattribute__(self, name)  # its usual AttributeError
+        v = self.factors[0][:, 0]
+        vars(self)["J"] = J = _hermitian_part(np.outer(v, v.conj()))
+        return J
+
 
 def choi(U: np.ndarray) -> ChoiOperator:
     """Choi operator of conjugation by a unitary: rank one, trace d; only U is checked.
-    Its factors are (v, 1, 0), J = v v^dag, from no decomposition."""
+    It holds only its factors (v, 1, 0), from no decomposition; J = v v^dag, symmetrized
+    as check_hermitian does, is formed on its first read."""
     U = check_unitary(U)
     d = U.shape[0]
     # sum_i |i> (x) U|i>  has components v[(i,k)] = U[k,i]
     v = U.T.reshape(-1)
-    op = object.__new__(ChoiOperator)  # unchecked, its J symmetrized as check_hermitian does
-    vars(op).update(J=_hermitian_part(np.outer(v, v.conj())), dims=(d, d),
-                    factors=(v[:, None], np.array([1.0]), 0.0))
+    op = object.__new__(ChoiOperator)  # unchecked
+    vars(op).update(dims=(d, d), factors=(v[:, None], np.array([1.0]), 0.0))
     return op
 
 
@@ -152,19 +158,21 @@ def _mix(
     That is exact when the operators live on K: testers enter the dual only
     through V^H T V, and the compressions of 0 <= T <= rho (x) I are exactly
     0 <= T' <= N = V^H (rho (x) I) V (T = C^H T' C with C = N^-1 V^H (rho (x) I)
-    extends T'). Neither bound is the solver's objective, and both hold on the
-    full space whatever the support cut dropped:
+    extends T'). Neither bound is the solver's objective; both are read off K and the
+    factors, and hold on the full space whatever the support cut dropped. An operator's
+    outside term, rest plus |w| (2ab + b^2) over its factors f = P f + h (P = V V^H,
+    a = |P f|, b = |h|; f f^H - P f f^H P = P f h^H + h f^H P + h h^H), bounds
+    ||J - P F diag(w) F^H P||_1. So with o the target's term plus the p-weighted
+    candidates' and dJ' = V^H (J(A) - sum p_x J(B_x)) V taken on the factors, the
+    full dJ has ||dJ - V dJ' V^H||_inf <= o:
 
-    - upper = ||ptr2(S + s I)||_inf with S = V S' V^H and the smallest s >= 0
-      that makes S feasible at the returned p on the full J: no less than the error of p;
-    - lower = the dual objective at the tester repaired to be feasible
-      (rho clipped to a density operator, T' into [0, N]), less the target's
-      bound on ||J - P F diag(w) F^H P||_1 (P = V V^H) and the largest
-      candidate's, which bound what the extended tester, of norm at most 1, sees
-      there: no more than the error of any mixture, clamped to [0, upper] against
-      rounding. Per factor f = P f + h, of weight w, a = |P f| and b = |h|, the trace
-      norm of f f^H - P f f^H P = P f h^H + h f^H P + h h^H is at most 2ab + b^2;
-      the bound is rest plus their sum weighted by |w|.
+    - upper = ||ptr2(V S' V^H + s I)||_inf = lmax(sum_b V_b S' V_b^H) + d2 s (V_b the
+      rows of V of H2 index b), s = max(0, -lmin(S'), max(0, -lmin(S' - dJ')) + o),
+      so S + s I >= 0 and >= dJ: no less than the error of p;
+    - lower = the dual objective at the tester repaired to be feasible (rho clipped to a
+      density operator, T' into [0, N]), less the target's outside term and the largest
+      candidate's, which bound what the extended tester, of norm at most 1, sees there: no
+      more than the error of any mixture, clamped to [0, upper] against rounding.
 
     With one candidate, p = 1 and the solve is the half-diamond distance.
     """
@@ -217,10 +225,10 @@ def _mix(
 
     p = np.maximum(sol.X[3][:n], 0.0)
     p /= p.sum()
-    S = V @ sol.X[0] @ V.conj().T
-    dJ = target.J - sum(px * c.J for px, c in zip(p, candidates))
-    shift = max(0.0, -np.linalg.eigvalsh(S)[0], -np.linalg.eigvalsh(S - dJ)[0])
-    upper = float(np.linalg.eigvalsh(partial_trace(S, (d1, d2)))[-1] + d2 * shift)
+    S, dJ, o = sol.X[0], JA - np.tensordot(p, JB, 1), outside[0] + p @ outside[1:]
+    shift = max(0.0, -np.linalg.eigvalsh(S)[0], max(0.0, -np.linalg.eigvalsh(S - dJ)[0]) + o)
+    ptr2 = (V @ S).reshape(d1, d2 * k) @ V.reshape(d1, d2 * k).conj().T  # ptr2(V S' V^H)
+    upper = float(np.linalg.eigvalsh(ptr2)[-1] + d2 * shift)
 
     T = np.tensordot(sol.y[: k * k], basis, 1)
     w, R = np.linalg.eigh(np.tensordot(sol.y[k * k : k * k + d1 * d1], basis1, 1))
@@ -238,7 +246,8 @@ def _mix(
 
 
 def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False):
-    """Half-diamond distance (1/2)||A - B||_diamond via SDP.
+    """Half-diamond distance (1/2)||A - B||_diamond via SDP; exactly 0 (gap 0), unsolved,
+    only when A.J and B.J are equal entry by entry, as no other pair is at distance 0.
 
     Returns a certified upper bound on the distance; with full_output,
     (upper, upper - lower), where lower <= upper is the dual's certified
@@ -248,7 +257,7 @@ def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False
     """
     if A.dims != B.dims:
         raise ValueError("dimension mismatch")
-    if trace_norm(A.J - B.J) <= 1e-12:
+    if np.array_equal(A.J, B.J):
         return (0.0, 0.0) if full_output else 0.0
     _, upper, lower = _optimal_mix(A, [B])
     return (upper, upper - lower) if full_output else upper

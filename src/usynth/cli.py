@@ -22,7 +22,7 @@ EXIT_SDP = 3
 EXIT_COVERING = 4
 MAX_GRID_POINTS = 1_000_000  # of `bounds --eps-grid`: one theorem1_bounds call each
 MAX_SAMPLES = 1_000_000  # of `synth1q --samples`: one printed index each
-MAX_SHARPNESS_D = 10  # of `sharpness --d`: upper builds 2^d Choi operators, each d^2 x d^2
+MAX_SHARPNESS_D = 10  # of `sharpness --d`: upper builds 2^d Choi operators, each one d^2 column
 
 
 def _sig12(x: float) -> float:

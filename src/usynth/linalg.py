@@ -82,15 +82,6 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(M, compute_uv=False)))
 
 
-def partial_trace(M: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Partial trace over the second factor H2 of H1 (x) H2, dims = (d1, d2)."""
-    M = check_finite(M)
-    d1, d2 = dims
-    if M.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"matrix of shape {M.shape} does not factor as {d1}x{d2}")
-    return np.trace(M.reshape(d1, d2, d1, d2), axis1=1, axis2=3)
-
-
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usynth import channels, sdp
+from usynth import bounds, channels, sdp
 from usynth.channels import (
     ChoiOperator,
     choi,
@@ -82,6 +82,17 @@ def test_choi_mixture_is_bitwise_the_checked_operator():
     assert mixture.dims == (3, 3)
 
 
+def test_choi_operators_are_equal_only_when_identical():
+    # Identity semantics: == and hash read no array, so a choi operator keeps its J unformed.
+    op, twin = choi(np.eye(2)), choi(np.eye(2))
+    assert op == op and op != twin
+    assert op in [op] and twin not in [op]
+    assert hash(op) == hash(op) and len({op, twin, op}) == 2
+    assert "J" not in vars(op) and "J" not in vars(twin)
+    checked = ChoiOperator(J=op.J, dims=(2, 2))
+    assert checked != op and hash(checked) == hash(checked)
+
+
 def test_unitary_distance_examples():
     U = haar_unitary(2, np.random.default_rng(2))
     assert unitary_distance(U, U) == 0
@@ -136,6 +147,23 @@ def test_diamond_distance_matches_unitary_closed_form(d):
         U, V = haar_unitary(d, rng), haar_unitary(d, rng)
         value, gap = diamond_distance(choi(U), choi(V), full_output=True)
         assert abs(value - unitary_distance(U, V)) <= 1e-7 and gap <= 1e-7
+
+
+def test_diamond_distance_is_zero_only_on_equal_operators():
+    # V = U exp(i s H), about 1e-13 from U: ||J(U) - J(V)||_1 is about 6e-13, and the
+    # certified upper bound stays no less than the closed form. Equal J gives exactly 0.
+    rng = np.random.default_rng([44, 3])
+    U = haar_unitary(3, rng)
+    G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    lam, Q = np.linalg.eigh(G + G.conj().T)
+    V = U @ (Q * np.exp(1j * 2e-13 / (lam[-1] - lam[0]) * lam)) @ Q.conj().T
+    dist = unitary_distance(U, V)
+    assert 5e-14 <= dist <= 2e-13
+    assert diamond_distance(choi(U), choi(V)) >= dist
+    A = choi(U)
+    assert diamond_distance(A, A, full_output=True) == (0.0, 0.0)
+    assert diamond_distance(A, choi(U)) == 0.0
+    assert diamond_distance(ChoiOperator(J=A.J, dims=(3, 3)), choi(U)) == 0.0
 
 
 def _factor_columns(*ops: ChoiOperator) -> np.ndarray:
@@ -289,6 +317,64 @@ def test_each_operator_is_factored_once_where_it_is_made(monkeypatch):
     assert shapes == [(9, 9)]
     choi_mixture(cands, np.full(3, 1 / 3))
     assert shapes == [(9, 9)] * 2
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_optimal_mix_reads_only_the_factors(monkeypatch, d):
+    # No choi operator forms its J, and after the solve no eigh or eigvalsh sees a
+    # d^2 x d^2 matrix: both bounds are taken on K. d = 8 is the sharpness upper witness.
+    if d == 3:
+        rng = np.random.default_rng([42, 3])
+        target, *cands = [choi(haar_unitary(3, rng)) for _ in range(5)]
+    else:
+        target = choi(bounds.upper_family_target(8))
+        cands = [choi(U) for U in bounds.upper_family(0.3, 8)]
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def record(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+
+    def solve_then_record(*args, _solve=sdp.solve, **kwargs):
+        sol = _solve(*args, **kwargs)
+        shapes.clear()
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", solve_then_record)
+    optimal_mix(target, cands)
+    assert shapes and (d * d, d * d) not in shapes
+    assert not any("J" in vars(op) for op in [target, *cands])
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("kraus", [1, 2], ids=["unitary", "kraus-rank-2"])
+def test_mix_upper_on_k_is_the_full_space_repair_plus_at_most_the_outside(solves, d, kraus):
+    # u_full repairs S = V S' V^H against the full dJ on all of C^(d^2), recomputed from
+    # the captured solve. upper, taken on K, is no less: its shift adds o, the bound on
+    # ||dJ - V dJ' V^H||_1 that lower pays too, so it exceeds the full shift by at most
+    # o + ||dJ - V dJ' V^H||_inf <= 2 o, and upper exceeds u_full by d2 times that.
+    rng = np.random.default_rng([43, d, kraus])
+
+    def channel():
+        Us = [choi(haar_unitary(d, rng)) for _ in range(kraus)]
+        return Us[0] if kraus == 1 else choi_mixture(Us, np.array([0.7, 0.3]))
+
+    target, *cands = [choi(haar_unitary(d, rng)), channel(), channel(), channel()]
+    p, upper, _ = channels._mix(target, cands)
+    V = channels._support(_factor_columns(target, *cands))
+    S = V @ solves[-1].sol.X[0] @ V.conj().T
+    dJ = target.J - sum(px * c.J for px, c in zip(p, cands))
+    shift = max(0.0, -np.linalg.eigvalsh(S)[0], -np.linalg.eigvalsh(S - dJ)[0])
+    u_full = np.linalg.eigvalsh(np.trace(S.reshape(d, d, d, d), axis1=1, axis2=3))[-1] + d * shift
+    outside = []
+    for F, w, rest in (op.factors for op in [target, *cands]):
+        a, b = np.linalg.norm(V.conj().T @ F, axis=0), np.linalg.norm(F - V @ V.conj().T @ F, axis=0)
+        outside.append(rest + np.abs(w) @ (2 * a * b + b * b))
+    o = outside[0] + p @ outside[1:]
+    assert V.shape[1] < d * d
+    assert kraus == 1 or min(c.factors[2] for c in cands) > 0
+    assert u_full - 1e-14 <= upper <= u_full + 2 * d * o + 1e-14
 
 
 def test_optimal_mix_fig3_axial():

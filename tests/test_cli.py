@@ -63,6 +63,9 @@ def test_diamond_reads_a_choi_matrix_file_as_its_unitary_file(tmp_path, capsys, 
     (gap_u, value_u), (gap_j, value_j) = (json.loads(out).values() for out in (out_u, out_j))
     assert code_u == code_j == 0 and err_u == err_j == ""
     assert value_u == value_j == value and abs(gap_u - gap_j) <= 1e-12
+    # J read from the file and J formed from U are the same bits: exactly 0, unsolved.
+    code, out, _ = run_cli(capsys, "diamond", str(tmp_path / "j.json"), str(tmp_path / "u.json"))
+    assert (code, out) == (0, '{\n  "gap": 0.0,\n  "value": 0.0\n}\n')
 
 
 def test_a_qubit_mixture_choi_file_takes_the_watrous_sdp(tmp_path, capsys, monkeypatch):

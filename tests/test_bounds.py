@@ -153,6 +153,22 @@ def test_witnesses_equal_their_group_definitions(d):
             assert np.array_equal(W, D_a @ R @ np.diag([1.0, *signs]))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_upper_family_members_keep_their_bytes(d):
+    # Each member is R times the outer product of its row and column signs, built
+    # here with np.r_ as the family once built it: the same bytes, -0.0 included.
+    for eps in (0.1, 0.3, 0.6, 0.9):
+        theta = np.arccos(eps)
+        R = np.eye(d, dtype=complex)
+        R[0, 0] = R[1, 1] = np.cos(theta)
+        R[0, 1], R[1, 0] = -np.sin(theta), np.sin(theta)
+        fam = upper_family(eps, d)
+        signs = itertools.product((1.0, -1.0), repeat=d)
+        assert [W.tobytes() for W in fam] == [
+            (R * np.outer(np.r_[1.0, a, np.ones(d - 2)], np.r_[1.0, rest])).tobytes()
+            for a, *rest in signs]
+
+
 def test_upper_family_target_is_quarter_rotation():
     R = upper_family_target(3)
     assert np.allclose(R @ R.conj().T, np.eye(3))

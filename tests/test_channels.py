@@ -250,6 +250,31 @@ def test_mix_of_kraus_rank_two_channels_on_the_full_space():
     assert upper <= min(diamond_distance(target, c) for c in cands) + 1e-7
 
 
+def _density(rng, d: int) -> np.ndarray:
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mix_distance_of_non_square_channels_is_the_closed_form(seed):
+    # d1 != d2 both ways, where a partial-trace index error would hide. The isometry
+    # channels C^2 -> C^3 of W and W U are as far apart as I and U; the replacement
+    # channels C^3 -> C^2, rho -> tr(rho) sigma with J = I_3 (x) sigma, are
+    # 1/2 ||sigma_1 - sigma_2||_1 apart.
+    rng = np.random.default_rng([80, seed])
+    W, U = haar_unitary(3, rng)[:, :2], haar_unitary(2, rng)
+    iso = [ChoiOperator(J=np.outer(v, v.conj()), dims=(2, 3))
+           for v in (W.T.reshape(-1), (W @ U).T.reshape(-1))]  # v[(i, k)] = W[k, i]
+    s1, s2 = _density(rng, 2), _density(rng, 2)
+    rep = [ChoiOperator(J=np.kron(np.eye(3), s), dims=(3, 2)) for s in (s1, s2)]
+    for (A, B), exact in ((iso, unitary_distance(np.eye(2), U)),
+                          (rep, np.abs(np.linalg.eigvalsh(s1 - s2)).sum() / 2)):
+        _, upper, lower = channels._mix(A, [B])
+        assert lower - 1e-9 <= exact <= upper + 1e-9
+        assert upper - lower <= 1e-7
+
+
 def test_mix_solves_take_few_interior_point_iterations(solves):
     # tools/solve_sweep.py's first 30 d = 3 cases (seed 1, i = 0, 3, ..., 87), drawn in
     # its order. The mean is 10.20 with the centering exponent 1.5 and 11.40 with 3;

@@ -7,35 +7,6 @@ import pytest
 from usynth import channels, linalg, qubit1
 
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def test_trace_norm_examples():
-    assert linalg.trace_norm(np.zeros((2, 2))) == 0
-    assert abs(linalg.trace_norm(X) - 2) < 1e-12
-
-
-def test_trace_norm_rank2_projector_difference():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        u = rng.standard_normal(4)
-        u /= np.linalg.norm(u)
-        w = rng.standard_normal(4)
-        w /= np.linalg.norm(w)
-        alpha = np.arccos(np.clip(abs(u @ w), 0, 1))
-        tn = linalg.trace_norm(np.outer(u, u) - np.outer(w, w))
-        # sign of the inner product is irrelevant for the projectors
-        assert abs(tn - 2 * np.sin(alpha)) < 1e-10
-
-
-def test_trace_norm_equals_abs_eig_sum_hermitian():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        M = A + A.conj().T
-        assert abs(linalg.trace_norm(M) - np.sum(np.abs(np.linalg.eigvalsh(M)))) < 1e-9
-
-
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(5)
     for d in (2, 3, 4):

@@ -102,16 +102,17 @@ def test_compare_counts_a_p_of_another_length_as_differing(solve_sweep, tmp_path
 
 def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
     # Two mixing cases per seed (one at d = 3, one at d = 2 with its mix_1q), one
-    # diamond4 and one kraus3 case, one witness per family, and two prob_synth
-    # targets at L = 12.
-    for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("SYNTH_CASES", 2),
-                        ("SYNTH_LENGTHS", (12,)), ("WITNESS_DIMS", (3,)),
-                        ("WITNESS_EPS", (0.6,))):
+    # diamond4, kraus3, iso23 and replace32 case, one witness per family, and two
+    # prob_synth targets at L = 12.
+    for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("CHANNEL_CASES", 1),
+                        ("SYNTH_CASES", 2), ("SYNTH_LENGTHS", (12,)),
+                        ("WITNESS_DIMS", (3,)), ("WITNESS_EPS", (0.6,))):
         monkeypatch.setattr(solve_sweep, name, value)
     records = solve_sweep.sweep()
     paths = [(rec["path"], rec["d"]) for rec in records]
     assert paths == [("mix", 3), ("mix", 2), ("mix_1q", 2)] * 2 + [("mix", 4), ("mix", 3)] \
-        + [("sharpness", 3)] * 2 + [("prob_synth", 2)] * 2
+        + [("mix", [2, 3]), ("mix", [3, 2])] + [("sharpness", 3)] * 2 + [("prob_synth", 2)] * 2
+    assert [solve_sweep.group(rec) for rec in records[8:10]] == ["iso23", "replace32"]
     assert [rec["case"] for rec in records if rec["path"] == "sharpness"] == [
         "lower-3-0.6", "upper-3-0.6"]
     assert [len(rec["p"]) for rec in records if rec["path"] == "sharpness"] == [3, 8]
@@ -133,14 +134,14 @@ def test_solve_time_against_its_own_source_runs_every_path(solve_sweep, solve_ti
                                                            capsys):
     # The sweep's cut-down case set, each problem solved twice by each side;
     # both sides are this checkout's sdp.py, so their ratio is near 1.
-    for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("SYNTH_CASES", 1),
-                        ("SYNTH_LENGTHS", (12,)), ("WITNESS_DIMS", (3,)),
-                        ("WITNESS_EPS", (0.6,))):
+    for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("CHANNEL_CASES", 1),
+                        ("SYNTH_CASES", 1), ("SYNTH_LENGTHS", (12,)),
+                        ("WITNESS_DIMS", (3,)), ("WITNESS_EPS", (0.6,))):
         monkeypatch.setattr(solve_time.solve_sweep, name, value)
     monkeypatch.setattr(solve_time, "REPEATS", 2)
     assert solve_time.main([str(SWEEP.parents[1] / "src")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "11 solves, fastest of 2 each; median us here, other, ratio"
+    assert out[0] == "13 solves, fastest of 2 each; median us here, other, ratio"
     paths = [line.split(":")[0] for line in out[1:]]
     assert paths == [*solve_sweep.GROUPS, "all"]
     for line in out[1:]:

@@ -32,7 +32,13 @@ half-diamond distance between two Haar unitaries at d = 4 from
 `default_rng([4, i])` (a support of 2 of 16 dimensions), and `kraus3-i`, a
 Haar d = 3 target with 2-5 candidates of Kraus rank 2 (`choi_mixture` of two
 Haar unitaries at a weight drawn from [0.5, 1)) from `default_rng([5, i])`,
-whose support is all of C^9 from four candidates on; 60 cases each.
+whose support is all of C^9 from four candidates on; 60 cases each. It ends
+with 20 cases each of channels with d1 != d2, a target with 2-5 candidates:
+`iso23-i`, isometry channels C^2 -> C^3 of Haar 3x2 isometries (two columns
+of a Haar unitary) from `default_rng([6, i])`, and `replace32-i`, replacement
+channels C^3 -> C^2, rho -> tr(rho) sigma with J = I_3 (x) sigma for Ginibre
+density operators sigma, from `default_rng([7, i])`. Their records' `d` is
+the pair [d1, d2].
 
 A fourth set, on the path `sharpness`, runs `channels._optimal_mix`, the
 dispatch of `optimal_mix` and so of `sharpness`, on both Theorem 1 witnesses
@@ -45,8 +51,8 @@ dispatch of `optimal_mix` and so of `sharpness`, on both Theorem 1 witnesses
 those that only one sweep has without comparing them. It prints every
 solve whose status or iteration counts differ, and every `p` whose length
 differs (such a solve differs, and `p` gives it no move); then, per path
-(`mix` at d = 2 and at d = 3, `mix_1q`, `diamond4`, `kraus3`, `prob_synth`,
-and the `sharpness` witnesses as `lower` and `upper`), the
+(`mix` at d = 2 and at d = 3, `mix_1q`, `diamond4`, `kraus3`, `iso23`,
+`replace32`, `prob_synth`, and the `sharpness` witnesses as `lower` and `upper`), the
 mean and largest iteration counts of each sweep, how many records took
 fewer, equal or more iterations in the second, the largest move of `upper`
 and `lower`, each sweep's largest width `upper - lower` and its mean of the
@@ -78,6 +84,7 @@ SEEDS = (1, 2)
 CASES = 300
 SYNTH_SEED, SYNTH_CASES, SYNTH_LENGTHS = 3, 60, (12, 14)
 DIAMOND4_SEED, KRAUS3_SEED, SUPPORT_CASES = 4, 5, 60
+ISO23_SEED, REPLACE32_SEED, CHANNEL_CASES = 6, 7, 20
 WITNESS_DIMS, WITNESS_EPS = (2, 3, 4, 5, 6), (0.1, 0.3, 0.6, 0.9)
 
 
@@ -96,7 +103,7 @@ def cases():
 
 def support_cases():
     """(name, d, target, candidates) of the third set, as Choi operators."""
-    from usynth.channels import choi, choi_mixture
+    from usynth.channels import ChoiOperator, choi, choi_mixture
     from usynth.linalg import haar_unitary
 
     for i in range(SUPPORT_CASES):
@@ -112,6 +119,20 @@ def support_cases():
             pair = [choi(haar_unitary(3, rng)), choi(haar_unitary(3, rng))]
             cands.append(choi_mixture(pair, np.array([q, 1 - q])))
         yield f"kraus3-{i}", 3, target, cands
+    for i in range(CHANNEL_CASES):
+        rng = np.random.default_rng([ISO23_SEED, i])
+        n = int(rng.integers(2, 6))
+        # W an isometry, v[(i, k)] = W[k, i]
+        vs = [haar_unitary(3, rng)[:, :2].T.reshape(-1) for _ in range(n + 1)]
+        ops = [ChoiOperator(np.outer(v, v.conj()), (2, 3)) for v in vs]
+        yield f"iso23-{i}", [2, 3], ops[0], ops[1:]
+    for i in range(CHANNEL_CASES):
+        rng = np.random.default_rng([REPLACE32_SEED, i])
+        n = int(rng.integers(2, 6))
+        G = rng.standard_normal((n + 1, 2, 2)) + 1j * rng.standard_normal((n + 1, 2, 2))
+        sigmas = [g @ g.conj().T / np.vdot(g, g).real for g in G]
+        ops = [ChoiOperator(np.kron(np.eye(3), sigma), (3, 2)) for sigma in sigmas]
+        yield f"replace32-{i}", [3, 2], ops[0], ops[1:]
 
 
 def witness_cases():
@@ -199,13 +220,14 @@ def sweep() -> list[dict]:
     return records
 
 
-GROUPS = ("mix d=2", "mix d=3", "mix_1q", "diamond4", "kraus3", "prob_synth", "lower", "upper")
+GROUPS = ("mix d=2", "mix d=3", "mix_1q", "diamond4", "kraus3", "iso23", "replace32",
+          "prob_synth", "lower", "upper")
 
 
 def group(rec: dict) -> str:
     """The path a record summarizes under: one of GROUPS."""
     kind = rec["case"].split("-")[0]
-    if kind in ("diamond4", "kraus3", "lower", "upper"):
+    if kind in ("diamond4", "kraus3", "iso23", "replace32", "lower", "upper"):
         return kind
     return f"mix d={rec['d']}" if rec["path"] == "mix" else rec["path"]
 

@@ -11,7 +11,8 @@ factors, made once with it (`ChoiOperator`), and Watrous's SDP is posed
 exactly on the span of the factors (`_mix`): n + 1 dimensions for n unitary
 candidates of a unitary target, not d^2.
 Every returned distance or mixing value is a certified upper bound on the
-error, evaluated on the full space, never the solver's objective.
+error, evaluated on the full space, never the solver's objective: one checker
+per lowering (`_check`, `qubit1._check_1q`) forms it from the lowering's certificate.
 
 Conventions: the Choi operator of a channel Xi acting on a d1-dimensional
 input is J(Xi) = sum_ij |i><j| (x) Xi(|i><j|), an operator on H1 (x) H2
@@ -137,10 +138,68 @@ def _support(F: np.ndarray) -> np.ndarray:
     return Q[:, s > max(F.shape) * sdp.EPS * s[0]]
 
 
-def _mix(
-    target: ChoiOperator, candidates: list[ChoiOperator]
-) -> tuple[np.ndarray, float, float]:
-    """Optimal mixture p of the candidates and certified bounds (p, upper, lower).
+def _on_support(ops: list[ChoiOperator], V: np.ndarray):
+    """(Jk, outside, X, norms) of the operators J = F diag(w) F^H + R on K = span V: blocks
+    V^H F diag(w) F^H V; outside terms rest + sum |w| (2ab + b^2) over the factors f = P f + h
+    (P = V V^H, a = |P f|, b = |h|), bounding ||J - P F diag(w) F^H P||_1; the Gram X[i, j] =
+    V^H (|i><j| (x) I) V; diamond-norm bounds lmax(ptr2 J+) + lmax(ptr2 J-) + rest, J+- the
+    factors' parts of either sign (1 up to rounding for a channel)."""
+    Fs, ws, rests = zip(*(op.factors for op in ops))
+    F, w = np.concatenate(Fs, axis=1), np.concatenate(ws)
+    starts = np.cumsum([0, *map(len, ws[:-1])])  # each operator's first column
+    FK = V.conj().T @ F
+    Jk = np.add.reduceat((FK.T * w[:, None])[:, :, None] * FK.T.conj()[:, None, :], starts)
+    a, b = np.linalg.norm(FK, axis=0), np.linalg.norm(F - V @ FK, axis=0)
+    outside = np.add.reduceat(np.abs(w) * (2 * a * b + b * b), starts) + rests
+    d1, d2 = ops[0].dims
+    Vi = V.reshape(d1, d2, -1)
+    X = Vi.conj().transpose(0, 2, 1)[:, None] @ Vi  # X[i, j] = V^H (|i><j| (x) I) V
+    G = F.T.reshape(-1, d1, d2)
+    ptr = G @ G.conj().transpose(0, 2, 1)  # ptr2(f f^H) of each factor f
+    signs = np.stack([np.maximum(w, 0.0), np.maximum(-w, 0.0)])  # the weights of J+ and J-
+    norms = np.linalg.eigvalsh(np.add.reduceat(signs[..., None, None] * ptr, starts, axis=1))
+    norms = norms[..., -1].sum(axis=0) + rests
+    return Jk, outside, X, norms
+
+
+def _check(p: np.ndarray, certificate, blocks) -> tuple[float, float]:
+    """(upper, lower) of `_mix`'s certificate (V, S', T', rho) at p, blocks `_on_support`'s.
+    With o the outside terms' p-weighted sum, dJ' = Jk[0] - sum p_x Jk[x] is within o of dJ:
+
+    - upper = lmax(ptr2(V S' V^H)) + d2 s with s = max(0, -lmin(S'), max(0, -lmin(S' - dJ'))
+      + o), so S + s I >= 0 and >= dJ, capped at (norms[0] + p . norms[1:]) / 2 by the
+      triangle inequality: no less than the error of p;
+    - lower = the dual objective at the tester repaired to be feasible (rho clipped to a
+      density operator, T' into [0, N], N = V^H (rho (x) I) V), less the target's and the
+      largest candidate's outside terms, which bound what the extended tester, of norm at
+      most 1, sees there: no more than any mixture's error, clamped to [0, upper].
+    """
+    V, S, T, rho = certificate
+    Jk, outside, X, norms = blocks
+    d2 = len(V) // len(X)
+    dJ, o = Jk[0] - np.tensordot(p, Jk[1:], 1), outside[0] + p @ outside[1:]
+    shift = max(0.0, -np.linalg.eigvalsh(S)[0], max(0.0, -np.linalg.eigvalsh(S - dJ)[0]) + o)
+    ptr2 = np.tensordot(X, S.T, 2).T  # ptr2(V S' V^H): entry (i, j) is tr(X[j, i] S')
+    upper = min(float(np.linalg.eigvalsh(ptr2)[-1] + d2 * shift),
+                float(norms[0] + p @ norms[1:]) / 2)
+
+    w, R = np.linalg.eigh(rho)
+    w = np.maximum(w, 0.0) + 1e-12
+    T = T / w.sum()
+    w /= w.sum()
+    N = np.tensordot((R * w) @ R.conj().T, X, 2)  # V^H (rho (x) I) V
+    nu, Q = np.linalg.eigh(N)
+    root, root_inv = (Q * np.sqrt(nu)) @ Q.conj().T, (Q / np.sqrt(nu)) @ Q.conj().T
+    lam, Q = np.linalg.eigh(root_inv @ T @ root_inv)
+    Tf = root @ (Q * np.clip(lam, 0.0, 1.0)) @ Q.conj().T @ root
+    values = np.real(np.einsum("ab,xba->x", Tf, Jk))
+    lower = float(values[0] - values[1:].max() - outside[0] - outside[1:].max())
+    return upper, min(max(lower, 0.0), upper)
+
+
+def _mix(target: ChoiOperator, candidates: list[ChoiOperator]):
+    """Optimal mixture p of the candidates, certified bounds and their certificate:
+    (p, upper, lower, (V, S', T', rho)).
 
     Watrous's SDP for the half-diamond norm (arXiv:0901.4709, 1207.5726),
     minimized over the simplex: min r with S >= 0, S >= J(A) - sum p_x J(B_x),
@@ -153,47 +212,31 @@ def _mix(
     (`ChoiOperator`). The SDP is posed on K, the span of all their columns
     (`_support`), with V an orthonormal basis of K: S = V S' V^H, with k x k
     blocks S' and E' (k = n + 1 for n unitary candidates of a unitary target,
-    whatever d), k^2 basis rows in V^H F diag(w) F^H V, formed from V^H F, and
-    d1^2 partial-trace rows. Every partial trace on K is read off one Gram, X[i, j] =
-    V_i^H V_j = V^H (|i><j| (x) I) V with V_i the d2 rows of V of H1 index i: the rows'
-    V^H (M (x) I) V = sum_ij M[i, j] X[i, j] (M a basis of H1), ptr2(V S' V^H)[i, j] =
-    tr(X[j, i] S') and the tester's N = V^H (rho (x) I) V = sum_ij rho[i, j] X[i, j].
-    That is exact when the operators live on K: testers enter the dual only
-    through V^H T V, and the compressions of 0 <= T <= rho (x) I are exactly
-    0 <= T' <= N (T = C^H T' C with C = N^-1 V^H (rho (x) I) extends T'). Neither bound is the solver's objective; both are read off K and the
-    factors, and hold on the full space whatever the support cut dropped. An operator's
-    outside term, rest plus |w| (2ab + b^2) over its factors f = P f + h (P = V V^H,
-    a = |P f|, b = |h|; f f^H - P f f^H P = P f h^H + h f^H P + h h^H), bounds
-    ||J - P F diag(w) F^H P||_1. So with o the target's term plus the p-weighted
-    candidates' and dJ' = V^H (J(A) - sum p_x J(B_x)) V taken on the factors, the
-    full dJ has ||dJ - V dJ' V^H||_inf <= o:
-
-    - upper = ||ptr2(V S' V^H + s I)||_inf = lmax(ptr2(V S' V^H)) + d2 s,
-      s = max(0, -lmin(S'), max(0, -lmin(S' - dJ')) + o),
-      so S + s I >= 0 and >= dJ: no less than the error of p;
-    - lower = the dual objective at the tester repaired to be feasible (rho clipped to a
-      density operator, T' into [0, N]), less the target's outside term and the largest
-      candidate's, which bound what the extended tester, of norm at most 1, sees there: no
-      more than the error of any mixture, clamped to [0, upper] against rounding.
+    whatever d), k^2 basis rows in the blocks of `_on_support` and d1^2 partial-trace
+    rows. Every partial trace on K is read off its Gram X: the rows' V^H (M (x) I) V =
+    sum_ij M[i, j] X[i, j] (M a basis of H1), ptr2(V S' V^H)[i, j] = tr(X[j, i] S') and
+    the tester's N = V^H (rho (x) I) V. That is exact when the operators live on K:
+    testers enter the dual only through V^H T V, and the compressions of 0 <= T <= rho
+    (x) I are exactly 0 <= T' <= N (T = C^H T' C with C = N^-1 V^H (rho (x) I) extends
+    T'). Neither bound is the solver's objective: `_check` repairs the certificate, the
+    solver's S', T' and rho, and both bounds hold on the full space whatever the support
+    cut dropped. `_check(p, certificate, _on_support([target, *candidates], V))` re-checks
+    them with no solve.
 
     With one candidate, p = 1 and the solve is the half-diamond distance.
     """
     if not candidates:
         raise ValueError("empty candidate list")
-    d1, d2 = target.dims
+    d1 = target.dims[0]
     for c in candidates:
         if c.dims != target.dims:
             raise ValueError("dimension mismatch")
     n = len(candidates)
-    Fs, ws, rests = zip(*(op.factors for op in [target, *candidates]))
-    F, w = np.concatenate(Fs, axis=1), np.concatenate(ws)
-    starts = np.cumsum([0, *map(len, ws[:-1])])  # each operator's first column
-    V = _support(F)
+    ops = [target, *candidates]
+    V = _support(np.concatenate([op.factors[0] for op in ops], axis=1))
     k = V.shape[1]
-    FK = V.conj().T @ F
-    Jk = np.add.reduceat((FK.T * w[:, None])[:, :, None] * FK.T.conj()[:, None, :], starts)
-    a, b = np.linalg.norm(FK, axis=0), np.linalg.norm(F - V @ FK, axis=0)
-    outside = np.add.reduceat(np.abs(w) * (2 * a * b + b * b), starts) + rests
+    on_k = _on_support(ops, V)
+    Jk, _, X, _ = on_k
     JA, JB = Jk[0], Jk[1:]
 
     # Variables: S' >= 0, E' = S' - V^H J(A) V + sum p V^H J(B_x) V >= 0,
@@ -214,8 +257,6 @@ def _mix(
     A[:kk, lp:-1] = -sdp.svec(blocks[0], JB).T
     # The partial-trace rows, one per basis matrix M of H1: Re tr(M ptr2(V S' V^H)) + svec(G)_M
     # - tr(M) r = 0, with Re tr(M ptr2(V S' V^H)) = svec(V^H (M (x) I) V) . svec(S').
-    Vi = V.reshape(d1, d2, k)
-    X = Vi.conj().transpose(0, 2, 1)[:, None] @ Vi  # X[i, j] = V^H (|i><j| (x) I) V
     ptr = np.tensordot(basis1, X, 2)  # V^H (M (x) I) V
     A[kk:-1, :kk], A[kk:-1, 2 * kk : lp] = sdp.svec(blocks[0], ptr), np.eye(dd)
     A[kk:-1, -1] = -sdp.svec(blocks[2], np.eye(d1))  # tr(M) = svec(I)_M
@@ -228,24 +269,9 @@ def _mix(
 
     p = np.maximum(sol.X[3][:n], 0.0)
     p /= p.sum()
-    S, dJ, o = sol.X[0], JA - np.tensordot(p, JB, 1), outside[0] + p @ outside[1:]
-    shift = max(0.0, -np.linalg.eigvalsh(S)[0], max(0.0, -np.linalg.eigvalsh(S - dJ)[0]) + o)
-    ptr2 = np.tensordot(X, S.T, 2).T  # ptr2(V S' V^H): entry (i, j) is tr(X[j, i] S')
-    upper = float(np.linalg.eigvalsh(ptr2)[-1] + d2 * shift)
-
-    T = np.tensordot(sol.y[: k * k], basis, 1)
-    w, R = np.linalg.eigh(np.tensordot(sol.y[k * k : k * k + d1 * d1], basis1, 1))
-    w = np.maximum(w, 0.0) + 1e-12
-    T /= w.sum()
-    w /= w.sum()
-    N = np.tensordot((R * w) @ R.conj().T, X, 2)  # V^H (rho (x) I) V
-    nu, Q = np.linalg.eigh(N)
-    root, root_inv = (Q * np.sqrt(nu)) @ Q.conj().T, (Q / np.sqrt(nu)) @ Q.conj().T
-    lam, Q = np.linalg.eigh(root_inv @ T @ root_inv)
-    Tf = root @ (Q * np.clip(lam, 0.0, 1.0)) @ Q.conj().T @ root
-    values = np.real(np.einsum("ab,xba->x", Tf, Jk))
-    lower = float(values[0] - values[1:].max() - outside[0] - outside[1:].max())
-    return p, upper, min(max(lower, 0.0), upper)
+    T, rho = np.tensordot(sol.y[:kk], basis, 1), np.tensordot(sol.y[kk : kk + dd], basis1, 1)
+    certificate = (V, sol.X[0], T, rho)
+    return (p, *_check(p, certificate, on_k), certificate)
 
 
 def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False):
@@ -262,7 +288,7 @@ def diamond_distance(A: ChoiOperator, B: ChoiOperator, full_output: bool = False
         raise ValueError("dimension mismatch")
     if np.array_equal(A.J, B.J):
         return (0.0, 0.0) if full_output else 0.0
-    _, upper, lower = _optimal_mix(A, [B])
+    _, upper, lower, _ = _optimal_mix(A, [B])
     return (upper, upper - lower) if full_output else upper
 
 
@@ -285,7 +311,7 @@ def _qubit_unitaries(ops: list[ChoiOperator]) -> np.ndarray | None:
 
 
 def _optimal_mix(target: ChoiOperator, candidates: list[ChoiOperator]):
-    """(p, upper, lower) of the one lowering a mixing query takes: see optimal_mix."""
+    """(p, upper, lower, certificate) of the one lowering a mixing query takes: see optimal_mix."""
     U = _qubit_unitaries([target, *candidates])
     if U is None:
         return _mix(target, candidates)
@@ -306,7 +332,8 @@ def optimal_mix(
     real 4x4 SDPs of `qubit1.optimal_mix_1q` (p is zero off its solved columns),
     and value is its upper, `mix_distance_1q` at p: the exact error of p for
     the unitaries read from the Choi operators. Every other input takes the
-    Watrous SDP of `_mix`, and value is its repaired-primal upper bound. Either
+    Watrous SDP of `_mix`, and value is its repaired-primal upper bound, capped at
+    (||target||_diamond + sum p_x ||cand_x||_diamond) / 2, 1 for channels. Either
     SDP is solved to relative gap and feasibility 1e-8 within 200 iterations.
     `_optimal_mix` makes this choice, for `diamond_distance` too.
     """

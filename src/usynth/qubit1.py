@@ -162,9 +162,21 @@ def _mix_distance(u: np.ndarray, W: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(M))) / 2)
 
 
+def _check_1q(u: np.ndarray, W: np.ndarray, p: np.ndarray, Y: np.ndarray):
+    """(upper, price, lower, Y) of optimal_mix_1q's certificate (p, Y) on checked inputs:
+    Y clipped to PSD, upper = _mix_distance(u, W, p), price = w_x^T Y w_x per candidate,
+    and lower = (u^T Y u - max price) / tr Y, unclamped (0.0 if Y clips to 0)."""
+    lam, V = np.linalg.eigh(Y)
+    Y = (V * np.maximum(lam, 0.0)) @ V.T
+    price = np.einsum("xa,ab,xb->x", W, Y, W)
+    trace = float(np.trace(Y))
+    lower = float(u @ Y @ u - np.max(price)) / trace if trace > 0 else 0.0
+    return _mix_distance(u, W, p), price, lower, Y
+
+
 def optimal_mix_1q(
     target: np.ndarray, candidates: np.ndarray, gap_tol: float = sdp.DEFAULT_GAP_TOL
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, float, float, np.ndarray]:
     """Best mixture of the candidate magic vectors w_x for the target u.
 
     Solves max -t subject to S - tI - sum_x p_x w_x w_x^T = -uu^T (in the 10
@@ -174,14 +186,16 @@ def optimal_mix_1q(
     order), then, while upper - lower > gap_tol, adding the (at most
     COLUMNS) best priced candidates that price above every solved column.
     The price of w_x is w_x^T Y w_x, Y = sum y_k E_k from the dual
-    multipliers of the basis rows, clipped to PSD and scaled to trace 1: a
-    dual feasible point. Returns (p, upper, lower) of the last solve:
+    multipliers of the basis rows, clipped to PSD by `_check_1q`, which forms
+    both bounds; scaled to trace 1, Y is a dual feasible point. Returns
+    (p, upper, lower, Y) of the last solve:
 
     - upper = mix_distance_1q(u, W, p), the exact half-diamond error of the
       returned p: the solver's (zero off the solved columns) or the nearest
       single candidate, whichever errs less;
-    - lower = u^T Y u - max_x w_x^T Y w_x over every candidate: no mixture
-      does better. It is clamped to [0, upper] against rounding.
+    - lower = (u^T Y u - max_x w_x^T Y w_x) / tr Y over every candidate, Y
+      as returned (clipped, not scaled): no mixture does better. It is
+      clamped to [0, upper] against rounding.
 
     Raises ValueError unless u is a unit 4-vector and W has shape (n, 4) with
     unit rows, n > 0, and as sdp.solve and check_optimal do.
@@ -193,6 +207,7 @@ def optimal_mix_1q(
     dots = np.abs(W @ u)
     # Within the gap tolerance the nearest single candidate can beat the iterate.
     best = (np.arange(len(W)) == np.argmax(dots)) * 1.0
+    best_error = _mix_distance(u, W, best)
     cols = np.sort(np.argsort(-dots, kind="stable")[:COLUMNS])
     while True:
         # Rows over (svec(S), p, t): [I | -svec(w_x w_x^T) for each x | -svec(I)] = -svec(uu^T),
@@ -208,16 +223,13 @@ def optimal_mix_1q(
         sol = sdp.check_optimal(sdp.solve(sdp.SdpProblem(blocks, objective, A, rhs), gap_tol))
         p = np.zeros(len(W))
         p[cols] = np.maximum(sol.X[1][:-1], 0.0)
-        P = (p / p.sum(), best)
-        errs = [_mix_distance(u, W, q) for q in P]
-        p, upper = P[int(np.argmin(errs))], min(errs)
-        lam, V = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))
-        Y = (V * np.maximum(lam, 0.0)) @ V.T  # clipped to PSD, scaled to trace 1 below
-        price = np.einsum("xa,ab,xb->x", W, Y, W)
-        lower = float(u @ Y @ u - np.max(price)) / float(np.trace(Y))
+        p /= p.sum()
+        if _mix_distance(u, W, p) > best_error:
+            p = best
+        upper, price, lower, Y = _check_1q(u, W, p, np.einsum("k,kab->ab", sol.y[: len(E)], E))
         new = np.flatnonzero(price > price[cols].max())
         if upper - lower <= gap_tol or not new.size:
-            return p, upper, min(max(lower, 0.0), upper)
+            return p, upper, min(max(lower, 0.0), upper), Y
         cols = np.union1d(cols, new[np.argsort(-price[new], kind="stable")[:COLUMNS]])
 
 

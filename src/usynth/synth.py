@@ -397,7 +397,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     support_idx = support_idx[qubit1.support_filter(u, pool.magic[support_idx], eps)]
     W = pool.magic[support_idx]
 
-    p, upper, lower = qubit1.optimal_mix_1q(u, W, delta)
+    p, upper, lower, _ = qubit1.optimal_mix_1q(u, W, delta)
     det_error = float(np.min(qubit1.line_distance(u, W)))
     return SynthesisResult(
         support=pool.words(support_idx),

@@ -53,7 +53,7 @@ def test_acceptance_1_axial_three_paths():
 
     # path 3: the full mixing SDP (Watrous's lowering; optimal_mix would take
     # the 4x4 lowering of path 2's formula for these qubit unitaries)
-    _, v3, _ = channels._mix(choi(rz(target_theta)), [choi(rz(t)) for t in thetas])
+    _, v3, _, _ = channels._mix(choi(rz(target_theta)), [choi(rz(t)) for t in thetas])
 
     det = min(qubit1.line_distance(u, w) for w in W)
     dt = time.perf_counter() - t0
@@ -92,7 +92,7 @@ def test_acceptance_2_qubit_bound_attained():
         def support(u):
             return P if r >= 0.5 else P[support_filter(u, P, r)]
 
-        _, upper, lower = qubit1.optimal_mix_1q(hole, support(hole))
+        _, upper, lower, _ = qubit1.optimal_mix_1q(hole, support(hole))
         ok &= lower - 1e-12 <= r * r and upper / (r * r) - 1 <= 2e-7
         worst = 0.0
         for u in targets:
@@ -145,11 +145,11 @@ def test_acceptance_4_primal_dual_agreement():
         U = haar_unitary(d, rng)
         n = int(rng.integers(2, 6))
         Vs = [haar_unitary(d, rng) for _ in range(n)]
-        _, upper, lower = channels._mix(choi(U), [choi(V) for V in Vs])
+        _, upper, lower, _ = channels._mix(choi(U), [choi(V) for V in Vs])
         ok &= 0.0 <= upper - lower <= 1e-7
         worst = max(worst, upper - lower)
         if d == 2:
-            _, upper_1q, lower_1q = qubit1.optimal_mix_1q(
+            _, upper_1q, lower_1q, _ = qubit1.optimal_mix_1q(
                 magic_embed(U), np.stack([magic_embed(V) for V in Vs])
             )
             crossing = max(crossing, lower - upper_1q, lower_1q - upper)
@@ -176,8 +176,8 @@ def test_acceptance_5_support_restriction_lossless():
         U = haar_unitary(2, rng)
         u = magic_embed(U)
         idx = support_filter(u, pts, rad)
-        _, v_full, _ = channels._mix(choi(U), all_cands)
-        _, v_filt, _ = channels._mix(choi(U), [all_cands[i] for i in idx])
+        _, v_full, _, _ = channels._mix(choi(U), all_cands)
+        _, v_filt, _, _ = channels._mix(choi(U), [all_cands[i] for i in idx])
         worst = max(worst, abs(v_full - v_filt))
     ok = worst <= 1e-7
     _report(

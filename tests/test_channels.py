@@ -176,9 +176,9 @@ def test_mix_on_the_support_equals_the_full_space_solve(seed):
     rng = np.random.default_rng([60, seed])
     target, *cands = [choi(haar_unitary(3, rng)) for _ in range(2 + seed)]
     assert channels._support(_factor_columns(target, *cands)).shape == (9, 2 + seed)
-    _, upper, lower = channels._mix(target, cands)
+    _, upper, lower, _ = channels._mix(target, cands)
     with mock.patch.object(channels, "_support", lambda J: np.eye(9)):
-        _, upper_full, lower_full = channels._mix(target, cands)
+        _, upper_full, lower_full, _ = channels._mix(target, cands)
     assert abs(upper - upper_full) <= 1e-7 and abs(lower - lower_full) <= 1e-7
     assert lower <= upper <= lower + 1e-7
 
@@ -189,8 +189,8 @@ def test_mix_keeps_a_candidate_a_hair_from_the_target():
     # eigenvector keeps it.
     t = 5.5e-8
     u, w = np.array([1.0, 0.0, 0.0, 0.0]), np.array([np.cos(t), np.sin(t), 0.0, 0.0])
-    _, upper_1q, _ = optimal_mix_1q(u, w[None, :])
-    _, upper, lower = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w))])
+    _, upper_1q, _, _ = optimal_mix_1q(u, w[None, :])
+    _, upper, lower, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w))])
     assert lower <= upper and abs(upper - upper_1q) <= 1e-7
 
 
@@ -204,8 +204,8 @@ def test_mix_drops_a_small_eigen_part_and_stays_certified():
     # 2e-10 is under SUPPORT_CUT times choi(V)'s eigenvalue 3: the part leaves K.
     noisy = ChoiOperator(J=choi(V).J + 2e-10 * np.outer(phi, phi.conj()), dims=(3, 3))
     assert channels._support(_factor_columns(choi(U), noisy, choi(W))).shape == (9, 3)
-    _, upper, lower = channels._mix(choi(U), [noisy, choi(W)])
-    _, upper_r, lower_r = channels._mix(choi(U), [choi(V), choi(W)])
+    _, upper, lower, _ = channels._mix(choi(U), [noisy, choi(W)])
+    _, upper_r, lower_r, _ = channels._mix(choi(U), [choi(V), choi(W)])
     assert lower <= upper
     assert abs(upper - upper_r) <= 1e-7 and abs(lower - lower_r) <= 1e-7
 
@@ -227,9 +227,9 @@ def test_mix_bounds_hold_on_a_support_that_drops_parts(d, cut):
     # all of C^(d^2), and lower pays for the parts outside K.
     rng = np.random.default_rng([70, 0])
     target, *cands = [choi(haar_unitary(d, rng)) for _ in range(3)]
-    _, upper, lower = channels._mix(target, cands)
+    _, upper, lower, _ = channels._mix(target, cands)
     with mock.patch.object(channels, "_support", cut):
-        p, upper_cut, lower_cut = channels._mix(target, cands)
+        p, upper_cut, lower_cut, _ = channels._mix(target, cands)
     assert lower_cut <= upper and upper_cut >= lower
     assert upper_cut >= diamond_distance(target, choi_mixture(cands, p)) - 1e-7
 
@@ -244,7 +244,7 @@ def test_mix_of_kraus_rank_two_channels_on_the_full_space():
         for q in (0.9, 0.8, 0.7, 0.6, 0.5)
     ]
     assert channels._support(_factor_columns(target, *cands)).shape == (9, 9)
-    p, upper, lower = channels._mix(target, cands)
+    p, upper, lower, _ = channels._mix(target, cands)
     assert 0 <= upper - lower <= 1e-7
     assert upper >= diamond_distance(target, choi_mixture(cands, p)) - 1e-7
     assert upper <= min(diamond_distance(target, c) for c in cands) + 1e-7
@@ -270,7 +270,7 @@ def test_mix_distance_of_non_square_channels_is_the_closed_form(seed):
     rep = [ChoiOperator(J=np.kron(np.eye(3), s), dims=(3, 2)) for s in (s1, s2)]
     for (A, B), exact in ((iso, unitary_distance(np.eye(2), U)),
                           (rep, np.abs(np.linalg.eigvalsh(s1 - s2)).sum() / 2)):
-        _, upper, lower = channels._mix(A, [B])
+        _, upper, lower, _ = channels._mix(A, [B])
         assert lower - 1e-9 <= exact <= upper + 1e-9
         assert upper - lower <= 1e-7
 
@@ -302,7 +302,7 @@ def test_mix_exact_hit_keeps_lower_at_most_upper(d):
     rng = np.random.default_rng(30 + d)
     for _ in range(3):
         U, V = haar_unitary(d, rng), haar_unitary(d, rng)
-        _, upper, lower = channels._mix(choi(U), [choi(V), choi(U)])
+        _, upper, lower, _ = channels._mix(choi(U), [choi(V), choi(U)])
         assert lower <= upper < 1e-7
         assert diamond_distance(choi(U), choi(V), full_output=True)[1] >= 0
 
@@ -316,7 +316,7 @@ def test_mix_lower_is_never_negative_near_the_target(d):
         U = haar_unitary(d, rng)
         A, B = choi(U), choi(U @ np.diag(np.exp(1j * theta * np.eye(d)[0])))
         for cands in ([A], [B]):
-            _, upper, lower = channels._mix(A, cands)
+            _, upper, lower, _ = channels._mix(A, cands)
             assert 0 <= lower <= upper
         value, gap = diamond_distance(A, B, full_output=True)
         assert 0 <= gap <= value
@@ -378,7 +378,8 @@ def test_mix_upper_on_k_is_the_full_space_repair_plus_at_most_the_outside(solves
     # u_full repairs S = V S' V^H against the full dJ on all of C^(d^2), recomputed from
     # the captured solve. upper, taken on K, is no less: its shift adds o, the bound on
     # ||dJ - V dJ' V^H||_1 that lower pays too, so it exceeds the full shift by at most
-    # o + ||dJ - V dJ' V^H||_inf <= 2 o, and upper exceeds u_full by d2 times that.
+    # o + ||dJ - V dJ' V^H||_inf <= 2 o, and upper exceeds u_full by d2 times that. Where
+    # u_full exceeds 1, upper is capped at the channels' (||A|| + sum p_x ||B_x||) / 2 = 1.
     rng = np.random.default_rng([43, d, kraus])
 
     def channel():
@@ -386,7 +387,7 @@ def test_mix_upper_on_k_is_the_full_space_repair_plus_at_most_the_outside(solves
         return Us[0] if kraus == 1 else choi_mixture(Us, np.array([0.7, 0.3]))
 
     target, *cands = [choi(haar_unitary(d, rng)), channel(), channel(), channel()]
-    p, upper, _ = channels._mix(target, cands)
+    p, upper, _, _ = channels._mix(target, cands)
     V = channels._support(_factor_columns(target, *cands))
     S = V @ solves[-1].sol.X[0] @ V.conj().T
     dJ = target.J - sum(px * c.J for px, c in zip(p, cands))
@@ -399,7 +400,7 @@ def test_mix_upper_on_k_is_the_full_space_repair_plus_at_most_the_outside(solves
     o = outside[0] + p @ outside[1:]
     assert V.shape[1] < d * d
     assert kraus == 1 or min(c.factors[2] for c in cands) > 0
-    assert u_full - 1e-14 <= upper <= u_full + 2 * d * o + 1e-14
+    assert min(u_full, 1.0) - 1e-14 <= upper <= u_full + 2 * d * o + 1e-14
 
 
 def test_optimal_mix_fig3_axial():
@@ -594,9 +595,61 @@ def test_optimal_mix_dual_equals_primal(seed, n):
     # bound is never below the exact error of its own p, and neither bound
     # crosses those of the independent 4x4 lowering.
     Us = _haar_qubits(seed, n + 1)
-    p, upper, lower = channels._mix(choi(Us[0]), [choi(U) for U in Us[1:]])
+    p, upper, lower, _ = channels._mix(choi(Us[0]), [choi(U) for U in Us[1:]])
     assert 0.0 <= upper - lower <= 1e-7
     u, W = magic_embed(Us[0]), np.stack([magic_embed(U) for U in Us[1:]])
     assert upper >= mix_distance_1q(u, W, p) - 1e-12
-    _, upper_1q, lower_1q = optimal_mix_1q(u, W)
+    _, upper_1q, lower_1q, _ = optimal_mix_1q(u, W)
     assert lower <= upper_1q + 1e-12 and lower_1q <= upper + 1e-12
+
+
+def _far_pairs():
+    """Cases whose repaired primal reads above 1: the sweep's diamond4-0 and mix 1-231,
+    and three far qutrit candidates from default_rng([43, 3])."""
+    rng = np.random.default_rng([4, 0])
+    yield choi(haar_unitary(4, rng)), [choi(haar_unitary(4, rng))]
+    rng = np.random.default_rng([1, 231])
+    n = int(rng.integers(2, 6))
+    yield choi(haar_unitary(3, rng)), [choi(haar_unitary(3, rng)) for _ in range(n)]
+    rng = np.random.default_rng([43, 3])
+    Ms = [haar_unitary(3, rng) for _ in range(6)]
+    yield choi(Ms[0]), [choi(Ms[i]) for i in (1, 2, 5)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["diamond4-0", "1-231", "43-3"])
+def test_mix_upper_of_channels_is_capped_at_one(case):
+    target, cands = list(_far_pairs())[case]
+    p, upper, lower, certificate = channels._mix(target, cands)
+    assert 0.0 <= lower <= upper <= 1 + 1e-12
+    assert optimal_mix(target, cands)[1] == upper
+    # The cap is read off the factors: the channels' diamond norms are 1.
+    norms = channels._on_support([target, *cands], certificate[0])[3]
+    assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
+
+
+def test_mix_cap_of_a_non_channel_is_its_diamond_norm():
+    # 2 J(U) is no channel: its diamond norm is 2, so the cap is (2 + 1) / 2.
+    rng = np.random.default_rng([4, 0])
+    U, V = haar_unitary(4, rng), haar_unitary(4, rng)
+    double = ChoiOperator(J=2 * choi(U).J, dims=(4, 4))
+    p, upper, lower, certificate = channels._mix(double, [choi(V)])
+    assert 1.0 < lower <= upper <= 1.5 + 1e-12
+    norms = channels._on_support([double, choi(V)], certificate[0])[3]
+    assert np.allclose(norms, [2.0, 1.0], rtol=0, atol=1e-12)
+
+
+def test_mix_bounds_are_re_checked_from_the_certificate_and_tampered_ones_repaired():
+    rng = np.random.default_rng([44, 3])
+    target, *cands = [choi(haar_unitary(3, rng)) for _ in range(4)]
+    p, upper, lower, certificate = channels._mix(target, cands)
+    V, S, T, rho = certificate
+    on_k = channels._on_support([target, *cands], V)
+    assert channels._check(p, certificate, on_k) == (upper, lower)  # no solve
+    # A tester twice too large, and a rho with a negative eigenvalue: both repaired into
+    # a feasible tester, whose bound holds for every mixture, so below the optimum.
+    negative = rho - (np.linalg.eigvalsh(rho)[0] + 0.25) * np.eye(3)
+    assert np.linalg.eigvalsh(negative)[0] < 0
+    for tampered in ((V, S, 2 * T, rho), (V, S, T, negative)):
+        upper_t, lower_t = channels._check(p, tampered, on_k)
+        assert upper_t == upper
+        assert 0.0 <= lower_t <= lower + 1e-7 and lower_t <= upper_t

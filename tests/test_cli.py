@@ -83,6 +83,28 @@ def test_a_qubit_mixture_choi_file_takes_the_watrous_sdp(tmp_path, capsys, monke
     assert abs(json.loads(out)["value"] - want) <= 1e-9
 
 
+def test_diamond_of_a_far_pair_prints_the_cap(tmp_path, capsys):
+    # Two Haar unitaries at d = 4 whose repaired primal reads 1.0000000029: the value is
+    # capped at the channels' (1 + 1) / 2.
+    rng = np.random.default_rng([4, 0])
+    for name in "uv":
+        save_matrix(tmp_path / f"{name}.json", haar_unitary(4, rng))
+    code, out, _ = run_cli(capsys, "diamond", str(tmp_path / "u.json"), str(tmp_path / "v.json"))
+    assert code == 0 and '  "value": 1.0\n' in out
+
+
+def test_mixopt_of_far_candidates_prints_at_most_one(tmp_path, capsys):
+    # Uncapped, this mixture's upper read 1.0000000065.
+    rng = np.random.default_rng([43, 3])
+    Ms = [haar_unitary(3, rng) for _ in range(6)]
+    (tmp_path / "cands").mkdir()
+    for i in (1, 2, 5):
+        save_matrix(tmp_path / "cands" / f"c{i}.json", Ms[i])
+    save_matrix(tmp_path / "t.json", Ms[0])
+    code, out, _ = run_cli(capsys, "mixopt", str(tmp_path / "t.json"), str(tmp_path / "cands"))
+    assert code == 0 and json.loads(out)["value"] <= 1.0
+
+
 def test_a_matrix_neither_unitary_nor_choi_shaped_exits_2(tmp_path, capsys):
     path = str(tmp_path / "m.json")
     save_matrix(path, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))

@@ -294,7 +294,7 @@ _unit_sets = arrays(
 # An exact hit twice over: the least-squares start is optimal, and unfloored its shifts vanish.
 @example(u=np.array([1.0, 0, 0, 0]), W=np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]))
 def test_optimal_mix_1q_certificate(u, W):
-    p, upper, lower = optimal_mix_1q(u, W)
+    p, upper, lower, _ = optimal_mix_1q(u, W)
     # Both bounds are evaluated in floating point: allow rounding at 1e-12.
     assert lower <= upper + 1e-12 and upper <= lower + 1e-7
     assert abs(p.sum() - 1) < 1e-12 and np.all(p >= 0)
@@ -302,21 +302,42 @@ def test_optimal_mix_1q_certificate(u, W):
     # Never worse than the best single candidate.
     assert upper <= min(line_distance(u, w) for w in W) + 1e-9
     # Against the generic lowering: optimal_mix itself would call this function.
-    _, value, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
+    _, value, _, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
     assert abs(upper - value) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_check_1q_re_derives_lower_and_bounds_a_tampered_dual_below_the_optimum(seed):
+    rng = np.random.default_rng([44, seed])
+    u = magic_embed(haar_unitary(2, rng))
+    W = magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(6)]))
+    p, upper, lower, Y = optimal_mix_1q(u, W)
+    # The returned Y is clipped, not scaled: lower is two lines of it, with no solve.
+    price = np.einsum("xa,ab,xb->x", W, Y, W)
+    assert min(max(float(u @ Y @ u - np.max(price)) / float(np.trace(Y)), 0.0), upper) == lower
+    assert qubit1._check_1q(u, W, p, Y)[0] == upper
+    for size in (1e-3, 1e-2, 0.1):
+        E = rng.normal(size=(4, 4))
+        E = E + E.T
+        E *= size / np.linalg.norm(E, 2)
+        assert qubit1._check_1q(u, W, p, Y + E)[2] <= upper
+    # A dual that clips to 0 certifies nothing: lower is 0.0, with no division by 0.
+    G = rng.normal(size=(4, 4))
+    for Y0 in (-(G @ G.T) - np.eye(4), np.zeros((4, 4))):
+        assert qubit1._check_1q(u, W, p, Y0)[2] == 0.0
 
 
 @given(u=_units, W=_unit_sets, flips=arrays(bool, 8))
 def test_optimal_mix_1q_sign_invariance(u, W, flips):
     signs = np.where(flips[: len(W)], -1.0, 1.0)[:, None]
-    _, upper, lower = optimal_mix_1q(u, W)
-    _, upper_f, lower_f = optimal_mix_1q(-u, signs * W)
+    _, upper, lower, _ = optimal_mix_1q(u, W)
+    _, upper_f, lower_f, _ = optimal_mix_1q(-u, signs * W)
     assert abs(upper_f - upper) <= 1e-12 and abs(lower_f - lower) <= 1e-12
 
 
 @given(W=_unit_sets, pick=st.integers(0, 7))
 def test_optimal_mix_1q_exact_candidate(W, pick):
-    _, upper, lower = optimal_mix_1q(W[pick % len(W)], W)
+    _, upper, lower, _ = optimal_mix_1q(W[pick % len(W)], W)
     assert lower <= upper + 1e-12 and upper <= 1e-8
 
 
@@ -354,7 +375,7 @@ def test_optimal_mix_1q_wide_support_memory_is_linear():
     u /= np.linalg.norm(u)
     tracemalloc.start()
     try:
-        p, upper, lower = optimal_mix_1q(u, W)
+        p, upper, lower, _ = optimal_mix_1q(u, W)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -379,13 +400,13 @@ def test_optimal_mix_1q_second_round_adds_the_far_candidate(solves):
     W = np.vstack([np.column_stack([np.cos(th), np.sin(th)[:, None] * tilt]),
                    [np.cos(0.2), -np.sin(0.2), 0.0, 0.0]])
     u = np.eye(4)[0]
-    p, upper, lower = optimal_mix_1q(u, W)
+    p, upper, lower, _ = optimal_mix_1q(u, W)
     widths = _widths(solves)
     assert len(widths) >= 2 and widths[0] == qubit1.COLUMNS
     assert p[-1] > 0 and np.all(p[qubit1.COLUMNS : -1] == 0.0)
     assert abs(upper - mix_distance_1q(u, W, p)) <= 1e-15 and 0 <= lower <= upper
     # Watrous's lowering over all 21 channels agrees.
-    _, value, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
+    _, value, _, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
     assert abs(upper - value) <= 1e-7
     # The nearest COLUMNS alone are far worse: the second round is needed.
     assert optimal_mix_1q(u, W[: qubit1.COLUMNS])[1] > 3 * upper

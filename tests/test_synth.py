@@ -316,7 +316,7 @@ def test_mixing_at_the_pool_deepest_hole_attains_r_squared(std_gateset, max_len,
     r, hole = qubit1.covering_radius(pool.magic, return_witness=True)
     assert abs(r - radius) <= 5e-6
     W = pool.magic[qubit1.support_filter(hole, pool.magic, r)]
-    _, upper, lower = qubit1.optimal_mix_1q(hole, W)
+    _, upper, lower, _ = qubit1.optimal_mix_1q(hole, W)
     assert lower - 1e-12 <= r**2 <= upper + 1e-12
     assert upper / r**2 - 1 <= 2e-7
 

@@ -88,6 +88,24 @@ def test_compare_counts_unpaired_records_without_comparing_them(solve_sweep, tmp
     assert "1 solves compared, 0 differ" in out
 
 
+def test_compare_counts_a_lower_its_certificate_does_not_reproduce(solve_sweep, tmp_path,
+                                                                    capsys):
+    priced = dict(mix("1-1"), path="mix_1q", repriced=0.25 - 1e-9)
+    code, out = compare(solve_sweep, tmp_path, capsys, [priced], [priced])
+    assert code == 0
+    assert "2 d = 2 lower bounds re-priced from Y, 0 not reproduced" in out
+    # A sweep written without repriced (the parent's, say) is compared as ever.
+    off = dict(priced, repriced=0.25 - 2e-9)
+    code, out = compare(solve_sweep, tmp_path, capsys, [dict(mix("1-1"), path="mix_1q")], [off])
+    assert code == 1
+    assert "1 solves compared, 0 differ" in out
+    assert "1 d = 2 lower bounds re-priced from Y, 1 not reproduced" in out
+    code, out = compare(solve_sweep, tmp_path, capsys, [off], [off])
+    assert code == 1
+    assert "1 solves compared, 0 differ" in out
+    assert "2 d = 2 lower bounds re-priced from Y, 2 not reproduced" in out
+
+
 @pytest.mark.parametrize("p", [[1.0], [0.25, 0.25, 0.5]], ids=["broadcasts", "mismatched"])
 def test_compare_counts_a_p_of_another_length_as_differing(solve_sweep, tmp_path, capsys, p):
     # A p of length 1 would broadcast against the other into a move of 0.5; one of
@@ -102,21 +120,27 @@ def test_compare_counts_a_p_of_another_length_as_differing(solve_sweep, tmp_path
 
 def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
     # Two mixing cases per seed (one at d = 3, one at d = 2 with its mix_1q), one
-    # diamond4, kraus3, iso23 and replace32 case, one witness per family, and two
-    # prob_synth targets at L = 12.
+    # diamond4, kraus3, iso23 and replace32 case, one witness per family at d = 2 and 3,
+    # and two prob_synth targets at L = 12.
     for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("CHANNEL_CASES", 1),
                         ("SYNTH_CASES", 2), ("SYNTH_LENGTHS", (12,)),
-                        ("WITNESS_DIMS", (3,)), ("WITNESS_EPS", (0.6,))):
+                        ("WITNESS_DIMS", (2, 3)), ("WITNESS_EPS", (0.6,))):
         monkeypatch.setattr(solve_sweep, name, value)
     records = solve_sweep.sweep()
     paths = [(rec["path"], rec["d"]) for rec in records]
     assert paths == [("mix", 3), ("mix", 2), ("mix_1q", 2)] * 2 + [("mix", 4), ("mix", 3)] \
-        + [("mix", [2, 3]), ("mix", [3, 2])] + [("sharpness", 3)] * 2 + [("prob_synth", 2)] * 2
+        + [("mix", [2, 3]), ("mix", [3, 2])] + [("sharpness", 2)] * 2 + [("sharpness", 3)] * 2 \
+        + [("prob_synth", 2)] * 2
     assert [solve_sweep.group(rec) for rec in records[8:10]] == ["iso23", "replace32"]
     assert [rec["case"] for rec in records if rec["path"] == "sharpness"] == [
-        "lower-3-0.6", "upper-3-0.6"]
-    assert [len(rec["p"]) for rec in records if rec["path"] == "sharpness"] == [3, 8]
+        "lower-2-0.6", "upper-2-0.6", "lower-3-0.6", "upper-3-0.6"]
+    assert [len(rec["p"]) for rec in records if rec["path"] == "sharpness"] == [2, 4, 3, 8]
     assert all(rec["status"] == "Optimal" and "p" in rec for rec in records)
+    # Each d = 2 lower re-derived from its Y in plain numpy is the checker's, bit for bit.
+    priced = [rec for rec in records if "repriced" in rec]
+    assert [(rec["path"], rec["d"]) for rec in priced] == [("mix_1q", 2)] * 2 + [
+        ("sharpness", 2)] * 2
+    assert sum(rec["repriced"] != rec["lower"] for rec in priced) == 0
     for rec in records[-2:]:  # the whole pool's best is no worse than the support's
         assert rec["det_synth_error"] <= rec["det_error"] + 1e-9
         assert all(isinstance(label, str) for label in rec["det_synth_labels"])

@@ -47,6 +47,11 @@ dispatch of `optimal_mix` and so of `sharpness`, on both Theorem 1 witnesses
 `lower-d-eps` and `upper-d-eps`: `qubit1.optimal_mix_1q` at d = 2 and
 `channels._mix` above. They are the most degenerate mixing problems here.
 
+Each `mix_1q` record and each d = 2 `sharpness` record also holds
+`repriced`: its `lower` re-derived from the certificate `Y` that
+`optimal_mix_1q` returns, by the two lines of `repriced` rather than by the
+solver's own checker, so a checker that stops reading its certificate shows.
+
 `--compare` pairs the records of two sweeps by case and path, and counts
 those that only one sweep has without comparing them. It prints every
 solve whose status or iteration counts differ, and every `p` whose length
@@ -65,7 +70,9 @@ values, and how many `prob_synth` records in their support. A record whose
 support, `det_error`, `achieved_eps`, `det_synth_labels` or
 `det_synth_error` differs counts as differing, and each support that
 differs is printed with the labels it loses and gains; a key that only one
-sweep has is not compared. It exits 1 if any paired solve differs at all.
+sweep has is not compared. Last it prints how many records of either sweep
+hold a `repriced` that is not bitwise their `lower`. It exits 1 if any
+paired solve differs at all or any such record is found.
 """
 
 import os
@@ -152,6 +159,15 @@ def witness_cases():
 STEPS = ("sigma", "ap", "ad")
 
 
+def repriced(u: np.ndarray, W: np.ndarray, Y: np.ndarray, upper: float) -> float:
+    """The lower bound of `optimal_mix_1q`'s certificate Y, re-derived here:
+    (u.Yu - max_x w_x^T Y w_x) / tr Y (0.0 if Y = 0), clamped to [0, upper]."""
+    price = np.einsum("xa,ab,xb->x", W, Y, W)
+    trace = float(np.trace(Y))
+    lower = float(u @ Y @ u - np.max(price)) / trace if trace > 0 else 0.0
+    return min(max(lower, 0.0), upper)
+
+
 def step_means(sols) -> dict:
     """sigma_mean, ap_mean and ad_mean over the steps the solves took (None if none)."""
     taken = [step for sol in sols for step in sol.trace if step["sigma"] is not None]
@@ -171,12 +187,14 @@ def sweep() -> list[dict]:
         seen.append(sol)
         return sol
 
-    def record(name, d, path, run) -> dict:
+    def record(name, d, path, run, magic=None) -> dict:
         seen.clear()
         rec = {"case": name, "d": d, "path": path}
         try:
-            p, upper, lower = run()
+            p, upper, lower, certificate = run()
             rec.update(upper=upper, lower=lower, p=[float(x) for x in p])
+            if magic is not None:
+                rec["repriced"] = repriced(*magic, certificate, upper)
         except sdp.SdpFailureError:
             pass
         (sol,) = seen
@@ -190,14 +208,18 @@ def sweep() -> list[dict]:
             records.append(record(name, d, "mix", lambda: channels._mix(
                 channels.choi(U), [channels.choi(V) for V in Vs])))
             if d == 2:
-                W = qubit1.magic_embed_batch(np.stack(Vs))
-                records.append(record(name, d, "mix_1q", lambda: qubit1.optimal_mix_1q(
-                    qubit1.magic_embed(U), W)))
+                u, W = qubit1.magic_embed(U), qubit1.magic_embed_batch(np.stack(Vs))
+                records.append(record(name, d, "mix_1q",
+                                      lambda: qubit1.optimal_mix_1q(u, W), (u, W)))
         for name, d, target, cands in support_cases():
             records.append(record(name, d, "mix", lambda: channels._mix(target, cands)))
         for name, d, target, cands in witness_cases():
+            magic = None
+            if d == 2:  # the dispatch solves on the magic vectors it reads off the factors
+                W = qubit1.magic_embed_batch(channels._qubit_unitaries([target, *cands]))
+                magic = W[0], W[1:]
             records.append(record(name, d, "sharpness",
-                                  lambda: channels._optimal_mix(target, cands)))
+                                  lambda: channels._optimal_mix(target, cands), magic))
         for max_len in SYNTH_LENGTHS:
             pool = synth.enumerate_sequences(synth.standard_gate_set(), max_len)
             for i in range(SYNTH_CASES):
@@ -265,7 +287,8 @@ def summarize(pairs: list[tuple[dict, dict]]) -> None:
 
 
 def compare(a: list[dict], b: list[dict]) -> int:
-    """Print what differs between two sweeps; the number of differing solves."""
+    """Print what differs between two sweeps; the number of differing solves, plus the
+    records of either sweep whose `repriced` is not their `lower`."""
     keyed = [{(r["case"], r["path"]): r for r in recs} for recs in (a, b)]
     only = len(keyed[0].keys() ^ keyed[1].keys())
     if only:
@@ -303,7 +326,10 @@ def compare(a: list[dict], b: list[dict]) -> int:
         print(f"largest move of {k}: {move:.3e}" + (f" ({where})" if where else ""))
     print(f"{len(pairs)} solves compared, {differ} differ ({steps} in status or iterations, "
           f"{supports} in support)")
-    return differ
+    priced = [rec for rec in (*a, *b) if "repriced" in rec]
+    unequal = sum(rec["repriced"] != rec["lower"] for rec in priced)
+    print(f"{len(priced)} d = 2 lower bounds re-priced from Y, {unequal} not reproduced")
+    return differ + unequal
 
 
 def load(path: str) -> list[dict]:

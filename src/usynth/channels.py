@@ -143,7 +143,7 @@ def _on_support(ops: list[ChoiOperator], V: np.ndarray):
     V^H F diag(w) F^H V; outside terms rest + sum |w| (2ab + b^2) over the factors f = P f + h
     (P = V V^H, a = |P f|, b = |h|), bounding ||J - P F diag(w) F^H P||_1; the Gram X[i, j] =
     V^H (|i><j| (x) I) V; diamond-norm bounds lmax(ptr2 J+) + lmax(ptr2 J-) + rest, J+- the
-    factors' parts of either sign (1 up to rounding for a channel)."""
+    factors' parts of either sign (1 up to rounding for a channel; no J- when no w < 0)."""
     Fs, ws, rests = zip(*(op.factors for op in ops))
     F, w = np.concatenate(Fs, axis=1), np.concatenate(ws)
     starts = np.cumsum([0, *map(len, ws[:-1])])  # each operator's first column
@@ -156,7 +156,7 @@ def _on_support(ops: list[ChoiOperator], V: np.ndarray):
     X = Vi.conj().transpose(0, 2, 1)[:, None] @ Vi  # X[i, j] = V^H (|i><j| (x) I) V
     G = F.T.reshape(-1, d1, d2)
     ptr = G @ G.conj().transpose(0, 2, 1)  # ptr2(f f^H) of each factor f
-    signs = np.stack([np.maximum(w, 0.0), np.maximum(-w, 0.0)])  # the weights of J+ and J-
+    signs = np.maximum([w, -w] if (w < 0).any() else [w], 0.0)  # the weights of J+ and any J-
     norms = np.linalg.eigvalsh(np.add.reduceat(signs[..., None, None] * ptr, starts, axis=1))
     norms = norms[..., -1].sum(axis=0) + rests
     return Jk, outside, X, norms

@@ -265,10 +265,11 @@ def cap_covering(center: np.ndarray, cap_radius_eps: float, mesh_eps: float) -> 
     """mesh_eps-covering (in half-diamond distance) of the cap_radius_eps-ball.
 
     Built as a cubic grid in the tangent space at the center pushed through
-    the exponential map. The grid extent and spacing are chosen from the
-    ratio cap_radius_eps / mesh_eps alone, so the point count at a fixed
-    ratio does not depend on the absolute scale. Raises ValueError unless
-    center is a unit 4-vector and 0 < mesh_eps <= cap_radius_eps < 1.
+    the exponential map, its lattice set by the ratio cap_radius_eps / mesh_eps
+    alone, keeping the points within tangent radius arcsin(cap_radius_eps) +
+    arcsin(mesh_eps): one farther out is more than mesh_eps from the whole cap.
+    Raises ValueError unless center is a unit 4-vector and 0 < mesh_eps <=
+    cap_radius_eps < 1.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (4,) or not _unit(center):
@@ -278,10 +279,10 @@ def cap_covering(center: np.ndarray, cap_radius_eps: float, mesh_eps: float) -> 
 
     ratio = cap_radius_eps / mesh_eps
     kappa = 0.9
-    # Tangent-ball radius (pi/2)*ratio covers arcsin(cap) <= (pi/2)*cap;
-    # grid spacing 2*kappa/sqrt(3) guarantees a nearest grid point within
-    # kappa <= arcsin(1)/1 mesh units; both are in units of mesh_eps.
-    T = (np.pi / 2) * ratio
+    # Grid spacing 2*kappa/sqrt(3) guarantees a nearest grid point within kappa <= arcsin(1)/1
+    # mesh units, and the exponential map does not stretch distances, so the tangent ball of
+    # radius min((pi/2) cap, arcsin(cap) + arcsin(mesh)) holds it; all in units of mesh_eps.
+    T = min((np.pi / 2) * ratio, (np.arcsin(cap_radius_eps) + np.arcsin(mesh_eps)) / mesh_eps)
     h = 2 * kappa / np.sqrt(3)
     nmax = int(np.ceil(T / h))
     ax = h * np.arange(-nmax, nmax + 1)

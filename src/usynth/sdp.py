@@ -146,7 +146,7 @@ def width(blk: Block) -> int:
     return s if blk.diag else s * s if blk.complex else s * (s + 1) // 2
 
 
-@dataclass
+@dataclass(eq=False)
 class SdpProblem:
     """max objective . x subject to constraints x = rhs, x the blocks' svec coordinates.
 
@@ -160,7 +160,7 @@ class SdpProblem:
     rhs: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class SdpSolution:
     X: list[np.ndarray]
     y: np.ndarray

@@ -18,7 +18,7 @@ and finds the exact minimum-norm mixture of their generators by NNLS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class CoveringUnreachableError(RuntimeError):
         self.achieved_radius = achieved_radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateSet:
     labels: tuple[str, ...]
     unitaries: tuple[np.ndarray, ...]
@@ -56,9 +56,11 @@ class GateSet:
             raise ValueError("gate labels must be strings")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("gate labels must be distinct")
-        unitaries = tuple(check_unitary(U) for U in self.unitaries)
+        unitaries = tuple(np.array(check_unitary(U)) for U in self.unitaries)
         if any(U.shape != (2, 2) for U in unitaries):
             raise ValueError("gates must be 2x2 single-qubit unitaries")
+        for U in unitaries:
+            U.setflags(write=False)
         object.__setattr__(self, "unitaries", unitaries)
 
     @staticmethod
@@ -88,7 +90,7 @@ def standard_gate_set() -> GateSet:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pool:
     """Gate sequences and their magic vectors, one row per sequence.
 
@@ -312,16 +314,17 @@ def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
     return pool.words(i)[0], float(qubit1.line_distance(v, pool.magic[i[0]]))
 
 
-@dataclass
+@dataclass(eq=False)
 class SynthesisResult:
     """prob_synth's answer.
 
-    support is the whole covering support, as label tuples with the leftmost
-    label acting first, and p its mixture, zero off the members the mixing
-    solve weighted; prob_error_lower holds for every mixture of support.
+    rows are the pool rows of the whole covering support, which support spells out on read
+    (Pool.words) with the leftmost label acting first, and p their mixture, zero off the
+    members the mixing solve weighted; prob_error_lower holds for every mixture of support.
     """
 
-    support: list[tuple[str, ...]]
+    pool: Pool = field(repr=False)
+    rows: np.ndarray
     p: np.ndarray
     det_error: float
     prob_error: float        # exact error of the mixture p: an upper bound
@@ -329,6 +332,10 @@ class SynthesisResult:
     eps: float           # requested accuracy
     achieved_eps: float  # certified covering radius of the 2*eps ball
     delta: float
+
+    @property
+    def support(self) -> list[tuple[str, ...]]:
+        return self.pool.words(self.rows)
 
     def to_json(self) -> dict:
         """The answer as synth1q writes it.
@@ -339,9 +346,9 @@ class SynthesisResult:
         """
         weighted = np.flatnonzero(self.p > 0)
         return {
-            "support": [list(self.support[i]) for i in weighted.tolist()],
+            "support": [list(w) for w in self.pool.words(self.rows[weighted])],
             "p": self.p[weighted].tolist(),
-            "support_size": len(self.support),
+            "support_size": len(self.rows),
             "det_error": self.det_error,
             "prob_error": self.prob_error,
             "prob_error_lower": self.prob_error_lower,
@@ -361,7 +368,8 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     stopping at the absolute width upper - lower <= delta. The mixture then has
     half-diamond error at most achieved_eps**2 + delta, with achieved_eps =
     c*eps + (worst deterministic synthesis error over covering points) <=
-    eps. CoveringUnreachableError if that worst error exceeds c'*eps.
+    eps. CoveringUnreachableError if that worst error exceeds c'*eps. As c' = c, a
+    point the covering drops would add no row within 2*eps (qubit1.cap_covering).
 
     The deterministic step searches each covering point over the pool rows
     in a shell of angles to the target that holds every row within c'*eps
@@ -369,7 +377,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     every row, near-ties included, and a point with no row within reach is
     searched again in the shell at reach 1 (every row): achieved_radius is exact.
 
-    support is the whole covering support, spelled out by Pool.words, and
+    support is the whole covering support, spelled out by Pool.words on read, and
     prob_error is the exact error of the returned mixture p (an upper bound
     on the optimum; p is zero off the columns qubit1.optimal_mix_1q solved);
     prob_error_lower is its dual bound: no mixture of the support does better.
@@ -400,7 +408,8 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     p, upper, lower, _ = qubit1.optimal_mix_1q(u, W, delta)
     det_error = float(np.min(qubit1.line_distance(u, W)))
     return SynthesisResult(
-        support=pool.words(support_idx),
+        pool=pool,
+        rows=support_idx,
         p=p,
         det_error=det_error,
         prob_error=upper,

@@ -11,7 +11,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
-from usynth import sdp  # noqa: E402
+from usynth import qubit1, sdp  # noqa: E402
 from usynth.synth import enumerate_sequences, standard_gate_set  # noqa: E402
 
 # Property tests draw the same examples on every run, and a slow shared
@@ -53,3 +53,25 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(sdp, "solve", recording)
     return seen
+
+
+@pytest.fixture(scope="session")
+def full_cap():
+    """The covering qubit1.cap_covering trims, as a reference: (points, grid norms) of every
+    lattice point within tangent radius (pi/2) cap, its norm in units of mesh, in order."""
+
+    def grid(center, cap, mesh):
+        T = (np.pi / 2) * (cap / mesh)
+        h = 2 * 0.9 / np.sqrt(3)
+        nmax = int(np.ceil(T / h))
+        ax = h * np.arange(-nmax, nmax + 1)
+        G = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        norms = np.linalg.norm(G, axis=1)
+        G, norms = G[norms <= T] * mesh, norms[norms <= T]
+        r = np.linalg.norm(G, axis=1)
+        dirs = G / np.maximum(r, 1e-300)[:, None]
+        frame = qubit1._tangent_frame(center)
+        pts = np.cos(r)[:, None] * center + np.sin(r)[:, None] * (dirs @ frame)
+        return pts / np.linalg.norm(pts, axis=1, keepdims=True), norms
+
+    return grid

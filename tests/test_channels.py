@@ -638,6 +638,28 @@ def test_mix_cap_of_a_non_channel_is_its_diamond_norm():
     assert np.allclose(norms, [2.0, 1.0], rtol=0, atol=1e-12)
 
 
+def test_diamond_norm_bounds_skip_a_negative_part_only_where_there_is_none():
+    # The norms are lmax(ptr2 J+) + lmax(ptr2 J-) + rest, bit for bit, whether or not
+    # any operator has a negative factor weight.
+    def reference(ops):  # both halves of every operator, always
+        Fs, ws, rests = zip(*(op.factors for op in ops))
+        w, starts = np.concatenate(ws), np.cumsum([0, *map(len, ws[:-1])])
+        G = np.concatenate(Fs, axis=1).T.reshape(-1, *ops[0].dims)
+        ptr = G @ G.conj().transpose(0, 2, 1)
+        signs = np.stack([np.maximum(w, 0.0), np.maximum(-w, 0.0)])
+        norms = np.linalg.eigvalsh(np.add.reduceat(signs[..., None, None] * ptr, starts, axis=1))
+        return (norms[..., -1].sum(axis=0) + rests).tolist()
+
+    rng = np.random.default_rng([45, 3])
+    U, V, W = (haar_unitary(3, rng) for _ in range(3))
+    mixed = ChoiOperator(J=choi(U).J - 0.5 * choi(V).J, dims=(3, 3))
+    assert (mixed.factors[1] < 0).any()
+    for ops in ([choi(U), choi(V)], [choi(W), mixed, choi(V)]):
+        basis = channels._support(np.concatenate([op.factors[0] for op in ops], axis=1))
+        norms = channels._on_support(ops, basis)[3]
+        assert norms.tolist() == reference(ops)
+
+
 def test_mix_bounds_are_re_checked_from_the_certificate_and_tampered_ones_repaired():
     rng = np.random.default_rng([44, 3])
     target, *cands = [choi(haar_unitary(3, rng)) for _ in range(4)]

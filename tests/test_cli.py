@@ -517,9 +517,10 @@ def test_exit_code_covering(capsys):
                              "--max-len", "3")
     assert code == 4
     assert out == ""
-    # The library's advice, once, as every other error line.
+    # The library's advice, once, as every other error line. The radius is taken over
+    # the cover points that can cover the 2*eps-ball (qubit1.cap_covering).
     assert err == (
-        "error: deterministic synthesis reached radius 0.155254 > c'*eps = 0.025; "
+        "error: deterministic synthesis reached radius 0.121559 > c'*eps = 0.025; "
         "use a longer pool or a larger eps\n"
     )
 

@@ -184,11 +184,28 @@ def test_cap_covering_zero_radius():
         cap_covering(c, 0.0, 0.1)
 
 
-def test_cap_covering_count_is_scale_free():
-    c = np.array([0.0, 1.0, 0.0, 0.0])
-    n1 = cap_covering(c, 0.4, 0.1).shape[0]
-    n2 = cap_covering(c, 0.2, 0.05).shape[0]
-    assert n1 == n2
+@pytest.mark.parametrize("cap, mesh, count", [(0.7, 0.175, 619), (0.9, 0.225, 799),
+                                               (0.32, 0.08, 461)])
+def test_cap_covering_keeps_the_grid_within_the_new_radius(full_cap, cap, mesh, count):
+    # The points kept are the full (pi/2) cap grid's within tangent radius
+    # arcsin(cap) + arcsin(mesh), bit for bit and in order (925 points before the trim),
+    # and they still cover the cap, up to its edge.
+    rng = np.random.default_rng([45, count])
+    radius = min(np.pi / 2 * (cap / mesh), (np.arcsin(cap) + np.arcsin(mesh)) / mesh)
+    for _ in range(3):
+        c = magic_embed(haar_unitary(2, rng))
+        pts = cap_covering(c, cap, mesh)
+        ref, norms = full_cap(c, cap, mesh)
+        assert (len(ref), len(pts)) == (925, count)
+        assert pts.tobytes() == ref[norms <= radius].tobytes()
+        frame = qubit1._tangent_frame(c)
+        r = np.arcsin(cap) * np.concatenate([rng.uniform(size=1000) ** (1 / 3),
+                                             1 - 0.05 / np.arcsin(cap) * rng.uniform(size=1000)])
+        d = rng.standard_normal((len(r), 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        v = np.cos(r)[:, None] * c + np.sin(r)[:, None] * (d @ frame)
+        near = np.max(np.abs(v @ pts.T), axis=1)
+        assert np.all(np.sqrt(np.maximum(0.0, 1 - near**2)) <= mesh + 1e-9)
 
 
 def test_cap_covering_covers_sampled_ball():

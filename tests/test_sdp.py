@@ -43,6 +43,18 @@ def test_trivial_scalar():
     assert abs(s.primal_value - 1.0) < 1e-7
 
 
+def test_problems_and_solutions_compare_by_identity():
+    # Equal contents are not equal values: == and hash read no array.
+    def problem():
+        return lowered([sdp.Block(size=1)], {0: np.array([[1.0]])},
+                       [({0: np.array([[1.0]])}, 1.0)])
+
+    a, b = problem(), problem()
+    for x, y in ((a, b), (sdp.solve(a), sdp.solve(a))):
+        assert x == x and x != y
+        assert hash(x) == hash(x) and len({x, y, x}) == 2
+
+
 def test_real_embed_scalar_identity():
     p = lowered([sdp.Block(size=1)], {0: np.array([[2.0]])}, [({0: np.array([[1.0]])}, 3.0)])
     q = sdp.real_embed(p)

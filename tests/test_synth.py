@@ -440,7 +440,6 @@ def _nearest_peak(pool):
     u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(4)))
     V = qubit1.cap_covering(u, 0.7, 0.175)
     n, m = len(V), len(P)
-    assert (n, m) == (925, len(pool))
     tracemalloc.start()
     try:
         _nearest(P, V, u, 1.0)
@@ -457,7 +456,7 @@ def test_nearest_memory_is_one_product(std_pool):
 
 
 def test_nearest_memory_is_a_row_block(std_pool):
-    # The products of 64 cover points at a time, not of all 925.
+    # The products of a block of cover points at a time, not of all of them.
     peak, product = _nearest_peak(std_pool)
     assert peak < 0.25 * product
 
@@ -605,6 +604,25 @@ def test_det_synth_rejects_magic_vector(std_pool):
             det_synth(target, std_pool)
 
 
+def test_gate_set_holds_read_only_copies():
+    H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    gs = GateSet(labels=("H",), unitaries=(H,))
+    H[0, 0] = 5
+    assert gs.unitaries[0].tobytes() == standard_gate_set().unitaries[0].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        gs.unitaries[0][0, 0] = 5
+
+
+def test_synthesis_values_compare_by_identity(std_pool):
+    # Equal contents are not equal values: == and hash read no array.
+    U = haar_unitary(2, np.random.default_rng(8))
+    twins = (standard_gate_set, lambda: enumerate_sequences(standard_gate_set(), 2),
+             lambda: prob_synth(U, 0.35, 1e-6, std_pool))
+    for a, b in ((make(), make()) for make in twins):
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_gate_set_rejects_empty_and_non_qubit_gates():
     with pytest.raises(ValueError, match="at least one gate"):
         GateSet(labels=(), unitaries=())
@@ -696,6 +714,28 @@ def test_prob_synth_exact_hits_keep_lower_at_most_upper(std_gateset, std_pool, e
     for U in [np.eye(2, dtype=complex), *std_gateset.unitaries, *members]:
         res = prob_synth(U, eps, 1e-8, std_pool)
         assert res.prob_error_lower <= res.prob_error < 1e-15
+
+
+def test_prob_synth_support_is_that_of_the_untrimmed_covering(std_pool, full_cap):
+    # The cover points cap_covering drops have no row within reach inside the
+    # 2*eps-ball, so the support is the one the full grid gives after
+    # support_filter, and achieved_eps is taken over fewer points.
+    lower = 0
+    for eps in (0.35, 0.45):
+        for i in range(10):
+            U = haar_unitary(2, np.random.default_rng([45, i]))
+            u = qubit1.magic_embed(U)
+            cover, _ = full_cap(u, 2 * eps, synth.C * eps)
+            idx, errs = _nearest(std_pool.magic, cover, u, synth.C_PRIME * eps)
+            full = synth.C * eps + errs.max()
+            assert errs.max() <= synth.C_PRIME * eps
+            rows = np.unique(idx)
+            rows = rows[qubit1.support_filter(u, std_pool.magic[rows], eps)]
+            res = prob_synth(U, eps, 1e-6, std_pool)
+            assert res.rows.tolist() == rows.tolist()
+            assert res.achieved_eps <= full
+            lower += res.achieved_eps < full
+    assert lower > 0
 
 
 def test_prob_synth_unreachable(std_gateset):

@@ -62,6 +62,17 @@ def test_compare_prints_a_changed_support(solve_sweep, tmp_path, capsys):
     assert code == 1
     assert "synth-12-0 prob_synth: support 3 -> 3 labels, 1 out, 1 in" in out
     assert "1 solves compared, 1 differ (0 in status or iterations, 1 in support)" in out
+    assert "achieved_eps" not in out
+    # Each moved achieved_eps is named, then counted with its largest move.
+    support = [["H"], ["T"], ["H", "T"]]
+    a = [dict(synth(support), case=f"synth-12-{i}") for i in range(3)]
+    b = [a[0], dict(a[1], achieved_eps=0.3), dict(a[2], achieved_eps=0.36)]
+    code, out = compare(solve_sweep, tmp_path, capsys, a, b)
+    assert code == 1
+    assert "synth-12-1 prob_synth: achieved_eps 0.35 -> 0.3\n" in out
+    assert "synth-12-2 prob_synth: achieved_eps 0.35 -> 0.36\n" in out
+    assert "2 achieved_eps moved, 1 down; largest move -5.000e-02 (synth-12-1 prob_synth)" in out
+    assert "3 solves compared, 2 differ (0 in status or iterations, 0 in support)" in out
 
 
 def test_compare_counts_det_synth_keys_when_both_sweeps_have_them(solve_sweep, tmp_path,

@@ -64,15 +64,17 @@ and `lower`, each sweep's largest width `upper - lower` and its mean of the
 records' `sigma_mean`, `ap_mean` and `ad_mean` ("-" for a sweep written
 without them); then the
 largest move of `upper`, `lower` and `p` over all solves optimal on both
-sides (the iterations may differ); then how many paired solves differ at
-all, how many of those in status or iterations rather than only in
-values, and how many `prob_synth` records in their support. A record whose
-support, `det_error`, `achieved_eps`, `det_synth_labels` or
-`det_synth_error` differs counts as differing, and each support that
-differs is printed with the labels it loses and gains; a key that only one
-sweep has is not compared. Last it prints how many records of either sweep
-hold a `repriced` that is not bitwise their `lower`. It exits 1 if any
-paired solve differs at all or any such record is found.
+sides (the iterations may differ); then, if any `achieved_eps` moved, how
+many did, how many of them down and the largest move; then how many paired
+solves differ at all, how many of those in status or iterations rather than
+only in values, and how many `prob_synth` records in their support. A record
+whose support, `det_error`, `achieved_eps`, `det_synth_labels` or
+`det_synth_error` differs counts as differing; each support that differs is
+printed with the labels it loses and gains, and each moved `achieved_eps`
+with its two values; a key that only one sweep has is not compared. Last it
+prints how many records of either sweep hold a `repriced` that is not
+bitwise their `lower`. It exits 1 if any paired solve differs at all or any
+such record is found.
 """
 
 import os
@@ -296,6 +298,7 @@ def compare(a: list[dict], b: list[dict]) -> int:
     pairs = [(ra, keyed[1][key]) for key, ra in keyed[0].items() if key in keyed[1]]
     differ = steps = supports = 0
     moves = {"upper": (0.0, None), "lower": (0.0, None), "p": (0.0, None)}
+    eps_moves = []  # (b - a, where) of each moved achieved_eps
     for ra, rb in pairs:
         where = f"{ra['case']} {ra['path']}"
         changed = stepped = (ra["status"], ra["iterations"]) != (rb["status"], rb["iterations"])
@@ -307,6 +310,10 @@ def compare(a: list[dict], b: list[dict]) -> int:
             print(f"{where}: support {len(sa)} -> {len(sb)} labels, "
                   f"{len(sa - sb)} out, {len(sb - sa)} in")
             supports += 1
+        ea, eb = ra.get("achieved_eps"), rb.get("achieved_eps")
+        if None not in (ea, eb) and ea != eb:
+            print(f"{where}: achieved_eps {ea!r} -> {eb!r}")
+            eps_moves.append((eb - ea, where))
         changed |= any(ra[k] != rb[k] for k in ("support", "det_error", "achieved_eps",
                                                 "det_synth_labels", "det_synth_error")
                        if k in ra and k in rb)
@@ -324,6 +331,10 @@ def compare(a: list[dict], b: list[dict]) -> int:
     summarize(pairs)
     for k, (move, where) in moves.items():
         print(f"largest move of {k}: {move:.3e}" + (f" ({where})" if where else ""))
+    if eps_moves:
+        move, where = max(eps_moves, key=lambda m: abs(m[0]))
+        print(f"{len(eps_moves)} achieved_eps moved, {sum(m < 0 for m, _ in eps_moves)} down; "
+              f"largest move {move:.3e} ({where})")
     print(f"{len(pairs)} solves compared, {differ} differ ({steps} in status or iterations, "
           f"{supports} in support)")
     priced = [rec for rec in (*a, *b) if "repriced" in rec]

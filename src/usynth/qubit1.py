@@ -9,10 +9,12 @@ to elementary geometry on S^3 / {+-1}:
 
 and for mixtures it is (1/2)||M||_1 with M = uu^T - sum_x p_x w_x w_x^T.
 M has trace 0 and at most one positive eigenvalue (a rank-one PSD matrix
-minus a PSD one), so (1/2)||M||_1 = lambda_max(M), and optimal mixing is
-an SDP with one real 4x4 PSD block S = tI - M. This module provides the
-embedding, one key per channel (`line_keys`), those distances, optimal
-mixing by column generation priced by the SDP's dual (`optimal_mix_1q`),
+minus a PSD one), so (1/2)||M||_1 = lambda_max(M) >= v^T M v for a unit v:
+no mixture errs less than (u.v)^2 - max_x (w_x.v)^2 = e(V)^2 - D(U, V)^2,
+e(V) the distance from V, the unitary of v, to its nearest candidate and D
+the half-diamond distance. This module provides the embedding, one key per
+channel (`line_keys`), those distances, optimal mixing by column generation
+over a real 4x4 SDP, priced by such a v from its dual (`optimal_mix_1q`),
 support restriction, epsilon-coverings of (caps of) S^3, and the exact
 covering radius of a net from the convex hull of +-P (`covering_radius`).
 """
@@ -162,16 +164,12 @@ def _mix_distance(u: np.ndarray, W: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(M))) / 2)
 
 
-def _check_1q(u: np.ndarray, W: np.ndarray, p: np.ndarray, Y: np.ndarray):
-    """(upper, price, lower, Y) of optimal_mix_1q's certificate (p, Y) on checked inputs:
-    Y clipped to PSD, upper = _mix_distance(u, W, p), price = w_x^T Y w_x per candidate,
-    and lower = (u^T Y u - max price) / tr Y, unclamped (0.0 if Y clips to 0)."""
-    lam, V = np.linalg.eigh(Y)
-    Y = (V * np.maximum(lam, 0.0)) @ V.T
-    price = np.einsum("xa,ab,xb->x", W, Y, W)
-    trace = float(np.trace(Y))
-    lower = float(u @ Y @ u - np.max(price)) / trace if trace > 0 else 0.0
-    return _mix_distance(u, W, p), price, lower, Y
+def _check_1q(u: np.ndarray, W: np.ndarray, p: np.ndarray, v: np.ndarray):
+    """(upper, price, lower) of optimal_mix_1q's certificate (p, v) on checked inputs, v a
+    unit 4-vector: upper = _mix_distance(u, W, p), price = (w_x.v)^2 per candidate, and
+    lower = (u.v)^2 - max price, unclamped, below every mixture's error for any such v."""
+    price = (W @ v) ** 2
+    return _mix_distance(u, W, p), price, float((u @ v) ** 2 - price.max())
 
 
 def optimal_mix_1q(
@@ -185,16 +183,15 @@ def optimal_mix_1q(
     generation: first over the COLUMNS candidates nearest u (in candidate
     order), then, while upper - lower > gap_tol, adding the (at most
     COLUMNS) best priced candidates that price above every solved column.
-    The price of w_x is w_x^T Y w_x, Y = sum y_k E_k from the dual
-    multipliers of the basis rows, clipped to PSD by `_check_1q`, which forms
-    both bounds; scaled to trace 1, Y is a dual feasible point. Returns
-    (p, upper, lower, Y) of the last solve:
+    The price of w_x is (w_x.v)^2 for v the top eigenvector of Y = sum y_k E_k,
+    from the dual multipliers of the basis rows; `_check_1q` forms both
+    bounds. Returns (p, upper, lower, v) of the last solve:
 
     - upper = mix_distance_1q(u, W, p), the exact half-diamond error of the
       returned p: the solver's (zero off the solved columns) or the nearest
       single candidate, whichever errs less;
-    - lower = (u^T Y u - max_x w_x^T Y w_x) / tr Y over every candidate, Y
-      as returned (clipped, not scaled): no mixture does better. It is
+    - lower = (u.v)^2 - max_x (w_x.v)^2 = e(V)^2 - D(U, V)^2 over every
+      candidate (see the module docstring): no mixture does better. It is
       clamped to [0, upper] against rounding.
 
     Raises ValueError unless u is a unit 4-vector and W has shape (n, 4) with
@@ -226,10 +223,11 @@ def optimal_mix_1q(
         p /= p.sum()
         if _mix_distance(u, W, p) > best_error:
             p = best
-        upper, price, lower, Y = _check_1q(u, W, p, np.einsum("k,kab->ab", sol.y[: len(E)], E))
+        v = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))[1][:, -1]
+        upper, price, lower = _check_1q(u, W, p, v)
         new = np.flatnonzero(price > price[cols].max())
         if upper - lower <= gap_tol or not new.size:
-            return p, upper, min(max(lower, 0.0), upper), Y
+            return p, upper, min(max(lower, 0.0), upper), v
         cols = np.union1d(cols, new[np.argsort(-price[new], kind="stable")[:COLUMNS]])
 
 

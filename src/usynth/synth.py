@@ -328,7 +328,7 @@ class SynthesisResult:
     p: np.ndarray
     det_error: float
     prob_error: float        # exact error of the mixture p: an upper bound
-    prob_error_lower: float  # dual lower bound on the optimal mixing error
+    prob_error_lower: float  # e(V)^2 - D(U, V)^2 for the certificate V: a lower bound
     eps: float           # requested accuracy
     achieved_eps: float  # certified covering radius of the 2*eps ball
     delta: float
@@ -377,10 +377,11 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     every row, near-ties included, and a point with no row within reach is
     searched again in the shell at reach 1 (every row): achieved_radius is exact.
 
-    support is the whole covering support, spelled out by Pool.words on read, and
-    prob_error is the exact error of the returned mixture p (an upper bound
-    on the optimum; p is zero off the columns qubit1.optimal_mix_1q solved);
-    prob_error_lower is its dual bound: no mixture of the support does better.
+    support is the whole covering support, spelled out by Pool.words on read;
+    prob_error is the exact error of the returned mixture p (an upper bound; p is zero
+    off the columns qubit1.optimal_mix_1q solved), and prob_error_lower = e(V)^2 -
+    D(U, V)^2 for its certificate, a unitary V with error e(V) over the support and
+    distance D(U, V) to the target: no mixture of the support does better.
 
     eps must lie in (0, 1/2), so that the 2*eps-ball is a proper cap of the
     unitaries; ValueError otherwise.

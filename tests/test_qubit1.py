@@ -324,24 +324,29 @@ def test_optimal_mix_1q_certificate(u, W):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_check_1q_re_derives_lower_and_bounds_a_tampered_dual_below_the_optimum(seed):
+def test_check_1q_re_derives_lower_from_v_and_any_unit_vector_bounds_below_the_optimum(seed):
     rng = np.random.default_rng([44, seed])
     u = magic_embed(haar_unitary(2, rng))
     W = magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(6)]))
-    p, upper, lower, Y = optimal_mix_1q(u, W)
-    # The returned Y is clipped, not scaled: lower is two lines of it, with no solve.
-    price = np.einsum("xa,ab,xb->x", W, Y, W)
-    assert min(max(float(u @ Y @ u - np.max(price)) / float(np.trace(Y)), 0.0), upper) == lower
-    assert qubit1._check_1q(u, W, p, Y)[0] == upper
-    for size in (1e-3, 1e-2, 0.1):
-        E = rng.normal(size=(4, 4))
-        E = E + E.T
-        E *= size / np.linalg.norm(E, 2)
-        assert qubit1._check_1q(u, W, p, Y + E)[2] <= upper
-    # A dual that clips to 0 certifies nothing: lower is 0.0, with no division by 0.
-    G = rng.normal(size=(4, 4))
-    for Y0 in (-(G @ G.T) - np.eye(4), np.zeros((4, 4))):
-        assert qubit1._check_1q(u, W, p, Y0)[2] == 0.0
+    p, upper, lower, v = optimal_mix_1q(u, W)
+    assert abs(np.linalg.norm(v) - 1) <= 1e-12
+    # lower is two lines of the returned v, with no solve.
+    assert min(max(float((u @ v) ** 2 - np.max((W @ v) ** 2)), 0.0), upper) == lower
+    assert qubit1._check_1q(u, W, p, v)[0] == upper
+    # Every unit v' certifies: v'^T M v' <= lambda_max(M) for every mixture's M.
+    for w in rng.normal(size=(100, 4)):
+        assert qubit1._check_1q(u, W, p, w / np.linalg.norm(w))[2] <= upper
+
+
+@pytest.mark.parametrize("max_len", [4, 6, 8, 10, 12])
+def test_the_certificate_at_the_pool_deepest_hole_is_the_hole(std_gateset, max_len):
+    # At the hole w the optimum's v is w itself, and v = w certifies r^2 in one line:
+    # (w.w)^2 - max_x (p_x.w)^2 = 1 - b^2.
+    P = enumerate_sequences(std_gateset, max_len).magic
+    r, w = covering_radius(P, return_witness=True)
+    p, _, _, v = optimal_mix_1q(w, P)
+    assert abs(v @ w) >= 1 - 1e-9
+    assert abs(qubit1._check_1q(w, P, p, w)[2] - r**2) <= 1e-14
 
 
 @given(u=_units, W=_unit_sets, flips=arrays(bool, 8))

@@ -44,6 +44,7 @@ def test_compare_of_equal_sweeps_finds_nothing(solve_sweep, tmp_path, capsys):
     assert code == 0
     assert "3 solves compared, 0 differ (0 in status or iterations, 0 in support)" in out
     assert "in one sweep only" not in out
+    assert "mix d=2: lower up 0, down 0, largest move down 0.0e+00 of upper\n" in out
 
 
 def test_compare_prints_a_moved_bound(solve_sweep, tmp_path, capsys):
@@ -53,6 +54,18 @@ def test_compare_prints_a_moved_bound(solve_sweep, tmp_path, capsys):
     assert "largest move of upper: 1.000e-12 (1-2 mix)" in out
     assert "largest move of lower: 0.000e+00\n" in out
     assert "2 solves compared, 1 differ (0 in status or iterations, 0 in support)" in out
+
+
+def test_compare_counts_the_lowers_that_moved_up_and_down_per_path(solve_sweep, tmp_path,
+                                                                  capsys):
+    a = [mix("1-1"), mix("1-2"), mix("1-3"), dict(mix("1-4"), lower=0.0)]
+    b = [dict(mix("1-1"), lower=0.25 - 5e-10), dict(mix("1-2"), lower=0.25 - 2e-9), mix("1-3"),
+         dict(mix("1-4"), lower=0.25 - 3e-9)]
+    code, out = compare(solve_sweep, tmp_path, capsys, a, b)
+    assert code == 1
+    # The move down is relative to the first sweep's upper: 1e-9 / 0.25.
+    assert "mix d=2: lower up 2, down 1, largest move down 4.0e-09 of upper\n" in out
+    assert "4 solves compared, 3 differ (0 in status or iterations, 0 in support)" in out
 
 
 def test_compare_prints_a_changed_support(solve_sweep, tmp_path, capsys):
@@ -104,17 +117,17 @@ def test_compare_counts_a_lower_its_certificate_does_not_reproduce(solve_sweep, 
     priced = dict(mix("1-1"), path="mix_1q", repriced=0.25 - 1e-9)
     code, out = compare(solve_sweep, tmp_path, capsys, [priced], [priced])
     assert code == 0
-    assert "2 d = 2 lower bounds re-priced from Y, 0 not reproduced" in out
+    assert "2 d = 2 lower bounds re-priced from v, 0 not reproduced" in out
     # A sweep written without repriced (the parent's, say) is compared as ever.
     off = dict(priced, repriced=0.25 - 2e-9)
     code, out = compare(solve_sweep, tmp_path, capsys, [dict(mix("1-1"), path="mix_1q")], [off])
     assert code == 1
     assert "1 solves compared, 0 differ" in out
-    assert "1 d = 2 lower bounds re-priced from Y, 1 not reproduced" in out
+    assert "1 d = 2 lower bounds re-priced from v, 1 not reproduced" in out
     code, out = compare(solve_sweep, tmp_path, capsys, [off], [off])
     assert code == 1
     assert "1 solves compared, 0 differ" in out
-    assert "2 d = 2 lower bounds re-priced from Y, 2 not reproduced" in out
+    assert "2 d = 2 lower bounds re-priced from v, 2 not reproduced" in out
 
 
 @pytest.mark.parametrize("p", [[1.0], [0.25, 0.25, 0.5]], ids=["broadcasts", "mismatched"])
@@ -147,7 +160,7 @@ def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
         "lower-2-0.6", "upper-2-0.6", "lower-3-0.6", "upper-3-0.6"]
     assert [len(rec["p"]) for rec in records if rec["path"] == "sharpness"] == [2, 4, 3, 8]
     assert all(rec["status"] == "Optimal" and "p" in rec for rec in records)
-    # Each d = 2 lower re-derived from its Y in plain numpy is the checker's, bit for bit.
+    # Each d = 2 lower re-derived from its v in plain numpy is the checker's, bit for bit.
     priced = [rec for rec in records if "repriced" in rec]
     assert [(rec["path"], rec["d"]) for rec in priced] == [("mix_1q", 2)] * 2 + [
         ("sharpness", 2)] * 2

@@ -48,9 +48,10 @@ dispatch of `optimal_mix` and so of `sharpness`, on both Theorem 1 witnesses
 `channels._mix` above. They are the most degenerate mixing problems here.
 
 Each `mix_1q` record and each d = 2 `sharpness` record also holds
-`repriced`: its `lower` re-derived from the certificate `Y` that
-`optimal_mix_1q` returns, by the two lines of `repriced` rather than by the
-solver's own checker, so a checker that stops reading its certificate shows.
+`repriced`: its `lower` re-derived from the unit 4-vector `v` that
+`optimal_mix_1q` returns as its certificate, by the two lines of `repriced`
+rather than by the solver's own checker, so a checker that stops reading its
+certificate shows.
 
 `--compare` pairs the records of two sweeps by case and path, and counts
 those that only one sweep has without comparing them. It prints every
@@ -62,8 +63,9 @@ mean and largest iteration counts of each sweep, how many records took
 fewer, equal or more iterations in the second, the largest move of `upper`
 and `lower`, each sweep's largest width `upper - lower` and its mean of the
 records' `sigma_mean`, `ap_mean` and `ad_mean` ("-" for a sweep written
-without them); then the
-largest move of `upper`, `lower` and `p` over all solves optimal on both
+without them), and on a line of its own how many `lower`s moved up and how
+many down, and the largest move down relative to the first sweep's `upper`;
+then the largest move of `upper`, `lower` and `p` over all solves optimal on both
 sides (the iterations may differ); then, if any `achieved_eps` moved, how
 many did, how many of them down and the largest move; then how many paired
 solves differ at all, how many of those in status or iterations rather than
@@ -161,12 +163,10 @@ def witness_cases():
 STEPS = ("sigma", "ap", "ad")
 
 
-def repriced(u: np.ndarray, W: np.ndarray, Y: np.ndarray, upper: float) -> float:
-    """The lower bound of `optimal_mix_1q`'s certificate Y, re-derived here:
-    (u.Yu - max_x w_x^T Y w_x) / tr Y (0.0 if Y = 0), clamped to [0, upper]."""
-    price = np.einsum("xa,ab,xb->x", W, Y, W)
-    trace = float(np.trace(Y))
-    lower = float(u @ Y @ u - np.max(price)) / trace if trace > 0 else 0.0
+def repriced(u: np.ndarray, W: np.ndarray, v: np.ndarray, upper: float) -> float:
+    """The lower bound of `optimal_mix_1q`'s certificate v, re-derived here:
+    (u.v)^2 - max_x (w_x.v)^2, clamped to [0, upper]."""
+    lower = float((u @ v) ** 2 - np.max((W @ v) ** 2))
     return min(max(lower, 0.0), upper)
 
 
@@ -286,6 +286,11 @@ def summarize(pairs: list[tuple[dict, dict]]) -> None:
               f"{np.sum(delta < 0)}, equal {np.sum(delta == 0)}, more {np.sum(delta > 0)}; "
               f"largest move upper {move['upper']:.1e}, lower {move['lower']:.1e}; "
               f"largest width {width[0]:.1e} -> {width[1]:.1e}; mean {means}")
+        down = [(ra["lower"] - rb["lower"]) / ra["upper"] for ra, rb in both
+                if rb["lower"] < ra["lower"]]
+        up = sum(rb["lower"] > ra["lower"] for ra, rb in both)
+        print(f"{name}: lower up {up}, down {len(down)}, largest move down "
+              f"{max(down, default=0.0):.1e} of upper")
 
 
 def compare(a: list[dict], b: list[dict]) -> int:
@@ -339,7 +344,7 @@ def compare(a: list[dict], b: list[dict]) -> int:
           f"{supports} in support)")
     priced = [rec for rec in (*a, *b) if "repriced" in rec]
     unequal = sum(rec["repriced"] != rec["lower"] for rec in priced)
-    print(f"{len(priced)} d = 2 lower bounds re-priced from Y, {unequal} not reproduced")
+    print(f"{len(priced)} d = 2 lower bounds re-priced from v, {unequal} not reproduced")
     return differ + unequal
 
 

@@ -191,8 +191,8 @@ COMMANDS = {  # name: (handler, add_parser keywords, arguments as (flag, add_arg
         ("candidates", {"help": "directory of candidate .json matrices"}),
         ("--out", {}))),
     "synth1q": (cmd_synth1q, {"help": "probabilistic single-qubit synthesis", "description": (
-        "support and p list the members the mixture weights, and support_size counts the "
-        "covering support. Each support entry lists gate labels in the order they act: the "
+        "support and p list the members the mixture weights, and support_size counts every "
+        "pool row within 2*eps. Each support entry lists gate labels in the order they act: the "
         "leftmost label acts first, so [\"H\", \"T\"] realizes T @ H.")}, (
         ("--target", {"required": True, "help": "named target or matrix JSON path"}),
         ("--eps", {"type": float, "required": True}),

@@ -8,8 +8,8 @@ under factors), whose label tuples are spelled out only for the rows an
 answer returns; deterministically synthesize a C*eps covering of a ball
 around the target over the pool to within C_PRIME*eps (C = C_PRIME =
 1/2), each cover point searched over the rows whose angle to the target
-can put them within reach, ties going to the lowest pool index; restrict
-support, and solve the mixing SDP to relative gap delta, its column
+can put them within reach, for the covering radius; mix every pool row
+within 2*eps, solving the mixing SDP to relative gap delta, its column
 generation stopping at the absolute width upper - lower <= delta. The
 first-order baseline of Campbell and Hastings, for comparison, works on
 the candidates' channels (magic vectors, not matrices with a global phase)
@@ -32,8 +32,8 @@ C_PRIME = 0.5  # deterministic synthesis radius of prob_synth, as a fraction of 
 # and the pool keeps 48 of them (magic 32, parent and last 16).
 BUDGET = 500000
 BLOCK = 96  # cover points _nearest searches per product
-TIE_TOL = 1e-12  # |dot| within this of the largest is a tie in _nearest: see _nearest
-SHELL_MARGIN = 2e-6  # radians _nearest's shells reach past arcsin(reach): see _nearest
+TIE_TOL = 1e-12  # |dot| within this of the largest is a tie in det_synth: see _nearest_rows
+SHELL_MARGIN = 2e-6  # radians the search shells and the support cut reach past an arcsin
 
 
 class CoveringUnreachableError(RuntimeError):
@@ -237,38 +237,27 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
 
 
 def _nearest(
-    P: np.ndarray, V: np.ndarray, target: np.ndarray, reach: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest row of the pool magic vectors P to each row of V.
+    P: np.ndarray, V: np.ndarray, target: np.ndarray, reach: float, to_row: np.ndarray
+) -> np.ndarray:
+    """Half-diamond error of the nearest row of the pool magic vectors P to each row of V.
 
-    Returns the indices and the half-diamond errors. Of the rows whose
-    computed |dot| lies within TIE_TOL of the largest, the lowest index wins
-    (in pool order: the shorter sequence, then lexicographic labels), so a
-    tie is decided by the pool, not by how the products round. TIE_TOL
-    separates the two kinds of gap seen between the best and second-best
-    |dot| of the cover points of H, T, S, X and Rz(0.3) (L = 12 and 14 at
-    eps 0.35 and 0.4, L = 20 at eps 0.16): 0 or at most 2 ulps of 1, ties
-    that only rounding breaks, against at least 5.9e-7; over the 157,250
-    cover points of 90 Haar targets the smallest gap was 2.5e-8.
-
-    The rows of V are taken in order of their angle to the target u, BLOCK
-    at a time, and each block is searched over the rows of P, in pool order,
-    whose angle to u (`qubit1.line_angle`) lies within arcsin(reach) +
-    SHELL_MARGIN of the block's angles, reach a half-diamond error. The line
-    angle is a metric, so every row within reach of a point lies in its
-    shell, and so does every row within TIE_TOL of such a row's |dot|: it
-    lies at most arccos(1 - TIE_TOL) = 1.42e-6 further out, inside
-    SHELL_MARGIN. So a point whose shell holds a row within reach gets the
-    index and error of a search over every row: its products round
-    differently, but only within ties. A point whose shell holds none is
-    searched again at reach 1, whose shell holds every row (line angles lie
-    in [0, pi/2]): that is the search over every row, so its error is exact
-    too, and it never misses.
+    to_row holds the angles `qubit1.line_angle(target, P)`. The rows of V
+    are taken in order of their angle to the target u, BLOCK at a time, and
+    each block is searched over the rows of P, in pool order, whose angle to
+    u lies within arcsin(reach) + SHELL_MARGIN of the block's angles, reach a
+    half-diamond error: each point takes the row of largest |dot| in its
+    shell, and its error is the line_distance to that row. The line angle is
+    a metric, so every row within reach of a point lies in its shell, and a
+    point whose shell holds such a row gets the error of a search over every
+    row. A point whose shell holds none is searched again at reach 1, whose
+    shell holds every row (line angles lie in [0, pi/2]): that is the search
+    over every row, so its error is exact too, and it never misses.
+    SHELL_MARGIN covers the rounding of the angles: a computed angle lies
+    within sqrt(2e-15) = 4.5e-8 of arcsin(line_distance).
     """
     to_point = qubit1.line_angle(target, V)
     order = np.argsort(to_point, kind="stable")
     blocks = np.split(order, range(BLOCK, len(V), BLOCK))
-    to_row = qubit1.line_angle(target, P)
     width = np.arcsin(reach) + SHELL_MARGIN
     shells = [np.flatnonzero((to_row >= to_point[b[0]] - width)
                              & (to_row <= to_point[b[-1]] + width)) for b in blocks]
@@ -278,18 +267,21 @@ def _nearest(
     idx = np.zeros(len(V), dtype=np.intp)  # row 0 stands in for an empty shell: a miss below
     for block, rows in zip(blocks, shells):
         if rows.size:
-            idx[block] = rows[_nearest_rows(V[block], P[rows], buf)]
+            d = buf[: len(block) * len(rows)].reshape(len(block), len(rows))
+            np.matmul(V[block], P[rows].T, out=d)
+            idx[block] = rows[np.argmax(np.abs(d, out=d), axis=1)]
     errs = qubit1.line_distance(V, P[idx])
     miss = np.flatnonzero(errs > reach)
     if miss.size and reach < 1:  # at reach 1, errs past 1 are rounding
-        idx[miss], errs[miss] = _nearest(P, V[miss], target, 1.0)
-    return idx, errs
+        errs[miss] = _nearest(P, V[miss], target, 1.0, to_row)
+    return errs
 
 
-def _nearest_rows(V: np.ndarray, P: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """_nearest's tie rule over the rows of P for each row of V, products written into buf."""
-    d = np.matmul(V, P.T, out=buf[: len(V) * len(P)].reshape(len(V), len(P)))
-    np.abs(d, out=d)
+def _nearest_rows(V: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """det_synth's nearest row of P to each row of V: of the rows whose computed |dot| lies
+    within TIE_TOL of the largest, the lowest index (gaps that only rounding makes were at most
+    2 ulps of 1, real ones at least 2.5e-8 over the cover points of 90 Haar targets)."""
+    d = np.abs(V @ P.T)
     at = np.arange(len(V))
     idx = np.argmax(d, axis=1)
     best = d[at, idx]
@@ -310,7 +302,7 @@ def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
     unless target is a 2x2 unitary.
     """
     v = qubit1.magic_embed(target)
-    i = _nearest_rows(v[None], pool.magic, np.empty(len(pool)))
+    i = _nearest_rows(v[None], pool.magic)
     return pool.words(i)[0], float(qubit1.line_distance(v, pool.magic[i[0]]))
 
 
@@ -318,9 +310,10 @@ def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
 class SynthesisResult:
     """prob_synth's answer.
 
-    rows are the pool rows of the whole covering support, which support spells out on read
-    (Pool.words) with the leftmost label acting first, and p their mixture, zero off the
-    members the mixing solve weighted; prob_error_lower holds for every mixture of support.
+    rows are every pool row within 2*eps of the target, in pool order, which support spells
+    out on read (Pool.words) with the leftmost label acting first, and p their mixture, zero
+    off the members the mixing solve weighted; prob_error_lower holds for every mixture of
+    the pool.
     """
 
     pool: Pool = field(repr=False)
@@ -341,8 +334,7 @@ class SynthesisResult:
         """The answer as synth1q writes it.
 
         support and p list only the members with p > 0, in support's order;
-        support_size is the size of the whole covering support, over which
-        prob_error_lower holds.
+        support_size counts the whole support, every pool row within 2*eps.
         """
         weighted = np.flatnonzero(self.p > 0)
         return {
@@ -361,27 +353,28 @@ class SynthesisResult:
 def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> SynthesisResult:
     """Probabilistic synthesis with certified quadratic error reduction.
 
-    Covers the 2*eps-ball around the target with a c*eps mesh, synthesizes
-    each covering point deterministically over `pool` to within c'*eps
-    (c = c' = 1/2), restricts to candidates within 2*eps of the target, and
-    solves the mixing SDP to relative gap delta, its column generation
-    stopping at the absolute width upper - lower <= delta. The mixture then has
-    half-diamond error at most achieved_eps**2 + delta, with achieved_eps =
-    c*eps + (worst deterministic synthesis error over covering points) <=
-    eps. CoveringUnreachableError if that worst error exceeds c'*eps. As c' = c, a
-    point the covering drops would add no row within 2*eps (qubit1.cap_covering).
+    Covers the 2*eps-ball around the target with a c*eps mesh and
+    synthesizes each covering point deterministically over `pool` to within
+    c'*eps (c = c' = 1/2): achieved_eps = c*eps + (worst deterministic
+    synthesis error over covering points) <= eps, and CoveringUnreachableError
+    if that worst error exceeds c'*eps. It then mixes every pool row within
+    2*eps of the target, which holds each covering point's nearest row within
+    2*eps, so the mixture errs at most achieved_eps**2 + delta: the mixing SDP
+    is solved to relative gap delta, its column generation stopping at the
+    absolute width upper - lower <= delta.
 
-    The deterministic step searches each covering point over the pool rows
-    in a shell of angles to the target that holds every row within c'*eps
-    of it (see _nearest); it returns the indices and errors of a search over
-    every row, near-ties included, and a point with no row within reach is
-    searched again in the shell at reach 1 (every row): achieved_radius is exact.
+    The deterministic step searches each covering point over the rows in a
+    shell of angles to the target that holds every row within c'*eps of it
+    (see _nearest), and yields the errors of a search over every row, so
+    achieved_radius is exact. The same angles, one pass over the pool, pick
+    the rows within arcsin(2*eps) + SHELL_MARGIN for qubit1.support_filter.
 
-    support is the whole covering support, spelled out by Pool.words on read;
-    prob_error is the exact error of the returned mixture p (an upper bound; p is zero
-    off the columns qubit1.optimal_mix_1q solved), and prob_error_lower = e(V)^2 -
-    D(U, V)^2 for its certificate, a unitary V with error e(V) over the support and
-    distance D(U, V) to the target: no mixture of the support does better.
+    support is spelled out by Pool.words on read; prob_error is the exact
+    error of the returned mixture p (an upper bound; p is zero off the
+    columns qubit1.optimal_mix_1q solved), and prob_error_lower = e(V)^2 -
+    D(U, V)^2 for its certificate, a unitary V with error e(V) over every
+    pool row and distance D(U, V) to the target: no mixture of the pool
+    does better.
 
     eps must lie in (0, 1/2), so that the 2*eps-ball is a proper cap of the
     unitaries; ValueError otherwise.
@@ -392,8 +385,8 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
         raise ValueError("delta must be positive and finite")
     u = qubit1.magic_embed(target)
     cover = qubit1.cap_covering(u, min(2 * eps, 0.999), C * eps)
-    nearest, errs = _nearest(pool.magic, cover, u, C_PRIME * eps)
-    worst = float(np.max(errs))
+    to_row = qubit1.line_angle(u, pool.magic)
+    worst = float(np.max(_nearest(pool.magic, cover, u, C_PRIME * eps, to_row)))
     if worst > C_PRIME * eps:
         raise CoveringUnreachableError(
             f"deterministic synthesis reached radius {worst:.6g} "
@@ -402,15 +395,16 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
         )
     achieved = C * eps + worst
 
-    support_idx = np.unique(nearest)
-    support_idx = support_idx[qubit1.support_filter(u, pool.magic[support_idx], eps)]
-    W = pool.magic[support_idx]
+    near = np.flatnonzero(to_row <= np.arcsin(2 * eps) + SHELL_MARGIN)
+    rows = near[qubit1.support_filter(u, pool.magic[near], eps)]
+    W = pool.magic[rows]
 
-    p, upper, lower, _ = qubit1.optimal_mix_1q(u, W, delta)
+    p, upper, _, v = qubit1.optimal_mix_1q(u, W, delta)
+    lower = min(max(float((u @ v) ** 2 - np.max((pool.magic @ v) ** 2)), 0.0), upper)
     det_error = float(np.min(qubit1.line_distance(u, W)))
     return SynthesisResult(
         pool=pool,
-        rows=support_idx,
+        rows=rows,
         p=p,
         det_error=det_error,
         prob_error=upper,

@@ -221,7 +221,7 @@ def test_synth1q_answer_rechecks_from_its_own_bytes(tmp_path, std_pool):
 
 def test_synth1q_samples_index_the_printed_support(tmp_path, std_pool):
     # Drawn over the weighted members, the samples name the sequences a draw
-    # over the whole covering support names.
+    # over the whole support names.
     for i in range(10):
         for seed in range(5):
             obj, U = _haar_answer(tmp_path, i, seed, samples=40)

@@ -362,19 +362,26 @@ def test_det_synth_is_the_tie_rule_over_the_whole_pool(std_gateset, max_len, mon
         with monkeypatch.context() as m:
             m.setattr(qubit1, "line_angle", no_angle)
             labels, err = det_synth(U, pool)
-        (i,) = synth._nearest_rows(v[None], P, np.empty(len(P)))
+        (i,) = synth._nearest_rows(v[None], P)
         assert [labels] == pool.words([i])
         assert np.float64(err).tobytes() == qubit1.line_distance(v[None], P[[i]]).tobytes()
 
 
-def test_nearest_ties_and_errors(std_pool):
+def _full_search(P, V):
+    """The plain search over every row: the line_distance to the row of largest |dot|."""
+    return qubit1.line_distance(V, P[np.argmax(np.abs(V @ P.T), axis=1)])
+
+
+def test_nearest_rows_ties_and_errors(std_pool):
     P = std_pool.magic
     V = np.vstack([P[5], -P[7], P[3] + P[9]])
     V[2] /= np.linalg.norm(V[2])
     # Repeating a pool row makes an exact tie: the first index wins. Rows
     # 152 and 179 are equally near V[2], and which |dot| rounds higher is
     # the BLAS's choice (179 by 1 ulp here): the lower index wins.
-    idx, errs = _nearest(np.vstack([P, P]), V, V[0], 1.0)
+    Q = np.vstack([P, P])
+    idx = synth._nearest_rows(V, Q)
+    errs = _nearest(Q, V, V[0], 1.0, qubit1.line_angle(V[0], Q))
     dots = np.abs(V @ P.T)
     ties = dots >= dots.max(axis=1, keepdims=True) - synth.TIE_TOL
     assert idx.tolist() == np.argmax(ties, axis=1).tolist() == [5, 7, 152]
@@ -385,23 +392,22 @@ def test_nearest_ties_and_errors(std_pool):
 
 
 def test_nearest_is_exact_on_a_covering(std_pool):
-    # The same product and argmax as the plain expression, bit for bit.
+    # The same error as the plain expression, bit for bit.
     P = std_pool.magic
     u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(3)))
     V = qubit1.cap_covering(u, 0.7, 0.175)
-    idx, errs = _nearest(P, V, u, 1.0)
-    ref = np.argmax(np.abs(V @ P.T), axis=1)
-    assert idx.tolist() == ref.tolist()
-    assert errs.tobytes() == qubit1.line_distance(V, P[ref]).tobytes()
+    errs = _nearest(P, V, u, 1.0, qubit1.line_angle(u, P))
+    assert errs.tobytes() == _full_search(P, V).tobytes()
 
 
-def test_nearest_planted_ties_go_to_the_lowest_index():
+def test_nearest_rows_planted_ties_go_to_the_lowest_index():
     # Entries 0 and +-1/2 make every dot product exact, so the planted ties
     # (each row p also as -p and again as p) are exact in any BLAS.
     A = np.array(np.meshgrid(*[[0.5, -0.5]] * 4, indexing="ij")).reshape(4, -1).T
     Q = np.vstack([A, -A, A])
     V = np.vstack([np.eye(4), A, -A[::3]])
-    idx, errs = _nearest(Q, V, V[0], 1.0)
+    idx = synth._nearest_rows(V, Q)
+    errs = _nearest(Q, V, V[0], 1.0, qubit1.line_angle(V[0], Q))
     dots = np.abs(V @ Q.T)
     for r in range(len(V)):
         assert idx[r] == np.flatnonzero(dots[r] == dots[r].max())[0]
@@ -423,7 +429,7 @@ def test_nearest_planted_ties_go_to_the_lowest_index():
         near[:, 3] -= np.sign(A[:, 3]) * k * 2.0**-52
         assert (A * near).sum(axis=1).tolist() == [1 - k * 2.0**-53] * 8
         for Q, first in ((np.vstack([near, A, -A]), 0), (np.vstack([far, A, -A]), 8)):
-            idx, _ = _nearest(Q, V, V[0], 1.0)
+            idx = synth._nearest_rows(V, Q)
             dots = np.abs(V @ Q.T)
             ties = dots >= dots.max(axis=1, keepdims=True) - synth.TIE_TOL
             assert idx.tolist() == np.argmax(ties, axis=1).tolist()
@@ -431,7 +437,7 @@ def test_nearest_planted_ties_go_to_the_lowest_index():
         # A search over any subset of rows that keeps both gives the lower one.
         Q = np.vstack([near, A])
         for cols in (np.arange(16), np.array([0, 8]), np.array([0, 5, 8, 15])):
-            idx, _ = _nearest(Q[cols], A[:1], A[0], 1.0)
+            idx = synth._nearest_rows(A[:1], Q[cols])
             assert cols[idx[0]] == 0
 
 
@@ -440,9 +446,10 @@ def _nearest_peak(pool):
     u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(4)))
     V = qubit1.cap_covering(u, 0.7, 0.175)
     n, m = len(V), len(P)
+    to_row = qubit1.line_angle(u, P)
     tracemalloc.start()
     try:
-        _nearest(P, V, u, 1.0)
+        _nearest(P, V, u, 1.0, to_row)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -469,7 +476,8 @@ def test_line_distance_keeps_digits_near_coincidence():
     w = np.array([1.0, a, a, a]) / np.sqrt(1 + 3 * a * a)
     exact = np.sqrt(3) * a / np.sqrt(1 + 3 * a * a)
     assert qubit1.line_distance(u, -w) == pytest.approx(exact, rel=1e-6)
-    assert _nearest(w[None], u[None], u, 1.0)[1][0] == pytest.approx(exact, rel=1e-6)
+    errs = _nearest(w[None], u[None], u, 1.0, qubit1.line_angle(u, w[None]))
+    assert errs[0] == pytest.approx(exact, rel=1e-6)
     assert qubit1.support_filter(u, w[None], exact / 2 * (1 + 1e-6)).tolist() == [0]
     with pytest.raises(ValueError, match="the covering premise is violated"):
         qubit1.support_filter(u, w[None], exact / 2 * (1 - 1e-6))
@@ -498,9 +506,10 @@ def test_line_angle_keeps_digits_near_coincidence_and_never_warns():
     assert np.all((0 <= UW) & (UW <= np.pi / 2 + 1e-15))
     assert np.max(np.abs(np.sin(UW) - qubit1.line_distance(U, W))) <= 1e-15
     assert np.all(UX <= UW + WX + 1e-15) and np.all(UW <= UX + WX + 1e-15)
-    # _nearest's shells reach past arcsin(reach) by more than a row within
-    # TIE_TOL of a tie can lie past it.
-    assert synth.SHELL_MARGIN > 1.4 * np.arccos(1 - synth.TIE_TOL)
+    # A sine within 1e-15 of line_distance puts the angle within sqrt(2e-15) of
+    # arcsin(line_distance), which SHELL_MARGIN dwarfs: the shells and the
+    # support's angle cut keep every row within reach.
+    assert synth.SHELL_MARGIN > 10 * np.sqrt(2e-15)
 
 
 def _named_targets(gs):
@@ -512,20 +521,20 @@ def _named_targets(gs):
 
 
 @pytest.mark.parametrize("max_len, eps", [(12, 0.35), (16, 0.25)])
-def test_prob_synth_shell_search_returns_the_full_search_indices(
+def test_prob_synth_shell_search_returns_the_full_search_errors(
     std_gateset, std_pool, max_len, eps, monkeypatch
 ):
-    # Every search prob_synth makes over the shells gives the indices and
-    # errors of the search over every row, on Haar targets and on targets
-    # whose cover points have near-tied rows.
+    # Every search prob_synth makes over the shells gives the errors of the
+    # search over every row, on Haar targets and on targets whose cover
+    # points have near-tied rows.
     pool = std_pool if max_len == 12 else enumerate_sequences(std_gateset, max_len)
     nearest, searches = synth._nearest, []
 
-    def recording(P, V, target, reach):
-        got = nearest(P, V, target, reach)
+    def recording(P, V, target, reach, to_row):
+        errs = nearest(P, V, target, reach, to_row)
         if reach < 1:  # not the search of the misses over every row
-            searches.append((P, V, target, got))
-        return got
+            searches.append((P, V, errs))
+        return errs
 
     monkeypatch.setattr(synth, "_nearest", recording)
     haar = [haar_unitary(2, np.random.default_rng([28, max_len, i])) for i in range(12)]
@@ -537,23 +546,22 @@ def test_prob_synth_shell_search_returns_the_full_search_indices(
         except CoveringUnreachableError:
             pass
     assert len(searches) == 17 and reached >= 12
-    for P, V, u, (idx, errs) in searches:
-        ref_idx, ref_errs = nearest(P, V, u, 1.0)
-        assert idx.tolist() == ref_idx.tolist()
-        assert errs.tobytes() == ref_errs.tobytes()
+    for P, V, errs in searches:
+        assert errs.tobytes() == _full_search(P, V).tobytes()
 
 
-def test_nearest_shells_keep_rows_tied_with_a_row_within_reach():
+def test_nearest_shells_keep_the_rows_within_reach():
     # Row 1 is the point itself; row 0 lies 1e-6 further from the target
-    # along the same great circle, so its |dot| with the point, cos(1e-6),
-    # is within TIE_TOL of 1 and the lower index wins. At a reach of 5e-7
-    # only SHELL_MARGIN puts row 0 in the point's shell.
+    # along the same great circle, and row 2 0.2 nearer. At a reach of 5e-7
+    # the point's shell holds rows 0 and 1, and the error is the full
+    # search's, bit for bit.
     a, u = 0.3, np.eye(4)[0]
     line = lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])  # noqa: E731
     P = np.vstack([line(a + 1e-6), line(a), line(a - 0.2), np.eye(4)[2]])
     v = line(a)[None]
-    assert _nearest(P, v, u, 1.0)[0].tolist() == [0]
-    assert _nearest(P, v, u, 5e-7)[0].tolist() == [0]
+    to_row = qubit1.line_angle(u, P)
+    for reach in (1.0, 5e-7):
+        assert _nearest(P, v, u, reach, to_row).tobytes() == _full_search(P, v).tobytes()
 
 
 def test_nearest_search_of_every_row_ends_past_a_distance_of_one():
@@ -569,27 +577,23 @@ def test_nearest_search_of_every_row_ends_past_a_distance_of_one():
     d = qubit1.line_distance(u, w)
     assert d > 1
     for reach in (0.5, 1.0):
-        idx, errs = _nearest(w[None], u[None], u, reach)
-        assert idx.tolist() == [0] and errs.tolist() == [d]
+        errs = _nearest(w[None], u[None], u, reach, qubit1.line_angle(u, w[None]))
+        assert errs.tolist() == [d] == _full_search(w[None], u[None]).tolist()
 
 
 def test_prob_synth_unreachable_reports_the_full_search_radius(std_gateset):
     # At L = 8 (covering radius 0.273) and eps 0.3, c'*eps = 0.15: some
     # cover points find a row within reach in their shell and some do not.
     # The misses are searched again over every row, so the errors and the
-    # reported radius are those of the tie kernel over every row, cover point
-    # by cover point in blocks, with no shell.
+    # reported radius are those of the plain search over every row.
     pool = enumerate_sequences(std_gateset, 8)
     eps = 0.3
     for i in range(5):
         U = haar_unitary(2, np.random.default_rng([29, i]))
         u = qubit1.magic_embed(U)
         cover = qubit1.cap_covering(u, 2 * eps, synth.C * eps)
-        buf = np.empty(synth.BLOCK * len(pool))
-        best = np.concatenate([synth._nearest_rows(cover[k:k + synth.BLOCK], pool.magic, buf)
-                               for k in range(0, len(cover), synth.BLOCK)])
-        full = qubit1.line_distance(cover, pool.magic[best])
-        _, errs = _nearest(pool.magic, cover, u, synth.C_PRIME * eps)
+        full = _full_search(pool.magic, cover)
+        errs = _nearest(pool.magic, cover, u, synth.C_PRIME * eps, qubit1.line_angle(u, pool.magic))
         assert errs.tobytes() == full.tobytes()
         assert 0 < np.sum(full <= synth.C_PRIME * eps) < len(cover)
         with pytest.raises(CoveringUnreachableError) as exc:
@@ -716,26 +720,41 @@ def test_prob_synth_exact_hits_keep_lower_at_most_upper(std_gateset, std_pool, e
         assert res.prob_error_lower <= res.prob_error < 1e-15
 
 
-def test_prob_synth_support_is_that_of_the_untrimmed_covering(std_pool, full_cap):
-    # The cover points cap_covering drops have no row within reach inside the
-    # 2*eps-ball, so the support is the one the full grid gives after
-    # support_filter, and achieved_eps is taken over fewer points.
-    lower = 0
-    for eps in (0.35, 0.45):
-        for i in range(10):
-            U = haar_unitary(2, np.random.default_rng([45, i]))
-            u = qubit1.magic_embed(U)
-            cover, _ = full_cap(u, 2 * eps, synth.C * eps)
-            idx, errs = _nearest(std_pool.magic, cover, u, synth.C_PRIME * eps)
-            full = synth.C * eps + errs.max()
-            assert errs.max() <= synth.C_PRIME * eps
-            rows = np.unique(idx)
-            rows = rows[qubit1.support_filter(u, std_pool.magic[rows], eps)]
-            res = prob_synth(U, eps, 1e-6, std_pool)
-            assert res.rows.tolist() == rows.tolist()
-            assert res.achieved_eps <= full
-            lower += res.achieved_eps < full
-    assert lower > 0
+@pytest.mark.parametrize("max_len, eps", [(12, 0.35), (16, 0.25), (20, 0.16)])
+def test_prob_synth_mixes_every_row_within_two_eps(std_gateset, std_pool, max_len, eps,
+                                                   monkeypatch):
+    # The support is every pool row within 2*eps, so the mixture is the
+    # whole pool's optimum within delta (support_filter is lossless); v
+    # prices every pool row, and achieved_eps is the cover's full search.
+    pool = std_pool if max_len == 12 else enumerate_sequences(std_gateset, max_len)
+    mix, certificates = qubit1.optimal_mix_1q, []
+
+    def recording(u, W, gap_tol):
+        got = mix(u, W, gap_tol)
+        certificates.append(got[3])
+        return got
+
+    monkeypatch.setattr(qubit1, "optimal_mix_1q", recording)
+    delta, answered = 1e-6, 0
+    for i in range(6):
+        U = haar_unitary(2, np.random.default_rng([47, max_len, i]))
+        u = qubit1.magic_embed(U)
+        try:
+            res = prob_synth(U, eps, delta, pool)
+        except CoveringUnreachableError:
+            continue
+        answered += 1
+        assert res.rows.tobytes() == qubit1.support_filter(u, pool.magic, eps).tobytes()
+        _, optimum, _, _ = mix(u, pool.magic, 1e-9)
+        assert res.prob_error <= optimum + delta
+        v = certificates[-1]
+        lower = (u @ v) ** 2 - np.max((pool.magic @ v) ** 2)
+        assert res.prob_error_lower == min(max(lower, 0.0), res.prob_error) <= optimum
+        cover = qubit1.cap_covering(u, 2 * eps, synth.C * eps)
+        worst = max(np.max(_full_search(pool.magic, cover[k:k + 64]))
+                    for k in range(0, len(cover), 64))
+        assert res.achieved_eps == synth.C * eps + worst
+    assert answered >= 4
 
 
 def test_prob_synth_unreachable(std_gateset):

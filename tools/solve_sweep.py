@@ -17,12 +17,13 @@ shortest round-trip repr, so equal JSON means bitwise-equal numbers.
 A second set, keyed `synth-L-i` on the path `prob_synth`, runs `prob_synth`
 at eps 0.35 and delta 1e-6 over the L = 12 and L = 14 pools of the standard
 gate set on 60 Haar targets each, target i from `default_rng([3, i])`:
-mixing problems of a few hundred candidates, where `optimal_mix_1q` may
-solve more than once. For each it writes `rounds` (the solves made), the
-status of the last solve, the iterations of every solve, `upper`,
-`lower` and `p` as returned, the whole covering support `support` (the
-label lists of `SynthesisResult.support`, of which `synth1q` prints the
-members with weight), `det_error` and `achieved_eps`, and the labels and
+mixing problems over every pool row within 2*eps, a few hundred
+candidates, where `optimal_mix_1q` may solve more than once. For each it
+writes `rounds` (the solves made), the status of the last solve, the
+iterations of every solve, `upper`, `lower` (priced over the whole pool)
+and `p` as returned, the whole support `support` (the label lists of
+`SynthesisResult.support`, of which `synth1q` prints the members with
+weight), `det_error` and `achieved_eps`, and the labels and
 error `det_synth` returns for the same target over the same pool,
 `det_synth_labels` and `det_synth_error`: the deterministic baseline the
 mixture is measured against.

@@ -110,19 +110,6 @@ def line_distance(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     return s * np.sqrt(1.0 - s * s / 4)
 
 
-def line_angle(U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Angles in [0, pi/2] between the lines of magic vectors, by rows.
-
-    2 arcsin(s / 2) with line_distance's chord s = min(|u - w|, |u + w|),
-    taken as |u - w| for the sign of w with u.w >= 0. Like line_distance it
-    keeps its digits where arccos(|u.w|) loses about 1e-8 near 0, and the
-    arcsin never sees an argument past sqrt(2)/2. The angle between lines
-    is a metric on channels.
-    """
-    D = W * np.copysign(1.0, np.einsum("...i,...i->...", U, W))[..., None] - U
-    return 2 * np.arcsin(np.sqrt(np.einsum("...i,...i->...", D, D)) / 2)
-
-
 def _unit(V: np.ndarray) -> np.bool_:
     """Whether every row of V (V itself, for a vector) is finite with norm 1 within 1e-8."""
     return np.all(np.abs(np.sqrt(np.einsum("...i,...i", V, V)) - 1) <= 1e-8)

@@ -7,7 +7,7 @@ keyed only when its suffix is kept, since the kept sequences are closed
 under factors), whose label tuples are spelled out only for the rows an
 answer returns; deterministically synthesize a C*eps covering of a ball
 around the target over the pool to within C_PRIME*eps (C = C_PRIME =
-1/2), each cover point searched over the rows whose angle to the target
+1/2), each cover point searched over the rows whose |dot| with the target
 can put them within reach, for the covering radius; mix every pool row
 within 2*eps, solving the mixing SDP to relative gap delta, its column
 generation stopping at the absolute width upper - lower <= delta. The
@@ -33,7 +33,7 @@ C_PRIME = 0.5  # deterministic synthesis radius of prob_synth, as a fraction of 
 BUDGET = 500000
 BLOCK = 96  # cover points _nearest searches per product
 TIE_TOL = 1e-12  # |dot| within this of the largest is a tie in det_synth: see _nearest_rows
-SHELL_MARGIN = 2e-6  # radians the search shells and the support cut reach past an arcsin
+SHELL_MARGIN = 2e-6  # radians the |dot| bounds of the shells and the support cut reach past
 
 
 class CoveringUnreachableError(RuntimeError):
@@ -236,31 +236,34 @@ def enumerate_sequences(gs: GateSet, max_len: int) -> Pool:
                 last=np.concatenate(lasts), magic=np.concatenate(magic))
 
 
-def _nearest(
-    P: np.ndarray, V: np.ndarray, target: np.ndarray, reach: float, to_row: np.ndarray
-) -> np.ndarray:
+def _nearest(P: np.ndarray, V: np.ndarray, u: np.ndarray, reach: float) -> np.ndarray:
     """Half-diamond error of the nearest row of the pool magic vectors P to each row of V.
 
-    to_row holds the angles `qubit1.line_angle(target, P)`. The rows of V
-    are taken in order of their angle to the target u, BLOCK at a time, and
-    each block is searched over the rows of P, in pool order, whose angle to
-    u lies within arcsin(reach) + SHELL_MARGIN of the block's angles, reach a
-    half-diamond error: each point takes the row of largest |dot| in its
-    shell, and its error is the line_distance to that row. The line angle is
-    a metric, so every row within reach of a point lies in its shell, and a
-    point whose shell holds such a row gets the error of a search over every
-    row. A point whose shell holds none is searched again at reach 1, whose
-    shell holds every row (line angles lie in [0, pi/2]): that is the search
-    over every row, so its error is exact too, and it never misses.
-    SHELL_MARGIN covers the rounding of the angles: a computed angle lies
-    within sqrt(2e-15) = 4.5e-8 of arcsin(line_distance).
+    Every row test reads one product with the target u: the rows of V are
+    taken in order of descending |V.u|, BLOCK at a time, and each block is
+    searched over the rows of P, in pool order, whose |P.u| lies in the
+    block's shell: with near and far the angles arccos(min(|dot|, 1)) of the
+    block's first and last point and width = arcsin(reach) + SHELL_MARGIN,
+    cos(far + width) <= |P.u| <= cos(near - width), with no upper bound when
+    near <= width (a |dot| can round above 1). Each point takes the row of
+    largest |dot| in its shell, and its error is the line_distance to that
+    row. The line angle is a metric, so every row within reach of a point
+    lies in its shell, and a point whose shell holds such a row gets the
+    error of a search over every row. A point whose shell holds none is
+    searched again at reach 1, whose shell holds every row (line angles lie
+    in [0, pi/2]): that is the search over every row, so its error is exact
+    too, and it never misses. For rows unit to rounding, as
+    enumerate_sequences makes them, the arccos of a rounded |dot| lies within
+    sqrt(2e-15) = 4.5e-8 of the exact angle, which SHELL_MARGIN covers.
     """
-    to_point = qubit1.line_angle(target, V)
-    order = np.argsort(to_point, kind="stable")
+    to_row, to_point = np.abs(P @ u), np.abs(V @ u)
+    order = np.argsort(-to_point, kind="stable")
     blocks = np.split(order, range(BLOCK, len(V), BLOCK))
     width = np.arcsin(reach) + SHELL_MARGIN
-    shells = [np.flatnonzero((to_row >= to_point[b[0]] - width)
-                             & (to_row <= to_point[b[-1]] + width)) for b in blocks]
+    near, far = np.arccos(np.minimum(to_point[[(b[0], b[-1]) for b in blocks]], 1.0)).T
+    # Unclamped: past pi/2 the cosine is negative, so rows orthogonal to u stay in.
+    lo, hi = np.cos(far + width), np.where(near > width, np.cos(near - width), np.inf)
+    shells = [np.flatnonzero((to_row >= a) & (to_row <= b)) for a, b in zip(lo, hi)]
     # Every block's products go into one reused array: a fresh one per block
     # costs more in page faults.
     buf = np.empty(min(len(V), BLOCK) * max(map(len, shells), default=0))
@@ -273,33 +276,26 @@ def _nearest(
     errs = qubit1.line_distance(V, P[idx])
     miss = np.flatnonzero(errs > reach)
     if miss.size and reach < 1:  # at reach 1, errs past 1 are rounding
-        errs[miss] = _nearest(P, V[miss], target, 1.0, to_row)
+        errs[miss] = _nearest(P, V[miss], u, 1.0)
     return errs
 
 
 def _nearest_rows(V: np.ndarray, P: np.ndarray) -> np.ndarray:
     """det_synth's nearest row of P to each row of V: of the rows whose computed |dot| lies
-    within TIE_TOL of the largest, the lowest index (gaps that only rounding makes were at most
-    2 ulps of 1, real ones at least 2.5e-8 over the cover points of 90 Haar targets)."""
+    within TIE_TOL of the largest, the lowest index, so that a gap only rounding makes (a few
+    ulps of 1) is decided by the pool, not by the order of the products."""
     d = np.abs(V @ P.T)
-    at = np.arange(len(V))
-    idx = np.argmax(d, axis=1)
-    best = d[at, idx]
-    d[at, idx] = -1.0  # the runner-up tells which points have a tie to resolve
-    tied = np.flatnonzero(d.max(axis=1) >= best - TIE_TOL)
-    d[at, idx] = best
-    idx[tied] = np.argmax(d[tied] >= best[tied, None] - TIE_TOL, axis=1)
-    return idx
+    return np.argmax(d >= d.max(axis=1, keepdims=True) - TIE_TOL, axis=1)
 
 
 def det_synth(target: np.ndarray, pool: Pool) -> tuple[tuple[str, ...], float]:
     """Labels of the pool sequence closest to the target, and its error.
 
     The labels are Pool.words of that row, and the error is the half-diamond
-    distance. _nearest_rows searches every row, with no shell: of the rows
-    within TIE_TOL of the largest computed |dot|, the lowest pool index wins
-    (the shorter sequence, then lexicographic labels). Raises ValueError
-    unless target is a 2x2 unitary.
+    distance. _nearest_rows searches every row, with no shell, in one
+    expression: of the rows within TIE_TOL of the largest computed |dot|, the
+    lowest pool index wins (the shorter sequence, then lexicographic labels).
+    Raises ValueError unless target is a 2x2 unitary.
     """
     v = qubit1.magic_embed(target)
     i = _nearest_rows(v[None], pool.magic)
@@ -364,10 +360,11 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     absolute width upper - lower <= delta.
 
     The deterministic step searches each covering point over the rows in a
-    shell of angles to the target that holds every row within c'*eps of it
+    shell of |dot| with the target that holds every row within c'*eps of it
     (see _nearest), and yields the errors of a search over every row, so
-    achieved_radius is exact. The same angles, one pass over the pool, pick
-    the rows within arcsin(2*eps) + SHELL_MARGIN for qubit1.support_filter.
+    achieved_radius is exact. The rows with |dot| >= cos(arcsin(2*eps) +
+    SHELL_MARGIN) go to qubit1.support_filter, so no distance is taken over
+    the whole pool.
 
     support is spelled out by Pool.words on read; prob_error is the exact
     error of the returned mixture p (an upper bound; p is zero off the
@@ -385,8 +382,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
         raise ValueError("delta must be positive and finite")
     u = qubit1.magic_embed(target)
     cover = qubit1.cap_covering(u, min(2 * eps, 0.999), C * eps)
-    to_row = qubit1.line_angle(u, pool.magic)
-    worst = float(np.max(_nearest(pool.magic, cover, u, C_PRIME * eps, to_row)))
+    worst = float(np.max(_nearest(pool.magic, cover, u, C_PRIME * eps)))
     if worst > C_PRIME * eps:
         raise CoveringUnreachableError(
             f"deterministic synthesis reached radius {worst:.6g} "
@@ -395,7 +391,7 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
         )
     achieved = C * eps + worst
 
-    near = np.flatnonzero(to_row <= np.arcsin(2 * eps) + SHELL_MARGIN)
+    near = np.flatnonzero(np.abs(pool.magic @ u) >= np.cos(np.arcsin(2 * eps) + SHELL_MARGIN))
     rows = near[qubit1.support_filter(u, pool.magic[near], eps)]
     W = pool.magic[rows]
 

@@ -346,22 +346,16 @@ def test_det_synth_monotone_in_pool_size(std_gateset, std_pool, rng):
 
 
 @pytest.mark.parametrize("max_len", [12, 16])
-def test_det_synth_is_the_tie_rule_over_the_whole_pool(std_gateset, max_len, monkeypatch):
+def test_det_synth_is_the_tie_rule_over_the_whole_pool(std_gateset, max_len):
     # det_synth runs _nearest_rows over every row, with no shell: its index and
-    # error bytes are the kernel's, and it never takes a line angle.
+    # error bytes are the kernel's.
     pool = enumerate_sequences(std_gateset, max_len)
     P = pool.magic
     rng = np.random.default_rng([31, max_len])
-
-    def no_angle(*args):
-        raise AssertionError("det_synth computed a line angle")
-
     for _ in range(20):
         U = haar_unitary(2, rng)
         v = qubit1.magic_embed(U)
-        with monkeypatch.context() as m:
-            m.setattr(qubit1, "line_angle", no_angle)
-            labels, err = det_synth(U, pool)
+        labels, err = det_synth(U, pool)
         (i,) = synth._nearest_rows(v[None], P)
         assert [labels] == pool.words([i])
         assert np.float64(err).tobytes() == qubit1.line_distance(v[None], P[[i]]).tobytes()
@@ -381,7 +375,7 @@ def test_nearest_rows_ties_and_errors(std_pool):
     # the BLAS's choice (179 by 1 ulp here): the lower index wins.
     Q = np.vstack([P, P])
     idx = synth._nearest_rows(V, Q)
-    errs = _nearest(Q, V, V[0], 1.0, qubit1.line_angle(V[0], Q))
+    errs = _nearest(Q, V, V[0], 1.0)
     dots = np.abs(V @ P.T)
     ties = dots >= dots.max(axis=1, keepdims=True) - synth.TIE_TOL
     assert idx.tolist() == np.argmax(ties, axis=1).tolist() == [5, 7, 152]
@@ -396,7 +390,7 @@ def test_nearest_is_exact_on_a_covering(std_pool):
     P = std_pool.magic
     u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(3)))
     V = qubit1.cap_covering(u, 0.7, 0.175)
-    errs = _nearest(P, V, u, 1.0, qubit1.line_angle(u, P))
+    errs = _nearest(P, V, u, 1.0)
     assert errs.tobytes() == _full_search(P, V).tobytes()
 
 
@@ -407,7 +401,7 @@ def test_nearest_rows_planted_ties_go_to_the_lowest_index():
     Q = np.vstack([A, -A, A])
     V = np.vstack([np.eye(4), A, -A[::3]])
     idx = synth._nearest_rows(V, Q)
-    errs = _nearest(Q, V, V[0], 1.0, qubit1.line_angle(V[0], Q))
+    errs = _nearest(Q, V, V[0], 1.0)
     dots = np.abs(V @ Q.T)
     for r in range(len(V)):
         assert idx[r] == np.flatnonzero(dots[r] == dots[r].max())[0]
@@ -446,10 +440,9 @@ def _nearest_peak(pool):
     u = qubit1.magic_embed(haar_unitary(2, np.random.default_rng(4)))
     V = qubit1.cap_covering(u, 0.7, 0.175)
     n, m = len(V), len(P)
-    to_row = qubit1.line_angle(u, P)
     tracemalloc.start()
     try:
-        _nearest(P, V, u, 1.0, to_row)
+        _nearest(P, V, u, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -476,40 +469,56 @@ def test_line_distance_keeps_digits_near_coincidence():
     w = np.array([1.0, a, a, a]) / np.sqrt(1 + 3 * a * a)
     exact = np.sqrt(3) * a / np.sqrt(1 + 3 * a * a)
     assert qubit1.line_distance(u, -w) == pytest.approx(exact, rel=1e-6)
-    errs = _nearest(w[None], u[None], u, 1.0, qubit1.line_angle(u, w[None]))
+    errs = _nearest(w[None], u[None], u, 1.0)
     assert errs[0] == pytest.approx(exact, rel=1e-6)
     assert qubit1.support_filter(u, w[None], exact / 2 * (1 + 1e-6)).tolist() == [0]
     with pytest.raises(ValueError, match="the covering premise is violated"):
         qubit1.support_filter(u, w[None], exact / 2 * (1 - 1e-6))
 
 
-def test_line_angle_keeps_digits_near_coincidence_and_never_warns():
-    # The lines of u and w meet at an angle of about 1.3856e-9, where
-    # arccos(|u.w|) rounds to 0.
+def test_angle_from_dot_lies_within_a_tenth_of_the_shell_margin():
+    # _nearest and the support cut bound the angle arccos(min(|u.w|, 1)) of a
+    # rounded |dot|, which loses digits near coincidence: there the lines of u
+    # and w meet at about 1.3856e-9 and arccos(|u.w|) rounds to 0. Its
+    # distance to the exact angle, arcsin(line_distance), stays far inside
+    # SHELL_MARGIN, so the shells and the support cut keep every row within reach.
     a = 8e-10
     u = np.array([1.0, 0.0, 0.0, 0.0])
     w = np.array([1.0, a, a, a]) / np.sqrt(1 + 3 * a * a)
     assert np.arccos(abs(u @ w)) == 0.0
-    assert qubit1.line_angle(u, -w) == pytest.approx(np.arctan(np.sqrt(3) * a), rel=1e-6)
-    # |v.v| rounds above 1, where arccos warns (an error under this suite).
+    rng = np.random.default_rng(11)
+    U, W = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in rng.standard_normal((2, 1000, 4)))
+    U, W = np.vstack([U, u]), np.vstack([W, -w])
+    from_dot = np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", U, W)), 1.0))
+    assert np.max(np.abs(from_dot - np.arcsin(qubit1.line_distance(U, W)))) <= synth.SHELL_MARGIN / 10
+
+
+def test_nearest_shell_keeps_a_row_whose_dot_rounds_above_one():
+    # Row 2 is the target itself, and its |dot| with the target rounds above 1:
+    # a shell capped at cos(0) = 1 would drop it, and arccos would warn.
     v = np.random.default_rng(12).standard_normal((11, 4))[10]
     v /= np.linalg.norm(v)
-    assert v @ v > 1
-    with pytest.warns(RuntimeWarning):
-        np.arccos(v @ v)
-    assert qubit1.line_angle(v, np.vstack([v, -v])).tolist() == [0.0, 0.0]
-    # Its sine is line_distance, and it is a metric, to rounding.
-    rng = np.random.default_rng(11)
-    U, W, X = (x / np.linalg.norm(x, axis=1, keepdims=True)
-               for x in rng.standard_normal((3, 1000, 4)))
-    UW, WX, UX = qubit1.line_angle(U, W), qubit1.line_angle(W, X), qubit1.line_angle(U, X)
-    assert np.all((0 <= UW) & (UW <= np.pi / 2 + 1e-15))
-    assert np.max(np.abs(np.sin(UW) - qubit1.line_distance(U, W))) <= 1e-15
-    assert np.all(UX <= UW + WX + 1e-15) and np.all(UW <= UX + WX + 1e-15)
-    # A sine within 1e-15 of line_distance puts the angle within sqrt(2e-15) of
-    # arcsin(line_distance), which SHELL_MARGIN dwarfs: the shells and the
-    # support's angle cut keep every row within reach.
-    assert synth.SHELL_MARGIN > 10 * np.sqrt(2e-15)
+    P = np.vstack([np.eye(4)[:2], v])
+    assert np.abs(P @ v)[2] > 1
+    for reach in (1e-7, 1.0):
+        errs = _nearest(P, v[None], v, reach)
+        assert errs.tobytes() == _full_search(P, v[None]).tobytes() == np.zeros(1).tobytes()
+
+
+def test_nearest_shell_keeps_a_row_orthogonal_to_the_target():
+    # Row 1 is orthogonal to the target u, |dot| exactly 0, and is the point's
+    # nearest row; row 0 is u. The point lies 0.1 rad from row 1, so its shell
+    # reaches past pi/2 from u, where the cosine is negative: a bound clamped
+    # at cos(pi/2) = 6.1e-17 > 0 would drop row 1.
+    u = np.eye(4)[0]
+    P = np.eye(4)[:2]
+    t = np.pi / 2 - 0.1
+    v = np.array([[np.cos(t), np.sin(t), 0.0, 0.0]])
+    assert (P @ u)[1] == 0.0
+    for reach in (0.5, 1.0):
+        errs = _nearest(P, v, u, reach)
+        assert errs.tobytes() == _full_search(P, v).tobytes()
+        assert errs[0] == pytest.approx(np.sin(0.1))
 
 
 def _named_targets(gs):
@@ -530,8 +539,8 @@ def test_prob_synth_shell_search_returns_the_full_search_errors(
     pool = std_pool if max_len == 12 else enumerate_sequences(std_gateset, max_len)
     nearest, searches = synth._nearest, []
 
-    def recording(P, V, target, reach, to_row):
-        errs = nearest(P, V, target, reach, to_row)
+    def recording(P, V, target, reach):
+        errs = nearest(P, V, target, reach)
         if reach < 1:  # not the search of the misses over every row
             searches.append((P, V, errs))
         return errs
@@ -559,9 +568,8 @@ def test_nearest_shells_keep_the_rows_within_reach():
     line = lambda t: np.array([np.cos(t), np.sin(t), 0.0, 0.0])  # noqa: E731
     P = np.vstack([line(a + 1e-6), line(a), line(a - 0.2), np.eye(4)[2]])
     v = line(a)[None]
-    to_row = qubit1.line_angle(u, P)
     for reach in (1.0, 5e-7):
-        assert _nearest(P, v, u, reach, to_row).tobytes() == _full_search(P, v).tobytes()
+        assert _nearest(P, v, u, reach).tobytes() == _full_search(P, v).tobytes()
 
 
 def test_nearest_search_of_every_row_ends_past_a_distance_of_one():
@@ -577,7 +585,7 @@ def test_nearest_search_of_every_row_ends_past_a_distance_of_one():
     d = qubit1.line_distance(u, w)
     assert d > 1
     for reach in (0.5, 1.0):
-        errs = _nearest(w[None], u[None], u, reach, qubit1.line_angle(u, w[None]))
+        errs = _nearest(w[None], u[None], u, reach)
         assert errs.tolist() == [d] == _full_search(w[None], u[None]).tolist()
 
 
@@ -593,7 +601,7 @@ def test_prob_synth_unreachable_reports_the_full_search_radius(std_gateset):
         u = qubit1.magic_embed(U)
         cover = qubit1.cap_covering(u, 2 * eps, synth.C * eps)
         full = _full_search(pool.magic, cover)
-        errs = _nearest(pool.magic, cover, u, synth.C_PRIME * eps, qubit1.line_angle(u, pool.magic))
+        errs = _nearest(pool.magic, cover, u, synth.C_PRIME * eps)
         assert errs.tobytes() == full.tobytes()
         assert 0 < np.sum(full <= synth.C_PRIME * eps) < len(cover)
         with pytest.raises(CoveringUnreachableError) as exc:

@@ -5,9 +5,9 @@ channels approximating a target; the half-diamond distance between two
 channels is its one-candidate case), and the closed-form half-diamond
 distance between unitary channels. `_optimal_mix` sends every mixing query,
 distances too, to Watrous's SDP, except when the target and every candidate
-are d = 2 unitary channels (`_qubit_unitaries`): those take the real 4x4
-SDP of qubit1.optimal_mix_1q. Both read each Choi operator through its
-factors, made once with it (`ChoiOperator`), and Watrous's SDP is posed
+are d = 2 unitary channels (`_qubit_unitaries`): those take the tie-set
+pivots of qubit1.optimal_mix_1q, with no SDP. Both read each Choi operator
+through its factors, made once with it (`ChoiOperator`), and Watrous's SDP is posed
 exactly on the span of the factors (`_mix`): n + 1 dimensions for n unitary
 candidates of a unitary target, not d^2.
 Every returned distance or mixing value is a certified upper bound on the
@@ -328,13 +328,14 @@ def optimal_mix(
     half-diamond error (1/2)||target - sum p_x cand_x||_diamond of the
     returned p, not the solver's objective. When the target and every
     candidate are d = 2 unitary channels (`_qubit_unitaries`: trace preserving
-    and rank one within TOL_UNITARY), the query is the column generation over
-    real 4x4 SDPs of `qubit1.optimal_mix_1q` (p is zero off its solved columns),
-    and value is its upper, `mix_distance_1q` at p: the exact error of p for
-    the unitaries read from the Choi operators. Every other input takes the
-    Watrous SDP of `_mix`, and value is its repaired-primal upper bound, capped at
-    (||target||_diamond + sum p_x ||cand_x||_diamond) / 2, 1 for channels. Either
-    SDP is solved to relative gap and feasibility 1e-8 within 200 iterations.
+    and rank one within TOL_UNITARY), the query takes the tie-set pivots of
+    `qubit1.optimal_mix_1q` (p has at most 4 members), which stop at the width
+    upper - lower <= 1e-8, and value is its upper, `mix_distance_1q` at p: the
+    exact error of p for the unitaries read from the Choi operators. Every other
+    input takes the Watrous SDP of `_mix`, and value is its repaired-primal upper
+    bound, capped at (||target||_diamond + sum p_x ||cand_x||_diamond) / 2, 1 for
+    channels; that SDP is solved to relative gap and feasibility 1e-8 within 200
+    iterations.
     `_optimal_mix` makes this choice, for `diamond_distance` too.
     """
     return _optimal_mix(target, candidates)[:2]

@@ -2,7 +2,8 @@
 
 Subcommands: the keys of COMMANDS, the table that declares each one once.
 Exit codes: 0 success, 2 argument/parse error (an exceeded sequence
-budget included), 3 SDP failure, 4 covering unreachable in synthesis.
+budget included), 3 SDP failure (at d = 2: no certificate within
+qubit1.PIVOTS pivots), 4 covering unreachable in synthesis.
 """
 
 from __future__ import annotations

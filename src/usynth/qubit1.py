@@ -12,22 +12,28 @@ M has trace 0 and at most one positive eigenvalue (a rank-one PSD matrix
 minus a PSD one), so (1/2)||M||_1 = lambda_max(M) >= v^T M v for a unit v:
 no mixture errs less than (u.v)^2 - max_x (w_x.v)^2 = e(V)^2 - D(U, V)^2,
 e(V) the distance from V, the unitary of v, to its nearest candidate and D
-the half-diamond distance. This module provides the embedding, one key per
-channel (`line_keys`), those distances, optimal mixing by column generation
-over a real 4x4 SDP, priced by such a v from its dual (`optimal_mix_1q`),
+the half-diamond distance. At the optimum the two meet, at a vertex with at
+most 4 members that the rows tied at v give in closed form. This module
+provides the embedding, one key per channel (`line_keys`), those distances,
+optimal mixing by pivoting on those tie sets, with no SDP (`optimal_mix_1q`),
 support restriction, epsilon-coverings of (caps of) S^3, and the exact
 covering radius of a net from the convex hull of +-P (`covering_radius`).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-from . import sdp
 from .linalg import check_probabilities, check_unitary
+from .sdp import DEFAULT_GAP_TOL, SdpFailureError
 
 KEY_DECIMALS = 8  # magic vectors equal to this many decimals, up to sign, are one channel
-COLUMNS = 16  # candidates optimal_mix_1q adds per round: the nearest, then the best priced
+PIVOTS = 100  # optimal_mix_1q raises SdpFailureError past this many pivots
+TIE_DOT = 1e-6  # least common dot c = w.v of an admissible tie set (_vertices)
+TIE_RESIDUAL = 1e-9  # largest residual of an admissible tie set's 5 equations (_vertices)
+TIE_SLACK = 1e-12  # how far a row of the tie set left out may dot above c (_pivot)
 
 
 def magic_embed(U: np.ndarray) -> np.ndarray:
@@ -159,63 +165,101 @@ def _check_1q(u: np.ndarray, W: np.ndarray, p: np.ndarray, v: np.ndarray):
     return _mix_distance(u, W, p), price, float((u @ v) ** 2 - price.max())
 
 
-def optimal_mix_1q(
-    target: np.ndarray, candidates: np.ndarray, gap_tol: float = sdp.DEFAULT_GAP_TOL
-) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """Best mixture of the candidate magic vectors w_x for the target u.
+def _vertices(u: np.ndarray, S: np.ndarray, sets: np.ndarray):
+    """(admissible, p, v, c) of each tie set, a row of the (m, k) index array sets (k <= 4)
+    into the rows S, each signed so that its dot with u is >= 0.
 
-    Solves max -t subject to S - tI - sum_x p_x w_x w_x^T = -uu^T (in the 10
-    svec coordinates of 4x4 real symmetric matrices, `sdp.svec`) and
-    sum p = 1, over S >= 0 and one LP block (p, t) >= 0, by column
-    generation: first over the COLUMNS candidates nearest u (in candidate
-    order), then, while upper - lower > gap_tol, adding the (at most
-    COLUMNS) best priced candidates that price above every solved column.
-    The price of w_x is (w_x.v)^2 for v the top eigenvector of Y = sum y_k E_k,
-    from the dual multipliers of the basis rows; `_check_1q` forms both
-    bounds. Returns (p, upper, lower, v) of the last solve:
-
-    - upper = mix_distance_1q(u, W, p), the exact half-diamond error of the
-      returned p: the solver's (zero off the solved columns) or the nearest
-      single candidate, whichever errs less;
-    - lower = (u.v)^2 - max_x (w_x.v)^2 = e(V)^2 - D(U, V)^2 over every
-      candidate (see the module docstring): no mixture does better. It is
-      clamped to [0, upper] against rounding.
-
-    Raises ValueError unless u is a unit 4-vector and W has shape (n, 4) with
-    unit rows, n > 0, and as sdp.solve and check_optimal do.
+    v is the unit vector with one dot c = w.v >= 0 with every row of the set: the top
+    eigenvector of uu^T - ww^T, w the first row, on the null space of the differences D
+    from it (one vector for 4 rows). With lam = (u.v)^2 - c^2, p solves the 5 equations
+    sum_x p_x c w_x + lam v = (u.v) u and sum p = 1, so that v is an eigenvector of M = uu^T
+    - sum p_x w_x w_x^T with eigenvalue lam: p = (1 - sum q, q), c D^T q = (u.v) u - lam v
+    - c w by the SVD of D. Admissible: c > TIE_DOT (at c = 0 any p solves them), every
+    equation holds within TIE_RESIDUAL, p >= 0 and lam >= 0, so lam is the top eigenvalue
+    of M (it has at most one positive one) and v certifies it.
     """
+    R = S[sets]
+    w, D = R[:, 0], R[:, 1:] - R[:, :1]
+    U, s, Vt = np.linalg.svd(D)
+    N = Vt[:, len(s[0]) :]  # the null space of D
+    if len(s[0]) < 3:
+        a, b = N @ u, N @ w[..., None]
+        y = np.linalg.eigh(a[..., None] * a[:, None] - b * b.transpose(0, 2, 1))[1][..., -1]
+        v = np.einsum("mr,mri->mi", y, N)
+    else:  # 4 rows: v is the one null vector
+        v = N[:, 0]
+    c = np.einsum("mi,mi->m", v, w)
+    v, c = v * np.where(c < 0, -1.0, 1.0)[:, None], np.abs(c)
+    uv = v @ u
+    lam = uv * uv - c * c
+    h = np.outer(uv, u) - lam[:, None] * v - c[:, None] * w
+    sc = s * c[:, None]
+    q = np.einsum("mij,mj->mi", U, np.einsum("mji,mi->mj", Vt[:, : len(s[0])], h)
+                  / np.where(sc > 0, sc, np.inf))
+    residual = np.abs(c[:, None] * np.einsum("mj,mji->mi", q, D) - h).max(axis=1)
+    p = np.column_stack([1 - q.sum(axis=1), q])
+    ok = (c > TIE_DOT) & (residual <= TIE_RESIDUAL) & (np.minimum(lam, p.min(axis=1)) >= 0)
+    return ok, p, v, c
+
+
+def _pivot(u: np.ndarray, S: np.ndarray, T: tuple, e: int):
+    """(tie set, p over it, v) of the first admissible set S' + (e,) (`_vertices`), S' a
+    subset of the tie set T of at most 3 rows, largest first and in
+    itertools.combinations order, whose v dots no row of T above c + TIE_SLACK: the
+    optimum over the rows of T and e. A set that left out a row pricing above it would let
+    the walk cycle. SdpFailureError if no set qualifies."""
+    for r in range(min(len(T), 3), -1, -1):
+        sets = np.array([(*s, e) for s in combinations(T, r)])
+        ok, P, V, c = _vertices(u, S, sets)
+        ok &= np.abs(V @ S[list(T)].T).max(axis=1) <= c + TIE_SLACK
+        if ok.any():
+            i = int(np.argmax(ok))
+            return tuple(sets[i].tolist()), P[i] / P[i].sum(), V[i]
+    raise SdpFailureError(f"no admissible tie set of row {e} and the tie set {T}")
+
+
+def optimal_mix_1q(
+    target: np.ndarray, candidates: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """Best mixture of the candidate magic vectors w_x for the target u, by tie-set pivots.
+
+    The optimum is a vertex: its members tie at the largest price (w_x.v)^2, v its error's
+    top eigenvector, and there are at most 4 (Pataki, Math. Oper. Res. 23:339, 1998); a tie
+    set gives p and v in closed form (`_vertices`). With every row signed so that w.u >= 0,
+    the walk starts from the nearest row, v the top eigenvector of uu^T - ww^T. Each pivot
+    prices every candidate with one product, and the top-priced row e enters (`_pivot`).
+    It stops when upper - lower <= gap_tol, or when e is already tied: a tied row can price
+    above the others by rounding (2e-16), so the width is then at rounding level. The
+    answer depends only on u, the candidates and gap_tol. Returns (p, upper, lower, v),
+    the bounds from `_check_1q`:
+
+    - upper = mix_distance_1q(u, W, p), the exact half-diamond error of the returned p,
+      which has at most 4 members;
+    - lower = (u.v)^2 - max_x (w_x.v)^2 = e(V)^2 - D(U, V)^2 over every candidate (see
+      the module docstring): no mixture does better. It is clamped to [0, upper].
+
+    Raises ValueError unless gap_tol is positive and finite, u is a unit 4-vector and W
+    has shape (n, 4) with unit rows, n > 0; SdpFailureError after PIVOTS pivots without a
+    certificate (naming the width) or at a pivot with no admissible tie set.
+    """
+    if not 0 < gap_tol < np.inf:
+        raise ValueError("gap_tol must be positive and finite")
     u, W = _checked(target, candidates)
-    S = sdp.Block(size=4)
-    E = sdp.hermitian_basis(S)  # the 10 real symmetric basis matrices, for the dual's Y
-    rhs = np.append(-sdp.svec(S, np.outer(u, u)), 1.0)
-    dots = np.abs(W @ u)
-    # Within the gap tolerance the nearest single candidate can beat the iterate.
-    best = (np.arange(len(W)) == np.argmax(dots)) * 1.0
-    best_error = _mix_distance(u, W, best)
-    cols = np.sort(np.argsort(-dots, kind="stable")[:COLUMNS])
-    while True:
-        # Rows over (svec(S), p, t): [I | -svec(w_x w_x^T) for each x | -svec(I)] = -svec(uu^T),
-        # then the simplex row sum p = 1.
-        nc = len(cols)
-        A = np.zeros((11, 11 + nc))
-        A[:10, :10] = np.eye(10)
-        A[:10, 10:-1] = -sdp.svec(S, W[cols, :, None] * W[cols, None, :]).T
-        A[:10, -1] = -sdp.svec(S, np.eye(4))
-        A[10, 10:-1] = 1.0
-        objective = np.append(np.zeros(10 + nc), -1.0)  # max -t
-        blocks = [S, sdp.Block(size=nc + 1, diag=True)]
-        sol = sdp.check_optimal(sdp.solve(sdp.SdpProblem(blocks, objective, A, rhs), gap_tol))
+    S = W * np.where(W @ u < 0, -1.0, 1.0)[:, None]
+    T = (int(np.argmax(S @ u)),)
+    q, v = np.ones(1), _vertices(u, S, np.array([T]))[2][0]
+    for pivots in range(PIVOTS + 1):
         p = np.zeros(len(W))
-        p[cols] = np.maximum(sol.X[1][:-1], 0.0)
-        p /= p.sum()
-        if _mix_distance(u, W, p) > best_error:
-            p = best
-        v = np.linalg.eigh(np.einsum("k,kab->ab", sol.y[: len(E)], E))[1][:, -1]
+        p[list(T)] = q
         upper, price, lower = _check_1q(u, W, p, v)
-        new = np.flatnonzero(price > price[cols].max())
-        if upper - lower <= gap_tol or not new.size:
-            return p, upper, min(max(lower, 0.0), upper), v
-        cols = np.union1d(cols, new[np.argsort(-price[new], kind="stable")[:COLUMNS]])
+        lower = min(max(lower, 0.0), upper)
+        e = int(np.argmax(price))
+        if upper - lower <= gap_tol or e in T:
+            return p, upper, lower, v
+        if pivots < PIVOTS:
+            T, q, v = _pivot(u, S, T, e)
+    raise SdpFailureError(f"no certificate after {PIVOTS} pivots: width {upper - lower:.2e} "
+                          f"above gap_tol {gap_tol:.2e}")
 
 
 def support_filter(target: np.ndarray, candidates: np.ndarray, eps: float) -> np.ndarray:

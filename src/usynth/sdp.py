@@ -21,7 +21,10 @@ coordinates of M's Hermitian part in the orthonormal basis E_i of
 `hermitian_basis`, `width(blk)` reals: s^2 for a complex s x s block,
 s(s+1)/2 for a real one, a diag block's s entries. Row i of `constraints`
 is svec(A_i) and `objective` is svec(C) over the blocks in declared order,
-so Re tr(A_i X) = svec(A_i) . svec(X); the callers write these rows.
+so Re tr(A_i X) = svec(A_i) . svec(X); the caller writes these rows. The
+package's one caller is channels._mix, whose dense blocks are complex: d = 2
+mixing pivots on tie sets with no SDP (qubit1.optimal_mix_1q), so only tests
+pose real dense blocks.
 
 The solver is a primal-dual path-following interior-point method with a
 Mehrotra predictor-corrector. Problems here are tiny (block sizes <= ~40,
@@ -76,7 +79,8 @@ clipped to [1e-10, 1] and mu_aff the mu the predictor's step would reach.
 Mehrotra took the cube. On these small, degenerate mixing SDPs the cube
 centers too little: in tools/solve_sweep.py its mean step lengths per path
 are 0.85 to 0.98, against 0.92 to 0.99 with 1.5. Mean iterations on the
-problems of 40 synth1q, 100 cover and 200 mix_d3 benchmark items (seed 77):
+problems of 40 synth1q, 100 cover and 200 mix_d3 benchmark items (seed 77),
+measured while the d = 2 problems of synth1q and cover were still SDPs:
 
     exponent   1      1.25   1.5    1.75   2      3
     synth1q    8.52   7.83   7.62   7.76   7.90   8.38

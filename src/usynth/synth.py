@@ -9,8 +9,8 @@ answer returns; deterministically synthesize a C*eps covering of a ball
 around the target over the pool to within C_PRIME*eps (C = C_PRIME =
 1/2), each cover point searched over the rows whose |dot| with the target
 can put them within reach, for the covering radius; mix every pool row
-within 2*eps, solving the mixing SDP to relative gap delta, its column
-generation stopping at the absolute width upper - lower <= delta. The
+within 2*eps by qubit1.optimal_mix_1q's tie-set pivots, which stop at the
+absolute width upper - lower <= delta. The
 first-order baseline of Campbell and Hastings, for comparison, works on
 the candidates' channels (magic vectors, not matrices with a global phase)
 and finds the exact minimum-norm mixture of their generators by NNLS.
@@ -308,8 +308,7 @@ class SynthesisResult:
 
     rows are every pool row within 2*eps of the target, in pool order, which support spells
     out on read (Pool.words) with the leftmost label acting first, and p their mixture, zero
-    off the members the mixing solve weighted; prob_error_lower holds for every mixture of
-    the pool.
+    off its at most 4 members; prob_error_lower holds for every mixture of the pool.
     """
 
     pool: Pool = field(repr=False)
@@ -355,9 +354,9 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     synthesis error over covering points) <= eps, and CoveringUnreachableError
     if that worst error exceeds c'*eps. It then mixes every pool row within
     2*eps of the target, which holds each covering point's nearest row within
-    2*eps, so the mixture errs at most achieved_eps**2 + delta: the mixing SDP
-    is solved to relative gap delta, its column generation stopping at the
-    absolute width upper - lower <= delta.
+    2*eps, so the mixture errs at most achieved_eps**2 + delta: the tie-set
+    pivots of qubit1.optimal_mix_1q stop at the absolute width upper - lower
+    <= delta.
 
     The deterministic step searches each covering point over the rows in a
     shell of |dot| with the target that holds every row within c'*eps of it
@@ -367,8 +366,8 @@ def prob_synth(target: np.ndarray, eps: float, delta: float, pool: Pool) -> Synt
     the whole pool.
 
     support is spelled out by Pool.words on read; prob_error is the exact
-    error of the returned mixture p (an upper bound; p is zero off the
-    columns qubit1.optimal_mix_1q solved), and prob_error_lower = e(V)^2 -
+    error of the returned mixture p (an upper bound; p has at most 4
+    members, the optimum's tie set), and prob_error_lower = e(V)^2 -
     D(U, V)^2 for its certificate, a unitary V with error e(V) over every
     pool row and distance D(U, V) to the target: no mixture of the pool
     does better.

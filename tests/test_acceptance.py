@@ -52,7 +52,7 @@ def test_acceptance_1_axial_three_paths():
     v2 = mix_distance_1q(u, W, p1)
 
     # path 3: the full mixing SDP (Watrous's lowering; optimal_mix would take
-    # the 4x4 lowering of path 2's formula for these qubit unitaries)
+    # the tie-set pivots on path 2's formula for these qubit unitaries)
     _, v3, _, _ = channels._mix(choi(rz(target_theta)), [choi(rz(t)) for t in thetas])
 
     det = min(qubit1.line_distance(u, w) for w in W)
@@ -135,7 +135,7 @@ def test_acceptance_4_primal_dual_agreement():
     """100 random mixing instances, d in {2, 3}: the certified upper bound
     (the repaired primal) and lower bound (the repaired dual) of the mixing
     SDP agree at the default tolerances; at d=2 neither crosses the bounds
-    of the independent 4x4 lowering `optimal_mix_1q`."""
+    of the independent tie-set pivots of `optimal_mix_1q`."""
     rng = np.random.default_rng(6)
     worst = 0.0
     crossing = -np.inf
@@ -165,8 +165,8 @@ def test_acceptance_5_support_restriction_lossless():
     """100 targets against the standard pool of sequences of length <= 6,
     an r-covering with r its certified covering radius: restricting the
     mixing SDP to candidates within 2r of the target does not change the
-    value. Both solves use the generic (Watrous) lowering; the 4x4 lowering
-    that optimal_mix takes for qubit unitaries is checked by criterion 2."""
+    value. Both solves use the generic (Watrous) lowering; the tie-set pivots
+    that optimal_mix takes for qubit unitaries are checked by criterion 2."""
     pts = synth.enumerate_sequences(synth.standard_gate_set(), 6).magic
     rad = covering_radius(pts)
     all_cands = [choi(magic_unembed(v)) for v in pts]

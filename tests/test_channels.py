@@ -454,7 +454,7 @@ def test_optimal_mix_value_bounds_error_of_its_p():
 
 
 def test_optimal_mix_qubit_unitaries_skip_generic_path():
-    # d = 2 unitary channels go to the 4x4 lowering and agree with the
+    # d = 2 unitary channels go to the tie-set pivots and agree with the
     # Watrous SDP; p follows the candidates' order.
     rng = np.random.default_rng(12)
     cases = []
@@ -487,9 +487,9 @@ def test_optimal_mix_other_inputs_take_generic_path():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_diamond_distance_is_optimal_mix_with_one_candidate(solves, d):
-    # One dispatch picks the lowering of both: at d = 2 one real 4x4 solve (11 rows),
-    # whose upper is the exact distance of the unitaries; at d = 3 Watrous's SDP on a
-    # support of 2 dimensions, (1 + 1)^2 + d^2 + 1 rows.
+    # One dispatch picks the lowering of both: at d = 2 the tie-set pivots of
+    # qubit1.optimal_mix_1q, no SDP, whose upper is the exact distance of the unitaries;
+    # at d = 3 Watrous's SDP on a support of 2 dimensions, (1 + 1)^2 + d^2 + 1 rows.
     rng = np.random.default_rng([36, d])
     for _ in range(10):
         U, V = haar_unitary(d, rng), haar_unitary(d, rng)
@@ -497,8 +497,8 @@ def test_diamond_distance_is_optimal_mix_with_one_candidate(solves, d):
         assert value == optimal_mix(choi(U), [choi(V)])[1] and 0.0 <= gap <= 1e-7
         if d == 2:
             assert abs(value - unitary_distance(U, V)) <= 1e-12
-    rows = 11 if d == 2 else 4 + d * d + 1
-    assert [len(s.problem.constraints) for s in solves] == [rows] * 20
+    rows = [] if d == 2 else [4 + d * d + 1] * 20
+    assert [len(s.problem.constraints) for s in solves] == rows
 
 
 def test_optimal_mix_rejects_mixed_dims():
@@ -593,7 +593,7 @@ def test_optimal_mix_at_most_best_candidate(seed, n):
 def test_optimal_mix_dual_equals_primal(seed, n):
     # The certified primal (upper) and dual (lower) bounds meet; the upper
     # bound is never below the exact error of its own p, and neither bound
-    # crosses those of the independent 4x4 lowering.
+    # crosses those of the independent tie-set pivots.
     Us = _haar_qubits(seed, n + 1)
     p, upper, lower, _ = channels._mix(choi(Us[0]), [choi(U) for U in Us[1:]])
     assert 0.0 <= upper - lower <= 1e-7

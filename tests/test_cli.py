@@ -2,13 +2,12 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from usynth import bounds, channels, cli, qubit1, sdp, synth
+from usynth import bounds, channels, cli, qubit1, synth
 from usynth.linalg import haar_unitary, matrix_to_json
 
 
@@ -36,7 +35,7 @@ def test_diamond_named_equivalents(tmp_path, capsys):
 
 
 def test_diamond_on_qubit_unitaries_prints_the_closed_form(tmp_path, capsys):
-    # Through the 4x4 lowering, value is the exact distance of the two unitaries: I
+    # Through the tie-set pivots, value is the exact distance of the two unitaries: I
     # against X prints 1.0, not a solver's 1.00000000171.
     rng = np.random.default_rng([3600, 0])
     X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -406,6 +405,18 @@ def test_sharpness_lower_d2(capsys):
     assert abs(obj["expected"] - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_sharpness_upper_d2_is_exact_at_small_eps(capsys, eps):
+    # The d = 2 witness is a vertex of 2 members, which the tie-set pivots reach
+    # exactly: slack/expected is rounding, where a 1e-8 solver width read 36% at 1e-4.
+    code, out, _ = run_cli(capsys, "sharpness", "--d", "2", "--eps", str(eps),
+                           "--family", "upper")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["expected"] == pytest.approx(eps**2, rel=1e-12)
+    assert obj["slack"] / obj["expected"] <= 1e-6
+
+
 @pytest.mark.parametrize("family", ["lower", "upper"])
 @pytest.mark.parametrize("d", [11, 10**6])
 def test_sharpness_rejects_d_above_ten_before_building_a_witness(capsys, monkeypatch, family, d):
@@ -499,12 +510,16 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, kind, content, message):
     assert err.startswith("error:") and message in err
 
 
-def test_exit_code_synth1q_sdp_failure(monkeypatch, capsys):
-    solve = sdp.solve
-    monkeypatch.setattr(sdp, "solve", lambda *a, **k: replace(solve(*a, **k), status="MaxIter"))
-    code, out, err = run_cli(capsys, "synth1q", "--target", "H", "--eps", "0.35")
+def test_exit_code_synth1q_sdp_failure(monkeypatch, capsys, tmp_path):
+    # The d = 2 mixing makes no SDP: a walk of tie-set pivots that reaches no
+    # certificate within qubit1.PIVOTS is the failure exit code 3 reports. (H is a
+    # pool row, whose answer needs no pivot; a Haar target needs some.)
+    target = str(tmp_path / "u.json")
+    save_matrix(target, haar_unitary(2, np.random.default_rng(3)))
+    monkeypatch.setattr(qubit1, "PIVOTS", 0)
+    code, out, err = run_cli(capsys, "synth1q", "--target", target, "--eps", "0.35")
     assert code == 3
-    assert out == "" and "status MaxIter" in err
+    assert out == "" and err.startswith("error: no certificate after 0 pivots: width ")
 
 
 def test_synth1q_help_states_label_order(capsys):

@@ -1,5 +1,5 @@
+import itertools
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usynth import channels, qubit1, sdp
+from usynth import channels, qubit1
 from usynth.channels import SdpFailureError, choi
 from usynth.linalg import haar_unitary
 from usynth.qubit1 import (
@@ -76,7 +76,7 @@ def test_left_multiplication_composes_magic_vectors():
 
 
 def test_distance_1q_matches_diamond_sdp():
-    # Watrous's one-candidate SDP (`_mix`): diamond_distance takes the 4x4 lowering here.
+    # Watrous's one-candidate SDP (`_mix`): diamond_distance takes the tie-set pivots here.
     rng = np.random.default_rng(3)
     for _ in range(20):
         U, V = haar_unitary(2, rng), haar_unitary(2, rng)
@@ -308,7 +308,7 @@ _unit_sets = arrays(
 
 
 @given(u=_units, W=_unit_sets)
-# An exact hit twice over: the least-squares start is optimal, and unfloored its shifts vanish.
+# An exact hit twice over: the start certifies with no pivot.
 @example(u=np.array([1.0, 0, 0, 0]), W=np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]))
 def test_optimal_mix_1q_certificate(u, W):
     p, upper, lower, _ = optimal_mix_1q(u, W)
@@ -379,11 +379,35 @@ def test_optimal_mix_1q_rejects_bad_input():
         optimal_mix_1q(u, np.zeros((0, 4)))
 
 
-def test_optimal_mix_1q_raises_when_solve_fails(monkeypatch):
-    solve = sdp.solve
-    monkeypatch.setattr(sdp, "solve", lambda *a, **k: replace(solve(*a, **k), status="Stalled"))
-    with pytest.raises(SdpFailureError, match="status Stalled"):
-        optimal_mix_1q(np.array([1.0, 0.0, 0.0, 0.0]), np.eye(4)[1:])
+def _near(rng, u, n, spread):
+    """n unit rows scattered about u."""
+    W = u + spread * rng.standard_normal((n, 4))
+    return W / np.linalg.norm(W, axis=1, keepdims=True)
+
+
+def _random_set(i):
+    """Case i of a seeded family of 2-39 rows scattered about a Haar target."""
+    rng = np.random.default_rng([61, i])
+    n = int(rng.integers(2, 40))
+    u = magic_embed(haar_unitary(2, rng))
+    return u, _near(rng, u, n, rng.uniform(0.05, 1.0))
+
+
+def test_optimal_mix_1q_raises_past_the_pivot_cap(monkeypatch, pivots):
+    u, W = _random_set(0)
+    optimal_mix_1q(u, W)
+    assert len(pivots) >= 1
+    monkeypatch.setattr(qubit1, "PIVOTS", 0)
+    with pytest.raises(SdpFailureError, match=r"^no certificate after 0 pivots: width \S+ "
+                                              r"above gap_tol 1\.00e-08$"):
+        optimal_mix_1q(u, W)
+
+
+@pytest.mark.parametrize("gap_tol", [np.nan, 0.0, -1.0, np.inf])
+def test_optimal_mix_1q_rejects_a_gap_tol_that_is_not_positive_and_finite(solves, gap_tol):
+    with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
+        optimal_mix_1q(np.eye(4)[0], np.eye(4)[1:], gap_tol)
+    assert solves == []
 
 
 def test_optimal_mix_1q_wide_support_memory_is_linear():
@@ -406,15 +430,45 @@ def test_optimal_mix_1q_wide_support_memory_is_linear():
     assert lower <= upper + 1e-12 and upper - lower <= 1e-7
 
 
-def _widths(solves) -> list[int]:
-    """The LP width (number of candidates) of every recorded solve, in order."""
-    return [s.problem.blocks[1].size - 1 for s in solves]
+def _seeded_sets(kind, std_gateset):
+    """(u, W, gap_tol) of seeded d = 2 mixing problems of one kind."""
+    if kind in ("synth-12", "synth-20"):  # prob_synth's supports, at (L, eps) as synth1q runs
+        max_len, eps = (12, 0.35) if kind == "synth-12" else (20, 0.16)
+        P = enumerate_sequences(std_gateset, max_len).magic
+        for i in range(4):
+            u = magic_embed(haar_unitary(2, np.random.default_rng([51, max_len, i])))
+            yield u, P[support_filter(u, P, eps)], 1e-6
+    elif kind == "cover":  # the cover workload's queries: a calibrated net's 2*eps support
+        net, _ = sphere_covering(0.2)
+        for i in range(6):
+            u = magic_embed(haar_unitary(2, np.random.default_rng([52, i])))
+            yield u, net[support_filter(u, net, 0.2)], 1e-8
+    else:  # rows near u, some repeated, some negated, and u itself
+        rng = np.random.default_rng(53)
+        for i in range(12):
+            u = magic_embed(haar_unitary(2, rng))
+            W = _near(rng, u, int(rng.integers(2, 40)), rng.uniform(0.05, 1.0))
+            yield u, np.vstack([W, W[:3], -W[:2], np.tile(u, (i % 2, 1))]), 1e-8
 
 
-def test_optimal_mix_1q_second_round_adds_the_far_candidate(solves):
+@pytest.mark.parametrize("kind", ["synth-12", "synth-20", "cover", "random"])
+def test_optimal_mix_1q_certifies_at_its_gap_and_meets_watrous(std_gateset, solves, kind):
+    for u, W, gap_tol in _seeded_sets(kind, std_gateset):
+        p, upper, lower, _ = optimal_mix_1q(u, W, gap_tol)
+        assert upper - lower <= gap_tol and 0 <= lower <= upper
+        assert abs(p.sum() - 1) <= 1e-12 and np.all(p >= 0) and np.count_nonzero(p) <= 4
+        assert upper == mix_distance_1q(u, W, p)
+        assert solves == []  # qubit1 poses no SDP
+        ops = [choi(magic_unembed(w)) for w in W]
+        _, value, _, _ = channels._mix(choi(magic_unembed(u)), ops)
+        assert abs(upper - value) <= gap_tol + 1e-8
+        solves.clear()
+
+
+def test_optimal_mix_1q_pivots_to_the_far_candidate(pivots):
     # 20 candidates at angles 0.100-0.138 from u = e0, all tilted toward +e1,
-    # and one at 0.2 tilted toward -e1. The nearest COLUMNS cannot cancel the
-    # tilt, so the dual prices the far candidate above them.
+    # and one at 0.2 tilted toward -e1. The near ones cannot cancel the tilt,
+    # so the far candidate enters the tie set and the answer.
     th = 0.100 + 0.002 * np.arange(20)
     phi = 2 * np.pi * np.arange(20) / 20
     tilt = np.column_stack([np.full(20, 0.6), np.cos(phi), np.sin(phi)])
@@ -423,59 +477,78 @@ def test_optimal_mix_1q_second_round_adds_the_far_candidate(solves):
                    [np.cos(0.2), -np.sin(0.2), 0.0, 0.0]])
     u = np.eye(4)[0]
     p, upper, lower, _ = optimal_mix_1q(u, W)
-    widths = _widths(solves)
-    assert len(widths) >= 2 and widths[0] == qubit1.COLUMNS
-    assert p[-1] > 0 and np.all(p[qubit1.COLUMNS : -1] == 0.0)
-    assert abs(upper - mix_distance_1q(u, W, p)) <= 1e-15 and 0 <= lower <= upper
+    assert p[-1] > 0 and np.count_nonzero(p) <= 4 and 20 in pivots[-1]
+    assert upper == mix_distance_1q(u, W, p) and 0 <= lower <= upper <= lower + 1e-8
     # Watrous's lowering over all 21 channels agrees.
     _, value, _, _ = channels._mix(choi(magic_unembed(u)), [choi(magic_unembed(w)) for w in W])
     assert abs(upper - value) <= 1e-7
-    # The nearest COLUMNS alone are far worse: the second round is needed.
-    assert optimal_mix_1q(u, W[: qubit1.COLUMNS])[1] > 3 * upper
+    # The 16 nearest alone are far worse.
+    assert optimal_mix_1q(u, W[:16])[1] > 3 * upper
 
 
-@pytest.mark.parametrize("n", [1, 5, 16])
-def test_optimal_mix_1q_at_most_columns_is_one_solve(solves, n):
-    rng = np.random.default_rng(n)
-    u = magic_embed(haar_unitary(2, rng))
-    W = magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
-    optimal_mix_1q(u, W)
-    assert _widths(solves) == [n]
+def test_optimal_mix_1q_exact_hit_takes_no_pivot(pivots):
+    # The nearest row is the target: the start certifies, with lower clamped to upper = 0.
+    e0 = np.eye(4)[0]
+    p, upper, lower, _ = optimal_mix_1q(e0, np.array([e0, e0]))
+    assert pivots == [] and upper == lower == 0.0 and p.tolist() == [1.0, 0.0]
 
 
-def test_optimal_mix_1q_rows_equal_the_per_row_products(solves):
-    # The rows over (svec(S), p, t) are built for every candidate at once; they must be
-    # bitwise [I | -svec(w_x w_x^T) | -svec(I)] from one sdp.svec call per candidate, then
-    # the simplex row, with rhs (-svec(uu^T), 1), so that a solve poses the same problem
-    # either way.
-    S = sdp.Block(size=4)
-    rng = np.random.default_rng(26)
-    for _ in range(50):
-        u, *W = (magic_embed(haar_unitary(2, rng)) for _ in range(4))
-        solves.clear()
-        optimal_mix_1q(u, np.array(W))
-        ((problem, _, _),) = solves
-        want = np.zeros((11, 14))
-        want[:10, :10] = np.eye(10)
-        for x, w in enumerate(W):
-            want[:10, 10 + x] = -sdp.svec(S, np.outer(w, w))
-        want[:10, 13] = -sdp.svec(S, np.eye(4))
-        want[10, 10:13] = 1.0
-        assert problem.blocks == [S, sdp.Block(size=4, diag=True)]
-        assert np.array_equal(problem.constraints, want)
-        assert np.array_equal(problem.rhs, np.append(-sdp.svec(S, np.outer(u, u)), 1.0))
-        assert np.array_equal(problem.objective, np.append(np.zeros(13), -1.0))
+def test_optimal_mix_1q_stops_when_the_entering_row_is_already_tied(pivots):
+    # Trap (a): at the optimum a row of the tie set can price 2e-16 above the set's c^2 by
+    # rounding, so a width above a tiny gap_tol would send that row in again, forever.
+    # The walk stops instead, with the width at rounding level.
+    u, W = _random_set(0)
+    p, upper, lower, _ = optimal_mix_1q(u, W, 1e-300)
+    assert 0 < upper - lower <= 1e-15 and len(pivots) < 20
+
+
+def test_vertices_rejects_a_tie_set_orthogonal_to_v(monkeypatch):
+    # Trap (b): rows orthogonal to u = e0 tie at c = w.v = 0 with v = u. There the 5
+    # equations do not fix p (c multiplies every p_x), and what the solve returns is
+    # rounding; on this pair it even lies on the simplex. Only c > TIE_DOT rejects it.
+    u = np.eye(4)[0]
+    S = np.column_stack([np.zeros(2), np.random.default_rng([71, 29]).standard_normal((2, 3))])
+    S /= np.linalg.norm(S, axis=1, keepdims=True)
+    ok, _, v, c = qubit1._vertices(u, S, np.array([[0, 1]]))
+    assert not ok[0] and c[0] <= 1e-15 and abs(abs(v[0] @ u) - 1) <= 1e-15
+    monkeypatch.setattr(qubit1, "TIE_DOT", -1.0)
+    ok, p, _, _ = qubit1._vertices(u, S, np.array([[0, 1]]))
+    assert ok[0] and np.all(p > 0)
+
+
+@pytest.mark.parametrize("case", [1, 375])
+def test_optimal_mix_1q_walks_only_to_optimal_vertices(case):
+    # Each pivot keeps a set with lam >= 0 (trap (c): otherwise v is not the top
+    # eigenvector, and case 375 reaches a pivot with no admissible set) that prices no
+    # left-out row above c^2 (otherwise case 1 drops and re-enters rows until the cap).
+    u, W = _random_set(case)
+    p, upper, lower, _ = optimal_mix_1q(u, W)
+    assert upper - lower <= 1e-8 and np.count_nonzero(p) <= 4
+
+
+def test_vertices_of_a_batch_are_those_of_each_set():
+    # One call evaluates every tie set of a size together: the same answer set by set.
+    u, W = _random_set(2)
+    S = W * np.where(W @ u < 0, -1.0, 1.0)[:, None]
+    for k in (1, 2, 3, 4):
+        sets = np.array(list(itertools.combinations(range(6), k)))
+        batch = qubit1._vertices(u, S, sets)
+        for i, row in enumerate(sets):
+            one = qubit1._vertices(u, S, row[None])
+            assert one[0][0] == batch[0][i]
+            for a, b in zip(one[1:], batch[1:]):
+                assert np.allclose(a[0], b[i], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 4), (4, 2)])
 def test_mixing_problems_have_the_row_counts_the_benchmark_reads(solves, d, n):
-    # The benchmark's tracer reports len(problem.constraints) of every solve: 11 rows
-    # for optimal_mix_1q, and (n + 1)^2 + d^2 + 1 for _mix with n unitary candidates
-    # of a unitary target, whose support has n + 1 dimensions (n + 1 <= d^2).
+    # The benchmark's tracer reports len(problem.constraints) of every solve:
+    # (n + 1)^2 + d^2 + 1 for _mix with n unitary candidates of a unitary target, whose
+    # support has n + 1 dimensions (n + 1 <= d^2), and none for optimal_mix_1q.
     rng = np.random.default_rng([d, n])
     U = [haar_unitary(d, rng) for _ in range(n + 1)]
     channels._mix(choi(U[0]), [choi(V) for V in U[1:]])
     if d == 2:
         optimal_mix_1q(magic_embed(U[0]), magic_embed_batch(np.stack(U[1:])))
     rows = [len(s.problem.constraints) for s in solves]
-    assert rows == [(n + 1) ** 2 + d * d + 1] + [11] * (d == 2)
+    assert rows == [(n + 1) ** 2 + d * d + 1]

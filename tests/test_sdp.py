@@ -276,8 +276,6 @@ def test_solve_rejects_a_gap_tol_that_is_not_positive_and_finite(gap_tol):
     problem = lowered([sdp.Block(size=1)], {0: np.array([[1.0]])}, [({0: np.array([[1.0]])}, 1.0)])
     with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
         sdp.solve(problem, gap_tol)
-    with pytest.raises(ValueError, match="gap_tol must be positive and finite"):
-        qubit1.optimal_mix_1q(np.eye(4)[0], np.eye(4)[1:], gap_tol)
 
 
 def test_chol_signals_breakdown_on_tiny_negative_eigenvalue():
@@ -326,7 +324,7 @@ def test_max_step_reads_padded_stacks_like_one_eigvalsh_per_matrix(case):
         assert got == pytest.approx([-1.0 / a for a in low], rel=1e-12)
 
 
-def test_solve_forms_no_explicit_inverse(monkeypatch):
+def test_solve_forms_no_explicit_inverse(monkeypatch, mix_1q_problem):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.inv called")
 
@@ -335,7 +333,7 @@ def test_solve_forms_no_explicit_inverse(monkeypatch):
     channels._mix(choi(haar_unitary(3, rng)), [choi(haar_unitary(3, rng)) for _ in range(3)])
     u = qubit1.magic_embed(haar_unitary(2, rng))
     W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(4)]))
-    qubit1.optimal_mix_1q(u, W)
+    sdp.check_optimal(sdp.solve(mix_1q_problem(u, W)))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 9])
@@ -524,7 +522,8 @@ def test_infeasible_returns_a_checked_iterate():
         in str(exc.value)
 
 
-def test_status_is_optimal_exactly_when_residuals_meet_tolerances(solves, monkeypatch):
+def test_status_is_optimal_exactly_when_residuals_meet_tolerances(solves, monkeypatch,
+                                                                  mix_1q_problem):
     rng = np.random.default_rng(13)
     for i in range(9):
         d = 3 if i % 3 == 0 else 2
@@ -533,14 +532,15 @@ def test_status_is_optimal_exactly_when_residuals_meet_tolerances(solves, monkey
         if d == 2:
             u = qubit1.magic_embed(haar_unitary(2, rng))
             W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
-            qubit1.optimal_mix_1q(u, W, gap_tol=(1e-8, 1e-6)[i % 2])
+            sdp.solve(mix_1q_problem(u, W), (1e-8, 1e-6)[i % 2])
     sdp.solve(_infeasible_problem())
     with monkeypatch.context() as m:
         m.setattr(sdp, "MAX_ITER", 3)
         sdp.solve(_infeasible_problem(), 1e-6)
         W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(3)]))
+        problem = mix_1q_problem(qubit1.magic_embed(haar_unitary(2, rng)), W)
         with pytest.raises(SdpFailureError, match="status MaxIter after 3 iterations"):
-            qubit1.optimal_mix_1q(qubit1.magic_embed(haar_unitary(2, rng)), W)
+            sdp.check_optimal(sdp.solve(problem))
     _break_nt_scaling_after(monkeypatch, 8)
     with pytest.raises(SdpFailureError, match="status Stalled after 3 iterations"):
         channels._mix(choi(haar_unitary(2, rng)), [choi(haar_unitary(2, rng)) for _ in range(3)])
@@ -673,7 +673,7 @@ def test_solution_does_not_depend_on_block_order_or_lowering():
         assert np.allclose(permuted.X[j], native.X[k], rtol=0, atol=1e-7)
 
 
-def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch):
+def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch, mix_1q_problem):
     # svec of R^H A_i R: s^2 reals for a complex s x s block, s(s+1)/2 for a
     # real one, one per entry of a diag block. At d = 3, _mix poses its S' and
     # E' blocks on the k = n + 1 dimensional support of n + 1 unitary channels:
@@ -695,7 +695,7 @@ def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch):
         shapes.clear()
         u = qubit1.magic_embed(haar_unitary(2, rng))
         W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
-        qubit1.optimal_mix_1q(u, W)
+        sdp.solve(mix_1q_problem(u, W))
         assert set(shapes) == {(11, 10 + n + 1)}
 
 
@@ -728,12 +728,12 @@ def test_objective_in_the_constraint_span_starts_off_the_boundary():
     assert abs(s.primal_value - 1.0) < 1e-7 and abs(s.dual_value - 1.0) < 1e-7
 
 
-def test_trace_has_one_entry_per_iteration(solves):
+def test_trace_has_one_entry_per_iteration(solves, mix_1q_problem):
     rng = np.random.default_rng(8)
     for d in (2, 3):
         channels._mix(choi(haar_unitary(d, rng)), [choi(haar_unitary(d, rng)) for _ in range(3)])
     u = qubit1.magic_embed(haar_unitary(2, rng))
-    qubit1.optimal_mix_1q(u, qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng)] * 2)))
+    sdp.solve(mix_1q_problem(u, qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng)] * 2))))
     assert len(solves) == 3
     for _, _, sol in solves:
         assert sol.status == "Optimal" and len(sol.trace) == sol.iterations

@@ -22,9 +22,8 @@ def mix(case, upper=0.25):
 
 
 def synth(support):
-    return {"case": "synth-12-0", "d": 2, "path": "prob_synth", "rounds": 1,
-            "status": "Optimal", "iterations": [11], "upper": 0.01, "lower": 0.01 - 1e-9,
-            "p": [0.5, 0.25, 0.25], "sigma_mean": 0.2, "ap_mean": 0.9, "ad_mean": 0.9,
+    return {"case": "synth-12-0", "d": 2, "path": "prob_synth", "pivots": 8,
+            "upper": 0.01, "lower": 0.01 - 1e-9, "p": [0.5, 0.25, 0.25],
             "support": support, "det_error": 0.1, "achieved_eps": 0.35,
             "det_synth_labels": ["H", "T"], "det_synth_error": 0.1}
 
@@ -42,7 +41,7 @@ def test_compare_of_equal_sweeps_finds_nothing(solve_sweep, tmp_path, capsys):
     records = [mix("1-1"), mix("1-2"), synth([["H"], ["T"], ["H", "T"]])]
     code, out = compare(solve_sweep, tmp_path, capsys, records, records)
     assert code == 0
-    assert "3 solves compared, 0 differ (0 in status or iterations, 0 in support)" in out
+    assert "3 solves compared, 0 differ (0 in steps, 0 in support)" in out
     assert "in one sweep only" not in out
     assert "mix d=2: lower up 0, down 0, largest move down 0.0e+00 of upper\n" in out
 
@@ -53,7 +52,7 @@ def test_compare_prints_a_moved_bound(solve_sweep, tmp_path, capsys):
     assert code == 1
     assert "largest move of upper: 1.000e-12 (1-2 mix)" in out
     assert "largest move of lower: 0.000e+00\n" in out
-    assert "2 solves compared, 1 differ (0 in status or iterations, 0 in support)" in out
+    assert "2 solves compared, 1 differ (0 in steps, 0 in support)" in out
 
 
 def test_compare_counts_the_lowers_that_moved_up_and_down_per_path(solve_sweep, tmp_path,
@@ -65,7 +64,7 @@ def test_compare_counts_the_lowers_that_moved_up_and_down_per_path(solve_sweep, 
     assert code == 1
     # The move down is relative to the first sweep's upper: 1e-9 / 0.25.
     assert "mix d=2: lower up 2, down 1, largest move down 4.0e-09 of upper\n" in out
-    assert "4 solves compared, 3 differ (0 in status or iterations, 0 in support)" in out
+    assert "4 solves compared, 3 differ (0 in steps, 0 in support)" in out
 
 
 def test_compare_prints_a_changed_support(solve_sweep, tmp_path, capsys):
@@ -74,7 +73,7 @@ def test_compare_prints_a_changed_support(solve_sweep, tmp_path, capsys):
                         [synth([["H"], ["T"], ["T", "H"]])])
     assert code == 1
     assert "synth-12-0 prob_synth: support 3 -> 3 labels, 1 out, 1 in" in out
-    assert "1 solves compared, 1 differ (0 in status or iterations, 1 in support)" in out
+    assert "1 solves compared, 1 differ (0 in steps, 1 in support)" in out
     assert "achieved_eps" not in out
     # Each moved achieved_eps is named, then counted with its largest move.
     support = [["H"], ["T"], ["H", "T"]]
@@ -85,7 +84,7 @@ def test_compare_prints_a_changed_support(solve_sweep, tmp_path, capsys):
     assert "synth-12-1 prob_synth: achieved_eps 0.35 -> 0.3\n" in out
     assert "synth-12-2 prob_synth: achieved_eps 0.35 -> 0.36\n" in out
     assert "2 achieved_eps moved, 1 down; largest move -5.000e-02 (synth-12-1 prob_synth)" in out
-    assert "3 solves compared, 2 differ (0 in status or iterations, 0 in support)" in out
+    assert "3 solves compared, 2 differ (0 in steps, 0 in support)" in out
 
 
 def test_compare_counts_det_synth_keys_when_both_sweeps_have_them(solve_sweep, tmp_path,
@@ -94,13 +93,35 @@ def test_compare_counts_det_synth_keys_when_both_sweeps_have_them(solve_sweep, t
     code, out = compare(solve_sweep, tmp_path, capsys, [synth(support)],
                         [dict(synth(support), det_synth_labels=["T", "H"])])
     assert code == 1
-    assert "1 solves compared, 1 differ (0 in status or iterations, 0 in support)" in out
+    assert "1 solves compared, 1 differ (0 in steps, 0 in support)" in out
     # A sweep written without the keys is compared without them.
     old = {k: v for k, v in synth(support).items() if not k.startswith("det_synth")}
     code, out = compare(solve_sweep, tmp_path, capsys, [old],
                         [dict(synth(support), det_synth_error=0.2)])
     assert code == 0
     assert "1 solves compared, 0 differ" in out
+
+
+def test_compare_reads_pivot_records_against_solver_records(solve_sweep, tmp_path, capsys):
+    # A d = 2 answer of the solver (status, iterations) against the same answer by pivots:
+    # the steps differ, the step counts are not compared, and members are counted.
+    solved = dict(mix("1-1"), path="mix_1q", p=[0.2] * 5, upper=0.25 - 1e-12)
+    pivoted = {k: v for k, v in mix("1-1").items()
+               if k not in ("status", "iterations", "sigma_mean", "ap_mean", "ad_mean")}
+    pivoted = dict(pivoted, path="mix_1q", pivots=3, p=[0.5, 0.5, 0.0, 0.0, 0.0])
+    code, out = compare(solve_sweep, tmp_path, capsys, [solved], [pivoted])
+    assert code == 1
+    assert "1-1 mix_1q: Optimal after 9 -> 3 pivots\n" in out
+    assert ("mix_1q: 1 records; iterations mean 9.00 max 9 -> pivots mean 3.00 max 3; "
+            "fewer 0, equal 0, more 0, 1 counted otherwise; largest move upper 1.0e-12") in out
+    assert "members at most 5 -> 2; mean sigma 0.200 -> -," in out
+    assert "optimal_mix_1q answers with more than 4 members: 1 -> 0\n" in out
+    assert "1 solves compared, 1 differ (1 in steps, 0 in support)" in out
+    # Two sweeps of pivots compare their pivot counts.
+    code, out = compare(solve_sweep, tmp_path, capsys, [pivoted], [dict(pivoted, pivots=4)])
+    assert code == 1
+    assert "1-1 mix_1q: 3 pivots -> 4 pivots\n" in out
+    assert "pivots mean 3.00 max 3 -> pivots mean 4.00 max 4; fewer 0, equal 0, more 1;" in out
 
 
 def test_compare_counts_unpaired_records_without_comparing_them(solve_sweep, tmp_path,
@@ -139,7 +160,7 @@ def test_compare_counts_a_p_of_another_length_as_differing(solve_sweep, tmp_path
     assert code == 1
     assert f"1-2 mix: p has 2 -> {len(p)} entries" in out
     assert "largest move of p: 0.000e+00\n" in out
-    assert "2 solves compared, 1 differ (0 in status or iterations, 0 in support)" in out
+    assert "2 solves compared, 1 differ (0 in steps, 0 in support)" in out
 
 
 def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
@@ -159,7 +180,12 @@ def test_sweep_on_a_cut_down_set_solves_every_case(solve_sweep, monkeypatch):
     assert [rec["case"] for rec in records if rec["path"] == "sharpness"] == [
         "lower-2-0.6", "upper-2-0.6", "lower-3-0.6", "upper-3-0.6"]
     assert [len(rec["p"]) for rec in records if rec["path"] == "sharpness"] == [2, 4, 3, 8]
-    assert all(rec["status"] == "Optimal" and "p" in rec for rec in records)
+    # The d = 2 answers pivot, with no solve; every other record is one optimal solve.
+    pivoted = [rec["path"] for rec in records if "pivots" in rec]
+    assert pivoted == ["mix_1q"] * 2 + ["sharpness"] * 2 + ["prob_synth"] * 2
+    assert all("p" in rec and ("pivots" in rec) != ("status" in rec) for rec in records)
+    assert all(rec["status"] == "Optimal" for rec in records if "status" in rec)
+    assert all(sum(x != 0 for x in rec["p"]) <= 4 for rec in records if "pivots" in rec)
     # Each d = 2 lower re-derived from its v in plain numpy is the checker's, bit for bit.
     priced = [rec for rec in records if "repriced" in rec]
     assert [(rec["path"], rec["d"]) for rec in priced] == [("mix_1q", 2)] * 2 + [
@@ -181,7 +207,8 @@ def solve_time():
 def test_solve_time_against_its_own_source_runs_every_path(solve_sweep, solve_time, monkeypatch,
                                                            capsys):
     # The sweep's cut-down case set, each problem solved twice by each side;
-    # both sides are this checkout's sdp.py, so their ratio is near 1.
+    # both sides are this checkout's sdp.py, so their ratio is near 1. The d = 2
+    # answers (mix_1q, prob_synth) pivot and pose no problem, so their paths are absent.
     for name, value in (("CASES", 2), ("SUPPORT_CASES", 1), ("CHANNEL_CASES", 1),
                         ("SYNTH_CASES", 1), ("SYNTH_LENGTHS", (12,)),
                         ("WITNESS_DIMS", (3,)), ("WITNESS_EPS", (0.6,))):
@@ -189,9 +216,9 @@ def test_solve_time_against_its_own_source_runs_every_path(solve_sweep, solve_ti
     monkeypatch.setattr(solve_time, "REPEATS", 2)
     assert solve_time.main([str(SWEEP.parents[1] / "src")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "13 solves, fastest of 2 each; median us here, other, ratio"
+    assert out[0] == "10 solves, fastest of 2 each; median us here, other, ratio"
     paths = [line.split(":")[0] for line in out[1:]]
-    assert paths == [*solve_sweep.GROUPS, "all"]
+    assert paths == [g for g in solve_sweep.GROUPS if g not in ("mix_1q", "prob_synth")] + ["all"]
     for line in out[1:]:
         here, other, ratio = (float(x) for x in line.split("; ")[1].split())
         assert here > 0 and other > 0 and ratio == pytest.approx(here / other, abs=1e-3)

@@ -6,21 +6,22 @@
 The sweep draws seeds 1 and 2 x 300 Haar cases, case i of seed s from
 `default_rng([s, i])`: d = 3 on every third case (i % 3 == 0), d = 2
 otherwise, and a target with 2-5 candidates. It runs `channels._mix` on
-every case and `qubit1.optimal_mix_1q` on the d = 2 ones, 1,000 solves in
-all, and writes for each its SDP status and iteration count and, when the
-solve is optimal, `upper`, `lower` and `p`. Every record also holds
+every case and `qubit1.optimal_mix_1q` on the d = 2 ones, 1,000 answers in
+all. A `_mix` record holds its SDP status and iteration count, and
 `sigma_mean`, `ap_mean` and `ad_mean`: the mean centering parameter and
-primal and dual step lengths over the steps its solves took, read from
-`SdpSolution.trace` (null if they took none). Floats are written as Python's
-shortest round-trip repr, so equal JSON means bitwise-equal numbers.
+primal and dual step lengths over the steps its solve took, read from
+`SdpSolution.trace` (null if it took none). An `optimal_mix_1q` record, which
+makes no SDP, holds `pivots` in their place: the tie-set pivots it took
+(`qubit1._pivot` calls). Each holds `upper`, `lower` and `p` when it answers.
+Floats are written as Python's shortest round-trip repr, so equal JSON means
+bitwise-equal numbers.
 
 A second set, keyed `synth-L-i` on the path `prob_synth`, runs `prob_synth`
 at eps 0.35 and delta 1e-6 over the L = 12 and L = 14 pools of the standard
 gate set on 60 Haar targets each, target i from `default_rng([3, i])`:
 mixing problems over every pool row within 2*eps, a few hundred
-candidates, where `optimal_mix_1q` may solve more than once. For each it
-writes `rounds` (the solves made), the status of the last solve, the
-iterations of every solve, `upper`, `lower` (priced over the whole pool)
+candidates. For each it writes `pivots` (those `optimal_mix_1q` took),
+`upper`, `lower` (priced over the whole pool)
 and `p` as returned, the whole support `support` (the label lists of
 `SynthesisResult.support`, of which `synth1q` prints the members with
 weight), `det_error` and `achieved_eps`, and the labels and
@@ -45,8 +46,9 @@ A fourth set, on the path `sharpness`, runs `channels._optimal_mix`, the
 dispatch of `optimal_mix` and so of `sharpness`, on both Theorem 1 witnesses
 (`bounds.lower_family` against the identity, `bounds.upper_family` against
 `upper_family_target`) at d = 2 to 6 and eps 0.1, 0.3, 0.6 and 0.9, keyed
-`lower-d-eps` and `upper-d-eps`: `qubit1.optimal_mix_1q` at d = 2 and
-`channels._mix` above. They are the most degenerate mixing problems here.
+`lower-d-eps` and `upper-d-eps`: `qubit1.optimal_mix_1q` at d = 2, recorded
+as the first set's d = 2 records, and `channels._mix` above. They are the most
+degenerate mixing problems here.
 
 Each `mix_1q` record and each d = 2 `sharpness` record also holds
 `repriced`: its `lower` re-derived from the unit 4-vector `v` that
@@ -56,20 +58,25 @@ certificate shows.
 
 `--compare` pairs the records of two sweeps by case and path, and counts
 those that only one sweep has without comparing them. It prints every
-solve whose status or iteration counts differ, and every `p` whose length
-differs (such a solve differs, and `p` gives it no move); then, per path
-(`mix` at d = 2 and at d = 3, `mix_1q`, `diamond4`, `kraus3`, `iso23`,
-`replace32`, `prob_synth`, and the `sharpness` witnesses as `lower` and `upper`), the
-mean and largest iteration counts of each sweep, how many records took
-fewer, equal or more iterations in the second, the largest move of `upper`
-and `lower`, each sweep's largest width `upper - lower` and its mean of the
-records' `sigma_mean`, `ap_mean` and `ad_mean` ("-" for a sweep written
-without them), and on a line of its own how many `lower`s moved up and how
-many down, and the largest move down relative to the first sweep's `upper`;
-then the largest move of `upper`, `lower` and `p` over all solves optimal on both
-sides (the iterations may differ); then, if any `achieved_eps` moved, how
+record whose steps differ (status and iteration counts, or pivots; a record
+counted one way in one sweep and the other way in the other differs), and
+every `p` whose length differs (such a record differs, and `p` gives it no
+move); then, per path (`mix` at d = 2 and at d = 3, `mix_1q`, `diamond4`,
+`kraus3`, `iso23`, `replace32`, `prob_synth`, and the `sharpness` witnesses as
+`lower` and `upper`), each sweep's mean and largest iterations over the records
+that solve and pivots over those that pivot, how many records took fewer, equal
+or more steps in the second among those counted the same way on both sides (and
+how many are counted otherwise), the largest move of `upper` and `lower`, each sweep's largest width
+`upper - lower`, its most members (nonzero entries of `p`) and its mean of the
+records' `sigma_mean`, `ap_mean` and `ad_mean` ("-" for a sweep without them),
+and on a line of its own how many `lower`s moved up and how many down, and the
+largest move down relative to the first sweep's `upper`; then the largest move
+of `upper`, `lower` and `p` over all records that answer on both sides (their
+steps may differ); then how many `optimal_mix_1q` answers (`mix_1q`,
+`prob_synth` and `sharpness` at d = 2) have more than 4 members in each sweep;
+then, if any `achieved_eps` moved, how
 many did, how many of them down and the largest move; then how many paired
-solves differ at all, how many of those in status or iterations rather than
+solves differ at all, how many of those in their steps rather than
 only in values, and how many `prob_synth` records in their support. A record
 whose support, `det_error`, `achieved_eps`, `det_synth_labels` or
 `det_synth_error` differs counts as differing; each support that differs is
@@ -182,16 +189,21 @@ def sweep() -> list[dict]:
     from usynth import channels, qubit1, sdp, synth
     from usynth.linalg import haar_unitary
 
-    seen = []
-    solve = sdp.solve
+    seen, pivots = [], []
+    solve, pivot = sdp.solve, qubit1._pivot
 
     def recording(problem, *args, **kwargs):
         sol = solve(problem, *args, **kwargs)
         seen.append(sol)
         return sol
 
+    def pivoting(*args):
+        pivots.append(args[-1])  # the entering row, counted before the pivot can fail
+        return pivot(*args)
+
     def record(name, d, path, run, magic=None) -> dict:
         seen.clear()
+        pivots.clear()
         rec = {"case": name, "d": d, "path": path}
         try:
             p, upper, lower, certificate = run()
@@ -200,11 +212,15 @@ def sweep() -> list[dict]:
                 rec["repriced"] = repriced(*magic, certificate, upper)
         except sdp.SdpFailureError:
             pass
-        (sol,) = seen
-        rec.update(status=sol.status, iterations=sol.iterations, **step_means(seen))
+        if magic is not None:  # optimal_mix_1q, which makes no solve
+            assert not seen
+            rec["pivots"] = len(pivots)
+        else:
+            (sol,) = seen
+            rec.update(status=sol.status, iterations=sol.iterations, **step_means(seen))
         return rec
 
-    sdp.solve = recording
+    sdp.solve, qubit1._pivot = recording, pivoting
     records = []
     try:
         for name, d, U, Vs in cases():
@@ -218,7 +234,7 @@ def sweep() -> list[dict]:
             records.append(record(name, d, "mix", lambda: channels._mix(target, cands)))
         for name, d, target, cands in witness_cases():
             magic = None
-            if d == 2:  # the dispatch solves on the magic vectors it reads off the factors
+            if d == 2:  # the dispatch pivots on the magic vectors it reads off the factors
                 W = qubit1.magic_embed_batch(channels._qubit_unitaries([target, *cands]))
                 magic = W[0], W[1:]
             records.append(record(name, d, "sharpness",
@@ -228,20 +244,21 @@ def sweep() -> list[dict]:
             for i in range(SYNTH_CASES):
                 U = haar_unitary(2, np.random.default_rng([SYNTH_SEED, i]))
                 seen.clear()
+                pivots.clear()
                 res = synth.prob_synth(U, 0.35, 1e-6, pool)
                 labels, det_err = synth.det_synth(U, pool)
+                assert not seen
                 records.append({
                     "case": f"synth-{max_len}-{i}", "d": 2, "path": "prob_synth",
-                    "rounds": len(seen), "status": seen[-1].status,
-                    "iterations": [sol.iterations for sol in seen],
+                    "pivots": len(pivots),
                     "upper": res.prob_error, "lower": res.prob_error_lower,
-                    "p": [float(x) for x in res.p], **step_means(seen),
+                    "p": [float(x) for x in res.p],
                     "support": [list(s) for s in res.support],
                     "det_error": res.det_error, "achieved_eps": res.achieved_eps,
                     "det_synth_labels": list(labels), "det_synth_error": det_err,
                 })
     finally:
-        sdp.solve = solve
+        sdp.solve, qubit1._pivot = solve, pivot
     return records
 
 
@@ -257,6 +274,33 @@ def group(rec: dict) -> str:
     return f"mix d={rec['d']}" if rec["path"] == "mix" else rec["path"]
 
 
+def counts(rec: dict) -> list[int]:
+    """A record's pivots, or the iterations of each of its solves."""
+    its = rec["pivots"] if "pivots" in rec else rec["iterations"]
+    return its if isinstance(its, list) else [its]
+
+
+def members(rec: dict) -> int:
+    """The nonzero entries of a record's p."""
+    return sum(x != 0 for x in rec["p"])
+
+
+def qubit(rec: dict) -> bool:
+    """Whether a record is an optimal_mix_1q answer."""
+    return rec["path"] in ("mix_1q", "prob_synth") or (rec["path"], rec["d"]) == ("sharpness", 2)
+
+
+def tally(records) -> str:
+    """The mean and largest iterations of the records that solve, and pivots of those that
+    pivot, as summarize prints them."""
+    parts = []
+    for kind in ("iterations", "pivots"):
+        n = [x for rec in records if ("pivots" in rec) == (kind == "pivots") for x in counts(rec)]
+        if n:
+            parts.append(f"{kind} mean {np.mean(n):.2f} max {max(n)}")
+    return " and ".join(parts)
+
+
 def side_mean(records, k: str) -> str:
     """The mean of the records' f"{k}_mean" that are set, or "-" if none is."""
     vals = [rec[f"{k}_mean"] for rec in records if rec.get(f"{k}_mean") is not None]
@@ -264,34 +308,41 @@ def side_mean(records, k: str) -> str:
 
 
 def summarize(pairs: list[tuple[dict, dict]]) -> None:
-    """Print, per path, the iterations and the bounds of the paired solves on each side."""
-    def iterations(rec):
-        its = rec["iterations"]
-        return its if isinstance(its, list) else [its]
-
+    """Print, per path, the steps and the bounds of the paired solves on each side."""
     for name in GROUPS:
         here = [(ra, rb) for ra, rb in pairs if group(ra) == name]
         if not here:
             continue
-        its = [[n for rec in side for n in iterations(rec)] for side in zip(*here)]
-        delta = np.sign([sum(iterations(rb)) - sum(iterations(ra)) for ra, rb in here])
+        a, b = zip(*here)
+        same = [(ra, rb) for ra, rb in here if ("pivots" in ra) == ("pivots" in rb)]
+        delta = np.sign([sum(counts(rb)) - sum(counts(ra)) for ra, rb in same])
+        fewer = f"fewer {np.sum(delta < 0)}, equal {np.sum(delta == 0)}, more {np.sum(delta > 0)}"
+        if len(same) < len(here):
+            fewer += f", {len(here) - len(same)} counted otherwise"
         both = [(ra, rb) for ra, rb in here if "p" in ra and "p" in rb]
         move = {k: max([abs(ra[k] - rb[k]) for ra, rb in both], default=0.0)
                 for k in ("upper", "lower")}
         width = [max([rec["upper"] - rec["lower"] for rec in side if "p" in rec], default=0.0)
-                 for side in zip(*here)]
-        a, b = zip(*here)
+                 for side in (a, b)]
+        most = [max([members(rec) for rec in side if "p" in rec], default=0) for side in (a, b)]
         means = ", ".join(f"{k} {side_mean(a, k)} -> {side_mean(b, k)}" for k in STEPS)
-        print(f"{name}: {len(here)} records; iterations mean {np.mean(its[0]):.2f} -> "
-              f"{np.mean(its[1]):.2f}, max {max(its[0])} -> {max(its[1])}; fewer "
-              f"{np.sum(delta < 0)}, equal {np.sum(delta == 0)}, more {np.sum(delta > 0)}; "
-              f"largest move upper {move['upper']:.1e}, lower {move['lower']:.1e}; "
-              f"largest width {width[0]:.1e} -> {width[1]:.1e}; mean {means}")
+        print(f"{name}: {len(here)} records; {tally(a)} -> {tally(b)}; "
+              f"{fewer}; largest move upper {move['upper']:.1e}, lower {move['lower']:.1e}; "
+              f"largest width {width[0]:.1e} -> {width[1]:.1e}; members at most {most[0]} -> "
+              f"{most[1]}; mean {means}")
         down = [(ra["lower"] - rb["lower"]) / ra["upper"] for ra, rb in both
                 if rb["lower"] < ra["lower"]]
         up = sum(rb["lower"] > ra["lower"] for ra, rb in both)
         print(f"{name}: lower up {up}, down {len(down)}, largest move down "
               f"{max(down, default=0.0):.1e} of upper")
+
+
+def describe(rec: dict) -> str:
+    """What a record's answer took: the pivots of optimal_mix_1q, else the status and
+    iterations of its solves."""
+    if "pivots" in rec:
+        return f"{rec['pivots']} pivots"
+    return f"{rec['status']} after {rec['iterations']}"
 
 
 def compare(a: list[dict], b: list[dict]) -> int:
@@ -302,15 +353,14 @@ def compare(a: list[dict], b: list[dict]) -> int:
     if only:
         print(f"{only} solves in one sweep only, not compared")
     pairs = [(ra, keyed[1][key]) for key, ra in keyed[0].items() if key in keyed[1]]
-    differ = steps = supports = 0
+    differ = stepped_count = supports = 0
     moves = {"upper": (0.0, None), "lower": (0.0, None), "p": (0.0, None)}
     eps_moves = []  # (b - a, where) of each moved achieved_eps
     for ra, rb in pairs:
         where = f"{ra['case']} {ra['path']}"
-        changed = stepped = (ra["status"], ra["iterations"]) != (rb["status"], rb["iterations"])
+        changed = stepped = describe(ra) != describe(rb)
         if stepped:
-            print(f"{where}: {ra['status']} after {ra['iterations']} -> "
-                  f"{rb['status']} after {rb['iterations']}")
+            print(f"{where}: {describe(ra)} -> {describe(rb)}")
         if "support" in ra and "support" in rb and ra["support"] != rb["support"]:
             sa, sb = ({tuple(s) for s in rec["support"]} for rec in (ra, rb))
             print(f"{where}: support {len(sa)} -> {len(sb)} labels, "
@@ -333,15 +383,17 @@ def compare(a: list[dict], b: list[dict]) -> int:
                 if move > moves[k][0]:
                     moves[k] = (move, where)
         differ += changed
-        steps += stepped
+        stepped_count += stepped
     summarize(pairs)
     for k, (move, where) in moves.items():
         print(f"largest move of {k}: {move:.3e}" + (f" ({where})" if where else ""))
+    wide = [sum(qubit(rec) and "p" in rec and members(rec) > 4 for rec in recs) for recs in (a, b)]
+    print(f"optimal_mix_1q answers with more than 4 members: {wide[0]} -> {wide[1]}")
     if eps_moves:
         move, where = max(eps_moves, key=lambda m: abs(m[0]))
         print(f"{len(eps_moves)} achieved_eps moved, {sum(m < 0 for m, _ in eps_moves)} down; "
               f"largest move {move:.3e} ({where})")
-    print(f"{len(pairs)} solves compared, {differ} differ ({steps} in status or iterations, "
+    print(f"{len(pairs)} solves compared, {differ} differ ({stepped_count} in steps, "
           f"{supports} in support)")
     priced = [rec for rec in (*a, *b) if "repriced" in rec]
     unequal = sum(rec["repriced"] != rec["lower"] for rec in priced)
@@ -367,8 +419,10 @@ def main(argv=None) -> int:
     records = sweep()
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(records, f, indent=1)
-    statuses = sorted({r["status"] for r in records})
-    print(f"{len(records)} solves; statuses {', '.join(statuses)}")
+    statuses = sorted({r["status"] for r in records if "status" in r})
+    walks = [r for r in records if "pivots" in r]
+    print(f"{len(records)} records; SDP statuses {', '.join(statuses)}; {len(walks)} pivot "
+          f"walks, {sum('p' not in r for r in walks)} without an answer")
     return 0
 
 

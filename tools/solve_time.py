@@ -4,12 +4,14 @@
 
 OTHER_SRC is the `src/` directory of another checkout (a `git archive` of a
 parent commit, say). The problems are those `tools/solve_sweep.py` solves,
-recorded through the same hook on `sdp.solve` the sweep uses. `sdp.py` is
+recorded through the same hook on `sdp.solve` the sweep uses: its `_mix`
+records, since d = 2 mixing (`mix_1q`, `prob_synth` and the d = 2 witnesses)
+pivots on tie sets and makes no SDP problem. `sdp.py` is
 then loaded from this checkout's `src/` and from OTHER_SRC under two module
 names, and each problem is solved REPEATS times by each, the two taking
 turns solve by solve and each problem starting with the other side than
-the one before. For each of the sweep's paths (`solve_sweep.GROUPS`) and for
-all problems together it prints the median over the problems of each
+the one before. For each of the sweep's paths (`solve_sweep.GROUPS`) that has
+a problem, and for all problems together, it prints the median over the problems of each
 side's fastest solve of a problem, in microseconds, and their ratio,
 here / other. Both sides must return the same status and iteration count on
 every problem, or it exits 1. An OTHER_SRC with no `usynth/sdp.py` exits 2
@@ -53,7 +55,7 @@ def recorded() -> list[tuple[str, object, float]]:
         records = solve_sweep.sweep()
     finally:
         sdp.solve = solve
-    paths = [solve_sweep.group(rec) for rec in records for _ in range(rec.get("rounds", 1))]
+    paths = [solve_sweep.group(rec) for rec in records if "pivots" not in rec]
     assert len(paths) == len(calls)
     return [(path, *call) for path, call in zip(paths, calls)]
 

@@ -243,9 +243,9 @@ def _mix(target: ChoiOperator, candidates: list[ChoiOperator]):
     #            G = r I - ptr2(V S' V^H) >= 0, p >= 0, r >= 0.
     # minimize r  ==  maximize -r.
     blocks = [
-        sdp.Block(size=k, complex=True),   # S'
-        sdp.Block(size=k, complex=True),   # E'
-        sdp.Block(size=d1, complex=True),  # G
+        sdp.Block(size=k),   # S'
+        sdp.Block(size=k),   # E'
+        sdp.Block(size=d1),  # G
         sdp.Block(size=n + 1, diag=True),  # (p, r)
     ]
     basis, basis1 = sdp.hermitian_basis(blocks[0]), sdp.hermitian_basis(blocks[2])

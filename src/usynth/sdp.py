@@ -11,20 +11,20 @@ with the dual
     minimize    b . y
     subject to  Z = sum_i y_i A_i - C >= 0.
 
-Blocks are either real symmetric, complex Hermitian, or "diag" (a batch of
-independent 1x1 blocks, i.e. a nonnegative vector). Complex Hermitian
-blocks are solved in complex arithmetic, with the real inner product
-Re tr(A X); `real_embed` is kept as a reference lowering to real blocks.
+Blocks are either dense, which means complex Hermitian, or "diag" (a batch
+of independent 1x1 blocks, i.e. a nonnegative vector). Dense blocks are
+solved in complex arithmetic, with the real inner product Re tr(A X);
+`real_embed` is kept as a reference lowering of each dense block to one of
+twice the size whose rows have zero imaginary coordinates.
 
 A problem is given as svec rows (`SdpProblem`). svec(M) lists the
 coordinates of M's Hermitian part in the orthonormal basis E_i of
-`hermitian_basis`, `width(blk)` reals: s^2 for a complex s x s block,
-s(s+1)/2 for a real one, a diag block's s entries. Row i of `constraints`
-is svec(A_i) and `objective` is svec(C) over the blocks in declared order,
-so Re tr(A_i X) = svec(A_i) . svec(X); the caller writes these rows. The
-package's one caller is channels._mix, whose dense blocks are complex: d = 2
-mixing pivots on tie sets with no SDP (qubit1.optimal_mix_1q), so only tests
-pose real dense blocks.
+`hermitian_basis`, `width(blk)` reals: s^2 for a dense s x s block, a diag
+block's s entries. Row i of `constraints` is svec(A_i) and `objective` is
+svec(C) over the blocks in declared order, so Re tr(A_i X) = svec(A_i) .
+svec(X); the caller writes these rows. The package's one caller is
+channels._mix: d = 2 mixing pivots on tie sets with no SDP
+(qubit1.optimal_mix_1q).
 
 The solver is a primal-dual path-following interior-point method with a
 Mehrotra predictor-corrector. Problems here are tiny (block sizes <= ~40,
@@ -134,20 +134,17 @@ class Block:
     """One block of the block-diagonal variable.
 
     size: matrix dimension (or vector length for diag blocks), a positive integer.
-    complex: True for a complex Hermitian block.
-    diag: True for a batch of independent 1x1 blocks stored as a vector
-    (always real).
+    diag: True for a batch of independent 1x1 blocks stored as a real vector;
+    False for a dense block, a complex Hermitian matrix.
     """
 
     size: int
-    complex: bool = False
     diag: bool = False
 
 
 def width(blk: Block) -> int:
-    """The number of svec coordinates of a block: s^2 complex, s(s+1)/2 real, s diag."""
-    s = blk.size
-    return s if blk.diag else s * s if blk.complex else s * (s + 1) // 2
+    """The number of svec coordinates of a block: s^2 dense (complex Hermitian), s diag."""
+    return blk.size if blk.diag else blk.size * blk.size
 
 
 @dataclass(eq=False)
@@ -193,21 +190,24 @@ def check_optimal(sol: SdpSolution) -> SdpSolution:
 
 
 def real_embed(problem: SdpProblem) -> SdpProblem:
-    """Lower complex Hermitian blocks to real symmetric ones.
+    """Lower each dense block to a dense block of twice the size with real rows.
 
-    `solve` handles complex blocks itself; this is the reference lowering
-    that tests compare it against. Each complex d x d block becomes a real
-    symmetric 2d x 2d variable block, phi(X) = [[Re X, -Im X], [Im X, Re X]].
-    The embedding doubles traces (tr phi(A) phi(X) = 2 tr(A X)), so each
-    complex block's part svec(A) of a row becomes svec(phi(A) / 2), which
-    keeps every tr(A X) = b constraint and the objective value unchanged.
+    `solve` works in complex arithmetic itself; this is the reference lowering
+    that tests compare it against. Each dense d x d block becomes a dense
+    2d x 2d block, phi(X) = [[Re X, -Im X], [Im X, Re X]]. The embedding
+    doubles traces (tr phi(A) phi(X) = 2 tr(A X)), so each dense block's
+    part svec(A) of a row becomes svec(phi(A) / 2), which keeps every
+    tr(A X) = b constraint and the objective value unchanged. phi(A) is
+    real, so those rows have zero imaginary coordinates: for a feasible Y of
+    the 2d block, Re Y is feasible with the same objective, and the optimum
+    is that of the real symmetric 2d block.
     """
     rows = np.vstack((problem.objective, problem.constraints))
     edges = np.cumsum([0] + [width(blk) for blk in problem.blocks])
     blocks, parts = [], []
     for blk, a, e in zip(problem.blocks, edges[:-1], edges[1:]):
         part = rows[:, a:e]
-        if blk.complex:
+        if not blk.diag:
             M = np.tensordot(part, hermitian_basis(blk), 1)
             blk = Block(2 * blk.size)
             part = svec(blk, np.block([[M.real, -M.imag], [M.imag, M.real]]) / 2)
@@ -235,37 +235,34 @@ def _nt_scaling(blk: Block, X: np.ndarray, Z: np.ndarray):
 
 @functools.lru_cache(maxsize=8)
 def _stack_layout(dense: tuple[Block, ...]):
-    """(shape, dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb)): svec to and from one stack.
+    """(shape, src, coef, (t1, c1, t2, c2), (jj, aa, bb)): svec to and from one stack.
 
-    svec(M) lists M_aa, then sqrt(2) Re M_ab and (if complex) sqrt(2) Im M_ab
-    for a < b: the coordinates of M in `hermitian_basis`. The stack holds
-    dense block j in the corner of its n x n slice (n the largest size). For
-    v the blocks' svec coordinates, coordinate i is entry (aa[i], bb[i]) of
-    block jj[i], the stack is `_lift(layout, v)`, and the svec of its
-    Hermitian part, with F = stack.reshape(-1).view(float), is F[t1] * c1 + F[t2] * c2.
+    svec(M) lists M_aa, then sqrt(2) Re M_ab and sqrt(2) Im M_ab for a < b:
+    the coordinates of M in `hermitian_basis`. The complex stack holds dense
+    block j in the corner of its n x n slice (n the largest size). For v the
+    blocks' svec coordinates, coordinate i is entry (aa[i], bb[i]) of block
+    jj[i], the stack is `_lift(layout, v)`, and the svec of its Hermitian
+    part, with F = stack.reshape(-1).view(float), is F[t1] * c1 + F[t2] * c2.
     """
     n = max([1] + [blk.size for blk in dense])
-    nc = 2 if any(blk.complex for blk in dense) else 1
     jj, aa, bb, pp = np.array(
         [
             (j, a, b, p)
             for j, blk in enumerate(dense)
             for a, b, p in [(a, a, 0) for a in range(blk.size)]
-            + [(a, b, p) for a in range(blk.size) for b in range(a + 1, blk.size)
-               for p in range(1 + blk.complex)]
+            + [(a, b, p) for a in range(blk.size) for b in range(a + 1, blk.size) for p in (0, 1)]
         ],
         dtype=int,
     ).reshape(-1, 4).T
-    t1, t2 = ((jj * n + aa) * n + bb) * nc + pp, ((jj * n + bb) * n + aa) * nc + pp
+    t1, t2 = ((jj * n + aa) * n + bb) * 2 + pp, ((jj * n + bb) * n + aa) * 2 + pp
     r = 1 / np.sqrt(2)
     c1 = np.where(aa == bb, 1.0, r)
     c2 = np.where(aa == bb, 0.0, np.where(pp == 1, -r, r))  # M_ba = conj(M_ab)
-    src, coef = np.zeros(len(dense) * n * n * nc, int), np.zeros(len(dense) * n * n * nc)
+    src, coef = np.zeros(len(dense) * n * n * 2, int), np.zeros(len(dense) * n * n * 2)
     src[t2], coef[t2] = np.arange(len(t2)), c2
     src[t1], coef[t1] = np.arange(len(t1)), c1  # after t2: a diagonal entry is its t1
-    dtype = complex if nc == 2 else float
     _frozen(src, coef, t1, c1, t2, c2, jj, aa, bb)
-    return (len(dense), n, n), dtype, src, coef, (t1, c1, t2, c2), (jj, aa, bb)
+    return (len(dense), n, n), src, coef, (t1, c1, t2, c2), (jj, aa, bb)
 
 
 def _frozen(*arrays):
@@ -277,36 +274,34 @@ def _frozen(*arrays):
 
 def _lift(layout, V: np.ndarray) -> np.ndarray:
     """The stack of Hermitian matrices whose svec coordinates are V[..., :], for each V[..., :]."""
-    shape, dtype, src, coef = layout[:4]
-    return (V.take(src, -1) * coef).view(dtype).reshape(V.shape[:-1] + shape)
+    shape, src, coef = layout[:3]
+    return (V.take(src, -1) * coef).view(complex).reshape(V.shape[:-1] + shape)
 
 
 @functools.lru_cache(maxsize=16)
 def hermitian_basis(blk: Block) -> np.ndarray:
     """Orthonormal basis (under Re tr) of a dense block's matrices; element i has svec e_i.
 
-    That is E_aa, then for a < b (E_ab + E_ba)/sqrt(2) and, if complex, i(E_ab - E_ba)/sqrt(2):
-    s^2 Hermitian matrices for a complex block, s(s+1)/2 real symmetric ones for a real one.
-    A diag block raises ValueError. Built once per block shape: the array is read-only.
+    That is E_aa, then for a < b (E_ab + E_ba)/sqrt(2) and i(E_ab - E_ba)/sqrt(2): s^2
+    Hermitian matrices, as every dense block is complex Hermitian. A diag block raises
+    ValueError. Built once per block shape: the array is read-only.
     """
     if blk.diag:
         raise ValueError("hermitian_basis: a diag block has no matrix basis")
     layout = _stack_layout((blk,))
-    return _frozen(_lift(layout, np.eye(len(layout[4][0])))[:, 0] + 0.0)[0]  # + 0.0: no -0.0
+    return _frozen(_lift(layout, np.eye(len(layout[3][0])))[:, 0] + 0.0)[0]  # + 0.0: no -0.0
 
 
 def svec(blk: Block, M: np.ndarray) -> np.ndarray:
-    """svec of the Hermitian part of each matrix M[..., :, :] of a dense block.
+    """svec of the Hermitian part of each matrix M[..., :, :] of a dense (complex Hermitian) block.
 
-    A complex M on a real block, or a diag block (whose svec coordinates are
-    its entries), raises ValueError.
+    A real M is read as complex. A diag block, whose svec coordinates are its
+    entries, raises ValueError.
     """
     if blk.diag:
         raise ValueError("svec: a diag block's coordinates are its entries")
-    if not blk.complex and np.iscomplexobj(M):
-        raise ValueError("svec: a real block's matrix must be real")
-    _, _, _, _, (t1, c1, t2, c2), _ = _stack_layout((blk,))
-    M = np.asarray(M, complex if blk.complex else float)
+    _, _, _, (t1, c1, t2, c2), _ = _stack_layout((blk,))
+    M = np.asarray(M, complex)
     F = M.reshape(M.shape[:-2] + (-1,)).view(float)
     return F.take(t1, -1) * c1 + F.take(t2, -1) * c2
 
@@ -318,14 +313,14 @@ def _kron_gather(blk: Block):
     is svec(R^H E_j R) = svec(c' P[a, b]), E_j being E_aa (c' = 1) or c E_ab +
     conj(c) E_ba (c' = 2c, c = 1/sqrt(2) or i/sqrt(2)), as svec reads Hermitian parts.
     """
-    _, _, _, _, (t1, c1, t2, c2), (_, aa, bb) = _stack_layout((blk,))
-    s, nc = blk.size, 1 + blk.complex
+    _, _, _, (t1, c1, t2, c2), (_, aa, bb) = _stack_layout((blk,))
+    s = blk.size
     imag = (c2 < 0)[:, None]  # c' = i sqrt(2)
     scale = np.where(c2 == 0, 1.0, np.sqrt(2))[:, None]
-    base = ((aa * s + bb) * s * s * nc)[:, None]  # the first float of P[a, b]
+    base = ((aa * s + bb) * s * s * 2)[:, None]  # the first float of P[a, b]
     idx, coef = [], []
     for t, c in ((t1, c1), (t2, c2)):
-        real = t % nc == 0  # Re(i P) = -Im P, one float on; Im(i P) = Re P, one back
+        real = t % 2 == 0  # Re(i P) = -Im P, one float on; Im(i P) = Re P, one back
         idx.append(base + t + np.where(imag, np.where(real, 1, -1), 0))
         coef.append(scale * c * np.where(imag & real, -1.0, 1.0))
     return _frozen(np.array(idx), np.array(coef))
@@ -370,7 +365,7 @@ def _setup(blocks: tuple[Block, ...]):
     dense = [k for k, blk in enumerate(blocks) if not blk.diag]
     order, nd = dense + [k for k, blk in enumerate(blocks) if blk.diag], len(dense)
     layout = _stack_layout(tuple(blocks[k] for k in dense))
-    _, _, _, _, _, (jj, aa, bb) = layout
+    *_, (jj, aa, bb) = layout
     first = np.cumsum([0] + [blocks[k].size for k in order])  # each block's first lam
     tail = np.arange(first[nd], first[-1])
     ci, cj = np.concatenate((first[jj] + aa, tail)), np.concatenate((first[jj] + bb, tail))
@@ -431,13 +426,13 @@ def _schur_factor(G: np.ndarray):
 def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     """Solve the SDP by the interior-point method described above.
 
-    `X` holds a Hermitian matrix for each complex block, a real symmetric
-    matrix for each real block and a nonnegative vector for each diag
-    block; `y` holds the multipliers of the constraints in order. No block,
-    a bad block or a bad gap_tol raises ValueError naming it; then, every shape before
-    any entry, "constraints must have shape (m, n), got ...", and so for
-    objective (n,) and rhs (m,); then per array "... must be real, got dtype
-    ..." (nothing is cast) and "... has a non-finite entry at (i, ...)".
+    `X` holds a complex Hermitian matrix for each dense block and a
+    nonnegative vector for each diag block; `y` holds the multipliers of the
+    constraints in order. No block, a bad block size or a bad gap_tol raises
+    ValueError naming it; then, every shape before any entry, "constraints
+    must have shape (m, n), got ...", and so for objective (n,) and rhs (m,);
+    then per array "... must be real, got dtype ..." (nothing is cast) and
+    "... has a non-finite entry at (i, ...)".
     The dual infeasibility is scaled by max |objective|: 1 on the mixing
     problems, whose objective is -1 on one LP entry.
     """
@@ -447,8 +442,6 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     for k, blk in enumerate(blocks):
         if not isinstance(blk.size, (int, np.integer)) or blk.size < 1:
             raise ValueError(f"block {k}: size must be a positive integer")
-        if blk.complex and blk.diag:
-            raise ValueError(f"block {k}: a diag block cannot be complex")
     if not 0 < gap_tol < np.inf:
         raise ValueError("gap_tol must be positive and finite")
     c, A, b = (np.asarray(v) for v in (problem.objective, problem.constraints, problem.rhs))
@@ -472,7 +465,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     # entries: block j of `order` at cuts[j] (`_setup`, cached per block shape).
     order, layout, ntot, ci, cj, ev, perm, cuts, gathers = _setup(tuple(blocks))
     in_order = [blocks[k] for k in order]
-    _, _, _, _, (t1, c1, t2, c2), _ = layout
+    _, _, _, (t1, c1, t2, c2), _ = layout
     kd = len(t1)
     bmax = float(np.abs(b).max(initial=0.0))
     norm_scale = max(1.0, bmax, float(np.abs(c).max(initial=0.0)))
@@ -480,8 +473,7 @@ def solve(problem: SdpProblem, gap_tol: float = DEFAULT_GAP_TOL) -> SdpSolution:
     def block(j: int, S: np.ndarray, V: np.ndarray) -> np.ndarray:
         # Block j of `order` of each V[..., :], S = _lift(layout, V) its dense blocks' stack.
         blk = in_order[j]
-        M = V[..., cuts[j]] if blk.diag else S[..., j, : blk.size, : blk.size]
-        return M if blk.complex else M.real
+        return V[..., cuts[j]] if blk.diag else S[..., j, : blk.size, : blk.size]
 
     # The workspace, written in place: the rows [G0; rd] and their scaled rows G = [G0; rd] K^T.
     rows0, G = np.empty((2, m + 1, n))

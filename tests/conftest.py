@@ -71,27 +71,6 @@ def pivots(monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def mix_1q_problem():
-    """Builder of the real 4x4 lowering of d = 2 mixing, the SDP that qubit1.optimal_mix_1q's
-    tie-set pivots replace, so that a real dense block of `sdp.solve` stays under test:
-    max -t subject to S - tI - sum_x p_x w_x w_x^T = -uu^T (the 10 svec rows of 4x4 real
-    symmetric matrices) and sum p = 1, over S >= 0 and one LP block (p, t) >= 0."""
-
-    def build(u, W):
-        S, n = sdp.Block(size=4), len(W)
-        A = np.zeros((11, 11 + n))
-        A[:10, :10] = np.eye(10)
-        A[:10, 10:-1] = -sdp.svec(S, W[:, :, None] * W[:, None, :]).T
-        A[:10, -1] = -sdp.svec(S, np.eye(4))
-        A[10, 10:-1] = 1.0
-        rhs = np.append(-sdp.svec(S, np.outer(u, u)), 1.0)
-        blocks = [S, sdp.Block(size=n + 1, diag=True)]
-        return sdp.SdpProblem(blocks, np.append(np.zeros(10 + n), -1.0), A, rhs)
-
-    return build
-
-
-@pytest.fixture(scope="session")
 def full_cap():
     """The covering qubit1.cap_covering trims, as a reference: (points, grid norms) of every
     lattice point within tangent radius (pi/2) cap, its norm in units of mesh, in order."""

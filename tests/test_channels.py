@@ -558,8 +558,9 @@ def _haar_qubits(seed: int, n: int) -> list[np.ndarray]:
 def test_native_complex_blocks_match_real_embedding(solves, lowering, seed, n):
     # "diamond" is Watrous's one-candidate problem and "dual" the Watrous mixing
     # problem, both of channels._mix (for these qubit unitaries diamond_distance
-    # and optimal_mix hand the solver a real 4x4 problem instead, which
-    # real_embed leaves as it is). solves is cleared for each example.
+    # and optimal_mix pivot on tie sets and pose no SDP). real_embed lowers each
+    # dense d-block to a Hermitian 2d-block with real rows. solves is cleared for
+    # each example.
     target, *cands = [choi(U) for U in _haar_qubits(seed, n + 1)]
     solves.clear()
     channels._mix(target, cands[:1] if lowering == "diamond" else cands)

@@ -1,9 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from usynth import channels, qubit1, sdp
+from usynth import channels, sdp
 from usynth.channels import (
     SdpFailureError,
     choi,
@@ -32,7 +33,7 @@ def lowered(blocks, objective, constraints) -> sdp.SdpProblem:
 
 
 def _lift(blk, v):
-    """The real symmetric matrix of a real block with svec coordinates v."""
+    """The Hermitian matrix of a dense block with svec coordinates v."""
     return np.tensordot(v, sdp.hermitian_basis(blk), 1)
 
 
@@ -56,28 +57,31 @@ def test_problems_and_solutions_compare_by_identity():
 
 
 def test_real_embed_scalar_identity():
+    # A 1x1 block's coefficient a becomes phi(a) / 2 = (a / 2) I on a 2x2 block:
+    # svec(I) = (1, 1, 0, 0), with zero imaginary coordinates.
     p = lowered([sdp.Block(size=1)], {0: np.array([[2.0]])}, [({0: np.array([[1.0]])}, 3.0)])
     q = sdp.real_embed(p)
-    assert q.blocks == [sdp.Block(size=1)]
-    assert np.array_equal(q.objective, [2.0])
-    assert np.array_equal(q.constraints, [[1.0]]) and np.array_equal(q.rhs, [3.0])
+    assert q.blocks == [sdp.Block(size=2)]
+    assert np.array_equal(q.objective, [1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(q.constraints, [[0.5, 0.5, 0.0, 0.0]]) and np.array_equal(q.rhs, [3.0])
 
 
 def test_real_embed_pauli_y_eigenvalues():
-    # A complex block's part svec(A) of a row becomes svec(phi(A) / 2) on the real
-    # block of twice the size, phi(A) = [[Re A, -Im A], [Im A, Re A]].
+    # A dense block's part svec(A) of a row becomes svec(phi(A) / 2) on the dense
+    # block of twice the size, phi(A) = [[Re A, -Im A], [Im A, Re A]], which is real.
     Y = np.array([[0, -1j], [1j, 0]])
-    blk = sdp.Block(size=2, complex=True)
+    blk = sdp.Block(size=2)
     q = sdp.real_embed(sdp.SdpProblem([blk], sdp.svec(blk, Y), np.zeros((0, 4)), np.zeros(0)))
     assert q.blocks == [sdp.Block(size=4)]
     E = _lift(q.blocks[0], q.objective)
     assert np.allclose(E, np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]) / 2)
+    assert not E.imag.any()
     assert np.allclose(np.sort(np.linalg.eigvalsh(E)), [-0.5, -0.5, 0.5, 0.5])
 
 
 def test_real_embed_preserves_psd():
     rng = np.random.default_rng(0)
-    blk = sdp.Block(size=3, complex=True)
+    blk = sdp.Block(size=3)
     F = rng.standard_normal((500, 3, 3)) + 1j * rng.standard_normal((500, 3, 3))
     M = F @ F.conj().swapaxes(1, 2)
     q = sdp.real_embed(sdp.SdpProblem([blk], np.zeros(9), sdp.svec(blk, M), np.ones(500)))
@@ -90,7 +94,7 @@ def test_max_eigenvalue_complex_block():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     C = (A + A.conj().T) / 2
-    p = lowered([sdp.Block(size=3, complex=True)], {0: C}, [({0: np.eye(3)}, 1.0)])
+    p = lowered([sdp.Block(size=3)], {0: C}, [({0: np.eye(3)}, 1.0)])
     s = sdp.solve(p)
     assert s.status == "Optimal"
     assert abs(s.primal_value - np.max(np.linalg.eigvalsh(C))) < 1e-6
@@ -131,13 +135,14 @@ def test_diamond_sdp_matches_closed_form(d):
 
 
 def _herm_part_problem(rng, hermitian: bool) -> sdp.SdpProblem:
-    """A feasible, bounded problem on a real, a complex and a diag block, lowered by svec.
+    """A feasible, bounded problem on two dense blocks and a diag block, lowered by svec.
 
+    The first dense block's coefficients are real and the second's complex.
     Its objective and dense coefficients have an anti-Hermitian part unless
     `hermitian`; the problem with their Hermitian parts is drawn from the
     same rng state either way.
     """
-    blocks = [sdp.Block(3), sdp.Block(3, complex=True), sdp.Block(4, diag=True)]
+    blocks = [sdp.Block(3), sdp.Block(3), sdp.Block(4, diag=True)]
 
     def coeffs():
         real, cplx = rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 2)) @ [1, 1j]
@@ -182,7 +187,7 @@ def test_constraint_permutation_invariance():
     cons = [({0: np.eye(3)}, 1.0), ({0: np.diag([1.0, -1.0, 0.0])}, 0.2)]
     vals = []
     for order in ([0, 1], [1, 0]):
-        p = lowered([sdp.Block(size=3, complex=True)], {0: C}, [cons[i] for i in order])
+        p = lowered([sdp.Block(size=3)], {0: C}, [cons[i] for i in order])
         vals.append(sdp.solve(p).primal_value)
     assert abs(vals[0] - vals[1]) < 1e-8
 
@@ -200,50 +205,56 @@ def _with(shape, at, value, dtype=float):
     return a
 
 
+def test_block_has_size_and_diag_only():
+    # One dense kind, complex Hermitian: no field says whether a block is real.
+    assert [f.name for f in dataclasses.fields(sdp.Block)] == ["size", "diag"]
+    with pytest.raises(TypeError):
+        sdp.Block(size=2, complex=True)
+
+
 def test_validate_rejects_bad_shapes():
     # A block's coefficient matrix in place of its svec row.
-    p = _given([sdp.Block(size=2)], 3, objective=np.eye(2))
-    with pytest.raises(ValueError, match=r"^objective must have shape \(3,\), got \(2, 2\)$"):
+    p = _given([sdp.Block(size=2)], 4, objective=np.eye(2))
+    with pytest.raises(ValueError, match=r"^objective must have shape \(4,\), got \(2, 2\)$"):
         sdp.solve(p)
 
 
 @pytest.mark.parametrize(
     "arrays, message",
     [
-        (dict(objective=np.zeros(6)), "objective must have shape (3,), got (6,)"),
+        (dict(objective=np.zeros(6)), "objective must have shape (4,), got (6,)"),
         (dict(rhs=_with(3, 1, np.nan)), "rhs has a non-finite entry at (1,)"),
         (dict(rhs=_with(3, 2, -np.inf)), "rhs has a non-finite entry at (2,)"),
         # A row that reaches past the last block.
-        (dict(constraints=np.ones((3, 4))), "constraints must have shape (m, 3), got (3, 4)"),
-        (dict(constraints=np.ones(3)), "constraints must have shape (m, 3), got (3,)"),
-        (dict(objective=_with(3, 0, np.inf)), "objective has a non-finite entry at (0,)"),
+        (dict(constraints=np.ones((3, 5))), "constraints must have shape (m, 4), got (3, 5)"),
+        (dict(constraints=np.ones(3)), "constraints must have shape (m, 4), got (3,)"),
+        (dict(objective=_with(4, 0, np.inf)), "objective has a non-finite entry at (0,)"),
     ],
     ids=["objective-count", "nan-rhs", "inf-rhs", "unknown-block", "flat-constraints",
          "inf-objective"],
 )
 def test_solve_rejects_bad_problems(arrays, message):
     with pytest.raises(ValueError) as exc:
-        sdp.solve(_given([sdp.Block(size=2)], 3, **arrays))
+        sdp.solve(_given([sdp.Block(size=2)], 4, **arrays))
     assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
     "blocks, n, arrays, message",
     [
-        ([sdp.Block(size=3)], 6, dict(constraints=np.ones((3, 9))),
-         r"^constraints must have shape \(m, 6\), got \(3, 9\)$"),
+        ([sdp.Block(size=3)], 9, dict(constraints=np.ones((3, 6))),
+         r"^constraints must have shape \(m, 9\), got \(3, 6\)$"),
         ([sdp.Block(size=3, diag=True)], 3, dict(constraints=np.ones((3, 3, 3))),
          r"^constraints must have shape \(m, 3\), got \(3, 3, 3\)$"),
-        ([sdp.Block(size=3)], 6, dict(constraints=_with((3, 6), (0, 4), np.nan)),
+        ([sdp.Block(size=3)], 9, dict(constraints=_with((3, 9), (0, 4), np.nan)),
          r"^constraints has a non-finite entry at \(0, 4\)$"),
-        ([sdp.Block(size=3, complex=True)], 9, dict(constraints=_with((3, 9), (1, 0), np.inf)),
+        ([sdp.Block(size=3)], 9, dict(constraints=_with((3, 9), (1, 0), np.inf)),
          r"^constraints has a non-finite entry at \(1, 0\)$"),
         # A complex array is refused, not cast to its real part.
-        ([sdp.Block(size=2)], 3, dict(constraints=_with((3, 3), (0, 1), 1j, complex)),
+        ([sdp.Block(size=2)], 4, dict(constraints=_with((3, 4), (0, 1), 1j, complex)),
          "^constraints must be real, got dtype complex128$"),
         ([sdp.Block(size=2, diag=True)], 2, dict(objective=np.array([1.0, 1j])),
          "^objective must be real, got dtype complex128$"),
-        ([sdp.Block(size=2, complex=True, diag=True)], 2, {}, "cannot be complex"),
         ([sdp.Block(size=0)], 0, {}, "^block 0: size must be a positive integer$"),
         ([sdp.Block(size=-1)], 1, {}, "^block 0: size must be a positive integer$"),
         ([sdp.Block(size=2.5)], 3, {}, "^block 0: size must be a positive integer$"),
@@ -252,19 +263,19 @@ def test_solve_rejects_bad_problems(arrays, message):
          "^block 1: size must be a positive integer$"),
         ([], 0, {}, "^a problem needs at least one block$"),
         # Even with a NaN imaginary part the dtype is named: nothing is cast.
-        ([sdp.Block(size=2)], 3, dict(rhs=_with(3, 0, complex(1.0, np.nan), complex)),
+        ([sdp.Block(size=2)], 4, dict(rhs=_with(3, 0, complex(1.0, np.nan), complex)),
          "^rhs must be real, got dtype complex128$"),
-        ([sdp.Block(size=2), sdp.Block(size=2, diag=True)], 5,
-         dict(constraints=_with((3, 5), (2, 4), np.nan)),
-         r"^constraints has a non-finite entry at \(2, 4\)$"),
-        ([sdp.Block(size=2)], 3, dict(rhs=np.ones(2)), r"^rhs must have shape \(3,\), got \(2,\)$"),
+        ([sdp.Block(size=2), sdp.Block(size=2, diag=True)], 6,
+         dict(constraints=_with((3, 6), (2, 5), np.nan)),
+         r"^constraints has a non-finite entry at \(2, 5\)$"),
+        ([sdp.Block(size=2)], 4, dict(rhs=np.ones(2)), r"^rhs must have shape \(3,\), got \(2,\)$"),
         # Every shape is checked before any entry: the short rhs is named, not the NaN.
-        ([sdp.Block(size=2)], 3, dict(constraints=_with((3, 3), (0, 0), np.nan), rhs=np.ones(4)),
+        ([sdp.Block(size=2)], 4, dict(constraints=_with((3, 4), (0, 0), np.nan), rhs=np.ones(4)),
          r"^rhs must have shape \(3,\), got \(4,\)$"),
     ],
-    ids=["shape", "shape-diag", "nan", "inf-complex", "imag-real", "imag-diag", "complex-diag",
-         "size-0", "size-negative", "size-fraction", "size-0-diag", "size-later-block",
-         "no-blocks", "nan-imag-real", "later-constraint", "later-shape", "first-fault-named"],
+    ids=["shape", "shape-diag", "nan", "inf-complex", "imag-real", "imag-diag", "size-0",
+         "size-negative", "size-fraction", "size-0-diag", "size-later-block", "no-blocks",
+         "nan-imag-real", "later-constraint", "later-shape", "first-fault-named"],
 )
 def test_validate_rejects_bad_coefficients(blocks, n, arrays, message):
     with pytest.raises(ValueError, match=message):
@@ -324,33 +335,49 @@ def test_max_step_reads_padded_stacks_like_one_eigvalsh_per_matrix(case):
         assert got == pytest.approx([-1.0 / a for a in low], rel=1e-12)
 
 
-def test_solve_forms_no_explicit_inverse(monkeypatch, mix_1q_problem):
+def test_solve_forms_no_explicit_inverse(monkeypatch, solves):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.inv called")
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
     rng = np.random.default_rng(6)
-    channels._mix(choi(haar_unitary(3, rng)), [choi(haar_unitary(3, rng)) for _ in range(3)])
-    u = qubit1.magic_embed(haar_unitary(2, rng))
-    W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(4)]))
-    sdp.check_optimal(sdp.solve(mix_1q_problem(u, W)))
+    for d, n in ((3, 3), (2, 4)):
+        channels._mix(choi(haar_unitary(d, rng)), [choi(haar_unitary(d, rng)) for _ in range(n)])
+    assert [s.sol.status for s in solves] == ["Optimal"] * 2
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 9])
-@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-def test_hermitian_basis_is_orthonormal_with_unit_svec(size, cplx):
-    blk = sdp.Block(size, complex=cplx)
+def test_hermitian_basis_is_orthonormal_with_unit_svec(size):
+    blk = sdp.Block(size)
     E = sdp.hermitian_basis(blk)
-    k = size * size if cplx else size * (size + 1) // 2
-    assert E.shape == (k, size, size) and E.dtype == (complex if cplx else float)
+    k = size * size
+    assert E.shape == (k, size, size) and E.dtype == complex
     assert np.array_equal(E, E.conj().swapaxes(1, 2))
     gram = np.real(np.einsum("iab,jba->ij", E, E))
     assert np.allclose(gram, np.eye(k), rtol=0, atol=1e-15)
     # svec, the gathers of the block's layout, reads E_i as the i-th unit vector.
-    _, _, _, _, (t1, c1, t2, c2), _ = sdp._stack_layout((blk,))
+    _, _, _, (t1, c1, t2, c2), _ = sdp._stack_layout((blk,))
     Ef = E.reshape(k, -1).view(float)
     assert np.allclose(Ef[:, t1] * c1 + Ef[:, t2] * c2, np.eye(k), rtol=0, atol=1e-15)
     assert not np.signbit(Ef[Ef == 0]).any()  # every zero is +0.0
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 9])
+def test_svec_of_a_real_symmetric_matrix_is_zero_on_the_imaginary_basis(size):
+    # `real_embed` relies on this: its rows, svec of real matrices, have zero
+    # coordinates on every basis matrix with zero real part, and lift back to
+    # real matrices.
+    blk = sdp.Block(size)
+    E = sdp.hermitian_basis(blk)
+    imaginary = ~E.real.any(axis=(1, 2))
+    assert imaginary.sum() == size * (size - 1) // 2
+    F = np.random.default_rng(size).standard_normal((3, size, size))
+    S = F + F.swapaxes(1, 2)
+    v = sdp.svec(blk, S)
+    assert not v[:, imaginary].any()
+    lifted = np.tensordot(v, E, 1)
+    assert not lifted.imag.any()
+    assert np.allclose(lifted.real, S, rtol=0, atol=1e-14)
 
 
 def test_hermitian_basis_rejects_a_diag_block():
@@ -358,23 +385,20 @@ def test_hermitian_basis_rejects_a_diag_block():
         sdp.hermitian_basis(sdp.Block(3, diag=True))
 
 
-def test_svec_rejects_a_diag_block_and_a_complex_matrix_on_a_real_block():
+def test_svec_rejects_a_diag_block_and_reads_a_real_matrix_as_complex():
     with pytest.raises(ValueError, match="^svec: a diag block's coordinates are its entries$"):
         sdp.svec(sdp.Block(3, diag=True), np.eye(3))
-    with pytest.raises(ValueError, match="^svec: a real block's matrix must be real$"):
-        sdp.svec(sdp.Block(2), np.eye(2, dtype=complex))
-    # A real matrix on a complex block is read as complex.
-    assert np.array_equal(sdp.svec(sdp.Block(2, complex=True), np.eye(2)), [1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(sdp.svec(sdp.Block(2), np.eye(2)), [1.0, 1.0, 0.0, 0.0])
 
 
 def test_stack_layout_gathers_match_hermitian_basis():
     # The layout of several dense blocks holds each block as its own basis
     # does: the stack of svec coordinates v is sum_i v_i E_i per block, and
     # the svec of a stack's Hermitian part H is Re tr(E_i H).
-    dense = (sdp.Block(3), sdp.Block(4, complex=True), sdp.Block(2))
+    dense = (sdp.Block(3), sdp.Block(4), sdp.Block(2))
     layout = sdp._stack_layout(dense)
-    shape, dtype, _, _, (t1, c1, t2, c2), (jj, aa, bb) = layout
-    assert shape == (3, 4, 4) and dtype is complex
+    shape, _, _, (t1, c1, t2, c2), (jj, aa, bb) = layout
+    assert shape == (3, 4, 4)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(len(t1))
     F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -402,14 +426,14 @@ def test_stack_layout_gathers_match_hermitian_basis():
 def test_setup_is_built_once_per_block_shape_and_read_only():
     # Equal tuples of blocks share one entry, and so do equal blocks' bases;
     # every array the caches hand out is read-only.
-    blocks = (sdp.Block(3, complex=True), sdp.Block(4, diag=True), sdp.Block(2))
-    equal = tuple(sdp.Block(b.size, b.complex, b.diag) for b in blocks)
+    blocks = (sdp.Block(3), sdp.Block(4, diag=True), sdp.Block(2))
+    equal = tuple(sdp.Block(b.size, b.diag) for b in blocks)
     assert equal == blocks and equal[0] is not blocks[0]
     assert sdp._setup(equal) is sdp._setup(blocks)
     assert sdp.hermitian_basis(equal[0]) is sdp.hermitian_basis(blocks[0])
     order, layout, ntot, ci, cj, ev, perm, cuts, gathers = sdp._setup(blocks)
     assert (order, ntot) == ((0, 2, 1), 9) and gathers[2] is None
-    arrays = [ci, cj, ev, perm, *layout[2:4], *layout[4], *layout[5],
+    arrays = [ci, cj, ev, perm, *layout[1:3], *layout[3], *layout[4],
               *(a for g in gathers if g is not None for a in g), sdp.hermitian_basis(blocks[0])]
     for a in arrays:
         assert not a.flags.writeable
@@ -460,7 +484,7 @@ def test_ten_iterations_without_progress_end_solve_as_stalled(monkeypatch):
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     p = lowered(
-        [sdp.Block(size=3, complex=True), sdp.Block(size=2, diag=True)],
+        [sdp.Block(size=3), sdp.Block(size=2, diag=True)],
         {0: (A + A.conj().T) / 2, 1: np.array([0.5, -1.0])},
         [({0: np.eye(3), 1: np.ones(2)}, 1.0)],
     )
@@ -522,23 +546,22 @@ def test_infeasible_returns_a_checked_iterate():
         in str(exc.value)
 
 
-def test_status_is_optimal_exactly_when_residuals_meet_tolerances(solves, monkeypatch,
-                                                                  mix_1q_problem):
+def test_status_is_optimal_exactly_when_residuals_meet_tolerances(solves, monkeypatch):
+    # _mix solves at the default gap_tol, 1e-8; each of its d = 2 problems is
+    # solved again at both gap_tols.
     rng = np.random.default_rng(13)
     for i in range(9):
         d = 3 if i % 3 == 0 else 2
         n = 2 + i % 4
         channels._mix(choi(haar_unitary(d, rng)), [choi(haar_unitary(d, rng)) for _ in range(n)])
         if d == 2:
-            u = qubit1.magic_embed(haar_unitary(2, rng))
-            W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
-            sdp.solve(mix_1q_problem(u, W), (1e-8, 1e-6)[i % 2])
+            problem = solves[-1].problem
+            for gap_tol in (1e-8, 1e-6):
+                sdp.solve(problem, gap_tol)
     sdp.solve(_infeasible_problem())
     with monkeypatch.context() as m:
         m.setattr(sdp, "MAX_ITER", 3)
         sdp.solve(_infeasible_problem(), 1e-6)
-        W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(3)]))
-        problem = mix_1q_problem(qubit1.magic_embed(haar_unitary(2, rng)), W)
         with pytest.raises(SdpFailureError, match="status MaxIter after 3 iterations"):
             sdp.check_optimal(sdp.solve(problem))
     _break_nt_scaling_after(monkeypatch, 8)
@@ -554,19 +577,23 @@ def test_status_is_optimal_exactly_when_residuals_meet_tolerances(solves, monkey
 
 
 @pytest.mark.parametrize(
-    "blk",
-    [sdp.Block(size=5), sdp.Block(size=5, complex=True), sdp.Block(size=7, diag=True)],
+    "blk, real",
+    [(sdp.Block(size=5), True), (sdp.Block(size=5), False), (sdp.Block(size=7, diag=True), True)],
     ids=["real", "complex", "diag"],
 )
-def test_nt_scaling_makes_x_and_z_one_diagonal(blk):
-    rng = np.random.default_rng(blk.size + blk.complex)
+def test_nt_scaling_makes_x_and_z_one_diagonal(blk, real):
+    # "real": real symmetric X and Z on a dense block, as `real_embed` poses them,
+    # held as complex arrays as the solver holds every dense iterate.
+    rng = np.random.default_rng(blk.size + (not real))
 
     def random_pd():
         if blk.diag:
             return rng.uniform(0.01, 3.0, blk.size)
-        F = rng.standard_normal((blk.size, blk.size))
-        if blk.complex:
-            F = F + 1j * rng.standard_normal((blk.size, blk.size))
+        if real:
+            F = rng.standard_normal((blk.size, blk.size)).astype(complex)
+        else:
+            F = rng.standard_normal((2, blk.size, blk.size))
+            F = F[0] + 1j * F[1]
         return F @ F.conj().T + 0.01 * np.eye(blk.size)
 
     X, Z = random_pd(), random_pd()
@@ -586,13 +613,17 @@ def test_nt_scaling_makes_x_and_z_one_diagonal(blk):
 def test_nt_matrix_is_the_scaling_in_svec_coordinates(kind, size):
     # K maps svec(M) to svec(R^H M R) and K^T maps it to svec(R M R^H), for
     # Hermitian M, a random R and the R of an NT scaling; a diag block's K is R^2.
+    # "real" draws real data for a dense block, as `real_embed` poses it, held as
+    # complex arrays as the solver holds every dense iterate.
     # Size 6 is the k of a 5-candidate mix_d3 item.
-    blk = sdp.Block(size, complex=kind == "complex", diag=kind == "diag")
+    blk = sdp.Block(size, diag=kind == "diag")
     rng = np.random.default_rng([size, len(kind)])
 
     def random(shape):
         F = rng.standard_normal(shape)
-        return F + 1j * rng.standard_normal(shape) if blk.complex else F
+        if kind == "real":
+            return F.astype(complex)
+        return F if blk.diag else F + 1j * rng.standard_normal(shape)
 
     def random_pd():
         if blk.diag:
@@ -623,10 +654,11 @@ def test_nt_matrix_is_the_scaling_in_svec_coordinates(kind, size):
 def _four_block_problem():
     """(blocks, objective, constraints) of a feasible, bounded problem, as `lowered` reads them.
 
-    The blocks are diag(2), complex(3), real(2) and diag(3).
+    The blocks are diag(2), dense(3), dense(2) and diag(3); the 2x2 block's coefficients
+    are real.
     """
     rng = np.random.default_rng(29)
-    blocks = [sdp.Block(2, diag=True), sdp.Block(3, complex=True), sdp.Block(2),
+    blocks = [sdp.Block(2, diag=True), sdp.Block(3), sdp.Block(2),
               sdp.Block(3, diag=True)]
 
     def coeffs():
@@ -654,9 +686,9 @@ def _declared_in_order(blocks, objective, constraints, perm) -> sdp.SdpProblem:
 
 
 def test_solution_does_not_depend_on_block_order_or_lowering():
-    # Two diag blocks, one declared first, around a complex and a real block;
-    # the permutation puts the real block before the complex one, so the
-    # solver's dense and diag blocks both come in a new order.
+    # Two diag blocks, one declared first, around a 3x3 and a 2x2 dense block;
+    # the permutation puts the 2x2 block before the 3x3 one, so the solver's
+    # dense and diag blocks both come in a new order.
     given = _four_block_problem()
     p = lowered(*given)
     native = sdp.solve(p)
@@ -673,11 +705,12 @@ def test_solution_does_not_depend_on_block_order_or_lowering():
         assert np.allclose(permuted.X[j], native.X[k], rtol=0, atol=1e-7)
 
 
-def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch, mix_1q_problem):
-    # svec of R^H A_i R: s^2 reals for a complex s x s block, s(s+1)/2 for a
-    # real one, one per entry of a diag block. At d = 3, _mix poses its S' and
-    # E' blocks on the k = n + 1 dimensional support of n + 1 unitary channels:
-    # k^2 basis rows, 9 partial-trace rows and the simplex row.
+def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch):
+    # svec of R^H A_i R: s^2 reals for a dense s x s block, one per entry of a
+    # diag block. _mix poses its S' and E' blocks on the k = min(n + 1, d^2)
+    # dimensional support of n + 1 unitary channels: k^2 basis rows, d^2
+    # partial-trace rows and the simplex row; k^2 columns for each of S' and
+    # E', d^2 for G and n + 1 for (p, r).
     shapes = []
     schur_factor = sdp._schur_factor
 
@@ -693,10 +726,9 @@ def test_schur_factor_columns_are_hermitian_coordinates(monkeypatch, mix_1q_prob
         k = n + 1
         assert set(shapes) == {(k * k + 10, 2 * k * k + 9 + n + 1)}
         shapes.clear()
-        u = qubit1.magic_embed(haar_unitary(2, rng))
-        W = qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng) for _ in range(n)]))
-        sdp.solve(mix_1q_problem(u, W))
-        assert set(shapes) == {(11, 10 + n + 1)}
+        channels._mix(choi(haar_unitary(2, rng)), [choi(haar_unitary(2, rng)) for _ in range(n)])
+        k = min(n + 1, 4)
+        assert set(shapes) == {(k * k + 5, 2 * k * k + 5 + n)}
 
 
 @pytest.mark.parametrize(
@@ -728,12 +760,13 @@ def test_objective_in_the_constraint_span_starts_off_the_boundary():
     assert abs(s.primal_value - 1.0) < 1e-7 and abs(s.dual_value - 1.0) < 1e-7
 
 
-def test_trace_has_one_entry_per_iteration(solves, mix_1q_problem):
+def test_trace_has_one_entry_per_iteration(solves):
+    # The last problem offers one candidate twice.
     rng = np.random.default_rng(8)
     for d in (2, 3):
         channels._mix(choi(haar_unitary(d, rng)), [choi(haar_unitary(d, rng)) for _ in range(3)])
-    u = qubit1.magic_embed(haar_unitary(2, rng))
-    sdp.solve(mix_1q_problem(u, qubit1.magic_embed_batch(np.stack([haar_unitary(2, rng)] * 2))))
+    target, twice = (choi(haar_unitary(2, rng)) for _ in range(2))
+    channels._mix(target, [twice, twice])
     assert len(solves) == 3
     for _, _, sol in solves:
         assert sol.status == "Optimal" and len(sol.trace) == sol.iterations

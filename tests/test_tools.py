@@ -1,7 +1,10 @@
 import importlib.util
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 SWEEP = Path(__file__).resolve().parents[1] / "tools" / "solve_sweep.py"
@@ -235,3 +238,24 @@ def test_solve_time_refuses_a_tree_without_sdp_py_before_the_sweep(solve_time, m
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: {other}: no usynth/sdp.py in it\n")
+
+
+def test_solve_time_poses_dense_blocks_as_complex_to_a_tree_with_a_complex_field(solve_time):
+    # A tree whose Block still has a `complex` field defaults it to a real block,
+    # so each dense block is posed to it with complex=True; this tree's Block has
+    # only size and diag, and gets the blocks as they are.
+    from usynth import sdp
+
+    @dataclass(frozen=True)
+    class Block:
+        size: int
+        complex: bool = False
+        diag: bool = False
+
+    older = SimpleNamespace(Block=Block, SdpProblem=sdp.SdpProblem)
+    problem = sdp.SdpProblem([sdp.Block(2), sdp.Block(3, diag=True)], np.zeros(7),
+                             np.zeros((0, 7)), np.zeros(0))
+    posed = solve_time.in_module(older, problem)
+    assert posed.blocks == [Block(2, complex=True), Block(3, diag=True)]
+    assert posed.objective is problem.objective and posed.rhs is problem.rhs
+    assert solve_time.in_module(sdp, problem).blocks == problem.blocks

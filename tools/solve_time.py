@@ -70,8 +70,14 @@ def load_sdp(src: Path, name: str):
 
 
 def in_module(sdp, problem):
-    """The problem as the module `sdp`'s own SdpProblem and Blocks."""
-    blocks = [sdp.Block(blk.size, blk.complex, blk.diag) for blk in problem.blocks]
+    """The problem as the module `sdp`'s own SdpProblem and Blocks.
+
+    Every dense block is complex Hermitian; a tree whose Block still has a
+    `complex` field, as before dense blocks had one kind, is told so.
+    """
+    dense = {"complex": True} if "complex" in sdp.Block.__dataclass_fields__ else {}
+    blocks = [sdp.Block(blk.size, diag=True) if blk.diag else sdp.Block(blk.size, **dense)
+              for blk in problem.blocks]
     return sdp.SdpProblem(blocks, problem.objective, problem.constraints, problem.rhs)
 
 
